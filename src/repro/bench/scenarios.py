@@ -39,7 +39,11 @@ from repro.experiments.common import (
     RegisterFileCacheFactory,
     SingleBankedFactory,
 )
-from repro.experiments.scheduler import SimulationPoint, execute_points
+from repro.experiments.scheduler import (
+    SimulationPoint,
+    SweepEngine,
+    run_simulation_point,
+)
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
@@ -191,9 +195,9 @@ class SweepScenario:
 
     All points share one (workload, frontend configuration), so the
     trace-replay engine records once and replays the whole matrix; the
-    ``live`` variant runs the identical matrix with per-point workload
-    generation and a live frontend.  The primary metric is
-    points/minute over the full sweep, scheduler included.
+    ``live`` variant simulates the identical matrix point by point, each
+    with its own workload generation and a live frontend.  The primary
+    metric is points/minute over the full sweep, scheduler included.
     """
 
     name: str
@@ -225,9 +229,13 @@ class SweepScenario:
         """Execute the sweep cold (fresh stores) and digest every result."""
         points = self.points()
         store = ResultStore()
-        summary = execute_points(
-            points, store, jobs=1, use_trace_replay=self.use_trace_replay
-        )
+        if self.use_trace_replay:
+            summary = SweepEngine(store=store).execute(points)
+        else:
+            for point in points:
+                stats = run_simulation_point(point)
+                store.put(point.store_key(), stats, metadata=point.metadata())
+            summary = {"executed": len(points)}
         digest = hashlib.sha256()
         for point in points:
             stats = store.get(point.store_key())

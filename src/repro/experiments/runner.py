@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir: neither read nor write the "
                              "persistent cache")
-    parser.add_argument("--no-trace-replay", action="store_true",
-                        help="run every point with a live frontend instead of "
-                             "the trace-once/replay-many engine (slower; "
-                             "results are bit-identical either way)")
     parser.add_argument("--sample", default=None, metavar="STRIDE:WINDOW[:WARMUP]",
                         help="estimate every point by systematic interval "
                              "sampling instead of exact simulation: detailed "
@@ -138,7 +134,6 @@ def run_experiments(
     store: Optional[ResultStore] = None,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    use_trace_replay: bool = True,
     engine: Optional[SweepEngine] = None,
 ) -> list[ExperimentResult]:
     """Run the named experiments, sharing one simulation cache.
@@ -150,11 +145,10 @@ def run_experiments(
     under-declares is simply simulated in-process when the experiment
     asks for it.  Long-lived callers (the sweep service) pass their own
     ``engine`` so warm workers and trace caches persist across calls;
-    ``store``/``jobs``/``use_trace_replay`` are ignored in that case.
+    ``store``/``jobs`` are ignored in that case.
     """
     if engine is None:
-        engine = SweepEngine(store=store, jobs=jobs,
-                             use_trace_replay=use_trace_replay)
+        engine = SweepEngine(store=store, jobs=jobs)
     store = engine.store
     cache = SimulationCache(settings, store=store)
     engine.execute(plan_experiments(names, settings), progress=progress)
@@ -279,8 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         results = run_experiments(names, settings, store=store,
-                                  jobs=args.jobs, progress=progress,
-                                  use_trace_replay=not args.no_trace_replay)
+                                  jobs=args.jobs, progress=progress)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -16,12 +16,14 @@ remainder with the **trace-once / replay-many** engine:
   workload generation and the whole frontend while reproducing the
   live-run statistics bit for bit.
 
-With ``jobs`` > 1 the work fans out across a **warm worker pool**: the
-pool persists across calls (figure sweeps reuse it), each worker
-receives a group's trace once per batch — as shared payload bytes, or by
-key when a ``--cache-dir`` lets workers load it from disk — and caches
-it in process-global memory, and batches carry multiple points per
-dispatch instead of one task per point.
+Both steps run through :func:`fan_out` whatever the ``jobs`` count.  At
+``jobs=1`` it calls the tasks inline on the engine's own traces.  With
+``jobs`` > 1 the work fans out across a **warm worker pool**: the pool
+persists across calls (figure sweeps reuse it), each worker receives a
+group's trace once per batch — as shared payload bytes, or by key when a
+``--cache-dir`` lets workers load it from disk — and caches it in
+process-global memory, and batches carry multiple points per dispatch
+instead of one task per point.
 
 Simulations are deterministic functions of ``(benchmark profile, seed,
 architecture, config)``, so a parallel or replayed run produces
@@ -155,8 +157,8 @@ def record_point_trace(point: SimulationPoint):
     result when eligible.  Returns ``(trace, stats_or_None)``."""
     if _seams.active is not None:
         # Chaos seam: the recording run doubles as this point's
-        # execution on the jobs=1 path, so worker faults must be able
-        # to land here as well as in run_simulation_point.
+        # execution, so worker faults must be able to land here as well
+        # as in run_simulation_point.
         _seams.active.fire(
             "engine.point",
             benchmark=point.benchmark,
@@ -182,14 +184,14 @@ def build_point_trace(point: SimulationPoint) -> DecodedTrace:
 def run_simulation_point(
     point: SimulationPoint, trace: Optional[DecodedTrace] = None
 ) -> SimulationStats:
-    """Simulate one point (also the worker-process entry).
+    """Simulate one point.
 
     With ``trace`` the point is replayed (bit-identical, no workload
     generation or frontend); without it the point runs live from
-    scratch, exactly as before the trace engine existed.  A point with a
-    :class:`~repro.sampling.SamplingSpec` is estimated by systematic
-    interval sampling over the trace instead (recorded here on demand —
-    the sampling engine is trace-driven by construction).
+    scratch — the reference the replayed results are checked against.
+    A point with a :class:`~repro.sampling.SamplingSpec` is estimated by
+    systematic interval sampling over the trace instead (recorded here
+    on demand — the sampling engine is trace-driven by construction).
     """
     if _seams.active is not None:
         # Chaos seam: slow / hung / crashing worker faults land here,
@@ -215,12 +217,6 @@ def run_simulation_point(
         )
     return simulate(build_point_stream(point), point.factory, point.config,
                     benchmark_name=point.benchmark)
-
-
-def _execute_remote(point: SimulationPoint) -> dict:
-    """Worker wrapper: ship the stats back as a plain dictionary."""
-    _obs_profile.maybe_enable_worker()
-    return run_simulation_point(point).to_dict()
 
 
 def dedupe_points(points: Iterable[SimulationPoint]) -> Dict[str, SimulationPoint]:
@@ -256,7 +252,7 @@ def pool_resets() -> int:
 def warm_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent worker pool (created lazily, resized on demand).
 
-    Reusing one pool across ``execute_points`` calls keeps workers —
+    Reusing one pool across ``SweepEngine.execute`` calls keeps workers —
     and their per-process decoded-trace caches — warm for the whole
     runner invocation instead of paying process spawn per figure.
     """
@@ -357,9 +353,11 @@ def fan_out(
 
 @dataclass(frozen=True)
 class _RecordTask:
-    """Record one group's trace in a worker, then replay its first point."""
+    """Record one group's trace, then produce its first point's result."""
 
     point: SimulationPoint
+    #: Shared cache dir a worker persists the trace to instead of
+    #: shipping it back; ``None`` ships the payload.
     cache_dir: Optional[str]
     #: Observability payload (``{"events_dir", "trace"}``) letting the
     #: worker process emit its spans into the service's event log under
@@ -417,6 +415,12 @@ def _maybe_span(telemetry: Optional[Telemetry], name: str,
     return telemetry.span(name, parent=parent, **attrs)
 
 
+def _keep_worker_trace(trace: DecodedTrace) -> None:
+    while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
+        _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
+    _WORKER_TRACES[trace.key] = trace
+
+
 def _worker_trace(key: str, payload: Optional[dict],
                   cache_dir: Optional[str],
                   fallback_point: SimulationPoint) -> DecodedTrace:
@@ -429,42 +433,77 @@ def _worker_trace(key: str, payload: Optional[dict],
         if trace is None:
             # Disk entry vanished or was corrupt: re-record locally.
             trace = build_point_trace(fallback_point)
-        while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
-            _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-        _WORKER_TRACES[key] = trace
+        _keep_worker_trace(trace)
     return trace
 
 
-def _record_remote(task: _RecordTask) -> Tuple[Optional[dict], dict]:
-    """Worker entry for a :class:`_RecordTask`.
+def _replay_timed(
+    point: SimulationPoint,
+    trace: DecodedTrace,
+    telemetry: Optional[Telemetry],
+    parent: Optional[TraceContext] = None,
+) -> Tuple[SimulationStats, float]:
+    """Replay ``point`` on ``trace``; returns its stats and wall seconds."""
+    started = time.perf_counter()
+    with _maybe_span(telemetry, "point.simulate", parent=parent,
+                     strategy="replay", benchmark=point.benchmark):
+        stats = run_simulation_point(point, trace)
+    return stats, time.perf_counter() - started
 
-    Returns ``(trace_payload_or_None, first_point_stats_dict)``; the
-    payload is ``None`` when the trace was persisted to the shared
-    ``cache_dir`` instead of being shipped back.
+
+def _record_group(
+    point: SimulationPoint,
+    telemetry: Optional[Telemetry],
+    parent: Optional[TraceContext] = None,
+) -> Tuple[DecodedTrace, SimulationStats, float, float]:
+    """Record ``point``'s group trace and produce ``point``'s result.
+
+    Returns ``(trace, stats, record_seconds, point_seconds)``.  When the
+    recording run doubles as the point's run its statistics are
+    harvested and its wall time is billed to the point too, so
+    single-point jobs aren't invisible in the latency percentiles;
+    otherwise the point is replayed on the fresh trace.
     """
-    _obs_profile.maybe_enable_worker()
-    telemetry, parent = _worker_telemetry(task.obs)
-    point = task.point
+    started = time.perf_counter()
     with _maybe_span(telemetry, "trace.record", parent=parent,
                      benchmark=point.benchmark):
-        trace, recorded_stats = record_point_trace(point)
-    while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
-        _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-    _WORKER_TRACES[trace.key] = trace
-    if recorded_stats is not None:
-        stats = recorded_stats.to_dict()
-    else:
-        with _maybe_span(telemetry, "point.simulate", parent=parent,
-                         strategy="replay", benchmark=point.benchmark):
-            stats = run_simulation_point(point, trace).to_dict()
+        trace, stats = record_point_trace(point)
+    record_seconds = time.perf_counter() - started
+    if stats is None:
+        stats, point_seconds = _replay_timed(point, trace, telemetry, parent)
+        return trace, stats, record_seconds, point_seconds
+    if telemetry is not None:
+        span = telemetry.span_start("point.simulate", parent,
+                                    strategy="harvest",
+                                    benchmark=point.benchmark)
+        telemetry.span_end("point.simulate", span, duration_s=record_seconds,
+                           strategy="harvest", benchmark=point.benchmark)
+    return trace, stats, record_seconds, record_seconds
+
+
+def _record_remote(
+    task: _RecordTask,
+) -> Tuple[Optional[dict], dict, float, float]:
+    """Worker entry for a :class:`_RecordTask`: :func:`_record_group`'s
+    result with the trace as a payload (``None`` once persisted to the
+    shared ``cache_dir``) and the stats as a dictionary."""
+    _obs_profile.maybe_enable_worker()
+    telemetry, parent = _worker_telemetry(task.obs)
+    trace, stats, record_seconds, point_seconds = _record_group(
+        task.point, telemetry, parent
+    )
+    _keep_worker_trace(trace)
+    payload = None
     if task.cache_dir:
         TraceStore(task.cache_dir).put(trace)
-        return None, stats
-    return trace.to_payload(), stats
+    else:
+        payload = trace.to_payload()
+    return payload, stats.to_dict(), record_seconds, point_seconds
 
 
-def _batch_remote(batch: _TraceBatch) -> List[dict]:
-    """Worker entry for a :class:`_TraceBatch`."""
+def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
+    """Worker entry for a :class:`_TraceBatch`: ``(stats dict, seconds)``
+    per point."""
     _obs_profile.maybe_enable_worker()
     telemetry, parent = _worker_telemetry(batch.obs)
     trace = _worker_trace(
@@ -472,15 +511,18 @@ def _batch_remote(batch: _TraceBatch) -> List[dict]:
     )
     results = []
     for point in batch.points:
-        with _maybe_span(telemetry, "point.simulate", parent=parent,
-                         strategy="replay", benchmark=point.benchmark):
-            results.append(run_simulation_point(point, trace).to_dict())
+        stats, seconds = _replay_timed(point, trace, telemetry, parent)
+        results.append((stats.to_dict(), seconds))
     return results
 
 
 # ----------------------------------------------------------------------
 # the sweep engine
 # ----------------------------------------------------------------------
+
+#: Result sink of one executed point: ``(store key, point, stats,
+#: seconds)``; worker processes send the stats as a dictionary.
+_Recorder = Callable[[str, SimulationPoint, Any, float], None]
 
 
 class SweepEngine:
@@ -520,7 +562,6 @@ class SweepEngine:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        use_trace_replay: bool = True,
         trace_store: Optional[TraceStore] = None,
         claim_ttl: float = DEFAULT_CLAIM_TTL,
         claim_poll_interval: float = 0.05,
@@ -528,7 +569,6 @@ class SweepEngine:
     ) -> None:
         self.store = store if store is not None else ResultStore()
         self.jobs = jobs
-        self.use_trace_replay = use_trace_replay
         self.trace_store = (
             trace_store if trace_store is not None
             else TraceStore(self.store.cache_dir)
@@ -639,11 +679,7 @@ class SweepEngine:
         Returns a summary dictionary (``requested``, ``unique``,
         ``cached``, ``executed``, ``shared_inflight``,
         ``traces_recorded``, ``traces_reused``, ``elapsed_seconds``)
-        that callers log or attach to job records.  With
-        ``use_trace_replay=False`` (the ``--no-trace-replay`` escape
-        hatch) every point runs live with its own workload generation
-        and frontend, as the engine did before the trace subsystem
-        existed.
+        that callers log or attach to job records.
         """
         started = time.time()
         points = list(points)
@@ -680,14 +716,17 @@ class SweepEngine:
             + (f", {len(shared)} in flight elsewhere" if shared else "")
             + (f", {len(remote)} claimed by other replicas" if remote else "")
             + (f" on {self.jobs} workers" if self.jobs > 1 and owned else "")
-            + ("" if self.use_trace_replay or not owned else " (live frontend)")
         )
 
         done = 0
         total_pending = len(owned)
 
-        def record(key: str, point: SimulationPoint, stats: SimulationStats) -> None:
+        def record(key: str, point: SimulationPoint, stats: Any,
+                   seconds: float) -> None:
             nonlocal done
+            if isinstance(stats, dict):  # sent by a worker process
+                stats = SimulationStats.from_dict(stats)
+            self._point_histogram.observe(seconds)
             self.store.put(key, stats, metadata=point.metadata())
             # Release as soon as the result is visible so concurrent
             # callers waiting on this very point unblock point by point
@@ -772,7 +811,7 @@ class SweepEngine:
         self,
         remote: Dict[str, SimulationPoint],
         counters: Dict[str, int],
-        record: Callable[[str, SimulationPoint, SimulationStats], None],
+        record: _Recorder,
         say: ProgressCallback,
     ) -> None:
         """Wait for points claimed by other replicas; reclaim crashed ones.
@@ -814,190 +853,114 @@ class SweepEngine:
         self,
         pending: Dict[str, SimulationPoint],
         counters: Dict[str, int],
-        record: Callable[[str, SimulationPoint, SimulationStats], None],
+        record: _Recorder,
         say: ProgressCallback,
     ) -> None:
-        """Simulate every point in ``pending`` and record the results."""
+        """Simulate every point in ``pending`` and record the results.
+
+        Two :func:`fan_out` steps serve every ``jobs`` value.  First, one
+        record task per group whose trace is not stored; it also yields
+        the group's first point.  Then the remaining points go out in
+        per-group chunks.  At ``jobs=1`` both run inline on the traces
+        this process holds, with no payloads and no stats dictionaries;
+        with more jobs, workers receive each group's trace once per
+        chunk — as payload bytes, or by key from a shared cache dir.
+        """
         jobs = self.jobs
-
-        if not self.use_trace_replay:
-            pending_items = list(pending.items())
-
-            def on_result(index: int, payload) -> None:
-                key, point = pending_items[index]
-                stats = (
-                    SimulationStats.from_dict(payload) if isinstance(payload, dict)
-                    else payload
-                )
-                record(key, point, stats)
-
-            def live_worker(point: SimulationPoint) -> SimulationStats:
-                with self._point_histogram.time(), _maybe_span(
-                    self.telemetry, "point.simulate", strategy="live",
-                    benchmark=point.benchmark,
-                ):
-                    return run_simulation_point(point)
-
-            fan_out(
-                [point for _, point in pending_items],
-                worker=live_worker,
-                jobs=jobs,
-                remote_worker=_execute_remote,
-                on_result=on_result,
-            )
-            return
-
         traces = self.trace_store
+        telemetry = self.telemetry
+        cache_dir = traces.cache_dir if traces.trace_dir else None
+        ship = jobs > 1 and cache_dir is None
+        worker_obs = self._worker_obs() if jobs > 1 else None
 
         # Group the pending points by the decoded trace that can drive them.
         groups: Dict[str, List[Tuple[str, SimulationPoint]]] = {}
         for key, point in pending.items():
             groups.setdefault(point.trace_key(), []).append((key, point))
 
-        if jobs <= 1:
-            for group_key, members in groups.items():
-                trace = traces.get(group_key)
-                recorded_stats = None
-                record_seconds = 0.0
-                if trace is None:
-                    record_started = time.perf_counter()
-                    with _maybe_span(self.telemetry, "trace.record",
-                                     benchmark=members[0][1].benchmark,
-                                     histogram="trace.record_seconds"):
-                        trace, recorded_stats = record_point_trace(members[0][1])
-                    record_seconds = time.perf_counter() - record_started
-                    traces.put(trace)
-                    counters["traces_recorded"] += 1
-                else:
-                    counters["traces_reused"] += 1
-                for index, (key, point) in enumerate(members):
-                    if index == 0 and recorded_stats is not None:
-                        # The recording pass simulated this point; bill
-                        # its wall time to the point latency too so
-                        # single-point jobs aren't invisible in p50/p99.
-                        self._point_histogram.observe(record_seconds)
-                        if self.telemetry is not None:
-                            span = self.telemetry.span_start(
-                                "point.simulate", strategy="harvest",
-                                benchmark=point.benchmark,
-                            )
-                            self.telemetry.span_end(
-                                "point.simulate", span,
-                                duration_s=record_seconds,
-                                strategy="harvest", benchmark=point.benchmark,
-                            )
-                        record(key, point, recorded_stats)
-                        continue
-                    with self._point_histogram.time(), _maybe_span(
-                        self.telemetry, "point.simulate", strategy="replay",
-                        benchmark=point.benchmark,
-                    ):
-                        stats = run_simulation_point(point, trace)
-                    record(key, point, stats)
-            return
-
-        # Parallel: phase R records one trace per missing group (each worker
-        # also replays the group's first point while the trace is hot), then
-        # phase B batches the remaining points so each worker receives a
-        # group's trace once per dispatch rather than once per point.
-        on_disk = bool(traces.trace_dir)
-        worker_obs = self._worker_obs()
-        payloads: Dict[str, Optional[dict]] = {}
+        # Decoded traces held in this process, and payloads workers sent.
+        loaded: Dict[str, DecodedTrace] = {}
+        payloads: Dict[str, dict] = {}
         record_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
-        batch_members: List[Tuple[str, SimulationPoint, str]] = []
-
+        replay_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         for group_key, members in groups.items():
             trace = traces.get(group_key)
             if trace is None:
                 record_groups.append((group_key, members))
             else:
-                counters["traces_reused"] += 1
-                payloads[group_key] = None if on_disk else trace.to_payload()
-                batch_members.extend(
-                    (key, point, group_key) for key, point in members
-                )
+                loaded[group_key] = trace
+                replay_groups.append((group_key, members))
+        counters["traces_recorded"] += len(record_groups)
+        counters["traces_reused"] += len(replay_groups)
 
-        if record_groups:
-            counters["traces_recorded"] += len(record_groups)
-
-            def on_recorded(index: int, result) -> None:
-                group_key, members = record_groups[index]
-                payload, stats_dict = result
-                payloads[group_key] = payload  # None when persisted to disk
-                first_key, first_point = members[0]
-                record(first_key, first_point, SimulationStats.from_dict(stats_dict))
-                batch_members.extend(
-                    (key, point, group_key) for key, point in members[1:]
-                )
-
-            fan_out(
-                [
-                    _RecordTask(point=members[0][1],
-                                cache_dir=traces.cache_dir if on_disk else None,
-                                obs=worker_obs)
-                    for _, members in record_groups
-                ],
-                worker=_record_remote,
-                jobs=jobs,
-                on_result=on_recorded,
+        def on_recorded(index: int, result) -> None:
+            group_key, members = record_groups[index]
+            trace, stats, record_seconds, point_seconds = result
+            if isinstance(trace, dict):
+                payloads[group_key] = trace
+                trace = DecodedTrace.from_payload(trace)
+            if trace is not None:  # None: a worker persisted it to disk
+                traces.put(trace)
+                loaded[group_key] = trace
+            self.registry.histogram("trace.record_seconds").observe(
+                record_seconds
             )
+            first_key, first_point = members[0]
+            record(first_key, first_point, stats, point_seconds)
+            replay_groups.append((group_key, members[1:]))
 
-        if batch_members:
-            # Chunk each group's members so the group spreads across workers;
-            # a worker decodes/loads the trace once per batch and keeps it
-            # warm in its process-global cache for later batches.
-            batches: List[Tuple[_TraceBatch, List[Tuple[str, SimulationPoint]]]] = []
-            by_group: Dict[str, List[Tuple[str, SimulationPoint]]] = {}
-            for key, point, group_key in batch_members:
-                by_group.setdefault(group_key, []).append((key, point))
-            for group_key, members in by_group.items():
-                chunk = max(1, math.ceil(len(members) / jobs))
-                for start in range(0, len(members), chunk):
-                    part = members[start:start + chunk]
-                    batches.append(
-                        (
-                            _TraceBatch(
-                                points=tuple(point for _, point in part),
-                                trace_key=group_key,
-                                payload=payloads.get(group_key),
-                                cache_dir=traces.cache_dir if on_disk else None,
-                                obs=worker_obs,
-                            ),
-                            part,
-                        )
-                    )
+        fan_out(
+            [
+                _RecordTask(point=members[0][1], cache_dir=cache_dir,
+                            obs=worker_obs)
+                for _, members in record_groups
+            ],
+            worker=lambda task: _record_group(task.point, telemetry),
+            jobs=jobs,
+            remote_worker=_record_remote,
+            on_result=on_recorded,
+        )
 
-            def on_batch(index: int, results: List[dict]) -> None:
-                _, part = batches[index]
-                for (key, point), stats_dict in zip(part, results):
-                    record(key, point, SimulationStats.from_dict(stats_dict))
+        # Chunk each group so it spreads across the workers, each of
+        # which decodes or loads the trace once per chunk and keeps it
+        # warm for later ones.  Inline tasks cost nothing to dispatch, so
+        # jobs=1 records every point as soon as it finishes.
+        batches: List[Tuple[_TraceBatch, List[Tuple[str, SimulationPoint]]]] = []
+        for group_key, members in replay_groups:
+            if not members:
+                continue
+            size = max(1, math.ceil(len(members) / jobs)) if jobs > 1 else 1
+            payload = None
+            if ship:
+                payload = payloads.get(group_key) or loaded[group_key].to_payload()
+            for start in range(0, len(members), size):
+                part = members[start:start + size]
+                batch = _TraceBatch(
+                    points=tuple(point for _, point in part),
+                    trace_key=group_key,
+                    payload=payload,
+                    cache_dir=cache_dir,
+                    obs=worker_obs,
+                )
+                batches.append((batch, part))
 
-            fan_out(
-                [batch for batch, _ in batches],
-                worker=_batch_remote,
-                jobs=jobs,
-                on_result=on_batch,
-            )
+        def replay_inline(batch: _TraceBatch) -> List[Tuple[SimulationStats, float]]:
+            trace = loaded.get(batch.trace_key)
+            if trace is None:  # recorded by a worker into the cache dir
+                trace = _worker_trace(batch.trace_key, None, cache_dir,
+                                      batch.points[0])
+            return [_replay_timed(point, trace, telemetry)
+                    for point in batch.points]
 
+        def on_batch(index: int, results) -> None:
+            _, part = batches[index]
+            for (key, point), (stats, seconds) in zip(part, results):
+                record(key, point, stats, seconds)
 
-def execute_points(
-    points: Sequence[SimulationPoint],
-    store: ResultStore,
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    use_trace_replay: bool = True,
-    trace_store: Optional[TraceStore] = None,
-) -> Dict[str, int]:
-    """Ensure every point's result is present in ``store``.
-
-    One-shot convenience over :class:`SweepEngine` for callers without a
-    long-lived engine; see :meth:`SweepEngine.execute` for the returned
-    summary dictionary.
-    """
-    engine = SweepEngine(
-        store=store,
-        jobs=jobs,
-        use_trace_replay=use_trace_replay,
-        trace_store=trace_store,
-    )
-    return engine.execute(points, progress=progress)
+        fan_out(
+            [batch for batch, _ in batches],
+            worker=replay_inline,
+            jobs=jobs,
+            remote_worker=_batch_remote,
+            on_result=on_batch,
+        )

@@ -5,9 +5,7 @@ produced by the experiment harness in an in-memory dictionary and,
 optionally, mirrors it to a sharded append-only segment log
 (:class:`~repro.storage.sharded.ShardedStore` under
 ``<cache_dir>/results/``) so that repeated invocations of the runner
-only pay for simulation points they have never seen before.  Legacy
-file-per-point trees (``<cache_dir>/<key>.json``) are imported byte for
-byte the first time they are opened under the new layout.
+only pay for simulation points they have never seen before.
 
 Keys are content hashes over everything that determines a simulation's
 outcome: the benchmark name, the register-file architecture (its factory
@@ -35,7 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
-from repro.storage import ShardedStore, migrate_legacy_files
+from repro.storage import ShardedStore
 
 #: Bump when the on-disk payload layout changes; mismatching entries are
 #: treated as cache misses rather than errors.
@@ -98,20 +96,6 @@ def simulation_key(
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _valid_result_payload(key: str, raw: bytes) -> bool:
-    """Whether raw bytes are a sane (legacy or current) result envelope."""
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return False
-    return (
-        isinstance(payload, dict)
-        and payload.get("schema") == SCHEMA_VERSION
-        and payload.get("key") == key
-        and "stats" in payload
-    )
-
-
 class ResultStore:
     """In-memory dictionary of results, optionally backed by a directory.
 
@@ -148,10 +132,6 @@ class ResultStore:
                 os.path.join(cache_dir, RESULT_SUBDIR),
                 ttl_seconds=ttl_seconds,
                 max_bytes=max_bytes,
-            )
-            # Import any pre-segment-log file-per-point tree, byte for byte.
-            migrate_legacy_files(
-                cache_dir, ".json", self._disk.put, _valid_result_payload
             )
 
     # ------------------------------------------------------------------

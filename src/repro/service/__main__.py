@@ -65,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--job-concurrency", type=int, default=2,
                        help="jobs executed concurrently; identical in-flight "
                             "points are single-flighted (default: 2)")
-    serve.add_argument("--no-trace-replay", action="store_true",
-                       help="run every point with a live frontend instead of "
-                            "the trace-once/replay-many engine")
     serve.add_argument("--replicas", type=int, default=1,
                        help="run N service replicas in this process on "
                             "consecutive ports, sharing the cache dir "
@@ -269,7 +266,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             jobs=args.jobs,
             job_concurrency=args.job_concurrency,
-            use_trace_replay=not args.no_trace_replay,
             progress=None if args.quiet else progress,
             replica_id=replica_id,
             max_queue_depth=args.max_queue_depth,

@@ -47,8 +47,8 @@ def _canonical_regfile() -> SingleBankedRegisterFile:
     saturation boundary.  Empirically it never does across the full
     architecture matrix and severe backend perturbations —
     ``tests/test_trace_replay.py`` re-verifies the bit-identity contract
-    on every run, and ``--no-trace-replay`` is the escape hatch should a
-    workload ever hit the corner.
+    on every run, and ``repro.validate``'s live differential run
+    (``--no-trace-replay``) detects a workload that ever hits the corner.
     """
     return SingleBankedRegisterFile(latency=1, bypass_levels=1)
 

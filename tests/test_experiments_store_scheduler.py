@@ -19,8 +19,8 @@ from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import render_csv, run_experiments
 from repro.experiments.scheduler import (
     SimulationPoint,
+    SweepEngine,
     dedupe_points,
-    execute_points,
     run_simulation_point,
 )
 from repro.experiments.store import ResultStore, simulation_key
@@ -142,8 +142,9 @@ class TestScheduler:
 
     def test_execute_points_fills_store(self):
         store = ResultStore()
-        summary = execute_points([_point("swim"), _point("swim"), _point("m88ksim")],
-                                 store, jobs=1)
+        summary = SweepEngine(store=store).execute(
+            [_point("swim"), _point("swim"), _point("m88ksim")]
+        )
         assert summary["requested"] == 3
         assert summary["unique"] == 2
         assert summary["executed"] == 2
@@ -156,7 +157,7 @@ class TestScheduler:
         from repro.experiments.runner import EXPERIMENTS, PLANNERS, plan_experiments
 
         store = ResultStore()
-        execute_points(plan_experiments(list(PLANNERS), TINY), store, jobs=1)
+        SweepEngine(store=store).execute(plan_experiments(list(PLANNERS), TINY))
         stores_before = store.counters()["stores"]
         cache = SimulationCache(TINY, store=store)
         for name, experiment in EXPERIMENTS.items():

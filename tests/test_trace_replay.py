@@ -19,8 +19,9 @@ import pytest
 
 from repro.experiments.scheduler import (
     SimulationPoint,
-    execute_points,
+    SweepEngine,
     run_simulation_point,
+    shutdown_pool,
 )
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
@@ -220,7 +221,7 @@ class TestCacheDirCoexistence:
         config = ProcessorConfig(max_instructions=500)
         point = SimulationPoint(benchmark="gcc", factory=factory,
                                 architecture="mono-1c", config=config)
-        execute_points([point], results, jobs=1, use_trace_replay=True)
+        SweepEngine(store=results).execute([point])
 
         # Results live in segment logs under results/, traces under
         # traces/; a fresh ResultStore must not mistake the trace for a
@@ -259,28 +260,28 @@ class TestReplayIsNotAConfigField:
     def test_replayed_and_live_runs_share_result_keys(self, tmp_path):
         cache_dir = str(tmp_path)
         replay_store = ResultStore(cache_dir=cache_dir)
-        summary = execute_points(self._points(), replay_store, jobs=1,
-                                 use_trace_replay=True)
+        summary = SweepEngine(store=replay_store).execute(self._points())
         assert summary["executed"] == 4
         assert summary["traces_recorded"] == 1
 
-        # A later *live* run over the same cache-dir must hit every entry.
+        # A later run over the same cache-dir must hit every entry, and
+        # each entry must be the point's *live* result.
         live_store = ResultStore(cache_dir=cache_dir)
-        summary = execute_points(self._points(), live_store, jobs=1,
-                                 use_trace_replay=False)
+        summary = SweepEngine(store=live_store).execute(self._points())
         assert summary["executed"] == 0
         assert summary["cached"] == 4
+        for point in self._points():
+            assert (live_store.get(point.store_key()).to_dict()
+                    == run_simulation_point(point).to_dict()), point.architecture
 
     def test_replayed_results_equal_live_results(self):
         replay_store = ResultStore()
-        live_store = ResultStore()
         points = self._points()
-        execute_points(points, replay_store, jobs=1, use_trace_replay=True)
-        execute_points(points, live_store, jobs=1, use_trace_replay=False)
+        SweepEngine(store=replay_store).execute(points)
         for point in points:
             key = point.store_key()
             assert (replay_store.get(key).to_dict()
-                    == live_store.get(key).to_dict()), point.architecture
+                    == run_simulation_point(point).to_dict()), point.architecture
 
     def test_recording_harvest_matches_live(self):
         """The recording run doubles as the first point's result; it must
@@ -299,15 +300,12 @@ class TestReplayIsNotAConfigField:
     def test_parallel_batched_replay_matches_serial(self, tmp_path):
         """The warm-worker path (record task + trace batches) produces the
         same results as the serial path, with traces shipped via disk."""
-        from repro.experiments.scheduler import shutdown_pool
-
         points = self._points()
         serial_store = ResultStore()
-        execute_points(points, serial_store, jobs=1, use_trace_replay=True)
+        SweepEngine(store=serial_store).execute(points)
         parallel_store = ResultStore(cache_dir=str(tmp_path))
         try:
-            summary = execute_points(points, parallel_store, jobs=2,
-                                     use_trace_replay=True)
+            summary = SweepEngine(store=parallel_store, jobs=2).execute(points)
         finally:
             shutdown_pool()
         assert summary["executed"] == 4
@@ -329,3 +327,63 @@ class TestReplayIsNotAConfigField:
         replayed = run_simulation_point(point, trace)
         assert replayed.to_dict() == live.to_dict()
         assert replayed.occupancy_needed  # the distribution was collected
+
+
+class TestParallelEngineBookkeeping:
+    """Worker processes report back everything the serial path records."""
+
+    def _points(self):
+        config = ProcessorConfig(max_instructions=600)
+        return [
+            SimulationPoint(benchmark="gcc", factory=factory,
+                            architecture=name, config=config)
+            for name, factory in list(validation_matrix().items())[:6]
+        ]
+
+    def test_latency_histograms_count_every_executed_point(self):
+        engine = SweepEngine(store=ResultStore(), jobs=2)
+        try:
+            summary = engine.execute(self._points())
+        finally:
+            shutdown_pool()
+        assert summary["executed"] == 6
+        registry = engine.registry
+        assert (registry.histogram("point.simulate_seconds").count
+                == summary["executed"])
+        assert (registry.histogram("trace.record_seconds").count
+                == summary["traces_recorded"] == 1)
+
+    def test_in_memory_engine_keeps_worker_recorded_traces(self):
+        points = self._points()
+        engine = SweepEngine(store=ResultStore(), jobs=2)
+        try:
+            first = engine.execute(points[:3])
+            second = engine.execute(points[3:])
+        finally:
+            shutdown_pool()
+        assert (first["traces_recorded"], first["traces_reused"]) == (1, 0)
+        assert (second["traces_recorded"], second["traces_reused"]) == (0, 1)
+        assert second["executed"] == 3
+
+    def test_lone_chunk_replays_a_worker_recorded_trace_inline(self, tmp_path):
+        """Two groups record in workers (traces persisted to the cache
+        dir); the single remaining point then runs in-process and must
+        load its trace from disk."""
+        config = ProcessorConfig(max_instructions=500)
+        matrix = list(validation_matrix().items())
+        points = [
+            SimulationPoint(benchmark=benchmark, factory=factory,
+                            architecture=name, config=config)
+            for benchmark, (name, factory) in (
+                ("gcc", matrix[0]), ("gcc", matrix[1]), ("swim", matrix[0]),
+            )
+        ]
+        engine = SweepEngine(store=ResultStore(cache_dir=str(tmp_path)), jobs=2)
+        try:
+            summary = engine.execute(points)
+        finally:
+            shutdown_pool()
+        assert (summary["executed"], summary["traces_recorded"]) == (3, 2)
+        for point in points:
+            assert (engine.store.get(point.store_key()).to_dict()
+                    == run_simulation_point(point).to_dict()), point.benchmark
