@@ -6,7 +6,8 @@ Run the benchmark matrix and append the next report to the trajectory::
     python -m repro.bench --output-dir out   # write out/BENCH_<n>.json
 
 Diff two reports (exit code 1 when a scenario regressed by more than the
-threshold — this is the CI perf gate)::
+threshold or a same-budget scenario's stats digest differs — this is the
+CI perf gate)::
 
     python -m repro.bench compare BENCH_1.json BENCH_2.json --threshold 0.25
 """
@@ -18,6 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench.report import BenchReport, BenchReportError, compare_reports
+from repro.errors import ReproError
 from repro.bench.runner import run_and_save
 from repro.bench.scenarios import scenario_overview
 
@@ -101,6 +103,11 @@ def _run_bench(args: argparse.Namespace) -> int:
     except OSError as error:
         print(f"error: cannot write report: {error}", file=sys.stderr)
         return 2
+    except ReproError as error:
+        # A scenario's own gate failed (an overhead bound, a digest
+        # divergence between passes): no report is written.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     headline = next((r for r in report.scenarios
                      if r.metadata.get("headline")), None)
     if headline is not None:

@@ -250,6 +250,15 @@ class ScenarioDelta:
         )
 
 
+def _scenario_budget(result: ScenarioResult) -> tuple:
+    """The work a rate was measured over.  Rates over different work are
+    not compared: a quick-budget simulation runs faster per cycle than a
+    full-budget one from its shorter warm-up alone."""
+    metadata = result.metadata
+    return (result.operations, metadata.get("instructions"),
+            metadata.get("warmup_instructions"))
+
+
 @dataclass
 class Comparison:
     """Outcome of diffing two reports."""
@@ -259,6 +268,11 @@ class Comparison:
     missing_scenarios: List[str]
     new_scenarios: List[str]
     threshold: float
+    #: Scenarios in both reports whose budgets differ: reported, not diffed.
+    different_budgets: List[str] = field(default_factory=list)
+    #: Same-budget scenarios whose stats digests differ: the two reports
+    #: simulated different things, which fails the gate.
+    digest_mismatches: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -266,7 +280,8 @@ class Comparison:
         # report fail the gate too: a run that silently lost coverage
         # (e.g. the component benchmarks stopped importing) must not pass
         # just because nothing *comparable* regressed.
-        return not self.regressions and not self.missing_scenarios
+        return (not self.regressions and not self.missing_scenarios
+                and not self.digest_mismatches)
 
     def render(self) -> str:
         lines = [
@@ -280,8 +295,15 @@ class Comparison:
                          + ", ".join(self.missing_scenarios))
         if self.new_scenarios:
             lines.append("  new in current report: " + ", ".join(self.new_scenarios))
+        if self.different_budgets:
+            lines.append("  not compared, budgets differ: "
+                         + ", ".join(self.different_budgets))
+        if self.digest_mismatches:
+            lines.append("  STATS DIGEST MISMATCH at equal budget (fails the gate): "
+                         + ", ".join(self.digest_mismatches))
         verdict = "OK" if self.ok else (
-            "REGRESSION" if self.regressions else "LOST COVERAGE"
+            "DIGEST MISMATCH" if self.digest_mismatches
+            else "REGRESSION" if self.regressions else "LOST COVERAGE"
         )
         lines.append(f"perf gate verdict: {verdict}")
         return "\n".join(lines)
@@ -297,10 +319,17 @@ def compare_reports(
 
     Rates are divided by each report's calibration score when
     ``normalize`` is true and both reports carry one, so a committed
-    baseline from one machine gates a run on another.
+    baseline from one machine gates a run on another.  Only like is
+    compared with like: reports of different modes (``quick`` vs full)
+    are refused, scenarios whose budgets differ are listed apart, and a
+    same-budget pair whose stats digests differ fails the comparison.
     """
     if threshold <= 0:
         raise BenchReportError("comparison threshold must be positive")
+    if baseline.quick != current.quick:
+        raise BenchReportError(
+            "cannot compare a quick-budget report with a full-budget one"
+        )
     can_normalize = (
         normalize
         and baseline.calibration_score > 0
@@ -308,10 +337,19 @@ def compare_reports(
     )
     deltas: List[ScenarioDelta] = []
     regressions: List[ScenarioDelta] = []
+    different_budgets: List[str] = []
+    digest_mismatches: List[str] = []
     current_names = {result.name for result in current.scenarios}
     for base_result in baseline.scenarios:
         cur_result = current.scenario(base_result.name)
         if cur_result is None:
+            continue
+        if _scenario_budget(base_result) != _scenario_budget(cur_result):
+            different_budgets.append(base_result.name)
+            continue
+        if (base_result.stats_digest and cur_result.stats_digest
+                and base_result.stats_digest != cur_result.stats_digest):
+            digest_mismatches.append(base_result.name)
             continue
         base_rate = base_result.rate
         cur_rate = cur_result.rate
@@ -337,4 +375,6 @@ def compare_reports(
         missing_scenarios=sorted(baseline_names - current_names),
         new_scenarios=sorted(current_names - baseline_names),
         threshold=threshold,
+        different_budgets=different_budgets,
+        digest_mismatches=digest_mismatches,
     )

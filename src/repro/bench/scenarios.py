@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
@@ -601,6 +602,19 @@ class ResilienceOverheadScenario:
         }
 
 
+def _timed(call, spent: List[float]):
+    """``call``, appending the seconds each invocation takes to ``spent``."""
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - started)
+
+    return timed
+
+
 @dataclass(frozen=True)
 class ObsOverheadScenario:
     """Telemetry must be nearly free: spans + histograms + the event log.
@@ -608,15 +622,15 @@ class ObsOverheadScenario:
     Runs the same figure plan through the service on cold cache trees
     with full telemetry (the production default — metrics registry,
     span event log, SSE bus) and with a bare registry (no event log,
-    no bus), the cheapest configuration the app supports.  The passes
-    alternate bare/full for ``pairs`` rounds and the best wall per
-    side is compared — the interleaved best-of estimator from
-    ``docs/benchmarking.md``, because a single ~1 s service wall
-    carries enough scheduler and watch-poll noise to swamp a 5%
-    ratio.  The throughput metric is the *full-telemetry* wall — that
-    is what production pays — and the full/bare ratio lands in the
-    summary next to the ``threshold`` it is expected to stay under
-    (1.05×).  Every pass must produce byte-identical results.
+    no bus), alternating for ``pairs`` rounds; every pass must produce
+    byte-identical results.  The two differ only in what
+    ``Telemetry.emit`` hands the event log and the bus, so each full
+    pass times that work, and a median full pass wall over the same
+    wall without it above ``threshold`` (1.05×) fails the scenario.
+    Host speed cancels out of that in-pass ratio; the walls of
+    separate passes move ~8% on a shared host, so their best-of ratio
+    is reported, not gated.  The throughput metric is the best
+    *full-telemetry* wall — that is what production pays.
     """
 
     name: str
@@ -625,9 +639,10 @@ class ObsOverheadScenario:
     warmup_instructions: int
     benchmarks: tuple
 
-    #: Expected upper bound on the full/bare wall ratio.
+    #: Upper bound on a full pass's wall over its wall without the
+    #: event log and bus.
     threshold: float = 1.05
-    #: Alternating bare/full rounds; best wall per side is compared.
+    #: Alternating bare/full rounds.
     pairs: int = 3
 
     def _one_pass(self, full_telemetry: bool) -> Dict[str, object]:
@@ -650,6 +665,12 @@ class ObsOverheadScenario:
         )
         app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1,
                          telemetry=telemetry)
+        # Seconds spent in the event log and the bus, from any thread.
+        sink_seconds: List[float] = []
+        if full_telemetry:
+            for sink, method in ((app.telemetry.log, "append"),
+                                 (app.telemetry.bus, "publish")):
+                setattr(sink, method, _timed(getattr(sink, method), sink_seconds))
         server = build_server(app, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -681,6 +702,7 @@ class ObsOverheadScenario:
             return {
                 "points": int(final["counters"]["unique"]),
                 "wall_seconds": wall,
+                "sink_seconds": sum(sink_seconds),
                 "digest": digest,
             }
         finally:
@@ -690,9 +712,11 @@ class ObsOverheadScenario:
             shutil.rmtree(tmp, ignore_errors=True)
 
     def run(self) -> Dict[str, object]:
+        import statistics
+
         from repro.errors import SimulationError
 
-        bare_walls, full_walls = [], []
+        bare_walls, full_walls, overheads = [], [], []
         full = None
         digest = None
         for _ in range(max(1, self.pairs)):
@@ -707,18 +731,28 @@ class ObsOverheadScenario:
                 )
             bare_walls.append(bare["wall_seconds"])
             full_walls.append(full["wall_seconds"])
+            without = full["wall_seconds"] - full["sink_seconds"]
+            overheads.append(full["wall_seconds"] / without if without > 0
+                             else float("inf"))
+        overhead = statistics.median(overheads)
+        if overhead > self.threshold:
+            raise SimulationError(
+                f"telemetry overhead {overhead:.3f}x (median over "
+                f"{len(overheads)} full passes of the wall over the wall "
+                f"without the event log and bus) exceeds the "
+                f"{self.threshold}x bound"
+            )
         best_bare, best_full = min(bare_walls), min(full_walls)
-        ratio = best_full / best_bare if best_bare else 0.0
         return {
             "points": full["points"],
             "wall_seconds_override": best_full,
             "summary": {
                 "bare_wall_seconds": round(best_bare, 3),
                 "full_wall_seconds": round(best_full, 3),
-                "full_over_bare": round(ratio, 3),
+                "full_over_bare": round(best_full / best_bare if best_bare else 0.0, 3),
+                "telemetry_overhead": round(overhead, 4),
                 "pairs": max(1, self.pairs),
                 "threshold": self.threshold,
-                "within_threshold": ratio <= self.threshold,
             },
             "stats_digest": digest,
         }

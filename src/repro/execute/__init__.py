@@ -1,7 +1,7 @@
 """Execution core: functional units, issue queue, ROB, bypass, scoreboard."""
 
 from repro.execute.functional_units import FunctionalUnitPool, FunctionalUnitConfig
-from repro.execute.rob import ReorderBuffer, ROBEntry
+from repro.execute.rob import ReorderBuffer
 from repro.execute.scoreboard import ValueScoreboard, ValueState
 from repro.execute.bypass import BypassNetwork
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
@@ -10,7 +10,6 @@ __all__ = [
     "FunctionalUnitPool",
     "FunctionalUnitConfig",
     "ReorderBuffer",
-    "ROBEntry",
     "ValueScoreboard",
     "ValueState",
     "BypassNetwork",

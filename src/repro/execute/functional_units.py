@@ -82,7 +82,6 @@ class FunctionalUnitPool:
         self._dirty = False
         # statistics
         self.issues_by_group: dict[str, int] = {name: 0 for name in self._groups}
-        self.structural_stalls = 0
 
     @staticmethod
     def group_for(op_class: OpClass) -> str:
@@ -146,9 +145,6 @@ class FunctionalUnitPool:
         if op_class in _UNPIPELINED_CLASSES:
             group.busy_until.append(cycle + latency)
         self.issues_by_group[group.name] += 1
-
-    def record_structural_stall(self) -> None:
-        self.structural_stalls += 1
 
     def utilization(self, total_cycles: int) -> dict[str, float]:
         """Issues per unit per cycle, per group (rough utilization proxy)."""

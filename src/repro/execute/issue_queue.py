@@ -14,50 +14,57 @@ of waiting consumers so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import RegisterClass
+from repro.regfile.base import OperandAccess
 from repro.rename.renamer import PhysicalRegister, RenamedInstruction
 
 
-@dataclass(slots=True)
 class IssueQueueEntry:
-    """One instruction waiting in the window."""
+    """The in-flight record of one instruction, from dispatch to commit.
 
-    renamed: RenamedInstruction
-    dispatch_cycle: int
-    #: ``uid``s of source registers whose producer completion time is not
-    #: yet known (integer keys hash at C speed).  ``None`` until the first
-    #: pending source appears — falsy either way for ``data_ready`` and
-    #: the select loop, and it skips a set allocation for the many
-    #: entries that dispatch with all operands already produced.
-    pending: Optional[set[int]] = None
-    #: Earliest cycle this instruction could start executing, considering
-    #: operand availability through bypass/register file (structural
-    #: hazards can push the real execution later).
-    earliest_ex_cycle: int = 0
-    issued: bool = False
-    issue_cycle: Optional[int] = None
-    #: Cached copy of ``renamed.seq``: the select loop reads the sequence
-    #: number for every window entry every cycle, and the property chain
-    #: through two dataclasses is measurably slow.  Filled by
-    #: ``__post_init__``; the constructor argument is ignored.
-    seq: int = -1
-    #: Per-source ``(register, scoreboard state, is_int)`` triples,
-    #: resolved once at dispatch.  Issue attempts re-plan operand reads
-    #: every retry; resolving the scoreboard state and register class here
-    #: removes two lookups per source per attempt.  The state object for
-    #: a live register is stable from allocation to release, and a source
-    #: register cannot be released while a consumer still waits (its
-    #: releaser commits after the consumer).
-    operand_plan: tuple = ()
+    The same object waits in the issue window until it is selected and
+    sits in the reorder buffer until it commits, so issue, write-back and
+    commit all reach it without a lookup.
+    """
 
-    def __post_init__(self) -> None:
-        self.seq = self.renamed.instruction.seq
+    __slots__ = (
+        "renamed", "seq", "dispatch_cycle", "pending", "earliest_ex_cycle",
+        "issued", "issue_cycle", "operand_plan", "completed", "complete_cycle",
+    )
+
+    def __init__(self, renamed: RenamedInstruction, dispatch_cycle: int,
+                 earliest_ex_cycle: int = 0) -> None:
+        self.renamed = renamed
+        #: Cached copy of ``renamed.seq``: the select loop reads it for
+        #: every window entry every cycle.
+        self.seq: int = renamed.instruction.seq
+        self.dispatch_cycle = dispatch_cycle
+        #: ``uid``s of source registers whose producer completion time is
+        #: not yet known.  ``None`` until the first pending source appears
+        #: — falsy either way for ``data_ready`` and the select loop, and
+        #: it skips a set allocation for the many entries that dispatch
+        #: with all operands already produced.
+        self.pending: Optional[set[int]] = None
+        #: Earliest cycle this instruction could start executing,
+        #: considering operand availability through bypass/register file
+        #: (structural hazards can push the real execution later).
+        self.earliest_ex_cycle = earliest_ex_cycle
+        self.issued = False
+        self.issue_cycle: Optional[int] = None
+        #: Per-source ``(OperandAccess, is_int)`` pairs, built once at
+        #: dispatch.  Issue attempts re-plan each access in place every
+        #: retry; the scoreboard state it holds is stable from allocation
+        #: to release, and a source register cannot be released while a
+        #: consumer still waits (its releaser commits after the consumer).
+        self.operand_plan: Sequence[tuple] = ()
+        #: Set at write-back; the entry may commit from the next cycle.
+        self.completed = False
+        self.complete_cycle: Optional[int] = None
 
     @property
     def data_ready(self) -> bool:
@@ -99,9 +106,12 @@ class IssueQueue:
         self._waiters: Dict[int, List[IssueQueueEntry]] = {}
         self._consumers: Dict[int, List[IssueQueueEntry]] = {}
         self.max_occupancy = 0
-        # Hot-path caches (both objects are immutable after construction).
+        # Hot-path caches (all fixed after construction): the scoreboard's
+        # state dictionary is never rebound, and the bypass timing gives a
+        # constant producer-end -> consumer-execute offset.
         self._read_stages = bypass.read_stages
-        self._scoreboard_get = scoreboard.get
+        self._sb_states = scoreboard._states
+        self._consumer_offset = bypass.earliest_consumer_execute(0)
 
     # ------------------------------------------------------------------
 
@@ -127,32 +137,31 @@ class IssueQueue:
         # An instruction cannot be selected in the cycle it is dispatched;
         # the earliest issue is the next cycle, hence the earliest execute
         # is ``dispatch + 1 + read_stages``.
-        entry = IssueQueueEntry(renamed=renamed, dispatch_cycle=cycle,
-                                earliest_ex_cycle=cycle + 1 + self._read_stages)
-        consumers = self._consumers
-        waiters = self._waiters
-        scoreboard_get = self._scoreboard_get
-        earliest_consumer_execute = self.bypass.earliest_consumer_execute
+        entry = IssueQueueEntry(renamed, cycle, cycle + 1 + self._read_stages)
         sources = renamed.sources
         if sources:
-            track_consumers = self.track_consumers
+            consumers = self._consumers if self.track_consumers else None
+            waiters = self._waiters
+            sb_states = self._sb_states
+            offset = self._consumer_offset
             plan = []
             for register in sources:
                 uid = register.uid
-                if track_consumers:
+                if consumers is not None:
                     consumer_list = consumers.get(uid)
                     if consumer_list is None:
                         consumers[uid] = [entry]
                     else:
                         consumer_list.append(entry)
-                state = scoreboard_get(register)
-                plan.append(
-                    (register, state, register.reg_class is RegisterClass.INT)
-                )
-                if state.ex_end_cycle is not None:
-                    availability = earliest_consumer_execute(state.ex_end_cycle)
-                    if availability > entry.earliest_ex_cycle:
-                        entry.earliest_ex_cycle = availability
+                state = sb_states.get(uid)
+                if state is None:
+                    raise SimulationError(f"no scoreboard state for {register}")
+                plan.append((OperandAccess(register, state),
+                             register.reg_class is RegisterClass.INT))
+                ex_end = state.ex_end_cycle
+                if ex_end is not None:
+                    if ex_end + offset > entry.earliest_ex_cycle:
+                        entry.earliest_ex_cycle = ex_end + offset
                 else:
                     if entry.pending is None:
                         entry.pending = {uid}
@@ -163,7 +172,7 @@ class IssueQueue:
                         waiters[uid] = [entry]
                     else:
                         waiter_list.append(entry)
-            entry.operand_plan = tuple(plan)
+            entry.operand_plan = plan
         entries[entry.seq] = entry
         if len(entries) > self.max_occupancy:
             self.max_occupancy = len(entries)
@@ -171,19 +180,27 @@ class IssueQueue:
 
     def wakeup(self, register: PhysicalRegister, ex_end_cycle: int) -> List[IssueQueueEntry]:
         """Notify waiting consumers that ``register``'s producer finishes at
-        ``ex_end_cycle``.  Returns the entries that became data-ready."""
+        ``ex_end_cycle``.  Returns the entries that became data-ready.
+
+        The register's whole waiter list is consumed here, which is why
+        :meth:`mark_issued` never has waiter lists to clean: an entry is
+        selectable only once every list it waited on has been popped.
+        """
         became_ready: List[IssueQueueEntry] = []
         uid = register.uid
-        waiters = self._waiters.pop(uid, [])
-        availability = self.bypass.earliest_consumer_execute(ex_end_cycle)
+        waiters = self._waiters.pop(uid, None)
+        if waiters is None:
+            return became_ready
+        availability = ex_end_cycle + self._consumer_offset
         for entry in waiters:
             if entry.issued:
                 continue
             pending = entry.pending
             if pending is not None:
                 pending.discard(uid)
-            entry.earliest_ex_cycle = max(entry.earliest_ex_cycle, availability)
-            if entry.data_ready:
+            if availability > entry.earliest_ex_cycle:
+                entry.earliest_ex_cycle = availability
+            if not pending:
                 became_ready.append(entry)
         return became_ready
 
@@ -216,22 +233,17 @@ class IssueQueue:
         entry.issued = True
         entry.issue_cycle = cycle
         self._entries.pop(entry.seq, None)
-        index_maps = (
-            (self._consumers, self._waiters) if self.track_consumers
-            else (self._waiters,)
-        )
-        for register in entry.renamed.sources:
-            uid = register.uid
-            for index_map in index_maps:
-                waiting = index_map.get(uid)
+        if self.track_consumers:
+            consumers = self._consumers
+            for register in entry.renamed.sources:
+                uid = register.uid
+                waiting = consumers.get(uid)
                 if waiting is None:
                     continue
-                for index, candidate in enumerate(waiting):
-                    if candidate is entry:
-                        del waiting[index]
-                        break
+                if entry in waiting:
+                    waiting.remove(entry)
                 if not waiting:
-                    del index_map[uid]
+                    del consumers[uid]
 
     def defer(self, entry: IssueQueueEntry, until_cycle: int) -> None:
         """Delay an entry (e.g. waiting for an upper-level fill)."""
@@ -246,9 +258,6 @@ class IssueQueue:
     def waiting_consumers_of(self, register: PhysicalRegister) -> List[IssueQueueEntry]:
         """Not-yet-issued window entries that source ``register``."""
         return [e for e in self._consumers.get(register.uid, []) if not e.issued]
-
-    def entries(self) -> List[IssueQueueEntry]:
-        return list(self._entries.values())
 
     def oldest_seq(self) -> Optional[int]:
         """Sequence number of the oldest instruction still waiting, if any."""

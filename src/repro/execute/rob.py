@@ -2,32 +2,18 @@
 
 Instructions enter the ROB in program order at dispatch and leave in
 program order at commit, up to the commit width per cycle, once they have
-completed execution.
+completed execution.  The ROB holds the same in-flight record the issue
+window holds (:class:`~repro.execute.issue_queue.IssueQueueEntry`), so
+write-back marks completion on the object it already carries.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional
+from collections import deque
+from typing import Iterator
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.rename.renamer import RenamedInstruction
-
-
-@dataclass(slots=True)
-class ROBEntry:
-    """Lifecycle record of one in-flight instruction."""
-
-    renamed: RenamedInstruction
-    dispatch_cycle: int
-    completed: bool = False
-    complete_cycle: Optional[int] = None
-    issue_cycle: Optional[int] = None
-
-    @property
-    def seq(self) -> int:
-        return self.renamed.seq
+from repro.execute.issue_queue import IssueQueueEntry
 
 
 class ReorderBuffer:
@@ -37,82 +23,39 @@ class ReorderBuffer:
         if capacity <= 0:
             raise ConfigurationError("ROB capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, ROBEntry]" = OrderedDict()
-        self.max_occupancy = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        #: Oldest entry first.  The deque object is never rebound (the
+        #: pipeline's run loop holds a direct reference).
+        self._entries: "deque[IssueQueueEntry]" = deque()
 
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    def dispatch(self, renamed: RenamedInstruction, cycle: int) -> ROBEntry:
-        """Insert an instruction at the tail (program order)."""
+    def dispatch(self, entry: IssueQueueEntry) -> IssueQueueEntry:
+        """Insert an in-flight record at the tail (program order)."""
         if self.full:
             raise SimulationError("ROB overflow")
-        if self._entries and next(reversed(self._entries)) >= renamed.seq:
+        if self._entries and self._entries[-1].seq >= entry.seq:
             raise SimulationError("ROB entries must be dispatched in program order")
-        entry = ROBEntry(renamed=renamed, dispatch_cycle=cycle)
-        self._entries[renamed.seq] = entry
-        self.max_occupancy = max(self.max_occupancy, len(self._entries))
+        self._entries.append(entry)
         return entry
 
-    def mark_issued(self, seq: int, cycle: int) -> None:
-        entry = self._get(seq)
-        entry.issue_cycle = cycle
+    def retire(self, width: int, cycle: int) -> Iterator[IssueQueueEntry]:
+        """Remove and yield, oldest first, up to ``width`` head entries that
+        completed before ``cycle``.
 
-    def mark_completed(self, seq: int, cycle: int) -> None:
-        entry = self._get(seq)
-        entry.completed = True
-        entry.complete_cycle = cycle
-
-    def _get(self, seq: int) -> ROBEntry:
-        entry = self._entries.get(seq)
-        if entry is None:
-            raise SimulationError(f"no ROB entry for seq {seq}")
-        return entry
-
-    _NO_ENTRIES: List[ROBEntry] = []  # shared; callers must not mutate
-
-    def committable(self, width: int, cycle: int) -> List[ROBEntry]:
-        """Return up to ``width`` head entries that completed before ``cycle``.
-
-        A completed instruction commits at the earliest one cycle after it
-        completes (write-back and commit are separate stages).
+        Commit is in program order: an entry leaves only from the head, so a
+        completed entry waits behind an older incomplete one.  A completed
+        instruction commits at the earliest one cycle after it completes
+        (write-back and commit are separate stages).
         """
-        if width <= 0:
-            return self._NO_ENTRIES
-        # Allocation-free fast path: most cycles nothing is committable.
-        ready: Optional[List[ROBEntry]] = None
-        for entry in self._entries.values():
-            if (entry.completed and entry.complete_cycle is not None
-                    and entry.complete_cycle < cycle):
-                if ready is None:
-                    ready = [entry]
-                else:
-                    ready.append(entry)
-                if len(ready) >= width:
-                    break
-            else:
-                break
-        return ready if ready is not None else self._NO_ENTRIES
-
-    def commit(self, seq: int) -> ROBEntry:
-        """Remove and return the head entry, which must have seq ``seq``."""
-        if not self._entries:
-            raise SimulationError("commit from an empty ROB")
-        head_seq = next(iter(self._entries))
-        if head_seq != seq:
-            raise SimulationError(f"commit out of order: head is {head_seq}, got {seq}")
-        return self._entries.popitem(last=False)[1]
+        entries = self._entries
+        while width > 0 and entries:
+            head = entries[0]
+            if not head.completed or head.complete_cycle >= cycle:
+                return
+            width -= 1
+            yield entries.popleft()
 
     def occupancy(self) -> int:
         return len(self._entries)
-
-    def entries(self) -> List[ROBEntry]:
-        return list(self._entries.values())

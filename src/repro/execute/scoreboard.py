@@ -64,8 +64,6 @@ class ValueScoreboard:
         #: keeps a direct reference to it to skip a method call per
         #: operand lookup.
         self._states: Dict[int, ValueState] = {}
-        # Architected (initial) values are considered always available.
-        self._architected: set[int] = set()
 
     # ------------------------------------------------------------------
 
@@ -80,7 +78,6 @@ class ValueScoreboard:
             written_back=True,
         )
         self._states[register.uid] = state
-        self._architected.add(register.uid)
 
     def allocate(self, register: PhysicalRegister, producer_seq: int) -> ValueState:
         """Create a fresh state when ``register`` is allocated at rename."""
@@ -91,7 +88,6 @@ class ValueScoreboard:
     def release(self, register: PhysicalRegister) -> None:
         """Drop the state when the register returns to the free list."""
         self._states.pop(register.uid, None)
-        self._architected.discard(register.uid)
 
     def get(self, register: PhysicalRegister) -> ValueState:
         """Return the state of ``register``.
@@ -111,21 +107,6 @@ class ValueScoreboard:
         return register.uid in self._states
 
     # ------------------------------------------------------------------
-    # producer-side updates
-    # ------------------------------------------------------------------
-
-    def set_execution_end(self, register: PhysicalRegister, ex_end_cycle: int) -> None:
-        """Record the cycle at which the producer finishes executing."""
-        state = self.get(register)
-        state.ex_end_cycle = ex_end_cycle
-
-    def set_rf_ready(self, register: PhysicalRegister, cycle: int) -> None:
-        """Record when the value becomes readable from the register file."""
-        state = self.get(register)
-        state.rf_ready_cycle = cycle
-        state.written_back = True
-
-    # ------------------------------------------------------------------
     # consumer-side updates
     # ------------------------------------------------------------------
 
@@ -143,9 +124,6 @@ class ValueScoreboard:
             raise SimulationError(f"unknown read source {source!r}")
 
     # ------------------------------------------------------------------
-
-    def live_registers(self) -> list[PhysicalRegister]:
-        return [state.register for state in self._states.values()]
 
     def __len__(self) -> int:
         return len(self._states)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.isa.opcodes import OpClass, Opcode, default_latency
 
@@ -192,10 +192,6 @@ class DynamicInstruction:
         if self.is_branch and self.branch_taken:
             return self.branch_target
         return self.pc + 4
-
-    def source_registers(self) -> Sequence[LogicalRegister]:
-        """Return the source logical registers (may contain duplicates)."""
-        return self.sources
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         name = self.mnemonic or self.op_class.value

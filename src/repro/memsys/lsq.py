@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -24,7 +24,6 @@ class LSQEntry:
     is_store: bool
     address: Optional[int] = None  # None until the address is computed
     address_ready: bool = False
-    committed: bool = False
 
 
 class LoadStoreQueue:
@@ -35,6 +34,10 @@ class LoadStoreQueue:
             raise ConfigurationError("LSQ capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[int, LSQEntry]" = OrderedDict()
+        #: Seqs of the stores whose address is not known yet, in program
+        #: order (insertion order): the first key is the oldest one, so a
+        #: load's ordering check is one comparison, not a queue scan.
+        self._unresolved_stores: Dict[int, None] = {}
         # statistics
         self.forwarded_loads = 0
         self.blocked_loads = 0
@@ -56,6 +59,8 @@ class LoadStoreQueue:
             raise SimulationError("LSQ entries must be inserted in program order")
         entry = LSQEntry(seq=seq, is_store=is_store)
         self._entries[seq] = entry
+        if is_store:
+            self._unresolved_stores[seq] = None
         return entry
 
     def set_address(self, seq: int, address: int) -> None:
@@ -65,15 +70,15 @@ class LoadStoreQueue:
             raise SimulationError(f"no LSQ entry for seq {seq}")
         entry.address = address
         entry.address_ready = True
+        self._unresolved_stores.pop(seq, None)
 
     def load_may_issue(self, seq: int) -> bool:
         """A load may access memory when all older store addresses are known."""
-        for other_seq, entry in self._entries.items():
-            if other_seq >= seq:
-                break
-            if entry.is_store and not entry.address_ready:
+        for oldest in self._unresolved_stores:
+            if oldest < seq:
                 self.blocked_loads += 1
                 return False
+            break
         return True
 
     def forwarding_store(self, seq: int, address: int) -> Optional[int]:
@@ -96,14 +101,17 @@ class LoadStoreQueue:
         """Remove the entry at commit (stores) or once the load completes
         and commits."""
         self._entries.pop(seq, None)
+        self._unresolved_stores.pop(seq, None)
 
     def flush_after(self, seq: int) -> None:
         """Squash all entries younger than ``seq`` (branch misprediction)."""
         for other_seq in [s for s in self._entries if s > seq]:
             del self._entries[other_seq]
+            self._unresolved_stores.pop(other_seq, None)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._unresolved_stores.clear()
 
     def occupancy(self) -> int:
         return len(self._entries)

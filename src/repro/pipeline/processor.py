@@ -14,11 +14,14 @@ trace-driven modelling approach.
 
 Implementation note: ``run`` is the hottest loop of the repository — the
 whole experiment harness is bounded by it — so the stage methods trade a
-little indirection for speed: collaborator dictionaries that are never
-rebound (issue window entries, ROB entries, scoreboard states) are read
-directly, operand planning reuses preallocated per-class access lists
-instead of building dictionaries, and stages are skipped outright on the
-cycles where their input queues are provably empty.  Every change here is
+little indirection for speed: one in-flight record
+(:class:`~repro.execute.issue_queue.IssueQueueEntry`) lives in both the
+issue window and the ROB and is what a completion carries, so no stage
+looks an instruction up by sequence number; collaborator containers
+that are never rebound (window entries, ROB, scoreboard states) are read
+directly; the select loop is one flat loop with its collaborators bound
+once per cycle; and stages are skipped outright on the cycles where
+their input queues are provably empty.  Every change here is
 guarded by the golden-stats parity tests (``tests/test_golden_stats.py``):
 optimizations must leave ``SimulationStats`` bit-identical.
 """
@@ -32,7 +35,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
 from repro.execute.functional_units import FunctionalUnitPool
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
-from repro.execute.rob import ReorderBuffer, ROBEntry
+from repro.execute.rob import ReorderBuffer
 from repro.execute.scoreboard import ValueScoreboard
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FetchedInstruction, FetchUnit
@@ -45,12 +48,6 @@ from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
 from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
-
-
-# A completion (write back scheduled for a given cycle) is a plain
-# ``(renamed, ex_end_cycle, fetched)`` tuple: one is built per issued
-# instruction and unpacked once at write-back, so a class adds nothing
-# but constructor overhead.
 
 
 class Processor:
@@ -125,18 +122,13 @@ class Processor:
             )
 
         self._decode_queue: deque[FetchedInstruction] = deque()
-        # cycle -> [(renamed, ex_end_cycle, fetched), ...]
-        self._completions: Dict[int, List[tuple]] = {}
+        # Write-back cycle (``ex_end + 1``) -> the in-flight records that
+        # complete then.
+        self._completions: Dict[int, List[IssueQueueEntry]] = {}
 
-        # Collaborator dictionaries that are mutated in place and never
-        # rebound (scoreboard states, ROB entries), plus reusable operand
-        # planning slots: one issue attempt fills these in place instead of
-        # allocating a per-attempt {register class -> accesses} dictionary.
+        # The scoreboard's state dictionary is mutated in place and never
+        # rebound.
         self._sb_states = self.scoreboard._states
-        self._rob_entries = self.rob._entries
-        self._int_accesses: List[OperandAccess] = []
-        self._fp_accesses: List[OperandAccess] = []
-        self._missing_operands: List[OperandAccess] = []
 
         self.stats = SimulationStats(
             benchmark=benchmark_name,
@@ -171,9 +163,9 @@ class Processor:
         fetch_unit = self.fetch_unit
         decode_queue = self._decode_queue
         completions = self._completions
-        # Collaborator dictionaries; both are mutated in place and never
+        # Collaborator containers; both are mutated in place and never
         # rebound, so the emptiness checks below stay valid.
-        rob_entries = self._rob_entries
+        rob_entries = self.rob._entries
         window_entries = self.window._entries
         int_begin = self._int_rf.begin_cycle
         fp_begin = self._fp_rf.begin_cycle
@@ -206,7 +198,9 @@ class Processor:
             fp_begin(cycle)
             fu_begin(cycle)
 
-            if rob_entries:
+            # Commit runs before this cycle's write-back, so a completed
+            # head always completed in an earlier cycle.
+            if rob_entries and rob_entries[0].completed:
                 commit_stage(cycle)
             if cycle in completions:
                 writeback_stage(cycle)
@@ -237,35 +231,31 @@ class Processor:
     def _commit_stage(self, cycle: int) -> None:
         stats = self.stats
         observer = self.commit_observer
-        max_instructions = self.config.max_instructions
         rob = self.rob
-        rob_entries = self._rob_entries
         renamer = self.renamer
         int_free = renamer._int_free
         fp_free = renamer._fp_free
         scoreboard = self.scoreboard
         sb_states = self._sb_states
         lsq = self.lsq
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
         value_reads = stats.value_read_distribution
         committed = stats.committed_instructions
-        for rob_entry in rob.committable(self.config.commit_width, cycle):
-            if committed >= max_instructions:
-                break
-            renamed = rob_entry.renamed
+        width = min(self.config.commit_width,
+                    self.config.max_instructions - committed)
+        for entry in rob.retire(width, cycle):
+            renamed = entry.renamed
             instruction = renamed.instruction
-            # Inlined ``rob.commit``: the committable entries are the head
-            # run of the ROB, popped here in program order.
-            head_seq, _ = rob_entries.popitem(last=False)
-            if head_seq != instruction.seq:
-                raise SimulationError(
-                    f"commit out of order: head is {head_seq}, got {instruction.seq}"
-                )
             # Inlined ``renamer.commit``: release the previous mapping of
             # the committed destination.
             released = renamed.previous_dest
             if released is not None:
-                (int_free if released.reg_class is RegisterClass.INT
-                 else fp_free).release(released.index)
+                if released.reg_class is RegisterClass.INT:
+                    free_list, regfile = int_free, int_rf
+                else:
+                    free_list, regfile = fp_free, fp_rf
+                free_list.release(released.index)
                 state = sb_states.get(released.uid)
                 if state is not None:
                     total_reads = (
@@ -275,7 +265,7 @@ class Processor:
                     )
                     value_reads[total_reads] += 1
                     scoreboard.release(released)
-                    self._regfile(released).release(released)
+                    regfile.release(released)
             op_class = instruction.op_class
             if op_class is OpClass.STORE:
                 self.dcache.access(instruction.mem_address or 0, is_write=True)
@@ -296,10 +286,11 @@ class Processor:
         if completions is None:
             return
         window = self.window
-        rob_entries = self._rob_entries
         stats = self.stats
-        for renamed, ex_end_cycle, fetched in completions:
-            instruction = renamed.instruction
+        # Completions are bucketed at ``ex_end + 1``.
+        ex_end_cycle = cycle - 1
+        for entry in completions:
+            renamed = entry.renamed
             dest = renamed.dest
             if dest is not None:
                 state = renamed.dest_state
@@ -309,14 +300,12 @@ class Processor:
                 rf_ready = regfile.writeback(dest, state, cycle, window)
                 state.rf_ready_cycle = rf_ready
                 state.written_back = True
-            # Inlined ``rob.mark_completed``.
-            rob_entry = rob_entries.get(instruction.seq)
-            if rob_entry is None:
-                raise SimulationError(f"no ROB entry for seq {instruction.seq}")
-            rob_entry.completed = True
-            rob_entry.complete_cycle = cycle
+            entry.completed = True
+            entry.complete_cycle = cycle
 
-            if instruction.is_branch and fetched is not None:
+            instruction = renamed.instruction
+            if instruction.is_branch and renamed.fetched is not None:
+                fetched = renamed.fetched
                 self.fetch_unit.on_branch_writeback(
                     instruction, fetched, ex_end_cycle
                 )
@@ -328,74 +317,140 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _issue_stage(self, cycle: int) -> None:
-        issue_width = self.config.issue_width
-        try_issue = self._try_issue
-        issued = 0
-        for entry in self.window.schedulable(cycle):
-            if try_issue(entry, cycle):
-                issued += 1
-                if issued >= issue_width:
-                    break
+        """Select up to ``issue_width`` window entries, oldest first.
 
-    def _try_issue(self, entry: IssueQueueEntry, cycle: int) -> bool:
-        renamed = entry.renamed
-        instruction = renamed.instruction
-        op_class = instruction.op_class
+        Every candidate is attempted in order and each check runs in a
+        fixed order — load ordering, operand plan, upper-level fill, FU,
+        read ports — because failed attempts have side effects the
+        statistics see: stall counters, and the register file cache's
+        pseudo-LRU touches while planning.
+        """
         window = self.window
-
-        if op_class is OpClass.LOAD and not self.lsq.load_may_issue(instruction.seq):
-            window.defer(entry, cycle + 1)
-            return False
-
-        # Operand read planning into the reusable per-class slot lists
-        # (the former per-attempt dictionary was pure allocation churn).
-        # The (register, scoreboard state, class) triples were resolved
-        # once at dispatch (``entry.operand_plan``).
+        candidates = window.schedulable(cycle)
+        if not candidates:
+            return
+        issue_width = self.config.issue_width
+        read_stages = self.read_stages
+        next_cycle = cycle + 1
+        stats = self.stats
+        lsq = self.lsq
+        dcache = self.dcache
+        defer = window.defer
+        fu_pool = self.fu_pool
+        fu_can_issue = fu_pool.can_issue
+        bypass = self.bypass
+        completions = self._completions
         int_rf = self._int_rf
         fp_rf = self._fp_rf
-        int_accesses = self._int_accesses
-        fp_accesses = self._fp_accesses
-        missing = self._missing_operands
-        int_accesses.clear()
-        fp_accesses.clear()
-        missing.clear()
-        for register, state, is_int in entry.operand_plan:
-            access = (int_rf if is_int else fp_rf).plan_operand_read(
-                register, state, cycle
-            )
-            source = access.source
-            if source is OperandSource.NOT_READY:
-                retry = access.retry_cycle
-                if retry is None or retry < cycle + 1:
-                    retry = cycle + 1
-                window.defer(entry, retry)
-                return False
-            access.state = state
-            if source is OperandSource.MISS:
-                missing.append(access)
-            elif is_int:
-                int_accesses.append(access)
+        int_plan = int_rf.plan_operand_read
+        fp_plan = fp_rf.plan_operand_read
+        issued = 0
+        for entry in candidates:
+            renamed = entry.renamed
+            instruction = renamed.instruction
+            op_class = instruction.op_class
+            seq = entry.seq
+
+            if op_class is OpClass.LOAD and not lsq.load_may_issue(seq):
+                defer(entry, next_cycle)
+                continue
+
+            # Operand read planning, in place on the accesses built at
+            # dispatch.
+            int_accesses: List[OperandAccess] = []
+            fp_accesses: List[OperandAccess] = []
+            missing: List[OperandAccess] = []
+            retry = None
+            for access, is_int in entry.operand_plan:
+                source = (int_plan if is_int else fp_plan)(access, cycle)
+                if source is OperandSource.NOT_READY:
+                    retry = access.retry_cycle
+                    if retry is None or retry < next_cycle:
+                        retry = next_cycle
+                    break
+                if source is OperandSource.MISS:
+                    missing.append(access)
+                elif is_int:
+                    int_accesses.append(access)
+                else:
+                    fp_accesses.append(access)
+            if retry is not None:
+                defer(entry, retry)
+                continue
+
+            if missing:
+                self._handle_upper_level_misses(
+                    entry, missing, int_accesses, fp_accesses, cycle
+                )
+                continue
+            if not fu_can_issue(op_class, cycle):
+                stats.issue_stalls_fu += 1
+                continue
+            if int_accesses and not int_rf.can_claim_reads(int_accesses):
+                stats.issue_stalls_ports += 1
+                continue
+            if fp_accesses and not fp_rf.can_claim_reads(fp_accesses):
+                stats.issue_stalls_ports += 1
+                continue
+
+            # Issue: claim the read ports and record how operands arrive.
+            for regfile, accesses in ((int_rf, int_accesses), (fp_rf, fp_accesses)):
+                if not accesses:
+                    continue
+                regfile.claim_reads(accesses)
+                for access in accesses:
+                    state = access.state
+                    if access.source is OperandSource.BYPASS:
+                        state.consumed_via_bypass = True
+                        state.reads_from_bypass += 1
+                        bypass.operands_from_bypass += 1
+                        stats.operands_from_bypass += 1
+                    else:
+                        state.reads_from_upper += 1
+                        bypass.operands_from_regfile += 1
+                        stats.operands_from_file += 1
+
+            # Execution latency: the common (non-memory) case is a plain
+            # field read, and loads are the only class with real work.
+            if op_class is OpClass.LOAD:
+                address = instruction.mem_address or 0
+                if lsq.forwarding_store(seq, address) is not None:
+                    latency = 2  # address generation + forward from the store queue
+                else:
+                    latency = 1 + dcache.access(address).latency
+            elif op_class is OpClass.STORE:
+                latency = 1  # address generation; data is written at commit
             else:
-                fp_accesses.append(access)
+                latency = instruction.latency or 1
+            fu_pool.issue_unchecked(op_class, cycle, latency)
+            ex_end = cycle + read_stages + latency - 1
 
-        if missing:
-            self._handle_upper_level_misses(
-                entry, missing, int_accesses, fp_accesses, cycle
-            )
-            return False
+            window.mark_issued(entry, cycle)
+            if ((op_class is OpClass.LOAD or op_class is OpClass.STORE)
+                    and instruction.mem_address is not None):
+                lsq.set_address(seq, instruction.mem_address)
 
-        if not self.fu_pool.can_issue(op_class, cycle):
-            self.stats.issue_stalls_fu += 1
-            return False
-        if int_accesses and not int_rf.can_claim_reads(int_accesses):
-            self.stats.issue_stalls_ports += 1
-            return False
-        if fp_accesses and not fp_rf.can_claim_reads(fp_accesses):
-            self.stats.issue_stalls_ports += 1
-            return False
+            dest = renamed.dest
+            if dest is not None:
+                state = renamed.dest_state
+                if state is None:
+                    raise SimulationError(f"no scoreboard state for {dest}")
+                state.ex_end_cycle = ex_end
+                window.wakeup(dest, ex_end)
+                (int_rf if dest.reg_class is RegisterClass.INT else fp_rf).on_issue(
+                    entry, cycle, window, self.scoreboard
+                )
 
-        self._do_issue(entry, int_accesses, fp_accesses, cycle)
-        return True
+            # The completion carries the in-flight record itself.
+            bucket = completions.get(ex_end + 1)
+            if bucket is None:
+                completions[ex_end + 1] = [entry]
+            else:
+                bucket.append(entry)
+
+            issued += 1
+            if issued >= issue_width:
+                break
 
     def _handle_upper_level_misses(
         self,
@@ -432,87 +487,6 @@ class Processor:
         else:
             self.window.defer(entry, cycle + 1)
 
-    def _do_issue(
-        self,
-        entry: IssueQueueEntry,
-        int_accesses: List[OperandAccess],
-        fp_accesses: List[OperandAccess],
-        cycle: int,
-    ) -> None:
-        renamed = entry.renamed
-        instruction = renamed.instruction
-        op_class = instruction.op_class
-        stats = self.stats
-        bypass = self.bypass
-        window = self.window
-        if int_accesses:
-            self._int_rf.claim_reads(int_accesses)
-            self._record_operand_reads(int_accesses, stats, bypass)
-        if fp_accesses:
-            self._fp_rf.claim_reads(fp_accesses)
-            self._record_operand_reads(fp_accesses, stats, bypass)
-
-        # Inlined ``_execution_latency``: the common (non-memory) case is
-        # a plain field read, and loads are the only class with real work.
-        if op_class is OpClass.LOAD:
-            address = instruction.mem_address or 0
-            if self.lsq.forwarding_store(instruction.seq, address) is not None:
-                latency = 2  # address generation + forward from the store queue
-            else:
-                latency = 1 + self.dcache.access(address).latency
-        elif op_class is OpClass.STORE:
-            latency = 1  # address generation; data is written at commit
-        else:
-            latency = instruction.latency or 1
-        self.fu_pool.issue_unchecked(op_class, cycle, latency)
-
-        ex_start = cycle + self.read_stages
-        ex_end = ex_start + latency - 1
-        seq = instruction.seq
-
-        window.mark_issued(entry, cycle)
-        # Inlined ``rob.mark_issued``.
-        rob_entry = self._rob_entries.get(seq)
-        if rob_entry is None:
-            raise SimulationError(f"no ROB entry for seq {seq}")
-        rob_entry.issue_cycle = cycle
-
-        if ((op_class is OpClass.LOAD or op_class is OpClass.STORE)
-                and instruction.mem_address is not None):
-            self.lsq.set_address(seq, instruction.mem_address)
-
-        dest = renamed.dest
-        if dest is not None:
-            state = renamed.dest_state
-            if state is None:
-                raise SimulationError(f"no scoreboard state for {dest}")
-            state.ex_end_cycle = ex_end
-            window.wakeup(dest, ex_end)
-            regfile = self._int_rf if dest.reg_class is RegisterClass.INT else self._fp_rf
-            regfile.on_issue(entry, cycle, window, self.scoreboard)
-
-        completion = (renamed, ex_end, renamed.fetched)
-        bucket = self._completions.get(ex_end + 1)
-        if bucket is None:
-            self._completions[ex_end + 1] = [completion]
-        else:
-            bucket.append(completion)
-
-    @staticmethod
-    def _record_operand_reads(accesses, stats, bypass) -> None:
-        """Consumer-side read bookkeeping (inlined scoreboard updates)."""
-        for access in accesses:
-            state = access.state
-            if access.source is OperandSource.BYPASS:
-                state.consumed_via_bypass = True
-                state.reads_from_bypass += 1
-                bypass.operands_from_bypass += 1
-                stats.operands_from_bypass += 1
-            else:
-                state.reads_from_upper += 1
-                bypass.operands_from_regfile += 1
-                stats.operands_from_file += 1
-
     # ------------------------------------------------------------------
     # decode / rename / dispatch
     # ------------------------------------------------------------------
@@ -522,12 +496,12 @@ class Processor:
         stats = self.stats
         decode_width = self.config.decode_width
         rob = self.rob
-        rob_entries = self._rob_entries
-        rob_capacity = rob.capacity
         window = self.window
         window_entries = window._entries
         window_capacity = window.capacity
         lsq = self.lsq
+        lsq_entries = lsq._entries
+        lsq_capacity = lsq.capacity
         renamer = self.renamer
         scoreboard = self.scoreboard
         # Direct free-list views for the inlined ``renamer.can_rename``.
@@ -541,13 +515,13 @@ class Processor:
             instruction = fetched.instruction
             op_class = instruction.op_class
             is_memory = op_class is OpClass.LOAD or op_class is OpClass.STORE
-            if len(rob_entries) >= rob_capacity:
+            if rob.full:
                 stats.dispatch_stalls_rob += 1
                 break
             if len(window_entries) >= window_capacity:
                 stats.dispatch_stalls_window += 1
                 break
-            if is_memory and lsq.full:
+            if is_memory and len(lsq_entries) >= lsq_capacity:
                 stats.dispatch_stalls_lsq += 1
                 break
             # Inlined ``renamer.can_rename``.
@@ -563,13 +537,7 @@ class Processor:
             renamed.fetched = fetched
             if renamed.dest is not None:
                 renamed.dest_state = scoreboard.allocate(renamed.dest, instruction.seq)
-            # Inlined ``rob.dispatch``: capacity and program order were
-            # already checked by this stage (the stream's seq is
-            # monotonic), so insert the entry directly.
-            rob_entries[instruction.seq] = ROBEntry(
-                renamed=renamed, dispatch_cycle=cycle
-            )
-            window.dispatch(renamed, cycle)
+            rob.dispatch(window.dispatch(renamed, cycle))
             if is_memory:
                 is_store = op_class is OpClass.STORE
                 lsq.insert(instruction.seq, is_store)
@@ -605,12 +573,8 @@ class Processor:
 
     def _fetch_stage(self, cycle: int) -> None:
         decode_queue = self._decode_queue
-        if len(decode_queue) >= self.config.fetch_buffer_size:
-            return
-        fetch_unit = self.fetch_unit
-        if fetch_unit.exhausted:
-            return
-        fetch_unit.fetch_into(decode_queue, self.stats, cycle)
+        if len(decode_queue) < self.config.fetch_buffer_size:
+            self.fetch_unit.fetch_into(decode_queue, self.stats, cycle)
 
     # ------------------------------------------------------------------
     # statistics

@@ -80,20 +80,24 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
     # ------------------------------------------------------------------
 
     def plan_operand_read(
-        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
-    ) -> OperandAccess:
+        self, access: OperandAccess, issue_cycle: int
+    ) -> OperandSource:
+        state = access.state
+        retry = None
         if state.ex_end_cycle is None:
-            return OperandAccess(register, OperandSource.NOT_READY)
-        ex_start = issue_cycle + self.read_stages
-        earliest_ex = state.ex_end_cycle + 1
-        if ex_start < earliest_ex:
-            return OperandAccess(
-                register, OperandSource.NOT_READY, retry_cycle=state.ex_end_cycle
-            )
-        bank = register.index % self.num_banks
-        if state.rf_ready_cycle is not None and issue_cycle >= state.rf_ready_cycle:
-            return OperandAccess(register, OperandSource.FILE, bank=bank)
-        return OperandAccess(register, OperandSource.BYPASS, bank=bank)
+            source = OperandSource.NOT_READY
+        elif issue_cycle + self.read_stages < state.ex_end_cycle + 1:
+            source = OperandSource.NOT_READY
+            retry = state.ex_end_cycle
+        else:
+            access.bank = access.register.index % self.num_banks
+            if state.rf_ready_cycle is not None and issue_cycle >= state.rf_ready_cycle:
+                source = OperandSource.FILE
+            else:
+                source = OperandSource.BYPASS
+        access.source = source
+        access.retry_cycle = retry
+        return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
         demand = self._bank_demand

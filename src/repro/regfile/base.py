@@ -24,11 +24,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.execute.scoreboard import ValueState
 from repro.rename.renamer import PhysicalRegister
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    # The issue window builds OperandAccess objects, so this module must
+    # not import ``repro.execute`` at run time.
     from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
+    from repro.execute.scoreboard import ValueState
 
 #: Sentinel meaning "an unlimited number of ports/buses".
 UNLIMITED: Optional[int] = None
@@ -52,22 +54,22 @@ class OperandSource(enum.Enum):
 
 @dataclass(slots=True)
 class OperandAccess:
-    """The plan for obtaining one source operand."""
+    """One source operand of a waiting instruction and its read plan.
+
+    The issue window builds one per source at dispatch; every issue
+    attempt re-plans it in place (:meth:`RegisterFileModel.plan_operand_read`)
+    instead of allocating a fresh plan per operand per attempt.
+    """
 
     register: PhysicalRegister
-    source: OperandSource
+    #: Scoreboard state of the register, resolved once at dispatch.
+    state: ValueState
+    source: OperandSource = OperandSource.NOT_READY
     #: For FILE accesses of multi-banked organisations: which bank is read.
     bank: int = 0
-    #: Earliest cycle at which re-planning could succeed (hint only).
+    #: For NOT_READY plans: earliest cycle at which re-planning could
+    #: succeed (hint only; ``None`` when unknown).
     retry_cycle: Optional[int] = None
-    #: Scoreboard state of the register, attached by the pipeline while
-    #: planning so the issue bookkeeping needs no second scoreboard lookup.
-    state: Optional[ValueState] = None
-
-    @property
-    def issuable(self) -> bool:
-        """Whether the operand can be delivered for an issue this cycle."""
-        return self.source in (OperandSource.BYPASS, OperandSource.FILE)
 
 
 class RegisterFileModel(ABC):
@@ -98,10 +100,14 @@ class RegisterFileModel(ABC):
 
     @abstractmethod
     def plan_operand_read(
-        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
-    ) -> OperandAccess:
-        """Plan how ``register`` would be obtained by an instruction issued
-        at ``issue_cycle`` (executing ``read_stages`` cycles later)."""
+        self, access: OperandAccess, issue_cycle: int
+    ) -> OperandSource:
+        """Plan how ``access.register`` would be obtained by an instruction
+        issued at ``issue_cycle`` (executing ``read_stages`` cycles later).
+
+        Sets ``access.source`` (plus ``bank`` or ``retry_cycle`` where they
+        apply) in place and returns the source.
+        """
 
     @abstractmethod
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:

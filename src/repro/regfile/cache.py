@@ -139,35 +139,41 @@ class RegisterFileCache(RegisterFileModel):
     # ------------------------------------------------------------------
 
     def plan_operand_read(
-        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
-    ) -> OperandAccess:
-        if state.ex_end_cycle is None:
-            return OperandAccess(register, OperandSource.NOT_READY)
+        self, access: OperandAccess, issue_cycle: int
+    ) -> OperandSource:
+        state = access.state
+        retry = None
         ex_start = issue_cycle + self.read_stages
-        earliest_ex = state.ex_end_cycle + 1
-        if ex_start < earliest_ex:
-            return OperandAccess(
-                register, OperandSource.NOT_READY, retry_cycle=state.ex_end_cycle
-            )
-        if ex_start == earliest_ex:
+        if state.ex_end_cycle is None:
+            source = OperandSource.NOT_READY
+        elif ex_start < state.ex_end_cycle + 1:
+            source = OperandSource.NOT_READY
+            retry = state.ex_end_cycle
+        elif ex_start == state.ex_end_cycle + 1:
             # The single bypass level catches results exactly one cycle
             # after the producer finishes.
-            return OperandAccess(register, OperandSource.BYPASS)
-        uid = register.uid
-        if uid in self._upper_slots:
-            # Mark the entry hot: the instruction planning this read may be
-            # waiting for another operand, and this copy must survive until
-            # both are available.
-            self._upper.touch(uid)
-            return OperandAccess(register, OperandSource.FILE)
-        pending = self._pending_fills.get(uid)
-        if pending is not None:
-            return OperandAccess(register, OperandSource.NOT_READY, retry_cycle=pending)
-        if state.written_back and state.rf_ready_cycle is not None \
-                and issue_cycle >= state.rf_ready_cycle:
-            return OperandAccess(register, OperandSource.MISS)
-        retry = state.rf_ready_cycle
-        return OperandAccess(register, OperandSource.NOT_READY, retry_cycle=retry)
+            source = OperandSource.BYPASS
+        else:
+            uid = access.register.uid
+            if uid in self._upper_slots:
+                # Mark the entry hot: the instruction planning this read may
+                # be waiting for another operand, and this copy must survive
+                # until both are available.
+                self._upper.touch(uid)
+                source = OperandSource.FILE
+            else:
+                retry = self._pending_fills.get(uid)
+                if retry is not None:
+                    source = OperandSource.NOT_READY
+                elif (state.written_back and state.rf_ready_cycle is not None
+                        and issue_cycle >= state.rf_ready_cycle):
+                    source = OperandSource.MISS
+                else:
+                    source = OperandSource.NOT_READY
+                    retry = state.rf_ready_cycle
+        access.source = source
+        access.retry_cycle = retry
+        return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
         needed = 0

@@ -70,24 +70,30 @@ class SingleBankedRegisterFile(RegisterFileModel):
     # ------------------------------------------------------------------
 
     def plan_operand_read(
-        self, register: PhysicalRegister, state: ValueState, issue_cycle: int
-    ) -> OperandAccess:
-        ex_start = issue_cycle + self.read_stages
+        self, access: OperandAccess, issue_cycle: int
+    ) -> OperandSource:
+        state = access.state
+        retry = None
         if state.ex_end_cycle is None:
-            return OperandAccess(register, OperandSource.NOT_READY)
-        earliest_ex = state.ex_end_cycle + 1 + (self.read_stages - self.bypass_levels)
-        if ex_start < earliest_ex:
-            return OperandAccess(
-                register,
-                OperandSource.NOT_READY,
-                retry_cycle=earliest_ex - self.read_stages,
+            source = OperandSource.NOT_READY
+        else:
+            earliest_ex = (
+                state.ex_end_cycle + 1 + (self.read_stages - self.bypass_levels)
             )
-        # The operand is obtainable.  It comes from the register file when
-        # the read (starting at issue) can already see the written value;
-        # otherwise it rides the bypass network.
-        if state.rf_ready_cycle is not None and issue_cycle >= state.rf_ready_cycle:
-            return OperandAccess(register, OperandSource.FILE)
-        return OperandAccess(register, OperandSource.BYPASS)
+            if issue_cycle + self.read_stages < earliest_ex:
+                source = OperandSource.NOT_READY
+                retry = earliest_ex - self.read_stages
+            # The operand is obtainable.  It comes from the register file
+            # when the read (starting at issue) can already see the written
+            # value; otherwise it rides the bypass network.
+            elif (state.rf_ready_cycle is not None
+                  and issue_cycle >= state.rf_ready_cycle):
+                source = OperandSource.FILE
+            else:
+                source = OperandSource.BYPASS
+        access.source = source
+        access.retry_cycle = retry
+        return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
         needed = 0

@@ -74,8 +74,11 @@ class PortSet:
     def available_capped(self, amount: int) -> bool:
         """Like :meth:`available`, but oversized requests are allowed when
         the bank has not been used yet this cycle."""
-        if self.unlimited or amount <= (self.count or 0):
-            return self.available(amount)
+        count = self.count
+        if count is None:
+            return True
+        if amount <= count:
+            return self._used + amount <= count
         return self._used == 0
 
     def claim_capped(self, amount: int) -> None:

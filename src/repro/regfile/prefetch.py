@@ -17,7 +17,7 @@ The difference is whether values are additionally *prefetched*:
 from __future__ import annotations
 
 from abc import ABC
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
@@ -107,8 +107,3 @@ def fetch_policy_by_name(name: str) -> FetchPolicy:
         raise ConfigurationError(
             f"unknown fetch policy {name!r}; expected one of {sorted(_POLICIES)}"
         ) from exc
-
-
-def optional_fetch_policy(policy: Optional[FetchPolicy]) -> FetchPolicy:
-    """Return ``policy`` or the default fetch-on-demand policy."""
-    return policy if policy is not None else FetchOnDemand()

@@ -161,12 +161,14 @@ class Renamer:
         fp_physical = self._fp_physical
         int_slots = self._int_map._slots
         fp_slots = self._fp_map._slots
-        sources = tuple(
+        # A list comprehension, not a generator: it skips a generator
+        # frame per renamed instruction.
+        sources = tuple([
             int_physical[int_slots[src._hash]]
             if src.reg_class is RegisterClass.INT
             else fp_physical[fp_slots[src._hash]]
             for src in instruction.sources
-        )
+        ])
         dest: Optional[PhysicalRegister] = None
         previous: Optional[PhysicalRegister] = None
         if instruction.dest is not None:
@@ -246,10 +248,6 @@ class Renamer:
         for reg_class, (mapping, free) in saved.items():
             self._map[reg_class].restore(mapping)
             self._free[reg_class].restore(free)
-
-    def discard_checkpoint(self, checkpoint_id: int) -> None:
-        """Drop a checkpoint that is no longer needed."""
-        self._checkpoints.pop(checkpoint_id, None)
 
     # ------------------------------------------------------------------
 

@@ -176,6 +176,42 @@ class TestCompare:
         with pytest.raises(BenchReportError):
             compare_reports(baseline, baseline, threshold=0.0)
 
+    def test_quick_and_full_reports_are_refused(self):
+        baseline = _report(1, [_sim_result("headline", 1000, 1.0)])
+        current = _report(2, [_sim_result("headline", 1000, 1.0)])
+        current.quick = True
+        with pytest.raises(BenchReportError, match="quick"):
+            compare_reports(baseline, current)
+
+    def test_different_budgets_are_reported_apart_not_diffed(self):
+        base = _sim_result("headline", 10_000, 1.0)
+        base.metadata["instructions"] = 6000
+        # Ten times slower, but over a different budget: not a regression.
+        cur = _sim_result("headline", 10_000, 10.0)
+        cur.metadata["instructions"] = 1500
+        comparison = compare_reports(_report(1, [base]), _report(2, [cur]))
+        assert comparison.different_budgets == ["headline"]
+        assert comparison.deltas == [] and comparison.regressions == []
+        assert comparison.ok
+        assert "budgets differ: headline" in comparison.render()
+
+    def test_same_budget_digest_mismatch_fails(self):
+        base = _sim_result("headline", 10_000, 1.0)
+        cur = _sim_result("headline", 10_000, 1.0)
+        base.stats_digest, cur.stats_digest = "a" * 64, "b" * 64
+        comparison = compare_reports(_report(1, [base]), _report(2, [cur]))
+        assert comparison.digest_mismatches == ["headline"]
+        assert not comparison.ok
+        assert "DIGEST MISMATCH" in comparison.render()
+
+    def test_same_budget_equal_digests_are_diffed(self):
+        base = _sim_result("headline", 10_000, 1.0)
+        cur = _sim_result("headline", 10_000, 1.0)
+        base.stats_digest = cur.stats_digest = "a" * 64
+        comparison = compare_reports(_report(1, [base]), _report(2, [cur]))
+        assert [delta.name for delta in comparison.deltas] == ["headline"]
+        assert comparison.ok
+
 
 class TestCli:
     def test_cli_list_mode(self, capsys):

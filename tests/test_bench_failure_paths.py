@@ -61,6 +61,21 @@ class TestCompareExitCodes:
         assert main(["compare", baseline_path, current]) == 0
         assert "verdict: OK" in capsys.readouterr().out
 
+    def test_digest_mismatch_exits_one(self, tmp_path, baseline_path, capsys):
+        current = _report(2, {"sim": 10_000.0, "extra": 5_000.0})
+        current.scenarios[0].stats_digest = "f" * 64
+        baseline = BenchReport.load(baseline_path)
+        baseline.scenarios[0].stats_digest = "0" * 64
+        base = baseline.save(str(tmp_path / "b"))
+        assert main(["compare", base, current.save(str(tmp_path))]) == 1
+        assert "DIGEST MISMATCH" in capsys.readouterr().out
+
+    def test_quick_against_full_exits_two(self, tmp_path, baseline_path, capsys):
+        current = _report(2, {"sim": 10_000.0, "extra": 5_000.0})
+        current.quick = True
+        assert main(["compare", baseline_path, current.save(str(tmp_path))]) == 2
+        assert "quick" in capsys.readouterr().err
+
     def test_malformed_json_exits_two(self, tmp_path, baseline_path, capsys):
         mangled = tmp_path / "mangled.json"
         mangled.write_text("{definitely not json", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
 from repro.execute.functional_units import FunctionalUnitConfig, FunctionalUnitPool
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.execute.rob import ReorderBuffer
 from repro.execute.scoreboard import ValueScoreboard, ValueState
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
@@ -65,59 +66,78 @@ class TestFunctionalUnits:
         assert 0 < utilization["simple_int"] <= 1
 
 
+def _entry(seq):
+    """An in-flight record as the pipeline dispatches it into the ROB."""
+    return IssueQueueEntry(_renamed(seq), dispatch_cycle=0)
+
+
+def _complete(entry, cycle):
+    """What write-back does to a completing record."""
+    entry.completed = True
+    entry.complete_cycle = cycle
+
+
 class TestReorderBuffer:
     def test_dispatch_commit_in_order(self):
         rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_renamed(0), 0)
-        rob.dispatch(_renamed(1), 0)
-        rob.mark_completed(0, 3)
-        rob.mark_completed(1, 2)
-        ready = rob.committable(width=4, cycle=4)
-        assert [e.seq for e in ready] == [0, 1]
-        rob.commit(0)
-        with pytest.raises(SimulationError):
-            rob.commit(0)
+        first = rob.dispatch(_entry(0))
+        second = rob.dispatch(_entry(1))
+        _complete(first, 3)
+        _complete(second, 2)
+        assert list(rob.retire(width=4, cycle=4)) == [first, second]
+        assert rob.occupancy() == 0
+        assert list(rob.retire(width=4, cycle=5)) == []
 
     def test_commit_blocked_by_incomplete_head(self):
         rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_renamed(0), 0)
-        rob.dispatch(_renamed(1), 0)
-        rob.mark_completed(1, 1)
-        assert rob.committable(width=4, cycle=5) == []
+        rob.dispatch(_entry(0))
+        _complete(rob.dispatch(_entry(1)), 1)
+        assert list(rob.retire(width=4, cycle=5)) == []
+        assert rob.occupancy() == 2
 
     def test_commit_width_respected(self):
         rob = ReorderBuffer(capacity=16)
         for seq in range(10):
-            rob.dispatch(_renamed(seq), 0)
-            rob.mark_completed(seq, 1)
-        assert len(rob.committable(width=4, cycle=3)) == 4
+            _complete(rob.dispatch(_entry(seq)), 1)
+        assert [e.seq for e in rob.retire(width=4, cycle=3)] == [0, 1, 2, 3]
+        assert rob.occupancy() == 6
 
     def test_completion_cycle_gates_commit(self):
         rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_renamed(0), 0)
-        rob.mark_completed(0, 5)
-        assert rob.committable(width=1, cycle=5) == []
-        assert len(rob.committable(width=1, cycle=6)) == 1
+        _complete(rob.dispatch(_entry(0)), 5)
+        assert list(rob.retire(width=1, cycle=5)) == []
+        assert len(list(rob.retire(width=1, cycle=6))) == 1
 
     def test_overflow(self):
         rob = ReorderBuffer(capacity=1)
-        rob.dispatch(_renamed(0), 0)
+        rob.dispatch(_entry(0))
         assert rob.full
         with pytest.raises(SimulationError):
-            rob.dispatch(_renamed(1), 0)
+            rob.dispatch(_entry(1))
 
     def test_program_order_enforced(self):
         rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_renamed(3), 0)
+        rob.dispatch(_entry(3))
         with pytest.raises(SimulationError):
-            rob.dispatch(_renamed(1), 0)
+            rob.dispatch(_entry(1))
 
     def test_out_of_order_commit_rejected(self):
+        # Entries leave only from the head: a completed younger entry
+        # waits until the older one completes, then both commit in order.
         rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_renamed(0), 0)
-        rob.dispatch(_renamed(1), 0)
-        with pytest.raises(SimulationError):
-            rob.commit(1)
+        first = rob.dispatch(_entry(0))
+        second = rob.dispatch(_entry(1))
+        _complete(second, 1)
+        assert list(rob.retire(width=4, cycle=2)) == []
+        _complete(first, 2)
+        assert list(rob.retire(width=4, cycle=3)) == [first, second]
+
+    def test_holds_the_window_entry_itself(self):
+        rob = ReorderBuffer(capacity=4)
+        entry = _entry(0)
+        assert rob.dispatch(entry) is entry
+        _complete(entry, 0)
+        assert next(rob.retire(width=1, cycle=1)) is entry
 
 
 class TestScoreboard:

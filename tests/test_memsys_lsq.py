@@ -1,6 +1,7 @@
 """Unit tests for the load/store queue."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.memsys.lsq import LoadStoreQueue
@@ -99,3 +100,76 @@ class TestFlush:
         assert lsq.occupancy() == 2
         lsq.clear()
         assert lsq.occupancy() == 0
+
+
+class _LinearScanLSQ:
+    """Reference model: the ordering rules as a scan of the whole queue."""
+
+    def __init__(self):
+        self.entries = {}  # seq -> [is_store, address_known], program order
+        self.blocked_loads = 0
+
+    def insert(self, seq, is_store):
+        self.entries[seq] = [is_store, False]
+
+    def set_address(self, seq):
+        self.entries[seq][1] = True
+
+    def load_may_issue(self, seq):
+        for other_seq, (is_store, address_known) in self.entries.items():
+            if other_seq >= seq:
+                break
+            if is_store and not address_known:
+                self.blocked_loads += 1
+                return False
+        return True
+
+    def release(self, seq):
+        self.entries.pop(seq, None)
+
+    def flush_after(self, seq):
+        for other_seq in [s for s in self.entries if s > seq]:
+            del self.entries[other_seq]
+
+    def clear(self):
+        self.entries.clear()
+
+
+_OPS = ("insert", "set_address", "release", "flush_after", "clear", "query")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ordering_check_matches_a_linear_scan(data):
+    """Random op sequences, including stores that never get an address."""
+    lsq = LoadStoreQueue(capacity=16)
+    reference = _LinearScanLSQ()
+    next_seq = 0
+    for _ in range(data.draw(st.integers(0, 60), label="length")):
+        op = data.draw(st.sampled_from(_OPS), label="op")
+        live = list(reference.entries)
+        if op == "insert":
+            if lsq.full:
+                continue
+            is_store = data.draw(st.booleans(), label="is_store")
+            lsq.insert(next_seq, is_store)
+            reference.insert(next_seq, is_store)
+            next_seq += data.draw(st.integers(1, 3), label="gap")
+        elif op == "set_address":
+            if not live:
+                continue
+            seq = data.draw(st.sampled_from(live), label="seq")
+            lsq.set_address(seq, data.draw(st.integers(0, 255), label="address"))
+            reference.set_address(seq)
+        elif op in ("release", "flush_after"):
+            seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
+            getattr(lsq, op)(seq)
+            getattr(reference, op)(seq)
+        elif op == "clear":
+            lsq.clear()
+            reference.clear()
+        else:
+            seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
+            assert lsq.load_may_issue(seq) == reference.load_may_issue(seq)
+        assert lsq.blocked_loads == reference.blocked_loads
+        assert lsq.occupancy() == len(reference.entries)

@@ -8,11 +8,18 @@ from repro.execute.issue_queue import IssueQueue
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
-from repro.regfile.base import OperandSource
+from repro.regfile.base import OperandAccess, OperandSource
 from repro.regfile.cache import RegisterFileCache
 from repro.regfile.policies import AlwaysCaching, NeverCaching, NonBypassCaching, ReadyCaching
 from repro.regfile.prefetch import FetchOnDemand, PrefetchFirstPair
 from repro.rename.renamer import PhysicalRegister, RenamedInstruction
+
+
+def _plan(regfile, register, state, issue_cycle):
+    """Plan one operand read into a fresh access and return it."""
+    access = OperandAccess(register, state)
+    regfile.plan_operand_read(access, issue_cycle)
+    return access
 
 
 def _phys(index):
@@ -57,14 +64,14 @@ class TestReadPlanning:
         cache = RegisterFileCache()
         window, scoreboard = _window()
         register, state = _produced_state(scoreboard, 40, ex_end=9, rf_ready=10)
-        access = cache.plan_operand_read(register, state, issue_cycle=9)
+        access = _plan(cache, register, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_miss_when_not_cached(self):
         cache = RegisterFileCache()
         window, scoreboard = _window()
         register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        access = cache.plan_operand_read(register, state, issue_cycle=10)
+        access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.MISS
 
     def test_hit_after_caching_at_writeback(self):
@@ -72,7 +79,7 @@ class TestReadPlanning:
         window, scoreboard = _window()
         register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
-        access = cache.plan_operand_read(register, state, issue_cycle=10)
+        access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.FILE
 
     def test_not_ready_while_value_in_flight_to_lower(self):
@@ -81,7 +88,7 @@ class TestReadPlanning:
         register = _phys(40)
         state = scoreboard.allocate(register, 0)
         state.ex_end_cycle = 5          # produced but not yet written back
-        access = cache.plan_operand_read(register, state, issue_cycle=10)
+        access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.NOT_READY
 
     def test_not_ready_while_fill_in_flight(self):
@@ -90,7 +97,7 @@ class TestReadPlanning:
         register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
         completion = cache.request_fill(register, state, cycle=10)
         assert completion == 13          # lower read (2) + upper write (1)
-        access = cache.plan_operand_read(register, state, issue_cycle=11)
+        access = _plan(cache, register, state, issue_cycle=11)
         assert access.source is OperandSource.NOT_READY
         assert access.retry_cycle == completion
 
@@ -249,8 +256,8 @@ class TestEvictionAndRelease:
         cache.writeback(a, state_a, cycle=6, window=window)
         cache.writeback(b, state_b, cycle=6, window=window)
         cache.begin_cycle(10)
-        access_a = cache.plan_operand_read(a, state_a, issue_cycle=10)
-        access_b = cache.plan_operand_read(b, state_b, issue_cycle=10)
+        access_a = _plan(cache, a, state_a, issue_cycle=10)
+        access_b = _plan(cache, b, state_b, issue_cycle=10)
         assert cache.can_claim_reads([access_a])
         cache.claim_reads([access_a])
         # The single upper-level read port is used for this cycle.

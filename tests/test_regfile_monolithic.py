@@ -5,9 +5,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import RegisterClass
-from repro.regfile.base import OperandSource
+from repro.regfile.base import OperandAccess, OperandSource
 from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.rename.renamer import PhysicalRegister
+
+
+def _plan(regfile, register, state, issue_cycle):
+    """Plan one operand read into a fresh access and return it."""
+    access = OperandAccess(register, state)
+    regfile.plan_operand_read(access, issue_cycle)
+    return access
 
 
 def _phys(index=40):
@@ -50,32 +57,32 @@ class TestOperandTiming:
     def test_unproduced_value_not_ready(self):
         regfile = SingleBankedRegisterFile(latency=1)
         register, state = _state()
-        access = regfile.plan_operand_read(register, state, issue_cycle=10)
+        access = _plan(regfile, register, state, issue_cycle=10)
         assert access.source is OperandSource.NOT_READY
 
     def test_full_bypass_back_to_back(self):
         regfile = SingleBankedRegisterFile(latency=1, bypass_levels=1)
         register, state = _state(ex_end=9)
         # Consumer issuing at 9 executes at 10 = ex_end + 1: allowed, via bypass.
-        access = regfile.plan_operand_read(register, state, issue_cycle=9)
+        access = _plan(regfile, register, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
-        too_early = regfile.plan_operand_read(register, state, issue_cycle=8)
+        too_early = _plan(regfile, register, state, issue_cycle=8)
         assert too_early.source is OperandSource.NOT_READY
 
     def test_missing_bypass_level_adds_one_cycle(self):
         regfile = SingleBankedRegisterFile(latency=2, bypass_levels=1)
         register, state = _state(ex_end=9)
         # Earliest execute is ex_end + 2 = 11, i.e. issue at 9.
-        ok = regfile.plan_operand_read(register, state, issue_cycle=9)
-        too_early = regfile.plan_operand_read(register, state, issue_cycle=8)
-        assert ok.issuable
+        ok = _plan(regfile, register, state, issue_cycle=9)
+        too_early = _plan(regfile, register, state, issue_cycle=8)
+        assert ok.source is OperandSource.BYPASS
         assert too_early.source is OperandSource.NOT_READY
 
     def test_reads_come_from_file_once_written(self):
         regfile = SingleBankedRegisterFile(latency=1)
         register, state = _state(ex_end=5, rf_ready=7)
-        from_bypass = regfile.plan_operand_read(register, state, issue_cycle=6)
-        from_file = regfile.plan_operand_read(register, state, issue_cycle=7)
+        from_bypass = _plan(regfile, register, state, issue_cycle=6)
+        from_file = _plan(regfile, register, state, issue_cycle=7)
         assert from_bypass.source is OperandSource.BYPASS
         assert from_file.source is OperandSource.FILE
 
@@ -83,7 +90,7 @@ class TestOperandTiming:
 class TestPorts:
     def _file_access(self, regfile, issue_cycle=10):
         register, state = _state(ex_end=1, rf_ready=2)
-        return regfile.plan_operand_read(register, state, issue_cycle=issue_cycle)
+        return _plan(regfile, register, state, issue_cycle=issue_cycle)
 
     def test_read_port_exhaustion(self):
         regfile = SingleBankedRegisterFile(latency=1, read_ports=2)
@@ -101,7 +108,7 @@ class TestPorts:
         regfile = SingleBankedRegisterFile(latency=1, read_ports=1)
         regfile.begin_cycle(6)
         register, state = _state(ex_end=5)
-        access = regfile.plan_operand_read(register, state, issue_cycle=5)
+        access = _plan(regfile, register, state, issue_cycle=5)
         assert access.source is OperandSource.BYPASS
         assert regfile.can_claim_reads([access, access, access])
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import __version__
 from repro.bench.report import environment_fingerprint
 from repro.bench.runner import BenchmarkRunner
@@ -104,3 +106,71 @@ class TestVersionEmbedding:
         from repro.version import __version__ as module_version
 
         assert module_version == __version__
+
+
+class TestObsOverheadScenario:
+    def _scenario(self, monkeypatch, bare_wall, full_wall, sink_seconds):
+        """An obs scenario whose full passes spend ``sink_seconds`` of
+        ``full_wall`` in the event log and bus."""
+        from repro.bench.scenarios import ObsOverheadScenario
+
+        def one_pass(self, full_telemetry):
+            return {
+                "points": 3,
+                "digest": "d" * 64,
+                "wall_seconds": full_wall if full_telemetry else bare_wall,
+                "sink_seconds": sink_seconds if full_telemetry else 0.0,
+            }
+
+        monkeypatch.setattr(ObsOverheadScenario, "_one_pass", one_pass)
+        return ObsOverheadScenario(
+            name="obs_overhead/figure6", figure="figure6", instructions=200,
+            warmup_instructions=50, benchmarks=("gcc",),
+        )
+
+    def test_overhead_over_threshold_fails_the_scenario(self, monkeypatch):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        scenario = self._scenario(monkeypatch, 1.0, 1.2, sink_seconds=0.2)
+        with pytest.raises(SimulationError, match="1.200x .* exceeds the 1.05x bound"):
+            scenario.run()
+
+    def test_overhead_within_threshold_is_reported(self, monkeypatch):
+        outcome = self._scenario(monkeypatch, 1.0, 1.02, sink_seconds=0.02).run()
+        summary = outcome["summary"]
+        assert summary["telemetry_overhead"] == 1.02
+        assert summary["full_over_bare"] == 1.02
+        assert outcome["wall_seconds_override"] == 1.02
+
+    def test_slower_full_walls_alone_do_not_fail(self, monkeypatch):
+        # A host that ran every full pass 30% slower, with telemetry
+        # itself costing 1 ms: the wall ratio shows the noise, the gate
+        # reads the overhead measured inside the pass.
+        outcome = self._scenario(monkeypatch, 1.0, 1.3, sink_seconds=0.001).run()
+        assert outcome["summary"]["full_over_bare"] == 1.3
+        assert outcome["summary"]["telemetry_overhead"] < 1.001
+
+    def test_full_passes_time_the_event_log_and_bus(self):
+        from repro.bench.scenarios import service_scenarios
+
+        scenario = next(s for s in service_scenarios(quick=True)
+                        if s.name == "obs_overhead/figure6")
+        scenario = replace(scenario, instructions=300, warmup_instructions=100)
+        bare = scenario._one_pass(full_telemetry=False)
+        full = scenario._one_pass(full_telemetry=True)
+        assert bare["sink_seconds"] == 0.0
+        assert 0.0 < full["sink_seconds"] < full["wall_seconds"]
+        assert bare["digest"] == full["digest"]
+
+    def test_cli_exits_one_when_the_bound_is_exceeded(self, monkeypatch, tmp_path,
+                                                      capsys):
+        from repro.bench.__main__ import main
+
+        self._scenario(monkeypatch, 1.0, 2.0, sink_seconds=1.0)
+        argv = ["--quick", "--repeats", "1", "--filter", "obs_overhead",
+                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "exceeds the 1.05x bound" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
