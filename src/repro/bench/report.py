@@ -278,7 +278,7 @@ class Comparison:
     def ok(self) -> bool:
         # Scenarios present in the baseline but absent from the current
         # report fail the gate too: a run that silently lost coverage
-        # (e.g. the component benchmarks stopped importing) must not pass
+        # (e.g. a run with --no-components) must not pass
         # just because nothing *comparable* regressed.
         return (not self.regressions and not self.missing_scenarios
                 and not self.digest_mismatches)

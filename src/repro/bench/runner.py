@@ -224,7 +224,6 @@ class BenchmarkRunner:
             repeats=max(1, self.repeats),
             operations=count,
             operations_per_second=count / wall if wall > 0 and count else None,
-            metadata={"source": scenario.source},
         )
 
     def run(self, index: int) -> BenchReport:

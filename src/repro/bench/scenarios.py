@@ -23,8 +23,8 @@ Three kinds of scenarios:
   measured in store operations/second — the perf gate's view of the
   :mod:`repro.storage` subsystem every cache hit rides on.
 * **component scenarios** — microbenchmarks of the simulator's building
-  blocks, reused from the repository's ``benchmarks/`` pytest-benchmark
-  suite via a small timing shim, so the same kernels back both harnesses.
+  blocks, the plain kernel functions of :mod:`repro.bench.components`,
+  each returning its operation count.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List
 
+from repro.bench.components import KERNELS
 from repro.experiments.common import (
     OneLevelBankedFactory,
     RegisterFileCacheFactory,
@@ -89,15 +90,14 @@ class SimulationScenario:
 
 @dataclass(frozen=True)
 class ComponentScenario:
-    """One microbenchmark kernel borrowed from ``benchmarks/``."""
+    """One microbenchmark kernel of :mod:`repro.bench.components`."""
 
     name: str
-    source: str  # qualified name of the reused benchmark function
-    runner: Callable[[], int] = field(compare=False)
+    kernel: Callable[[], int]
 
     def run(self) -> int:
         """Execute the kernel once; returns its operation count."""
-        return self.runner()
+        return self.kernel()
 
 
 #: The architectures swept by the simulation matrix.
@@ -890,75 +890,16 @@ def store_scenarios(quick: bool = False) -> List[StoreScenario]:
 
 
 # ----------------------------------------------------------------------
-# component microbenchmarks, reused from benchmarks/bench_components.py
+# component microbenchmarks
 # ----------------------------------------------------------------------
 
 
-class _OnceShim:
-    """Minimal stand-in for the pytest-benchmark ``benchmark`` fixture.
-
-    The functions in ``benchmarks/bench_components.py`` call
-    ``benchmark(fn)`` and assert on the returned value; this shim runs
-    the kernel exactly once, hands the result back to that assertion and
-    records it, so the bench runner can do its own repeat/timing policy
-    around the whole call.
-    """
-
-    def __init__(self) -> None:
-        self.result: Optional[int] = None
-
-    def __call__(self, fn: Callable[[], int]) -> int:
-        self.result = fn()
-        return self.result
-
-
-def _load_component_benchmarks() -> Optional[object]:
-    """Import ``benchmarks.bench_components`` when the repo root allows it.
-
-    The ``benchmarks/`` tree sits next to ``src/`` rather than inside the
-    package, so it is importable when running from a repository checkout
-    but not from an installed wheel; component scenarios simply drop out
-    in the latter case.
-    """
-    try:
-        from benchmarks import bench_components
-    except ImportError:
-        return None
-    return bench_components
-
-
 def component_scenarios(quick: bool = False) -> List[ComponentScenario]:
-    """Microbenchmark scenarios (empty when ``benchmarks/`` is absent)."""
-    module = _load_component_benchmarks()
-    if module is None:
-        return []
-    names = [
-        "bench_workload_generation",
-        "bench_gshare_prediction_throughput",
-        "bench_dcache_accesses",
-        "bench_pseudo_lru_operations",
-        "bench_register_file_cache_writeback_path",
+    """One scenario per component kernel (the same in ``quick`` mode)."""
+    return [
+        ComponentScenario(name=f"component/{name}", kernel=kernel)
+        for name, kernel in KERNELS.items()
     ]
-    scenarios: List[ComponentScenario] = []
-    for name in names:
-        fn = getattr(module, name, None)
-        if fn is None:
-            continue
-        short = name.removeprefix("bench_")
-
-        def runner(fn=fn) -> int:
-            shim = _OnceShim()
-            fn(shim)
-            return shim.result if shim.result is not None else 0
-
-        scenarios.append(
-            ComponentScenario(
-                name=f"component/{short}",
-                source=f"benchmarks.bench_components.{name}",
-                runner=runner,
-            )
-        )
-    return scenarios
 
 
 def scenario_overview(quick: bool = False) -> List[str]:
@@ -995,7 +936,7 @@ def scenario_overview(quick: bool = False) -> List[str]:
             f"through the sharded segment-log store"
         )
     for comp in component_scenarios(quick):
-        lines.append(f"{comp.name}: reuses {comp.source}")
+        lines.append(f"{comp.name}: {comp.kernel.__doc__}")
     return lines
 
 

@@ -6,10 +6,14 @@ Every experiment module exposes two functions:
   as :class:`~repro.experiments.scheduler.SimulationPoint` objects; the
   scheduler deduplicates them across experiments and fans them out over
   worker processes.
-* ``run(settings, cache=...)`` assembles an
+* ``run(settings, cache)`` assembles an
   :class:`~repro.experiments.common.ExperimentResult` (whose ``render()``
-  prints the same rows/series the paper reports) from cached results,
-  simulating in-process anything the plan missed.
+  prints the same rows/series the paper reports) by reading the results
+  of exactly those points through a
+  :class:`~repro.experiments.common.SimulationCache`.  It never
+  simulates: :meth:`~repro.experiments.scheduler.SweepEngine.execute`
+  fills the store first, and reading a point the plan does not declare
+  raises :class:`~repro.errors.ReproError`.
 
 The :mod:`repro.experiments.runner` module ties them together for the
 command line::

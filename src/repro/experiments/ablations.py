@@ -18,7 +18,7 @@ a configurable benchmark subset:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
@@ -105,13 +105,11 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def upper_capacity_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
     capacities: Sequence[int] = UPPER_CAPACITIES,
 ) -> ExperimentResult:
     """IPC of the register file cache as the upper-level size varies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     series: Dict[str, Dict[str, float]] = {
         label: {} for _suite, label in settings.active_suite_labels()
     }
@@ -132,13 +130,11 @@ def upper_capacity_sweep(
 
 
 def caching_policy_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
     policies: Sequence[str] = CACHING_POLICIES,
 ) -> ExperimentResult:
     """IPC of the register file cache under different caching policies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     series: Dict[str, Dict[str, float]] = {
         label: {} for _suite, label in settings.active_suite_labels()
     }
@@ -156,13 +152,11 @@ def caching_policy_sweep(
 
 
 def bus_count_sweep(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
     bus_counts: Sequence[int] = BUS_COUNTS,
 ) -> ExperimentResult:
     """IPC of the register file cache as inter-level bandwidth varies."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     series: Dict[str, Dict[str, float]] = {
         label: {} for _suite, label in settings.active_suite_labels()
     }
@@ -180,15 +174,13 @@ def bus_count_sweep(
 
 
 def one_level_banked_comparison(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
     bank_counts: Sequence[int] = BANK_COUNTS,
     read_ports_per_bank: int = 2,
     write_ports_per_bank: int = 2,
 ) -> ExperimentResult:
     """The one-level multiple-banked organisation vs the register file cache."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     series: Dict[str, Dict[str, float]] = {
         label: {} for _suite, label in settings.active_suite_labels()
     }
@@ -213,12 +205,10 @@ def one_level_banked_comparison(
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Run all four ablations and concatenate their reports."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     parts = [
         upper_capacity_sweep(settings, cache),
         caching_policy_sweep(settings, cache),

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.metrics import harmonic_mean
-from repro.errors import ConfigurationError
-from repro.experiments.scheduler import SimulationPoint, run_simulation_point
+from repro.errors import ConfigurationError, ReproError
+from repro.experiments.scheduler import SimulationPoint
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
@@ -37,10 +37,10 @@ class ExperimentSettings:
 
     ``instructions_per_benchmark`` trades fidelity for run time; the
     default keeps a full-suite experiment in the tens of seconds on a
-    laptop.  ``benchmarks`` restricts the suite (useful for quick looks
-    and for the pytest-benchmark harness).  ``sampling`` switches every
-    point of the run from exact simulation to systematic interval
-    sampling (``--sample`` on the runner; exact is the default).
+    laptop.  ``benchmarks`` restricts the suite (useful for quick
+    looks).  ``sampling`` switches every point of the run from exact
+    simulation to systematic interval sampling (``--sample`` on the
+    runner; exact is the default).
     """
 
     instructions_per_benchmark: int = 8_000
@@ -270,58 +270,73 @@ def architecture_factories() -> Dict[str, RegfileFactory]:
 
 
 # ----------------------------------------------------------------------
-# simulation driving and caching
+# simulation points and stored results
 # ----------------------------------------------------------------------
 
 
-class SimulationCache:
-    """Memoizes simulation results, optionally across processes and runs.
+def experiment_point(
+    settings: ExperimentSettings,
+    benchmark: str,
+    factory: RegfileFactory,
+    key: str,
+    config: Optional[ProcessorConfig] = None,
+) -> SimulationPoint:
+    """The point of ``benchmark`` on the architecture labelled ``key``.
 
-    Several figures share the same baseline runs (e.g. the 1-cycle
-    unlimited-port configuration); the cache avoids re-simulating them.
+    The one constructor shared by the ``plan`` side (:func:`suite_points`)
+    and the ``run`` side (:class:`SimulationCache`), so a declared point
+    and the result an experiment reads always carry the same store key.
+    """
+    return SimulationPoint(
+        benchmark=benchmark,
+        factory=factory,
+        architecture=key,
+        config=config or settings.processor_config(),
+        warmup_instructions=settings.warmup_instructions,
+        sampling=settings.sampling,
+    )
+
+
+class SimulationCache:
+    """Read-only view of a result store for the experiment ``run`` functions.
+
     Results live in a :class:`~repro.experiments.store.ResultStore`,
     keyed by a content hash of the benchmark, the architecture (factory
     parameters included) and the **full** processor configuration — two
-    configs differing in any field never collide.  Hand the cache a store
-    with a ``cache_dir`` and results persist across invocations.
+    configs differing in any field never collide.  The store is filled
+    beforehand by :meth:`~repro.experiments.scheduler.SweepEngine.execute`
+    over the experiments' ``plan`` points; the cache never simulates, so
+    a point missing from the store is an error, not a slow path.
     """
 
-    def __init__(self, settings: ExperimentSettings,
-                 store: Optional[ResultStore] = None) -> None:
+    def __init__(self, settings: ExperimentSettings, store: ResultStore) -> None:
         self.settings = settings
-        self.store = store if store is not None else ResultStore()
+        self.store = store
 
-    def point(
-        self,
-        benchmark: str,
-        factory: RegfileFactory,
-        key: str,
-        config: Optional[ProcessorConfig] = None,
-    ) -> SimulationPoint:
-        """The :class:`SimulationPoint` that :meth:`run` would execute."""
-        return SimulationPoint(
-            benchmark=benchmark,
-            factory=factory,
-            architecture=key,
-            config=config or self.settings.processor_config(),
-            warmup_instructions=self.settings.warmup_instructions,
-            sampling=self.settings.sampling,
-        )
-
-    def run(
+    def stats(
         self,
         benchmark: str,
         factory: RegfileFactory,
         key: str,
         config: Optional[ProcessorConfig] = None,
     ) -> SimulationStats:
-        """Simulate ``benchmark`` on the architecture labelled ``key``."""
-        point = self.point(benchmark, factory, key, config)
+        """The stored result of ``benchmark`` on the architecture ``key``.
+
+        Raises
+        ------
+        ReproError
+            If the store holds no result for the point: the experiment's
+            ``plan`` does not declare it.
+        """
+        point = experiment_point(self.settings, benchmark, factory, key, config)
         store_key = point.store_key()
         stats = self.store.get(store_key)
         if stats is None:
-            stats = run_simulation_point(point)
-            self.store.put(store_key, stats, metadata=point.metadata())
+            raise ReproError(
+                f"no stored result for benchmark {benchmark!r} on architecture "
+                f"{key!r} (store key {store_key}): the experiment's plan() does "
+                f"not declare this point"
+            )
         return stats
 
     def suite_ipcs(
@@ -333,7 +348,7 @@ class SimulationCache:
     ) -> Dict[str, float]:
         """IPC of every benchmark of ``suite`` on one architecture."""
         return {
-            benchmark: self.run(benchmark, factory, key, config).ipc
+            benchmark: self.stats(benchmark, factory, key, config).ipc
             for benchmark in self.settings.suite(suite)
         }
 
@@ -345,7 +360,7 @@ def suite_points(
     key: str,
     config: Optional[ProcessorConfig] = None,
 ) -> List[SimulationPoint]:
-    """The simulation points ``suite_ipcs`` would trigger, one per benchmark.
+    """The simulation points ``suite_ipcs`` reads, one per benchmark.
 
     The ``plan`` function of each figure module is built out of these;
     the scheduler deduplicates overlapping declarations across figures.
@@ -353,16 +368,8 @@ def suite_points(
     benchmarks: List[str] = []
     for suite in suites:
         benchmarks.extend(settings.suite_selection(suite))
-    resolved = config or settings.processor_config()
     return [
-        SimulationPoint(
-            benchmark=benchmark,
-            factory=factory,
-            architecture=key,
-            config=resolved,
-            warmup_instructions=settings.warmup_instructions,
-            sampling=settings.sampling,
-        )
+        experiment_point(settings, benchmark, factory, key, config)
         for benchmark in dict.fromkeys(benchmarks)
     ]
 

@@ -9,7 +9,7 @@ the register count and flattens beyond roughly 128 registers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.tables import format_figure
 from repro.experiments.common import (
@@ -46,13 +46,11 @@ def plan(
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
     register_counts: Sequence[int] = REGISTER_COUNTS,
-    cache: Optional[SimulationCache] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 1."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     factory = one_cycle_factory()
 
     labels = settings.active_suite_labels()

@@ -11,8 +11,6 @@ small upper-level bank viable.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.distributions import average_cdfs, percentile_from_cdf
 from repro.analysis.tables import format_figure
 from repro.experiments.common import (
@@ -34,12 +32,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Figure 3."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     factory = one_cycle_factory()
 
     sections = []
@@ -49,7 +45,7 @@ def run(
         needed_cdfs = []
         ready_cdfs = []
         for benchmark in settings.suite(suite):
-            stats = cache.run(benchmark, factory, "1-cycle/occupancy", config)
+            stats = cache.stats(benchmark, factory, "1-cycle/occupancy", config)
             needed_cdfs.append(stats.occupancy_cdf("needed", MAX_REGISTERS))
             ready_cdfs.append(stats.occupancy_cdf("ready", MAX_REGISTERS))
         needed = average_cdfs(needed_cdfs)

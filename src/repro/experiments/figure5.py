@@ -8,8 +8,6 @@ of ready caching and prefetch-first-pair helping a few programs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ExperimentResult,
@@ -39,13 +37,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Figure 5."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     data: dict[str, dict[str, dict[str, float]]] = {}
     sections = []
     for suite, label in settings.active_suite_labels():

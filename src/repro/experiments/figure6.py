@@ -10,8 +10,6 @@ design (more so for the integer codes) and below the ideal 1-cycle one.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.metrics import percent_change
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
@@ -44,13 +42,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Figure 6."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     architectures = _architectures()
 
     data: dict[str, dict] = {}

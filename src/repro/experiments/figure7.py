@@ -7,8 +7,6 @@ paper reports the cache within 8% (SpecInt95) / 2% (SpecFP95) of it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.metrics import percent_change
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
@@ -39,13 +37,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Figure 7."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     architectures = _architectures()
 
     data: dict[str, dict] = {}

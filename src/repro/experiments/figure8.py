@@ -9,7 +9,7 @@ with unlimited ports, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import (
@@ -128,13 +128,10 @@ def _register_file_cache_points(
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Figure 8 (Pareto frontier of performance vs area)."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     sections = []
     data: Dict[str, Dict[str, List[dict]]] = {}
     for suite, label in settings.active_suite_labels():

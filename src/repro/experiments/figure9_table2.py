@@ -124,13 +124,10 @@ def _suite_throughputs(
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Reproduce Table 2 and Figure 9."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     table2 = format_table(
         (
             "conf", "single ports", "single area", "(paper)", "1-cyc time (ns)",

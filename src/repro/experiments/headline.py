@@ -12,8 +12,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import format_table
 from repro.experiments import figure6, figure9_table2
 from repro.experiments.common import (
@@ -41,13 +39,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Compute the headline claims on the simulated workloads."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
-
     ipc_result = figure6.run(settings, cache)
     throughput_result = figure9_table2.run(settings, cache)
 

@@ -27,6 +27,7 @@ import io
 import json
 import sys
 import time
+from types import ModuleType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments import (
@@ -49,34 +50,20 @@ from repro.experiments.store import ResultStore
 from repro.sampling.spec import parse_sampling
 from repro.version import __version__
 
-#: All experiments in the order they appear in the paper.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "figure1": figure1.run,
-    "figure2": figure2.run,
-    "figure3": figure3.run,
-    "value_reuse": value_reuse.run,
-    "figure5": figure5.run,
-    "figure6": figure6.run,
-    "figure7": figure7.run,
-    "figure8": figure8.run,
-    "figure9": figure9_table2.run,
-    "headline": headline.run,
-    "ablations": ablations.run,
-}
-
-#: The ``plan`` function of each experiment: what runs it will need.
-PLANNERS: Dict[str, Callable[[ExperimentSettings], List[SimulationPoint]]] = {
-    "figure1": figure1.plan,
-    "figure2": figure2.plan,
-    "figure3": figure3.plan,
-    "value_reuse": value_reuse.plan,
-    "figure5": figure5.plan,
-    "figure6": figure6.plan,
-    "figure7": figure7.plan,
-    "figure8": figure8.plan,
-    "figure9": figure9_table2.plan,
-    "headline": headline.plan,
-    "ablations": ablations.plan,
+#: Every experiment module (each with ``plan`` and ``run``) by report
+#: name, in the order the experiments appear in the paper.
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "figure1": figure1,
+    "figure2": figure2,
+    "figure3": figure3,
+    "value_reuse": value_reuse,
+    "figure5": figure5,
+    "figure6": figure6,
+    "figure7": figure7,
+    "figure8": figure8,
+    "figure9": figure9_table2,
+    "headline": headline,
+    "ablations": ablations,
 }
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -124,7 +111,7 @@ def plan_experiments(
     """Every simulation point the named experiments declare."""
     points: List[SimulationPoint] = []
     for name in names:
-        points.extend(PLANNERS[name](settings))
+        points.extend(EXPERIMENTS[name].plan(settings))
     return points
 
 
@@ -134,28 +121,22 @@ def run_experiments(
     store: Optional[ResultStore] = None,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    engine: Optional[SweepEngine] = None,
 ) -> list[ExperimentResult]:
-    """Run the named experiments, sharing one simulation cache.
+    """Run the named experiments over one result store.
 
     The experiments' declared simulation points are deduplicated and
     executed up front through a :class:`SweepEngine` (across ``jobs``
     worker processes when ``jobs`` > 1); the experiment functions then
-    assemble their reports from cache hits.  Any point a ``plan``
-    under-declares is simply simulated in-process when the experiment
-    asks for it.  Long-lived callers (the sweep service) pass their own
-    ``engine`` so warm workers and trace caches persist across calls;
-    ``store``/``jobs`` are ignored in that case.
+    only read the filled store, so a point a ``plan`` does not declare
+    raises instead of being simulated.
     """
-    if engine is None:
-        engine = SweepEngine(store=store, jobs=jobs)
-    store = engine.store
-    cache = SimulationCache(settings, store=store)
+    engine = SweepEngine(store=store, jobs=jobs)
     engine.execute(plan_experiments(names, settings), progress=progress)
+    cache = SimulationCache(settings, engine.store)
     results = []
     for name in names:
         started = time.time()
-        result = EXPERIMENTS[name](settings, cache=cache)
+        result = EXPERIMENTS[name].run(settings, cache)
         result.data["elapsed_seconds"] = round(time.time() - started, 1)
         results.append(result)
     return results

@@ -9,7 +9,6 @@ distribution on the simulated workloads.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import (
@@ -27,12 +26,10 @@ def plan(settings: ExperimentSettings) -> list:
 
 
 def run(
-    settings: Optional[ExperimentSettings] = None,
-    cache: Optional[SimulationCache] = None,
+    settings: ExperimentSettings,
+    cache: SimulationCache,
 ) -> ExperimentResult:
     """Measure the value read-count distribution per suite."""
-    settings = settings or ExperimentSettings()
-    cache = cache or SimulationCache(settings)
     factory = one_cycle_factory()
 
     rows = []
@@ -40,7 +37,7 @@ def run(
     for suite, label in settings.active_suite_labels():
         combined: Counter = Counter()
         for benchmark in settings.suite(suite):
-            stats = cache.run(benchmark, factory, "1-cycle")
+            stats = cache.stats(benchmark, factory, "1-cycle")
             combined.update(stats.value_read_distribution)
         total = sum(combined.values()) or 1
         never = combined.get(0, 0) / total

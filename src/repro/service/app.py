@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import seams as _seams
 from repro.errors import ReproError
-from repro.experiments.common import SimulationCache
 from repro.experiments.scheduler import SweepEngine, dedupe_points
 from repro.experiments.store import ResultStore
 from repro.obs import prometheus as _prometheus
@@ -745,8 +744,7 @@ class ServiceApp:
                         points, progress=self.progress, on_point=on_point
                     )
                     if plan.kind == "figures":
-                        cache = SimulationCache(plan.settings, store=self.store)
-                        result = spec_mod.assemble_figure_result(plan, cache)
+                        result = spec_mod.assemble_figure_result(plan, self.store)
                     else:
                         result = spec_mod.assemble_points_result(plan, self.store)
             job.points["completed"] = counters["unique"]

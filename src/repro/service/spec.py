@@ -42,13 +42,13 @@ from repro.errors import ReproError
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    SimulationCache,
     OneLevelBankedFactory,
     RegisterFileCacheFactory,
     SingleBankedFactory,
 )
 from repro.experiments.runner import (
     EXPERIMENTS,
-    PLANNERS,
     plan_experiments,
     render_csv,
 )
@@ -322,14 +322,14 @@ def validate_submission(payload) -> JobPlan:
         if not isinstance(figure, str):
             raise ApiError(422, "invalid_spec", "figure must be a string")
         if figure == "all":
-            figures = list(PLANNERS)
-        elif figure in PLANNERS:
+            figures = list(EXPERIMENTS)
+        elif figure in EXPERIMENTS:
             figures = [figure]
         else:
             raise ApiError(
                 422, "unknown_figure",
                 f"unknown figure {figure!r} "
-                f"(known: {', '.join(list(PLANNERS) + ['all'])})",
+                f"(known: {', '.join(list(EXPERIMENTS) + ['all'])})",
             )
         settings = _build_settings(payload)
         if sampling is not None:
@@ -383,16 +383,17 @@ def validate_submission(payload) -> JobPlan:
 # ----------------------------------------------------------------------
 
 
-def assemble_figure_result(plan: JobPlan, cache) -> dict:
+def assemble_figure_result(plan: JobPlan, store) -> dict:
     """Build the report payload of a completed figure job.
 
     Runs the same experiment functions as ``repro.experiments.runner``
-    over the now-warm cache, so the service's answer for a plan is
+    over the now-warm store, so the service's answer for a plan is
     byte-for-byte the runner's answer for the same plan.
     """
+    cache = SimulationCache(plan.settings, store)
     results = []
     for name in plan.figures:
-        result = EXPERIMENTS[name](plan.settings, cache=cache)
+        result = EXPERIMENTS[name].run(plan.settings, cache)
         results.append({
             "name": result.name,
             "title": result.title,

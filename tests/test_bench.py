@@ -63,14 +63,20 @@ class TestScenarios:
         full = headline_scenario(quick=False)
         assert quick.instructions < full.instructions
 
-    def test_component_scenarios_reuse_benchmarks_package(self):
-        scenarios = component_scenarios()
-        # The repository checkout has benchmarks/ importable via the cwd.
-        if not scenarios:
-            pytest.skip("benchmarks/ package not importable from here")
-        assert all(s.source.startswith("benchmarks.bench_components.")
-                   for s in scenarios)
-        assert scenarios[0].run() > 0
+    def test_component_kernels_are_always_present(self):
+        counts = {s.name: s.run() for s in component_scenarios()}
+        assert set(counts) == {
+            "component/workload_generation",
+            "component/gshare_prediction_throughput",
+            "component/dcache_accesses",
+            "component/pseudo_lru_operations",
+            "component/register_file_cache_writeback_path",
+        }
+        assert counts["component/workload_generation"] == 5000
+        assert counts["component/gshare_prediction_throughput"] > 0
+        assert counts["component/dcache_accesses"] > 0
+        assert counts["component/pseudo_lru_operations"] == 16
+        assert counts["component/register_file_cache_writeback_path"] == 128
 
     def test_scenario_run_is_deterministic(self):
         scenario = with_budget(headline_scenario(quick=True), 300)

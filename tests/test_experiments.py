@@ -23,6 +23,8 @@ from repro.experiments.common import (
     with_hmean,
 )
 from repro.experiments.runner import EXPERIMENTS, build_parser, run_experiments
+from repro.experiments.scheduler import SweepEngine
+from repro.experiments.store import ResultStore
 from repro.pipeline.stats import SimulationStats
 
 
@@ -31,9 +33,21 @@ QUICK = ExperimentSettings(instructions_per_benchmark=800, warmup_instructions=2
                            benchmarks=["m88ksim", "swim"])
 
 
+def filled_cache(settings: ExperimentSettings, points) -> SimulationCache:
+    """A cache over a store the engine filled with exactly ``points``."""
+    store = ResultStore()
+    SweepEngine(store=store).execute(points)
+    return SimulationCache(settings, store)
+
+
 @pytest.fixture(scope="module")
 def shared_cache() -> SimulationCache:
-    return SimulationCache(QUICK)
+    """Every point the figure tests below read, figure 1 at two counts."""
+    points = figure1.plan(QUICK, register_counts=(48, 128))
+    for module in (figure2, figure3, figure5, figure6, figure7, value_reuse,
+                   figure9_table2, headline):
+        points += module.plan(QUICK)
+    return filled_cache(QUICK, points)
 
 
 class TestCommon:
@@ -54,8 +68,8 @@ class TestCommon:
 
     def test_simulation_cache_memoizes(self, shared_cache):
         factories = architecture_factories()
-        first = shared_cache.run("swim", factories["1-cycle"], "1-cycle")
-        second = shared_cache.run("swim", factories["1-cycle"], "1-cycle")
+        first = shared_cache.stats("swim", factories["1-cycle"], "1-cycle")
+        second = shared_cache.stats("swim", factories["1-cycle"], "1-cycle")
         assert first is second
         assert isinstance(first, SimulationStats)
 
@@ -149,7 +163,7 @@ class TestFigure8:
         settings = ExperimentSettings(instructions_per_benchmark=400,
                                       warmup_instructions=100,
                                       benchmarks=["m88ksim", "swim"])
-        result = figure8.run(settings)
+        result = figure8.run(settings, filled_cache(settings, figure8.plan(settings)))
         for suite in ("SpecInt95", "SpecFP95"):
             for architecture, points in result.data[suite].items():
                 assert points, f"no pareto points for {architecture}"

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.experiments import ablations
-from repro.experiments.common import ExperimentSettings, SimulationCache
+from repro.experiments.common import (
+    ExperimentSettings,
+    OneLevelBankedFactory,
+    SimulationCache,
+    suite_points,
+)
+from repro.experiments.scheduler import SweepEngine
+from repro.experiments.store import ResultStore
 
 QUICK = ExperimentSettings(instructions_per_benchmark=700, warmup_instructions=200,
                            benchmarks=["m88ksim", "swim"])
@@ -11,7 +18,14 @@ QUICK = ExperimentSettings(instructions_per_benchmark=700, warmup_instructions=2
 
 @pytest.fixture(scope="module")
 def shared_cache() -> SimulationCache:
-    return SimulationCache(QUICK)
+    """The full ablation plan plus the 8-port one-level banked points."""
+    wide_banks = OneLevelBankedFactory(num_banks=2, read_ports_per_bank=8,
+                                       write_ports_per_bank=8)
+    points = ablations.plan(QUICK) + suite_points(QUICK, ("int", "fp"), wide_banks,
+                                                  "one-level/2banks")
+    store = ResultStore()
+    SweepEngine(store=store).execute(points)
+    return SimulationCache(QUICK, store)
 
 
 class TestUpperCapacitySweep:

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figure6, figure7
 from repro.experiments.common import (
     ExperimentSettings,
@@ -83,12 +83,13 @@ class TestResultStore:
         assert store.counters()["misses"] == 1
 
     def test_cache_hits_across_simulation_cache_instances(self, tmp_path):
-        first = SimulationCache(TINY, store=ResultStore(cache_dir=str(tmp_path)))
-        before = first.run("swim", one_cycle_factory(), "1-cycle")
+        first = SimulationCache(TINY, ResultStore(cache_dir=str(tmp_path)))
+        SweepEngine(store=first.store).execute([_point()])
+        before = first.stats("swim", one_cycle_factory(), "1-cycle")
         assert first.store.counters()["stores"] == 1
 
-        second = SimulationCache(TINY, store=ResultStore(cache_dir=str(tmp_path)))
-        after = second.run("swim", one_cycle_factory(), "1-cycle")
+        second = SimulationCache(TINY, ResultStore(cache_dir=str(tmp_path)))
+        after = second.stats("swim", one_cycle_factory(), "1-cycle")
         assert second.store.counters() == {
             "memory_hits": 0, "disk_hits": 1, "misses": 0, "stores": 0, "entries": 1,
         }
@@ -109,11 +110,14 @@ class TestCacheKey:
             ), f"key collision for {overrides}"
 
     def test_differing_configs_simulate_separately(self):
-        cache = SimulationCache(TINY)
-        narrow = cache.run("swim", one_cycle_factory(), "1-cycle",
-                           TINY.processor_config(issue_width=1))
-        wide = cache.run("swim", one_cycle_factory(), "1-cycle",
-                         TINY.processor_config(issue_width=8))
+        cache = SimulationCache(TINY, ResultStore())
+        SweepEngine(store=cache.store).execute(
+            [_point(issue_width=1), _point(issue_width=8)]
+        )
+        narrow = cache.stats("swim", one_cycle_factory(), "1-cycle",
+                             TINY.processor_config(issue_width=1))
+        wide = cache.stats("swim", one_cycle_factory(), "1-cycle",
+                           TINY.processor_config(issue_width=8))
         assert cache.store.counters()["stores"] == 2
         assert narrow is not wide
         assert narrow.ipc < wide.ipc
@@ -151,20 +155,26 @@ class TestScheduler:
         assert len(store) == 2
 
     def test_plans_cover_their_runs(self):
-        """Executing every experiment's plan leaves nothing for run() to
-        simulate — guards against plan()/run() enumerations drifting apart
-        (which would silently defeat the parallel fan-out)."""
-        from repro.experiments.runner import EXPERIMENTS, PLANNERS, plan_experiments
+        """Each experiment's run() reads only the points its own plan()
+        declares: it runs over a store holding that plan's results and
+        nothing else, so leaning on another experiment's points raises."""
+        from repro.experiments.runner import EXPERIMENTS, plan_experiments
 
-        store = ResultStore()
-        SweepEngine(store=store).execute(plan_experiments(list(PLANNERS), TINY))
-        stores_before = store.counters()["stores"]
-        cache = SimulationCache(TINY, store=store)
-        for name, experiment in EXPERIMENTS.items():
-            experiment(TINY, cache=cache)
-            assert store.counters()["stores"] == stores_before, (
-                f"{name}.run() simulated points its plan() did not declare"
-            )
+        pooled = ResultStore()
+        SweepEngine(store=pooled).execute(plan_experiments(list(EXPERIMENTS), TINY))
+        for module in EXPERIMENTS.values():
+            own = ResultStore()
+            for key in dedupe_points(module.plan(TINY)):
+                own.put(key, pooled.get(key))
+            module.run(TINY, SimulationCache(TINY, own))
+
+    def test_undeclared_point_is_an_error(self):
+        cache = SimulationCache(TINY, ResultStore())
+        with pytest.raises(ReproError, match=r"'swim'.*'1-cycle'.*plan\(\)"):
+            cache.stats("swim", one_cycle_factory(), "1-cycle")
+        with pytest.raises(ReproError, match="does not declare"):
+            figure6.run(TINY, cache)
+        assert cache.store.counters()["stores"] == 0
 
     def test_parallel_matches_serial(self):
         serial = run_experiments(["figure6"], TINY, store=ResultStore(), jobs=1)
