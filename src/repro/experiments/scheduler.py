@@ -69,6 +69,13 @@ ProgressCallback = Callable[[str], None]
 #: Upper bound on decoded traces kept warm per worker process.
 _WORKER_TRACE_CACHE_LIMIT = 4
 
+#: Upper bound on memoised store keys (see ``SimulationPoint.store_key``);
+#: a full table is cleared, so the memo never outgrows it.
+STORE_KEY_MEMO_LIMIT = 4096
+
+_STORE_KEYS: Dict["SimulationPoint", str] = {}
+_STORE_KEYS_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class SimulationPoint:
@@ -89,6 +96,25 @@ class SimulationPoint:
     sampling: Optional["SamplingSpec"] = None
 
     def store_key(self) -> str:
+        """The point's result-store key, memoised process-wide.
+
+        Every part of a point is frozen, so equal points share one key;
+        the memo spares a cached job the ``asdict``/JSON/SHA-256 work
+        at each of its dedupe, execute and assembly steps.
+        """
+        try:
+            key = _STORE_KEYS.get(self)
+        except TypeError:  # an unhashable field value (a list from a JSON spec)
+            return self._compute_store_key()
+        if key is None:
+            key = self._compute_store_key()
+            with _STORE_KEYS_LOCK:
+                if len(_STORE_KEYS) >= STORE_KEY_MEMO_LIMIT:
+                    _STORE_KEYS.clear()
+                _STORE_KEYS[self] = key
+        return key
+
+    def _compute_store_key(self) -> str:
         return simulation_key(
             self.benchmark,
             self.architecture,

@@ -1,9 +1,19 @@
-"""HTTP client for the sweep service (stdlib ``urllib`` only).
+"""HTTP client for the sweep service (stdlib ``http.client`` only).
 
 :class:`ServiceClient` wraps the JSON API; server-side rejections are
 re-raised as :class:`ServiceError` carrying the server's structured
 ``error.code``/``message`` verbatim, so the client CLI can print exactly
 what the service said.
+
+**Connections.**  Each thread using a client keeps one persistent
+HTTP/1.1 connection to the service (``Connection: keep-alive``, the
+HTTP/1.1 default) with ``TCP_NODELAY`` set, so a poll costs one round
+trip instead of a TCP handshake plus a Nagle/delayed-ACK stall.  A
+response carrying ``Connection: close`` retires the connection; any
+transport failure discards it, and the call goes through the retry
+policy below like every other transport failure (a stale connection to
+a restarted server costs one counted retry, never a hidden re-send).
+Proxy environment variables (``http_proxy``) are not consulted.
 
 **Retries.**  Transport failures (connection refused/reset, timeouts,
 dropped responses) and transient server rejections (``503 overloaded``,
@@ -23,11 +33,11 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Set
+from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 from repro.obs.context import TRACE_HEADER, TraceContext, new_trace
@@ -38,6 +48,10 @@ DEFAULT_URL = "http://127.0.0.1:8642"
 
 #: HTTP statuses that mark a *transient* server-side rejection.
 RETRYABLE_STATUSES = (429, 503)
+
+#: How long :meth:`ServiceClient.watch` waits, once the job is terminal,
+#: for the event stream to deliver the terminal phase to ``on_phase``.
+PHASE_DRAIN_SECONDS = 2.0
 
 
 class ServiceError(ReproError):
@@ -71,6 +85,22 @@ def _parse_retry_after(value) -> Optional[float]:
     return seconds if seconds >= 0 else None
 
 
+def _http_error(response: http.client.HTTPResponse, body: str) -> ServiceError:
+    """The :class:`ServiceError` for an error response (status >= 400)."""
+    retry_after = _parse_retry_after(response.getheader("Retry-After"))
+    try:
+        detail = json.loads(body)["error"]
+        if retry_after is None:
+            retry_after = _parse_retry_after(detail.get("retry_after"))
+        return ServiceError(str(detail.get("message", body)),
+                            code=str(detail.get("code", "http_error")),
+                            status=response.status, retry_after=retry_after)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return ServiceError(f"HTTP {response.status}: {body.strip()}",
+                            code="http_error", status=response.status,
+                            retry_after=retry_after)
+
+
 class ServiceClient:
     """Typed access to every endpoint of the sweep service."""
 
@@ -87,6 +117,18 @@ class ServiceClient:
         _rng: Optional[random.Random] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = parts.netloc
+        #: Path prefix of ``base_url`` (a service mounted below ``/``).
+        self._prefix = parts.path
+        #: One persistent connection per calling thread; ``_open`` holds
+        #: every thread's connection so :meth:`close` can reach them all.
+        self._local = threading.local()
+        self._open: Set[http.client.HTTPConnection] = set()
+        self._open_lock = threading.Lock()
         self.timeout = timeout
         self.retries = retries
         self.retry_base = retry_base
@@ -102,10 +144,41 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
 
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection to the service, ``TCP_NODELAY`` set."""
+        connection = self._connection_class(self._netloc, timeout=self.timeout)
+        connection.connect()
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, opened on first use."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None or connection.sock is None:  # None: closed
+            connection = self._local.connection = self._connect()
+            with self._open_lock:
+                self._open.add(connection)
+        return connection
+
+    def _discard_connection(self) -> None:
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is not None:
+            with self._open_lock:
+                self._open.discard(connection)
+            connection.close()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call opens a new one."""
+        with self._open_lock:
+            connections = list(self._open)
+            self._open.clear()
+        for connection in connections:
+            connection.close()
+
     def _request_once(self, method: str, path: str,
                       payload: Optional[dict] = None, raw: bool = False,
                       headers: Optional[dict] = None):
-        url = f"{self.base_url}{path}"
         data = None
         request_headers = {"Accept": "application/json"}
         if headers:
@@ -113,35 +186,25 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             request_headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data,
-                                         headers=request_headers,
-                                         method=method)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
-            retry_after = _parse_retry_after(error.headers.get("Retry-After"))
-            try:
-                detail = json.loads(body)["error"]
-                if retry_after is None:
-                    retry_after = _parse_retry_after(detail.get("retry_after"))
-                raise ServiceError(str(detail.get("message", body)),
-                                   code=str(detail.get("code", "http_error")),
-                                   status=error.code,
-                                   retry_after=retry_after) from error
-            except (ValueError, KeyError, TypeError):
-                raise ServiceError(f"HTTP {error.code}: {body.strip()}",
-                                   code="http_error", status=error.code,
-                                   retry_after=retry_after) from error
-        except (urllib.error.URLError, OSError, TimeoutError,
-                http.client.HTTPException) as error:
-            # Connection refused (restarting replica), reset mid-response,
-            # dropped responses (RemoteDisconnected / BadStatusLine) and
-            # timeouts all land here — every one is retryable.
+            connection = self._connection()
+            connection.request(method, self._prefix + path, body=data,
+                               headers=request_headers)
+            response = connection.getresponse()
+            body = response.read().decode("utf-8", errors="replace")
+        except (OSError, http.client.HTTPException) as error:
+            # Connection refused (restarting replica), a stale keep-alive
+            # connection, reset mid-response, dropped responses
+            # (RemoteDisconnected / BadStatusLine) and timeouts all land
+            # here — every one is retryable, on a fresh connection.
+            self._discard_connection()
             raise ServiceError(
                 f"cannot reach sweep service at {self.base_url}: {error}"
             ) from error
+        if response.will_close:
+            self._discard_connection()
+        if response.status >= 400:
+            raise _http_error(response, body)
         if raw:
             return body
         try:
@@ -266,50 +329,48 @@ class ServiceClient:
         publishes no stream; callers wanting graceful degradation catch
         it (see :meth:`watch`).
         """
-        url = f"{self.base_url}/events?since={int(since)}"
-        request = urllib.request.Request(
-            url, headers={"Accept": "text/event-stream"}
-        )
+        connection = None
         try:
-            response = urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
-            try:
-                detail = json.loads(body)["error"]
-                code = str(detail.get("code", "http_error"))
-                message = str(detail.get("message", body))
-            except (ValueError, KeyError, TypeError):
-                code, message = "http_error", f"HTTP {error.code}: {body.strip()}"
-            raise ServiceError(message, code=code,
-                               status=error.code) from error
-        except (urllib.error.URLError, OSError, TimeoutError,
-                http.client.HTTPException) as error:
+            connection = self._connect()
+            connection.request(
+                "GET", f"{self._prefix}/events?since={int(since)}",
+                headers={"Accept": "text/event-stream"},
+            )
+            response = connection.getresponse()
+        except (OSError, http.client.HTTPException) as error:
+            if connection is not None:
+                connection.close()
             raise ServiceError(
                 f"cannot reach sweep service at {self.base_url}: {error}"
             ) from error
-        with response:
-            data_lines: list = []
-            try:
-                for raw_line in response:
-                    line = raw_line.decode("utf-8", errors="replace").rstrip("\r\n")
-                    if not line:
-                        if data_lines:
-                            try:
-                                event = json.loads("".join(data_lines))
-                            except ValueError:
-                                event = None
-                            data_lines = []
-                            if isinstance(event, dict):
-                                yield event
-                        continue
-                    if line.startswith(":"):
-                        if stop_on_idle:
-                            return  # backlog drained; the stream is idle
-                        continue
-                    if line.startswith("data:"):
-                        data_lines.append(line[5:].lstrip())
-            except (OSError, TimeoutError, http.client.HTTPException):
-                return  # stream ended (server drained or connection lost)
+        if response.status >= 400:
+            body = response.read().decode("utf-8", errors="replace")
+            connection.close()
+            raise _http_error(response, body)
+        data_lines: list = []
+        try:
+            for raw_line in response:
+                line = raw_line.decode("utf-8", errors="replace").rstrip("\r\n")
+                if not line:
+                    if data_lines:
+                        try:
+                            event = json.loads("".join(data_lines))
+                        except ValueError:
+                            event = None
+                        data_lines = []
+                        if isinstance(event, dict):
+                            yield event
+                    continue
+                if line.startswith(":"):
+                    if stop_on_idle:
+                        return  # backlog drained; the stream is idle
+                    continue
+                if line.startswith("data:"):
+                    data_lines.append(line[5:].lstrip())
+        except (OSError, TimeoutError, http.client.HTTPException):
+            return  # stream ended (server drained or connection lost)
+        finally:
+            connection.close()
 
     def job_span_breakdown(self, job_id: str) -> Optional[Dict[str, float]]:
         """One-shot read of the event ring: the job's span durations.
@@ -375,7 +436,9 @@ class ServiceClient:
 
         ``on_phase`` (if given) receives the job's ``job_phase``
         telemetry events (queued → leased → running → completed/failed)
-        streamed live from ``GET /events`` on a background thread.  A
+        streamed live from ``GET /events`` on a background thread; the
+        watch returns after the terminal phase was delivered (waiting at
+        most :data:`PHASE_DRAIN_SECONDS` for it).  A
         server without an event stream — an older build, or one running
         without a cache dir — simply never calls it: phase streaming
         degrades silently, the poll loop is unaffected.
@@ -383,6 +446,7 @@ class ServiceClient:
         if max_interval is None:
             max_interval = max(interval, 8.0)
         phase_stop: Optional[threading.Event] = None
+        phase_done = threading.Event()
         if on_phase is not None:
             phase_stop = threading.Event()
             stop = phase_stop
@@ -395,18 +459,27 @@ class ServiceClient:
                         if (event.get("kind") == "job_phase"
                                 and event.get("job_id") == job_id):
                             on_phase(event)
+                            if event.get("phase") in TERMINAL_STATES:
+                                return
                 except ServiceError:
                     pass  # no event stream on this server: degrade silently
+                finally:
+                    phase_done.set()
 
             threading.Thread(
                 target=_pump_phases, name=f"watch-events-{job_id}",
                 daemon=True,
             ).start()
         try:
-            return self._watch_poll(
+            job = self._watch_poll(
                 job_id, interval, timeout, on_update, max_interval, backoff,
                 jitter, unreachable_timeout, _sleep, _clock,
             )
+            if phase_stop is not None:
+                # The job turns terminal just before its terminal phase
+                # event is published: let the stream deliver it.
+                phase_done.wait(PHASE_DRAIN_SECONDS)
+            return job
         finally:
             if phase_stop is not None:
                 phase_stop.set()

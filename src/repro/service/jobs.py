@@ -290,7 +290,7 @@ class JobStore:
             fd, tmp_path = tempfile.mkstemp(dir=self.job_dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, default=str)
+                    handle.write(json.dumps(payload, default=str))
                 os.replace(tmp_path, self._path(job.id))
             except OSError:
                 try:
@@ -343,7 +343,7 @@ class JobStore:
             os.makedirs(quarantine_dir, exist_ok=True)
             target = os.path.join(quarantine_dir, f"{job.id}.json")
             with open(target, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, default=str)
+                handle.write(json.dumps(payload, default=str))
         except OSError:
             # Quarantine-on-a-full-disk still works in memory: the job
             # is terminally failed either way.

@@ -26,6 +26,13 @@ missing or malformed header degrades to a server-minted trace — never a
 Every error — including unknown routes and internal failures — is a
 structured JSON body ``{"error": {"code": ..., "message": ...}}``; a
 client never sees an HTML traceback.
+
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set: the
+response head and body go out as separate writes, which Nagle's
+algorithm would otherwise hold back for the client's delayed ACK
+(~40 ms per request).  An error answered before the request body was
+read closes the connection, so unread body bytes are never parsed as
+the next request; ``server_close`` ends idle keep-alive connections.
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.chaos import seams as _seams
@@ -62,6 +70,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-sweep-service"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServiceApp:
@@ -78,7 +87,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_body(status, body + "\n", "application/json")
 
     def _send_body(self, status: int, body: str, content_type: str,
-                   retry_after: Optional[float] = None) -> None:
+                   retry_after: Optional[float] = None,
+                   close: bool = False) -> None:
         if _seams.active is not None:
             # Chaos seam: dropped / delayed / connection-reset responses.
             # The request was fully processed server-side — exactly the
@@ -116,14 +126,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(encoded)))
         if retry_after is not None:
             self.send_header("Retry-After", str(max(1, int(retry_after))))
+        if close:
+            # Also sets close_connection: the handler ends this connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 
-    def _send_error(self, error: ApiError) -> None:
+    def _send_error(self, error: ApiError, close: bool = False) -> None:
         body = json.dumps(error.to_dict(), indent=2, sort_keys=True,
                           default=str)
         self._send_body(error.status, body + "\n", "application/json",
-                        retry_after=getattr(error, "retry_after", None))
+                        retry_after=getattr(error, "retry_after", None),
+                        close=close)
 
     # ------------------------------------------------------------------
 
@@ -275,11 +289,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             ))
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        # Until the body is read, its bytes sit in front of the next
+        # request on this connection: an error sent before then closes it.
+        body_read = False
         try:
             path = urlparse(self.path).path
             if path not in ("/jobs", "/jobs/", "/search", "/search/"):
                 raise ApiError(404, "not_found", f"no route for POST {path}")
             body = self._read_body()
+            body_read = True
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except (ValueError, UnicodeDecodeError) as exc:
@@ -301,11 +319,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             job = self.app.submit(payload, trace=trace)
             self._send_json(202, job.to_dict())
         except ApiError as error:
-            self._send_error(error)
+            self._send_error(error, close=not body_read)
         except Exception as error:  # noqa: BLE001 - no tracebacks on the wire
             self._send_error(ApiError(
                 500, "internal_error", f"{type(error).__name__}: {error}"
-            ))
+            ), close=not body_read)
 
 
 class SweepServiceServer(ThreadingHTTPServer):
@@ -317,6 +335,34 @@ class SweepServiceServer(ThreadingHTTPServer):
     def __init__(self, address, app: ServiceApp) -> None:
         super().__init__(address, ServiceRequestHandler)
         self.app = app
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request_thread(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every keep-alive connection.
+
+        ``SHUT_RD`` wakes a handler idling between requests (it reads
+        end-of-stream and exits) while a response being written still
+        completes; the client sees the closed connection on its next
+        request and retries on a new one.
+        """
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
 
 
 def build_server(app: ServiceApp, host: str = "127.0.0.1",

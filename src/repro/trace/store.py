@@ -34,6 +34,19 @@ TRACE_SUBDIR = "traces"
 #: first and simply get re-decoded on next use).
 DEFAULT_TRACE_MAX_BYTES = 1 << 30
 
+#: gzip level of stored payloads.  Level 9 costs ~5x the time of level 6
+#: on a decoded trace for ~5% fewer bytes; any level decompresses alike.
+COMPRESS_LEVEL = 6
+
+
+def _compress(payload) -> bytes:
+    """gzip-compressed JSON of ``payload`` (mtime 0: deterministic)."""
+    buffer = io.BytesIO()
+    with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0,
+                       compresslevel=COMPRESS_LEVEL) as handle:
+        handle.write(json.dumps(payload).encode("utf-8"))
+    return buffer.getvalue()
+
 
 class TraceStore:
     """Two-tier (memory + optional disk) store of decoded traces."""
@@ -110,11 +123,7 @@ class TraceStore:
             self.stores += 1
         if self._disk is None:
             return
-        buffer = io.BytesIO()
-        # mtime=0 keeps the blob deterministic for a given payload.
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-            handle.write(json.dumps(trace.to_payload()).encode("utf-8"))
-        self._disk.put(trace.key, buffer.getvalue())
+        self._disk.put(trace.key, _compress(trace.to_payload()))
 
     # ------------------------------------------------------------------
     # generic payloads (trace checkpoints, other trace-derived artifacts)
@@ -133,10 +142,7 @@ class TraceStore:
             self.stores += 1
         if self._disk is None:
             return
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-            handle.write(json.dumps(payload).encode("utf-8"))
-        self._disk.put(key, buffer.getvalue())
+        self._disk.put(key, _compress(payload))
 
     def get_payload(self, key: str) -> Optional[dict]:
         """Fetch a payload stored with :meth:`put_payload`.

@@ -1,8 +1,12 @@
 """Tests of the persistent result store, the parallel scheduler and the
 machine-readable report formats."""
 
+import dataclasses
+import hashlib
 import json
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import render_csv, run_experiments
+from repro.experiments import scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
@@ -25,6 +30,7 @@ from repro.experiments.scheduler import (
 )
 from repro.experiments.store import ResultStore, simulation_key
 from repro.pipeline.stats import SimulationStats
+from repro.sampling import parse_sampling
 
 #: Tiny budget: these tests exercise plumbing, not simulation fidelity.
 TINY = ExperimentSettings(instructions_per_benchmark=300, warmup_instructions=100,
@@ -129,6 +135,78 @@ class TestCacheKey:
                            register_file_cache_factory(upper_capacity=8))
             != simulation_key("swim", "same-label", config, 100,
                               register_file_cache_factory(upper_capacity=16))
+        )
+
+
+class TestStoreKeyMemo:
+    def test_keys_are_unchanged(self):
+        """The memoised keys equal the ones every existing cache was
+        written under (recorded before the memo existed)."""
+        points = figure6.plan(TINY) + figure7.plan(TINY)
+        keys = sorted({point.store_key() for point in points})
+        assert len(points) == 10 and len(keys) == 8
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "c1d2b4667846d192880fbf3d185649bf2c92b8176c4fe51ebbe68f8e1dda0109"
+        )
+        assert points[0].store_key() == (
+            "0340294fa6ec50429aee761307c9220c06975d57b285a2eb725c155d492d061b"
+        )
+        sampled = dataclasses.replace(points[0], sampling=parse_sampling("600:150:150"))
+        assert sampled.store_key() == (
+            "5eea65a651717c5d5e65d534eafa99d97d9ef3387cffdcbe13bffcb410772ae3"
+        )
+
+    def test_memo_matches_a_fresh_computation(self):
+        for point in figure6.plan(TINY):
+            fresh = simulation_key(point.benchmark, point.architecture, point.config,
+                                   point.warmup_instructions, point.factory)
+            assert point.store_key() == fresh
+            assert dataclasses.replace(point).store_key() == fresh
+
+    def test_memo_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "STORE_KEY_MEMO_LIMIT", 4)
+        monkeypatch.setattr(scheduler, "_STORE_KEYS", {})
+        keys = set()
+        for max_cycles in range(1000, 1010):
+            keys.add(_point(max_cycles=max_cycles).store_key())
+            assert len(scheduler._STORE_KEYS) <= 4
+        assert len(keys) == 10
+
+    def test_memo_holds_under_thread_contention(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "STORE_KEY_MEMO_LIMIT", 8)
+        monkeypatch.setattr(scheduler, "_STORE_KEYS", {})
+        points = [_point(max_cycles=cycles) for cycles in range(2000, 2040)]
+        expected = [point._compute_store_key() for point in points]
+        oversized, wrong = [], []
+
+        def worker(offset: int) -> None:
+            for round_ in range(5):
+                for index in range(len(points)):
+                    index = (index + offset + round_) % len(points)
+                    if points[index].store_key() != expected[index]:
+                        wrong.append(index)
+                    if len(scheduler._STORE_KEYS) > 8:
+                        oversized.append(len(scheduler._STORE_KEYS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n * 7,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and oversized == []
+
+    def test_unhashable_point_still_gets_its_key(self):
+        point = _point()
+        factory = register_file_cache_factory(buses=[2])
+        odd = dataclasses.replace(point, factory=factory)
+        assert odd.store_key() == simulation_key(
+            point.benchmark, point.architecture, point.config, point.warmup_instructions, factory
         )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import run_experiments
+from repro.experiments import scheduler
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.service import ServiceApp
@@ -167,6 +168,25 @@ class TestExecution:
         metrics = app.metrics()
         assert metrics["points"]["executed"] == first.points["unique"]
         assert metrics["result_cache"]["hit_rate"] > 0
+
+    def test_cached_job_computes_each_store_key_once(self, app, monkeypatch):
+        first = app.submit(FIGURE_SPEC)
+        wait_for(lambda: app.get_job(first.id))
+        calls = []
+        real_key = scheduler.simulation_key
+
+        def counting_key(*args, **kwargs):
+            calls.append(args[:2])
+            return real_key(*args, **kwargs)
+
+        # A cold memo: the resubmission must derive every key itself.
+        monkeypatch.setattr(scheduler, "_STORE_KEYS", {})
+        monkeypatch.setattr(scheduler, "simulation_key", counting_key)
+        second = app.submit(FIGURE_SPEC)
+        final = wait_for(lambda: app.get_job(second.id))
+        assert final.state == COMPLETED
+        assert final.counters["executed"] == 0
+        assert len(calls) == final.points["unique"] == len(set(calls))
 
     def test_points_job_reports_stats(self, app):
         job = app.submit(POINT_SPEC)

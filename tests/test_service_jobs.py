@@ -117,6 +117,18 @@ class TestJobStore:
         assert fresh.load_all() == []
         assert fresh.quarantined == 1
 
+    def test_saved_file_is_the_records_json(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        job = make_job("a" * 12)
+        job.mark_running()
+        job.mark_completed({"kind": "figures", "results": [{"ipc": 1.25}]},
+                           {"executed": 0, "cached": 3})
+        store.save(job)
+        with open(os.path.join(store.job_dir, job.id + ".json"), "rb") as handle:
+            written = handle.read()
+        expected = json.dumps(job.to_dict(include_result=True), default=str)
+        assert written == expected.encode("utf-8")
+
     def test_save_overwrites_atomically(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = make_job("f" * 12)

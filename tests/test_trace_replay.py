@@ -12,6 +12,7 @@ result-store key.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 
@@ -34,6 +35,7 @@ from repro.trace import (
     replay_simulate,
     trace_key,
 )
+from repro.trace.store import COMPRESS_LEVEL
 from repro.validate.differential import validation_matrix
 from repro.validate.observer import CommitObserver
 from repro.workloads.profiles import get_profile
@@ -133,6 +135,33 @@ class TestTraceStore:
         config = ProcessorConfig(max_instructions=N)
         assert (replay_simulate(loaded, factory, config).to_dict()
                 == replay_simulate(gcc_trace, factory, config).to_dict())
+
+    def test_blobs_use_the_store_level(self, gcc_trace, tmp_path):
+        store = TraceStore(str(tmp_path))
+        store.put(gcc_trace)
+        store.put_payload("c" * 64, {"kind": "checkpoint", "cycle": 7})
+        for key in (gcc_trace.key, "c" * 64):
+            blob = store._disk.get(key)
+            # gzip header XFL byte: 2 marks level 9, 0 the levels between.
+            assert blob[8] == 0
+        assert COMPRESS_LEVEL == 6
+
+    def test_level9_blobs_still_load(self, gcc_trace, tmp_path):
+        """Traces and payloads a cache wrote at gzip's default level 9
+        load unchanged: the level only affects writing."""
+        store = TraceStore(str(tmp_path))
+        for key, payload in ((gcc_trace.key, gcc_trace.to_payload()),
+                             ("c" * 64, {"kind": "checkpoint", "cycle": 7})):
+            buffer = io.BytesIO()
+            with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
+                handle.write(json.dumps(payload).encode("utf-8"))
+            assert buffer.getvalue()[8] == 2
+            store._disk.put(key, buffer.getvalue())
+        fresh = TraceStore(str(tmp_path))
+        loaded = fresh.get(gcc_trace.key)
+        assert loaded is not None
+        assert loaded.to_payload() == gcc_trace.to_payload()
+        assert fresh.get_payload("c" * 64) == {"kind": "checkpoint", "cycle": 7}
 
     def test_memory_tier_returns_same_object(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
