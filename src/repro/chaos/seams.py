@@ -19,8 +19,8 @@ Seam names currently wired into production code:
 =====================  ====================================================
 ``storage.append``     :class:`repro.storage.sharded.ShardedStore` write
                        funnel, before bytes hit the segment file.
-``jobs.save``          :class:`repro.service.jobs.JobStore` atomic record
-                       write, before the temp file is written.
+``jobs.save``          :class:`repro.service.jobs.JobStore` record save,
+                       before the record is appended to the job log.
 ``engine.point``       :func:`repro.experiments.scheduler.run_simulation_point`,
                        before the simulation body runs (slow / hung /
                        crashing worker faults).

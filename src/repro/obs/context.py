@@ -5,7 +5,7 @@ identifies one end-to-end operation (a submitted job, from the client
 call to the last stored point), the span identifies one timed step
 inside it.  Contexts cross process boundaries as the ``X-Repro-Trace``
 header (``<trace_id>-<span_id>``, both lowercase hex) and as plain
-dictionaries inside job records, lease files and worker task payloads.
+dictionaries inside job records and worker task payloads.
 
 The *current* context is tracked in a :class:`contextvars.ContextVar`
 so deep layers (the storage observer, the JSON log formatter) can stamp

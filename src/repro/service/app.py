@@ -311,7 +311,7 @@ class ServiceApp:
     def start(self) -> None:
         """Load persisted jobs (resuming unfinished ones), start executors."""
         self._stop.clear()  # a stopped app can be started again
-        for job in self.job_store.load_all():
+        for job in self.job_store.load_changed():
             resume = job.state in (QUEUED, RUNNING)
             if job.state == RUNNING:
                 holder = self.leases.holder(job.id)
@@ -483,9 +483,7 @@ class ServiceApp:
                 continue
             if job.terminal:  # defensively skip stale queue entries
                 continue
-            if not self.leases.acquire(
-                job.id, trace_id=(job.trace or {}).get("trace_id")
-            ):
+            if not self.leases.acquire(job.id):
                 # Another replica is running this job; our poller will
                 # refresh its record (and steal it if that replica dies).
                 continue
@@ -616,10 +614,15 @@ class ServiceApp:
                 self._say(f"fleet poll error: {type(error).__name__}: {error}")
 
     def _fleet_poll_once(self) -> None:
-        """Adopt, refresh and steal jobs from the shared job store."""
+        """Adopt and refresh changed job records; steal expired leases.
+
+        Only records written since the last poll are decoded; a job that
+        stays running elsewhere is watched for steals from the queue's
+        in-memory copy.
+        """
         with self._running_lock:
             running = set(self._running_ids)
-        for disk_job in self.job_store.load_all():
+        for disk_job in self.job_store.load_changed():
             if disk_job.id in running:
                 continue  # our executor's copy is authoritative
             known = self.queue.get(disk_job.id)
@@ -630,13 +633,18 @@ class ServiceApp:
                 self._adopted_jobs.inc()
                 if disk_job.state == QUEUED:
                     self._say(f"fleet: adopted queued job {disk_job.id}")
-                known = disk_job
             elif disk_job.state != known.state or (
                 disk_job.points != known.points
             ):
                 known.update_from(disk_job)
-            if known.state == RUNNING and self.leases.holder(known.id) is None:
-                self._steal(known)
+        for job in self.queue.jobs():
+            if job.state != RUNNING:
+                continue
+            with self._running_lock:
+                if job.id in self._running_ids:
+                    continue
+            if self.leases.holder(job.id) is None:
+                self._steal(job)
 
     def _steal(self, job: Job) -> None:
         """Take over a job whose owner's lease expired (crashed replica).
@@ -645,9 +653,7 @@ class ServiceApp:
         and re-run from the top; points the dead replica completed are
         cache hits, so only the genuinely lost work is paid again.
         """
-        if not self.leases.acquire(
-            job.id, trace_id=(job.trace or {}).get("trace_id")
-        ):
+        if not self.leases.acquire(job.id):
             return  # someone else (or a revived owner) beat us to it
         try:
             latest = self.job_store.load(job.id)

@@ -2,14 +2,15 @@
 
 Several ``repro.service`` replicas may share one ``--cache-dir``.  The
 result/trace stores already make that safe for *data* (sharded segment
-logs, cross-replica claims); this module adds the *control* plane:
+logs, cross-replica claims); this module adds the *control* plane on
+the same :class:`~repro.storage.ShardedStore`:
 
 * :class:`LeaseManager` — at most one replica runs a given job.  A
-  lease is a tiny JSON file ``jobs/leases/<job_id>.json`` holding
-  ``{owner, deadline}``; all lease operations happen under one global
-  ``flock`` so acquire/steal decisions are atomic across processes.
-  Live replicas renew their leases from a heartbeat thread; renewal
-  never overwrites a lease another owner has taken, so a replica that
+  lease is a store *claim* (``owner``/``deadline``) on the job id in the
+  lease log under ``jobs/leases/``, a key that never holds a value; the
+  store's shard flock makes acquire/steal decisions atomic across
+  processes.  Live replicas renew their leases from a heartbeat thread;
+  renewal never takes a lease another owner holds, so a replica that
   was presumed dead and then woke up cannot steal its old job back.  A
   replica that dies simply stops renewing, its leases expire, and any
   other replica may **steal** the job — reset it to queued and run it
@@ -17,12 +18,13 @@ logs, cross-replica claims); this module adds the *control* plane:
   Completed points are cache hits, so the re-run only pays for what the
   dead replica never finished (the same semantics as a single-process
   restart).
-* :class:`ReplicaRegistry` — each replica periodically publishes an
-  atomic snapshot ``replicas/<replica_id>.json`` of its point/engine
-  counters.  :meth:`ReplicaRegistry.fleet_metrics` aggregates every
-  snapshot into the fleet-wide section of ``/metrics`` (total points
-  per minute, per-replica activity), which is how a two-replica CI run
-  can assert that no simulation executed twice anywhere in the fleet.
+* :class:`ReplicaRegistry` — each replica periodically puts a snapshot
+  of its point/engine counters, keyed by replica id, into the store
+  under ``replicas/``.  :meth:`ReplicaRegistry.fleet_metrics` aggregates
+  every snapshot into the fleet-wide section of ``/metrics`` (total
+  points per minute, per-replica activity), which is how a two-replica
+  CI run can assert that no simulation executed twice anywhere in the
+  fleet.
 
 Both classes degrade to no-ops without a cache dir (a memory-only
 service is necessarily a fleet of one).
@@ -33,20 +35,15 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import threading
 import uuid
 from time import time as _wall_clock
-from typing import Callable, Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - POSIX-only; fallback keeps imports safe
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import Histogram
+from repro.storage import ShardedStore
 
-#: Subdirectory of the job dir holding lease files.
+#: Subdirectory of the job dir holding the lease log.
 LEASE_SUBDIR = "leases"
 
 #: Subdirectory of the cache dir holding replica snapshots.
@@ -60,51 +57,6 @@ DEFAULT_LEASE_TTL = 15.0
 def default_replica_id() -> str:
     """A replica identity unique across hosts, processes and restarts."""
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:4]}"
-
-
-class _GlobalLock:
-    """Exclusive cross-process flock on one coordination directory."""
-
-    def __init__(self, directory: str) -> None:
-        self._path = os.path.join(directory, ".lock")
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_GlobalLock":
-        os.makedirs(os.path.dirname(self._path), exist_ok=True)
-        self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
-        if fcntl is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fd is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
-
-
-def _write_atomic(directory: str, name: str, payload: dict) -> None:
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_path, os.path.join(directory, name))
-    except OSError:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _read_json(path: str) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 class LeaseManager:
@@ -121,95 +73,54 @@ class LeaseManager:
 
         self.owner = owner
         self.ttl = ttl
+        #: Reassignable; lease deadlines are written and judged by it.
         self.clock = clock
-        self.lease_dir = (
-            os.path.join(cache_dir, JOB_SUBDIR, LEASE_SUBDIR) if cache_dir else None
+        self._store = (
+            ShardedStore(os.path.join(cache_dir, JOB_SUBDIR, LEASE_SUBDIR),
+                         num_shards=1, clock=lambda: self.clock())
+            if cache_dir else None
         )
-        self._held: Dict[str, float] = {}
+        self._held: Set[str] = set()
+        #: Serializes this replica's own renewals and releases, so a
+        #: heartbeat can never re-claim a lease released under it.
         self._lock = threading.Lock()
-        if self.lease_dir:
-            os.makedirs(self.lease_dir, exist_ok=True)
 
     # ------------------------------------------------------------------
 
-    def _path(self, job_id: str) -> str:
-        return os.path.join(self.lease_dir, f"{job_id}.json")  # type: ignore[arg-type]
-
-    def acquire(self, job_id: str, trace_id: Optional[str] = None) -> bool:
+    def acquire(self, job_id: str) -> bool:
         """Take (or renew) the lease on ``job_id``; ``False`` if another
-        replica holds an unexpired lease.  ``trace_id`` (the job's trace
-        context) is recorded in the lease file so an operator inspecting
-        a stuck lease can jump straight to the owning trace's spans."""
-        if not self.lease_dir:
+        replica holds an unexpired lease."""
+        if self._store is None:
             return True  # fleet of one
-        with _GlobalLock(self.lease_dir):
-            current = _read_json(self._path(job_id))
-            if current is not None and current.get("owner") != self.owner:
-                deadline = current.get("deadline")
-                if isinstance(deadline, (int, float)) and deadline > self.clock():
-                    return False
-            deadline = self.clock() + self.ttl
-            payload = {"job_id": job_id, "owner": self.owner,
-                       "deadline": deadline}
-            if trace_id is not None:
-                payload["trace_id"] = trace_id
-            _write_atomic(self.lease_dir, f"{job_id}.json", payload)
+        if not self._store.claim(job_id, self.owner, self.ttl)[0]:
+            return False
         with self._lock:
-            self._held[job_id] = deadline
+            self._held.add(job_id)
         return True
 
     def release(self, job_id: str) -> None:
         """Drop this replica's lease on ``job_id`` (no-op when not held)."""
         with self._lock:
-            self._held.pop(job_id, None)
-        if not self.lease_dir:
-            return
-        with _GlobalLock(self.lease_dir):
-            current = _read_json(self._path(job_id))
-            if current is not None and current.get("owner") == self.owner:
-                try:
-                    os.unlink(self._path(job_id))
-                except OSError:
-                    pass
+            self._held.discard(job_id)
+            if self._store is not None:
+                self._store.release(job_id, self.owner)
 
     def renew_held(self) -> None:
         """Heartbeat: push every held lease's deadline forward."""
         with self._lock:
-            held = list(self._held)
-        if not held or not self.lease_dir:
-            return
-        with _GlobalLock(self.lease_dir):
-            for job_id in held:
-                current = _read_json(self._path(job_id))
-                if current is None or current.get("owner") != self.owner:
-                    # Lost (expired and stolen) while we weren't looking;
-                    # never overwrite the thief's lease.
-                    with self._lock:
-                        self._held.pop(job_id, None)
-                    continue
-                deadline = self.clock() + self.ttl
-                payload = {"job_id": job_id, "owner": self.owner,
-                           "deadline": deadline}
-                if isinstance(current.get("trace_id"), str):
-                    payload["trace_id"] = current["trace_id"]
-                _write_atomic(self.lease_dir, f"{job_id}.json", payload)
-                with self._lock:
-                    self._held[job_id] = deadline
+            for job_id in list(self._held):
+                holder = self.holder(job_id)
+                if (holder is None or holder[0] != self.owner
+                        or not self._store.claim(job_id, self.owner, self.ttl)[0]):
+                    # Lost (expired, maybe stolen) while we weren't
+                    # looking; never take it back from under a thief.
+                    self._held.discard(job_id)
 
     def holder(self, job_id: str) -> Optional[Tuple[str, float]]:
         """The (owner, deadline) of an unexpired lease, else ``None``."""
-        if not self.lease_dir:
+        if self._store is None:
             return None
-        current = _read_json(self._path(job_id))
-        if current is None:
-            return None
-        owner = current.get("owner")
-        deadline = current.get("deadline")
-        if not isinstance(owner, str) or not isinstance(deadline, (int, float)):
-            return None
-        if deadline <= self.clock():
-            return None
-        return owner, float(deadline)
+        return self._store.claim_holder(job_id)
 
     def held(self) -> List[str]:
         with self._lock:
@@ -241,40 +152,36 @@ class ReplicaRegistry:
     ) -> None:
         self.replica_id = replica_id
         self.clock = clock
-        self.replica_dir = (
-            os.path.join(cache_dir, REPLICA_SUBDIR) if cache_dir else None
+        self._store = (
+            ShardedStore(os.path.join(cache_dir, REPLICA_SUBDIR), num_shards=1)
+            if cache_dir else None
         )
-        if self.replica_dir:
-            os.makedirs(self.replica_dir, exist_ok=True)
 
     # ------------------------------------------------------------------
 
     def publish(self, snapshot: dict) -> None:
-        """Atomically publish this replica's counter snapshot."""
-        if not self.replica_dir:
+        """Put this replica's counter snapshot (latest put wins)."""
+        if self._store is None:
             return
         payload = dict(snapshot)
         payload["replica_id"] = self.replica_id
         payload["updated_at"] = self.clock()
         try:
-            _write_atomic(self.replica_dir, f"{self.replica_id}.json", payload)
+            self._store.put(self.replica_id, json.dumps(payload).encode("utf-8"))
         except OSError:
             pass  # metrics publishing must never take a replica down
 
     def snapshots(self) -> List[dict]:
-        """Every replica's latest snapshot (unreadable files skipped)."""
-        if not self.replica_dir:
-            return []
-        try:
-            names = sorted(os.listdir(self.replica_dir))
-        except OSError:
+        """Every replica's latest snapshot (undecodable ones skipped)."""
+        if self._store is None:
             return []
         result = []
-        for name in names:
-            if not name.endswith(".json"):
+        for replica_id in sorted(self._store.keys()):
+            try:
+                payload = json.loads(self._store.get(replica_id))
+            except (TypeError, ValueError):
                 continue
-            payload = _read_json(os.path.join(self.replica_dir, name))
-            if payload is not None and isinstance(payload.get("replica_id"), str):
+            if isinstance(payload, dict) and isinstance(payload.get("replica_id"), str):
                 result.append(payload)
         return result
 

@@ -1,17 +1,18 @@
-"""Job model, priority queue and the schema-versioned on-disk job store.
+"""Job model, priority queue and the schema-versioned job store.
 
 A *job* is one submitted sweep: either a named figure plan plus
 settings, or an explicit list of simulation points.  Jobs move through
 ``queued -> running -> completed | failed``; every transition is
-persisted (atomically, one JSON file per job) so a restarted service
-resumes exactly where the previous process stopped — ``queued`` jobs
-re-enter the queue, and jobs that were ``running`` when the process
-died are re-queued rather than lost.
+appended to the job log (a segment-log store under ``jobs/``) so a
+restarted service resumes exactly where the previous process stopped —
+``queued`` jobs re-enter the queue, and jobs that were ``running`` when
+the process died are re-queued rather than lost.
 
-Corrupt or schema-mismatching job files are **quarantined**: moved into
-a ``quarantine/`` subdirectory and counted, mirroring the
-:class:`~repro.trace.store.TraceStore` convention that a bad cache file
-is a miss, never a crash.
+A record that does not decode (schema or id mismatch) is skipped and
+counted as **quarantined**, mirroring the
+:class:`~repro.trace.store.TraceStore` convention that a bad cache
+entry is a miss, never a crash; a torn log tail loses only the
+transition being written.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 import json
 import os
 import queue
-import tempfile
 import threading
 import uuid
 from dataclasses import dataclass, field
@@ -29,16 +29,17 @@ from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
 from repro.chaos import seams as _seams
+from repro.storage import ShardedStore
 from repro.version import __version__
 
-#: Bump when the on-disk job payload layout changes; mismatching files
-#: are quarantined as misses rather than errors.
+#: Bump when the job record layout changes; mismatching records are
+#: quarantined as misses rather than errors.
 SCHEMA_VERSION = 1
 
 #: Subdirectory of the cache dir reserved for job records.
 JOB_SUBDIR = "jobs"
 
-#: Subdirectory of the job dir holding quarantined (unreadable) records.
+#: Subdirectory of the job dir holding poisoned jobs' post-mortem records.
 QUARANTINE_SUBDIR = "quarantine"
 
 #: Job lifecycle states.
@@ -61,7 +62,7 @@ DEFAULT_POISON_ATTEMPTS = 3
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
 def new_job_id() -> str:
@@ -250,139 +251,126 @@ class Job:
 
 
 class JobStore:
-    """One JSON file per job under ``<cache-dir>/jobs/`` (atomic writes).
+    """Job records as one segment log under ``<cache-dir>/jobs/``.
 
-    Without a ``cache_dir`` the store is memory-less: saves are no-ops
-    and :meth:`load_all` returns nothing, so a cache-less service simply
+    Every save appends the job's full JSON record to a single-shard
+    :class:`~repro.storage.ShardedStore` keyed by job id (crc framing,
+    torn-tail recovery and compaction come with it); the latest record
+    of an id wins.  Without a ``cache_dir`` the store is memory-less:
+    saves are no-ops and nothing loads, so a cache-less service simply
     has no persistence (jobs die with the process, by design).
     """
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
         self.job_dir = os.path.join(cache_dir, JOB_SUBDIR) if cache_dir else None
+        self._log = ShardedStore(self.job_dir, num_shards=1) if self.job_dir else None
+        #: Records skipped because they do not decode (schema or id
+        #: mismatch), plus poisoned jobs landed in ``quarantine/``.
         self.quarantined = 0
         #: Persist attempts dropped because the disk was full; the job
         #: lives on in memory, so a full disk degrades durability (a
         #: restart forgets recent transitions) without failing jobs.
         self.save_errors = 0
-        if self.job_dir:
-            os.makedirs(self.job_dir, exist_ok=True)
-
-    def _path(self, job_id: str) -> str:
-        return os.path.join(self.job_dir, f"{job_id}.json")  # type: ignore[arg-type]
+        #: job id -> version stamp of the record :meth:`load_changed`
+        #: last decoded.
+        self._seen: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
 
     def save(self, job: Job) -> None:
-        """Persist one job record (atomic replace; no-op without a dir).
+        """Append one job record (no-op without a dir).
 
         ENOSPC is absorbed: the write is dropped and counted in
         ``save_errors`` rather than failing the job — the in-memory
-        record stays authoritative for this process's lifetime.
+        record stays authoritative for this process's lifetime.  Once
+        the log has degraded to read-only every save is such a drop.
         """
-        if not self.job_dir:
+        if self._log is None:
             return
-        payload = job.to_dict(include_result=True)
         try:
             if _seams.active is not None:
                 _seams.active.fire("jobs.save", job_id=job.id,
                                    state=job.state)
-            fd, tmp_path = tempfile.mkstemp(dir=self.job_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(payload, default=str))
-                os.replace(tmp_path, self._path(job.id))
-            except OSError:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            self._log.put(job.id, json.dumps(
+                job.to_dict(include_result=True), default=str
+            ).encode("utf-8"))
+            dropped = self._log.read_only
         except OSError as error:
             if error.errno != errno.ENOSPC:
                 raise
+            dropped = True
+        if dropped:
             self.save_errors += 1
 
-    def load(self, job_id: str) -> Optional[Job]:
-        """Read one job record back from disk; ``None`` when missing or
-        unreadable (transient read races are not quarantined)."""
-        if not self.job_dir:
-            return None
+    def _decode(self, job_id: str) -> Optional[Job]:
+        """The stored record of ``job_id``; ``None`` if it does not decode
+        to a job of that id."""
+        data = self._log.get(job_id)  # type: ignore[union-attr]
         try:
-            with open(self._path(job_id), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            job = Job.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
+            job = Job.from_dict(json.loads(data))
+        except (ValueError, KeyError, TypeError):
             return None
         return job if job.id == job_id else None
 
-    def _quarantine(self, path: str) -> None:
-        """Move an unreadable job file aside so it is never retried."""
-        quarantine_dir = os.path.join(self.job_dir, QUARANTINE_SUBDIR)  # type: ignore[arg-type]
-        try:
-            os.makedirs(quarantine_dir, exist_ok=True)
-            os.replace(path, os.path.join(quarantine_dir, os.path.basename(path)))
-        except OSError:
-            pass
-        self.quarantined += 1
+    def load(self, job_id: str) -> Optional[Job]:
+        """The latest record of one job, including saves made by other
+        processes since this store last looked; ``None`` when missing or
+        unreadable."""
+        if self._log is None or job_id not in self._log.versions():
+            return None
+        return self._decode(job_id)
+
+    def load_changed(self) -> List[Job]:
+        """Jobs whose record changed since the previous call, oldest
+        submission first — every job on the first call.
+
+        This is the one read path of startup resume and the fleet
+        poller.  The log's index stamps each key's latest record, so an
+        unchanged job is skipped without being read.  A record that does
+        not decode (schema or id mismatch) is skipped and counted in
+        ``quarantined`` — a bad record is a miss, never a crash.
+        """
+        if self._log is None:
+            return []
+        jobs: List[Job] = []
+        for job_id, version in self._log.versions().items():
+            if self._seen.get(job_id) == version:
+                continue
+            self._seen[job_id] = version
+            job = self._decode(job_id)
+            if job is None:
+                self.quarantined += 1
+            else:
+                jobs.append(job)
+        jobs.sort(key=lambda job: job.submitted_at)
+        return jobs
 
     def quarantine_job(self, job: Job) -> None:
         """Land a poisonous job's full record in ``jobs/quarantine/``.
 
         Called after the job has been terminally failed (cause
         ``poisoned``): the record — fault history included — is written
-        into the quarantine directory and the live job file is replaced
-        by it, so no replica's resume/steal path will ever pick the job
-        up again.
+        to ``quarantine/<id>.json`` as a post-mortem, and the terminal
+        record is saved to the log too, so no replica's resume/steal
+        path will ever pick the job up again while status queries keep
+        answering after a restart.
         """
         if not self.job_dir:
             return
         quarantine_dir = os.path.join(self.job_dir, QUARANTINE_SUBDIR)
-        payload = job.to_dict(include_result=True)
         try:
             os.makedirs(quarantine_dir, exist_ok=True)
             target = os.path.join(quarantine_dir, f"{job.id}.json")
             with open(target, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, default=str))
+                handle.write(json.dumps(job.to_dict(include_result=True),
+                                        default=str))
         except OSError:
             # Quarantine-on-a-full-disk still works in memory: the job
             # is terminally failed either way.
             pass
         self.quarantined += 1
-        # Keep the primary record too (terminal, so never re-queued) so
-        # status queries keep answering after a restart.
         self.save(job)
-
-    def load_all(self) -> List[Job]:
-        """Every readable job record, oldest submission first.
-
-        Unreadable, corrupt or schema-mismatching files are quarantined
-        and skipped — the same "bad cache entry is a miss" semantics as
-        the trace store, so one damaged record can never wedge startup.
-        """
-        if not self.job_dir:
-            return []
-        jobs: List[Job] = []
-        try:
-            names = sorted(os.listdir(self.job_dir))
-        except OSError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.job_dir, name)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                job = Job.from_dict(payload)
-                if job.id != name[: -len(".json")]:
-                    raise ValueError("job id does not match its filename")
-            except (OSError, ValueError, KeyError, TypeError):
-                self._quarantine(path)
-                continue
-            jobs.append(job)
-        jobs.sort(key=lambda job: job.submitted_at)
-        return jobs
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Traffic-grade storage: sharded append-only segment logs.
 
 This package is the persistence layer shared by the result store, the
-trace store and the service fleet: :mod:`repro.storage.segment` frames
+trace store and the service's control plane (job records, job leases,
+replica snapshots): :mod:`repro.storage.segment` frames
 individual records, :mod:`repro.storage.sharded` provides the
 sharded/compacting :class:`~repro.storage.sharded.ShardedStore`.
 
@@ -22,16 +23,17 @@ Protocol invariants (the full narrative is ``docs/storage.md``):
   by the sequential-append argument.  Readers skip the tail, and the
   next writer truncates it away *under the shard flock* before
   appending, so every ``put()`` that returned stays durable.
-* **Sharding** — a key (always a SHA-256 hex digest) lands in shard
-  ``int(key[:2], 16) % num_shards``; writers serialize per shard on
+* **Sharding** — a key (a SHA-256 hex digest for results and traces)
+  lands in shard ``int(key[:2], 16) % num_shards`` (a CRC of the key
+  when it is not hex); writers serialize per shard on
   ``flock(shard-XX/.lock)`` plus an in-process thread lock.
 * **Claims** — ``claim(key, owner, ttl)`` appends a claim record only
   while the key has no live value and no unexpired foreign claim
   (first writer wins under the flock); a ``put`` supersedes any claim,
   and an expired claim is simply ignorable — crash recovery needs no
   cleanup.  This is the store-level single-flight primitive the sweep
-  fleet builds on (:mod:`repro.service.fleet` layers job *leases* on
-  top with the same TTL discipline).
+  fleet builds on (:mod:`repro.service.fleet`'s job *leases* are claims
+  on keys that never hold a value).
 """
 
 from repro.storage.sharded import ShardedStore

@@ -1,9 +1,10 @@
 """A sharded, compacting key-value store over append-only segment logs.
 
-This is the traffic-grade storage layer behind the repository's result,
-trace and (via leases) job stores.  Design:
+This is the traffic-grade storage layer behind the repository's result
+and trace stores and the service's job records, job leases and replica
+snapshots.  Design:
 
-* **Sharding.**  Keys (content hashes) are routed to one of
+* **Sharding.**  Keys (content hashes, job ids) are routed to one of
   ``num_shards`` shard directories by their leading hex byte, so
   concurrent writers mostly touch different files and compaction work
   is bounded per shard.
@@ -369,18 +370,27 @@ class ShardedStore:
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 
-    def keys(self) -> List[str]:
-        """Every live, unexpired key (refreshes all shards)."""
-        result: List[str] = []
+    def versions(self) -> Dict[str, Tuple[float, int]]:
+        """``key -> (write time, payload length)`` of every live,
+        unexpired key, after folding in other processes' appends.
+
+        The stamp changes with every put and survives compaction, so a
+        reader that keeps the previous map re-reads only the keys whose
+        latest record moved — without reading any payload to find out.
+        """
+        result: Dict[str, Tuple[float, int]] = {}
         for i in range(self.num_shards):
             shard = self._shard(i)
             with shard.lock:
                 self._refresh(shard)
-                result.extend(
-                    key for key, entry in shard.index.items()
-                    if not self._expired(entry.ts)
-                )
+                for key, entry in shard.index.items():
+                    if not self._expired(entry.ts):
+                        result[key] = (entry.ts, entry.data_len)
         return result
+
+    def keys(self) -> List[str]:
+        """Every live, unexpired key (refreshes all shards)."""
+        return list(self.versions())
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -397,8 +407,9 @@ class ShardedStore:
         return active
 
     def _append_locked(self, shard: _Shard, meta: dict, data: bytes) -> None:
-        """Append one record; caller holds both shard locks and has
-        refreshed the index (so ``scanned`` marks the valid end)."""
+        """Append one record, compacting the shard if that tipped it over
+        its budget; caller holds both shard locks and has refreshed the
+        index (so ``scanned`` marks the valid end)."""
         if _seams.active is not None:
             _seams.active.fire(
                 "storage.append", op=meta.get("op"), key=meta.get("k"),
@@ -417,6 +428,10 @@ class ShardedStore:
         )
         self._apply(shard, record, segment_id)
         shard.scanned[segment_id] = record.end_offset
+        # Every kind of record can leave dead bytes behind: a keyspace of
+        # claims alone (job leases) must compact too.
+        if self._needs_compaction(shard):
+            self._compact_locked(shard)
 
     def put(self, key: str, data: bytes) -> None:
         """Store ``data`` under ``key`` (last writer wins, claim released).
@@ -437,8 +452,6 @@ class ShardedStore:
                 self._append_locked(
                     shard, {"k": key, "op": "put", "t": self.clock()}, data
                 )
-                if self._needs_compaction(shard):
-                    self._compact_locked(shard)
             except OSError as error:
                 if error.errno != errno.ENOSPC:
                     raise

@@ -10,7 +10,6 @@ search entirely from the store, with ``executed == 0``.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -20,7 +19,7 @@ import time
 import repro
 from repro.service import ServiceApp
 from repro.service.client import ServiceClient
-from repro.service.jobs import COMPLETED
+from repro.service.jobs import COMPLETED, JobStore
 
 SEARCH_PAYLOAD = {"search": {
     "space": {"kind": "single-banked", "read_ports": [2, 3],
@@ -83,14 +82,12 @@ def test_sigterm_drain_mid_rung_search_reused_on_resume(tmp_path):
         assert proc.wait(timeout=300.0) == 0
 
         # The drained job is terminal *on disk* with its full result.
-        with open(os.path.join(cache, "jobs", f"{job_id}.json"),
-                  "r", encoding="utf-8") as handle:
-            drained = json.load(handle)
-        assert drained["state"] == COMPLETED, drained.get("error")
+        drained = JobStore(cache).load(job_id)
+        assert drained.state == COMPLETED, drained.error
         drained_frontier = [point["label"] for point in
-                           drained["result"]["report"]["frontier"]]
+                           drained.result["report"]["frontier"]]
         assert drained_frontier
-        assert int(drained["counters"]["executed"]) > 0
+        assert int(drained.counters["executed"]) > 0
     finally:
         if proc.poll() is None:
             proc.kill()

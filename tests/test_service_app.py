@@ -19,8 +19,9 @@ from repro.experiments import scheduler
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.service import ServiceApp
-from repro.service.jobs import COMPLETED, FAILED, QUEUED, RUNNING
+from repro.service.jobs import COMPLETED, FAILED, QUEUED, RUNNING, JobStore
 from repro.service.spec import ApiError, validate_submission
+from repro.storage import ShardedStore
 
 #: A figure submission small enough for the full job to take ~a second.
 FIGURE_SPEC = {
@@ -266,9 +267,9 @@ class TestFailurePaths:
             assert final.error["code"] == "worker_crashed"
             assert "died" in final.error["message"]
             # The failure is durable: a fresh store sees it too.
-            reloaded = {j.id: j for j in app.job_store.load_all()}
-            assert reloaded[job.id].state == FAILED
-            assert reloaded[job.id].error["code"] == "worker_crashed"
+            reloaded = JobStore(str(tmp_path)).load(job.id)
+            assert reloaded.state == FAILED
+            assert reloaded.error["code"] == "worker_crashed"
         finally:
             app.stop()
 
@@ -325,8 +326,13 @@ class TestRestartResume:
     def test_corrupt_job_record_is_quarantined_not_fatal(self, tmp_path):
         first = ServiceApp(cache_dir=str(tmp_path), jobs=1)
         good = first.submit(FIGURE_SPEC)
-        bad_path = tmp_path / "jobs" / "badbadbadbad.json"
-        bad_path.write_text("{corrupt", encoding="utf-8")
+        # An undecodable record, then a torn tail from a dying writer.
+        ShardedStore(str(tmp_path / "jobs"), num_shards=1).put(
+            "badbadbadbad", b"{corrupt"
+        )
+        (segment,) = (tmp_path / "jobs").glob("shard-*/seg-*.log")
+        with open(segment, "ab") as handle:
+            handle.write(b"\x09\x00torn")
         second = ServiceApp(cache_dir=str(tmp_path), jobs=1)
         second.start()
         try:

@@ -1,12 +1,17 @@
-"""Job model, priority queue and on-disk job store."""
+"""Job model, priority queue and the job log."""
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+from datetime import datetime
 
 import pytest
 
+from repro.chaos import seams
+from repro.chaos.faults import Fault, FaultInjector
+from repro.service import ServiceApp
 from repro.service.jobs import (
     COMPLETED,
     FAILED,
@@ -18,6 +23,7 @@ from repro.service.jobs import (
     JobStore,
     new_job_id,
 )
+from repro.storage import ShardedStore
 
 
 def make_job(job_id: str = "abc123def456", priority: int = 0) -> Job:
@@ -69,65 +75,78 @@ class TestJobModel:
         assert len(ids) == 64
 
 
+def job_log(cache_dir: str) -> ShardedStore:
+    """A second handle on the job log, for writing records by hand."""
+    return ShardedStore(os.path.join(cache_dir, "jobs"), num_shards=1)
+
+
 class TestJobStore:
     def test_save_and_load_all(self, tmp_path):
         store = JobStore(str(tmp_path))
         first, second = make_job("a" * 12), make_job("b" * 12)
         store.save(first)
         store.save(second)
-        loaded = JobStore(str(tmp_path)).load_all()
+        loaded = JobStore(str(tmp_path)).load_changed()
         assert {job.id for job in loaded} == {first.id, second.id}
 
     def test_memoryless_without_cache_dir(self):
         store = JobStore(None)
         store.save(make_job())
-        assert store.load_all() == []
+        assert store.load_changed() == []
+        assert store.load("abc123def456") is None
 
-    def test_corrupt_file_is_quarantined(self, tmp_path):
+    def test_torn_log_tail_keeps_earlier_transitions(self, tmp_path):
         store = JobStore(str(tmp_path))
-        store.save(make_job("a" * 12))
-        bad = os.path.join(store.job_dir, "deadbeef0000.json")
-        with open(bad, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+        job = make_job("a" * 12)
+        store.save(job)
+        job.mark_running()
+        store.save(job)
+        (segment,) = glob.glob(os.path.join(store.job_dir, "shard-*",
+                                            "seg-*.log"))
+        with open(segment, "ab") as handle:
+            handle.write(b"\x07\x00\x00garbage-of-a-dying-writer")
         fresh = JobStore(str(tmp_path))
-        loaded = fresh.load_all()
-        assert [job.id for job in loaded] == ["a" * 12]
-        assert fresh.quarantined == 1
-        assert not os.path.exists(bad)
-        assert os.path.exists(
-            os.path.join(fresh.job_dir, "quarantine", "deadbeef0000.json")
-        )
+        (loaded,) = fresh.load_changed()
+        assert loaded.state == RUNNING
+        assert fresh.quarantined == 0
+        # The next save truncates the torn bytes and lands intact.
+        job.mark_completed({"kind": "figures", "results": []}, {})
+        fresh.save(job)
+        assert JobStore(str(tmp_path)).load(job.id).state == COMPLETED
 
     def test_schema_mismatch_is_quarantined(self, tmp_path):
         store = JobStore(str(tmp_path))
-        path = os.path.join(store.job_dir, "c" * 12 + ".json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"schema": 999, "id": "c" * 12, "state": QUEUED}, handle)
+        store.save(make_job("a" * 12))
+        job_log(str(tmp_path)).put("c" * 12, json.dumps(
+            {"schema": 999, "id": "c" * 12, "state": QUEUED}
+        ).encode("utf-8"))
         fresh = JobStore(str(tmp_path))
-        assert fresh.load_all() == []
+        assert [job.id for job in fresh.load_changed()] == ["a" * 12]
+        assert fresh.quarantined == 1
+        assert fresh.load("c" * 12) is None
+        # Counted once per record, not once per poll.
+        assert fresh.load_changed() == []
         assert fresh.quarantined == 1
 
-    def test_filename_id_mismatch_is_quarantined(self, tmp_path):
+    def test_key_id_mismatch_is_quarantined(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = make_job("d" * 12)
-        path = os.path.join(store.job_dir, "e" * 12 + ".json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(job.to_dict(include_result=True), handle)
-        fresh = JobStore(str(tmp_path))
-        assert fresh.load_all() == []
-        assert fresh.quarantined == 1
+        job_log(str(tmp_path)).put("e" * 12, json.dumps(
+            job.to_dict(include_result=True)
+        ).encode("utf-8"))
+        assert store.load_changed() == []
+        assert store.quarantined == 1
+        assert store.load("e" * 12) is None
 
-    def test_saved_file_is_the_records_json(self, tmp_path):
+    def test_stored_value_is_the_records_json(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = make_job("a" * 12)
         job.mark_running()
         job.mark_completed({"kind": "figures", "results": [{"ipc": 1.25}]},
                            {"executed": 0, "cached": 3})
         store.save(job)
-        with open(os.path.join(store.job_dir, job.id + ".json"), "rb") as handle:
-            written = handle.read()
         expected = json.dumps(job.to_dict(include_result=True), default=str)
-        assert written == expected.encode("utf-8")
+        assert job_log(str(tmp_path)).get(job.id) == expected.encode("utf-8")
 
     def test_save_overwrites_atomically(self, tmp_path):
         store = JobStore(str(tmp_path))
@@ -135,12 +154,106 @@ class TestJobStore:
         store.save(job)
         job.mark_running()
         store.save(job)
-        (loaded,) = JobStore(str(tmp_path)).load_all()
+        (loaded,) = JobStore(str(tmp_path)).load_changed()
         assert loaded.state == RUNNING
-        # No leftover temp files from the two writes.
-        leftovers = [name for name in os.listdir(store.job_dir)
-                     if name.endswith(".tmp")]
-        assert leftovers == []
+        # The latest save wins; the job dir holds only the log.
+        names = {name for _, _, files in os.walk(store.job_dir)
+                 for name in files}
+        assert names == {".lock", "seg-00000001.log"}
+
+    def test_second_instance_sees_later_save_of_same_id(self, tmp_path):
+        writer, reader = JobStore(str(tmp_path)), JobStore(str(tmp_path))
+        job = make_job("a" * 12)
+        writer.save(job)
+        assert reader.load(job.id).state == QUEUED
+        job.mark_running()
+        writer.save(job)
+        assert reader.load(job.id).state == RUNNING
+
+    def test_jobs_saved_within_one_second_reload_in_submission_order(
+            self, tmp_path):
+        while True:  # two submissions inside one wall-clock second
+            first, second = make_job("1" * 12), make_job("2" * 12)
+            if first.submitted_at[:19] == second.submitted_at[:19]:
+                break
+        store = JobStore(str(tmp_path))
+        store.save(second)  # log order is the reverse of submission order
+        store.save(first)
+        loaded = JobStore(str(tmp_path)).load_changed()
+        assert [job.id for job in loaded] == [first.id, second.id]
+
+    def test_second_resolution_record_still_loads(self, tmp_path):
+        payload = make_job("0" * 12).to_dict(include_result=True)
+        payload["submitted_at"] = "2020-01-01T00:00:00+00:00"
+        payload["spec"]["deadline_s"] = 30
+        job_log(str(tmp_path)).put("0" * 12,
+                                   json.dumps(payload).encode("utf-8"))
+        (loaded,) = JobStore(str(tmp_path)).load_changed()
+        assert loaded.submitted_at == "2020-01-01T00:00:00+00:00"
+        # The deadline still counts from the old timestamp: long gone.
+        assert ServiceApp(cache_dir=None)._deadline_remaining(loaded) < 0
+
+    def test_timestamps_have_microseconds(self):
+        job = make_job()
+        job.record_fault("crash")
+        job.mark_failed("boom", "")
+        for stamp in (job.submitted_at, job.finished_at,
+                      job.fault_history[0]["at"]):
+            assert datetime.fromisoformat(stamp).tzinfo is not None
+            assert "." in stamp
+
+    def test_storage_enospc_during_save_counts_save_errors(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        job = make_job("a" * 12)
+        store.save(job)
+        seams.install(FaultInjector([
+            Fault(seam="storage.append", action="enospc", count=None),
+        ]))
+        try:
+            job.mark_running()
+            store.save(job)  # the log degrades to read-only: dropped
+        finally:
+            seams.uninstall()
+        assert store.save_errors == 1
+        store.save(job)  # read-only is sticky: still dropped
+        assert store.save_errors == 2
+        assert JobStore(str(tmp_path)).load(job.id).state == QUEUED
+
+
+class TestJobLogPolling:
+    """The fleet poller decodes only records written since its last poll."""
+
+    @pytest.mark.parametrize("history", [100, 1600])
+    def test_unchanged_poll_decodes_nothing(self, tmp_path, monkeypatch,
+                                            history):
+        writer = JobStore(str(tmp_path))
+        for index in range(history):
+            job = make_job(f"{index:012x}")
+            job.mark_running()
+            job.mark_completed({"kind": "figures", "results": []}, {})
+            writer.save(job)
+        decoded = []
+        original = Job.from_dict.__func__
+
+        def counting(cls, payload):
+            decoded.append(payload.get("id"))
+            return original(cls, payload)
+
+        monkeypatch.setattr(Job, "from_dict", classmethod(counting))
+        app = ServiceApp(cache_dir=str(tmp_path), replica_id="poller")
+        try:
+            app._fleet_poll_once()
+            assert len(decoded) == history
+            assert app.adopted_jobs == history
+            decoded.clear()
+            app._fleet_poll_once()
+            assert decoded == []
+            fresh = make_job("f" * 12)
+            writer.save(fresh)
+            app._fleet_poll_once()
+            assert decoded == [fresh.id]
+        finally:
+            app.stop()
 
 
 class TestJobQueue:

@@ -295,6 +295,23 @@ class TestClaims:
         # With a value present, claiming reports "just read it".
         assert store.claim(key, "replica-b", ttl=60.0) == (False, None)
 
+    def test_claim_and_release_records_alone_compact(self, tmp_path):
+        """A keyspace that only ever holds claims (job leases) stays
+        bounded: claim/release appends trigger compaction like puts."""
+        store = ShardedStore(str(tmp_path / "s"), num_shards=1,
+                             compact_min_bytes=4096)
+        for index in range(200):
+            key = f"job{index:04d}"
+            assert store.claim(key, "replica-a", ttl=60.0)[0]
+            assert store.release(key, "replica-a")
+        assert store.claim("held", "replica-a", ttl=60.0)[0]
+        stats = store.stats()
+        assert stats["compactions"] >= 1
+        assert stats["dead_bytes"] < 4096
+        # Compaction keeps the live claim.
+        reopened = ShardedStore(str(tmp_path / "s"), num_shards=1)
+        assert reopened.claim_holder("held")[0] == "replica-a"
+
     def test_engine_waits_for_remotely_claimed_point(self, tmp_path):
         """Replica B never executes a point A is computing — it polls
         until A's result lands in the shared store."""
@@ -365,6 +382,13 @@ class TestLeases:
         a.renew_held()
         assert b.holder("job1")[0] == "b"
         assert "job1" not in a.held()
+
+    def test_reassigned_clock_drives_deadlines(self, tmp_path):
+        lease = LeaseManager(str(tmp_path), owner="a", ttl=10.0,
+                             clock=lambda: 50.0)
+        lease.clock = lambda: 1000.0  # what the clock-skew scenario does
+        assert lease.acquire("job3")
+        assert lease.holder("job3") == ("a", 1010.0)
 
     def test_release_is_owner_scoped(self, tmp_path):
         a = LeaseManager(str(tmp_path), owner="a", ttl=30.0)
