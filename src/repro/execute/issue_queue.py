@@ -14,36 +14,55 @@ of waiting consumers so that
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
-from repro.execute.scoreboard import ValueScoreboard
-from repro.isa.instruction import RegisterClass
+from repro.execute.scoreboard import ValueScoreboard, ValueState
+from repro.isa.instruction import DynamicInstruction
 from repro.regfile.base import OperandAccess
-from repro.rename.renamer import PhysicalRegister, RenamedInstruction
+from repro.rename.renamer import PhysicalRegister
 
 
 class IssueQueueEntry:
-    """The in-flight record of one instruction, from dispatch to commit.
+    """The in-flight record of one instruction, from rename to commit.
 
-    The same object waits in the issue window until it is selected and
-    sits in the reorder buffer until it commits, so issue, write-back and
-    commit all reach it without a lookup.
+    Dispatch builds one per instruction: the renamer fills its physical
+    registers, the scoreboard its destination state and the issue window
+    its operand accesses.  The same object then waits in the issue window
+    until it is selected and sits in the reorder buffer until it commits,
+    so issue, write-back and commit all reach it without a lookup.
     """
 
     __slots__ = (
-        "renamed", "seq", "dispatch_cycle", "pending", "earliest_ex_cycle",
-        "issued", "issue_cycle", "operand_plan", "completed", "complete_cycle",
+        "instruction", "seq", "fetched", "sources", "dest", "previous_dest",
+        "dest_state", "pending", "earliest_ex_cycle", "issued",
+        "accesses", "int_accesses", "fp_accesses",
+        "completed", "complete_cycle",
     )
 
-    def __init__(self, renamed: RenamedInstruction, dispatch_cycle: int,
-                 earliest_ex_cycle: int = 0) -> None:
-        self.renamed = renamed
-        #: Cached copy of ``renamed.seq``: the select loop reads it for
+    def __init__(
+        self,
+        instruction: DynamicInstruction,
+        fetched: Optional[object] = None,
+        sources: Tuple[PhysicalRegister, ...] = (),
+        dest: Optional[PhysicalRegister] = None,
+        previous_dest: Optional[PhysicalRegister] = None,
+    ) -> None:
+        self.instruction = instruction
+        #: Cached copy of ``instruction.seq``: the select loop reads it for
         #: every window entry every cycle.
-        self.seq: int = renamed.instruction.seq
-        self.dispatch_cycle = dispatch_cycle
+        self.seq: int = instruction.seq
+        #: The front-end record of this instruction (``None`` off the
+        #: pipeline).
+        self.fetched = fetched
+        #: Renamed registers (set by :meth:`~repro.rename.renamer.Renamer.rename`);
+        #: ``previous_dest`` is released when this instruction commits.
+        self.sources = sources
+        self.dest = dest
+        self.previous_dest = previous_dest
+        #: Scoreboard state of ``dest``, resolved once at dispatch.
+        self.dest_state: Optional[ValueState] = None
         #: ``uid``s of source registers whose producer completion time is
         #: not yet known.  ``None`` until the first pending source appears
         #: — falsy either way for ``data_ready`` and the select loop, and
@@ -53,15 +72,19 @@ class IssueQueueEntry:
         #: Earliest cycle this instruction could start executing,
         #: considering operand availability through bypass/register file
         #: (structural hazards can push the real execution later).
-        self.earliest_ex_cycle = earliest_ex_cycle
+        self.earliest_ex_cycle = 0
         self.issued = False
-        self.issue_cycle: Optional[int] = None
-        #: Per-source ``(OperandAccess, is_int)`` pairs, built once at
+        #: One :class:`OperandAccess` per source, in source order, plus the
+        #: same accesses split by register file; all built once at
         #: dispatch.  Issue attempts re-plan each access in place every
-        #: retry; the scoreboard state it holds is stable from allocation
-        #: to release, and a source register cannot be released while a
-        #: consumer still waits (its releaser commits after the consumer).
-        self.operand_plan: Sequence[tuple] = ()
+        #: retry and hand the per-class lists to the port checks, so a
+        #: select attempt allocates nothing.  The scoreboard state an
+        #: access holds is stable from allocation to release, and a source
+        #: register cannot be released while a consumer still waits (its
+        #: releaser commits after the consumer).
+        self.accesses: Sequence[OperandAccess] = ()
+        self.int_accesses: Sequence[OperandAccess] = ()
+        self.fp_accesses: Sequence[OperandAccess] = ()
         #: Set at write-back; the entry may commit from the next cycle.
         self.completed = False
         self.complete_cycle: Optional[int] = None
@@ -129,22 +152,27 @@ class IssueQueue:
     # dispatch / wakeup
     # ------------------------------------------------------------------
 
-    def dispatch(self, renamed: RenamedInstruction, cycle: int) -> IssueQueueEntry:
-        """Insert a renamed instruction into the window."""
+    def dispatch(self, entry: IssueQueueEntry, cycle: int) -> IssueQueueEntry:
+        """Insert a renamed in-flight record into the window.
+
+        Builds the entry's operand accesses and registers it with the
+        waiter (and consumer) index of every source.
+        """
         entries = self._entries
         if len(entries) >= self.capacity:
             raise SimulationError("issue queue overflow")
         # An instruction cannot be selected in the cycle it is dispatched;
         # the earliest issue is the next cycle, hence the earliest execute
         # is ``dispatch + 1 + read_stages``.
-        entry = IssueQueueEntry(renamed, cycle, cycle + 1 + self._read_stages)
-        sources = renamed.sources
+        earliest = cycle + 1 + self._read_stages
+        sources = entry.sources
         if sources:
             consumers = self._consumers if self.track_consumers else None
             waiters = self._waiters
             sb_states = self._sb_states
             offset = self._consumer_offset
-            plan = []
+            accesses = []
+            int_count = 0
             for register in sources:
                 uid = register.uid
                 if consumers is not None:
@@ -156,12 +184,14 @@ class IssueQueue:
                 state = sb_states.get(uid)
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {register}")
-                plan.append((OperandAccess(register, state),
-                             register.reg_class is RegisterClass.INT))
+                access = OperandAccess(register, state)
+                accesses.append(access)
+                if access.is_int:
+                    int_count += 1
                 ex_end = state.ex_end_cycle
                 if ex_end is not None:
-                    if ex_end + offset > entry.earliest_ex_cycle:
-                        entry.earliest_ex_cycle = ex_end + offset
+                    if ex_end + offset > earliest:
+                        earliest = ex_end + offset
                 else:
                     if entry.pending is None:
                         entry.pending = {uid}
@@ -172,7 +202,17 @@ class IssueQueue:
                         waiters[uid] = [entry]
                     else:
                         waiter_list.append(entry)
-            entry.operand_plan = plan
+            entry.accesses = accesses
+            # Most instructions read one register file only; they share
+            # the source-order list instead of copying it.
+            if int_count == len(accesses):
+                entry.int_accesses = accesses
+            elif not int_count:
+                entry.fp_accesses = accesses
+            else:
+                entry.int_accesses = [a for a in accesses if a.is_int]
+                entry.fp_accesses = [a for a in accesses if not a.is_int]
+        entry.earliest_ex_cycle = earliest
         entries[entry.seq] = entry
         if len(entries) > self.max_occupancy:
             self.max_occupancy = len(entries)
@@ -226,16 +266,15 @@ class IssueQueue:
             if not entry.pending and entry.earliest_ex_cycle <= ex_start
         ]
 
-    def mark_issued(self, entry: IssueQueueEntry, cycle: int) -> None:
+    def mark_issued(self, entry: IssueQueueEntry) -> None:
         """Remove an entry from the window once it has been selected."""
         if entry.issued:
             raise SimulationError(f"instruction {entry.seq} issued twice")
         entry.issued = True
-        entry.issue_cycle = cycle
         self._entries.pop(entry.seq, None)
         if self.track_consumers:
             consumers = self._consumers
-            for register in entry.renamed.sources:
+            for register in entry.sources:
                 uid = register.uid
                 waiting = consumers.get(uid)
                 if waiting is None:
@@ -269,5 +308,5 @@ class IssueQueue:
         """All physical registers that are sources of waiting instructions."""
         registers: set[PhysicalRegister] = set()
         for entry in self._entries.values():
-            registers.update(entry.renamed.sources)
+            registers.update(entry.sources)
         return registers

@@ -10,7 +10,7 @@ write-back marks completion on the object it already carries.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import List
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.issue_queue import IssueQueueEntry
@@ -33,29 +33,34 @@ class ReorderBuffer:
 
     def dispatch(self, entry: IssueQueueEntry) -> IssueQueueEntry:
         """Insert an in-flight record at the tail (program order)."""
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise SimulationError("ROB overflow")
-        if self._entries and self._entries[-1].seq >= entry.seq:
+        if entries and entries[-1].seq >= entry.seq:
             raise SimulationError("ROB entries must be dispatched in program order")
-        self._entries.append(entry)
+        entries.append(entry)
         return entry
 
-    def retire(self, width: int, cycle: int) -> Iterator[IssueQueueEntry]:
-        """Remove and yield, oldest first, up to ``width`` head entries that
+    def retire(self, width: int, cycle: int) -> List[IssueQueueEntry]:
+        """Remove and return, oldest first, up to ``width`` head entries that
         completed before ``cycle``.
 
         Commit is in program order: an entry leaves only from the head, so a
         completed entry waits behind an older incomplete one.  A completed
         instruction commits at the earliest one cycle after it completes
-        (write-back and commit are separate stages).
+        (write-back and commit are separate stages).  The pipeline calls
+        this on every commit cycle, so it is a plain loop returning a list
+        rather than a generator resumed once per entry.
         """
         entries = self._entries
+        retired = []
         while width > 0 and entries:
             head = entries[0]
             if not head.completed or head.complete_cycle >= cycle:
-                return
+                break
             width -= 1
-            yield entries.popleft()
+            retired.append(entries.popleft())
+        return retired
 
     def occupancy(self) -> int:
         return len(self._entries)

@@ -81,7 +81,7 @@ class ValueScoreboard:
 
     def allocate(self, register: PhysicalRegister, producer_seq: int) -> ValueState:
         """Create a fresh state when ``register`` is allocated at rename."""
-        state = ValueState(register=register, producer_seq=producer_seq)
+        state = ValueState(register, producer_seq)
         self._states[register.uid] = state
         return state
 

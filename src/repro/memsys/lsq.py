@@ -9,9 +9,10 @@ same address (in which case the D-cache is not accessed).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -38,6 +39,10 @@ class LoadStoreQueue:
         #: order (insertion order): the first key is the oldest one, so a
         #: load's ordering check is one comparison, not a queue scan.
         self._unresolved_stores: Dict[int, None] = {}
+        #: Address -> ascending seqs of the queued stores whose address is
+        #: known and equal to it, so a load's forwarding check reads one
+        #: short list instead of scanning the queue.
+        self._stores_at: Dict[int, List[int]] = {}
         # statistics
         self.forwarded_loads = 0
         self.blocked_loads = 0
@@ -57,7 +62,7 @@ class LoadStoreQueue:
             raise SimulationError("LSQ overflow: insert called while full")
         if self._entries and next(reversed(self._entries)) >= seq:
             raise SimulationError("LSQ entries must be inserted in program order")
-        entry = LSQEntry(seq=seq, is_store=is_store)
+        entry = LSQEntry(seq, is_store)
         self._entries[seq] = entry
         if is_store:
             self._unresolved_stores[seq] = None
@@ -68,9 +73,27 @@ class LoadStoreQueue:
         entry = self._entries.get(seq)
         if entry is None:
             raise SimulationError(f"no LSQ entry for seq {seq}")
+        if entry.is_store:
+            if entry.address_ready:
+                if entry.address == address:
+                    return
+                self._unindex_store(seq, entry.address)
+            stores = self._stores_at.get(address)
+            if stores is None:
+                self._stores_at[address] = [seq]
+            elif stores[-1] < seq:
+                stores.append(seq)
+            else:
+                insort(stores, seq)
+            self._unresolved_stores.pop(seq, None)
         entry.address = address
         entry.address_ready = True
-        self._unresolved_stores.pop(seq, None)
+
+    def _unindex_store(self, seq: int, address: Optional[int]) -> None:
+        stores = self._stores_at[address]
+        stores.remove(seq)
+        if not stores:
+            del self._stores_at[address]
 
     def load_may_issue(self, seq: int) -> bool:
         """A load may access memory when all older store addresses are known."""
@@ -87,31 +110,34 @@ class LoadStoreQueue:
         A hit means the load's data is forwarded inside the LSQ and the
         D-cache is not accessed.
         """
-        best: Optional[int] = None
-        for other_seq, entry in self._entries.items():
-            if other_seq >= seq:
-                break
-            if entry.is_store and entry.address_ready and entry.address == address:
-                best = other_seq
-        if best is not None:
-            self.forwarded_loads += 1
-        return best
+        stores = self._stores_at.get(address)
+        if stores is None:
+            return None
+        for store_seq in reversed(stores):
+            if store_seq < seq:
+                self.forwarded_loads += 1
+                return store_seq
+        return None
 
     def release(self, seq: int) -> None:
         """Remove the entry at commit (stores) or once the load completes
         and commits."""
-        self._entries.pop(seq, None)
-        self._unresolved_stores.pop(seq, None)
+        entry = self._entries.pop(seq, None)
+        if entry is not None and entry.is_store:
+            if entry.address_ready:
+                self._unindex_store(seq, entry.address)
+            else:
+                self._unresolved_stores.pop(seq, None)
 
     def flush_after(self, seq: int) -> None:
         """Squash all entries younger than ``seq`` (branch misprediction)."""
         for other_seq in [s for s in self._entries if s > seq]:
-            del self._entries[other_seq]
-            self._unresolved_stores.pop(other_seq, None)
+            self.release(other_seq)
 
     def clear(self) -> None:
         self._entries.clear()
         self._unresolved_stores.clear()
+        self._stores_at.clear()
 
     def occupancy(self) -> int:
         return len(self._entries)

@@ -15,13 +15,17 @@ trace-driven modelling approach.
 Implementation note: ``run`` is the hottest loop of the repository — the
 whole experiment harness is bounded by it — so the stage methods trade a
 little indirection for speed: one in-flight record
-(:class:`~repro.execute.issue_queue.IssueQueueEntry`) lives in both the
-issue window and the ROB and is what a completion carries, so no stage
-looks an instruction up by sequence number; collaborator containers
-that are never rebound (window entries, ROB, scoreboard states) are read
-directly; the select loop is one flat loop with its collaborators bound
-once per cycle; and stages are skipped outright on the cycles where
-their input queues are provably empty.  Every change here is
+(:class:`~repro.execute.issue_queue.IssueQueueEntry`) per instruction,
+from rename to commit — the renamer fills its physical registers, the
+window builds its operand accesses once, and the same object sits in
+the window and the ROB and is what a completion and the commit observer
+carry, so no stage looks an instruction up by sequence number or
+allocates a second record; collaborator containers that are never
+rebound (window entries, ROB, scoreboard states) are read directly; the
+select loop is one flat loop with its collaborators bound once per
+cycle, and a select attempt allocates nothing; and stages are skipped
+outright on the cycles where their input queues are provably empty.
+Every change here is
 guarded by the golden-stats parity tests (``tests/test_golden_stats.py``):
 optimizations must leave ``SimulationStats`` bit-identical.
 """
@@ -46,7 +50,7 @@ from repro.memsys.cache import CacheModel
 from repro.memsys.lsq import LoadStoreQueue
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
-from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
+from repro.regfile.base import OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
 
 
@@ -147,9 +151,6 @@ class Processor:
             physical = self.renamer.current_mapping(logical)
             self.scoreboard.seed_architected(physical)
 
-    def _regfile(self, register: PhysicalRegister) -> RegisterFileModel:
-        return self._int_rf if register.reg_class is RegisterClass.INT else self._fp_rf
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -217,7 +218,7 @@ class Processor:
             cycle += 1
             if stats.committed_instructions >= max_instructions:
                 break
-            if fetch_unit.exhausted and not decode_queue and not rob_entries:
+            if not decode_queue and not rob_entries and fetch_unit.exhausted:
                 break
 
         stats.cycles = cycle
@@ -231,11 +232,9 @@ class Processor:
     def _commit_stage(self, cycle: int) -> None:
         stats = self.stats
         observer = self.commit_observer
-        rob = self.rob
         renamer = self.renamer
         int_free = renamer._int_free
         fp_free = renamer._fp_free
-        scoreboard = self.scoreboard
         sb_states = self._sb_states
         lsq = self.lsq
         int_rf = self._int_rf
@@ -244,19 +243,18 @@ class Processor:
         committed = stats.committed_instructions
         width = min(self.config.commit_width,
                     self.config.max_instructions - committed)
-        for entry in rob.retire(width, cycle):
-            renamed = entry.renamed
-            instruction = renamed.instruction
+        for entry in self.rob.retire(width, cycle):
             # Inlined ``renamer.commit``: release the previous mapping of
             # the committed destination.
-            released = renamed.previous_dest
+            released = entry.previous_dest
             if released is not None:
                 if released.reg_class is RegisterClass.INT:
                     free_list, regfile = int_free, int_rf
                 else:
                     free_list, regfile = fp_free, fp_rf
                 free_list.release(released.index)
-                state = sb_states.get(released.uid)
+                uid = released.uid
+                state = sb_states.get(uid)
                 if state is not None:
                     total_reads = (
                         state.reads_from_bypass
@@ -264,17 +262,18 @@ class Processor:
                         + state.reads_from_lower
                     )
                     value_reads[total_reads] += 1
-                    scoreboard.release(released)
+                    del sb_states[uid]  # inlined ``scoreboard.release``
                     regfile.release(released)
+            instruction = entry.instruction
             op_class = instruction.op_class
             if op_class is OpClass.STORE:
                 self.dcache.access(instruction.mem_address or 0, is_write=True)
-                lsq.release(instruction.seq)
+                lsq.release(entry.seq)
             elif op_class is OpClass.LOAD:
-                lsq.release(instruction.seq)
+                lsq.release(entry.seq)
             committed += 1
             if observer is not None:
-                observer.on_commit(renamed, cycle)
+                observer.on_commit(entry, cycle)
         stats.committed_instructions = committed
 
     # ------------------------------------------------------------------
@@ -287,25 +286,26 @@ class Processor:
             return
         window = self.window
         stats = self.stats
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
         # Completions are bucketed at ``ex_end + 1``.
         ex_end_cycle = cycle - 1
         for entry in completions:
-            renamed = entry.renamed
-            dest = renamed.dest
+            dest = entry.dest
             if dest is not None:
-                state = renamed.dest_state
+                state = entry.dest_state
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {dest}")
-                regfile = self._int_rf if dest.reg_class is RegisterClass.INT else self._fp_rf
+                regfile = int_rf if dest.reg_class is RegisterClass.INT else fp_rf
                 rf_ready = regfile.writeback(dest, state, cycle, window)
                 state.rf_ready_cycle = rf_ready
                 state.written_back = True
             entry.completed = True
             entry.complete_cycle = cycle
 
-            instruction = renamed.instruction
-            if instruction.is_branch and renamed.fetched is not None:
-                fetched = renamed.fetched
+            instruction = entry.instruction
+            fetched = entry.fetched
+            if instruction.is_branch and fetched is not None:
                 self.fetch_unit.on_branch_writeback(
                     instruction, fetched, ex_end_cycle
                 )
@@ -323,7 +323,9 @@ class Processor:
         fixed order — load ordering, operand plan, upper-level fill, FU,
         read ports — because failed attempts have side effects the
         statistics see: stall counters, and the register file cache's
-        pseudo-LRU touches while planning.
+        pseudo-LRU touches while planning.  An attempt allocates nothing:
+        it re-plans the accesses its entry built at dispatch, and counters
+        are summed in locals and added once per cycle.
         """
         window = self.window
         candidates = window.schedulable(cycle)
@@ -332,107 +334,103 @@ class Processor:
         issue_width = self.config.issue_width
         read_stages = self.read_stages
         next_cycle = cycle + 1
-        stats = self.stats
         lsq = self.lsq
         dcache = self.dcache
         defer = window.defer
         fu_pool = self.fu_pool
         fu_can_issue = fu_pool.can_issue
-        bypass = self.bypass
         completions = self._completions
         int_rf = self._int_rf
         fp_rf = self._fp_rf
         int_plan = int_rf.plan_operand_read
         fp_plan = fp_rf.plan_operand_read
+        not_ready = OperandSource.NOT_READY
+        miss = OperandSource.MISS
+        via_bypass = OperandSource.BYPASS
+        load = OpClass.LOAD
+        store = OpClass.STORE
         issued = 0
+        stalls_fu = 0
+        stalls_ports = 0
+        from_bypass = 0
+        from_file = 0
         for entry in candidates:
-            renamed = entry.renamed
-            instruction = renamed.instruction
+            instruction = entry.instruction
             op_class = instruction.op_class
-            seq = entry.seq
 
-            if op_class is OpClass.LOAD and not lsq.load_may_issue(seq):
+            if op_class is load and not lsq.load_may_issue(entry.seq):
                 defer(entry, next_cycle)
                 continue
 
-            # Operand read planning, in place on the accesses built at
-            # dispatch.
-            int_accesses: List[OperandAccess] = []
-            fp_accesses: List[OperandAccess] = []
-            missing: List[OperandAccess] = []
+            # Operand read planning, in source order, in place on the
+            # accesses built at dispatch.
             retry = None
-            for access, is_int in entry.operand_plan:
-                source = (int_plan if is_int else fp_plan)(access, cycle)
-                if source is OperandSource.NOT_READY:
+            missing = False
+            for access in entry.accesses:
+                source = (int_plan if access.is_int else fp_plan)(access, cycle)
+                if source is not_ready:
                     retry = access.retry_cycle
                     if retry is None or retry < next_cycle:
                         retry = next_cycle
                     break
-                if source is OperandSource.MISS:
-                    missing.append(access)
-                elif is_int:
-                    int_accesses.append(access)
-                else:
-                    fp_accesses.append(access)
+                if source is miss:
+                    missing = True
             if retry is not None:
                 defer(entry, retry)
                 continue
 
             if missing:
-                self._handle_upper_level_misses(
-                    entry, missing, int_accesses, fp_accesses, cycle
-                )
+                self._handle_upper_level_misses(entry, cycle)
                 continue
             if not fu_can_issue(op_class, cycle):
-                stats.issue_stalls_fu += 1
+                stalls_fu += 1
                 continue
+            int_accesses = entry.int_accesses
             if int_accesses and not int_rf.can_claim_reads(int_accesses):
-                stats.issue_stalls_ports += 1
+                stalls_ports += 1
                 continue
+            fp_accesses = entry.fp_accesses
             if fp_accesses and not fp_rf.can_claim_reads(fp_accesses):
-                stats.issue_stalls_ports += 1
+                stalls_ports += 1
                 continue
 
             # Issue: claim the read ports and record how operands arrive.
-            for regfile, accesses in ((int_rf, int_accesses), (fp_rf, fp_accesses)):
-                if not accesses:
-                    continue
-                regfile.claim_reads(accesses)
-                for access in accesses:
-                    state = access.state
-                    if access.source is OperandSource.BYPASS:
-                        state.consumed_via_bypass = True
-                        state.reads_from_bypass += 1
-                        bypass.operands_from_bypass += 1
-                        stats.operands_from_bypass += 1
-                    else:
-                        state.reads_from_upper += 1
-                        bypass.operands_from_regfile += 1
-                        stats.operands_from_file += 1
+            if int_accesses:
+                int_rf.claim_reads(int_accesses)
+            if fp_accesses:
+                fp_rf.claim_reads(fp_accesses)
+            for access in entry.accesses:
+                state = access.state
+                if access.source is via_bypass:
+                    state.consumed_via_bypass = True
+                    state.reads_from_bypass += 1
+                    from_bypass += 1
+                else:
+                    state.reads_from_upper += 1
+                    from_file += 1
 
             # Execution latency: the common (non-memory) case is a plain
             # field read, and loads are the only class with real work.
-            if op_class is OpClass.LOAD:
+            if op_class is load:
                 address = instruction.mem_address or 0
-                if lsq.forwarding_store(seq, address) is not None:
+                if lsq.forwarding_store(entry.seq, address) is not None:
                     latency = 2  # address generation + forward from the store queue
                 else:
                     latency = 1 + dcache.access(address).latency
-            elif op_class is OpClass.STORE:
+            elif op_class is store:
                 latency = 1  # address generation; data is written at commit
             else:
                 latency = instruction.latency or 1
             fu_pool.issue_unchecked(op_class, cycle, latency)
             ex_end = cycle + read_stages + latency - 1
 
-            window.mark_issued(entry, cycle)
-            if ((op_class is OpClass.LOAD or op_class is OpClass.STORE)
-                    and instruction.mem_address is not None):
-                lsq.set_address(seq, instruction.mem_address)
+            # No LSQ update here: a store's address went in at dispatch,
+            # and nothing reads a load's.
+            window.mark_issued(entry)
 
-            dest = renamed.dest
+            dest = entry.dest
             if dest is not None:
-                state = renamed.dest_state
+                state = entry.dest_state
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {dest}")
                 state.ex_end_cycle = ex_end
@@ -452,14 +450,16 @@ class Processor:
             if issued >= issue_width:
                 break
 
-    def _handle_upper_level_misses(
-        self,
-        entry: IssueQueueEntry,
-        missing: List[OperandAccess],
-        int_accesses: List[OperandAccess],
-        fp_accesses: List[OperandAccess],
-        cycle: int,
-    ) -> None:
+        stats = self.stats
+        stats.issue_stalls_fu += stalls_fu
+        stats.issue_stalls_ports += stalls_ports
+        if from_bypass or from_file:
+            stats.operands_from_bypass += from_bypass
+            stats.operands_from_file += from_file
+            self.bypass.operands_from_bypass += from_bypass
+            self.bypass.operands_from_regfile += from_file
+
+    def _handle_upper_level_misses(self, entry: IssueQueueEntry, cycle: int) -> None:
         """Fetch-on-demand: bring missing operands up over the buses.
 
         The operands of the oldest waiting instruction are pinned in the
@@ -468,17 +468,21 @@ class Processor:
         other and livelock the pipeline.
         """
         self.stats.issue_stalls_fill += 1
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
         is_oldest = self.window.oldest_seq() == entry.seq
         if is_oldest:
-            for accesses in (int_accesses, fp_accesses):
+            for regfile, accesses in ((int_rf, entry.int_accesses),
+                                      (fp_rf, entry.fp_accesses)):
                 for access in accesses:
                     if access.source is OperandSource.FILE:
-                        self._regfile(access.register).pin_operand(access.register)
+                        regfile.pin_operand(access.register)
         latest_completion: Optional[int] = None
-        for access in missing:
-            register = access.register
-            completion = self._regfile(register).request_fill(
-                register, access.state, cycle, pin=is_oldest
+        for access in entry.accesses:
+            if access.source is not OperandSource.MISS:
+                continue
+            completion = (int_rf if access.is_int else fp_rf).request_fill(
+                access.register, access.state, cycle, pin=is_oldest
             )
             if completion is not None:
                 latest_completion = max(latest_completion or 0, completion)
@@ -496,6 +500,8 @@ class Processor:
         stats = self.stats
         decode_width = self.config.decode_width
         rob = self.rob
+        rob_entries = rob._entries
+        rob_capacity = rob.capacity
         window = self.window
         window_entries = window._entries
         window_capacity = window.capacity
@@ -503,7 +509,10 @@ class Processor:
         lsq_entries = lsq._entries
         lsq_capacity = lsq.capacity
         renamer = self.renamer
-        scoreboard = self.scoreboard
+        rename = renamer.rename
+        allocate = self.scoreboard.allocate
+        rob_dispatch = rob.dispatch
+        window_dispatch = window.dispatch
         # Direct free-list views for the inlined ``renamer.can_rename``.
         int_free = renamer._int_free._free
         fp_free = renamer._fp_free._free
@@ -515,7 +524,7 @@ class Processor:
             instruction = fetched.instruction
             op_class = instruction.op_class
             is_memory = op_class is OpClass.LOAD or op_class is OpClass.STORE
-            if rob.full:
+            if len(rob_entries) >= rob_capacity:
                 stats.dispatch_stalls_rob += 1
                 break
             if len(window_entries) >= window_capacity:
@@ -533,11 +542,12 @@ class Processor:
                 break
 
             decode_queue.popleft()
-            renamed = renamer.rename(instruction)
-            renamed.fetched = fetched
-            if renamed.dest is not None:
-                renamed.dest_state = scoreboard.allocate(renamed.dest, instruction.seq)
-            rob.dispatch(window.dispatch(renamed, cycle))
+            # One in-flight record per instruction, from rename to commit.
+            entry = rename(IssueQueueEntry(instruction, fetched))
+            dest = entry.dest
+            if dest is not None:
+                entry.dest_state = allocate(dest, instruction.seq)
+            rob_dispatch(window_dispatch(entry, cycle))
             if is_memory:
                 is_store = op_class is OpClass.STORE
                 lsq.insert(instruction.seq, is_store)
@@ -587,7 +597,7 @@ class Processor:
         for entry in self.window._entries.values():
             produced_sources = []
             all_produced = True
-            for register in entry.renamed.sources:
+            for register in entry.sources:
                 state = sb_states.get(register.uid)
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {register}")

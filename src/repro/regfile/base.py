@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.isa.instruction import RegisterClass
 from repro.rename.renamer import PhysicalRegister
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -52,7 +52,6 @@ class OperandSource(enum.Enum):
     NOT_READY = "not_ready"
 
 
-@dataclass(slots=True)
 class OperandAccess:
     """One source operand of a waiting instruction and its read plan.
 
@@ -61,15 +60,20 @@ class OperandAccess:
     instead of allocating a fresh plan per operand per attempt.
     """
 
-    register: PhysicalRegister
-    #: Scoreboard state of the register, resolved once at dispatch.
-    state: ValueState
-    source: OperandSource = OperandSource.NOT_READY
-    #: For FILE accesses of multi-banked organisations: which bank is read.
-    bank: int = 0
-    #: For NOT_READY plans: earliest cycle at which re-planning could
-    #: succeed (hint only; ``None`` when unknown).
-    retry_cycle: Optional[int] = None
+    __slots__ = ("register", "state", "is_int", "source", "bank", "retry_cycle")
+
+    def __init__(self, register: PhysicalRegister, state: "ValueState") -> None:
+        self.register = register
+        #: Scoreboard state of the register, resolved once at dispatch.
+        self.state = state
+        #: Whether the integer (else the FP) register file holds the value.
+        self.is_int: bool = register.reg_class is RegisterClass.INT
+        self.source = OperandSource.NOT_READY
+        #: For FILE accesses of multi-banked organisations: which bank is read.
+        self.bank = 0
+        #: For NOT_READY plans: earliest cycle at which re-planning could
+        #: succeed (hint only; ``None`` when unknown).
+        self.retry_cycle: Optional[int] = None
 
 
 class RegisterFileModel(ABC):

@@ -72,10 +72,13 @@ class RegisterFileCache(RegisterFileModel):
         # level; the bus is busy for the whole transfer.
         self.buses = TransferBusSet(num_buses, transfer_latency=lower_read_latency + 1)
         self._upper: PseudoLRU[int] = PseudoLRU(upper_capacity)  # keyed by register uid
-        # Direct view of the upper level's residency dictionary (never
-        # rebound): issue-side residency checks run several times per
-        # instruction and skip the ``__contains__`` call this way.
+        # Direct views of the upper level's residency dictionary and touch
+        # masks (never rebound): issue-side residency checks and touches
+        # run several times per instruction, and inlining them skips a
+        # ``__contains__`` and a ``touch`` call each.
         self._upper_slots = self._upper._slot_of
+        self._lru_keep = self._upper._keep
+        self._lru_set = self._upper._set
         self._pending_fills: Dict[int, int] = {}
         #: Registers pinned until read because the oldest waiting instruction
         #: needs them.  Pinned entries are never evicted; since at most the
@@ -119,9 +122,13 @@ class RegisterFileCache(RegisterFileModel):
             self.upper_result_writes.forget_before(cycle)
 
     def _insert_upper(self, uid: int, cycle: int) -> None:
+        read_pinned = self._read_pinned
+        # Without pinned registers every candidate may be evicted, which
+        # is what no predicate means.
         evicted = self._upper.insert(
             uid,
-            can_evict=lambda candidate: candidate not in self._read_pinned,
+            can_evict=(lambda candidate: candidate not in read_pinned)
+            if read_pinned else None,
         )
         if evicted is not None:
             self.evictions += 1
@@ -155,11 +162,14 @@ class RegisterFileCache(RegisterFileModel):
             source = OperandSource.BYPASS
         else:
             uid = access.register.uid
-            if uid in self._upper_slots:
-                # Mark the entry hot: the instruction planning this read may
-                # be waiting for another operand, and this copy must survive
-                # until both are available.
-                self._upper.touch(uid)
+            slot = self._upper_slots.get(uid)
+            if slot is not None:
+                # Mark the entry hot (an inlined ``PseudoLRU.touch``): the
+                # instruction planning this read may be waiting for another
+                # operand, and this copy must survive until both are
+                # available.
+                upper = self._upper
+                upper._state = (upper._state & self._lru_keep[slot]) | self._lru_set[slot]
                 source = OperandSource.FILE
             else:
                 retry = self._pending_fills.get(uid)
@@ -189,20 +199,27 @@ class RegisterFileCache(RegisterFileModel):
 
     def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
         needed = 0
+        bypassed = 0
         upper_slots = self._upper_slots
         read_pinned = self._read_pinned
         for access in accesses:
             source = access.source
             if source is OperandSource.FILE:
                 needed += 1
-                self.reads_from_upper += 1
                 uid = access.register.uid
-                if uid in upper_slots:
-                    self._upper.touch(uid)
-                read_pinned.discard(uid)
+                slot = upper_slots.get(uid)
+                if slot is not None:
+                    upper = self._upper
+                    upper._state = (
+                        (upper._state & self._lru_keep[slot]) | self._lru_set[slot])
+                if read_pinned:
+                    read_pinned.discard(uid)
             elif source is OperandSource.BYPASS:
-                self.reads_from_bypass += 1
-                read_pinned.discard(access.register.uid)
+                bypassed += 1
+                if read_pinned:
+                    read_pinned.discard(access.register.uid)
+        self.reads_from_upper += needed
+        self.reads_from_bypass += bypassed
         if needed:
             self.upper_read_ports.claim_capped(needed)
 

@@ -77,7 +77,7 @@ class ReadyCaching(CachingPolicy):
         cycle: int,
     ) -> bool:
         for entry in window.waiting_consumers_of(register):
-            other_sources = [s for s in entry.renamed.sources if s != register]
+            other_sources = [s for s in entry.sources if s != register]
             if all(window.scoreboard.get(src).produced for src in other_sources):
                 return True
         return False

@@ -40,40 +40,14 @@ class PortSet:
     def begin_cycle(self) -> None:
         self._used = 0
 
-    def available(self, amount: int = 1) -> bool:
-        if amount < 0:
-            raise RegisterFileError("cannot request a negative number of ports")
-        if self.unlimited:
-            return True
-        return self._used + amount <= self.count
-
-    def claim(self, amount: int = 1) -> None:
-        """Consume ``amount`` ports; callers must check :meth:`available`."""
-        if not self.available(amount):
-            self.denied_claims += 1
-            raise RegisterFileError(
-                f"over-subscribed {self.kind} ports: {self._used}+{amount} > {self.count}"
-            )
-        self._used += amount
-        self.total_claims += amount
-
-    def try_claim(self, amount: int = 1) -> bool:
-        """Claim ports if available; returns whether the claim succeeded."""
-        if not self.available(amount):
-            self.denied_claims += 1
-            return False
-        self._used += amount
-        self.total_claims += amount
-        return True
-
     # An instruction may need more operands than the bank has ports (e.g. a
     # two-operand instruction reading a single-read-port bank).  Such a read
     # is serialised over consecutive cycles; it can only start when the bank
     # is otherwise idle, and it consumes the whole port budget of the cycle.
 
     def available_capped(self, amount: int) -> bool:
-        """Like :meth:`available`, but oversized requests are allowed when
-        the bank has not been used yet this cycle."""
+        """Whether ``amount`` ports can be claimed this cycle; an oversized
+        request is allowed when the bank has not been used yet."""
         count = self.count
         if count is None:
             return True
@@ -82,16 +56,31 @@ class PortSet:
         return self._used == 0
 
     def claim_capped(self, amount: int) -> None:
-        """Claim up to the full port budget for a possibly oversized request."""
-        if self.unlimited or amount <= (self.count or 0):
-            self.claim(amount)
+        """Claim ``amount`` ports, or the whole budget for an oversized
+        request; callers must check :meth:`available_capped`."""
+        if amount < 0:
+            raise RegisterFileError("cannot request a negative number of ports")
+        count = self.count
+        if count is not None:
+            used = self._used
+            if amount <= count:
+                if used + amount > count:
+                    self.denied_claims += 1
+                    raise RegisterFileError(
+                        f"over-subscribed {self.kind} ports: {used}+{amount} > {count}"
+                    )
+                self._used = used + amount
+                self.total_claims += amount
+                return
+            if used != 0:
+                self.denied_claims += 1
+                raise RegisterFileError(
+                    f"oversized {self.kind} request while the bank is busy"
+                )
+            self._used = count
+            self.total_claims += amount
             return
-        if self._used != 0:
-            self.denied_claims += 1
-            raise RegisterFileError(
-                f"oversized {self.kind} request while the bank is busy"
-            )
-        self._used = self.count or amount
+        self._used += amount
         self.total_claims += amount
 
 

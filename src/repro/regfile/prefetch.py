@@ -62,14 +62,17 @@ class PrefetchFirstPair(FetchPolicy):
         window: "IssueQueue",
         scoreboard: "ValueScoreboard",
     ) -> None:
-        dest = entry.renamed.dest
+        dest = entry.dest
         if dest is None:
             return
         consumers = window.waiting_consumers_of(dest)
         if not consumers:
             return
-        first = min(consumers, key=lambda candidate: candidate.seq)
-        for other in first.renamed.sources:
+        # Consumer lists are appended at dispatch, in program order, so the
+        # first waiting consumer is the oldest.
+        first = consumers[0]
+        sb_states = scoreboard._states
+        for other in first.sources:
             if other == dest:
                 continue
             if other.reg_class is not dest.reg_class:
@@ -77,9 +80,9 @@ class PrefetchFirstPair(FetchPolicy):
                 # integer base address feeding an FP load); this register
                 # file cannot prefetch it.
                 continue
-            if not scoreboard.contains(other):
+            state = sb_states.get(other.uid)
+            if state is None:
                 continue
-            state = scoreboard.get(other)
             if not state.written_back:
                 continue  # still in flight; it will be cached or bypassed
             if regfile.present_in_upper(other):

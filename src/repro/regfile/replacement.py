@@ -5,7 +5,7 @@ replacement.  For the small capacities involved (16 registers) a
 tree-based pseudo-LRU is modelled: entries are arranged at the leaves of
 a complete binary tree whose internal nodes each hold one bit pointing
 towards the "colder" half; a victim is found by following the bits, and a
-touch flips the bits along the path away from the touched leaf.
+touch sets the bits along the path to point away from the touched leaf.
 """
 
 from __future__ import annotations
@@ -18,33 +18,43 @@ KeyT = TypeVar("KeyT", bound=Hashable)
 
 
 class PseudoLRU(Generic[KeyT]):
-    """Tree pseudo-LRU over a fixed number of ways."""
+    """Tree pseudo-LRU over a fixed number of ways.
+
+    The tree is stored heap-style in one integer: internal node ``n`` is
+    bit ``n`` of :attr:`_state` (0: the colder half is the left child
+    ``2n+1``, 1: the right child ``2n+2``), and the leaves
+    ``capacity-1 ... 2*capacity-2`` are the ways in slot order.  A touch
+    is one mask-and-or, ``state = (state & _keep[slot]) | _set[slot]``,
+    which the register file cache inlines on its hot paths.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0 or capacity & (capacity - 1):
             raise ConfigurationError("PseudoLRU capacity must be a positive power of two")
         self.capacity = capacity
-        self._bits: List[int] = [0] * max(1, capacity - 1)
+        #: The tree bits, one per internal node.
+        self._state = 0
         #: Resident keys -> slot.  Never rebound; the register file cache
         #: reads it directly for residency checks.
         self._slot_of: Dict[KeyT, int] = {}
         self._key_at: List[Optional[KeyT]] = [None] * capacity
-        # The tree path touched for each slot is fixed by the geometry;
-        # precompute the (node, bit) updates so a touch is straight-line
-        # stores instead of per-level interval arithmetic.
-        self._touch_paths: List[tuple] = []
+        # The path touched for each slot is fixed by the geometry: per
+        # slot, ``_keep`` clears that path's bits and ``_set`` sets those
+        # that must point away from the slot (to the other child).
+        self._keep: List[int] = []
+        self._set: List[int] = []
+        everything = (1 << max(0, capacity - 1)) - 1
         for slot in range(capacity):
-            path = []
-            node, low, high = 0, 0, capacity
-            while high - low > 1:
-                mid = (low + high) // 2
-                if slot < mid:
-                    path.append((node, 1))  # cold side is the right half
-                    node, high = 2 * node + 1, mid
-                else:
-                    path.append((node, 0))  # cold side is the left half
-                    node, low = 2 * node + 2, mid
-            self._touch_paths.append(tuple(path))
+            path = set_bits = 0
+            child = slot + capacity - 1
+            while child:
+                node = (child - 1) >> 1
+                path |= 1 << node
+                if child == 2 * node + 1:  # touched the left half: right is cold
+                    set_bits |= 1 << node
+                child = node
+            self._keep.append(everything & ~path)
+            self._set.append(set_bits)
 
     # ------------------------------------------------------------------
 
@@ -63,27 +73,14 @@ class PseudoLRU(Generic[KeyT]):
 
     # ------------------------------------------------------------------
 
-    def _touch_slot(self, slot: int) -> None:
-        """Flip the tree bits along the path so they point away from ``slot``."""
-        bits = self._bits
-        for node, bit in self._touch_paths[slot]:
-            bits[node] = bit
-
     def _victim_slot(self) -> int:
         """Follow the bits to the pseudo-least-recently-used slot."""
-        if self.capacity == 1:
-            return 0
+        state = self._state
+        internal = self.capacity - 1
         node = 0
-        low, high = 0, self.capacity
-        while high - low > 1:
-            mid = (low + high) // 2
-            if self._bits[node] == 0:
-                node = 2 * node + 1
-                high = mid
-            else:
-                node = 2 * node + 2
-                low = mid
-        return low
+        while node < internal:
+            node = 2 * node + 1 + ((state >> node) & 1)
+        return node - internal
 
     # ------------------------------------------------------------------
 
@@ -98,7 +95,7 @@ class PseudoLRU(Generic[KeyT]):
         slot = self._slot_of.get(key)
         if slot is None:
             raise RegisterFileError(f"cannot touch non-resident key {key!r}")
-        self._touch_slot(slot)
+        self._state = (self._state & self._keep[slot]) | self._set[slot]
 
     def insert(self, key: KeyT, can_evict=None) -> Optional[KeyT]:
         """Insert ``key``; returns the evicted key (or ``None``).
@@ -109,27 +106,30 @@ class PseudoLRU(Generic[KeyT]):
         pass over the ways; if every way is rejected the last candidate is
         evicted anyway so insertion always makes forward progress.
         """
-        if key in self._slot_of:
-            self.touch(key)
-            return None
-        evicted: Optional[KeyT] = None
-        if self.full:
-            slot = self._victim_slot()
-            if can_evict is not None:
-                for _ in range(self.capacity):
-                    candidate = self._key_at[slot]
-                    if candidate is None or can_evict(candidate):
-                        break
-                    self._touch_slot(slot)
-                    slot = self._victim_slot()
-            evicted = self._key_at[slot]
-            if evicted is not None:
-                del self._slot_of[evicted]
+        slot_of = self._slot_of
+        slot = slot_of.get(key)
+        if slot is None:
+            key_at = self._key_at
+            evicted: Optional[KeyT] = None
+            if len(slot_of) >= self.capacity:
+                slot = self._victim_slot()
+                if can_evict is not None:
+                    for _ in range(self.capacity):
+                        candidate = key_at[slot]
+                        if candidate is None or can_evict(candidate):
+                            break
+                        self._state = (self._state & self._keep[slot]) | self._set[slot]
+                        slot = self._victim_slot()
+                evicted = key_at[slot]
+                if evicted is not None:
+                    del slot_of[evicted]
+            else:
+                slot = key_at.index(None)
+            key_at[slot] = key
+            slot_of[key] = slot
         else:
-            slot = next(i for i, k in enumerate(self._key_at) if k is None)
-        self._key_at[slot] = key
-        self._slot_of[key] = slot
-        self._touch_slot(slot)
+            evicted = None
+        self._state = (self._state & self._keep[slot]) | self._set[slot]
         return evicted
 
     def remove(self, key: KeyT) -> bool:

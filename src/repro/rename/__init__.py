@@ -2,6 +2,6 @@
 
 from repro.rename.free_list import FreeList
 from repro.rename.map_table import MapTable
-from repro.rename.renamer import Renamer, RenamedInstruction
+from repro.rename.renamer import Renamer
 
-__all__ = ["FreeList", "MapTable", "Renamer", "RenamedInstruction"]
+__all__ = ["FreeList", "MapTable", "Renamer"]

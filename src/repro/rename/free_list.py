@@ -13,7 +13,9 @@ class FreeList:
 
     Physical registers are plain integers.  The free list is a FIFO so
     register identifiers are recycled in a round-robin fashion, which is
-    both realistic and makes simulations deterministic.
+    both realistic and makes simulations deterministic.  A membership set
+    mirrors the FIFO, so the double-release check on every commit is a
+    hash lookup rather than a scan of the free registers.
     """
 
     def __init__(self, registers: Iterable[int],
@@ -30,11 +32,13 @@ class FreeList:
             Defaults to ``registers``.
         """
         self._free = deque(registers)
-        initially_free = set(self._free)
-        if len(initially_free) != len(self._free):
+        #: The registers in ``_free``, as a set.
+        self._members = set(self._free)
+        if len(self._members) != len(self._free):
             raise ConfigurationError("free list initialized with duplicate registers")
-        self._valid = set(valid_registers) if valid_registers is not None else set(initially_free)
-        if not initially_free <= self._valid:
+        self._valid = (set(valid_registers) if valid_registers is not None
+                       else set(self._members))
+        if not self._members <= self._valid:
             raise ConfigurationError("initially free registers must be within the valid set")
 
     def __len__(self) -> int:
@@ -54,7 +58,9 @@ class FreeList:
         """
         if not self._free:
             raise RenameError("free list underflow")
-        return self._free.popleft()
+        register = self._free.popleft()
+        self._members.discard(register)
+        return register
 
     def release(self, register: int) -> None:
         """Return a physical register to the pool.
@@ -67,13 +73,15 @@ class FreeList:
         """
         if register not in self._valid:
             raise RenameError(f"physical register {register} does not belong to this pool")
-        if register in self._free:
+        members = self._members
+        if register in members:
             raise RenameError(f"double release of physical register {register}")
+        members.add(register)
         self._free.append(register)
 
     def contains(self, register: int) -> bool:
         """Whether ``register`` is currently free."""
-        return register in self._free
+        return register in self._members
 
     def snapshot(self) -> tuple[int, ...]:
         """Immutable snapshot of the current free registers (for checkpoints)."""
@@ -82,3 +90,4 @@ class FreeList:
     def restore(self, snapshot: tuple[int, ...]) -> None:
         """Restore a snapshot taken with :meth:`snapshot`."""
         self._free = deque(snapshot)
+        self._members = set(snapshot)

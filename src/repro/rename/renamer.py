@@ -13,7 +13,7 @@ observation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError, RenameError
 from repro.isa.instruction import (
@@ -25,6 +25,9 @@ from repro.isa.instruction import (
 )
 from repro.rename.free_list import FreeList
 from repro.rename.map_table import MapTable
+
+if TYPE_CHECKING:  # pragma: no cover - the window imports this module
+    from repro.execute.issue_queue import IssueQueueEntry
 
 
 @dataclass(frozen=True)
@@ -53,27 +56,6 @@ class PhysicalRegister:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         prefix = "p" if self.reg_class is RegisterClass.INT else "pf"
         return f"{prefix}{self.index}"
-
-
-@dataclass(slots=True)
-class RenamedInstruction:
-    """A dynamic instruction after renaming."""
-
-    instruction: DynamicInstruction
-    sources: tuple[PhysicalRegister, ...] = ()
-    dest: Optional[PhysicalRegister] = None
-    previous_dest: Optional[PhysicalRegister] = None
-    #: Pipeline-attached collaborators, kept as plain slots instead of an
-    #: annotations dictionary: one dictionary per renamed instruction was
-    #: pure allocation churn on the hot path.  ``fetched`` is the
-    #: front-end record of this instruction; ``dest_state`` the
-    #: scoreboard state of ``dest``, resolved once at dispatch.
-    fetched: Optional[object] = None
-    dest_state: Optional[object] = None
-
-    @property
-    def seq(self) -> int:
-        return self.instruction.seq
 
 
 class Renamer:
@@ -118,9 +100,6 @@ class Renamer:
         self._fp_physical: tuple[PhysicalRegister, ...] = tuple(
             PhysicalRegister(RegisterClass.FP, i) for i in range(num_fp_physical)
         )
-        # Direct views of the map tables' slot lists (rebound only by
-        # ``MapTable.restore``, which the pipeline never calls on the hot
-        # path — re-fetched per rename below at attribute-access cost).
 
     # ------------------------------------------------------------------
     # queries
@@ -148,8 +127,12 @@ class Renamer:
     # renaming
     # ------------------------------------------------------------------
 
-    def rename(self, instruction: DynamicInstruction) -> RenamedInstruction:
-        """Rename one instruction (sources first, then the destination).
+    def rename(self, record: "IssueQueueEntry") -> "IssueQueueEntry":
+        """Rename ``record.instruction`` (sources first, then the destination).
+
+        Fills the record's ``sources``, ``dest`` and ``previous_dest`` and
+        returns it.  ``record`` is the in-flight record the pipeline
+        dispatches (:class:`~repro.execute.issue_queue.IssueQueueEntry`).
 
         Raises
         ------
@@ -157,77 +140,75 @@ class Renamer:
             If no free physical register is available for the destination;
             callers should check :meth:`can_rename` first.
         """
+        instruction = record.instruction
         int_physical = self._int_physical
         fp_physical = self._fp_physical
         int_slots = self._int_map._slots
         fp_slots = self._fp_map._slots
         # A list comprehension, not a generator: it skips a generator
         # frame per renamed instruction.
-        sources = tuple([
+        record.sources = tuple([
             int_physical[int_slots[src._hash]]
             if src.reg_class is RegisterClass.INT
             else fp_physical[fp_slots[src._hash]]
             for src in instruction.sources
         ])
-        dest: Optional[PhysicalRegister] = None
-        previous: Optional[PhysicalRegister] = None
-        if instruction.dest is not None:
-            reg_class = instruction.dest.reg_class
-            if reg_class is RegisterClass.INT:
-                free_list, table, physical = (
-                    self._int_free, self._int_map, self._int_physical)
-            else:
-                free_list, table, physical = (
-                    self._fp_free, self._fp_map, self._fp_physical)
-            if free_list.empty:
-                raise RenameError(
-                    f"no free {reg_class.value} physical register for seq "
-                    f"{instruction.seq}"
-                )
+        logical = instruction.dest
+        if logical is None:
+            record.dest = None
+            record.previous_dest = None
+            return record
+        reg_class = logical.reg_class
+        if reg_class is RegisterClass.INT:
+            free_list, table, physical = (
+                self._int_free, self._int_map, self._int_physical)
+        else:
+            free_list, table, physical = (
+                self._fp_free, self._fp_map, self._fp_physical)
+        try:
             new_index = free_list.allocate()
-            old_index = table.update(instruction.dest, new_index)
-            dest = physical[new_index]
-            if old_index is not None:
-                previous = physical[old_index]
-        return RenamedInstruction(
-            instruction=instruction,
-            sources=sources,
-            dest=dest,
-            previous_dest=previous,
-        )
+        except RenameError:
+            raise RenameError(
+                f"no free {reg_class.value} physical register for seq "
+                f"{instruction.seq}"
+            ) from None
+        old_index = table.update(logical, new_index)
+        record.dest = physical[new_index]
+        record.previous_dest = None if old_index is None else physical[old_index]
+        return record
 
     # ------------------------------------------------------------------
     # retirement / recovery
     # ------------------------------------------------------------------
 
-    def commit(self, renamed: RenamedInstruction) -> Optional[PhysicalRegister]:
-        """Commit ``renamed``: release the previous mapping of its destination.
+    def commit(self, record: "IssueQueueEntry") -> Optional[PhysicalRegister]:
+        """Commit ``record``: release the previous mapping of its destination.
 
         Returns the released physical register (or ``None``).
         """
-        if renamed.previous_dest is None:
+        if record.previous_dest is None:
             return None
-        self._free[renamed.previous_dest.reg_class].release(renamed.previous_dest.index)
-        return renamed.previous_dest
+        self._free[record.previous_dest.reg_class].release(record.previous_dest.index)
+        return record.previous_dest
 
-    def squash(self, renamed: RenamedInstruction) -> None:
+    def squash(self, record: "IssueQueueEntry") -> None:
         """Undo the rename of a squashed (never committed) instruction.
 
         The *new* destination register is returned to the free list and
         the previous mapping is restored, provided the instruction is
         squashed in reverse program order (youngest first).
         """
-        if renamed.dest is None:
+        if record.dest is None:
             return
-        reg_class = renamed.dest.reg_class
-        current = self._map[reg_class].lookup(renamed.instruction.dest)
-        if current != renamed.dest.index:
+        reg_class = record.dest.reg_class
+        current = self._map[reg_class].lookup(record.instruction.dest)
+        if current != record.dest.index:
             raise RenameError(
                 "squash must proceed youngest-first; mapping already overwritten"
             )
-        if renamed.previous_dest is not None:
-            self._map[reg_class].update(renamed.instruction.dest, renamed.previous_dest.index)
-        self._free[reg_class].release(renamed.dest.index)
+        if record.previous_dest is not None:
+            self._map[reg_class].update(record.instruction.dest, record.previous_dest.index)
+        self._free[reg_class].release(record.dest.index)
 
     def checkpoint(self) -> int:
         """Take a checkpoint of the full rename state; returns its id."""

@@ -35,6 +35,7 @@ from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.isa.instruction import RegisterClass
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import ProcessorConfig
@@ -190,8 +191,8 @@ def functional_warmup(processor: Processor, instructions) -> None:
     for instruction in instructions:
         int_rf.begin_cycle(cycle)
         fp_rf.begin_cycle(cycle)
-        renamed = renamer.rename(instruction)
-        dest = renamed.dest
+        record = renamer.rename(IssueQueueEntry(instruction))
+        dest = record.dest
         if dest is not None:
             state = scoreboard.allocate(dest, instruction.seq)
             state.ex_end_cycle = cycle
@@ -203,7 +204,7 @@ def functional_warmup(processor: Processor, instructions) -> None:
             dcache.access(instruction.mem_address or 0)
         elif op_class is OpClass.STORE:
             dcache.access(instruction.mem_address or 0, is_write=True)
-        released = renamed.previous_dest
+        released = record.previous_dest
         if released is not None:
             (int_free if released.reg_class is RegisterClass.INT
              else fp_free).release(released.index)

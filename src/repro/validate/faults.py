@@ -82,8 +82,8 @@ class FaultInjectingObserver(CommitObserver):
         #: that never fires must not let a self-test pass vacuously.
         self.triggered = False
 
-    def on_commit(self, renamed, cycle: int) -> None:
-        instruction = renamed.instruction
+    def on_commit(self, entry, cycle: int) -> None:
+        instruction = entry.instruction
         if self.accumulator.count == self.fault.commit_index:
             instruction = corrupt_instruction(instruction)
             self.triggered = True

@@ -144,10 +144,10 @@ class CommitObserver:
             checkpoint_interval=checkpoint_interval, keep_log=keep_log
         )
 
-    def on_commit(self, renamed, cycle: int) -> None:
-        """Record one committed instruction (``renamed`` is the
-        :class:`~repro.rename.renamer.RenamedInstruction` leaving the ROB)."""
-        self.accumulator.record(renamed.instruction)
+    def on_commit(self, entry, cycle: int) -> None:
+        """Record one committed instruction (``entry`` is the in-flight
+        :class:`~repro.execute.issue_queue.IssueQueueEntry` leaving the ROB)."""
+        self.accumulator.record(entry.instruction)
 
     def final_digest(self) -> str:
         """Checksum over the full commit stream (surfaced via

@@ -4,11 +4,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.execute.bypass import BypassNetwork
-from repro.execute.issue_queue import IssueQueue
+from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
-from repro.rename.renamer import PhysicalRegister, RenamedInstruction
+from repro.rename.renamer import PhysicalRegister
 
 
 def _phys(index):
@@ -21,7 +21,7 @@ def _renamed(seq, dest=None, sources=()):
         dest=INT_LOGICAL_REGISTERS[1] if dest is not None else None,
         sources=tuple(INT_LOGICAL_REGISTERS[2] for _ in sources),
     )
-    return RenamedInstruction(
+    return IssueQueueEntry(
         instruction=inst,
         dest=_phys(dest) if dest is not None else None,
         sources=tuple(_phys(s) for s in sources),
@@ -87,11 +87,11 @@ class TestSelect:
         queue, scoreboard = _queue()
         scoreboard.seed_architected(_phys(1))
         entry = queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=0)
-        queue.mark_issued(entry, cycle=2)
+        queue.mark_issued(entry)
         assert len(queue) == 0
         assert queue.schedulable(5) == []
         with pytest.raises(SimulationError):
-            queue.mark_issued(entry, cycle=3)
+            queue.mark_issued(entry)
 
     def test_defer_delays_selection(self):
         queue, scoreboard = _queue()
@@ -111,7 +111,7 @@ class TestConsumersIndex:
         b = queue.dispatch(_renamed(2, dest=42, sources=(50, 1)), cycle=0)
         consumers = queue.waiting_consumers_of(_phys(50))
         assert {entry.seq for entry in consumers} == {1, 2}
-        queue.mark_issued(a, cycle=1)
+        queue.mark_issued(a)
         consumers = queue.waiting_consumers_of(_phys(50))
         assert {entry.seq for entry in consumers} == {2}
 

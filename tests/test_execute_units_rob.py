@@ -10,14 +10,7 @@ from repro.execute.rob import ReorderBuffer
 from repro.execute.scoreboard import ValueScoreboard, ValueState
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
-from repro.rename.renamer import PhysicalRegister, RenamedInstruction
-
-
-def _renamed(seq, dest_index=None):
-    inst = DynamicInstruction(seq=seq, op_class=OpClass.INT_ALU,
-                              dest=INT_LOGICAL_REGISTERS[1])
-    dest = PhysicalRegister(RegisterClass.INT, dest_index) if dest_index is not None else None
-    return RenamedInstruction(instruction=inst, dest=dest)
+from repro.rename.renamer import PhysicalRegister
 
 
 class TestFunctionalUnits:
@@ -68,7 +61,9 @@ class TestFunctionalUnits:
 
 def _entry(seq):
     """An in-flight record as the pipeline dispatches it into the ROB."""
-    return IssueQueueEntry(_renamed(seq), dispatch_cycle=0)
+    inst = DynamicInstruction(seq=seq, op_class=OpClass.INT_ALU,
+                              dest=INT_LOGICAL_REGISTERS[1])
+    return IssueQueueEntry(instruction=inst)
 
 
 def _complete(entry, cycle):
@@ -137,7 +132,7 @@ class TestReorderBuffer:
         entry = _entry(0)
         assert rob.dispatch(entry) is entry
         _complete(entry, 0)
-        assert next(rob.retire(width=1, cycle=1)) is entry
+        assert rob.retire(width=1, cycle=1)[0] is entry
 
 
 class TestScoreboard:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.execute.bypass import BypassNetwork
-from repro.execute.issue_queue import IssueQueue
+from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
@@ -12,7 +12,7 @@ from repro.regfile.base import OperandAccess, OperandSource
 from repro.regfile.cache import RegisterFileCache
 from repro.regfile.policies import AlwaysCaching, NeverCaching, NonBypassCaching, ReadyCaching
 from repro.regfile.prefetch import FetchOnDemand, PrefetchFirstPair
-from repro.rename.renamer import PhysicalRegister, RenamedInstruction
+from repro.rename.renamer import PhysicalRegister
 
 
 def _plan(regfile, register, state, issue_cycle):
@@ -198,7 +198,7 @@ class TestWritebackPolicies:
         producer_reg, producer_state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
         other_ready = _phys(41)
         scoreboard.seed_architected(other_ready)
-        consumer = RenamedInstruction(
+        consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[3],
                                            sources=(INT_LOGICAL_REGISTERS[1],
@@ -215,7 +215,7 @@ class TestWritebackPolicies:
         producer_reg, producer_state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
         pending = _phys(42)
         scoreboard.allocate(pending, producer_seq=8)   # not produced yet
-        consumer = RenamedInstruction(
+        consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[3],
                                            sources=(INT_LOGICAL_REGISTERS[1],
@@ -276,12 +276,12 @@ class TestPrefetchFirstPair:
         dest = _phys(50)
         scoreboard.allocate(dest, producer_seq=5)
         other, other_state = _produced_state(scoreboard, 60, ex_end=1, rf_ready=2)
-        producer = RenamedInstruction(
+        producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        consumer = RenamedInstruction(
+        consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[5],
                                            sources=(INT_LOGICAL_REGISTERS[4],
@@ -302,12 +302,12 @@ class TestPrefetchFirstPair:
         scoreboard.allocate(dest, producer_seq=5)
         other, other_state = _produced_state(scoreboard, 60, ex_end=1, rf_ready=2)
         cache.writeback(other, other_state, cycle=2, window=window)
-        producer = RenamedInstruction(
+        producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        consumer = RenamedInstruction(
+        consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[5],
                                            sources=(INT_LOGICAL_REGISTERS[4],
@@ -324,7 +324,7 @@ class TestPrefetchFirstPair:
         window, scoreboard = _window()
         dest = _phys(50)
         scoreboard.allocate(dest, producer_seq=5)
-        producer = RenamedInstruction(
+        producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),

@@ -12,30 +12,32 @@ class TestPortSet:
     def test_limited_ports(self):
         ports = PortSet(2)
         ports.begin_cycle()
-        assert ports.available(2)
-        ports.claim(2)
-        assert not ports.available(1)
-        assert not ports.try_claim(1)
+        assert ports.available_capped(2)
+        ports.claim_capped(2)
+        assert not ports.available_capped(1)
+        with pytest.raises(RegisterFileError):
+            ports.claim_capped(1)
+        assert ports.denied_claims == 1
         ports.begin_cycle()
-        assert ports.available(1)
+        assert ports.available_capped(1)
 
     def test_unlimited_ports(self):
         ports = PortSet(None)
         ports.begin_cycle()
-        ports.claim(100)
-        assert ports.available(100)
+        ports.claim_capped(100)
+        assert ports.available_capped(100)
 
     def test_over_claim_raises(self):
         ports = PortSet(1)
         ports.begin_cycle()
-        ports.claim(1)
+        ports.claim_capped(1)
         with pytest.raises(RegisterFileError):
-            ports.claim(1)
+            ports.claim_capped(1)
 
     def test_negative_request_rejected(self):
         ports = PortSet(1)
         with pytest.raises(RegisterFileError):
-            ports.available(-1)
+            ports.claim_capped(-1)
 
     def test_zero_ports_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, RenameError
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.isa.instruction import (
     DynamicInstruction,
     FP_LOGICAL_REGISTERS,
@@ -35,6 +36,24 @@ class TestFreeList:
         free.release(register)
         with pytest.raises(RenameError):
             free.release(register)
+
+    def test_double_release_rejected_after_allocate_and_restore(self):
+        free = FreeList(range(4))
+        first = free.allocate()
+        second = free.allocate()
+        free.release(first)
+        with pytest.raises(RenameError):
+            free.release(first)
+        snapshot = free.snapshot()
+        taken = free.allocate()
+        free.restore(snapshot)
+        # ``taken`` is free again in the restored list; ``second`` is not.
+        with pytest.raises(RenameError):
+            free.release(taken)
+        free.release(second)
+        with pytest.raises(RenameError):
+            free.release(second)
+        assert len(free) == 4
 
     def test_foreign_register_rejected(self):
         free = FreeList(range(2))
@@ -95,7 +114,7 @@ class TestRenamer:
     def test_rename_allocates_new_destination(self):
         renamer = Renamer(64, 64)
         before = renamer.current_mapping(INT_LOGICAL_REGISTERS[1])
-        renamed = renamer.rename(_alu(0, dest=1, sources=(2, 3)))
+        renamed = renamer.rename(IssueQueueEntry(_alu(0, dest=1, sources=(2, 3))))
         after = renamer.current_mapping(INT_LOGICAL_REGISTERS[1])
         assert renamed.dest == after
         assert renamed.previous_dest == before
@@ -103,21 +122,21 @@ class TestRenamer:
 
     def test_sources_use_current_mapping(self):
         renamer = Renamer(64, 64)
-        first = renamer.rename(_alu(0, dest=1))
-        second = renamer.rename(_alu(1, dest=2, sources=(1,)))
+        first = renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
+        second = renamer.rename(IssueQueueEntry(_alu(1, dest=2, sources=(1,))))
         assert second.sources[0] == first.dest
 
     def test_free_list_exhaustion(self):
         renamer = Renamer(34, 34)   # only 2 spare registers per class
-        renamer.rename(_alu(0, dest=1))
-        renamer.rename(_alu(1, dest=2))
+        renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
+        renamer.rename(IssueQueueEntry(_alu(1, dest=2)))
         assert not renamer.can_rename(_alu(2, dest=3))
         with pytest.raises(RenameError):
-            renamer.rename(_alu(2, dest=3))
+            renamer.rename(IssueQueueEntry(_alu(2, dest=3)))
 
     def test_commit_releases_previous_mapping(self):
         renamer = Renamer(34, 34)
-        first = renamer.rename(_alu(0, dest=1))
+        first = renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
         free_before = renamer.free_count(RegisterClass.INT)
         released = renamer.commit(first)
         assert released == first.previous_dest
@@ -127,30 +146,30 @@ class TestRenamer:
         renamer = Renamer(64, 64)
         branch = DynamicInstruction(seq=0, op_class=OpClass.BRANCH,
                                     sources=(INT_LOGICAL_REGISTERS[1],))
-        renamed = renamer.rename(branch)
+        renamed = renamer.rename(IssueQueueEntry(branch))
         assert renamer.commit(renamed) is None
 
     def test_squash_restores_mapping_and_free_list(self):
         renamer = Renamer(64, 64)
         before = renamer.current_mapping(INT_LOGICAL_REGISTERS[1])
         free_before = renamer.free_count(RegisterClass.INT)
-        renamed = renamer.rename(_alu(0, dest=1))
+        renamed = renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
         renamer.squash(renamed)
         assert renamer.current_mapping(INT_LOGICAL_REGISTERS[1]) == before
         assert renamer.free_count(RegisterClass.INT) == free_before
 
     def test_squash_out_of_order_rejected(self):
         renamer = Renamer(64, 64)
-        first = renamer.rename(_alu(0, dest=1))
-        renamer.rename(_alu(1, dest=1))
+        first = renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
+        renamer.rename(IssueQueueEntry(_alu(1, dest=1)))
         with pytest.raises(RenameError):
             renamer.squash(first)
 
     def test_checkpoint_restore_roundtrip(self):
         renamer = Renamer(64, 64)
         checkpoint = renamer.checkpoint()
-        renamer.rename(_alu(0, dest=1))
-        renamer.rename(_alu(1, dest=2))
+        renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
+        renamer.rename(IssueQueueEntry(_alu(1, dest=2)))
         renamer.restore(checkpoint)
         assert renamer.free_count(RegisterClass.INT) == 64 - 32
 
@@ -163,14 +182,14 @@ class TestRenamer:
         renamer = Renamer(34, 64)
         fp_inst = DynamicInstruction(seq=0, op_class=OpClass.FP_ALU,
                                      dest=FP_LOGICAL_REGISTERS[1])
-        renamer.rename(fp_inst)
+        renamer.rename(IssueQueueEntry(fp_inst))
         assert renamer.free_count(RegisterClass.INT) == 2
         assert renamer.free_count(RegisterClass.FP) == 31
 
     def test_in_use_registers(self):
         renamer = Renamer(64, 64)
         assert renamer.in_use_registers(RegisterClass.INT) == 32
-        renamer.rename(_alu(0, dest=1))
+        renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
         assert renamer.in_use_registers(RegisterClass.INT) == 33
 
     def test_physical_register_str(self):

@@ -76,11 +76,74 @@ class TestResilienceOverheadScenario:
         assert summary["disabled_wall_seconds"] > 0
         assert summary["instrumented_wall_seconds"] > 0
         assert summary["instrumented_over_disabled"] > 0
+        assert 1.0 <= summary["seam_overhead"] <= summary["threshold"] == 1.05
         assert len(outcome["stats_digest"]) == 64
         # The seams must be left disabled afterwards.
         from repro.chaos import seams
 
         assert not seams.installed()
+
+    def test_instrumented_pass_times_the_seam_calls(self):
+        from repro.bench.scenarios import ResilienceOverheadScenario
+        from repro.chaos import seams
+
+        scenario = ResilienceOverheadScenario(
+            name="resilience_overhead/figure6", figure="figure6",
+            instructions=200, warmup_instructions=50, benchmarks=("gcc",),
+        )
+        disabled = scenario._one_pass(instrumented=False)
+        instrumented = scenario._one_pass(instrumented=True)
+        assert disabled["seam_seconds"] == 0.0
+        assert 0.0 < instrumented["seam_seconds"] < instrumented["wall_seconds"]
+        assert disabled["digest"] == instrumented["digest"]
+        assert not seams.installed()
+
+    def _gated(self, monkeypatch, disabled_wall, instrumented_wall, seam_seconds):
+        """A resilience scenario whose instrumented pass spends
+        ``seam_seconds`` of ``instrumented_wall`` in seam calls."""
+        from repro.bench.scenarios import ResilienceOverheadScenario
+
+        def one_pass(self, instrumented):
+            return {
+                "points": 3,
+                "digest": "d" * 64,
+                "wall_seconds": instrumented_wall if instrumented else disabled_wall,
+                "seam_seconds": seam_seconds if instrumented else 0.0,
+            }
+
+        monkeypatch.setattr(ResilienceOverheadScenario, "_one_pass", one_pass)
+        return ResilienceOverheadScenario(
+            name="resilience_overhead/figure6", figure="figure6",
+            instructions=200, warmup_instructions=50, benchmarks=("gcc",),
+        )
+
+    def test_overhead_over_threshold_fails_the_scenario(self, monkeypatch):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        scenario = self._gated(monkeypatch, 1.0, 1.2, seam_seconds=0.2)
+        with pytest.raises(SimulationError, match="1.200x .* exceeds the 1.05x bound"):
+            scenario.run()
+
+    def test_slower_instrumented_wall_alone_does_not_fail(self, monkeypatch):
+        # A host that ran the instrumented pass 30% slower, with the seams
+        # themselves costing 1 ms: the wall ratio shows the noise, the
+        # gate reads the overhead measured inside the pass.
+        outcome = self._gated(monkeypatch, 1.0, 1.3, seam_seconds=0.001).run()
+        assert outcome["summary"]["instrumented_over_disabled"] == 1.3
+        assert outcome["summary"]["seam_overhead"] < 1.001
+
+    def test_cli_exits_one_when_the_bound_is_exceeded(self, monkeypatch, tmp_path,
+                                                      capsys):
+        from repro.bench.__main__ import main
+
+        self._gated(monkeypatch, 1.0, 2.0, seam_seconds=1.0)
+        argv = ["--quick", "--repeats", "1", "--filter", "resilience_overhead",
+                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "exceeds the 1.05x bound" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 class TestVersionEmbedding:
