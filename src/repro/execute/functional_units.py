@@ -78,8 +78,10 @@ class FunctionalUnitPool:
             op_class: self._groups[name]
             for op_class, name in _GROUP_FOR_CLASS.items()
         }
-        self._cycle = -1
-        self._dirty = False
+        #: Whether :meth:`begin_cycle` has nothing to reset: no unit
+        #: issued since the last reset and no unpipelined operation is
+        #: busy.  The pipeline skips the call while it is true.
+        self.idle = True
         # statistics
         self.issues_by_group: dict[str, int] = {name: 0 for name in self._groups}
 
@@ -91,21 +93,20 @@ class FunctionalUnitPool:
     def begin_cycle(self, cycle: int) -> None:
         """Reset per-cycle issue counters and retire finished busy units.
 
-        Skipped outright (cheap flag test) on the many cycles where no
+        Returns at once (cheap flag test) on the many cycles where no
         unit issued since the last reset and no unpipelined operation is
         still busy — the per-group loop showed up in profiles.
         """
-        self._cycle = cycle
-        if not self._dirty:
+        if self.idle:
             return
-        dirty = False
+        idle = True
         for group in self._groups.values():
             group.issued_this_cycle = 0
             if group.busy_until:
                 group.busy_until = [c for c in group.busy_until if c > cycle]
                 if group.busy_until:
-                    dirty = True
-        self._dirty = dirty
+                    idle = False
+        self.idle = idle
 
     def can_issue(self, op_class: OpClass, cycle: int) -> bool:
         """Whether a unit for ``op_class`` can accept a new operation now."""
@@ -141,7 +142,7 @@ class FunctionalUnitPool:
         """
         group = self._group_for_class[op_class]
         group.issued_this_cycle += 1
-        self._dirty = True
+        self.idle = False
         if op_class in _UNPIPELINED_CLASSES:
             group.busy_until.append(cycle + latency)
         self.issues_by_group[group.name] += 1

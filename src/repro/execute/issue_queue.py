@@ -298,12 +298,6 @@ class IssueQueue:
         """Not-yet-issued window entries that source ``register``."""
         return [e for e in self._consumers.get(register.uid, []) if not e.issued]
 
-    def oldest_seq(self) -> Optional[int]:
-        """Sequence number of the oldest instruction still waiting, if any."""
-        for seq in self._entries:
-            return seq
-        return None
-
     def waiting_source_registers(self) -> set[PhysicalRegister]:
         """All physical registers that are sources of waiting instructions."""
         registers: set[PhysicalRegister] = set()

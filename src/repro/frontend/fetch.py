@@ -25,13 +25,15 @@ from repro.memsys.cache import CacheModel
 
 @dataclass(slots=True)
 class FetchedInstruction:
-    """A dynamic instruction annotated with front-end prediction state."""
+    """A dynamic instruction annotated with front-end prediction state.
+
+    Built with positional arguments on the fetch path (one per fetched
+    instruction); only branches carry prediction state.
+    """
 
     instruction: DynamicInstruction
     fetch_cycle: int
     predicted_taken: bool = False
-    predicted_target: Optional[int] = None
-    btb_hit: bool = False
     history_checkpoint: int = 0
     mispredicted: bool = False
 
@@ -62,55 +64,36 @@ class FetchUnit:
         self.predictor = predictor
         self.btb = btb
         self.width = width
+        #: An instruction read from the stream but not delivered yet (its
+        #: I-cache line missed); delivered first by the next fetch.
         self._pending: Optional[DynamicInstruction] = None
-        self._exhausted = False
+        #: True once a read found the stream empty.  Nothing is pending
+        #: then — only a delivered instruction can be pushed back — so this
+        #: alone means "nothing left to fetch".  A plain attribute, like
+        #: ``blocked``: the pipeline reads both every cycle.
+        self.exhausted = False
         self._stalled_until = -1
         self._blocked_on_seq: Optional[int] = None
+        #: True while waiting for a mispredicted branch to resolve.
+        self.blocked = False
         # statistics
         self.fetched_instructions = 0
         self.icache_stall_cycles = 0
 
     # ------------------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        """True once the underlying stream has been fully consumed."""
-        return self._exhausted and self._pending is None
-
-    @property
-    def blocked(self) -> bool:
-        """True while waiting for a mispredicted branch to resolve."""
-        return self._blocked_on_seq is not None
-
     def block_on_branch(self, seq: int) -> None:
         """Stop fetching until the mispredicted branch ``seq`` resolves."""
         if self._blocked_on_seq is None or seq < self._blocked_on_seq:
             self._blocked_on_seq = seq
+            self.blocked = True
 
     def branch_resolved(self, seq: int, cycle: int) -> None:
         """Resume fetch (from ``cycle`` + 1) after branch ``seq`` resolves."""
         if self._blocked_on_seq is not None and seq >= self._blocked_on_seq:
             self._blocked_on_seq = None
+            self.blocked = False
             self._stalled_until = max(self._stalled_until, cycle)
-
-    # ------------------------------------------------------------------
-
-    def _next_instruction(self) -> Optional[DynamicInstruction]:
-        if self._pending is not None:
-            inst = self._pending
-            self._pending = None
-            return inst
-        if self._exhausted:
-            return None
-        try:
-            return next(self._stream)
-        except StopIteration:
-            self._exhausted = True
-            return None
-
-    def _push_back(self, inst: DynamicInstruction) -> None:
-        assert self._pending is None
-        self._pending = inst
 
     # ------------------------------------------------------------------
     # frontend-source protocol (shared with repro.trace.TraceReplayer)
@@ -148,9 +131,9 @@ class FetchUnit:
         group = self.fetch(cycle)
         if not group:
             return
+        decode_queue.extend(group)
         branches = 0
         for fetched in group:
-            decode_queue.append(fetched)
             if fetched.instruction.is_branch:
                 branches += 1
         stats.branch_predictions += branches
@@ -167,51 +150,55 @@ class FetchUnit:
 
         group: List[FetchedInstruction] = []
         current_line: Optional[int] = None
-        line_bytes = self.icache.config.line_bytes
-
-        while len(group) < self.width:
-            inst = self._next_instruction()
-            if inst is None:
+        icache = self.icache
+        line_bytes = icache.config.line_bytes
+        width = self.width
+        while len(group) < width:
+            # The pushed-back instruction first, then the stream.
+            inst = self._pending
+            if inst is not None:
+                self._pending = None
+            elif self.exhausted:
                 break
+            else:
+                inst = next(self._stream, None)
+                if inst is None:
+                    self.exhausted = True
+                    break
 
             line = inst.pc // line_bytes
             if line != current_line:
-                result = self.icache.access(inst.pc)
+                result = icache.access(inst.pc)
                 if not result.hit:
-                    # The group ends; refill charges latency-1 extra cycles.
-                    stall = result.latency - self.icache.config.hit_latency
+                    # The group ends; refill charges latency-1 extra cycles,
+                    # and this instruction is retried once the line arrives.
+                    stall = result.latency - icache.config.hit_latency
                     self._stalled_until = cycle + stall
                     self.icache_stall_cycles += stall
-                    if not group:
-                        # Retry this instruction once the line arrives.
-                        self._push_back(inst)
-                        return group
-                    self._push_back(inst)
-                    return group
+                    self._pending = inst
+                    break
                 current_line = line
 
-            fetched = self._annotate(inst, cycle)
+            if not inst.is_branch:
+                group.append(FetchedInstruction(inst, cycle))
+                continue
+            fetched = self._predict_branch(inst, cycle)
             group.append(fetched)
-            self.fetched_instructions += 1
-
             if fetched.mispredicted:
                 # Everything after a mispredicted branch would be wrong-path
                 # work; stop fetching until the branch resolves.
                 self.block_on_branch(inst.seq)
                 break
-            if inst.is_branch and (fetched.predicted_taken or inst.branch_taken):
+            if fetched.predicted_taken or inst.branch_taken:
                 # At most one taken branch per cycle: the group ends here.
                 break
 
+        self.fetched_instructions += len(group)
         return group
 
-    def _annotate(self, inst: DynamicInstruction, cycle: int) -> FetchedInstruction:
-        if not inst.is_branch:
-            return FetchedInstruction(instruction=inst, fetch_cycle=cycle)
-
+    def _predict_branch(self, inst: DynamicInstruction, cycle: int) -> FetchedInstruction:
         predicted_taken, checkpoint = self.predictor.predict(inst.pc)
-        target = self.btb.lookup(inst.pc)
-        btb_hit = target is not None
+        btb_hit = self.btb.lookup(inst.pc) is not None
         mispredicted = predicted_taken != inst.branch_taken
         if predicted_taken and inst.branch_taken and not btb_hit:
             # Correct direction but no cached target: the front end redirects
@@ -219,12 +206,4 @@ class FetchUnit:
             self._stalled_until = max(self._stalled_until, cycle + self._BTB_MISS_BUBBLE)
         if inst.branch_taken:
             self.btb.insert(inst.pc, inst.branch_target)
-        return FetchedInstruction(
-            instruction=inst,
-            fetch_cycle=cycle,
-            predicted_taken=predicted_taken,
-            predicted_target=target,
-            btb_hit=btb_hit,
-            history_checkpoint=checkpoint,
-            mispredicted=mispredicted,
-        )
+        return FetchedInstruction(inst, cycle, predicted_taken, checkpoint, mispredicted)

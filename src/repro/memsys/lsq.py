@@ -58,12 +58,13 @@ class LoadStoreQueue:
 
     def insert(self, seq: int, is_store: bool) -> LSQEntry:
         """Allocate an entry at dispatch time (program order)."""
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise SimulationError("LSQ overflow: insert called while full")
-        if self._entries and next(reversed(self._entries)) >= seq:
+        if entries and next(reversed(entries)) >= seq:
             raise SimulationError("LSQ entries must be inserted in program order")
         entry = LSQEntry(seq, is_store)
-        self._entries[seq] = entry
+        entries[seq] = entry
         if is_store:
             self._unresolved_stores[seq] = None
         return entry

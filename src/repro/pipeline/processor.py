@@ -25,9 +25,19 @@ rebound (window entries, ROB, scoreboard states) are read directly; the
 select loop is one flat loop with its collaborators bound once per
 cycle, and a select attempt allocates nothing; and stages are skipped
 outright on the cycles where their input queues are provably empty.
-Every change here is
-guarded by the golden-stats parity tests (``tests/test_golden_stats.py``):
-optimizations must leave ``SimulationStats`` bit-identical.
+
+The per-instruction path also makes no Python call that nobody wrote
+on purpose: state read every cycle is a plain attribute, not a
+property (the frontend's ``exhausted`` and ``blocked``, the register
+files' and FU pool's ``idle``, which lets a cycle skip their
+``begin_cycle``); one-line hops are inlined where they run per attempt
+(``IssueQueue.defer``, the oldest-entry check, ``FunctionalUnitPool.can_issue``
+without busy dividers, ``ValueScoreboard.allocate``); register-file hooks
+that are no-ops on a model (``on_issue``, ``release``) are resolved once
+per processor; and physical registers, interned by the renamer, are
+compared by identity.  Every change here is guarded by the golden-stats
+parity tests (``tests/test_golden_stats.py``): optimizations must leave
+``SimulationStats`` bit-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from repro.execute.bypass import BypassNetwork
 from repro.execute.functional_units import FunctionalUnitPool
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.rob import ReorderBuffer
-from repro.execute.scoreboard import ValueScoreboard
+from repro.execute.scoreboard import ValueScoreboard, ValueState
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FetchedInstruction, FetchUnit
 from repro.frontend.gshare import GSharePredictor
@@ -52,6 +62,11 @@ from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
 from repro.regfile.base import OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
+
+_BYPASS = OperandSource.BYPASS
+_FILE = OperandSource.FILE
+_MISS = OperandSource.MISS
+_NOT_READY = OperandSource.NOT_READY
 
 
 class Processor:
@@ -85,6 +100,14 @@ class Processor:
             )
         self._int_rf = int_rf
         self._fp_rf = fp_rf
+        # The issue and release hooks are no-ops unless a model overrides
+        # them (only the register file cache does); resolve that once.
+        self._issue_hooks = any(
+            type(rf).on_issue is not RegisterFileModel.on_issue for rf in (int_rf, fp_rf)
+        )
+        self._release_hooks = any(
+            type(rf).release is not RegisterFileModel.release for rf in (int_rf, fp_rf)
+        )
         self.read_stages = int_rf.read_stages
         self.bypass = BypassNetwork(int_rf.read_stages, int_rf.bypass_levels)
 
@@ -103,9 +126,10 @@ class Processor:
         self.dcache = CacheModel(self.config.dcache, name="dcache")
         if frontend is not None:
             # The frontend-source seam: anything implementing the protocol
-            # of :class:`~repro.frontend.fetch.FetchUnit` (``exhausted``,
-            # ``fetch_into``, ``on_branch_writeback``, ``icache_hits`` /
-            # ``icache_misses``) can drive the pipeline — notably
+            # of :class:`~repro.frontend.fetch.FetchUnit` (plain ``exhausted``
+            # and ``blocked`` attributes, ``fetch_into``,
+            # ``on_branch_writeback``, ``icache_hits`` / ``icache_misses``)
+            # can drive the pipeline — notably
             # :class:`repro.trace.TraceReplayer`, which replays a recorded
             # decoded stream in place of live fetch.
             self.icache = None
@@ -162,20 +186,24 @@ class Processor:
         max_cycles = config.effective_max_cycles
         max_instructions = config.max_instructions
         fetch_unit = self.fetch_unit
+        fetch_into = fetch_unit.fetch_into
+        fetch_buffer_size = config.fetch_buffer_size
         decode_queue = self._decode_queue
         completions = self._completions
         # Collaborator containers; both are mutated in place and never
         # rebound, so the emptiness checks below stay valid.
         rob_entries = self.rob._entries
         window_entries = self.window._entries
-        int_begin = self._int_rf.begin_cycle
-        fp_begin = self._fp_rf.begin_cycle
-        fu_begin = self.fu_pool.begin_cycle
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
+        fu_pool = self.fu_pool
+        int_begin = int_rf.begin_cycle
+        fp_begin = fp_rf.begin_cycle
+        fu_begin = fu_pool.begin_cycle
         commit_stage = self._commit_stage
         writeback_stage = self._writeback_stage
         issue_stage = self._issue_stage
         dispatch_stage = self._dispatch_stage
-        fetch_stage = self._fetch_stage
         # Occupancy sampling is resolved once, outside the loop: when it
         # is disabled (the default) the per-cycle cost is literally zero.
         sample_occupancy = (
@@ -195,9 +223,14 @@ class Processor:
                     "likely a livelock in the pipeline model"
                 )
 
-            int_begin(cycle)
-            fp_begin(cycle)
-            fu_begin(cycle)
+            # Per-cycle resets, skipped while a component reports it has
+            # nothing to reset (a plain ``idle`` attribute, no call).
+            if not int_rf.idle:
+                int_begin(cycle)
+            if not fp_rf.idle:
+                fp_begin(cycle)
+            if not fu_pool.idle:
+                fu_begin(cycle)
 
             # Commit runs before this cycle's write-back, so a completed
             # head always completed in an earlier cycle.
@@ -209,8 +242,11 @@ class Processor:
                 issue_stage(cycle)
             if decode_queue:
                 dispatch_stage(cycle)
-            if not fetch_unit.exhausted:
-                fetch_stage(cycle)
+            # Fetch: the frontend's ``exhausted`` and ``blocked`` are plain
+            # attributes, so idle cycles cost no call.
+            if (not fetch_unit.exhausted and not fetch_unit.blocked
+                    and len(decode_queue) < fetch_buffer_size):
+                fetch_into(decode_queue, stats, cycle)
 
             if sample_occupancy is not None:
                 sample_occupancy(cycle)
@@ -239,6 +275,7 @@ class Processor:
         lsq = self.lsq
         int_rf = self._int_rf
         fp_rf = self._fp_rf
+        release_hooks = self._release_hooks
         value_reads = stats.value_read_distribution
         committed = stats.committed_instructions
         width = min(self.config.commit_width,
@@ -263,7 +300,8 @@ class Processor:
                     )
                     value_reads[total_reads] += 1
                     del sb_states[uid]  # inlined ``scoreboard.release``
-                    regfile.release(released)
+                    if release_hooks:
+                        regfile.release(released)
             instruction = entry.instruction
             op_class = instruction.op_class
             if op_class is OpClass.STORE:
@@ -336,17 +374,18 @@ class Processor:
         next_cycle = cycle + 1
         lsq = self.lsq
         dcache = self.dcache
-        defer = window.defer
         fu_pool = self.fu_pool
         fu_can_issue = fu_pool.can_issue
+        fu_groups = fu_pool._group_for_class
+        issue_hooks = self._issue_hooks
         completions = self._completions
         int_rf = self._int_rf
         fp_rf = self._fp_rf
         int_plan = int_rf.plan_operand_read
         fp_plan = fp_rf.plan_operand_read
-        not_ready = OperandSource.NOT_READY
-        miss = OperandSource.MISS
-        via_bypass = OperandSource.BYPASS
+        not_ready = _NOT_READY
+        miss = _MISS
+        via_bypass = _BYPASS
         load = OpClass.LOAD
         store = OpClass.STORE
         issued = 0
@@ -359,7 +398,10 @@ class Processor:
             op_class = instruction.op_class
 
             if op_class is load and not lsq.load_may_issue(entry.seq):
-                defer(entry, next_cycle)
+                # Inlined ``window.defer(entry, next_cycle)``, as below.
+                earliest = next_cycle + read_stages
+                if earliest > entry.earliest_ex_cycle:
+                    entry.earliest_ex_cycle = earliest
                 continue
 
             # Operand read planning, in source order, in place on the
@@ -376,13 +418,19 @@ class Processor:
                 if source is miss:
                     missing = True
             if retry is not None:
-                defer(entry, retry)
+                earliest = retry + read_stages
+                if earliest > entry.earliest_ex_cycle:
+                    entry.earliest_ex_cycle = earliest
                 continue
 
             if missing:
                 self._handle_upper_level_misses(entry, cycle)
                 continue
-            if not fu_can_issue(op_class, cycle):
+            # Inlined ``fu_pool.can_issue``; its busy-unit count only
+            # matters while an unpipelined divide is in flight.
+            group = fu_groups[op_class]
+            if group.issued_this_cycle >= group.count or (
+                    group.busy_until and not fu_can_issue(op_class, cycle)):
                 stalls_fu += 1
                 continue
             int_accesses = entry.int_accesses
@@ -435,9 +483,10 @@ class Processor:
                     raise SimulationError(f"no scoreboard state for {dest}")
                 state.ex_end_cycle = ex_end
                 window.wakeup(dest, ex_end)
-                (int_rf if dest.reg_class is RegisterClass.INT else fp_rf).on_issue(
-                    entry, cycle, window, self.scoreboard
-                )
+                if issue_hooks:
+                    (int_rf if dest.reg_class is RegisterClass.INT else fp_rf).on_issue(
+                        entry, cycle, window, self.scoreboard
+                    )
 
             # The completion carries the in-flight record itself.
             bucket = completions.get(ex_end + 1)
@@ -470,26 +519,27 @@ class Processor:
         self.stats.issue_stalls_fill += 1
         int_rf = self._int_rf
         fp_rf = self._fp_rf
-        is_oldest = self.window.oldest_seq() == entry.seq
-        if is_oldest:
-            for regfile, accesses in ((int_rf, entry.int_accesses),
-                                      (fp_rf, entry.fp_accesses)):
-                for access in accesses:
-                    if access.source is OperandSource.FILE:
-                        regfile.pin_operand(access.register)
+        # The window's first key is its oldest entry (insertion order is
+        # program order), and ``entry`` is in the window.
+        is_oldest = next(iter(self.window._entries)) == entry.seq
+        # One pass: pin the file-resident operands of the oldest entry and
+        # request a fill, in source order, for every missing one.
         latest_completion: Optional[int] = None
         for access in entry.accesses:
-            if access.source is not OperandSource.MISS:
-                continue
-            completion = (int_rf if access.is_int else fp_rf).request_fill(
-                access.register, access.state, cycle, pin=is_oldest
-            )
-            if completion is not None:
-                latest_completion = max(latest_completion or 0, completion)
-        if latest_completion is not None:
-            self.window.defer(entry, latest_completion)
-        else:
-            self.window.defer(entry, cycle + 1)
+            source = access.source
+            if source is _MISS:
+                completion = (int_rf if access.is_int else fp_rf).request_fill(
+                    access.register, access.state, cycle, pin=is_oldest
+                )
+                if completion is not None:
+                    latest_completion = max(latest_completion or 0, completion)
+            elif is_oldest and source is _FILE:
+                (int_rf if access.is_int else fp_rf).pin_operand(access.register)
+        # Inlined ``window.defer``.
+        until = cycle + 1 if latest_completion is None else latest_completion
+        earliest = until + self.read_stages
+        if earliest > entry.earliest_ex_cycle:
+            entry.earliest_ex_cycle = earliest
 
     # ------------------------------------------------------------------
     # decode / rename / dispatch
@@ -510,12 +560,16 @@ class Processor:
         lsq_capacity = lsq.capacity
         renamer = self.renamer
         rename = renamer.rename
-        allocate = self.scoreboard.allocate
+        sb_states = self._sb_states
         rob_dispatch = rob.dispatch
         window_dispatch = window.dispatch
         # Direct free-list views for the inlined ``renamer.can_rename``.
         int_free = renamer._int_free._free
         fp_free = renamer._fp_free._free
+        # Free ROB and window slots: nothing leaves either structure
+        # during dispatch, so they are counted down instead of re-measured.
+        rob_room = rob_capacity - len(rob_entries)
+        window_room = window_capacity - len(window_entries)
         dispatched = 0
         while decode_queue and dispatched < decode_width:
             fetched = decode_queue[0]
@@ -524,10 +578,10 @@ class Processor:
             instruction = fetched.instruction
             op_class = instruction.op_class
             is_memory = op_class is OpClass.LOAD or op_class is OpClass.STORE
-            if len(rob_entries) >= rob_capacity:
+            if rob_room <= 0:
                 stats.dispatch_stalls_rob += 1
                 break
-            if len(window_entries) >= window_capacity:
+            if window_room <= 0:
                 stats.dispatch_stalls_window += 1
                 break
             if is_memory and len(lsq_entries) >= lsq_capacity:
@@ -546,8 +600,12 @@ class Processor:
             entry = rename(IssueQueueEntry(instruction, fetched))
             dest = entry.dest
             if dest is not None:
-                entry.dest_state = allocate(dest, instruction.seq)
+                # Inlined ``scoreboard.allocate``.
+                state = entry.dest_state = ValueState(dest, instruction.seq)
+                sb_states[dest.uid] = state
             rob_dispatch(window_dispatch(entry, cycle))
+            rob_room -= 1
+            window_room -= 1
             if is_memory:
                 is_store = op_class is OpClass.STORE
                 lsq.insert(instruction.seq, is_store)
@@ -564,27 +622,18 @@ class Processor:
             # Occupancies and registers-in-use only grow at dispatch, so
             # the maxima are attained right here; cycles without a
             # dispatch cannot set a new maximum.
-            occupancy = window.occupancy()
+            occupancy = window_capacity - window_room
             if occupancy > stats.max_window_occupancy:
                 stats.max_window_occupancy = occupancy
-            rob_occupancy = rob.occupancy()
+            rob_occupancy = rob_capacity - rob_room
             if rob_occupancy > stats.max_rob_occupancy:
                 stats.max_rob_occupancy = rob_occupancy
-            int_in_use = renamer.in_use_registers(RegisterClass.INT)
+            int_in_use = renamer.num_int_physical - len(int_free)
             if int_in_use > stats.max_int_registers_in_use:
                 stats.max_int_registers_in_use = int_in_use
-            fp_in_use = renamer.in_use_registers(RegisterClass.FP)
+            fp_in_use = renamer.num_fp_physical - len(fp_free)
             if fp_in_use > stats.max_fp_registers_in_use:
                 stats.max_fp_registers_in_use = fp_in_use
-
-    # ------------------------------------------------------------------
-    # fetch
-    # ------------------------------------------------------------------
-
-    def _fetch_stage(self, cycle: int) -> None:
-        decode_queue = self._decode_queue
-        if len(decode_queue) < self.config.fetch_buffer_size:
-            self.fetch_unit.fetch_into(decode_queue, self.stats, cycle)
 
     # ------------------------------------------------------------------
     # statistics

@@ -58,6 +58,7 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         # and are always reset to zero/empty before returning.
         self._bank_demand = [0] * num_banks
         self._banks_touched: list[int] = []
+        self.idle = True
         # statistics
         self.reads_from_bypass = 0
         self.reads_from_banks = 0
@@ -71,11 +72,11 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         return register.index % self.num_banks
 
     def begin_cycle(self, cycle: int) -> None:
+        # Direct stores instead of ``PortSet.begin_cycle()`` calls; the
+        # read-port budgets are the only per-cycle state.
         for ports in self._read_ports:
-            ports.begin_cycle()
-        if not cycle & 1023:
-            for scheduler in self._writes:
-                scheduler.forget_before(cycle)
+            ports._used = 0
+        self.idle = True
 
     # ------------------------------------------------------------------
 
@@ -135,6 +136,7 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
             needed = demand[bank]
             demand[bank] = 0
             self._read_ports[bank].claim_capped(needed)
+            self.idle = False
         touched.clear()
 
     # ------------------------------------------------------------------

@@ -89,6 +89,12 @@ class RegisterFileModel(ABC):
     needs_consumer_index: bool = False
     #: Human-readable architecture name used in reports.
     name: str = "register-file"
+    #: Whether :meth:`begin_cycle` has nothing to do at the next cycle
+    #: start.  A model that tracks it sets it false when it takes on work
+    #: for the next cycle (read ports claimed, fills in flight) and back
+    #: to true in ``begin_cycle``; the pipeline skips the call while it
+    #: is true.  The default, false, means "call every cycle".
+    idle: bool = False
 
     # ------------------------------------------------------------------
     # per-cycle bookkeeping

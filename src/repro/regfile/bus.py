@@ -41,12 +41,13 @@ class TransferBusSet:
         level from that cycle on), or ``None`` if every bus is busy.
         """
         completion = cycle + self.transfer_latency
-        if self.unlimited:
+        if self.count is None:
             self.transfers_started += 1
             return completion
-        for index, busy_until in enumerate(self._busy_until):
+        busy = self._busy_until
+        for index, busy_until in enumerate(busy):
             if busy_until <= cycle:
-                self._busy_until[index] = completion
+                busy[index] = completion
                 self.transfers_started += 1
                 return completion
         self.transfers_denied += 1

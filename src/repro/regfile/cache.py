@@ -35,6 +35,14 @@ from repro.regfile.prefetch import FetchPolicy, FetchOnDemand
 from repro.regfile.replacement import PseudoLRU
 from repro.rename.renamer import PhysicalRegister
 
+# Operand sources bound once: the planning methods below run several
+# times per instruction, and a global read is cheaper than an enum
+# attribute lookup.
+_BYPASS = OperandSource.BYPASS
+_FILE = OperandSource.FILE
+_MISS = OperandSource.MISS
+_NOT_READY = OperandSource.NOT_READY
+
 
 class RegisterFileCache(RegisterFileModel):
     """Two-level register file with caching and prefetching policies."""
@@ -87,6 +95,7 @@ class RegisterFileCache(RegisterFileModel):
         #: oldest instruction is guaranteed to make forward progress even
         #: with a tiny, heavily thrashed upper level.
         self._read_pinned: set[int] = set()
+        self.idle = True
         self.name = name or (
             f"register file cache ({self.caching_policy.name} caching + "
             f"{self.fetch_policy.name})"
@@ -108,8 +117,9 @@ class RegisterFileCache(RegisterFileModel):
     # ------------------------------------------------------------------
 
     def begin_cycle(self, cycle: int) -> None:
-        # Direct store instead of ``upper_read_ports.begin_cycle()``: this
-        # runs every simulated cycle and the method call is pure overhead.
+        # Direct store instead of ``upper_read_ports.begin_cycle()``.  The
+        # per-cycle state is the read-port budget and the fills in
+        # flight: the file stays busy while a fill is pending.
         self.upper_read_ports._used = 0
         pending = self._pending_fills
         if pending:
@@ -117,9 +127,7 @@ class RegisterFileCache(RegisterFileModel):
             for register in completed:
                 del pending[register]
                 self._insert_upper(register, cycle)
-        if not cycle & 1023:
-            self.lower_writes.forget_before(cycle)
-            self.upper_result_writes.forget_before(cycle)
+        self.idle = not pending
 
     def _insert_upper(self, uid: int, cycle: int) -> None:
         read_pinned = self._read_pinned
@@ -135,7 +143,7 @@ class RegisterFileCache(RegisterFileModel):
 
     def present_in_upper(self, register: PhysicalRegister) -> bool:
         """Whether the uppermost level currently holds ``register``."""
-        return register.uid in self._upper
+        return register.uid in self._upper_slots
 
     def fill_in_flight(self, register: PhysicalRegister) -> Optional[int]:
         """Completion cycle of an in-flight fill for ``register``, if any."""
@@ -148,47 +156,53 @@ class RegisterFileCache(RegisterFileModel):
     def plan_operand_read(
         self, access: OperandAccess, issue_cycle: int
     ) -> OperandSource:
+        # Every outcome returns as soon as it is known; this is the most
+        # frequently called method of a register-file-cache simulation.
         state = access.state
-        retry = None
+        ex_end = state.ex_end_cycle
+        if ex_end is None:
+            access.source = _NOT_READY
+            access.retry_cycle = None
+            return _NOT_READY
         ex_start = issue_cycle + self.read_stages
-        if state.ex_end_cycle is None:
-            source = OperandSource.NOT_READY
-        elif ex_start < state.ex_end_cycle + 1:
-            source = OperandSource.NOT_READY
-            retry = state.ex_end_cycle
-        elif ex_start == state.ex_end_cycle + 1:
+        if ex_start <= ex_end:
+            access.source = _NOT_READY
+            access.retry_cycle = ex_end
+            return _NOT_READY
+        access.retry_cycle = None
+        if ex_start == ex_end + 1:
             # The single bypass level catches results exactly one cycle
             # after the producer finishes.
-            source = OperandSource.BYPASS
-        else:
-            uid = access.register.uid
-            slot = self._upper_slots.get(uid)
-            if slot is not None:
-                # Mark the entry hot (an inlined ``PseudoLRU.touch``): the
-                # instruction planning this read may be waiting for another
-                # operand, and this copy must survive until both are
-                # available.
-                upper = self._upper
-                upper._state = (upper._state & self._lru_keep[slot]) | self._lru_set[slot]
-                source = OperandSource.FILE
-            else:
-                retry = self._pending_fills.get(uid)
-                if retry is not None:
-                    source = OperandSource.NOT_READY
-                elif (state.written_back and state.rf_ready_cycle is not None
-                        and issue_cycle >= state.rf_ready_cycle):
-                    source = OperandSource.MISS
-                else:
-                    source = OperandSource.NOT_READY
-                    retry = state.rf_ready_cycle
-        access.source = source
+            access.source = _BYPASS
+            return _BYPASS
+        uid = access.register.uid
+        slot = self._upper_slots.get(uid)
+        if slot is not None:
+            # Mark the entry hot (an inlined ``PseudoLRU.touch``): the
+            # instruction planning this read may be waiting for another
+            # operand, and this copy must survive until both are
+            # available.
+            upper = self._upper
+            upper._state = (upper._state & self._lru_keep[slot]) | self._lru_set[slot]
+            access.source = _FILE
+            return _FILE
+        retry = self._pending_fills.get(uid)
+        if retry is None:
+            rf_ready = state.rf_ready_cycle
+            if state.written_back and rf_ready is not None and issue_cycle >= rf_ready:
+                access.source = _MISS
+                return _MISS
+            retry = rf_ready
+        access.source = _NOT_READY
         access.retry_cycle = retry
-        return source
+        return _NOT_READY
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
+        if self.upper_read_ports.count is None:
+            return True
         needed = 0
         for access in accesses:
-            if access.source is OperandSource.FILE:
+            if access.source is _FILE:
                 needed += 1
         if needed == 0:
             return True
@@ -204,7 +218,7 @@ class RegisterFileCache(RegisterFileModel):
         read_pinned = self._read_pinned
         for access in accesses:
             source = access.source
-            if source is OperandSource.FILE:
+            if source is _FILE:
                 needed += 1
                 uid = access.register.uid
                 slot = upper_slots.get(uid)
@@ -214,7 +228,7 @@ class RegisterFileCache(RegisterFileModel):
                         (upper._state & self._lru_keep[slot]) | self._lru_set[slot])
                 if read_pinned:
                     read_pinned.discard(uid)
-            elif source is OperandSource.BYPASS:
+            elif source is _BYPASS:
                 bypassed += 1
                 if read_pinned:
                     read_pinned.discard(access.register.uid)
@@ -222,6 +236,7 @@ class RegisterFileCache(RegisterFileModel):
         self.reads_from_bypass += bypassed
         if needed:
             self.upper_read_ports.claim_capped(needed)
+            self.idle = False
 
     # ------------------------------------------------------------------
     # fills and prefetches
@@ -229,7 +244,7 @@ class RegisterFileCache(RegisterFileModel):
 
     def pin_operand(self, register: PhysicalRegister) -> None:
         uid = register.uid
-        if uid in self._upper or uid in self._pending_fills:
+        if uid in self._upper_slots or uid in self._pending_fills:
             self._read_pinned.add(uid)
 
     def request_fill(
@@ -246,7 +261,7 @@ class RegisterFileCache(RegisterFileModel):
         start (value not yet written back, or all buses busy).
         """
         uid = register.uid
-        if uid in self._upper:
+        if uid in self._upper_slots:
             return cycle
         pending = self._pending_fills.get(uid)
         if pending is not None:
@@ -259,6 +274,7 @@ class RegisterFileCache(RegisterFileModel):
         if completion is None:
             return None
         self._pending_fills[uid] = completion
+        self.idle = False
         if pin:
             self._read_pinned.add(uid)
         if prefetch:

@@ -53,6 +53,7 @@ class SingleBankedRegisterFile(RegisterFileModel):
         self.name = name or (
             f"single-banked {latency}-cycle, {resolved_bypass}-bypass"
         )
+        self.idle = True
         # statistics
         self.reads_from_bypass = 0
         self.reads_from_file = 0
@@ -61,11 +62,11 @@ class SingleBankedRegisterFile(RegisterFileModel):
     # ------------------------------------------------------------------
 
     def begin_cycle(self, cycle: int) -> None:
-        # Direct store instead of ``read_ports.begin_cycle()``: this runs
-        # every simulated cycle and the method call is pure overhead.
+        # Direct store instead of ``read_ports.begin_cycle()``.  The only
+        # per-cycle state is the read-port budget, so the file is idle
+        # until ``claim_reads`` uses it again.
         self.read_ports._used = 0
-        if not cycle & 1023:
-            self.writes.forget_before(cycle)
+        self.idle = True
 
     # ------------------------------------------------------------------
 
@@ -96,6 +97,8 @@ class SingleBankedRegisterFile(RegisterFileModel):
         return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
+        if self.read_ports.count is None:
+            return True
         needed = 0
         for access in accesses:
             if access.source is OperandSource.FILE:
@@ -118,6 +121,7 @@ class SingleBankedRegisterFile(RegisterFileModel):
                 bypassed += 1
         if needed:
             self.read_ports.claim_capped(needed)
+            self.idle = False
         self.reads_from_file += needed
         self.reads_from_bypass += bypassed
 

@@ -26,7 +26,6 @@ class PortSet:
         self.kind = kind
         self._used = 0
         # statistics
-        self.total_claims = 0
         self.denied_claims = 0
 
     @property
@@ -70,7 +69,6 @@ class PortSet:
                         f"over-subscribed {self.kind} ports: {used}+{amount} > {count}"
                     )
                 self._used = used + amount
-                self.total_claims += amount
                 return
             if used != 0:
                 self.denied_claims += 1
@@ -78,10 +76,8 @@ class PortSet:
                     f"oversized {self.kind} request while the bank is busy"
                 )
             self._used = count
-            self.total_claims += amount
             return
         self._used += amount
-        self.total_claims += amount
 
 
 class WriteScheduler:
@@ -93,6 +89,10 @@ class WriteScheduler:
         self.ports_per_cycle = ports_per_cycle
         self.kind = kind
         self._scheduled: Dict[int, int] = {}
+        #: Requested cycle from which the next write drops the bookkeeping
+        #: of earlier cycles (see :meth:`_prune`); the first write always
+        #: does, whatever its cycle (warm-up runs at negative cycles).
+        self._prune_at = -(1 << 62)
         # statistics
         self.total_writes = 0
         self.delayed_writes = 0
@@ -108,12 +108,16 @@ class WriteScheduler:
         Returns the cycle at which the write actually happens.
         """
         self.total_writes += 1
-        if self.unlimited:
+        ports = self.ports_per_cycle
+        if ports is None:
             return requested_cycle
+        if requested_cycle >= self._prune_at:
+            self._prune(requested_cycle)
+        scheduled = self._scheduled
         cycle = requested_cycle
-        while self._scheduled.get(cycle, 0) >= self.ports_per_cycle:
+        while scheduled.get(cycle, 0) >= ports:
             cycle += 1
-        self._scheduled[cycle] = self._scheduled.get(cycle, 0) + 1
+        scheduled[cycle] = scheduled.get(cycle, 0) + 1
         if cycle != requested_cycle:
             self.delayed_writes += 1
             self.total_delay_cycles += cycle - requested_cycle
@@ -121,17 +125,23 @@ class WriteScheduler:
 
     def ports_free(self, cycle: int) -> bool:
         """Whether at least one port is still free at ``cycle``."""
-        if self.unlimited:
+        ports = self.ports_per_cycle
+        if ports is None:
             return True
-        return self._scheduled.get(cycle, 0) < self.ports_per_cycle
+        return self._scheduled.get(cycle, 0) < ports
 
     def reserve(self, cycle: int) -> bool:
         """Reserve a port exactly at ``cycle`` if one is free."""
-        if self.unlimited:
+        ports = self.ports_per_cycle
+        if ports is None:
             return True
-        if self._scheduled.get(cycle, 0) >= self.ports_per_cycle:
+        if cycle >= self._prune_at:
+            self._prune(cycle)
+        scheduled = self._scheduled
+        used = scheduled.get(cycle, 0)
+        if used >= ports:
             return False
-        self._scheduled[cycle] = self._scheduled.get(cycle, 0) + 1
+        scheduled[cycle] = used + 1
         self.total_writes += 1
         return True
 
@@ -141,3 +151,13 @@ class WriteScheduler:
             return
         for key in [c for c in self._scheduled if c < cycle]:
             del self._scheduled[key]
+
+    def _prune(self, cycle: int) -> None:
+        """Forget the cycles before ``cycle``, at most once per 1024 cycles.
+
+        Writes are requested for the current cycle, which never goes
+        back, so the earlier cycles can no longer be asked about; pruning
+        here keeps memory flat without a per-cycle hook.
+        """
+        self.forget_before(cycle)
+        self._prune_at = cycle + 1024

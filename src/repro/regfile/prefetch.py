@@ -72,10 +72,13 @@ class PrefetchFirstPair(FetchPolicy):
         # first waiting consumer is the oldest.
         first = consumers[0]
         sb_states = scoreboard._states
+        reg_class = dest.reg_class
         for other in first.sources:
-            if other == dest:
+            # The renamer interns its physical registers, so identity is
+            # equality here.
+            if other is dest:
                 continue
-            if other.reg_class is not dest.reg_class:
+            if other.reg_class is not reg_class:
                 # The other operand lives in the other register file (e.g. an
                 # integer base address feeding an FP load); this register
                 # file cannot prefetch it.
@@ -85,8 +88,8 @@ class PrefetchFirstPair(FetchPolicy):
                 continue
             if not state.written_back:
                 continue  # still in flight; it will be cached or bypassed
-            if regfile.present_in_upper(other):
-                continue
+            # A value already in the upper level is left alone:
+            # ``request_fill`` returns at once, without side effects.
             regfile.request_fill(other, state, cycle, prefetch=True)
 
 

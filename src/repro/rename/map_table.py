@@ -5,27 +5,38 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import RenameError
-from repro.isa.instruction import NUM_LOGICAL_PER_CLASS, LogicalRegister
+from repro.isa.instruction import (
+    FP_LOGICAL_REGISTERS,
+    INT_LOGICAL_REGISTERS,
+    NUM_LOGICAL_PER_CLASS,
+    LogicalRegister,
+)
+
+#: The interned logical register of each slot, in slot order.
+_SLOT_REGISTERS: List[LogicalRegister] = sorted(
+    INT_LOGICAL_REGISTERS + FP_LOGICAL_REGISTERS, key=lambda register: register._hash
+)
 
 
 class MapTable:
     """The speculative rename map from logical to physical registers.
 
-    Storage is dual: an authoritative dictionary (checkpoints, iteration)
-    and a flat slot list indexed by the register's cached integer hash
-    (``(index << 1) | is_fp``) for the per-source lookup on the rename
-    hot path.
+    One flat slot list covers both register classes, indexed by the
+    logical register's cached integer hash (``(index << 1) | is_fp``):
+    a lookup is one list index whatever the register object (interned or
+    not), with no Python-level ``__hash__``/``__eq__`` call.  Checkpoints
+    are slot copies.  The slot list is never rebound, so the renamer
+    reads it directly on its hot path.
     """
 
     _NUM_SLOTS = NUM_LOGICAL_PER_CLASS * 2
 
-    def __init__(self, initial: Dict[LogicalRegister, int] | None = None) -> None:
-        self._map: Dict[LogicalRegister, int] = dict(initial or {})
-        self._slots: List[Optional[int]] = [None] * self._NUM_SLOTS
-        for register, physical in self._map.items():
+    def __init__(self, initial: Dict[LogicalRegister, object] | None = None) -> None:
+        self._slots: List[Optional[object]] = [None] * self._NUM_SLOTS
+        for register, physical in (initial or {}).items():
             self._slots[register._hash] = physical
 
-    def lookup(self, register: LogicalRegister) -> int:
+    def lookup(self, register: LogicalRegister):
         """Return the physical register currently mapped to ``register``.
 
         Raises
@@ -40,32 +51,35 @@ class MapTable:
         return physical
 
     def contains(self, register: LogicalRegister) -> bool:
-        return register in self._map
+        return self._slots[register._hash] is not None
 
-    def update(self, register: LogicalRegister, physical: int) -> int | None:
+    def update(self, register: LogicalRegister, physical):
         """Map ``register`` to ``physical``; returns the previous mapping."""
-        previous = self._map.get(register)
-        self._map[register] = physical
-        self._slots[register._hash] = physical
+        slots = self._slots
+        slot = register._hash
+        previous = slots[slot]
+        slots[slot] = physical
         return previous
 
-    def mapped_physical_registers(self) -> set[int]:
+    def mapped_physical_registers(self) -> set:
         """The set of physical registers currently mapped."""
-        return set(self._map.values())
+        return {physical for physical in self._slots if physical is not None}
 
-    def checkpoint(self) -> Dict[LogicalRegister, int]:
+    def checkpoint(self) -> tuple:
         """Return a copy of the current mapping (branch checkpoint)."""
-        return dict(self._map)
+        return tuple(self._slots)
 
-    def restore(self, checkpoint: Dict[LogicalRegister, int]) -> None:
-        """Restore a mapping copied with :meth:`checkpoint`."""
-        self._map = dict(checkpoint)
-        self._slots = [None] * self._NUM_SLOTS
-        for register, physical in self._map.items():
-            self._slots[register._hash] = physical
+    def restore(self, checkpoint: tuple) -> None:
+        """Restore a mapping copied with :meth:`checkpoint` (in place)."""
+        self._slots[:] = checkpoint
 
-    def items(self) -> Iterable[tuple[LogicalRegister, int]]:
-        return self._map.items()
+    def items(self) -> Iterable[tuple[LogicalRegister, object]]:
+        """``(logical, physical)`` for every mapped register, in slot order."""
+        return [
+            (register, physical)
+            for register, physical in zip(_SLOT_REGISTERS, self._slots)
+            if physical is not None
+        ]
 
     def __len__(self) -> int:
-        return len(self._map)
+        return self._NUM_SLOTS - self._slots.count(None)

@@ -70,36 +70,38 @@ class Renamer:
             )
         self.num_int_physical = num_int_physical
         self.num_fp_physical = num_fp_physical
-
-        self._map: Dict[RegisterClass, MapTable] = {}
-        self._free: Dict[RegisterClass, FreeList] = {}
-        self._checkpoints: Dict[int, dict] = {}
+        self._checkpoints: Dict[int, tuple] = {}
         self._next_checkpoint_id = 0
 
-        for reg_class, count, logicals in (
-            (RegisterClass.INT, num_int_physical, INT_LOGICAL_REGISTERS),
-            (RegisterClass.FP, num_fp_physical, FP_LOGICAL_REGISTERS),
-        ):
-            initial = {logical: i for i, logical in enumerate(logicals)}
-            self._map[reg_class] = MapTable(initial)
-            self._free[reg_class] = FreeList(
-                range(len(logicals), count), valid_registers=range(count)
-            )
-
-        # Hot-path shortcuts: renaming happens for every dispatched
-        # instruction, so skip the enum-keyed dictionary hops and reuse
-        # one interned PhysicalRegister object per (class, index) instead
-        # of allocating a fresh one per source operand.
-        self._int_map = self._map[RegisterClass.INT]
-        self._fp_map = self._map[RegisterClass.FP]
-        self._int_free = self._free[RegisterClass.INT]
-        self._fp_free = self._free[RegisterClass.FP]
+        # One interned PhysicalRegister object per (class, index), reused
+        # by every rename instead of allocating one per operand.
         self._int_physical: tuple[PhysicalRegister, ...] = tuple(
             PhysicalRegister(RegisterClass.INT, i) for i in range(num_int_physical)
         )
         self._fp_physical: tuple[PhysicalRegister, ...] = tuple(
             PhysicalRegister(RegisterClass.FP, i) for i in range(num_fp_physical)
         )
+        self._int_free = FreeList(
+            range(num_logical, num_int_physical), valid_registers=range(num_int_physical)
+        )
+        self._fp_free = FreeList(
+            range(num_logical, num_fp_physical), valid_registers=range(num_fp_physical)
+        )
+        self._free: Dict[RegisterClass, FreeList] = {
+            RegisterClass.INT: self._int_free,
+            RegisterClass.FP: self._fp_free,
+        }
+        # One map table for both classes, holding the current
+        # PhysicalRegister objects themselves: renaming a source is one
+        # list index by the logical register's slot, with no class branch.
+        initial = {}
+        for logicals, physical in ((INT_LOGICAL_REGISTERS, self._int_physical),
+                                   (FP_LOGICAL_REGISTERS, self._fp_physical)):
+            for i, logical in enumerate(logicals):
+                initial[logical] = physical[i]
+        self._map = MapTable(initial)
+        #: The map table's slot list (never rebound), read on the hot path.
+        self._current = self._map._slots
 
     # ------------------------------------------------------------------
     # queries
@@ -119,9 +121,7 @@ class Renamer:
         return not free.empty
 
     def current_mapping(self, register: LogicalRegister) -> PhysicalRegister:
-        if register.reg_class is RegisterClass.INT:
-            return self._int_physical[self._int_map.lookup(register)]
-        return self._fp_physical[self._fp_map.lookup(register)]
+        return self._map.lookup(register)
 
     # ------------------------------------------------------------------
     # renaming
@@ -141,40 +141,40 @@ class Renamer:
             callers should check :meth:`can_rename` first.
         """
         instruction = record.instruction
-        int_physical = self._int_physical
-        fp_physical = self._fp_physical
-        int_slots = self._int_map._slots
-        fp_slots = self._fp_map._slots
-        # A list comprehension, not a generator: it skips a generator
-        # frame per renamed instruction.
-        record.sources = tuple([
-            int_physical[int_slots[src._hash]]
-            if src.reg_class is RegisterClass.INT
-            else fp_physical[fp_slots[src._hash]]
-            for src in instruction.sources
-        ])
+        current = self._current
+        # Unrolled for the one- and two-source common cases: a list
+        # comprehension costs a function frame per renamed instruction.
+        sources = instruction.sources
+        count = len(sources)
+        if count == 2:
+            record.sources = (current[sources[0]._hash], current[sources[1]._hash])
+        elif count == 1:
+            record.sources = (current[sources[0]._hash],)
+        else:
+            record.sources = tuple([current[src._hash] for src in sources])
         logical = instruction.dest
         if logical is None:
             record.dest = None
             record.previous_dest = None
             return record
-        reg_class = logical.reg_class
-        if reg_class is RegisterClass.INT:
-            free_list, table, physical = (
-                self._int_free, self._int_map, self._int_physical)
+        if logical.reg_class is RegisterClass.INT:
+            free_list, physical = self._int_free, self._int_physical
         else:
-            free_list, table, physical = (
-                self._fp_free, self._fp_map, self._fp_physical)
-        try:
-            new_index = free_list.allocate()
-        except RenameError:
+            free_list, physical = self._fp_free, self._fp_physical
+        # Inlined ``free_list.allocate()``, underflow check included.
+        free = free_list._free
+        if not free:
             raise RenameError(
-                f"no free {reg_class.value} physical register for seq "
+                f"no free {logical.reg_class.value} physical register for seq "
                 f"{instruction.seq}"
-            ) from None
-        old_index = table.update(logical, new_index)
-        record.dest = physical[new_index]
-        record.previous_dest = None if old_index is None else physical[old_index]
+            )
+        new_index = free.popleft()
+        free_list._members.discard(new_index)
+        dest = physical[new_index]
+        slot = logical._hash
+        record.previous_dest = current[slot]
+        current[slot] = dest
+        record.dest = dest
         return record
 
     # ------------------------------------------------------------------
@@ -200,35 +200,33 @@ class Renamer:
         """
         if record.dest is None:
             return
-        reg_class = record.dest.reg_class
-        current = self._map[reg_class].lookup(record.instruction.dest)
-        if current != record.dest.index:
+        logical = record.instruction.dest
+        if self._map.lookup(logical).index != record.dest.index:
             raise RenameError(
                 "squash must proceed youngest-first; mapping already overwritten"
             )
         if record.previous_dest is not None:
-            self._map[reg_class].update(record.instruction.dest, record.previous_dest.index)
-        self._free[reg_class].release(record.dest.index)
+            self._map.update(logical, record.previous_dest)
+        self._free[record.dest.reg_class].release(record.dest.index)
 
     def checkpoint(self) -> int:
         """Take a checkpoint of the full rename state; returns its id."""
         checkpoint_id = self._next_checkpoint_id
         self._next_checkpoint_id += 1
-        self._checkpoints[checkpoint_id] = {
-            reg_class: (self._map[reg_class].checkpoint(), self._free[reg_class].snapshot())
-            for reg_class in (RegisterClass.INT, RegisterClass.FP)
-        }
+        self._checkpoints[checkpoint_id] = (
+            self._map.checkpoint(), self._int_free.snapshot(), self._fp_free.snapshot()
+        )
         return checkpoint_id
 
     def restore(self, checkpoint_id: int) -> None:
         """Restore a checkpoint taken with :meth:`checkpoint`."""
         try:
-            saved = self._checkpoints.pop(checkpoint_id)
+            mapping, int_free, fp_free = self._checkpoints.pop(checkpoint_id)
         except KeyError as exc:
             raise RenameError(f"unknown checkpoint {checkpoint_id}") from exc
-        for reg_class, (mapping, free) in saved.items():
-            self._map[reg_class].restore(mapping)
-            self._free[reg_class].restore(free)
+        self._map.restore(mapping)
+        self._int_free.restore(int_free)
+        self._fp_free.restore(fp_free)
 
     # ------------------------------------------------------------------
 

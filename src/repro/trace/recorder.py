@@ -79,7 +79,7 @@ class RecordingFetchUnit(FetchUnit):
         if not group and not hits and not misses and not exhausts:
             return group  # blocked / stalled no-op; not an event
         flags = 0
-        if self._blocked_on_seq is not None and group:
+        if self.blocked and group:
             # ``fetch`` only delivers while unblocked, so a blocked state
             # after the call means this very group ended on a
             # mispredicted branch (always its last instruction).

@@ -1,7 +1,7 @@
 """Replaying a decoded trace through the pipeline's frontend seam.
 
 A :class:`TraceReplayer` implements the frontend-source protocol of
-:class:`~repro.pipeline.processor.Processor` (``exhausted``,
+:class:`~repro.pipeline.processor.Processor` (``exhausted``, ``blocked``,
 ``fetch_into``, ``on_branch_writeback``, ``icache_hits`` /
 ``icache_misses``) by walking the trace's recorded fetch events instead
 of running the workload generator, the I-cache, gshare and the BTB.
@@ -34,7 +34,8 @@ class TraceReplayer:
         "_num_events",
         "_stalled_until",
         "_blocked_seq",
-        "_exhausted",
+        "blocked",
+        "exhausted",
         "icache_hits",
         "icache_misses",
     )
@@ -53,7 +54,10 @@ class TraceReplayer:
         self._num_events = len(self._groups)
         self._stalled_until = -1
         self._blocked_seq: Optional[int] = None
-        self._exhausted = False
+        #: Plain attributes, as on the live fetch unit: the pipeline reads
+        #: both every cycle.
+        self.blocked = False
+        self.exhausted = False
         self.icache_hits = 0
         self.icache_misses = 0
 
@@ -61,22 +65,14 @@ class TraceReplayer:
     # frontend-source protocol
     # ------------------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        return self._exhausted
-
-    @property
-    def blocked(self) -> bool:
-        return self._blocked_seq is not None
-
     def fetch_into(self, decode_queue, stats, cycle: int) -> None:
-        if self._blocked_seq is not None or cycle <= self._stalled_until:
+        if self.blocked or cycle <= self._stalled_until:
             return
         index = self._next_event
         if index >= self._num_events:
             # Mirror the live fetch unit: stream exhaustion is discovered
             # by the fetch call that tries to read past the end.
-            self._exhausted = True
+            self.exhausted = True
             return
         self._next_event = index + 1
         count, post_stall, hits, misses, flags, group, branches = \
@@ -90,9 +86,10 @@ class TraceReplayer:
         if post_stall:
             self._stalled_until = cycle + post_stall
         if flags & ENDS_BLOCKED:
-            self._blocked_seq = group[-1].seq
+            self._blocked_seq = group[-1].instruction.seq
+            self.blocked = True
         if flags & EXHAUSTS:
-            self._exhausted = True
+            self.exhausted = True
         if hits:
             self.icache_hits += hits
         if misses:
@@ -104,6 +101,7 @@ class TraceReplayer:
         blocked = self._blocked_seq
         if blocked is not None and instruction.seq >= blocked:
             self._blocked_seq = None
+            self.blocked = False
             if ex_end_cycle > self._stalled_until:
                 self._stalled_until = ex_end_cycle
 

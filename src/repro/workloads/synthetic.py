@@ -138,16 +138,24 @@ class _MemorySequencer:
         return self._BASE + (rng.randrange(memory.working_set_bytes) & ~0x7)
 
 
-@dataclass(slots=True)
-class _PendingRead:
-    """A planned future read of a produced value."""
+class _PendingRead(float):
+    """A planned future read of a produced value.
 
-    due_seq: int
+    The number itself is the due sequence number, so ``heapq`` orders
+    pending reads with C-level comparisons; reads due at the same
+    sequence number stay unordered among themselves, exactly as with a
+    Python ``__lt__`` over the due sequence number.  A ``float`` (exact
+    for any sequence number below 2**53) rather than an ``int``: an
+    ``int`` subclass cannot take ``__slots__``, and a ``__dict__`` per
+    planned read costs about 1 MB of resident memory per stream set.
+    Built as ``_PendingRead(due)`` with the other two fields assigned
+    after, since a Python ``__new__`` would cost a call per read.
+    """
+
+    __slots__ = ("producer_seq", "register")
+
     producer_seq: int
     register: LogicalRegister
-
-    def __lt__(self, other: "_PendingRead") -> bool:
-        return self.due_seq < other.due_seq
 
 
 @dataclass
@@ -360,17 +368,19 @@ class SyntheticWorkload:
         state.last_writer[dest] = seq
         state.protected[dest] = num_reads
         for _ in range(num_reads):
-            due = seq + self._sample_distance(rng)
-            heapq.heappush(state.pending_reads, _PendingRead(due, seq, dest))
+            read = _PendingRead(seq + self._sample_distance(rng))
+            read.producer_seq = seq
+            read.register = dest
+            heapq.heappush(state.pending_reads, read)
 
     _NO_READS: tuple[_PendingRead, ...] = ()
 
     def _due_reads(self, seq: int, state: _GeneratorState):
         pending = state.pending_reads
-        if not pending or pending[0].due_seq > seq:
+        if not pending or pending[0] > seq:
             return self._NO_READS
         due: list[_PendingRead] = []
-        while pending and pending[0].due_seq <= seq:
+        while pending and pending[0] <= seq:
             due.append(heapq.heappop(pending))
         return due
 
@@ -400,16 +410,23 @@ class SyntheticWorkload:
         # what keeps the number of simultaneously "live and needed"
         # registers small, as the paper measures in Figure 3.
         max_chained = 2 if rng.random() < self.profile.two_chained_fraction else 1
-        for read in due:
-            if len(sources) >= min(num_sources, max_chained):
-                # Put it back for a later instruction to consume.
-                heapq.heappush(state.pending_reads, read)
-                continue
-            if state.last_writer.get(read.register) == read.producer_seq:
-                sources.append(read.register)
-                remaining = state.protected.get(read.register, 0)
+        limit = min(num_sources, max_chained)
+        last_writer = state.last_writer
+        protected = state.protected
+        for index, read in enumerate(due):
+            if len(sources) >= limit:
+                # Put this read and every later one back, in order, for a
+                # later instruction to consume.
+                pending = state.pending_reads
+                for leftover in due[index:]:
+                    heapq.heappush(pending, leftover)
+                break
+            register = read.register
+            if last_writer.get(register) == read.producer_seq:
+                sources.append(register)
+                remaining = protected.get(register, 0)
                 if remaining > 0:
-                    state.protected[read.register] = remaining - 1
+                    protected[register] = remaining - 1
 
         long_lived = long_lived_fp if reg_class is RegisterClass.FP else long_lived_int
         while len(sources) < num_sources:
