@@ -28,12 +28,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
-from repro.storage import ShardedStore
+from repro.storage import TwoTierCache
 
 #: Bump when the on-disk payload layout changes; mismatching entries are
 #: treated as cache misses rather than errors.
@@ -96,8 +95,8 @@ def simulation_key(
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-class ResultStore:
-    """In-memory dictionary of results, optionally backed by a directory.
+class ResultStore(TwoTierCache):
+    """Simulation results in a :class:`~repro.storage.TwoTierCache`.
 
     The memory tier returns the very same :class:`SimulationStats` object
     on repeated lookups (experiments rely on memoization identity); the
@@ -105,106 +104,39 @@ class ResultStore:
     equal-but-distinct object.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        owner: Optional[str] = None,
-        ttl_seconds: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[str] = None, owner: Optional[str] = None) -> None:
+        super().__init__(os.path.join(cache_dir, RESULT_SUBDIR) if cache_dir else None)
         self.cache_dir = cache_dir
         #: Identity used for store-level claims (fleet single-flight).
         self.owner = owner or f"pid-{os.getpid()}"
-        self._memory: Dict[str, SimulationStats] = {}
-        # Concurrent SweepEngine.execute calls (the sweep service's job
-        # threads) share one store; the lock keeps the counters exact so
-        # /metrics hit rates are trustworthy.  Disk appends are already
-        # serialized by the shard file locks.
-        self._counter_lock = threading.Lock()
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.stores = 0
-        self._disk: Optional[ShardedStore] = None
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            self._disk = ShardedStore(
-                os.path.join(cache_dir, RESULT_SUBDIR),
-                ttl_seconds=ttl_seconds,
-                max_bytes=max_bytes,
-            )
 
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __contains__(self, key: str) -> bool:
-        return self.peek(key) is not None
-
-    def _load_from_disk(self, key: str) -> Optional[SimulationStats]:
-        if self._disk is None:
-            return None
-        raw = self._disk.get(key)
-        if raw is None:
-            return None
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != SCHEMA_VERSION or "stats" not in payload:
-            return None
-        try:
-            return SimulationStats.from_dict(payload["stats"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    # ------------------------------------------------------------------
-
-    def peek(self, key: str) -> Optional[SimulationStats]:
-        """Lookup without touching the hit/miss counters."""
-        stats = self._memory.get(key)
-        if stats is not None:
-            return stats
-        stats = self._load_from_disk(key)
-        if stats is not None:
-            self._memory[key] = stats
-        return stats
-
-    def get(self, key: str) -> Optional[SimulationStats]:
-        """Fetch a result, promoting disk entries into the memory tier."""
-        stats = self._memory.get(key)
-        if stats is not None:
-            with self._counter_lock:
-                self.memory_hits += 1
-            return stats
-        stats = self._load_from_disk(key)
-        if stats is not None:
-            self._memory[key] = stats
-            with self._counter_lock:
-                self.disk_hits += 1
-            return stats
-        with self._counter_lock:
-            self.misses += 1
-        return None
-
-    def put(self, key: str, stats: SimulationStats, metadata: Optional[dict] = None) -> None:
-        """Record a result in both tiers (the disk append is atomic and
-        implicitly releases any claim held on the key)."""
-        self._memory[key] = stats
-        with self._counter_lock:
-            self.stores += 1
-        if self._disk is None:
-            return
+    def _encode(self, key: str, stats: SimulationStats, metadata: Optional[dict]) -> bytes:
         payload = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "metadata": metadata or {},
             "stats": stats.to_dict(),
         }
-        self._disk.put(key, json.dumps(payload, default=str).encode("utf-8"))
+        return json.dumps(payload, default=str).encode("utf-8")
+
+    def _decode(self, key: str, raw: bytes) -> Optional[SimulationStats]:
+        payload = json.loads(raw.decode("utf-8"))
+        stats = payload.get("stats") if payload.get("schema") == SCHEMA_VERSION else None
+        if not isinstance(stats, dict):
+            return None
+        return SimulationStats.from_dict(stats)
+
+    # get and put are defined here, not inherited: perfbench's tracer
+    # wraps them by name, one wrapper per function, so a shared function
+    # would bill result lookups to the trace store.
+    def get(self, key: str) -> Optional[SimulationStats]:
+        """Fetch a result, promoting disk entries into the memory tier."""
+        return TwoTierCache.get(self, key)
+
+    def put(self, key: str, stats: SimulationStats, metadata: Optional[dict] = None) -> None:
+        """Record a result in both tiers (the disk append is atomic and
+        implicitly releases any claim held on the key)."""
+        TwoTierCache.put(self, key, stats, metadata)
 
     # ------------------------------------------------------------------
     # fleet claims (cross-replica single-flight)
@@ -234,33 +166,6 @@ class ResultStore:
         return self._disk.claim_holder(key)
 
     # ------------------------------------------------------------------
-
-    def set_observer(self, observer) -> None:
-        """Install a ``(op, seconds)`` duration sink on the disk tier
-        (see :attr:`ShardedStore.observer`); no-op when memory-only."""
-        if self._disk is not None:
-            self._disk.observer = observer
-
-    def compact(self) -> None:
-        """Force-compact the disk tier (drops dead/expired records)."""
-        if self._disk is not None:
-            self._disk.compact()
-
-    def storage_stats(self) -> Dict[str, int]:
-        """Segment-log health counters for /metrics (empty when memory-only)."""
-        if self._disk is None:
-            return {}
-        return self._disk.stats()
-
-    def counters(self) -> Dict[str, int]:
-        """Hit/miss accounting for progress reports and tests."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "entries": len(self._memory),
-        }
 
     def describe(self) -> str:
         counts = self.counters()

@@ -319,21 +319,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._histograms.values())
 
-    def counter_values(self, prefix: str = "") -> Dict[str, int]:
-        """``{suffix: int value}`` of every counter under ``prefix``.
-
-        The bridge back to the historical ``/metrics`` JSON shape: a
-        family of counters named ``points.completed`` etc. round-trips
-        into the same ``{"completed": N}`` dictionaries the API always
-        served (byte-compatible keys).
-        """
-        values: Dict[str, int] = {}
-        for counter in self.counters():
-            if prefix and not counter.name.startswith(prefix):
-                continue
-            values[counter.name[len(prefix):]] = counter.int_value
-        return values
-
     def histogram_payloads(self) -> Dict[str, dict]:
         """Every histogram's mergeable snapshot, by name (fleet publish)."""
         return {h.name: h.to_payload() for h in self.histograms()}

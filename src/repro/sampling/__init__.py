@@ -28,28 +28,11 @@ Protocol invariants the rest of the stack relies on:
   negative cycle numbers, and must not contribute to any window
   statistic (data-cache counters are zeroed after warming; value-read
   accounting is skipped on warm releases).
-* **Checkpoint addressing** — a :class:`TraceCheckpoint` is
-  content-addressed by ``(trace key, position, schema version)`` and
-  stored through the sharded :class:`~repro.trace.store.TraceStore`;
-  corrupt or schema-mismatched stored checkpoints load as ``None``
-  (cache miss), mirroring trace-store quarantine semantics.  Resume
-  from a checkpoint reproduces the commit-record *suffix* of a full run
-  byte for byte, because commit records are pure per-instruction.
 
 ``python -m repro.sampling --list`` prints the knobs and their valid
 ranges; ``--spec STRIDE:WINDOW[:WARMUP]`` validates a spec offline.
 """
 
-from repro.sampling.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    TraceCheckpoint,
-    build_checkpoint,
-    build_checkpoints,
-    checkpoint_key,
-    load_checkpoint,
-    resume_simulate,
-    store_checkpoint,
-)
 from repro.sampling.engine import (
     confidence_interval,
     functional_warmup,
@@ -66,22 +49,14 @@ from repro.sampling.spec import (
 )
 
 __all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
     "MIN_SAMPLED_STREAM",
     "SUPPORTED_CONFIDENCE_LEVELS",
     "SamplingSpec",
-    "TraceCheckpoint",
-    "build_checkpoint",
-    "build_checkpoints",
-    "checkpoint_key",
     "confidence_interval",
     "functional_warmup",
-    "load_checkpoint",
     "parse_sampling",
     "quick_sampling",
-    "resume_simulate",
     "sampled_simulate",
-    "store_checkpoint",
     "t_critical",
     "window_plan",
 ]

@@ -38,9 +38,9 @@ import socket
 import threading
 import uuid
 from time import time as _wall_clock
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import MetricsRegistry
 from repro.storage import ShardedStore
 
 #: Subdirectory of the job dir holding the lease log.
@@ -208,23 +208,15 @@ class ReplicaRegistry:
         active = 0
         per_minute = 0.0
         snapshot_errors = 0
-        merged_hist: Dict[str, Histogram] = {}
+        merged = MetricsRegistry()
         for snapshot in self.snapshots():
             histograms = snapshot.get("histograms")
             if histograms is not None and not isinstance(histograms, dict):
                 snapshot_errors += 1
             elif isinstance(histograms, dict):
-                for hist_name, payload in sorted(histograms.items()):
-                    try:
-                        target = merged_hist.get(hist_name)
-                        if target is None:
-                            target = Histogram(
-                                hist_name, buckets=payload["bounds"]
-                            )
-                            merged_hist[hist_name] = target
-                        target.merge_payload(payload)
-                    except (KeyError, TypeError, ValueError):
-                        snapshot_errors += 1
+                snapshot_errors += merged.merge_histogram_payloads(
+                    sorted(histograms.items()), into=merged
+                )
             updated_at = snapshot.get("updated_at")
             age = (
                 round(now - updated_at, 1)
@@ -267,7 +259,9 @@ class ReplicaRegistry:
             "per_minute": round(per_minute, 2),
             "snapshot_errors": snapshot_errors,
         }
-        latency = merged_hist.get("point.simulate_seconds")
+        latency = {h.name: h for h in merged.histograms()}.get(
+            "point.simulate_seconds"
+        )
         if latency is not None and latency.count:
             # Histogram merge is exact (same fixed bucket bounds on every
             # replica), so these fleet-wide percentiles equal a histogram

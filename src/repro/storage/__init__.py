@@ -4,7 +4,9 @@ This package is the persistence layer shared by the result store, the
 trace store and the service's control plane (job records, job leases,
 replica snapshots): :mod:`repro.storage.segment` frames
 individual records, :mod:`repro.storage.sharded` provides the
-sharded/compacting :class:`~repro.storage.sharded.ShardedStore`.
+sharded/compacting :class:`~repro.storage.sharded.ShardedStore`, and
+:class:`~repro.storage.tiered.TwoTierCache` puts a memory tier in front
+of it for the result and trace caches.
 
 Protocol invariants (the full narrative is ``docs/storage.md``):
 
@@ -37,5 +39,6 @@ Protocol invariants (the full narrative is ``docs/storage.md``):
 """
 
 from repro.storage.sharded import ShardedStore
+from repro.storage.tiered import TwoTierCache
 
-__all__ = ["ShardedStore"]
+__all__ = ["ShardedStore", "TwoTierCache"]

@@ -48,7 +48,7 @@ class TraceReplayer:
                 f"start_event {start_event} outside trace "
                 f"({len(self._groups)} fetch events)"
             )
-        # Mid-stream replay (sampling windows, checkpoint resume): begin
+        # Mid-stream replay (sampling windows): begin
         # delivering at a fetch-event boundary instead of event 0.
         self._next_event = start_event
         self._num_events = len(self._groups)

@@ -83,10 +83,12 @@ class TestResultStore:
         assert reader.counters()["disk_hits"] == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        store = ResultStore(cache_dir=str(tmp_path))
-        (tmp_path / "deadbeef.json").write_text("{not json")
-        assert store.get("deadbeef") is None
-        assert store.counters()["misses"] == 1
+        writer = ResultStore(cache_dir=str(tmp_path))
+        writer.put("deadbeef", SimulationStats(benchmark="x", cycles=10))
+        writer._disk.put("deadbeef", b"{not json")
+        reader = ResultStore(cache_dir=str(tmp_path))
+        assert reader.get("deadbeef") is None
+        assert reader.counters()["misses"] == 1
 
     def test_cache_hits_across_simulation_cache_instances(self, tmp_path):
         first = SimulationCache(TINY, ResultStore(cache_dir=str(tmp_path)))

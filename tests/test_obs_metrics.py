@@ -137,15 +137,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.histogram("h", buckets=[1.0, 4.0])
 
-    def test_counter_values_bridges_the_json_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("points.completed").inc(3)
-        registry.counter("points.executed").inc(1)
-        registry.counter("jobs.resumed").inc()
-        assert registry.counter_values("points.") == {
-            "completed": 3, "executed": 1,
-        }
-
     def test_merge_histogram_payloads_counts_rejects(self):
         source = MetricsRegistry()
         source.histogram("h", buckets=[1.0, 2.0]).observe(0.5)

@@ -1,9 +1,8 @@
 """Sampling subsystem: spec validation, window placement, estimates, CLI.
 
-The checkpoint/resume half of the subsystem is covered by
-``tests/test_sampling_checkpoint.py``; this file locks down the spec
-surface (the same validator gates the runner flag and the service API),
-the deterministic window plan, and the sampled estimate itself.
+This file locks down the spec surface (the same validator gates the
+runner flag and the service API), the deterministic window plan, and the
+sampled estimate itself.
 """
 
 from __future__ import annotations

@@ -139,29 +139,23 @@ class TestTraceStore:
     def test_blobs_use_the_store_level(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
         store.put(gcc_trace)
-        store.put_payload("c" * 64, {"kind": "checkpoint", "cycle": 7})
-        for key in (gcc_trace.key, "c" * 64):
-            blob = store._disk.get(key)
-            # gzip header XFL byte: 2 marks level 9, 0 the levels between.
-            assert blob[8] == 0
+        blob = store._disk.get(gcc_trace.key)
+        # gzip header XFL byte: 2 marks level 9, 0 the levels between.
+        assert blob[8] == 0
         assert COMPRESS_LEVEL == 6
 
     def test_level9_blobs_still_load(self, gcc_trace, tmp_path):
-        """Traces and payloads a cache wrote at gzip's default level 9
-        load unchanged: the level only affects writing."""
+        """Traces a cache wrote at gzip's default level 9 load unchanged:
+        the level only affects writing."""
         store = TraceStore(str(tmp_path))
-        for key, payload in ((gcc_trace.key, gcc_trace.to_payload()),
-                             ("c" * 64, {"kind": "checkpoint", "cycle": 7})):
-            buffer = io.BytesIO()
-            with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-                handle.write(json.dumps(payload).encode("utf-8"))
-            assert buffer.getvalue()[8] == 2
-            store._disk.put(key, buffer.getvalue())
-        fresh = TraceStore(str(tmp_path))
-        loaded = fresh.get(gcc_trace.key)
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
+            handle.write(json.dumps(gcc_trace.to_payload()).encode("utf-8"))
+        assert buffer.getvalue()[8] == 2
+        store._disk.put(gcc_trace.key, buffer.getvalue())
+        loaded = TraceStore(str(tmp_path)).get(gcc_trace.key)
         assert loaded is not None
         assert loaded.to_payload() == gcc_trace.to_payload()
-        assert fresh.get_payload("c" * 64) == {"kind": "checkpoint", "cycle": 7}
 
     def test_memory_tier_returns_same_object(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
@@ -215,14 +209,15 @@ class TestTraceStore:
         assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
 
     def test_key_mismatch_is_a_miss(self, gcc_trace, tmp_path):
-        """A trace stored under the wrong filename must not be served."""
+        """A trace stored under another key must not be served."""
         store = TraceStore(str(tmp_path))
-        payload = gcc_trace.to_payload()
+        store.put(gcc_trace)
         wrong_key = "0" * 64
-        with gzip.open(os.path.join(store.trace_dir, f"{wrong_key}.json.gz"),
-                       "wt", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        assert TraceStore(str(tmp_path)).get(wrong_key) is None
+        store._disk.put(wrong_key, store._disk.get(gcc_trace.key))
+        fresh = TraceStore(str(tmp_path))
+        assert fresh.get(wrong_key) is None
+        assert fresh.counters()["misses"] == 1
+        assert fresh.get(gcc_trace.key) is not None
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(Exception):
