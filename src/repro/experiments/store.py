@@ -159,12 +159,6 @@ class ResultStore(TwoTierCache):
         if self._disk is not None:
             self._disk.release(key, self.owner)
 
-    def point_claim(self, key: str) -> Optional[Tuple[str, float]]:
-        """The (owner, deadline) currently claiming ``key``, if any."""
-        if self._disk is None:
-            return None
-        return self._disk.claim_holder(key)
-
     # ------------------------------------------------------------------
 
     def describe(self) -> str:

@@ -29,7 +29,7 @@ import re
 import threading
 from collections import deque
 from time import time as _wall_clock
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Bump when the event payload layout changes; readers skip (and count)
 #: lines from other schemas instead of failing.
@@ -235,13 +235,6 @@ def read_events(events_dir: str) -> List[dict]:
                        e.get("seq", 0))
     )
     return events
-
-
-def iter_trace(events: List[dict], trace_id: str) -> Iterator[dict]:
-    """The subset of ``events`` belonging to one trace."""
-    for event in events:
-        if event.get("trace_id") == trace_id:
-            yield event
 
 
 # ----------------------------------------------------------------------

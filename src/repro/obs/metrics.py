@@ -262,6 +262,9 @@ class MetricsRegistry:
 
     One registry per reporting process (the service app owns one); the
     deeper layers receive the instruments they update, not the registry.
+    An owner that keeps its own counts (caches, storage, the job queue)
+    registers a *collector* once instead: a callable returning
+    ``{name: value}``, read by :meth:`collect` into one snapshot.
     """
 
     def __init__(self) -> None:
@@ -269,6 +272,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._collectors: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
 
     # ------------------------------------------------------------------
 
@@ -305,7 +309,26 @@ class MetricsRegistry:
                 )
             return instrument
 
+    def register_collector(
+        self, collect: Callable[[], Dict[str, float]], prefix: str = ""
+    ) -> None:
+        """Read ``collect()`` on every :meth:`collect`, its names published
+        as ``prefix.name`` (as given when ``prefix`` is empty)."""
+        with self._lock:
+            self._collectors.append((f"{prefix}." if prefix else "", collect))
+
     # ------------------------------------------------------------------
+
+    def collect(self) -> Dict[str, float]:
+        """One snapshot of every collector: ``{dotted name: value}``, each
+        collector called once, names in registration then owner order."""
+        with self._lock:
+            collectors = list(self._collectors)
+        values: Dict[str, float] = {}
+        for prefix, collect in collectors:
+            for name, value in collect().items():
+                values[prefix + name] = value
+        return values
 
     def counters(self) -> List[Counter]:
         with self._lock:

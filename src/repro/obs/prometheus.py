@@ -2,8 +2,9 @@
 
 :func:`render` turns a :class:`~repro.obs.metrics.MetricsRegistry` into
 the classic text format: ``# HELP``/``# TYPE`` headers, counters with a
-``_total`` suffix, histograms as cumulative ``_bucket{le=...}`` series
-plus ``_sum``/``_count``.  Metric names are sanitized into the
+``_total`` suffix, gauges (the registry's collected values among them),
+histograms as cumulative ``_bucket{le=...}`` series plus
+``_sum``/``_count``.  Metric names are sanitized into the
 Prometheus grammar and prefixed ``repro_``; every sample carries the
 ``replica`` label so a fleet scrape stays per-instance.
 
@@ -86,14 +87,14 @@ def render(registry: MetricsRegistry, replica: Optional[str] = None) -> str:
             f"{_format_value(counter.value)}"
         )
 
-    for gauge in sorted(registry.gauges(), key=lambda g: g.name):
-        name = sanitize_name(gauge.name)
-        if gauge.help:
-            lines.append(f"# HELP {name} {gauge.help}")
+    gauges = [(gauge.name, gauge.help, gauge.value) for gauge in registry.gauges()]
+    gauges += [(name, "", value) for name, value in registry.collect().items()]
+    for dotted, help_text, value in sorted(gauges, key=lambda g: g[0]):
+        name = sanitize_name(dotted)
+        if help_text:
+            lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} gauge")
-        lines.append(
-            f"{name}{_labels_text(base_labels)} {_format_value(gauge.value)}"
-        )
+        lines.append(f"{name}{_labels_text(base_labels)} {_format_value(value)}")
 
     for histogram in sorted(registry.histograms(), key=lambda h: h.name):
         name = sanitize_name(histogram.name)

@@ -49,6 +49,7 @@ from repro.obs.telemetry import Telemetry
 from repro.service import spec as spec_mod
 from repro.service.fleet import (
     DEFAULT_LEASE_TTL,
+    POINT_FIELDS,
     LeaseManager,
     ReplicaRegistry,
     default_replica_id,
@@ -77,20 +78,18 @@ ProgressCallback = Callable[[str], None]
 #: How often the deadline watchdog re-checks running/queued jobs.
 WATCHDOG_INTERVAL = 0.2
 
-#: Point-counter families served under ``points`` in /metrics.  The
-#: names and their order are part of the JSON contract (regression
-#: tested against the historical payload shape).
-_POINT_FIELDS = (
-    "requested", "unique", "completed", "executed", "from_cache",
-    "shared_inflight", "remote_inflight", "remote_reclaimed",
-)
-
 #: Subdirectory of the cache dir holding the telemetry event log.
 EVENTS_SUBDIR = "events"
 
 
 class _DeadlineExceeded(Exception):
     """Internal: raised out of ``on_point`` when a job's budget is gone."""
+
+
+def _family(values: Dict[str, float], prefix: str) -> Dict[str, float]:
+    """The ``prefix.*`` values of a registry snapshot, prefix stripped."""
+    head = prefix + "."
+    return {k[len(head):]: v for k, v in values.items() if k.startswith(head)}
 
 
 def _hit_rate(counters: Dict[str, int]) -> float:
@@ -141,10 +140,17 @@ class ServiceApp:
         #: The replica's observability bundle: metrics registry, on-disk
         #: event log (cache-dir backed) and the SSE ring buffer.
         self.telemetry = telemetry
+        # Each counter owner is read only through the collector it
+        # registers here, so the JSON and Prometheus renderings agree.
+        registry = telemetry.registry
         self.store = ResultStore(cache_dir=cache_dir, owner=self.replica_id)
         self.trace_store = TraceStore(cache_dir)
         self.store.set_observer(self._storage_observer("results"))
         self.trace_store.set_observer(self._storage_observer("traces"))
+        registry.register_collector(self.store.counters, "result_cache")
+        registry.register_collector(self.trace_store.counters, "trace_cache")
+        registry.register_collector(self.store.storage_stats, "storage.results")
+        registry.register_collector(self.trace_store.storage_stats, "storage.traces")
         engine_kwargs = {}
         if claim_ttl is not None:
             engine_kwargs["claim_ttl"] = claim_ttl
@@ -156,6 +162,10 @@ class ServiceApp:
             **engine_kwargs,
         )
         self.job_store = JobStore(cache_dir)
+        registry.register_collector(lambda: {
+            "quarantined": self.job_store.quarantined,
+            "save_errors": self.job_store.save_errors,
+        }, "job_store")
         self.leases = LeaseManager(cache_dir, owner=self.replica_id, ttl=lease_ttl)
         self.replicas = ReplicaRegistry(cache_dir, replica_id=self.replica_id)
         self.queue = JobQueue()
@@ -170,17 +180,17 @@ class ServiceApp:
         # that inject a fake clock after construction stay in control of
         # the sliding window too.
         self._rate_window = RateWindow(clock=lambda: self._monotonic())
+        registry.register_collector(self._service_values)
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
         #: Validated plans of jobs admitted by *this* process; resumed
         #: jobs re-validate from their persisted spec instead.
         self._plans: Dict[str, spec_mod.JobPlan] = {}
-        registry = self.telemetry.registry
         self._point_counters = {
             name: registry.counter(
                 f"points.{name}", help=f"points {name} service-wide"
             )
-            for name in _POINT_FIELDS
+            for name in POINT_FIELDS
         }
         #: Backpressure: submissions beyond this queue depth are rejected
         #: with a structured 503 ``overloaded`` (``None`` = unbounded).
@@ -364,7 +374,7 @@ class ServiceApp:
                 thread = threading.Thread(target=target, name=name, daemon=True)
                 thread.start()
                 self._threads.append(thread)
-            self.replicas.publish(self._snapshot())
+            self.replicas.publish(self._snapshot(self._service_values()))
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the executors; with ``drain`` the running jobs finish first.
@@ -379,7 +389,7 @@ class ServiceApp:
         self._threads = []
         # A final snapshot so fleet metrics keep this replica's finished
         # work after it drains (stale snapshots stay in the totals).
-        self.replicas.publish(self._snapshot())
+        self.replicas.publish(self._snapshot(self._service_values()))
         self.engine.close()
         # Flush the event log last so engine-drain spans land in it; the
         # log reopens transparently if this app is started again.
@@ -604,7 +614,7 @@ class ServiceApp:
         interval = max(0.05, min(self.lease_ttl / 3.0, 2.0))
         while not self._stop.wait(interval):
             self.leases.renew_held()
-            self.replicas.publish(self._snapshot())
+            self.replicas.publish(self._snapshot(self._service_values()))
 
     def _fleet_poll_loop(self) -> None:
         while not self._stop.wait(self.fleet_poll_interval):
@@ -825,12 +835,11 @@ class ServiceApp:
         (read-only storage, saturated queue) — distinct from *down*,
         which a client only ever observes as a connection failure.
         """
-        storage_stats = self.store.storage_stats()
-        storage_read_only = bool(storage_stats.get("read_only", 0))
-        storage_degraded = (
-            storage_read_only or self.job_store.save_errors > 0
-        )
-        depth = self.queue.depth()
+        values = self.telemetry.registry.collect()
+        storage_read_only = bool(values.get("storage.results.read_only", 0))
+        save_errors = values["job_store.save_errors"]
+        storage_degraded = storage_read_only or save_errors > 0
+        depth = values["queue.depth"]
         queue_saturated = (
             self.max_queue_depth is not None
             and depth >= self.max_queue_depth
@@ -840,8 +849,8 @@ class ServiceApp:
             "storage": {
                 "status": "degraded" if storage_degraded else "ok",
                 "writable": not storage_read_only,
-                "write_errors": (storage_stats.get("write_errors", 0)
-                                 + self.job_store.save_errors),
+                "write_errors": (values.get("storage.results.write_errors", 0)
+                                 + save_errors),
             },
             "pool": {
                 # The warm pool self-heals (a broken pool is torn down
@@ -861,35 +870,42 @@ class ServiceApp:
             "status": "degraded" if degraded else "ok",
             "version": __version__,
             "started_at": self.started_at,
-            "uptime_seconds": self.uptime_seconds(),
-            "jobs": self.queue.by_state(),
+            "uptime_seconds": values["uptime_seconds"],
+            "jobs": _family(values, "jobs.state"),
             "components": components,
             "chaos": _seams.installed(),
         }
 
-    def _points_payload(self, uptime: float) -> dict:
-        """The ``points`` metrics family, in its historical key order.
+    def _service_values(self) -> Dict[str, float]:
+        """Collector for the queue, leases and clocks; the heartbeat calls
+        it alone, skipping the storage stats a full snapshot reads."""
+        values: Dict[str, float] = {"queue.depth": self.queue.depth()}
+        for state, count in self.queue.by_state().items():
+            values[f"jobs.state.{state}"] = count
+        values["replica.held_leases"] = len(self.leases.held())
+        values["uptime_seconds"] = self.uptime_seconds()
+        values["points.per_minute"] = self._rate_window.per_minute()
+        return values
 
-        ``per_minute`` is the **sliding 60 s window** rate (a long-lived
-        replica's current throughput); ``per_minute_lifetime`` keeps the
-        uptime-averaged figure the field used to carry.
+    def _snapshot(self, values: Dict[str, float]) -> dict:
+        """This replica's publishable counter snapshot (see fleet).
+
+        ``points.per_minute`` is the **sliding 60 s window** rate (a
+        long-lived replica's current throughput); ``per_minute_lifetime``
+        keeps the uptime-averaged figure the field used to carry.
         """
+        uptime = values["uptime_seconds"]
         points = {
             name: self._point_counters[name].int_value
-            for name in _POINT_FIELDS
+            for name in POINT_FIELDS
         }
-        points["per_minute"] = self._rate_window.per_minute()
+        points["per_minute"] = values["points.per_minute"]
         points["per_minute_lifetime"] = (
             round(points["completed"] * 60.0 / uptime, 2) if uptime > 0 else 0.0
         )
-        return points
-
-    def _snapshot(self) -> dict:
-        """This replica's publishable counter snapshot (see fleet)."""
-        uptime = self.uptime_seconds()
         return {
-            "points": self._points_payload(uptime),
-            "jobs": self.queue.by_state(),
+            "points": points,
+            "jobs": _family(values, "jobs.state"),
             "uptime_seconds": uptime,
             # Mergeable latency histograms (fixed bounds ⇒ exact fleet
             # percentiles; see ReplicaRegistry.fleet_metrics).
@@ -897,22 +913,21 @@ class ServiceApp:
         }
 
     def metrics(self) -> dict:
-        uptime = self.uptime_seconds()
-        points = self._points_payload(uptime)
+        values = self.telemetry.registry.collect()
+        snapshot = self._snapshot(values)
         # Publish before aggregating so the fleet section always includes
         # this replica's own up-to-date counters.
-        self.replicas.publish(self._snapshot())
-        result_cache = self.store.counters()
-        trace_cache = self.trace_store.counters()
-        engine_totals = self.engine.totals()
-        by_state = self.queue.by_state()
+        self.replicas.publish(snapshot)
+        result_cache = _family(values, "result_cache")
+        trace_cache = _family(values, "trace_cache")
+        by_state = snapshot["jobs"]
         return {
             "schema": METRICS_SCHEMA_VERSION,
             "version": __version__,
             "started_at": self.started_at,
-            "uptime_seconds": uptime,
+            "uptime_seconds": snapshot["uptime_seconds"],
             "queue": {
-                "depth": self.queue.depth(),
+                "depth": values["queue.depth"],
                 "max_depth": self.max_queue_depth,
                 "rejected_overloaded": self.rejected_overloaded,
             },
@@ -920,27 +935,26 @@ class ServiceApp:
                      "resumed": self.resumed_jobs,
                      "poisoned": self.poisoned_jobs,
                      "deadline_failures": self.deadline_failures},
-            "points": points,
+            "points": snapshot["points"],
             "result_cache": {**result_cache, "hit_rate": _hit_rate(result_cache)},
             "trace_cache": {**trace_cache, "hit_rate": _hit_rate(trace_cache)},
             "engine": {
                 "jobs": self.engine.jobs,
                 "job_concurrency": self.job_concurrency,
-                **engine_totals,
+                **self.engine.totals(),
             },
             "job_store": {
                 "persistent": bool(self.job_store.job_dir),
-                "quarantined": self.job_store.quarantined,
-                "save_errors": self.job_store.save_errors,
+                **_family(values, "job_store"),
             },
             "storage": {
-                "results": self.store.storage_stats(),
-                "traces": self.trace_store.storage_stats(),
+                "results": _family(values, "storage.results"),
+                "traces": _family(values, "storage.traces"),
             },
             "replica": {
                 "id": self.replica_id,
                 "lease_ttl": self.lease_ttl,
-                "held_leases": len(self.leases.held()),
+                "held_leases": values["replica.held_leases"],
                 "resumed_jobs": self.resumed_jobs,
                 "adopted_jobs": self.adopted_jobs,
                 "stolen_jobs": self.stolen_jobs,
@@ -951,28 +965,6 @@ class ServiceApp:
         }
 
     def prometheus_text(self) -> str:
-        """The registry as Prometheus text exposition (version 0.0.4).
-
-        Registry-native instruments (counters, histograms) render as
-        themselves; derived values the JSON endpoint computes on the fly
-        (queue depth, cache hit counters, storage stats, job states) are
-        mirrored into gauges first so the exposition is self-contained.
-        """
-        registry = self.telemetry.registry
-        registry.gauge("uptime_seconds").set(self.uptime_seconds())
-        registry.gauge("queue.depth").set(self.queue.depth())
-        registry.gauge("points.per_minute").set(self._rate_window.per_minute())
-        registry.gauge("replica.held_leases").set(len(self.leases.held()))
-        for state, count in self.queue.by_state().items():
-            registry.gauge(f"jobs.state.{state}").set(count)
-        for family, values in (
-            ("result_cache", self.store.counters()),
-            ("trace_cache", self.trace_store.counters()),
-            ("storage.results", self.store.storage_stats()),
-            ("storage.traces", self.trace_store.storage_stats()),
-            ("job_store", {"quarantined": self.job_store.quarantined,
-                           "save_errors": self.job_store.save_errors}),
-        ):
-            for key, value in values.items():
-                registry.gauge(f"{family}.{key}").set(value)
-        return _prometheus.render(registry, replica=self.replica_id)
+        """The registry as Prometheus text exposition (version 0.0.4):
+        its instruments plus one snapshot of its collectors."""
+        return _prometheus.render(self.telemetry.registry, replica=self.replica_id)

@@ -53,6 +53,14 @@ REPLICA_SUBDIR = "replicas"
 #: replica survives two missed beats before its jobs become stealable.
 DEFAULT_LEASE_TTL = 15.0
 
+#: Point counters served under ``points`` and ``fleet.points`` in
+#: /metrics.  The names and their order are part of the JSON contract
+#: (regression tested against the historical payload shape).
+POINT_FIELDS = (
+    "requested", "unique", "completed", "executed", "from_cache",
+    "shared_inflight", "remote_inflight", "remote_reclaimed",
+)
+
 
 def default_replica_id() -> str:
     """A replica identity unique across hosts, processes and restarts."""
@@ -199,11 +207,7 @@ class ReplicaRegistry:
         instead of silently dragging the fleet totals low.
         """
         now = self.clock()
-        totals = {
-            "requested": 0, "unique": 0, "completed": 0, "executed": 0,
-            "from_cache": 0, "shared_inflight": 0, "remote_inflight": 0,
-            "remote_reclaimed": 0,
-        }
+        totals = dict.fromkeys(POINT_FIELDS, 0)
         replicas = []
         active = 0
         per_minute = 0.0

@@ -23,7 +23,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 #: (meta_len, data_len, crc32(meta + data))
 _HEADER = struct.Struct("<III")
@@ -37,11 +37,6 @@ MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 def encode_meta(meta: dict) -> bytes:
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def record_size(meta: dict, data: bytes) -> int:
-    """Total on-disk footprint of a record (header + meta + data)."""
-    return HEADER_SIZE + len(encode_meta(meta)) + len(data)
 
 
 def pack_record(meta: dict, data: bytes) -> bytes:
@@ -110,11 +105,6 @@ def scan_segment(
     except OSError:
         return [], 0, False
     return records, offset, torn
-
-
-def iter_records(path: str, start: int = 0) -> Iterator[Record]:
-    records, _, _ = scan_segment(path, start)
-    return iter(records)
 
 
 def read_data(path: str, data_offset: int, data_len: int) -> Optional[bytes]:
