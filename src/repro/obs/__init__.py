@@ -3,10 +3,11 @@
 The subsystem has four small, composable parts:
 
 * :mod:`repro.obs.metrics` — a process-local **metrics registry**
-  (counters, gauges, histograms with fixed exponential buckets) that
-  every layer of the sweep service reports through.  Histograms from
-  different replicas merge exactly (fixed buckets), so fleet-wide
-  latency distributions are the sum of per-replica snapshots.
+  (counters, histograms with fixed exponential buckets, and collectors
+  for values their owners already keep) that every layer of the sweep
+  service reports through.  Fixed buckets make histograms from
+  different replicas sum exactly, so a fleet-wide latency distribution
+  is the sum of the per-replica scrapes.
 * :mod:`repro.obs.context` — **trace contexts**: a ``trace_id`` minted
   by :class:`~repro.service.client.ServiceClient` (or the server at
   admission) and propagated via the ``X-Repro-Trace`` header through
@@ -35,7 +36,6 @@ from repro.obs.context import TraceContext, TRACE_HEADER, new_trace
 from repro.obs.events import EventBus, EventLog, read_events
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     RateWindow,
@@ -47,7 +47,6 @@ __all__ = [
     "Counter",
     "EventBus",
     "EventLog",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RateWindow",

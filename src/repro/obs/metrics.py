@@ -1,14 +1,13 @@
-"""The metrics registry: counters, gauges, histograms, window rates.
+"""The metrics registry: counters, histograms, collectors, window rates.
 
 Every instrument is a tiny lock-guarded object created once and updated
 on hot paths with one lock acquisition — no string formatting, no
-allocation beyond the first call.  The registry is process-local; the
-fleet-wide view is built by *merging* snapshots: counters add, gauges
-take the reporter's value, histograms add bucket-wise.  Merging is
-exact because every histogram of a given name uses the same **fixed
-exponential bucket bounds** — a merged histogram equals the histogram
-of the concatenated samples (property-tested in
-``tests/test_obs_metrics.py``).
+allocation beyond the first call.  The registry is process-local; a
+fleet-wide view is the sum of the replicas' scrapes.  Summing
+histograms bucket-wise is exact because every histogram of a given
+name uses the same **fixed exponential bucket bounds** — the summed
+buckets equal the histogram of the concatenated samples
+(property-tested in ``tests/test_obs_metrics.py``).
 
 Histogram bounds default to :data:`DEFAULT_BUCKETS` (1 ms doubling up
 to ~131 s), chosen to straddle everything the sweep service times:
@@ -21,7 +20,7 @@ import bisect
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 #: Fixed exponential bucket upper bounds, in seconds: 1 ms × 2^i.
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
@@ -55,34 +54,6 @@ class Counter:
     def int_value(self) -> int:
         """The counter as an integer (counts, not seconds)."""
         return int(round(self.value))
-
-
-class Gauge:
-    """A value that can go both ways (queue depth, held leases)."""
-
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = "") -> None:  # noqa: A002
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:
@@ -147,29 +118,6 @@ class Histogram:
                 "sum": self._sum,
                 "count": self._count,
             }
-
-    def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_payload` snapshot in (bucket-wise addition).
-
-        Raises :class:`ValueError` on mismatched bounds — merging
-        histograms of different shapes would silently corrupt both.
-        """
-        bounds = payload.get("bounds")
-        counts = payload.get("counts")
-        if tuple(bounds or ()) != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched bounds"
-            )
-        if not isinstance(counts, list) or len(counts) != len(self._counts):
-            raise ValueError(f"histogram {self.name!r}: malformed counts")
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += int(count)
-            self._sum += float(payload.get("sum", 0.0))
-            self._count += int(payload.get("count", 0))
-
-    def merge(self, other: "Histogram") -> None:
-        self.merge_payload(other.to_payload())
 
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile by linear interpolation inside the
@@ -270,7 +218,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
 
@@ -281,13 +228,6 @@ class MetricsRegistry:
             instrument = self._counters.get(name)
             if instrument is None:
                 instrument = self._counters[name] = Counter(name, help)
-            return instrument
-
-    def gauge(self, name: str, help: str = "") -> Gauge:  # noqa: A002
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name, help)
             return instrument
 
     def histogram(
@@ -334,29 +274,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._counters.values())
 
-    def gauges(self) -> List[Gauge]:
-        with self._lock:
-            return list(self._gauges.values())
-
     def histograms(self) -> List[Histogram]:
         with self._lock:
             return list(self._histograms.values())
-
-    def histogram_payloads(self) -> Dict[str, dict]:
-        """Every histogram's mergeable snapshot, by name (fleet publish)."""
-        return {h.name: h.to_payload() for h in self.histograms()}
-
-    def merge_histogram_payloads(self, payloads: Iterable[Tuple[str, dict]],
-                                 into: "MetricsRegistry") -> int:
-        """Merge ``(name, payload)`` snapshots into ``into``; returns the
-        number of payloads rejected as malformed (mismatched bounds,
-        garbage counts) rather than merged."""
-        errors = 0
-        for name, payload in payloads:
-            try:
-                bounds = payload["bounds"]
-                target = into.histogram(name, buckets=bounds)
-                target.merge_payload(payload)
-            except (KeyError, TypeError, ValueError):
-                errors += 1
-        return errors

@@ -2,11 +2,12 @@
 
 :func:`render` turns a :class:`~repro.obs.metrics.MetricsRegistry` into
 the classic text format: ``# HELP``/``# TYPE`` headers, counters with a
-``_total`` suffix, gauges (the registry's collected values among them),
+``_total`` suffix, the registry's collected values as gauges,
 histograms as cumulative ``_bucket{le=...}`` series plus
 ``_sum``/``_count``.  Metric names are sanitized into the
 Prometheus grammar and prefixed ``repro_``; every sample carries the
-``replica`` label so a fleet scrape stays per-instance.
+``replica`` label, so a fleet-wide figure is the sum of the replicas'
+scrapes.
 
 :func:`parse` is the deliberately small inverse used by the tests and
 the CI ``obs`` job to *validate* what the server serves — it checks the
@@ -87,12 +88,8 @@ def render(registry: MetricsRegistry, replica: Optional[str] = None) -> str:
             f"{_format_value(counter.value)}"
         )
 
-    gauges = [(gauge.name, gauge.help, gauge.value) for gauge in registry.gauges()]
-    gauges += [(name, "", value) for name, value in registry.collect().items()]
-    for dotted, help_text, value in sorted(gauges, key=lambda g: g[0]):
+    for dotted, value in sorted(registry.collect().items()):
         name = sanitize_name(dotted)
-        if help_text:
-            lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name}{_labels_text(base_labels)} {_format_value(value)}")
 

@@ -2,7 +2,7 @@
 
 The service app owns exactly one ``Telemetry`` and threads it (or the
 individual instruments it creates) into the layers below — there is no
-process-global, because tests and ``serve --replicas`` run several apps
+process-global, because tests and the chaos harness run several apps
 in one process.  Every emission path is guarded so a missing or broken
 telemetry never breaks the work it observes.
 

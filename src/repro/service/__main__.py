@@ -65,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--job-concurrency", type=int, default=2,
                        help="jobs executed concurrently; identical in-flight "
                             "points are single-flighted (default: 2)")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="run N service replicas in this process on "
-                            "consecutive ports, sharing the cache dir "
-                            "(default: 1)")
     serve.add_argument("--replica-id", default=None,
                        help="stable replica identity for leases/metrics "
                             "(default: host-pid-random)")
@@ -86,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "'overloaded' (plus Retry-After) once this many "
                             "jobs are waiting (default: unbounded)")
     serve.add_argument("--port-file", default=None,
-                       help="write the bound port(s), one per line, to this "
-                            "file once listening — pair with --port 0 for "
-                            "race-free ephemeral ports in scripts and CI")
+                       help="write the bound port to this file once "
+                            "listening — pair with --port 0 for race-free "
+                            "ephemeral ports in scripts and CI")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress progress lines on stderr")
     serve.add_argument("--log-level", default="info",
@@ -243,75 +239,52 @@ def _run_serve(args: argparse.Namespace) -> int:
         os.environ[obs_profile.PROFILE_ENV] = os.path.abspath(args.profile_dir)
         obs_profile.enable("serve")
 
-    if args.replicas < 1:
-        print("error: --replicas must be at least 1", file=sys.stderr)
-        return 2
-    if args.replicas > 1 and not args.cache_dir:
-        print("error: --replicas needs --cache-dir (replicas coordinate "
-              "through the shared cache tree)", file=sys.stderr)
-        return 2
-
     lease_kwargs = {}
     if args.lease_ttl is not None:
         lease_kwargs["lease_ttl"] = args.lease_ttl
     if args.claim_ttl is not None:
         lease_kwargs["claim_ttl"] = args.claim_ttl
 
-    pairs = []  # (app, server) per replica
-    for index in range(args.replicas):
-        replica_id = args.replica_id
-        if replica_id is not None and args.replicas > 1:
-            replica_id = f"{replica_id}-{index}"
-        app = ServiceApp(
-            cache_dir=args.cache_dir,
-            jobs=args.jobs,
-            job_concurrency=args.job_concurrency,
-            progress=None if args.quiet else progress,
-            replica_id=replica_id,
-            max_queue_depth=args.max_queue_depth,
-            **lease_kwargs,
-        )
-        port = args.port + index if args.port else 0
-        try:
-            server = build_server(app, host=args.host, port=port)
-        except OSError as error:
-            print(f"error: cannot bind {args.host}:{port}: {error}",
-                  file=sys.stderr)
-            for _, started in pairs:
-                started.server_close()
-            return 2
-        pairs.append((app, server))
+    app = ServiceApp(
+        cache_dir=args.cache_dir,
+        jobs=args.jobs,
+        job_concurrency=args.job_concurrency,
+        progress=None if args.quiet else progress,
+        replica_id=args.replica_id,
+        max_queue_depth=args.max_queue_depth,
+        **lease_kwargs,
+    )
+    try:
+        server = build_server(app, host=args.host, port=args.port)
+    except OSError as error:
+        print(f"error: cannot bind {args.host}:{args.port}: {error}",
+              file=sys.stderr)
+        return 2
 
-    for app, server in pairs:
-        app.start()
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        host, port = server.server_address[:2]
-        print(
-            f"repro.service {__version__} serving on http://{host}:{port} "
-            f"(cache: {args.cache_dir or 'memory only'}, jobs={args.jobs}, "
-            f"job-concurrency={args.job_concurrency}, "
-            f"replica={app.replica_id})",
-            file=sys.stderr, flush=True,
-        )
+    app.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    print(
+        f"repro.service {__version__} serving on http://{host}:{port} "
+        f"(cache: {args.cache_dir or 'memory only'}, jobs={args.jobs}, "
+        f"job-concurrency={args.job_concurrency}, "
+        f"replica={app.replica_id})",
+        file=sys.stderr, flush=True,
+    )
 
     if args.port_file:
-        # Written only after every replica is bound and serving, so a
+        # Written only after the server is bound and serving, so a
         # script can block on the file's existence instead of polling
         # the port (and `--port 0` becomes race-free in CI).
-        ports = "\n".join(
-            str(server.server_address[1]) for _, server in pairs
-        )
         try:
             with open(args.port_file, "w", encoding="utf-8") as handle:
-                handle.write(ports + "\n")
+                handle.write(f"{port}\n")
         except OSError as error:
             print(f"error: cannot write --port-file: {error}",
                   file=sys.stderr)
-            for _, server in pairs:
-                server.shutdown()
-                server.server_close()
-            for app, _ in pairs:
-                app.stop(drain=False)
+            server.shutdown()
+            server.server_close()
+            app.stop(drain=False)
             return 2
 
     stop = threading.Event()
@@ -325,11 +298,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     while not stop.is_set():
         stop.wait(0.5)
     print("shutdown: draining running jobs...", file=sys.stderr, flush=True)
-    for _, server in pairs:
-        server.shutdown()
-        server.server_close()
-    for app, _ in pairs:
-        app.stop(drain=True)
+    server.shutdown()
+    server.server_close()
+    app.stop(drain=True)
     if args.profile_dir is not None:
         obs_profile.flush()  # dump the server's own .pstats before exit
     print("shutdown: complete", file=sys.stderr, flush=True)

@@ -23,9 +23,9 @@ With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
 one replica runs a job; a crashed replica's jobs are stolen and re-run,
 completed points being cache hits), a **heartbeat** thread renews
-leases and publishes this replica's counters, and a **poller** thread
-adopts jobs submitted to other replicas, refreshes job records this
-replica is not running, and steals expired leases.
+leases, and a **poller** thread adopts jobs submitted to other
+replicas, refreshes job records this replica is not running, and
+steals expired leases.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ from repro.obs.events import EventBus, EventLog
 from repro.obs.metrics import MetricsRegistry, RateWindow
 from repro.obs.telemetry import Telemetry
 from repro.service import spec as spec_mod
-from repro.service.fleet import (
-    DEFAULT_LEASE_TTL,
-    POINT_FIELDS,
-    LeaseManager,
-    ReplicaRegistry,
-    default_replica_id,
-)
+from repro.service.fleet import DEFAULT_LEASE_TTL, LeaseManager, default_replica_id
 from repro.service.jobs import (
     COMPLETED,
     DEFAULT_POISON_ATTEMPTS,
@@ -70,7 +64,15 @@ from repro.trace import TraceStore
 from repro.version import __version__
 
 #: Metrics/health payload schema; bump on layout changes.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
+
+#: Point counters served under ``points`` in /metrics.  The names and
+#: their order are part of the JSON contract (regression tested against
+#: the historical payload shape).
+POINT_FIELDS = (
+    "requested", "unique", "completed", "executed", "from_cache",
+    "shared_inflight", "remote_inflight", "remote_reclaimed",
+)
 
 #: Progress sink for one-line status messages.
 ProgressCallback = Callable[[str], None]
@@ -167,7 +169,6 @@ class ServiceApp:
             "save_errors": self.job_store.save_errors,
         }, "job_store")
         self.leases = LeaseManager(cache_dir, owner=self.replica_id, ttl=lease_ttl)
-        self.replicas = ReplicaRegistry(cache_dir, replica_id=self.replica_id)
         self.queue = JobQueue()
         self.job_concurrency = job_concurrency
         self.started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -374,7 +375,6 @@ class ServiceApp:
                 thread = threading.Thread(target=target, name=name, daemon=True)
                 thread.start()
                 self._threads.append(thread)
-            self.replicas.publish(self._snapshot(self._service_values()))
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the executors; with ``drain`` the running jobs finish first.
@@ -387,9 +387,6 @@ class ServiceApp:
             for thread in self._threads:
                 thread.join(timeout=timeout)
         self._threads = []
-        # A final snapshot so fleet metrics keep this replica's finished
-        # work after it drains (stale snapshots stay in the totals).
-        self.replicas.publish(self._snapshot(self._service_values()))
         self.engine.close()
         # Flush the event log last so engine-drain spans land in it; the
         # log reopens transparently if this app is started again.
@@ -610,11 +607,10 @@ class ServiceApp:
     # ------------------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
-        """Renew held leases and publish this replica's counters."""
+        """Renew held leases."""
         interval = max(0.05, min(self.lease_ttl / 3.0, 2.0))
         while not self._stop.wait(interval):
             self.leases.renew_held()
-            self.replicas.publish(self._snapshot(self._service_values()))
 
     def _fleet_poll_loop(self) -> None:
         while not self._stop.wait(self.fleet_poll_interval):
@@ -877,8 +873,7 @@ class ServiceApp:
         }
 
     def _service_values(self) -> Dict[str, float]:
-        """Collector for the queue, leases and clocks; the heartbeat calls
-        it alone, skipping the storage stats a full snapshot reads."""
+        """Collector for the queue, leases and clocks."""
         values: Dict[str, float] = {"queue.depth": self.queue.depth()}
         for state, count in self.queue.by_state().items():
             values[f"jobs.state.{state}"] = count
@@ -887,13 +882,15 @@ class ServiceApp:
         values["points.per_minute"] = self._rate_window.per_minute()
         return values
 
-    def _snapshot(self, values: Dict[str, float]) -> dict:
-        """This replica's publishable counter snapshot (see fleet).
+    def metrics(self) -> dict:
+        """This replica's registry as JSON.
 
         ``points.per_minute`` is the **sliding 60 s window** rate (a
         long-lived replica's current throughput); ``per_minute_lifetime``
         keeps the uptime-averaged figure the field used to carry.
+        Fleet-wide totals are the sum of every replica's ``/metrics``.
         """
+        values = self.telemetry.registry.collect()
         uptime = values["uptime_seconds"]
         points = {
             name: self._point_counters[name].int_value
@@ -903,29 +900,14 @@ class ServiceApp:
         points["per_minute_lifetime"] = (
             round(points["completed"] * 60.0 / uptime, 2) if uptime > 0 else 0.0
         )
-        return {
-            "points": points,
-            "jobs": _family(values, "jobs.state"),
-            "uptime_seconds": uptime,
-            # Mergeable latency histograms (fixed bounds ⇒ exact fleet
-            # percentiles; see ReplicaRegistry.fleet_metrics).
-            "histograms": self.telemetry.registry.histogram_payloads(),
-        }
-
-    def metrics(self) -> dict:
-        values = self.telemetry.registry.collect()
-        snapshot = self._snapshot(values)
-        # Publish before aggregating so the fleet section always includes
-        # this replica's own up-to-date counters.
-        self.replicas.publish(snapshot)
         result_cache = _family(values, "result_cache")
         trace_cache = _family(values, "trace_cache")
-        by_state = snapshot["jobs"]
+        by_state = _family(values, "jobs.state")
         return {
             "schema": METRICS_SCHEMA_VERSION,
             "version": __version__,
             "started_at": self.started_at,
-            "uptime_seconds": snapshot["uptime_seconds"],
+            "uptime_seconds": uptime,
             "queue": {
                 "depth": values["queue.depth"],
                 "max_depth": self.max_queue_depth,
@@ -935,7 +917,7 @@ class ServiceApp:
                      "resumed": self.resumed_jobs,
                      "poisoned": self.poisoned_jobs,
                      "deadline_failures": self.deadline_failures},
-            "points": snapshot["points"],
+            "points": points,
             "result_cache": {**result_cache, "hit_rate": _hit_rate(result_cache)},
             "trace_cache": {**trace_cache, "hit_rate": _hit_rate(trace_cache)},
             "engine": {
@@ -959,9 +941,6 @@ class ServiceApp:
                 "adopted_jobs": self.adopted_jobs,
                 "stolen_jobs": self.stolen_jobs,
             },
-            "fleet": self.replicas.fleet_metrics(
-                fresh_within=max(self.lease_ttl, 3.0)
-            ),
         }
 
     def prometheus_text(self) -> str:

@@ -333,10 +333,11 @@ class SweepServiceServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(self, address, app: ServiceApp) -> None:
-        super().__init__(address, ServiceRequestHandler)
-        self.app = app
+        # Set before binding: a failed bind calls server_close().
         self._connections: Set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        super().__init__(address, ServiceRequestHandler)
+        self.app = app
 
     def process_request_thread(self, request, client_address) -> None:
         with self._connections_lock:

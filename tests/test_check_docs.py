@@ -1,0 +1,49 @@
+"""The docs gate's stale-mention check (``tools/check_docs.py``).
+
+A flag a CLI no longer defines must not survive in the docs: the gate
+reports every ``--flag`` a document mentions that no mapped CLI defines.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+import pytest
+
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "check_docs.py")
+
+
+@pytest.fixture(scope="module")
+def check_docs():
+    spec = importlib.util.spec_from_file_location("check_docs", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gate_docs(monkeypatch, check_docs, tmp_path, text):
+    doc = tmp_path / "service.md"
+    doc.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(check_docs, "_doc_files", lambda: [str(doc)])
+    monkeypatch.setattr(check_docs, "ROOT", str(tmp_path))
+
+
+class TestStaleMentions:
+    def test_a_leftover_deleted_flag_is_flagged(self, monkeypatch, check_docs, tmp_path):
+        _gate_docs(
+            monkeypatch, check_docs, tmp_path,
+            "Boot a pair with `serve --replicas 2 --replica-id a`.\n",
+        )
+        defined = {"--help", "--replica-id", "--cache-dir"}
+        assert check_docs.check_mentions(defined) == [
+            "service.md: mentions --replicas, which no CLI defines"
+        ]
+
+    def test_defined_flags_and_non_flags_pass(self, monkeypatch, check_docs, tmp_path):
+        _gate_docs(
+            monkeypatch, check_docs, tmp_path,
+            "Run `serve --cache-dir d`, a rule\n\n---\n\nand x--y, "
+            "then `--help`.\n",
+        )
+        assert check_docs.check_mentions({"--help", "--cache-dir"}) == []

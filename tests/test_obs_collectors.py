@@ -120,7 +120,7 @@ def _type_lines(text: str) -> list:
 def _instrument_names(registry: MetricsRegistry) -> tuple:
     return tuple(
         sorted(instrument.name for instrument in instruments)
-        for instruments in (registry.counters(), registry.gauges(), registry.histograms())
+        for instruments in (registry.counters(), registry.histograms())
     )
 
 
@@ -164,22 +164,19 @@ class TestRegistryCollectors:
 
     def test_collected_values_render_as_sorted_helpless_gauges(self):
         registry = MetricsRegistry()
-        registry.gauge("b.gauge", help="a real gauge").set(2)
         registry.register_collector(lambda: {"c": 3, "a": 1})
+        registry.register_collector(lambda: {"b": 2}, "x")
         text = render(registry, replica="r1")
-        assert _type_lines(text) == ["repro_a gauge", "repro_b_gauge gauge", "repro_c gauge"]
-        assert "# HELP repro_b_gauge a real gauge" in text
-        assert "# HELP repro_a" not in text
+        assert _type_lines(text) == ["repro_a gauge", "repro_c gauge", "repro_x_b gauge"]
+        assert "# HELP" not in text
         samples = parse(text)
         assert samples["repro_c"][0].value == 3
-        assert registry.gauges()[0].name == "b.gauge"
-        assert len(registry.gauges()) == 1
+        assert samples["repro_x_b"][0].value == 2
 
 
 class TestScrape:
     def test_a_scrape_creates_no_instruments(self, run):
         assert run.instruments_after == run.instruments_before
-        assert run.instruments_before[1] == []  # the service keeps no gauges
 
     def test_type_lines_after_one_job_with_a_cache_dir(self, run):
         types = _type_lines(run.first_scrape)

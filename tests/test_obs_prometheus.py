@@ -38,7 +38,7 @@ class TestRoundTrip:
     def _registry(self):
         registry = MetricsRegistry()
         registry.counter("points.completed", help="completed points").inc(7)
-        registry.gauge("queue.depth").set(3)
+        registry.register_collector(lambda: {"queue.depth": 3})
         hist = registry.histogram("job.execute_seconds",
                                   buckets=[0.1, 1.0, 10.0])
         for value in (0.05, 0.5, 0.5, 30.0):

@@ -8,6 +8,7 @@ malformed-payload cases, and ``repro.service.__main__`` for the CLI.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -153,6 +154,17 @@ class TestClientErrors:
             client.health()
         assert excinfo.value.code == "unreachable"
         assert excinfo.value.status is None
+
+
+class TestServeBind:
+    def test_a_taken_port_is_an_oserror(self):
+        # ``serve`` turns an OSError into "error: cannot bind", exit 2.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                build_server(ServiceApp(cache_dir=None, jobs=1),
+                             port=taken.getsockname()[1])
 
 
 class TestClientCli:

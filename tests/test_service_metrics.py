@@ -1,16 +1,17 @@
-"""Observability correctness: monotonic rate clock, fleet aggregation.
+"""Observability correctness: monotonic rate clock, a read-only /metrics.
 
 The uptime feeding the points/min rate must come from a *monotonic*
 clock (a wall-clock NTP step must not produce negative uptime or a
-garbage rate), and :meth:`ReplicaRegistry.fleet_metrics` must round —
-never truncate — float counters while surfacing malformed snapshot
-fields in ``snapshot_errors`` instead of silently dropping them.
+garbage rate), and reading ``/metrics`` must not write to the cache
+tree: it renders this replica's registry, nothing more.
 """
 
 from __future__ import annotations
 
+import os
+import time
+
 from repro.service.app import ServiceApp
-from repro.service.fleet import ReplicaRegistry, _coerce_count
 
 
 class TestMonotonicUptime:
@@ -58,74 +59,28 @@ class TestMonotonicUptime:
         assert app.metrics()["points"]["per_minute"] == 0.0
 
 
-class TestCoerceCount:
-    def test_floats_round_instead_of_truncating(self):
-        assert _coerce_count(10.6) == (11, True)
-        assert _coerce_count(10.4) == (10, True)
-        assert _coerce_count(7) == (7, True)
-
-    def test_non_numbers_and_bools_are_malformed(self):
-        assert _coerce_count("many") == (0, False)
-        assert _coerce_count(None) == (0, False)
-        assert _coerce_count(True) == (0, False)
-        assert _coerce_count([1]) == (0, False)
-
-
-class TestFleetAggregation:
-    def test_stale_and_malformed_snapshot_mix(self, tmp_path):
-        cache_dir = str(tmp_path)
-        clock = {"now": 100.0}
-
-        def registry(replica_id: str) -> ReplicaRegistry:
-            return ReplicaRegistry(cache_dir, replica_id=replica_id,
-                                   clock=lambda: clock["now"])
-
-        # beta published long ago: stale, but its finished work remains
-        # in the fleet totals.
-        registry("beta").publish({"points": {"completed": 7, "executed": 3,
-                                             "per_minute": 30.0}})
-        clock["now"] = 290.0
-        # alpha is fresh, with float counters from rate arithmetic: the
-        # old truncation would have under-counted completed by one.
-        registry("alpha").publish({"points": {"completed": 10.6,
-                                              "executed": 2.2,
-                                              "per_minute": 12.5}})
-        # gamma is fresh but half-corrupt: a string counter and a bool
-        # rate must be counted as errors, not zeroed into the totals.
-        registry("gamma").publish({"points": {"completed": "many",
-                                              "executed": 4,
-                                              "per_minute": True}})
-        # delta's snapshot carries no points section at all (legal: a
-        # replica that has not run anything yet), delta2's is garbage.
-        registry("delta").publish({})
-        registry("delta2").publish({"points": "corrupt"})
-
-        clock["now"] = 300.0
-        fleet = registry("alpha").fleet_metrics(fresh_within=60.0)
-
-        assert fleet["known_replicas"] == 5
-        assert fleet["active_replicas"] == 4  # all but beta
-        assert fleet["points"]["completed"] == 11 + 7  # rounded, not 10+7
-        assert fleet["points"]["executed"] == 2 + 3 + 4
-        # Only fresh replicas contribute to the aggregate rate, and
-        # gamma's bool rate is an error rather than a contribution.
-        assert fleet["per_minute"] == 12.5
-        # gamma: completed + per_minute; delta2: non-dict points.
-        assert fleet["snapshot_errors"] == 3
-
-        by_id = {replica["id"]: replica for replica in fleet["replicas"]}
-        assert by_id["beta"]["active"] is False
-        assert by_id["alpha"]["active"] is True
-        assert by_id["alpha"]["points"]["completed"] == 11
-        assert by_id["gamma"]["points"]["completed"] == 0
-        assert by_id["delta"]["points"]["completed"] == 0
-
-    def test_absent_points_fields_are_not_errors(self, tmp_path):
-        clock = {"now": 50.0}
-        registry = ReplicaRegistry(str(tmp_path), replica_id="solo",
-                                   clock=lambda: clock["now"])
-        registry.publish({"points": {"completed": 5}})
-        fleet = registry.fleet_metrics(fresh_within=60.0)
-        assert fleet["snapshot_errors"] == 0
-        assert fleet["points"]["completed"] == 5
-        assert fleet["points"]["executed"] == 0
+class TestNoReplicaStore:
+    def test_metrics_writes_nothing_to_the_cache_dir(self, tmp_path):
+        """``/metrics`` reads this replica's registry and stores nothing:
+        no ``replicas/`` snapshot store, no storage append."""
+        app = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        app.start()
+        try:
+            job = app.submit({
+                "figure": "figure6",
+                "settings": {"instructions": 300,
+                             "benchmarks": ["m88ksim", "swim"]},
+            })
+            deadline = time.monotonic() + 120.0
+            while not app.get_job(job.id).terminal:
+                assert time.monotonic() < deadline, "figure6 job did not finish"
+                time.sleep(0.02)
+            assert app.get_job(job.id).state == "completed"
+            appends = app.telemetry.registry.histogram("storage.append_seconds")
+            before = appends.count
+            assert before > 0  # the cold job did write results and traces
+            app.metrics()
+            assert appends.count == before
+        finally:
+            app.stop()
+        assert not os.path.exists(tmp_path / "replicas")

@@ -145,12 +145,12 @@ class TestEventStream:
 
 
 class TestMetricsShapes:
-    #: The /metrics JSON contract as of the pre-registry service (PR 9):
-    #: these exact keys must survive the registry refactor byte-for-byte.
+    #: The /metrics JSON contract: these exact keys, and no others (fleet
+    #: totals are the sum of each replica's /metrics, not a section).
     LEGACY_TOP_KEYS = {
         "schema", "version", "started_at", "uptime_seconds", "queue",
         "jobs", "points", "result_cache", "trace_cache", "engine",
-        "job_store", "storage", "replica", "fleet",
+        "job_store", "storage", "replica",
     }
     LEGACY_POINT_KEYS = {
         "requested", "unique", "completed", "executed", "from_cache",
@@ -159,7 +159,7 @@ class TestMetricsShapes:
     }
 
     def test_legacy_json_keys_are_intact(self, run):
-        assert self.LEGACY_TOP_KEYS <= set(run.metrics)
+        assert set(run.metrics) == self.LEGACY_TOP_KEYS
         assert self.LEGACY_POINT_KEYS <= set(run.metrics["points"])
         assert set(run.metrics["queue"]) >= {
             "depth", "max_depth", "rejected_overloaded",

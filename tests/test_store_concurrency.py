@@ -32,6 +32,7 @@ from repro.experiments.scheduler import (
     run_simulation_point,
 )
 from repro.experiments.store import ResultStore
+from repro.obs.prometheus import parse as parse_prometheus
 from repro.pipeline.config import ProcessorConfig
 from repro.service.app import ServiceApp
 from repro.service.fleet import LeaseManager
@@ -447,10 +448,21 @@ class TestFleet:
         # unique point was executed exactly once.
         assert totals_a["executed"] + totals_b["executed"] == unique
         assert totals_a["remote_reclaimed"] == totals_b["remote_reclaimed"] == 0
-        # And the aggregated metrics agree (what CI asserts over HTTP).
-        fleet = app_a.metrics()["fleet"]
-        assert fleet["points"]["executed"] == unique
-        assert fleet["known_replicas"] >= 2
+        # And the replicas' own registries sum to the same (what CI
+        # asserts over HTTP): points in the JSON, latency in the scrape.
+        metrics = [app.metrics() for app in (app_a, app_b)]
+        assert {m["replica"]["id"] for m in metrics} == {"fleet-a", "fleet-b"}
+        assert sum(m["points"]["executed"] for m in metrics) == unique
+        assert sum(m["points"]["completed"] for m in metrics) >= 2 * unique
+        latency = sum(
+            sample.value
+            for app in (app_a, app_b)
+            for sample in parse_prometheus(app.prometheus_text())[
+                "repro_point_simulate_seconds"
+            ]
+            if sample.name == "repro_point_simulate_seconds_count"
+        )
+        assert latency == unique
 
     def test_dead_replica_job_is_stolen_and_completed(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift gate: dead links and undocumented CLI flags.
+"""Docs drift gate: dead links, undocumented and stale CLI flags.
 
-Two checks, both stdlib-only, run by the CI ``docs`` job (and runnable
+Three checks, all stdlib-only, run by the CI ``docs`` job (and runnable
 locally with ``python tools/check_docs.py``):
 
 1. **Links** — every intra-repository markdown link in ``docs/*.md``
@@ -11,8 +11,11 @@ locally with ``python tools/check_docs.py``):
 2. **CLI flags** — every ``--flag`` a subsystem CLI defines (parsed
    from its live ``--help`` output, so the check cannot go stale) must
    be mentioned, verbatim, in that subsystem's document.  A new flag
-   without documentation, or a renamed flag leaving a stale mention
-   behind a dead name, fails the build.
+   without documentation fails the build.
+3. **Stale mentions** — every ``--flag`` that ``docs/*.md`` or
+   ``README.md`` mentions must be defined by one of those CLIs (or by
+   a :data:`CITED_CLIS` command).  A renamed or deleted flag leaving a
+   stale mention behind a dead name fails the build.
 
 Exit codes: 0 clean, 1 drift found, 2 environment error (a CLI's
 ``--help`` could not be produced).
@@ -47,6 +50,11 @@ CLI_DOC_MAP = [
     ("repro.obs", "report", "docs/observability.md"),
 ]
 
+#: Commands whose flags the docs may cite without any doc having to
+#: list them all (the benchmark harness documents itself in
+#: ``perfbench/README.md``).  A ``.py`` entry is run as a script.
+CITED_CLIS = [("perfbench/run.py", None)]
+
 #: Markdown inline links: [text](target).  Reference-style links and
 #: autolinks are not used in this repository's docs.
 _LINK = re.compile(r"\[[^\]]*\]\(([^()\s]+)\)")
@@ -54,6 +62,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^()\s]+)\)")
 #: A flag *definition* line in argparse help output: the option name at
 #: the start of an indented line (possibly after a short option).
 _FLAG_DEF = re.compile(r"^\s+(?:-\w,\s+)?(--[a-z][a-z0-9-]*)", re.MULTILINE)
+
+#: A flag *mention* in a document: ``--name`` not glued to a word.
+_FLAG_MENTION = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 
 
 def _doc_files() -> list:
@@ -90,8 +101,10 @@ def check_links() -> list:
 
 
 def cli_flags(module: str, subcommand: str) -> list:
-    """The --flags ``python -m module [subcommand] --help`` defines."""
-    argv = [sys.executable, "-m", module]
+    """The --flags ``python -m module [subcommand] --help`` defines
+    (``python module ...`` for a ``.py`` path)."""
+    argv = [sys.executable]
+    argv += [module] if module.endswith(".py") else ["-m", module]
     if subcommand:
         argv.append(subcommand)
     argv.append("--help")
@@ -114,18 +127,37 @@ def cli_flags(module: str, subcommand: str) -> list:
 
 
 def check_flags() -> list:
-    """Return one problem string per CLI flag missing from its doc."""
+    """Return one problem string per CLI flag missing from its doc, and
+    one per stale flag mention (see :func:`check_mentions`)."""
     problems = []
     doc_cache = {}
+    defined = {"--help"}
+    for module, subcommand in CITED_CLIS:
+        defined.update(cli_flags(module, subcommand))
     for module, subcommand, doc in CLI_DOC_MAP:
         if doc not in doc_cache:
             with open(os.path.join(ROOT, doc), "r", encoding="utf-8") as handle:
                 doc_cache[doc] = handle.read()
         text = doc_cache[doc]
         label = f"python -m {module}" + (f" {subcommand}" if subcommand else "")
-        for flag in cli_flags(module, subcommand):
+        flags = cli_flags(module, subcommand)
+        defined.update(flags)
+        for flag in flags:
             if flag not in text:
                 problems.append(f"{doc}: `{label}` flag {flag} undocumented")
+    return problems + check_mentions(defined)
+
+
+def check_mentions(defined: set) -> list:
+    """Return one problem string per ``--flag`` a doc mentions that is
+    not in ``defined`` (the flags every CLI defines)."""
+    problems = []
+    for path in _doc_files():
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        rel = os.path.relpath(path, ROOT)
+        for flag in sorted(set(_FLAG_MENTION.findall(text)) - defined):
+            problems.append(f"{rel}: mentions {flag}, which no CLI defines")
     return problems
 
 
@@ -144,7 +176,7 @@ def main() -> int:
               f"{docs} documents / {clis} CLIs")
         return 1
     print(f"check_docs: OK ({docs} documents, {clis} CLI surfaces, "
-          "no dead links, no undocumented flags)")
+          "no dead links, no undocumented or stale flags)")
     return 0
 
 
