@@ -1,7 +1,7 @@
 """Performance subsystem: benchmark matrix, reports and the CI perf gate.
 
-``python -m repro.bench`` runs a fixed matrix of simulation scenarios
-and component microbenchmarks, and writes the next schema-versioned
+``python -m repro.bench`` runs a fixed matrix of simulation, sweep,
+service, store and component scenarios, and writes the next schema-versioned
 ``BENCH_<n>.json`` of the repository's performance trajectory;
 ``python -m repro.bench compare`` diffs two reports and fails on
 regressions beyond a threshold.  See ``docs/benchmarking.md``.

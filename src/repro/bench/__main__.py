@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 from repro.bench.report import BenchReport, BenchReportError, compare_reports
 from repro.errors import ReproError
-from repro.bench.runner import run_and_save
-from repro.bench.scenarios import scenario_overview
+from repro.bench.runner import BenchmarkRunner, run_and_save
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,10 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="force the report index instead of auto-numbering")
     parser.add_argument("--filter", dest="name_filter", default=None,
                         help="only run scenarios whose name contains this substring")
-    parser.add_argument("--no-components", action="store_true",
-                        help="skip the component microbenchmarks")
     parser.add_argument("--list", action="store_true",
-                        help="list the scenario matrix and exit")
+                        help="list the (filtered) scenario matrix and exit")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-scenario progress on stderr")
 
@@ -81,25 +78,29 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.repeats <= 0:
         print("error: --repeats must be positive", file=sys.stderr)
         return 2
-    if args.list:
-        for line in scenario_overview(args.quick):
-            print(line)
-        return 0
 
     def progress(message: str) -> None:
         if not args.quiet:
             print(message, file=sys.stderr, flush=True)
 
     try:
+        if args.list:
+            runner = BenchmarkRunner(quick=args.quick, name_filter=args.name_filter)
+            for scenario in runner.selected():
+                print(scenario.describe())
+            return 0
         report, path = run_and_save(
             output_dir=args.output_dir,
             quick=args.quick,
             repeats=args.repeats,
             index=args.index,
             name_filter=args.name_filter,
-            include_components=not args.no_components,
             progress=progress,
         )
+    except BenchReportError as error:
+        # Nothing matched --filter: no report is written.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except OSError as error:
         print(f"error: cannot write report: {error}", file=sys.stderr)
         return 2

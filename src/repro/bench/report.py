@@ -11,9 +11,10 @@ Raw wall-clock rates are not comparable across machines, so every report
 carries a *calibration score*: the throughput of a fixed pure-Python
 loop measured right before the scenarios.  :func:`compare_reports`
 normalizes each scenario rate by its report's calibration score by
-default, which makes "did the simulator get slower?" meaningful even
-when the baseline report was produced on different hardware (e.g. a
-committed baseline vs a CI runner).
+default.  That does not cancel machine speed reliably: two
+back-to-back ``--quick --repeats 2`` runs of one tree on a shared 2-CPU
+container flagged 2 of 24 scenarios at about 27%, and their
+calibration scores differed by 17%.
 """
 
 from __future__ import annotations
@@ -72,6 +73,31 @@ class ScenarioResult:
         return 1.0 / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
+def _scenario_from_dict(entry: object) -> ScenarioResult:
+    """One report entry, with every field the comparison reads type-checked."""
+    if not isinstance(entry, dict):
+        raise BenchReportError(f"scenario entry {entry!r} is not an object")
+    fields = ScenarioResult.__dataclass_fields__
+    try:
+        result = ScenarioResult(**{k: v for k, v in entry.items() if k in fields})
+    except TypeError as exc:  # a required field is missing
+        raise BenchReportError(f"scenario entry {entry.get('name')!r}: {exc}") from exc
+    for key, value in vars(result).items():
+        expected = (
+            str if key in ("name", "kind", "stats_digest")
+            else dict if key == "metadata"
+            else (int, float)
+        )
+        if not isinstance(value, expected) and not (
+            value is None and fields[key].default is None
+        ):
+            raise BenchReportError(
+                f"scenario {result.name!r}: field {key!r} is "
+                f"{type(value).__name__}"
+            )
+    return result
+
+
 @dataclass
 class BenchReport:
     """One benchmark run: environment, calibration, scenario results."""
@@ -104,25 +130,34 @@ class BenchReport:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "BenchReport":
+    def from_dict(cls, payload: object) -> "BenchReport":
+        """Parse a report; any missing or ill-typed field is a
+        :class:`BenchReportError`."""
+        if not isinstance(payload, dict):
+            raise BenchReportError(
+                f"a bench report is a JSON object, not {type(payload).__name__}"
+            )
         if payload.get("schema") != SCHEMA_VERSION:
             raise BenchReportError(
                 f"unsupported report schema {payload.get('schema')!r} "
                 f"(expected {SCHEMA_VERSION})"
             )
-        known = {spec for spec in ScenarioResult.__dataclass_fields__}
-        scenarios = [
-            ScenarioResult(**{k: v for k, v in entry.items() if k in known})
-            for entry in payload.get("scenarios", [])
-        ]
-        return cls(
-            index=int(payload["index"]),
-            created=str(payload.get("created", "")),
-            quick=bool(payload.get("quick", False)),
-            environment=dict(payload.get("environment", {})),
-            calibration_score=float(payload.get("calibration_score", 0.0)),
-            scenarios=scenarios,
-        )
+        entries = payload.get("scenarios", [])
+        if not isinstance(entries, list):
+            raise BenchReportError("report field 'scenarios' is not a list")
+        try:
+            return cls(
+                index=int(payload["index"]),
+                created=str(payload.get("created", "")),
+                quick=bool(payload.get("quick", False)),
+                environment=dict(payload.get("environment", {})),
+                calibration_score=float(payload.get("calibration_score", 0.0)),
+                scenarios=[_scenario_from_dict(entry) for entry in entries],
+            )
+        except KeyError as exc:
+            raise BenchReportError(f"report has no field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise BenchReportError(f"malformed report: {exc}") from exc
 
     # ------------------------------------------------------------------
 
@@ -182,8 +217,9 @@ def calibration_score(duration: float = 0.1) -> float:
 
     The loop exercises the operations the simulator leans on (dict
     access, integer arithmetic, attribute-free function calls) but no
-    repository code, so normalizing scenario rates by this score cancels
-    machine speed without masking real simulator regressions.
+    repository code.  It varies from run to run on a shared host (17%
+    between two back-to-back runs), so normalizing by it narrows, but
+    does not cancel, the effect of machine speed.
     """
     table = {i: i * 3 for i in range(512)}
     iterations = 0
@@ -278,8 +314,8 @@ class Comparison:
     def ok(self) -> bool:
         # Scenarios present in the baseline but absent from the current
         # report fail the gate too: a run that silently lost coverage
-        # (e.g. a run with --no-components) must not pass
-        # just because nothing *comparable* regressed.
+        # (e.g. a --filter run) must not pass just because nothing
+        # *comparable* regressed.
         return (not self.regressions and not self.missing_scenarios
                 and not self.digest_mismatches)
 

@@ -1,6 +1,6 @@
 """The fixed benchmark matrix executed by :mod:`repro.bench`.
 
-Three kinds of scenarios:
+Six kinds of scenarios:
 
 * **simulation scenarios** — end-to-end runs of the cycle-level
   simulator: synthetic profiles × register-file architectures ×
@@ -13,11 +13,15 @@ Three kinds of scenarios:
   ``replay`` variant exercises the trace-once/replay-many engine, the
   ``live`` variant the per-point live frontend it replaced — their ratio
   is the sweep-throughput headline.
+* **sampled sweep scenarios** — exact vs sampled replay of one recorded
+  trace across an architecture matrix; the headline is the per-point
+  speedup of sampling.
 * **service scenarios** — a figure plan pushed through the sweep
   service's full HTTP path (submit via :class:`ServiceClient`, execute
   on the service's :class:`~repro.experiments.scheduler.SweepEngine`,
   poll to completion), measured in points/minute — the perf gate's view
-  of the :mod:`repro.service` subsystem.
+  of the :mod:`repro.service` subsystem.  Two of them also gate the
+  in-pass overhead of the chaos seams and of telemetry.
 * **store scenarios** — the sharded segment-log store hammered
   directly (writes, re-reads, deletes, compaction, a cold reopen),
   measured in store operations/second — the perf gate's view of the
@@ -25,17 +29,27 @@ Three kinds of scenarios:
 * **component scenarios** — microbenchmarks of the simulator's building
   blocks, the plain kernel functions of :mod:`repro.bench.components`,
   each returning its operation count.
+
+Every kind follows one protocol, :class:`Scenario`: the runner times
+``run()`` (best of ``repeats`` when ``best_of_repeats``, else once) and
+hands the outcome to the scenario's own ``result()``, which maps it onto
+a :class:`~repro.bench.report.ScenarioResult`; ``describe()`` is the
+scenario's ``--list`` line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Protocol
 
 from repro.bench.components import KERNELS
+from repro.bench.report import ScenarioResult
+from repro.errors import SimulationError
 from repro.experiments.common import (
     OneLevelBankedFactory,
     RegisterFileCacheFactory,
@@ -50,11 +64,69 @@ from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimulationStats
+from repro.service.server import ServiceUnderTest
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 #: Extra stream slack so the pipeline never drains before the commit cap.
 _STREAM_SLACK = 1.5
+
+
+class Scenario(Protocol):
+    """What the runner needs of every scenario kind."""
+
+    name: str
+    #: Timed best of ``repeats`` runs (short, deterministic work) or once
+    #: (long, internally amortized work such as sweeps and services).
+    best_of_repeats: ClassVar[bool]
+
+    def run(self) -> object:
+        """Do the measured work once; returns the kind's outcome."""
+
+    def result(self, outcome, wall: float, repeats: int) -> ScenarioResult:
+        """Map one outcome and its wall time onto the report's record."""
+
+    def describe(self) -> str:
+        """The scenario's one-line ``--list`` entry."""
+
+
+def canonical_digest(payloads: Iterable[object]) -> str:
+    """SHA-256 over the canonical JSON of each payload, in order.
+
+    The determinism guard of every scenario: two runs of the same code
+    must agree on it.
+    """
+    digest = hashlib.sha256()
+    for payload in payloads:
+        digest.update(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                 default=str).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _operations_result(scenario, kind: str, wall: float, repeats: int,
+                       operations: int, digest: object,
+                       metadata: Dict[str, object]) -> ScenarioResult:
+    return ScenarioResult(
+        name=scenario.name,
+        kind=kind,
+        wall_seconds=wall,
+        repeats=repeats,
+        operations=operations,
+        operations_per_second=operations / wall if wall > 0 else 0.0,
+        stats_digest=str(digest),
+        metadata=metadata,
+    )
+
+
+def _points_result(scenario, kind: str, outcome: Dict[str, object],
+                   wall: float, **extra) -> ScenarioResult:
+    """A once-timed result whose operations are points, with points/min."""
+    points = int(outcome["points"])
+    metadata = scenario.metadata()
+    metadata.update(extra)
+    metadata["points_per_minute"] = round(60.0 * points / wall, 1) if wall else 0.0
+    return _operations_result(scenario, kind, wall, 1, points,
+                              outcome["stats_digest"], metadata)
 
 
 @dataclass(frozen=True)
@@ -68,6 +140,8 @@ class SimulationScenario:
     architecture: str
     collect_occupancy: bool = False
     headline: bool = False
+
+    best_of_repeats: ClassVar[bool] = True
 
     def run(self) -> SimulationStats:
         workload = SyntheticWorkload(get_profile(self.profile))
@@ -87,6 +161,28 @@ class SimulationScenario:
             "headline": self.headline,
         }
 
+    def result(self, stats: SimulationStats, wall: float,
+               repeats: int) -> ScenarioResult:
+        cycles = stats.cycles
+        instructions = stats.committed_instructions
+        return ScenarioResult(
+            name=self.name,
+            kind="simulation",
+            wall_seconds=wall,
+            repeats=repeats,
+            cycles=cycles,
+            instructions=instructions,
+            cycles_per_second=cycles / wall if wall > 0 else 0.0,
+            instructions_per_second=instructions / wall if wall > 0 else 0.0,
+            stats_digest=canonical_digest([stats.to_dict()]),
+            metadata=self.metadata(),
+        )
+
+    def describe(self) -> str:
+        tag = " [headline]" if self.headline else ""
+        return (f"{self.name}: {self.instructions} instructions on "
+                f"{self.architecture}{tag}")
+
 
 @dataclass(frozen=True)
 class ComponentScenario:
@@ -95,9 +191,24 @@ class ComponentScenario:
     name: str
     kernel: Callable[[], int]
 
+    best_of_repeats: ClassVar[bool] = True
+
     def run(self) -> int:
         """Execute the kernel once; returns its operation count."""
         return self.kernel()
+
+    def result(self, count: int, wall: float, repeats: int) -> ScenarioResult:
+        return ScenarioResult(
+            name=self.name,
+            kind="component",
+            wall_seconds=wall,
+            repeats=repeats,
+            operations=count,
+            operations_per_second=count / wall if wall > 0 and count else None,
+        )
+
+    def describe(self) -> str:
+        return f"{self.name}: {self.kernel.__doc__}"
 
 
 #: The architectures swept by the simulation matrix.
@@ -207,6 +318,8 @@ class SweepScenario:
     use_trace_replay: bool
     headline_sweep: bool = False
 
+    best_of_repeats: ClassVar[bool] = False
+
     def points(self) -> List[SimulationPoint]:
         matrix: List[SimulationPoint] = []
         for budget in _SWEEP_REGISTER_BUDGETS:
@@ -237,16 +350,12 @@ class SweepScenario:
                 stats = run_simulation_point(point)
                 store.put(point.store_key(), stats, metadata=point.metadata())
             summary = {"executed": len(points)}
-        digest = hashlib.sha256()
-        for point in points:
-            stats = store.get(point.store_key())
-            payload = json.dumps(stats.to_dict(), sort_keys=True,
-                                 separators=(",", ":"), default=str)
-            digest.update(payload.encode("utf-8"))
         return {
             "points": len(points),
             "summary": summary,
-            "stats_digest": digest.hexdigest(),
+            "stats_digest": canonical_digest(
+                store.get(point.store_key()).to_dict() for point in points
+            ),
         }
 
     def metadata(self) -> Dict[str, object]:
@@ -259,6 +368,17 @@ class SweepScenario:
             "use_trace_replay": self.use_trace_replay,
             "headline_sweep": self.headline_sweep,
         }
+
+    def result(self, outcome: Dict[str, object], wall: float,
+               repeats: int) -> ScenarioResult:
+        return _points_result(self, "sweep", outcome, wall,
+                              scheduler_summary=outcome["summary"])
+
+    def describe(self) -> str:
+        tag = " [sweep headline]" if self.headline_sweep else ""
+        mode = "trace replay" if self.use_trace_replay else "live frontend"
+        return (f"{self.name}: {len(self.points())} points x "
+                f"{self.instructions} instructions via {mode}{tag}")
 
 
 @dataclass(frozen=True)
@@ -282,9 +402,9 @@ class SampledSweepScenario:
     architectures: tuple  # keys into _SWEEP_ARCHITECTURES
     register_budget: int = 128
 
-    def run(self) -> Dict[str, object]:
-        import time
+    best_of_repeats: ClassVar[bool] = False
 
+    def run(self) -> Dict[str, object]:
         from repro.sampling import parse_sampling, sampled_simulate
         from repro.trace import record_trace, replay_simulate
 
@@ -305,7 +425,7 @@ class SampledSweepScenario:
                 "instructions": self.instructions,
             },
         )
-        digest = hashlib.sha256()
+        payloads = []
         exact_seconds = 0.0
         sampled_seconds = 0.0
         for arch_key in self.architectures:
@@ -318,10 +438,7 @@ class SampledSweepScenario:
             sampled = sampled_simulate(trace, factory, config, spec,
                                        benchmark_name=self.profile)
             sampled_seconds += time.perf_counter() - started
-            for stats in (exact, sampled):
-                payload = json.dumps(stats.to_dict(), sort_keys=True,
-                                     separators=(",", ":"), default=str)
-                digest.update(payload.encode("utf-8"))
+            payloads += [exact.to_dict(), sampled.to_dict()]
         points = len(self.architectures)
         return {
             "points": points,
@@ -330,7 +447,7 @@ class SampledSweepScenario:
                 "exact_points": points,
                 "sampled_points": points,
             },
-            "stats_digest": digest.hexdigest(),
+            "stats_digest": canonical_digest(payloads),
             "exact_seconds": round(exact_seconds, 3),
             "sampled_seconds": round(sampled_seconds, 3),
             "per_point_speedup": round(
@@ -347,6 +464,22 @@ class SampledSweepScenario:
             "architectures": list(self.architectures),
             "register_budget": self.register_budget,
         }
+
+    def result(self, outcome: Dict[str, object], wall: float,
+               repeats: int) -> ScenarioResult:
+        """``per_point_speedup`` (exact replay seconds over sampled
+        seconds, summed across the matrix) lands in the metadata: a
+        self-relative ratio that needs no calibration and is what the
+        committed trajectory's ≥5× claim refers to."""
+        keys = ("exact_seconds", "sampled_seconds", "per_point_speedup",
+                "sampling", "summary")
+        return _points_result(self, "sweep", outcome, wall,
+                              **{key: outcome[key] for key in keys})
+
+    def describe(self) -> str:
+        return (f"{self.name}: {len(self.architectures)} architectures x "
+                f"{self.instructions} instructions, exact vs sampled "
+                f"({self.sample})")
 
 
 def sampled_sweep_scenarios(quick: bool = False) -> List[SampledSweepScenario]:
@@ -406,6 +539,49 @@ def sweep_scenarios(quick: bool = False) -> List[SweepScenario]:
 # ----------------------------------------------------------------------
 
 
+def serve_plan(plan: Dict[str, object], spent: Optional[List[float]] = None,
+               instrument: Optional[Callable[[object], None]] = None,
+               **app_kwargs) -> Dict[str, object]:
+    """One cold pass of ``plan`` through the HTTP sweep service.
+
+    Boots a :class:`~repro.service.server.ServiceUnderTest` on a fresh
+    cache tree, calls ``instrument(app)`` if given, submits the plan,
+    watches it to completion, digests the result and tears the service
+    down.  ``wall_seconds`` runs from submission to the terminal state;
+    ``spent_seconds`` is what timed calls appended to ``spent`` (from any
+    thread) within that wall — start-up time lies outside it.
+    """
+    spent = [] if spent is None else spent
+    tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
+    try:
+        service = ServiceUnderTest(cache_dir=tmp, **app_kwargs)
+        try:
+            if instrument is not None:
+                instrument(service.app)
+            started = time.perf_counter()
+            del spent[:]
+            job = service.client.submit(plan)
+            final = service.client.watch(job["id"], interval=0.05, timeout=1800)
+            wall = time.perf_counter() - started
+            spent_seconds = sum(spent)
+            if final.get("state") != "completed":
+                raise SimulationError(
+                    f"service bench job did not complete: {final.get('error')}"
+                )
+            result = service.client.result(job["id"])
+        finally:
+            service.stop()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return {
+        "points": int(final["counters"]["unique"]),
+        "counters": final["counters"],
+        "digest": canonical_digest([result["result"]]),
+        "wall_seconds": wall,
+        "spent_seconds": spent_seconds,
+    }
+
+
 @dataclass(frozen=True)
 class ServiceScenario:
     """One figure plan through the sweep service's full HTTP path.
@@ -423,54 +599,25 @@ class ServiceScenario:
     warmup_instructions: int
     benchmarks: tuple
 
+    best_of_repeats: ClassVar[bool] = False
+
+    def plan(self) -> Dict[str, object]:
+        return {
+            "figure": self.figure,
+            "settings": {
+                "instructions": self.instructions,
+                "warmup_instructions": self.warmup_instructions,
+                "benchmarks": list(self.benchmarks),
+            },
+        }
+
     def run(self) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-
-        from repro.errors import SimulationError
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-service-")
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"service bench job did not complete: {final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "summary": final["counters"],
-                "stats_digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+        served = serve_plan(self.plan())
+        return {
+            "points": served["points"],
+            "summary": served["counters"],
+            "stats_digest": served["digest"],
+        }
 
     def metadata(self) -> Dict[str, object]:
         return {
@@ -481,9 +628,23 @@ class ServiceScenario:
             "transport": "http",
         }
 
+    def result(self, outcome: Dict[str, object], wall: float,
+               repeats: int) -> ScenarioResult:
+        """A scenario that runs several internal passes (the overhead
+        comparisons) reports the wall of the pass its metric describes
+        via ``wall_seconds_override``."""
+        wall = float(outcome.get("wall_seconds_override", wall))
+        return _points_result(self, "service", outcome, wall,
+                              job_counters=outcome["summary"])
+
+    def describe(self) -> str:
+        return (f"{self.name}: {self.figure} plan over "
+                f"{'/'.join(self.benchmarks)} x {self.instructions} "
+                f"instructions through the HTTP sweep service")
+
 
 @dataclass(frozen=True)
-class ResilienceOverheadScenario:
+class ResilienceOverheadScenario(ServiceScenario):
     """The chaos seams must cost nothing when no injector is installed.
 
     Runs the same figure plan through the service twice on cold cache
@@ -500,12 +661,6 @@ class ResilienceOverheadScenario:
     the host, so it is reported, not gated.
     """
 
-    name: str
-    figure: str
-    instructions: int
-    warmup_instructions: int
-    benchmarks: tuple
-
     def _one_pass(self, instrumented: bool) -> Dict[str, object]:
         from repro.chaos import seams
         from repro.chaos.faults import FaultInjector
@@ -519,71 +674,15 @@ class ResilienceOverheadScenario:
             injector.fire = _timed(injector.fire, seam_seconds)
             seams.install(injector)
         try:
-            return self._serve_figure(seam_seconds)
+            served = serve_plan(self.plan(), seam_seconds)
         finally:
             if instrumented:
                 seams.uninstall()
-
-    def _serve_figure(self, seam_seconds: List[float]) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-        import time as time_mod
-
-        from repro.errors import SimulationError
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-resilience-")
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1)
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            started = time_mod.perf_counter()
-            # Start-up seam time lies outside the timed wall.
-            del seam_seconds[:]
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            wall = time_mod.perf_counter() - started
-            spent = sum(seam_seconds)
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"resilience bench job did not complete: "
-                    f"{final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "wall_seconds": wall,
-                "seam_seconds": spent,
-                "digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+        served["seam_seconds"] = served.pop("spent_seconds")
+        return served
 
     def run(self) -> Dict[str, object]:
         from repro.chaos import seams
-        from repro.errors import SimulationError
 
         if seams.installed():
             raise SimulationError(
@@ -619,14 +718,8 @@ class ResilienceOverheadScenario:
         }
 
     def metadata(self) -> Dict[str, object]:
-        return {
-            "figure": self.figure,
-            "instructions": self.instructions,
-            "warmup_instructions": self.warmup_instructions,
-            "benchmarks": list(self.benchmarks),
-            "transport": "http",
-            "passes": ["seams-disabled", "noop-injector"],
-        }
+        return {**super().metadata(),
+                "passes": ["seams-disabled", "noop-injector"]}
 
 
 #: Upper bound on an instrumented service pass's wall over the same wall
@@ -642,8 +735,6 @@ def _gated_in_pass_overhead(passes, what: str, calls: str) -> float:
     raises :class:`SimulationError`.
     """
     import statistics
-
-    from repro.errors import SimulationError
 
     overheads = [wall / (wall - spent) if wall > spent else float("inf")
                  for wall, spent in passes]
@@ -671,7 +762,7 @@ def _timed(call, spent: List[float]):
 
 
 @dataclass(frozen=True)
-class ObsOverheadScenario:
+class ObsOverheadScenario(ServiceScenario):
     """Telemetry must be nearly free: spans + histograms + the event log.
 
     Runs the same figure plan through the service on cold cache trees
@@ -689,84 +780,30 @@ class ObsOverheadScenario:
     *full-telemetry* wall — that is what production pays.
     """
 
-    name: str
-    figure: str
-    instructions: int
-    warmup_instructions: int
-    benchmarks: tuple
-
     #: Alternating bare/full rounds.
     pairs: int = 3
 
     def _one_pass(self, full_telemetry: bool) -> Dict[str, object]:
-        import shutil
-        import tempfile
-        import threading
-        import time as time_mod
-
-        from repro.errors import SimulationError
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.telemetry import Telemetry
-        from repro.service.app import ServiceApp
-        from repro.service.client import ServiceClient
-        from repro.service.server import build_server
 
-        tmp = tempfile.mkdtemp(prefix="repro-bench-obs-")
-        telemetry = (
-            None if full_telemetry  # the app builds log + bus itself
-            else Telemetry(registry=MetricsRegistry())
-        )
-        app = ServiceApp(cache_dir=tmp, jobs=1, job_concurrency=1,
-                         telemetry=telemetry)
         # Seconds spent in the event log and the bus, from any thread.
         sink_seconds: List[float] = []
-        if full_telemetry:
+
+        def time_sinks(app) -> None:
             for sink, method in ((app.telemetry.log, "append"),
                                  (app.telemetry.bus, "publish")):
                 setattr(sink, method, _timed(getattr(sink, method), sink_seconds))
-        server = build_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        app.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            started = time_mod.perf_counter()
-            job = client.submit({
-                "figure": self.figure,
-                "settings": {
-                    "instructions": self.instructions,
-                    "warmup_instructions": self.warmup_instructions,
-                    "benchmarks": list(self.benchmarks),
-                },
-            })
-            final = client.watch(job["id"], interval=0.05, timeout=1800)
-            wall = time_mod.perf_counter() - started
-            if final.get("state") != "completed":
-                raise SimulationError(
-                    f"obs bench job did not complete: {final.get('error')}"
-                )
-            result = client.result(job["id"])
-            digest = hashlib.sha256(
-                json.dumps(result["result"], sort_keys=True,
-                           separators=(",", ":"), default=str).encode("utf-8")
-            ).hexdigest()
-            return {
-                "points": int(final["counters"]["unique"]),
-                "wall_seconds": wall,
-                "sink_seconds": sum(sink_seconds),
-                "digest": digest,
-            }
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+
+        if full_telemetry:  # the app builds log + bus itself
+            served = serve_plan(self.plan(), sink_seconds, instrument=time_sinks)
+        else:
+            served = serve_plan(self.plan(),
+                                telemetry=Telemetry(registry=MetricsRegistry()))
+        served["sink_seconds"] = served.pop("spent_seconds")
+        return served
 
     def run(self) -> Dict[str, object]:
-        from repro.errors import SimulationError
-
         bare_walls, full_walls, timed = [], [], []
         full = None
         digest = None
@@ -802,17 +839,11 @@ class ObsOverheadScenario:
         }
 
     def metadata(self) -> Dict[str, object]:
-        return {
-            "figure": self.figure,
-            "instructions": self.instructions,
-            "warmup_instructions": self.warmup_instructions,
-            "benchmarks": list(self.benchmarks),
-            "transport": "http",
-            "passes": ["bare-registry", "full-telemetry"],
-        }
+        return {**super().metadata(),
+                "passes": ["bare-registry", "full-telemetry"]}
 
 
-def service_scenarios(quick: bool = False) -> List[object]:
+def service_scenarios(quick: bool = False) -> List[ServiceScenario]:
     """The service-path scenarios (quick-eligible, so CI gates them too)."""
     return [
         ServiceScenario(
@@ -865,6 +896,8 @@ class StoreScenario:
     value_bytes: int
     read_passes: int = 2
 
+    best_of_repeats: ClassVar[bool] = True
+
     def _key(self, index: int) -> str:
         return hashlib.sha256(f"bench-store-{index}".encode()).hexdigest()
 
@@ -875,9 +908,6 @@ class StoreScenario:
         return repeated[: self.value_bytes]
 
     def run(self) -> Dict[str, object]:
-        import shutil
-        import tempfile
-
         from repro.storage.sharded import ShardedStore
 
         tmp = tempfile.mkdtemp(prefix="repro-bench-store-")
@@ -921,6 +951,18 @@ class StoreScenario:
             "num_shards": 16,
         }
 
+    def result(self, outcome: Dict[str, object], wall: float,
+               repeats: int) -> ScenarioResult:
+        metadata = self.metadata()
+        metadata["store_stats"] = outcome["store_stats"]
+        return _operations_result(self, "store", wall, repeats,
+                                  int(outcome["operations"]),
+                                  outcome["stats_digest"], metadata)
+
+    def describe(self) -> str:
+        return (f"{self.name}: {self.entries} x {self.value_bytes}B entries "
+                f"through the sharded segment-log store")
+
 
 def store_scenarios(quick: bool = False) -> List[StoreScenario]:
     """The store-throughput scenario (quick-eligible, so CI gates it)."""
@@ -946,42 +988,16 @@ def component_scenarios(quick: bool = False) -> List[ComponentScenario]:
     ]
 
 
-def scenario_overview(quick: bool = False) -> List[str]:
-    """Human-readable one-liners for ``python -m repro.bench --list``."""
-    lines = []
-    for sim in simulation_scenarios(quick):
-        tag = " [headline]" if sim.headline else ""
-        lines.append(
-            f"{sim.name}: {sim.instructions} instructions on "
-            f"{sim.architecture}{tag}"
-        )
-    for sweep in sweep_scenarios(quick):
-        tag = " [sweep headline]" if sweep.headline_sweep else ""
-        mode = "trace replay" if sweep.use_trace_replay else "live frontend"
-        lines.append(
-            f"{sweep.name}: {len(sweep.points())} points x "
-            f"{sweep.instructions} instructions via {mode}{tag}"
-        )
-    for sampled in sampled_sweep_scenarios(quick):
-        lines.append(
-            f"{sampled.name}: {len(sampled.architectures)} architectures x "
-            f"{sampled.instructions} instructions, exact vs sampled "
-            f"({sampled.sample})"
-        )
-    for service in service_scenarios(quick):
-        lines.append(
-            f"{service.name}: {service.figure} plan over "
-            f"{'/'.join(service.benchmarks)} x {service.instructions} "
-            f"instructions through the HTTP sweep service"
-        )
-    for store in store_scenarios(quick):
-        lines.append(
-            f"{store.name}: {store.entries} x {store.value_bytes}B entries "
-            f"through the sharded segment-log store"
-        )
-    for comp in component_scenarios(quick):
-        lines.append(f"{comp.name}: {comp.kernel.__doc__}")
-    return lines
+def scenario_matrix(quick: bool = False) -> List[Scenario]:
+    """Every scenario of the benchmark matrix, in report order."""
+    return [
+        *simulation_scenarios(quick),
+        *sweep_scenarios(quick),
+        *sampled_sweep_scenarios(quick),
+        *service_scenarios(quick),
+        *store_scenarios(quick),
+        *component_scenarios(quick),
+    ]
 
 
 def with_budget(scenario: SimulationScenario, instructions: int) -> SimulationScenario:

@@ -28,16 +28,14 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.chaos import seams
 from repro.chaos.faults import FaultInjector
-from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import build_server
+from repro.service.server import ServiceUnderTest
 
 #: Upper bound on any single scenario wait; hitting it is a violation.
 DEFAULT_WAIT_S = 120.0
@@ -74,37 +72,6 @@ class ScenarioResult:
             "faults_injected": self.faults_injected,
             "duration_s": round(self.duration_s, 2),
         }
-
-
-class ServiceUnderTest:
-    """One in-process replica: app + HTTP server + a client to it.
-
-    ``client_kwargs`` tune the retry policy of the returned client;
-    scenarios that must observe raw failures pass ``retries=0``.
-    """
-
-    def __init__(self, cache_dir: Optional[str] = None,
-                 client_kwargs: Optional[dict] = None,
-                 **app_kwargs) -> None:
-        app_kwargs.setdefault("jobs", 1)  # seams fire in-process only
-        app_kwargs.setdefault("job_concurrency", 1)
-        self.app = ServiceApp(cache_dir=cache_dir, **app_kwargs)
-        self.server = build_server(self.app, port=0)
-        self.port = self.server.server_address[1]
-        self.url = f"http://127.0.0.1:{self.port}"
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self._thread.start()
-        self.app.start()
-        kwargs = dict(client_kwargs or {})
-        kwargs.setdefault("timeout", 30.0)
-        self.client = ServiceClient(self.url, **kwargs)
-
-    def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.app.stop(drain=True, timeout=30.0)
 
 
 class scenario_env:

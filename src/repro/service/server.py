@@ -49,6 +49,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.chaos import seams as _seams
 from repro.obs.context import TRACE_HEADER, TraceContext
 from repro.service.app import ServiceApp
+from repro.service.client import ServiceClient
 from repro.service.spec import ApiError
 
 #: How long one /events poll blocks before emitting a keepalive comment;
@@ -370,3 +371,35 @@ def build_server(app: ServiceApp, host: str = "127.0.0.1",
                  port: int = 8642) -> SweepServiceServer:
     """Bind the service to ``host:port`` (``port=0`` picks a free port)."""
     return SweepServiceServer((host, port), app)
+
+
+class ServiceUnderTest:
+    """One in-process replica: app + HTTP server on a free port + a client.
+
+    Used by the chaos matrix and the service bench scenarios.
+    ``client_kwargs`` tune the retry policy of the returned client;
+    callers that must observe raw failures pass ``retries=0``.
+    """
+
+    def __init__(self, cache_dir: Optional[str] = None,
+                 client_kwargs: Optional[dict] = None,
+                 **app_kwargs) -> None:
+        app_kwargs.setdefault("jobs", 1)  # chaos seams fire in-process only
+        app_kwargs.setdefault("job_concurrency", 1)
+        self.app = ServiceApp(cache_dir=cache_dir, **app_kwargs)
+        self.server = build_server(self.app, port=0)
+        self.port = self.server.server_address[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        )
+        self._thread.start()
+        self.app.start()
+        kwargs = dict(client_kwargs or {})
+        kwargs.setdefault("timeout", 30.0)
+        self.client = ServiceClient(self.url, **kwargs)
+
+    def stop(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self.app.stop(drain=True, timeout=30.0)

@@ -88,9 +88,7 @@ class TestScenarios:
 class TestRunnerAndReport:
     def test_runner_produces_schema_versioned_report(self, tmp_path):
         scenario = with_budget(headline_scenario(quick=True), 300)
-        runner = BenchmarkRunner(quick=True, repeats=1, simulations=[scenario],
-                                 sweeps=[], sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(quick=True, repeats=1, scenarios=[scenario])
         report = runner.run(index=7)
         assert report.schema == 1
         assert report.index == 7
@@ -108,7 +106,7 @@ class TestRunnerAndReport:
         scenario = with_budget(headline_scenario(quick=True), 200)
         _, path = run_and_save(
             output_dir=str(tmp_path), quick=True, repeats=1,
-            include_components=False, name_filter="headline",
+            name_filter="headline",
         )
         assert path.endswith("BENCH_4.json")
 
@@ -227,7 +225,7 @@ class TestCli:
 
     def test_cli_run_filter_and_compare_roundtrip(self, tmp_path, capsys):
         argv = ["--quick", "--repeats", "1", "--filter", "matrix/gcc/1-cycle",
-                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+                "--quiet", "--output-dir", str(tmp_path)]
         assert bench_main(argv) == 0
         assert bench_main(argv) == 0
         reports = sorted(tmp_path.glob("BENCH_*.json"))
@@ -250,12 +248,24 @@ class TestCli:
     def test_cli_rejects_bad_repeats(self, capsys):
         assert bench_main(["--repeats", "0"]) == 2
 
+    def test_cli_filter_matching_nothing_exits_two_without_a_report(
+        self, tmp_path, capsys
+    ):
+        argv = ["--quick", "--filter", "zzz", "--output-dir", str(tmp_path)]
+        assert bench_main(argv) == 2
+        assert "error: no scenario name contains 'zzz'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    def test_cli_list_honours_filter(self, capsys):
+        assert bench_main(["--quick", "--list", "--filter", "matrix/swim/"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("matrix/swim/") for line in lines)
+
     def test_same_code_same_digest(self, tmp_path):
         """Two runs of the same scenario must agree on the stats digest."""
         scenario = with_budget(headline_scenario(quick=True), 200)
-        runner = BenchmarkRunner(repeats=1, simulations=[scenario],
-                                 sweeps=[], sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[scenario])
         first = runner.run(index=1).scenarios[0].stats_digest
         second = runner.run(index=2).scenarios[0].stats_digest
         assert first == second
@@ -296,9 +306,7 @@ class TestCli:
         sweep = SweepScenario(name="sweep/x/replay", profile="gcc",
                               instructions=300, use_trace_replay=True,
                               headline_sweep=True)
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[sweep],
-                                 sampled_sweeps=[], services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[sweep])
         report = runner.run(index=1)
         [result] = report.scenarios
         assert result.kind == "sweep"
@@ -317,10 +325,7 @@ class TestStoreScenario:
                              entries=60, value_bytes=256, read_passes=1)
 
     def test_store_result_in_report(self):
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[],
-                                 sampled_sweeps=[], services=[],
-                                 stores=[self._scenario()],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[self._scenario()])
         report = runner.run(index=1)
         [result] = report.scenarios
         assert result.kind == "store"
@@ -387,13 +392,140 @@ class TestSampledSweepScenario:
                 == self._scenario().run()["stats_digest"])
 
     def test_runner_copies_sampling_metadata(self):
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[],
-                                 sampled_sweeps=[self._scenario()],
-                                 services=[], stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[self._scenario()])
         report = runner.run(index=1)
         (result,) = report.scenarios
         assert result.kind == "sweep"
         for field in ("exact_seconds", "sampled_seconds",
                       "per_point_speedup", "sampling", "summary"):
             assert field in result.metadata
+
+
+class TestReportShape:
+    """Every kind's report record, pinned key by key: ``BENCH_<n>.json``
+    reports are compared across commits, so a refactor of the runner
+    must not change what each scenario writes."""
+
+    _RATES = {"operations", "operations_per_second"}
+    _BASE = {"kind", "metadata", "name", "repeats", "wall_seconds"}
+    _SIM = {"cycles", "cycles_per_second", "instructions", "instructions_per_second"}
+    _ENGINE_SUMMARY = {
+        "cached", "elapsed_seconds", "executed", "remote_inflight",
+        "remote_reclaimed", "requested", "shared_inflight",
+        "traces_recorded", "traces_reused", "unique",
+    }
+    _SERVICE = {"benchmarks", "figure", "instructions", "points_per_minute",
+                "transport", "warmup_instructions"}
+    _SWEEP = {"architectures", "headline_sweep", "instructions", "points",
+              "points_per_minute", "profile", "register_budgets",
+              "use_trace_replay"}
+
+    #: name -> (kind, fields that are set, metadata keys, nested keys).
+    EXPECTED = {
+        "headline/gcc/register-file-cache": (
+            "simulation", _BASE | _SIM | {"stats_digest"},
+            {"architecture", "collect_occupancy", "headline", "instructions",
+             "profile"},
+            {},
+        ),
+        "sweep/gcc/figure-matrix-replay": (
+            "sweep", _BASE | _RATES | {"stats_digest"},
+            _SWEEP | {"scheduler_summary"},
+            {"scheduler_summary": _ENGINE_SUMMARY},
+        ),
+        "sweep/gcc/figure-matrix-live": (
+            "sweep", _BASE | _RATES | {"stats_digest"},
+            _SWEEP | {"scheduler_summary"},
+            {"scheduler_summary": {"executed"}},
+        ),
+        "sweep/gcc/sampled-vs-exact": (
+            "sweep", _BASE | _RATES | {"stats_digest"},
+            {"architectures", "exact_seconds", "instructions",
+             "per_point_speedup", "points_per_minute", "profile",
+             "register_budget", "sample", "sampled_seconds", "sampling",
+             "summary"},
+            {
+                "sampling": {"confidence", "max_windows", "min_windows",
+                             "stride", "target_half_width", "warmup",
+                             "window"},
+                "summary": {"architectures", "exact_points", "sampled_points"},
+            },
+        ),
+        "service_throughput/figure6": (
+            "service", _BASE | _RATES | {"stats_digest"},
+            _SERVICE | {"job_counters"},
+            {"job_counters": _ENGINE_SUMMARY},
+        ),
+        "resilience_overhead/figure6": (
+            "service", _BASE | _RATES | {"stats_digest"},
+            _SERVICE | {"job_counters", "passes"},
+            {"job_counters": {"disabled_wall_seconds",
+                              "instrumented_over_disabled",
+                              "instrumented_wall_seconds", "seam_overhead",
+                              "threshold"}},
+        ),
+        "obs_overhead/figure6": (
+            "service", _BASE | _RATES | {"stats_digest"},
+            _SERVICE | {"job_counters", "passes"},
+            {"job_counters": {"bare_wall_seconds", "full_over_bare",
+                              "full_wall_seconds", "pairs",
+                              "telemetry_overhead", "threshold"}},
+        ),
+        "store_throughput/sharded-segment-log": (
+            "store", _BASE | _RATES | {"stats_digest"},
+            {"entries", "num_shards", "read_passes", "store_stats",
+             "value_bytes"},
+            {"store_stats": {"claims", "compactions", "dead_bytes", "entries",
+                             "evictions", "expired_dropped", "live_data_bytes",
+                             "read_only", "rebuilds", "segment_files",
+                             "torn_tails", "write_errors"}},
+        ),
+        "component/pseudo_lru_operations": ("component", _BASE | _RATES, set(), {}),
+    }
+
+    def _tiny_matrix(self, monkeypatch):
+        from repro.bench import scenarios as sc
+
+        def one_pass(self, **_):
+            return {"points": 3, "digest": "d" * 64, "wall_seconds": 1.0,
+                    "seam_seconds": 0.0, "sink_seconds": 0.0}
+
+        for overhead in (sc.ResilienceOverheadScenario, sc.ObsOverheadScenario):
+            monkeypatch.setattr(overhead, "_one_pass", one_pass)
+        plan = dict(figure="figure6", instructions=200, warmup_instructions=50,
+                    benchmarks=("gcc",))
+        return [
+            with_budget(headline_scenario(quick=True), 200),
+            sc.SweepScenario(name="sweep/gcc/figure-matrix-replay",
+                             profile="gcc", instructions=300,
+                             use_trace_replay=True),
+            sc.SweepScenario(name="sweep/gcc/figure-matrix-live",
+                             profile="gcc", instructions=300,
+                             use_trace_replay=False),
+            sc.SampledSweepScenario(name="sweep/gcc/sampled-vs-exact",
+                                    profile="gcc", instructions=2000,
+                                    sample="500:100:100",
+                                    architectures=("mono-1c",)),
+            sc.ServiceScenario(name="service_throughput/figure6", **plan),
+            sc.ResilienceOverheadScenario(name="resilience_overhead/figure6",
+                                          **plan),
+            sc.ObsOverheadScenario(name="obs_overhead/figure6", **plan),
+            sc.StoreScenario(name="store_throughput/sharded-segment-log",
+                             entries=60, value_bytes=256, read_passes=1),
+            sc.ComponentScenario(name="component/pseudo_lru_operations",
+                                 kernel=sc.KERNELS["pseudo_lru_operations"]),
+        ]
+
+    def test_each_kind_writes_the_pinned_record(self, monkeypatch, tmp_path):
+        scenarios = self._tiny_matrix(monkeypatch)
+        report = BenchmarkRunner(repeats=1, scenarios=scenarios).run(index=1)
+        loaded = BenchReport.load(report.save(str(tmp_path)))
+        assert [r.name for r in loaded.scenarios] == list(self.EXPECTED)
+        for entry in loaded.to_dict()["scenarios"]:
+            kind, fields, metadata, nested = self.EXPECTED[entry["name"]]
+            assert entry["kind"] == kind, entry["name"]
+            assert set(entry) == set(ScenarioResult.__dataclass_fields__)
+            assert {k for k, v in entry.items() if v is not None} == fields, entry["name"]
+            assert set(entry["metadata"]) == metadata, entry["name"]
+            for key, keys in nested.items():
+                assert set(entry["metadata"][key]) == keys, (entry["name"], key)

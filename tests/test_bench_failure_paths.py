@@ -76,9 +76,20 @@ class TestCompareExitCodes:
         assert main(["compare", baseline_path, current.save(str(tmp_path))]) == 2
         assert "quick" in capsys.readouterr().err
 
-    def test_malformed_json_exits_two(self, tmp_path, baseline_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{definitely not json",
+            '{"schema": 1}',
+            "[]",
+            '{"schema": 1, "index": 2, "scenarios": '
+            '[{"kind": "simulation", "wall_seconds": 1.0, "repeats": 1}]}',
+        ],
+        ids=["not-json", "no-index", "not-an-object", "scenario-without-name"],
+    )
+    def test_malformed_json_exits_two(self, tmp_path, baseline_path, capsys, text):
         mangled = tmp_path / "mangled.json"
-        mangled.write_text("{definitely not json", encoding="utf-8")
+        mangled.write_text(text, encoding="utf-8")
         assert main(["compare", baseline_path, str(mangled)]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -19,10 +19,7 @@ class TestServiceScenario:
             warmup_instructions=50,
             benchmarks=("gcc",),
         )
-        runner = BenchmarkRunner(repeats=1, simulations=[], sweeps=[],
-                                 sampled_sweeps=[], services=[scenario],
-                                 stores=[],
-                                 include_components=False)
+        runner = BenchmarkRunner(repeats=1, scenarios=[scenario])
         report = runner.run(index=1)
         [result] = report.scenarios
         assert result.kind == "service"
@@ -140,7 +137,7 @@ class TestResilienceOverheadScenario:
 
         self._gated(monkeypatch, 1.0, 2.0, seam_seconds=1.0)
         argv = ["--quick", "--repeats", "1", "--filter", "resilience_overhead",
-                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+                "--quiet", "--output-dir", str(tmp_path)]
         assert main(argv) == 1
         assert "exceeds the 1.05x bound" in capsys.readouterr().err
         assert not list(tmp_path.glob("BENCH_*.json"))
@@ -233,7 +230,7 @@ class TestObsOverheadScenario:
 
         self._scenario(monkeypatch, 1.0, 2.0, sink_seconds=1.0)
         argv = ["--quick", "--repeats", "1", "--filter", "obs_overhead",
-                "--no-components", "--quiet", "--output-dir", str(tmp_path)]
+                "--quiet", "--output-dir", str(tmp_path)]
         assert main(argv) == 1
         assert "exceeds the 1.05x bound" in capsys.readouterr().err
         assert not list(tmp_path.glob("BENCH_*.json"))
