@@ -17,6 +17,25 @@ into a deterministic stream of
 
 The stream is produced lazily and is fully reproducible from
 ``(profile, seed)``.
+
+Implementation note: every trace recording, every set-up that
+materializes a stream and every simulation of a new budget pays for
+generation first, so :meth:`SyntheticWorkload.instructions` is one flat
+loop over local variables.  Operand selection, destination rotation and
+read planning run inline rather than as helper methods over a state
+object; what the loop needs to know about an op class is one tuple per
+class, built once; per-register state lives in 64-slot lists indexed by
+``LogicalRegister._hash``; and the recently written registers of each
+class are a dictionary kept in write order, so the fallback operand
+needs no sort.  The RNG draws are the ones the original helpers made,
+in the same order, so the streams are unchanged
+(``tests/test_workload_stream_digest.py`` pins them).  Pending reads
+stay a ``heapq`` whose due entries are all popped and the unused ones
+pushed back: the heap is not stable, so which of two reads due at the
+same ``seq`` comes first depends on its layout, and any other structure
+would change the streams.  The two decisions a change of generated
+behaviour would edit, the read-count plan and the fallback-operand
+choice, are marked blocks in the loop.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ import heapq
 import itertools
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import WorkloadError
@@ -42,6 +61,27 @@ from repro.workloads.profiles import BenchmarkProfile
 _NUM_LONG_LIVED = 4
 #: Registers per class used as rotating destinations for ordinary values.
 _NUM_ROTATING = 24
+#: Address of the first instruction of the synthetic program.
+_CODE_BASE = 0x1000
+
+
+def _op_row(op_class: OpClass) -> tuple:
+    """What the generation loop needs to know about ``op_class``.
+
+    ``(op class, is FP, is memory, register sources, is integer ALU,
+    writes a register, is branch, latency, mnemonic)``, read with one
+    tuple unpack per instruction instead of ``OpClass`` property calls.
+    """
+    if op_class is OpClass.NOP:
+        num_sources = 0
+    elif op_class is OpClass.LOAD:
+        num_sources = 1
+    else:
+        num_sources = 2
+    return (op_class, op_class.is_fp, op_class.is_memory, num_sources,
+            op_class is OpClass.INT_ALU, op_class.writes_register,
+            op_class is OpClass.BRANCH, DEFAULT_LATENCIES[op_class],
+            op_class.value)
 
 
 @dataclass
@@ -158,17 +198,6 @@ class _PendingRead(float):
     register: LogicalRegister
 
 
-@dataclass
-class _GeneratorState:
-    """Mutable bookkeeping for one generation pass."""
-
-    last_writer: dict[LogicalRegister, int] = field(default_factory=dict)
-    pending_reads: list[_PendingRead] = field(default_factory=list)
-    #: Registers whose planned reads have not all been generated yet;
-    #: maps register -> number of outstanding planned reads.
-    protected: dict[LogicalRegister, int] = field(default_factory=dict)
-
-
 class SyntheticWorkload:
     """Generates the dynamic instruction stream of one synthetic benchmark.
 
@@ -185,11 +214,12 @@ class SyntheticWorkload:
     def __init__(self, profile: BenchmarkProfile, seed: Optional[int] = None) -> None:
         self.profile = profile
         self.seed = profile.seed if seed is None else seed
-        self._op_classes, self._op_weights = self._build_mix(profile)
+        op_classes, op_weights = self._build_mix(profile)
         # ``random.choices`` rebuilds the cumulative weights on every call
         # unless they are passed in; precompute them once.  The RNG draws
         # exactly one number either way, so the streams are unchanged.
-        self._op_cum_weights = list(itertools.accumulate(self._op_weights))
+        self._op_cum_weights = list(itertools.accumulate(op_weights))
+        self._op_rows = [_op_row(op_class) for op_class in op_classes]
 
     @property
     def name(self) -> str:
@@ -207,86 +237,217 @@ class SyntheticWorkload:
         """
         if count <= 0:
             raise WorkloadError("instruction count must be positive")
+        profile = self.profile
         rng = random.Random(self.seed)
-        branch_sequencer = _BranchSequencer(
-            self._build_static_branches(rng), self.profile.branches.loop_fraction
+        next_branch = _BranchSequencer(
+            self._build_static_branches(rng), profile.branches.loop_fraction
+        ).next_branch
+        next_address = _MemorySequencer(profile, rng).next_address
+        rng_random = rng.random
+        choice = rng.choice
+        randrange = rng.randrange
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        # Register pools and per-class state are indexed by the FP flag
+        # (``False`` = integer, ``True`` = FP).
+        long_lived_pools = tuple(
+            [LogicalRegister(reg_class, i) for i in range(_NUM_LONG_LIVED)]
+            for reg_class in (RegisterClass.INT, RegisterClass.FP)
         )
-        memory_sequencer = _MemorySequencer(self.profile, rng)
-        state = _GeneratorState()
-        rotating_int = self._register_pool(RegisterClass.INT)
-        rotating_fp = self._register_pool(RegisterClass.FP)
-        long_lived_int = self._long_lived_pool(RegisterClass.INT)
-        long_lived_fp = self._long_lived_pool(RegisterClass.FP)
-        # Long-lived registers start "written" so early readers have a producer.
-        for reg in long_lived_int + long_lived_fp:
-            state.last_writer[reg] = -1
+        rotating_pools = tuple(
+            [LogicalRegister(reg_class, _NUM_LONG_LIVED + i)
+             for i in range(_NUM_ROTATING)]
+            for reg_class in (RegisterClass.INT, RegisterClass.FP)
+        )
+        rotating_keys = tuple([reg._hash for reg in pool] for pool in rotating_pools)
+        # Next rotating slot to try as a destination, per class.
+        rotation = [0, 0]
+        # Per-register state, indexed by ``LogicalRegister._hash`` (an
+        # integer below 64, unique per register) instead of keyed by the
+        # register, whose ``__hash__`` is a Python call.
+        # Sequence number of the register's last write; -1 before the
+        # first (long-lived registers count as written before the stream
+        # starts, so early readers have a producer).
+        last_writer = [-1] * 64
+        # Planned reads of the register's current value not generated yet.
+        protected = [0] * 64
+        # Registers written during this pass, per class, oldest write
+        # first: a rewrite moves a register to the end.  Every write has
+        # its own ``seq``, so this order reversed is the registers sorted
+        # by last write, newest first.
+        recent_writes = ({}, {})
+        # Planned future reads, a heap on their due ``seq``.
+        pending: list[_PendingRead] = []
 
-        pc = 0x1000
-        code_limit = 0x1000 + self.profile.code_footprint_bytes
-        rotate_index = {RegisterClass.INT: 0, RegisterClass.FP: 0}
+        locality = profile.dependency_locality
+        never_read = profile.never_read_fraction
+        read_at_most_once = never_read + profile.read_once_fraction
+        read_at_most_twice = read_at_most_once + profile.read_twice_fraction
+        two_chained = profile.two_chained_fraction
+        long_lived_source = 0.72 + profile.long_range_fraction
+        fp_memory = profile.is_fp
 
-        op_classes = self._op_classes
+        pc = _CODE_BASE
+        code_limit = _CODE_BASE + profile.code_footprint_bytes
+        op_rows = self._op_rows
         op_cum_weights = self._op_cum_weights
         op_total = op_cum_weights[-1]
-        op_hi = len(op_classes) - 1
-        rng_random = rng.random
-        latencies = DEFAULT_LATENCIES
+        op_hi = len(op_rows) - 1
         for seq in range(count):
             # Inlined ``rng.choices(op_classes, cum_weights=..., k=1)[0]``:
             # one uniform draw and a bisect, identical RNG consumption.
-            op_class = op_classes[bisect(op_cum_weights, rng_random() * op_total,
-                                         0, op_hi)]
-            reg_class = RegisterClass.FP if op_class.is_fp else RegisterClass.INT
-            if op_class is OpClass.LOAD or op_class is OpClass.STORE:
+            (op_class, fp, is_memory, num_sources, is_int_alu, writes,
+             is_branch, latency, mnemonic) = op_rows[
+                bisect(op_cum_weights, rng_random() * op_total, 0, op_hi)]
+            if is_memory:
                 # Loads/stores of FP benchmarks mostly move FP data.
-                if self.profile.is_fp and rng.random() < 0.8:
-                    reg_class = RegisterClass.FP
+                fp = fp_memory and rng_random() < 0.8
+
+            sources = []
+            if is_int_alu and rng_random() < 0.40:
+                # A sizable fraction of integer ALU operations take an
+                # immediate operand (addi, compare-with-constant...), i.e. a
+                # single register source.
+                num_sources = 1
+            if num_sources:
+                # Every planned read due by now leaves the heap; the ones
+                # this instruction does not use go back on it.
+                if pending and pending[0] <= seq:
+                    due = [heappop(pending)]
+                    while pending and pending[0] <= seq:
+                        due.append(heappop(pending))
                 else:
-                    reg_class = RegisterClass.INT
+                    due = ()
+                # Most instructions chain on a single recently produced value
+                # (the other operand being a loop invariant, base pointer or
+                # constant); a minority combine two in-flight values (a*b+c
+                # style).  This is what keeps the number of simultaneously
+                # "live and needed" registers small, as the paper measures in
+                # Figure 3.
+                limit = 2 if rng_random() < two_chained else 1
+                if limit > num_sources:
+                    limit = num_sources
+                for index, read in enumerate(due):
+                    if len(sources) == limit:
+                        # Put this read and every later one back, in order,
+                        # for a later instruction to consume.
+                        for leftover in due[index:]:
+                            heappush(pending, leftover)
+                        break
+                    register = read.register
+                    key = register._hash
+                    # A read whose register was rewritten since is dropped.
+                    if last_writer[key] == read.producer_seq:
+                        sources.append(register)
+                        if protected[key] > 0:
+                            protected[key] -= 1
 
-            sources = self._pick_sources(seq, op_class, reg_class, state, rng,
-                                         long_lived_int, long_lived_fp)
+                while len(sources) < num_sources:
+                    # Operands that are not part of a planned producer→consumer
+                    # pair mostly reference long-lived values (base pointers,
+                    # constants, loop invariants): these are the values that are
+                    # read many times, which keeps the "read at most once"
+                    # fraction of ordinary results at the level the paper
+                    # reports (85–88%).
+                    if rng_random() < long_lived_source:
+                        sources.append(choice(long_lived_pools[fp]))
+                        continue
+                    # ---- fallback-operand choice --------------------------
+                    # Real code mixes tight dependences with references to
+                    # older values (different loop iterations, other dataflow
+                    # strands), so half of the fallback operands come from
+                    # anywhere in the recent-writer window rather than hugging
+                    # the most recent producer; this keeps the
+                    # instruction-level parallelism of the streams realistic.
+                    recent = recent_writes[fp]
+                    if not recent:
+                        sources.append(choice(long_lived_pools[fp]))
+                        continue
+                    candidates = list(recent.values())
+                    if rng_random() < 0.5:
+                        index = randrange(len(candidates))
+                    else:
+                        distance = 1
+                        while rng_random() > locality and distance < 256:
+                            distance += 1
+                        index = min(distance - 1, len(candidates) - 1)
+                    # ``index`` counts back from the newest write.
+                    sources.append(candidates[-1 - index])
+                    # ---- end of the fallback-operand choice ---------------
+
             dest = None
-            if op_class.writes_register:
-                dest = self._pick_destination(
-                    seq, reg_class, state, rng, rotating_int, rotating_fp,
-                    long_lived_int, long_lived_fp, rotate_index,
-                )
-
-            is_branch = op_class is OpClass.BRANCH
-            branch_taken = False
-            branch_target = 0
-            mem_address = None
-            this_pc = pc
+            if writes:
+                if rng_random() < 0.005:
+                    # Occasionally refresh a long-lived register so it is not
+                    # stale forever.
+                    dest = choice(long_lived_pools[fp])
+                else:
+                    # Prefer a register with no outstanding planned reads, to
+                    # avoid destroying a planned dependence; scan at most the
+                    # whole pool, then take the next slot regardless.
+                    keys = rotating_keys[fp]
+                    start = rotation[fp]
+                    for offset in range(_NUM_ROTATING):
+                        slot = (start + offset) % _NUM_ROTATING
+                        if protected[keys[slot]] <= 0:
+                            break
+                    else:
+                        offset = _NUM_ROTATING
+                        slot = start
+                    rotation[fp] = (start + offset + 1) % _NUM_ROTATING
+                    dest = rotating_pools[fp][slot]
 
             if is_branch:
-                branch, branch_taken = branch_sequencer.next_branch(rng)
+                branch, branch_taken = next_branch(rng)
                 this_pc = branch.pc
                 branch_target = branch.target
-                pc = branch.target if branch_taken else branch.pc + 4
+                pc = branch_target if branch_taken else this_pc + 4
             else:
+                this_pc = pc
+                branch_taken = False
+                branch_target = 0
                 pc += 4
                 if pc >= code_limit:
-                    pc = 0x1000
-            if op_class.is_memory:
-                mem_address = memory_sequencer.next_address(rng)
+                    pc = _CODE_BASE
+            mem_address = next_address(rng) if is_memory else None
 
+            # Positional: seq, op_class, dest, sources, latency, pc,
+            # is_branch, branch_taken, branch_target, mem_address, mnemonic.
             yield DynamicInstruction(
-                seq=seq,
-                op_class=op_class,
-                dest=dest,
-                sources=tuple(sources),
-                latency=latencies[op_class],
-                pc=this_pc,
-                is_branch=is_branch,
-                branch_taken=branch_taken,
-                branch_target=branch_target,
-                mem_address=mem_address,
-                mnemonic=op_class.value,
+                seq, op_class, dest, tuple(sources), latency, this_pc,
+                is_branch, branch_taken, branch_target, mem_address, mnemonic,
             )
 
             if dest is not None:
-                self._plan_reads(seq, dest, state, rng)
+                # ---- read-count plan ------------------------------------
+                # Decide how many times the value produced at ``seq`` will
+                # be read, and when: each read is due a sampled
+                # producer→consumer distance (>= 1 instruction) later.
+                draw = rng_random()
+                if draw < never_read:
+                    num_reads = 0
+                elif draw < read_at_most_once:
+                    num_reads = 1
+                elif draw < read_at_most_twice:
+                    num_reads = 2
+                else:
+                    num_reads = 3 + int(rng_random() * 3)
+                key = dest._hash
+                last_writer[key] = seq
+                protected[key] = num_reads
+                recent = recent_writes[fp]
+                recent.pop(key, None)
+                recent[key] = dest
+                for _ in range(num_reads):
+                    distance = 1
+                    while rng_random() > locality and distance < 256:
+                        distance += 1
+                    read = _PendingRead(seq + distance)
+                    read.producer_seq = seq
+                    read.register = dest
+                    heappush(pending, read)
+                # ---- end of the read-count plan -------------------------
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -300,17 +461,10 @@ class SyntheticWorkload:
             raise WorkloadError(f"profile {profile.name} has an empty instruction mix")
         return classes, weights
 
-    def _register_pool(self, reg_class: RegisterClass) -> list[LogicalRegister]:
-        start = _NUM_LONG_LIVED
-        return [LogicalRegister(reg_class, start + i) for i in range(_NUM_ROTATING)]
-
-    def _long_lived_pool(self, reg_class: RegisterClass) -> list[LogicalRegister]:
-        return [LogicalRegister(reg_class, i) for i in range(_NUM_LONG_LIVED)]
-
     def _build_static_branches(self, rng: random.Random) -> list[_StaticBranch]:
         spec = self.profile.branches
         branches: list[_StaticBranch] = []
-        code_base = 0x1000
+        code_base = _CODE_BASE
         code_size = self.profile.code_footprint_bytes
         for i in range(spec.num_static_branches):
             branch_pc = code_base + (rng.randrange(code_size // 4)) * 4
@@ -337,172 +491,3 @@ class SyntheticWorkload:
                     )
                 )
         return branches
-
-    # ------------------------------------------------------------------
-    # per-instruction helpers
-    # ------------------------------------------------------------------
-
-    def _sample_distance(self, rng: random.Random) -> int:
-        """Sample a producer→consumer distance (>= 1 dynamic instructions)."""
-        p = self.profile.dependency_locality
-        distance = 1
-        while rng.random() > p and distance < 256:
-            distance += 1
-        return distance
-
-    def _plan_reads(
-        self, seq: int, dest: LogicalRegister, state: _GeneratorState, rng: random.Random
-    ) -> None:
-        """Decide how many times the value produced at ``seq`` will be read."""
-        profile = self.profile
-        draw = rng.random()
-        if draw < profile.never_read_fraction:
-            num_reads = 0
-        elif draw < profile.never_read_fraction + profile.read_once_fraction:
-            num_reads = 1
-        elif draw < (profile.never_read_fraction + profile.read_once_fraction
-                     + profile.read_twice_fraction):
-            num_reads = 2
-        else:
-            num_reads = 3 + int(rng.random() * 3)
-        state.last_writer[dest] = seq
-        state.protected[dest] = num_reads
-        for _ in range(num_reads):
-            read = _PendingRead(seq + self._sample_distance(rng))
-            read.producer_seq = seq
-            read.register = dest
-            heapq.heappush(state.pending_reads, read)
-
-    _NO_READS: tuple[_PendingRead, ...] = ()
-
-    def _due_reads(self, seq: int, state: _GeneratorState):
-        pending = state.pending_reads
-        if not pending or pending[0] > seq:
-            return self._NO_READS
-        due: list[_PendingRead] = []
-        while pending and pending[0] <= seq:
-            due.append(heapq.heappop(pending))
-        return due
-
-    def _pick_sources(
-        self,
-        seq: int,
-        op_class: OpClass,
-        reg_class: RegisterClass,
-        state: _GeneratorState,
-        rng: random.Random,
-        long_lived_int: list[LogicalRegister],
-        long_lived_fp: list[LogicalRegister],
-    ) -> list[LogicalRegister]:
-        num_sources = self._num_sources(op_class)
-        if num_sources == 2 and op_class is OpClass.INT_ALU and rng.random() < 0.40:
-            # A sizable fraction of integer ALU operations take an immediate
-            # operand (addi, compare-with-constant...), i.e. a single
-            # register source.
-            num_sources = 1
-        if num_sources == 0:
-            return []
-        sources: list[LogicalRegister] = []
-        due = self._due_reads(seq, state)
-        # Most instructions chain on a single recently produced value (the
-        # other operand being a loop invariant, base pointer or constant);
-        # a minority combine two in-flight values (a*b+c style).  This is
-        # what keeps the number of simultaneously "live and needed"
-        # registers small, as the paper measures in Figure 3.
-        max_chained = 2 if rng.random() < self.profile.two_chained_fraction else 1
-        limit = min(num_sources, max_chained)
-        last_writer = state.last_writer
-        protected = state.protected
-        for index, read in enumerate(due):
-            if len(sources) >= limit:
-                # Put this read and every later one back, in order, for a
-                # later instruction to consume.
-                pending = state.pending_reads
-                for leftover in due[index:]:
-                    heapq.heappush(pending, leftover)
-                break
-            register = read.register
-            if last_writer.get(register) == read.producer_seq:
-                sources.append(register)
-                remaining = protected.get(register, 0)
-                if remaining > 0:
-                    protected[register] = remaining - 1
-
-        long_lived = long_lived_fp if reg_class is RegisterClass.FP else long_lived_int
-        while len(sources) < num_sources:
-            # Operands that are not part of a planned producer→consumer pair
-            # mostly reference long-lived values (base pointers, constants,
-            # loop invariants): these are the values that are read many
-            # times, which keeps the "read at most once" fraction of
-            # ordinary results at the level the paper reports (85–88%).
-            if rng.random() < 0.72 + self.profile.long_range_fraction:
-                sources.append(rng.choice(long_lived))
-            else:
-                sources.append(self._recent_register(reg_class, state, rng, long_lived))
-        return sources[:num_sources]
-
-    def _recent_register(
-        self,
-        reg_class: RegisterClass,
-        state: _GeneratorState,
-        rng: random.Random,
-        long_lived: list[LogicalRegister],
-    ) -> LogicalRegister:
-        """Fallback operand when no planned read is due.
-
-        Real code mixes tight dependences with references to older values
-        (different loop iterations, other dataflow strands), so half of the
-        fallback operands come from anywhere in the recent-writer window
-        rather than hugging the most recent producer; this keeps the
-        instruction-level parallelism of the streams realistic.
-        """
-        candidates = [
-            (reg, written)
-            for reg, written in state.last_writer.items()
-            if reg.reg_class is reg_class and written >= 0
-        ]
-        if not candidates:
-            return rng.choice(long_lived)
-        candidates.sort(key=lambda item: -item[1])
-        if rng.random() < 0.5:
-            index = rng.randrange(len(candidates))
-        else:
-            index = min(self._sample_distance(rng) - 1, len(candidates) - 1)
-        return candidates[index][0]
-
-    @staticmethod
-    def _num_sources(op_class: OpClass) -> int:
-        if op_class is OpClass.NOP:
-            return 0
-        if op_class is OpClass.LOAD:
-            return 1
-        return 2
-
-    def _pick_destination(
-        self,
-        seq: int,
-        reg_class: RegisterClass,
-        state: _GeneratorState,
-        rng: random.Random,
-        rotating_int: list[LogicalRegister],
-        rotating_fp: list[LogicalRegister],
-        long_lived_int: list[LogicalRegister],
-        long_lived_fp: list[LogicalRegister],
-        rotate_index: dict[RegisterClass, int],
-    ) -> LogicalRegister:
-        # Occasionally refresh a long-lived register so it is not stale forever.
-        long_lived = long_lived_fp if reg_class is RegisterClass.FP else long_lived_int
-        if rng.random() < 0.005:
-            return rng.choice(long_lived)
-        pool = rotating_fp if reg_class is RegisterClass.FP else rotating_int
-        # Prefer a register with no outstanding planned reads, to avoid
-        # destroying a planned dependence; scan at most the whole pool.
-        for _ in range(len(pool)):
-            index = rotate_index[reg_class] % len(pool)
-            rotate_index[reg_class] += 1
-            candidate = pool[index]
-            if state.protected.get(candidate, 0) <= 0:
-                return candidate
-        index = rotate_index[reg_class] % len(pool)
-        rotate_index[reg_class] += 1
-        return pool[index]
