@@ -41,11 +41,6 @@ class ValueState:
     reads_from_lower: int = 0
     #: Whether the value has been written back to the (lowest) bank.
     written_back: bool = False
-    #: For architecture-specific annotations (e.g. pending fill).  Lazily
-    #: created by whoever needs it: one state is allocated per renamed
-    #: destination, and an always-empty dictionary per state was
-    #: measurable allocation churn.
-    annotations: Optional[dict] = None
 
     @property
     def produced(self) -> bool:

@@ -11,7 +11,7 @@ the era the paper comes from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.opcodes import OpClass, Opcode, default_latency
@@ -158,9 +158,6 @@ class DynamicInstruction:
     branch_target: int = 0
     mem_address: Optional[int] = None
     mnemonic: str = ""
-
-    # Fields filled in / used by the pipeline model.
-    annotations: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # Identity checks instead of the OpClass convenience properties:

@@ -1,11 +1,26 @@
 """Byte-identity guard for the synthetic workload generator.
 
 Every profile's first 3000 generated instructions are hashed field by
-field — every :class:`~repro.isa.instruction.DynamicInstruction` field,
-registers as (class, index) — and compared with a SHA-256 recorded
-before any generator optimisation.  A speed-up of the generator must
-leave every stream unchanged; a digest change means the streams (and
-with them every simulated statistic) changed.
+field — the stream fields of
+:class:`~repro.isa.instruction.DynamicInstruction` listed in
+``STREAM_FIELDS``, registers as (class, index) — and compared with a
+recorded SHA-256.  A speed-up of the generator must leave every stream
+unchanged; a digest change means the streams (and with them every
+simulated statistic) changed.
+
+One more stream covers what no stock profile reaches: a gcc-derived mix
+with 5% NOPs (instructions without register sources) generated with an
+explicit seed, as the differential fuzzer generates.
+
+Only a deliberate change of the generated streams re-records the table.
+Print it with the generator under test on the path and paste it over
+``EXPECTED_DIGESTS``::
+
+    PYTHONPATH=src python tests/test_workload_stream_digest.py
+
+Pointing ``PYTHONPATH`` at another checkout's ``src`` prints that
+checkout's table, which is how a table is carried across a change of
+the instruction record: hash the same explicit fields on both sides.
 """
 
 from __future__ import annotations
@@ -17,35 +32,61 @@ import hashlib
 import pytest
 
 from repro.isa.instruction import DynamicInstruction, LogicalRegister
-from repro.workloads.profiles import all_profiles
+from repro.isa.opcodes import OpClass
+from repro.workloads.profiles import all_profiles, get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 STREAM_LENGTH = 3000
 
-#: SHA-256 of each profile's stream, recorded with the pre-optimisation
-#: generator.
+#: The hashed fields, in order: every field of ``DynamicInstruction``.
+STREAM_FIELDS = (
+    "seq", "op_class", "dest", "sources", "latency", "pc", "is_branch",
+    "branch_taken", "branch_target", "mem_address", "mnemonic",
+)
+
+#: Name and seed of the stream that covers the zero-source (NOP) path.
+NOP_CASE = "gcc-nop5"
+NOP_SEED = 7
+
+#: SHA-256 of each stream, printed by the generator as it was before it
+#: became one loop (and before ``DynamicInstruction`` lost its unused
+#: ``annotations`` field).
 EXPECTED_DIGESTS = {
-    "applu": "dfcc684d8783053f540a4e73bedd71918b68b5975b770d1c74e2e144cf5c303b",
-    "apsi": "b25ad1a698ca7ff2db6da8f6367d220fd89f9d1b8e7948e69b31a945b7ac13be",
-    "compress": "9e4c84f13a8b9daeab7e0542b5f736be172b7a7def613319327d131ca2306881",
-    "fpppp": "9a957bbb4215546ee89f3eff9f801741fd17b0df68c18430026ee58b96115ec7",
-    "gcc": "8f877b2e1bac6e6bc4c20b70abb6b0268283c90a6871c3840126c34b175f7a73",
-    "go": "405212e56fc83a6b62d98570b5d1f56b7b80ecbeb0a901ba4522a846ec66dcee",
-    "hydro2d": "da616e0fce55183e2536d987d2916d95659f607d6078951b6ce33b96cd179318",
-    "ijpeg": "7b79af36d671dc29c36aa852d2760ad97dac03adb177b2fc1d38316c028c3937",
-    "li": "e22f8f3a1c15a4fd66756f0531b49ba4df559c8c5259cc59386d83759989f967",
-    "m88ksim": "c7737eb208e30035e83a8c9c7181a6e5f9adb74837f97888aa226fcdb8bcf0b9",
-    "mgrid": "3734f18cdc9214f0ac0c8743b48a9dcdcc2076e22df74979c49e068c1236611c",
-    "perl": "8a5d922fde03517faff0f4487461d04afae83910ab42e43a307c1621f129ed1e",
-    "su2cor": "fad2d5a706af3edf3a69256bb107afa43a02366667b3664a56d729fe50cd9590",
-    "swim": "44b8e85fc2f28f21a7847827f08871e7b899cb31b2f918d496e95825dd9ddc06",
-    "tomcatv": "4b5a08a182511dd73acbed0db0f8b793a7b872eca3a52ecc8a3009717caba3e6",
-    "turb3d": "d9585d60a14df40d968999fb5332298f681e8703ee519ae7536a2b962a551c52",
-    "vortex": "cde2600e7444d9d92639fca3a839f9521750c08915c096198c655b79aa2522cd",
-    "wave5": "2714d8e7f17dad5e1fcf9d3aea102183e69491910a0f3e0ca91a00c44ece6c1a",
+    "applu": "4bd1400e92763a063f9e399467f0a4ce1792705d2a4811393f82d9195133bd3f",
+    "apsi": "010326e81d3c4ac55bc2b3ddd5e56b1474794019c10da38ed847aff3ce1fc158",
+    "compress": "56466e22019835caa9aa16acf63bca9703d9f13f29096963ae694d405be99183",
+    "fpppp": "8c9c91e77ab338bb61708f5b070bd78a139a2b9441b42e9252697f894f7ab7c5",
+    "gcc": "3f5aa2f6b791cc81c7eb3cb9ea5f5954bd3bfa008b1d9b099e7e8828f8374288",
+    "gcc-nop5": "ffb5e54596e5b727ce55a7ea9bcb6b412b9a568e38841a52a70902ed66ebf9d4",
+    "go": "32e9bc178c804da8a5a978af2fb934cbf8b03e388bebd441cef1b66eeee34dc4",
+    "hydro2d": "da289a2830defee466a84777335adaaeb8f7d97eab81d160b94cfc52470de730",
+    "ijpeg": "112d1ea606af73813ab98eada576b20eb8e7613ddc4af9b7cb19574cf009b7ab",
+    "li": "6b485e28fd522749fa186e6cbe25026e019ebb45a26a31306d35dfb22a59ac5f",
+    "m88ksim": "53a0bbe6e59bb2ea7d568a5b0cf91d70ef28168e5cec5529c7deb6e9d02d1b67",
+    "mgrid": "e9b2ac77a017d3244efe46ea17ff5dfd11ba81c9f39d8bef6ee43c609a04df8e",
+    "perl": "5f8dec42ff9c5cbd8bf116d6e2a3d873fd48a7d90fbae44c89663337c82a20bc",
+    "su2cor": "ab3b52420e876fb3b34fb9ead92c4912027bb6beeaf0ce11426d923afd75b3e5",
+    "swim": "925ee64755469de3c707c2ed4c358ed1b731f90d1506466beae7ce0197e3cdca",
+    "tomcatv": "20a55d9cd726015d457d82cf76481622e044b567dba6008834ba5e1ec755eba1",
+    "turb3d": "058c53716611ba99af7476f9d3cbc2ff3f77b2ef1a2463d90f3ff3e785ed42e2",
+    "vortex": "153f014e6918b57bec28b760c84903241551ddf71f6b3fb4d7dff581c0b1fdef",
+    "wave5": "3c1d9a4d565aef6fbb8f421cbed05ea9a0f42a84ca34fadd6bbd9075731f55c2",
 }
 
-_FIELDS = tuple(field.name for field in dataclasses.fields(DynamicInstruction))
+
+def _nop_profile():
+    """gcc with every class scaled to 95% and 5% NOPs added."""
+    gcc = get_profile("gcc")
+    mix = {op_class: share * 0.95 for op_class, share in gcc.instruction_mix.items()}
+    mix[OpClass.NOP] = mix.get(OpClass.NOP, 0.0) + 0.05
+    return dataclasses.replace(gcc, name=NOP_CASE, instruction_mix=mix)
+
+
+def _streams() -> dict:
+    """Every pinned stream: name -> (profile, seed)."""
+    streams = {name: (profile, None) for name, profile in all_profiles().items()}
+    streams[NOP_CASE] = (_nop_profile(), NOP_SEED)
+    return streams
 
 
 def _canonical(value) -> str:
@@ -55,32 +96,47 @@ def _canonical(value) -> str:
         return str(value.value)
     if isinstance(value, tuple):
         return "(" + ",".join(_canonical(item) for item in value) + ")"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(f"{key!r}:{_canonical(item)}" for key, item in items) + "}"
     return repr(value)
 
 
-def stream_digest(profile) -> str:
+def stream_digest(profile, seed=None) -> str:
     digest = hashlib.sha256()
-    for instruction in SyntheticWorkload(profile).instructions(STREAM_LENGTH):
-        fields = (_canonical(getattr(instruction, field)) for field in _FIELDS)
+    for instruction in SyntheticWorkload(profile, seed=seed).instructions(STREAM_LENGTH):
+        fields = (_canonical(getattr(instruction, field)) for field in STREAM_FIELDS)
         digest.update("|".join(fields).encode() + b"\n")
     return digest.hexdigest()
 
 
+def test_hashed_fields_are_every_instruction_field():
+    assert STREAM_FIELDS == tuple(
+        field.name for field in dataclasses.fields(DynamicInstruction)
+    )
+
+
 def test_every_profile_is_pinned():
-    assert set(EXPECTED_DIGESTS) == set(all_profiles())
+    assert set(EXPECTED_DIGESTS) == set(_streams())
 
 
-@pytest.mark.parametrize("name", sorted(all_profiles()))
+def test_nop_case_generates_nops_without_sources():
+    profile, seed = _streams()[NOP_CASE]
+    nops = [
+        instruction
+        for instruction in SyntheticWorkload(profile, seed=seed).instructions(STREAM_LENGTH)
+        if instruction.op_class is OpClass.NOP
+    ]
+    assert nops
+    assert all(nop.sources == () and nop.dest is None for nop in nops)
+
+
+@pytest.mark.parametrize("name", sorted(_streams()))
 def test_generated_stream_is_byte_identical(name):
-    assert stream_digest(all_profiles()[name]) == EXPECTED_DIGESTS[name], (
+    profile, seed = _streams()[name]
+    assert stream_digest(profile, seed) == EXPECTED_DIGESTS[name], (
         f"the generated {name!r} stream changed; generator optimisations "
         "must leave every stream byte-identical"
     )
 
 
 if __name__ == "__main__":  # pragma: no cover - records the digests
-    for profile_name, profile in sorted(all_profiles().items()):
-        print(f'    "{profile_name}": "{stream_digest(profile)}",')
+    for stream_name, (stream_profile, stream_seed) in sorted(_streams().items()):
+        print(f'    "{stream_name}": "{stream_digest(stream_profile, stream_seed)}",')
