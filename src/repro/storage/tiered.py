@@ -7,7 +7,9 @@ objects) in front of a large lower level (a
 level hit is decoded once and promoted into the upper level.  A subclass
 supplies only its codec, :meth:`TwoTierCache._encode` and
 :meth:`TwoTierCache._decode`; a record that fails to decode, for any
-reason, is a counted miss and never an error.
+reason, is a counted miss and never an error, and a counted lookup that
+meets one also counts it as ``rejected``, so a codec fault that turns
+every disk read into a recompute shows in ``/metrics``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.storage.sharded import ShardedStore
+
+#: What :meth:`TwoTierCache._load` returns for a record that does not decode.
+_REJECTED = object()
 
 
 class TwoTierCache:
@@ -32,6 +37,7 @@ class TwoTierCache:
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
+        self.rejected = 0
         self.stores = 0
         self._disk: Optional[ShardedStore] = (
             ShardedStore(root, max_bytes=max_bytes) if root else None
@@ -56,7 +62,8 @@ class TwoTierCache:
         return len(self._memory)
 
     def _load(self, key: str) -> Any:
-        """Decode ``key`` from the disk tier and promote it into memory."""
+        """Decode ``key`` from the disk tier and promote it into memory:
+        ``None`` without a record, ``_REJECTED`` if it does not decode."""
         if self._disk is None:
             return None
         raw = self._disk.get(key)
@@ -65,9 +72,10 @@ class TwoTierCache:
         try:
             value = self._decode(key, raw)
         except Exception:  # noqa: BLE001 - a corrupt record is a miss
-            return None
-        if value is not None:
-            self._memory[key] = value
+            return _REJECTED
+        if value is None:
+            return _REJECTED
+        self._memory[key] = value
         return value
 
     def peek(self, key: str) -> Any:
@@ -75,7 +83,7 @@ class TwoTierCache:
         value = self._memory.get(key)
         if value is None:
             value = self._load(key)
-        return value
+        return None if value is _REJECTED else value
 
     def get(self, key: str) -> Any:
         """Counted lookup, promoting disk entries into the memory tier."""
@@ -86,6 +94,9 @@ class TwoTierCache:
             return value
         value = self._load(key)
         with self._counter_lock:
+            if value is _REJECTED:
+                self.rejected += 1
+                value = None
             if value is None:
                 self.misses += 1
             else:
@@ -126,6 +137,7 @@ class TwoTierCache:
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
+            "rejected": self.rejected,
             "stores": self.stores,
             "entries": len(self._memory),
         }

@@ -99,7 +99,8 @@ class TestResultStore:
         second = SimulationCache(TINY, ResultStore(cache_dir=str(tmp_path)))
         after = second.stats("swim", one_cycle_factory(), "1-cycle")
         assert second.store.counters() == {
-            "memory_hits": 0, "disk_hits": 1, "misses": 0, "stores": 0, "entries": 1,
+            "memory_hits": 0, "disk_hits": 1, "misses": 0, "rejected": 0,
+            "stores": 0, "entries": 1,
         }
         assert after.ipc == before.ipc
 

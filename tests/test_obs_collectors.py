@@ -63,6 +63,7 @@ CACHE_DIR_TYPES = [
     "repro_result_cache_entries gauge",
     "repro_result_cache_memory_hits gauge",
     "repro_result_cache_misses gauge",
+    "repro_result_cache_rejected gauge",
     "repro_result_cache_stores gauge",
     "repro_storage_results_claims gauge",
     "repro_storage_results_compactions gauge",
@@ -92,6 +93,7 @@ CACHE_DIR_TYPES = [
     "repro_trace_cache_entries gauge",
     "repro_trace_cache_memory_hits gauge",
     "repro_trace_cache_misses gauge",
+    "repro_trace_cache_rejected gauge",
     "repro_trace_cache_stores gauge",
     "repro_uptime_seconds gauge",
     "repro_job_execute_seconds histogram",
@@ -183,7 +185,7 @@ class TestScrape:
         assert types == CACHE_DIR_TYPES
         kinds = [line.split()[1] for line in types]
         counts = {kind: kinds.count(kind) for kind in ("counter", "gauge", "histogram")}
-        assert counts == {"counter": 25, "gauge": 44, "histogram": 4}
+        assert counts == {"counter": 25, "gauge": 46, "histogram": 4}
 
     def test_type_lines_after_one_job_memory_only(self):
         app = ServiceApp(cache_dir=None, jobs=1)
@@ -194,7 +196,7 @@ class TestScrape:
         finally:
             app.stop()
         assert _type_lines(text) == MEMORY_TYPES
-        assert len(MEMORY_TYPES) == 48
+        assert len(MEMORY_TYPES) == 50
 
 
 class TestOneSnapshotTwoRenderings:
@@ -223,8 +225,8 @@ class TestOneSnapshotTwoRenderings:
             for key, value in values.items():
                 assert samples[sanitize_name(f"{family}.{key}")] == value, (family, key)
                 compared += 1
-        # 5 counters per cache, 12 stats per store, 2 job-store counts.
-        assert compared == 5 + 5 + 12 + 12 + 2
+        # 6 counters per cache, 12 stats per store, 2 job-store counts.
+        assert compared == 6 + 6 + 12 + 12 + 2
         assert samples["repro_queue_depth"] == run.metrics["queue"]["depth"]
         for state in STATES:
             assert samples[f"repro_jobs_state_{state}"] == run.metrics["jobs"][state]

@@ -3,7 +3,8 @@
 ``repro.storage.TwoTierCache`` owns promotion into the memory tier, the
 hit/miss/store counters and the disk-tier pass-throughs; ``ResultStore``
 and ``TraceStore`` add only their codecs.  A disk record that does not
-decode, for any reason, is a counted miss and is never promoted.
+decode, for any reason, is a counted miss, is counted as ``rejected``
+and is never promoted.
 """
 
 import json
@@ -28,11 +29,12 @@ class _TextCache(TwoTierCache):
         return None if text == "reject" else text
 
 
-def _counts(memory_hits=0, disk_hits=0, misses=0, stores=0, entries=0):
+def _counts(memory_hits=0, disk_hits=0, misses=0, rejected=0, stores=0, entries=0):
     return {
         "memory_hits": memory_hits,
         "disk_hits": disk_hits,
         "misses": misses,
+        "rejected": rejected,
         "stores": stores,
         "entries": entries,
     }
@@ -65,8 +67,10 @@ class TestTwoTierCache:
         _TextCache(str(tmp_path)).put("k", text)
         cache = _TextCache(str(tmp_path))
         assert cache.get("k") is None
+        # peek counts nothing, a rejection included.
         assert cache.peek("k") is None
-        assert cache.counters() == _counts(misses=1)
+        assert cache.counters() == _counts(misses=1, rejected=1)
+        assert len(cache) == 0
 
     def test_memory_only_cache_has_no_disk_tier(self):
         cache = _TextCache()
@@ -113,7 +117,7 @@ class TestMalformedResultRecords:
         ResultStore(str(tmp_path))._disk.put("deadbeef", json.dumps(record).encode("utf-8"))
         reader = ResultStore(str(tmp_path))
         assert reader.get("deadbeef") is None
-        assert reader.counters() == _counts(misses=1)
+        assert reader.counters() == _counts(misses=1, rejected=1)
 
     @pytest.mark.parametrize(
         "payload",
@@ -130,3 +134,24 @@ class TestMalformedResultRecords:
         reader = ResultStore(str(tmp_path))
         assert reader.get("deadbeef") == stats
         assert reader.counters() == _counts(disk_hits=1, entries=1)
+
+
+class TestRejectedDecodes:
+    """A corrupt disk record in either store is a miss counted as rejected;
+    an absent one is a plain miss."""
+
+    CORRUPT = b"\x00 not a record"
+
+    def test_corrupt_result_record_is_rejected(self, tmp_path):
+        ResultStore(str(tmp_path))._disk.put("deadbeef", self.CORRUPT)
+        reader = ResultStore(str(tmp_path))
+        assert reader.get("deadbeef") is None
+        assert reader.get("absent") is None
+        assert reader.counters() == _counts(misses=2, rejected=1)
+
+    def test_corrupt_trace_record_is_rejected(self, tmp_path):
+        TraceStore(str(tmp_path))._disk.put("deadbeef", self.CORRUPT)
+        reader = TraceStore(str(tmp_path))
+        assert reader.get("deadbeef") is None
+        assert reader.get("absent") is None
+        assert reader.counters() == _counts(misses=2, rejected=1)
