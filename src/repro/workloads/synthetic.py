@@ -343,6 +343,7 @@ class SyntheticWorkload:
                         if protected[key] > 0:
                             protected[key] -= 1
 
+                # ---- fallback-operand choice ------------------------------
                 while len(sources) < num_sources:
                     # Operands that are not part of a planned producer→consumer
                     # pair mostly reference long-lived values (base pointers,
@@ -353,10 +354,9 @@ class SyntheticWorkload:
                     if rng_random() < long_lived_source:
                         sources.append(choice(long_lived_pools[fp]))
                         continue
-                    # ---- fallback-operand choice --------------------------
                     # Real code mixes tight dependences with references to
                     # older values (different loop iterations, other dataflow
-                    # strands), so half of the fallback operands come from
+                    # strands), so half of the remaining operands come from
                     # anywhere in the recent-writer window rather than hugging
                     # the most recent producer; this keeps the
                     # instruction-level parallelism of the streams realistic.
@@ -374,7 +374,7 @@ class SyntheticWorkload:
                         index = min(distance - 1, len(candidates) - 1)
                     # ``index`` counts back from the newest write.
                     sources.append(candidates[-1 - index])
-                    # ---- end of the fallback-operand choice ---------------
+                # ---- end of the fallback-operand choice -------------------
 
             dest = None
             if writes:
@@ -385,7 +385,7 @@ class SyntheticWorkload:
                 else:
                     # Prefer a register with no outstanding planned reads, to
                     # avoid destroying a planned dependence; scan at most the
-                    # whole pool, then take the next slot regardless.
+                    # whole pool, then take the slot the scan started at.
                     keys = rotating_keys[fp]
                     start = rotation[fp]
                     for offset in range(_NUM_ROTATING):
