@@ -128,7 +128,6 @@ class IssueQueue:
         # Waiter/consumer indexes keyed by ``PhysicalRegister.uid``.
         self._waiters: Dict[int, List[IssueQueueEntry]] = {}
         self._consumers: Dict[int, List[IssueQueueEntry]] = {}
-        self.max_occupancy = 0
         # Hot-path caches (all fixed after construction): the scoreboard's
         # state dictionary is never rebound, and the bypass timing gives a
         # constant producer-end -> consumer-execute offset.
@@ -214,8 +213,6 @@ class IssueQueue:
                 entry.fp_accesses = [a for a in accesses if not a.is_int]
         entry.earliest_ex_cycle = earliest
         entries[entry.seq] = entry
-        if len(entries) > self.max_occupancy:
-            self.max_occupancy = len(entries)
         return entry
 
     def wakeup(self, register: PhysicalRegister, ex_end_cycle: int) -> List[IssueQueueEntry]:

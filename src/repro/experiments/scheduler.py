@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos import seams as _seams
+from repro.errors import ConfigurationError
 from repro.experiments.store import DEFAULT_CLAIM_TTL, ResultStore, simulation_key
 from repro.obs import context as _obs_context
 from repro.obs import profile as _obs_profile
@@ -593,6 +594,8 @@ class SweepEngine:
         claim_poll_interval: float = 0.05,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
         self.store = store if store is not None else ResultStore()
         self.jobs = jobs
         self.trace_store = (

@@ -77,7 +77,6 @@ class FetchUnit:
         #: True while waiting for a mispredicted branch to resolve.
         self.blocked = False
         # statistics
-        self.fetched_instructions = 0
         self.icache_stall_cycles = 0
 
     # ------------------------------------------------------------------
@@ -193,7 +192,6 @@ class FetchUnit:
                 # At most one taken branch per cycle: the group ends here.
                 break
 
-        self.fetched_instructions += len(group)
         return group
 
     def _predict_branch(self, inst: DynamicInstruction, cycle: int) -> FetchedInstruction:

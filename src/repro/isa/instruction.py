@@ -16,6 +16,11 @@ from typing import Optional
 
 from repro.isa.opcodes import OpClass, Opcode, default_latency
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_BRANCH = OpClass.BRANCH
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+
 
 class RegisterClass(enum.Enum):
     """Whether a logical register lives in the integer or FP register file."""
@@ -165,9 +170,9 @@ class DynamicInstruction:
         op_class = self.op_class
         if self.latency is None:
             self.latency = default_latency(op_class)
-        if op_class is OpClass.BRANCH:
+        if op_class is _BRANCH:
             self.is_branch = True
-        if ((op_class is OpClass.LOAD or op_class is OpClass.STORE)
+        if ((op_class is _LOAD or op_class is _STORE)
                 and self.mem_address is None):
             self.mem_address = 0
 

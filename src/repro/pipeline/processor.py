@@ -35,8 +35,12 @@ files' and FU pool's ``idle``, which lets a cycle skip their
 without busy dividers, ``ValueScoreboard.allocate``); register-file hooks
 that are no-ops on a model (``on_issue``, ``release``) are resolved once
 per processor; and physical registers, interned by the renamer, are
-compared by identity.  Every change here is guarded by the golden-stats
-parity tests (``tests/test_golden_stats.py``): optimizations must leave
+compared by identity.  Hot functions read enum members through
+module-level constants bound once (``_LOAD``), never as ``OpClass.LOAD``,
+an attribute read CPython 3.11 does not specialize
+(``tests/test_hot_path_enum_reads.py`` lists the functions).  Every
+change here is guarded by the golden-stats parity tests
+(``tests/test_golden_stats.py``): optimizations must leave
 ``SimulationStats`` bit-identical.
 """
 
@@ -63,10 +67,17 @@ from repro.pipeline.stats import OccupancySample, SimulationStats
 from repro.regfile.base import OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
 
+# Enum members bound once.  The enum metaclass defines ``__getattr__``
+# (CPython 3.11), so a read such as ``OpClass.LOAD`` takes a slow
+# attribute path the specializing interpreter never specializes; a
+# module global read is several times cheaper.
 _BYPASS = OperandSource.BYPASS
 _FILE = OperandSource.FILE
 _MISS = OperandSource.MISS
 _NOT_READY = OperandSource.NOT_READY
+_INT = RegisterClass.INT
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 class Processor:
@@ -285,7 +296,7 @@ class Processor:
             # the committed destination.
             released = entry.previous_dest
             if released is not None:
-                if released.reg_class is RegisterClass.INT:
+                if released.reg_class is _INT:
                     free_list, regfile = int_free, int_rf
                 else:
                     free_list, regfile = fp_free, fp_rf
@@ -304,10 +315,10 @@ class Processor:
                         regfile.release(released)
             instruction = entry.instruction
             op_class = instruction.op_class
-            if op_class is OpClass.STORE:
+            if op_class is _STORE:
                 self.dcache.access(instruction.mem_address or 0, is_write=True)
                 lsq.release(entry.seq)
-            elif op_class is OpClass.LOAD:
+            elif op_class is _LOAD:
                 lsq.release(entry.seq)
             committed += 1
             if observer is not None:
@@ -334,7 +345,7 @@ class Processor:
                 state = entry.dest_state
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {dest}")
-                regfile = int_rf if dest.reg_class is RegisterClass.INT else fp_rf
+                regfile = int_rf if dest.reg_class is _INT else fp_rf
                 rf_ready = regfile.writeback(dest, state, cycle, window)
                 state.rf_ready_cycle = rf_ready
                 state.written_back = True
@@ -386,8 +397,8 @@ class Processor:
         not_ready = _NOT_READY
         miss = _MISS
         via_bypass = _BYPASS
-        load = OpClass.LOAD
-        store = OpClass.STORE
+        load = _LOAD
+        store = _STORE
         issued = 0
         stalls_fu = 0
         stalls_ports = 0
@@ -484,7 +495,7 @@ class Processor:
                 state.ex_end_cycle = ex_end
                 window.wakeup(dest, ex_end)
                 if issue_hooks:
-                    (int_rf if dest.reg_class is RegisterClass.INT else fp_rf).on_issue(
+                    (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
                         entry, cycle, window, self.scoreboard
                     )
 
@@ -577,7 +588,7 @@ class Processor:
                 break  # still in the decode stage
             instruction = fetched.instruction
             op_class = instruction.op_class
-            is_memory = op_class is OpClass.LOAD or op_class is OpClass.STORE
+            is_memory = op_class is _LOAD or op_class is _STORE
             if rob_room <= 0:
                 stats.dispatch_stalls_rob += 1
                 break
@@ -590,7 +601,7 @@ class Processor:
             # Inlined ``renamer.can_rename``.
             dest = instruction.dest
             if dest is not None and not (
-                int_free if dest.reg_class is RegisterClass.INT else fp_free
+                int_free if dest.reg_class is _INT else fp_free
             ):
                 stats.dispatch_stalls_registers += 1
                 break
@@ -607,7 +618,7 @@ class Processor:
             rob_room -= 1
             window_room -= 1
             if is_memory:
-                is_store = op_class is OpClass.STORE
+                is_store = op_class is _STORE
                 lsq.insert(instruction.seq, is_store)
                 if is_store and instruction.mem_address is not None:
                     # Store addresses are produced by the address-generation

@@ -28,6 +28,11 @@ from repro.regfile.base import (
 from repro.regfile.ports import PortSet, WriteScheduler
 from repro.rename.renamer import PhysicalRegister
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_BYPASS = OperandSource.BYPASS
+_FILE = OperandSource.FILE
+_NOT_READY = OperandSource.NOT_READY
+
 
 class OneLevelBankedRegisterFile(RegisterFileModel):
     """A single-level register file split into several interleaved banks."""
@@ -86,16 +91,16 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         state = access.state
         retry = None
         if state.ex_end_cycle is None:
-            source = OperandSource.NOT_READY
+            source = _NOT_READY
         elif issue_cycle + self.read_stages < state.ex_end_cycle + 1:
-            source = OperandSource.NOT_READY
+            source = _NOT_READY
             retry = state.ex_end_cycle
         else:
             access.bank = access.register.index % self.num_banks
             if state.rf_ready_cycle is not None and issue_cycle >= state.rf_ready_cycle:
-                source = OperandSource.FILE
+                source = _FILE
             else:
-                source = OperandSource.BYPASS
+                source = _BYPASS
         access.source = source
         access.retry_cycle = retry
         return source
@@ -104,7 +109,7 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         demand = self._bank_demand
         touched = self._banks_touched
         for access in accesses:
-            if access.source is OperandSource.FILE:
+            if access.source is _FILE:
                 bank = access.bank
                 if demand[bank] == 0:
                     touched.append(bank)
@@ -124,13 +129,13 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         touched = self._banks_touched
         for access in accesses:
             source = access.source
-            if source is OperandSource.FILE:
+            if source is _FILE:
                 bank = access.bank
                 if demand[bank] == 0:
                     touched.append(bank)
                 demand[bank] += 1
                 self.reads_from_banks += 1
-            elif source is OperandSource.BYPASS:
+            elif source is _BYPASS:
                 self.reads_from_bypass += 1
         for bank in touched:
             needed = demand[bank]

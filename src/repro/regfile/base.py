@@ -52,6 +52,11 @@ class OperandSource(enum.Enum):
     NOT_READY = "not_ready"
 
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_INT = RegisterClass.INT
+_NOT_READY = OperandSource.NOT_READY
+
+
 class OperandAccess:
     """One source operand of a waiting instruction and its read plan.
 
@@ -67,8 +72,8 @@ class OperandAccess:
         #: Scoreboard state of the register, resolved once at dispatch.
         self.state = state
         #: Whether the integer (else the FP) register file holds the value.
-        self.is_int: bool = register.reg_class is RegisterClass.INT
-        self.source = OperandSource.NOT_READY
+        self.is_int: bool = register.reg_class is _INT
+        self.source = _NOT_READY
         #: For FILE accesses of multi-banked organisations: which bank is read.
         self.bank = 0
         #: For NOT_READY plans: earliest cycle at which re-planning could

@@ -27,6 +27,11 @@ from repro.regfile.base import (
 from repro.regfile.ports import PortSet, WriteScheduler
 from repro.rename.renamer import PhysicalRegister
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_BYPASS = OperandSource.BYPASS
+_FILE = OperandSource.FILE
+_NOT_READY = OperandSource.NOT_READY
+
 
 class SingleBankedRegisterFile(RegisterFileModel):
     """A monolithic register file with N-cycle access and B bypass levels."""
@@ -76,22 +81,22 @@ class SingleBankedRegisterFile(RegisterFileModel):
         state = access.state
         retry = None
         if state.ex_end_cycle is None:
-            source = OperandSource.NOT_READY
+            source = _NOT_READY
         else:
             earliest_ex = (
                 state.ex_end_cycle + 1 + (self.read_stages - self.bypass_levels)
             )
             if issue_cycle + self.read_stages < earliest_ex:
-                source = OperandSource.NOT_READY
+                source = _NOT_READY
                 retry = earliest_ex - self.read_stages
             # The operand is obtainable.  It comes from the register file
             # when the read (starting at issue) can already see the written
             # value; otherwise it rides the bypass network.
             elif (state.rf_ready_cycle is not None
                   and issue_cycle >= state.rf_ready_cycle):
-                source = OperandSource.FILE
+                source = _FILE
             else:
-                source = OperandSource.BYPASS
+                source = _BYPASS
         access.source = source
         access.retry_cycle = retry
         return source
@@ -101,7 +106,7 @@ class SingleBankedRegisterFile(RegisterFileModel):
             return True
         needed = 0
         for access in accesses:
-            if access.source is OperandSource.FILE:
+            if access.source is _FILE:
                 needed += 1
         if needed == 0:
             return True
@@ -115,9 +120,9 @@ class SingleBankedRegisterFile(RegisterFileModel):
         bypassed = 0
         for access in accesses:
             source = access.source
-            if source is OperandSource.FILE:
+            if source is _FILE:
                 needed += 1
-            elif source is OperandSource.BYPASS:
+            elif source is _BYPASS:
                 bypassed += 1
         if needed:
             self.read_ports.claim_capped(needed)

@@ -29,6 +29,9 @@ from repro.rename.map_table import MapTable
 if TYPE_CHECKING:  # pragma: no cover - the window imports this module
     from repro.execute.issue_queue import IssueQueueEntry
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_INT = RegisterClass.INT
+
 
 @dataclass(frozen=True)
 class PhysicalRegister:
@@ -157,7 +160,7 @@ class Renamer:
             record.dest = None
             record.previous_dest = None
             return record
-        if logical.reg_class is RegisterClass.INT:
+        if logical.reg_class is _INT:
             free_list, physical = self._int_free, self._int_physical
         else:
             free_list, physical = self._fp_free, self._fp_physical

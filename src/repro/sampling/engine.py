@@ -45,6 +45,11 @@ from repro.sampling.spec import SamplingSpec
 from repro.trace.replayer import TraceReplayer
 from repro.trace.schema import DecodedTrace
 
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_INT = RegisterClass.INT
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+
 # ----------------------------------------------------------------------
 # Student-t critical values
 # ----------------------------------------------------------------------
@@ -196,22 +201,22 @@ def functional_warmup(processor: Processor, instructions) -> None:
         if dest is not None:
             state = scoreboard.allocate(dest, instruction.seq)
             state.ex_end_cycle = cycle
-            regfile = int_rf if dest.reg_class is RegisterClass.INT else fp_rf
+            regfile = int_rf if dest.reg_class is _INT else fp_rf
             state.rf_ready_cycle = regfile.writeback(dest, state, cycle, window)
             state.written_back = True
         op_class = instruction.op_class
-        if op_class is OpClass.LOAD:
+        if op_class is _LOAD:
             dcache.access(instruction.mem_address or 0)
-        elif op_class is OpClass.STORE:
+        elif op_class is _STORE:
             dcache.access(instruction.mem_address or 0, is_write=True)
         released = record.previous_dest
         if released is not None:
-            (int_free if released.reg_class is RegisterClass.INT
+            (int_free if released.reg_class is _INT
              else fp_free).release(released.index)
             state = sb_states.get(released.uid)
             if state is not None:
                 scoreboard.release(released)
-                (int_rf if released.reg_class is RegisterClass.INT
+                (int_rf if released.reg_class is _INT
                  else fp_rf).release(released)
         cycle += 1
     # Warm accesses must not count toward the detailed window's rates.

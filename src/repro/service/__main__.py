@@ -33,6 +33,7 @@ import sys
 import threading
 from typing import Optional, Sequence
 
+from repro.errors import ReproError
 from repro.obs import logging as obs_logging
 from repro.obs import profile as obs_profile
 from repro.service.app import ServiceApp
@@ -245,15 +246,19 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.claim_ttl is not None:
         lease_kwargs["claim_ttl"] = args.claim_ttl
 
-    app = ServiceApp(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        job_concurrency=args.job_concurrency,
-        progress=None if args.quiet else progress,
-        replica_id=args.replica_id,
-        max_queue_depth=args.max_queue_depth,
-        **lease_kwargs,
-    )
+    try:
+        app = ServiceApp(
+            cache_dir=args.cache_dir,
+            jobs=args.jobs,
+            job_concurrency=args.job_concurrency,
+            progress=None if args.quiet else progress,
+            replica_id=args.replica_id,
+            max_queue_depth=args.max_queue_depth,
+            **lease_kwargs,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         server = build_server(app, host=args.host, port=args.port)
     except OSError as error:

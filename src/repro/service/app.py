@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chaos import seams as _seams
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.scheduler import SweepEngine, dedupe_points
 from repro.experiments.store import ResultStore
 from repro.obs import prometheus as _prometheus
@@ -117,14 +117,18 @@ class ServiceApp:
         poison_attempts: int = DEFAULT_POISON_ATTEMPTS,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
+        # Checked before anything touches the cache directory.
         if jobs < 1:
-            raise ValueError("jobs must be at least 1")
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
         if job_concurrency < 1:
-            raise ValueError("job_concurrency must be at least 1")
+            raise ConfigurationError(
+                f"job_concurrency must be at least 1, got {job_concurrency}")
         if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1")
+            raise ConfigurationError(
+                f"max_queue_depth must be at least 1, got {max_queue_depth}")
         if poison_attempts < 1:
-            raise ValueError("poison_attempts must be at least 1")
+            raise ConfigurationError(
+                f"poison_attempts must be at least 1, got {poison_attempts}")
         self.cache_dir = cache_dir
         self.progress = progress
         self.replica_id = replica_id or default_replica_id()

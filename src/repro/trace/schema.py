@@ -50,6 +50,8 @@ FetchEvent = Tuple[int, int, int, int, int]
 
 _OP_CLASSES: Tuple[OpClass, ...] = tuple(OpClass)
 _OP_INDEX: Dict[OpClass, int] = {op: i for i, op in enumerate(_OP_CLASSES)}
+# Enum members bound once, as in ``repro.pipeline.processor``.
+_FP = RegisterClass.FP
 
 
 def frontend_fingerprint(config: ProcessorConfig) -> dict:
@@ -96,7 +98,7 @@ def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
 def _encode_register(register: Optional[LogicalRegister]) -> int:
     if register is None:
         return -1
-    return (register.index << 1) | (register.reg_class is RegisterClass.FP)
+    return (register.index << 1) | (register.reg_class is _FP)
 
 
 def _decode_register(code: int) -> Optional[LogicalRegister]:

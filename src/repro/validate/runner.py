@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, List, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments.scheduler import fan_out
 from repro.validate.differential import (
     filter_matrix,
@@ -91,10 +92,14 @@ def run_validation(
 
     Raises
     ------
+    ConfigurationError
+        If ``jobs`` is below 1.
     ValidationError
         If ``name_filter`` matches no architecture, or ``fault`` names
         an unknown one (checked before any simulation runs).
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     full_matrix = validation_matrix()
     matrix = filter_matrix(full_matrix, name_filter)
     if fault is not None and fault.architecture not in matrix:

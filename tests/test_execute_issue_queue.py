@@ -6,8 +6,12 @@ from repro.errors import SimulationError
 from repro.execute.bypass import BypassNetwork
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueScoreboard
+from repro.isa.assembler import assemble
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import simulate
+from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.rename.renamer import PhysicalRegister
 
 
@@ -124,8 +128,9 @@ class TestConsumersIndex:
         assert registers == {_phys(50), _phys(1)}
 
     def test_max_occupancy_tracked(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=0)
-        queue.dispatch(_renamed(1, dest=41, sources=(1,)), cycle=0)
-        assert queue.max_occupancy == 2
+        # The pipeline's statistics report the window's peak occupancy: a
+        # dependence chain fills a two-entry window.
+        program = assemble("\n".join(["li r1, 1"] + ["add r1, r1, r1"] * 20))
+        stats = simulate(program.run(), lambda: SingleBankedRegisterFile(latency=1),
+                         ProcessorConfig(max_instructions=100, instruction_window=2))
+        assert stats.max_window_occupancy == 2

@@ -235,6 +235,11 @@ class TestScheduler:
         assert summary["executed"] == 2
         assert len(store) == 2
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_engine_rejects_non_positive_jobs(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+            SweepEngine(store=ResultStore(), jobs=jobs)
+
     def test_plans_cover_their_runs(self):
         """Each experiment's run() reads only the points its own plan()
         declares: it runs over a store holding that plan's results and

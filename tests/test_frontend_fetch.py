@@ -6,6 +6,7 @@ from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS
 from repro.isa.opcodes import OpClass
 from repro.memsys.cache import CacheConfig, CacheModel
+from repro.pipeline.stats import SimulationStats
 
 
 def _alu(seq, pc):
@@ -29,13 +30,15 @@ class TestFetchGrouping:
     def test_fetches_up_to_width(self):
         stream = [_alu(i, 0x1000 + 4 * i) for i in range(20)]
         fetch = _make_fetch(stream, width=8)
-        group = fetch.fetch(0)
+        stats = SimulationStats()
+        queue = []
+        fetch.fetch_into(queue, stats, 0)
         # The very first access misses the I-cache (cold), so nothing comes
         # out at cycle 0; after the refill a full group is delivered.
-        assert group == []
-        resumed = next(cycle for cycle in range(1, 10) if fetch.fetch(cycle))
-        group = fetch.fetch(resumed) or fetch.fetch(resumed + 1)
-        assert fetch.fetched_instructions >= 8
+        assert queue == []
+        for cycle in range(1, 10):
+            fetch.fetch_into(queue, stats, cycle)
+        assert stats.fetched_instructions == len(queue) >= 8
 
     def test_stops_at_taken_branch(self):
         stream = [_alu(0, 0x1000), _branch(1, 0x1004, taken=True), _alu(2, 0x5000)]

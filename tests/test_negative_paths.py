@@ -63,6 +63,17 @@ class TestRunnerCli:
         assert code == 2
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exits_two(self, jobs, capsys):
+        code = runner_main([
+            "--experiment", "figure6", "--benchmarks", "gcc",
+            "--instructions", "50", "--jobs", jobs, "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "jobs must be at least 1" in err
+
     def test_mixed_known_and_unknown_filter_still_fails(self, capsys):
         code = runner_main([
             "--experiment", "figure6", "--benchmarks", "gcc", "wave5x",

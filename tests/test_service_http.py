@@ -8,6 +8,7 @@ malformed-payload cases, and ``repro.service.__main__`` for the CLI.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import urllib.error
@@ -165,6 +166,28 @@ class TestServeBind:
             with pytest.raises(OSError):
                 build_server(ServiceApp(cache_dir=None, jobs=1),
                              port=taken.getsockname()[1])
+
+
+class TestServeArguments:
+    @pytest.fixture(autouse=True)
+    def _restore_repro_logger(self):
+        # ``serve`` configures the ``repro`` logger before it validates.
+        logger = logging.getLogger("repro")
+        saved = (list(logger.handlers), logger.level, logger.propagate)
+        yield
+        logger.handlers[:], logger.level, logger.propagate = saved
+
+    @pytest.mark.parametrize("flag,option", [
+        ("--jobs", "jobs"),
+        ("--job-concurrency", "job_concurrency"),
+        ("--max-queue-depth", "max_queue_depth"),
+    ])
+    def test_non_positive_counts_exit_two(self, flag, option, capsys):
+        code = service_main(["serve", "--port", "0", "--quiet", flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{option} must be at least 1" in err
 
 
 class TestClientCli:

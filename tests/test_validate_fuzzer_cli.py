@@ -134,6 +134,12 @@ class TestCli:
         assert main(["--seeds", "0"]) == 2
         assert "--seeds" in capsys.readouterr().err
 
+    def test_non_positive_jobs_rejected(self, capsys):
+        assert main(["--seeds", "1", "--quick", "--quiet", "--jobs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "jobs must be at least 1" in err
+
     def test_non_positive_checkpoint_interval_rejected(self, capsys):
         assert main(["--seeds", "1", "--checkpoint-interval", "0"]) == 2
         assert "checkpoint" in capsys.readouterr().err
