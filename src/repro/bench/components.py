@@ -39,7 +39,7 @@ def gshare_prediction_throughput() -> int:
     for pc, taken in branches:
         predicted, checkpoint = predictor.predict(pc)
         predictor.update(pc, taken, checkpoint, predicted)
-    return predictor.predictions
+    return len(branches)
 
 
 def dcache_accesses() -> int:

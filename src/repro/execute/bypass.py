@@ -8,27 +8,15 @@ of effective producer→consumer latency (keeping only the *last* level
 avoids "holes": once a value leaves the bypass network it is already
 readable from the register file).
 
-This module encapsulates that arithmetic and counts how operands are
-actually delivered (bypass vs register file), which both the statistics
-and the non-bypass caching policy rely on.
+This module encapsulates that arithmetic.  How operands are actually
+delivered is counted elsewhere: the pipeline reports it in
+``SimulationStats.operands_from_bypass``/``operands_from_file``, and the
+non-bypass caching policy reads ``ValueState.consumed_via_bypass``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class BypassTiming:
-    """Derived timing facts for one (read_stages, bypass_levels) pair."""
-
-    read_stages: int
-    bypass_levels: int
-    #: Extra cycles of effective producer→consumer latency caused by the
-    #: missing bypass levels (0 when fully bypassed).
-    extra_consumer_latency: int
 
 
 class BypassNetwork:
@@ -43,19 +31,6 @@ class BypassNetwork:
             )
         self.read_stages = read_stages
         self.bypass_levels = bypass_levels
-        # statistics
-        self.operands_from_bypass = 0
-        self.operands_from_regfile = 0
-
-    @property
-    def timing(self) -> BypassTiming:
-        return BypassTiming(
-            read_stages=self.read_stages,
-            bypass_levels=self.bypass_levels,
-            extra_consumer_latency=self.read_stages - self.bypass_levels,
-        )
-
-    # ------------------------------------------------------------------
 
     def earliest_consumer_execute(self, producer_ex_end: int) -> int:
         """Earliest cycle a dependent instruction can start executing.
@@ -64,30 +39,3 @@ class BypassNetwork:
         finishes; each missing bypass level costs one more cycle.
         """
         return producer_ex_end + 1 + (self.read_stages - self.bypass_levels)
-
-    def served_by_bypass(self, producer_ex_end: int, rf_ready_cycle: int | None,
-                         consumer_ex_start: int) -> bool:
-        """Whether a consumer executing at ``consumer_ex_start`` gets the
-        operand from the bypass network rather than the register file.
-
-        The operand comes from the register file only if the read that
-        started ``read_stages`` cycles before execution could already see
-        the value there; otherwise it must have been bypassed.
-        """
-        if rf_ready_cycle is None:
-            return True
-        read_start = consumer_ex_start - self.read_stages
-        return read_start < rf_ready_cycle
-
-    # ------------------------------------------------------------------
-
-    def record_bypass_read(self) -> None:
-        self.operands_from_bypass += 1
-
-    def record_regfile_read(self) -> None:
-        self.operands_from_regfile += 1
-
-    @property
-    def bypass_fraction(self) -> float:
-        total = self.operands_from_bypass + self.operands_from_regfile
-        return self.operands_from_bypass / total if total else 0.0

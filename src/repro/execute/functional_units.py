@@ -54,7 +54,6 @@ _UNPIPELINED_CLASSES = frozenset({OpClass.INT_DIV, OpClass.FP_DIV})
 @dataclass
 class _Group:
     count: int
-    name: str = ""
     issued_this_cycle: int = 0
     #: cycles at which currently busy (unpipelined) units become free
     busy_until: list[int] = field(default_factory=list)
@@ -66,11 +65,11 @@ class FunctionalUnitPool:
     def __init__(self, config: FunctionalUnitConfig | None = None) -> None:
         self.config = config or FunctionalUnitConfig()
         self._groups: dict[str, _Group] = {
-            "simple_int": _Group(self.config.simple_int, "simple_int"),
-            "int_mul_div": _Group(self.config.int_mul_div, "int_mul_div"),
-            "simple_fp": _Group(self.config.simple_fp, "simple_fp"),
-            "fp_div": _Group(self.config.fp_div, "fp_div"),
-            "load_store": _Group(self.config.load_store, "load_store"),
+            "simple_int": _Group(self.config.simple_int),
+            "int_mul_div": _Group(self.config.int_mul_div),
+            "simple_fp": _Group(self.config.simple_fp),
+            "fp_div": _Group(self.config.fp_div),
+            "load_store": _Group(self.config.load_store),
         }
         # Resolve op class -> group once; ``can_issue``/``issue`` run for
         # every issued instruction.
@@ -82,13 +81,6 @@ class FunctionalUnitPool:
         #: issued since the last reset and no unpipelined operation is
         #: busy.  The pipeline skips the call while it is true.
         self.idle = True
-        # statistics
-        self.issues_by_group: dict[str, int] = {name: 0 for name in self._groups}
-
-    @staticmethod
-    def group_for(op_class: OpClass) -> str:
-        """Name of the FU group that executes ``op_class``."""
-        return _GROUP_FOR_CLASS[op_class]
 
     def begin_cycle(self, cycle: int) -> None:
         """Reset per-cycle issue counters and retire finished busy units.
@@ -145,13 +137,3 @@ class FunctionalUnitPool:
         self.idle = False
         if op_class in _UNPIPELINED_CLASSES:
             group.busy_until.append(cycle + latency)
-        self.issues_by_group[group.name] += 1
-
-    def utilization(self, total_cycles: int) -> dict[str, float]:
-        """Issues per unit per cycle, per group (rough utilization proxy)."""
-        if total_cycles <= 0:
-            return {name: 0.0 for name in self._groups}
-        return {
-            name: self.issues_by_group[name] / (group.count * total_cycles)
-            for name, group in self._groups.items()
-        }

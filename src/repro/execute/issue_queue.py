@@ -65,9 +65,9 @@ class IssueQueueEntry:
         self.dest_state: Optional[ValueState] = None
         #: ``uid``s of source registers whose producer completion time is
         #: not yet known.  ``None`` until the first pending source appears
-        #: — falsy either way for ``data_ready`` and the select loop, and
-        #: it skips a set allocation for the many entries that dispatch
-        #: with all operands already produced.
+        #: — falsy either way for the select loop, and it skips a set
+        #: allocation for the many entries that dispatch with all operands
+        #: already produced.
         self.pending: Optional[set[int]] = None
         #: Earliest cycle this instruction could start executing,
         #: considering operand availability through bypass/register file
@@ -88,11 +88,6 @@ class IssueQueueEntry:
         #: Set at write-back; the entry may commit from the next cycle.
         self.completed = False
         self.complete_cycle: Optional[int] = None
-
-    @property
-    def data_ready(self) -> bool:
-        """All source operands have a known availability time."""
-        return not self.pending
 
 
 class IssueQueue:
@@ -288,16 +283,9 @@ class IssueQueue:
             entry.earliest_ex_cycle = earliest
 
     # ------------------------------------------------------------------
-    # queries used by caching / prefetch policies and statistics
+    # query used by the caching and prefetch policies
     # ------------------------------------------------------------------
 
     def waiting_consumers_of(self, register: PhysicalRegister) -> List[IssueQueueEntry]:
         """Not-yet-issued window entries that source ``register``."""
         return [e for e in self._consumers.get(register.uid, []) if not e.issued]
-
-    def waiting_source_registers(self) -> set[PhysicalRegister]:
-        """All physical registers that are sources of waiting instructions."""
-        registers: set[PhysicalRegister] = set()
-        for entry in self._entries.values():
-            registers.update(entry.sources)
-        return registers

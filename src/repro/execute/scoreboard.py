@@ -35,10 +35,11 @@ class ValueState:
     #: Whether at least one consumer obtained this value from the bypass
     #: network (input to the non-bypass caching policy).
     consumed_via_bypass: bool = False
-    #: Total number of consumers that have read the value so far, and how.
+    #: Number of consumers that have read the value so far, through the
+    #: bypass network and from the register file (the commit stage sums
+    #: them into ``SimulationStats.value_read_distribution``).
     reads_from_bypass: int = 0
     reads_from_upper: int = 0
-    reads_from_lower: int = 0
     #: Whether the value has been written back to the (lowest) bank.
     written_back: bool = False
 
@@ -100,23 +101,6 @@ class ValueScoreboard:
 
     def contains(self, register: PhysicalRegister) -> bool:
         return register.uid in self._states
-
-    # ------------------------------------------------------------------
-    # consumer-side updates
-    # ------------------------------------------------------------------
-
-    def record_read(self, register: PhysicalRegister, source: str) -> None:
-        """Record a consumer read; ``source`` is 'bypass', 'upper' or 'lower'."""
-        state = self.get(register)
-        if source == "bypass":
-            state.consumed_via_bypass = True
-            state.reads_from_bypass += 1
-        elif source == "upper":
-            state.reads_from_upper += 1
-        elif source == "lower":
-            state.reads_from_lower += 1
-        else:
-            raise SimulationError(f"unknown read source {source!r}")
 
     # ------------------------------------------------------------------
 

@@ -262,8 +262,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(report)
     progress(store.describe())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        except OSError as error:
+            print(f"error: cannot write report: {error}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -32,8 +32,6 @@ class BranchTargetBuffer:
         self.num_sets = num_entries // associativity
         self.associativity = associativity
         self._sets: list[OrderedDict[int, int]] = [OrderedDict() for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
 
     def _set_index(self, pc: int) -> int:
         return (pc >> 2) % self.num_sets
@@ -42,11 +40,8 @@ class BranchTargetBuffer:
         """Return the cached target for the branch at ``pc`` or ``None``."""
         entry_set = self._sets[self._set_index(pc)]
         target = entry_set.get(pc)
-        if target is None:
-            self.misses += 1
-            return None
-        entry_set.move_to_end(pc)
-        self.hits += 1
+        if target is not None:
+            entry_set.move_to_end(pc)
         return target
 
     def insert(self, pc: int, target: int) -> None:
@@ -59,8 +54,3 @@ class BranchTargetBuffer:
         if len(entry_set) >= self.associativity:
             entry_set.popitem(last=False)
         entry_set[pc] = target
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0

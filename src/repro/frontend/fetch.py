@@ -76,8 +76,6 @@ class FetchUnit:
         self._blocked_on_seq: Optional[int] = None
         #: True while waiting for a mispredicted branch to resolve.
         self.blocked = False
-        # statistics
-        self.icache_stall_cycles = 0
 
     # ------------------------------------------------------------------
 
@@ -171,9 +169,7 @@ class FetchUnit:
                 if not result.hit:
                     # The group ends; refill charges latency-1 extra cycles,
                     # and this instruction is retried once the line arrives.
-                    stall = result.latency - icache.config.hit_latency
-                    self._stalled_until = cycle + stall
-                    self.icache_stall_cycles += stall
+                    self._stalled_until = cycle + result.latency - icache.config.hit_latency
                     self._pending = inst
                     break
                 current_line = line

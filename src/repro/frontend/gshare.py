@@ -34,9 +34,6 @@ class GSharePredictor:
         self._counters = bytearray([2] * num_entries)  # weakly taken
         self._history = 0
         self._history_mask = (1 << self.history_bits) - 1
-        # statistics
-        self.predictions = 0
-        self.mispredictions = 0
 
     # ------------------------------------------------------------------
 
@@ -47,14 +44,14 @@ class GSharePredictor:
         """Predict the direction of the branch at ``pc``.
 
         Returns ``(taken, checkpoint)`` where ``checkpoint`` must be
-        passed back to :meth:`update` / :meth:`recover`.
+        passed back to :meth:`update`, which repairs the history on a
+        misprediction.
         """
         checkpoint = self._history
         counter = self._counters[self._index(pc, self._history)]
         taken = counter >= 2
         # Speculative history update.
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
-        self.predictions += 1
         return taken, checkpoint
 
     def update(self, pc: int, taken: bool, checkpoint: int, predicted: bool) -> None:
@@ -66,18 +63,7 @@ class GSharePredictor:
         else:
             self._counters[index] = max(0, counter - 1)
         if taken != predicted:
-            self.mispredictions += 1
-            # Repair the global history: the speculative bit was wrong and
-            # everything after it was squashed.
+            # Repair the global history: the speculative bit was wrong,
+            # and fetch stopped at this branch, so no younger prediction
+            # has extended it.
             self._history = ((checkpoint << 1) | int(taken)) & self._history_mask
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of predictions that were correct so far."""
-        if self.predictions == 0:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
-
-    def reset_statistics(self) -> None:
-        self.predictions = 0
-        self.mispredictions = 0

@@ -4,7 +4,9 @@ Table 1 of the paper specifies 64KB, 2-way, 64-byte lines for both
 caches, with a 1-cycle hit, a 6-cycle miss (8 cycles for a dirty D-cache
 miss) and up to 16 outstanding misses for the D-cache.  The model here
 tracks tags, dirty bits and LRU state and returns the latency of each
-access; outstanding-miss limiting is handled with a simple MSHR counter.
+access.  The outstanding-miss limit is not modelled: misses never wait
+for an MSHR, and ``CacheConfig.max_outstanding_misses`` only records
+Table 1's value (it is part of every configuration's store key).
 """
 
 from __future__ import annotations
@@ -69,10 +71,8 @@ class CacheModel:
         self.name = name
         self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self.config.num_sets)]
         self._lru_clock = 0
-        self._outstanding_misses = 0
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
         # Geometry/timing hoisted out of the per-access path, plus shared
         # result objects for the two timing-identical outcomes (the
         # results are frozen, so sharing them is safe).
@@ -122,42 +122,9 @@ class CacheModel:
         if len(cache_set) >= self.config.associativity:
             victim_tag = min(cache_set, key=lambda t: cache_set[t].lru)
             victim_dirty = cache_set[victim_tag].dirty and self.config.writeback
-            if victim_dirty:
-                self.writebacks += 1
             del cache_set[victim_tag]
         new_line = _Line(tag, self._lru_clock)
         if is_write and self.config.writeback:
             new_line.dirty = True
         cache_set[tag] = new_line
         return victim_dirty
-
-    # ------------------------------------------------------------------
-    # MSHR (outstanding miss) tracking
-    # ------------------------------------------------------------------
-
-    def can_issue_miss(self) -> bool:
-        """Whether a new miss can be issued (MSHR available)."""
-        return self._outstanding_misses < self.config.max_outstanding_misses
-
-    def miss_issued(self) -> None:
-        self._outstanding_misses += 1
-
-    def miss_completed(self) -> None:
-        if self._outstanding_misses > 0:
-            self._outstanding_misses -= 1
-
-    @property
-    def outstanding_misses(self) -> int:
-        return self._outstanding_misses
-
-    # ------------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
-
-    def reset_statistics(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0

@@ -45,16 +45,11 @@ class LoadStoreQueue:
         self._stores_at: Dict[int, List[int]] = {}
         # statistics
         self.forwarded_loads = 0
-        self.blocked_loads = 0
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
 
     def insert(self, seq: int, is_store: bool) -> LSQEntry:
         """Allocate an entry at dispatch time (program order)."""
@@ -98,11 +93,8 @@ class LoadStoreQueue:
 
     def load_may_issue(self, seq: int) -> bool:
         """A load may access memory when all older store addresses are known."""
-        for oldest in self._unresolved_stores:
-            if oldest < seq:
-                self.blocked_loads += 1
-                return False
-            break
+        for oldest in self._unresolved_stores:  # the first key only
+            return oldest >= seq
         return True
 
     def forwarding_store(self, seq: int, address: int) -> Optional[int]:
@@ -129,16 +121,3 @@ class LoadStoreQueue:
                 self._unindex_store(seq, entry.address)
             else:
                 self._unresolved_stores.pop(seq, None)
-
-    def flush_after(self, seq: int) -> None:
-        """Squash all entries younger than ``seq`` (branch misprediction)."""
-        for other_seq in [s for s in self._entries if s > seq]:
-            self.release(other_seq)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._unresolved_stores.clear()
-        self._stores_at.clear()
-
-    def occupancy(self) -> int:
-        return len(self._entries)

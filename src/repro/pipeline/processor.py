@@ -304,12 +304,7 @@ class Processor:
                 uid = released.uid
                 state = sb_states.get(uid)
                 if state is not None:
-                    total_reads = (
-                        state.reads_from_bypass
-                        + state.reads_from_upper
-                        + state.reads_from_lower
-                    )
-                    value_reads[total_reads] += 1
+                    value_reads[state.reads_from_bypass + state.reads_from_upper] += 1
                     del sb_states[uid]  # inlined ``scoreboard.release``
                     if release_hooks:
                         regfile.release(released)
@@ -516,8 +511,6 @@ class Processor:
         if from_bypass or from_file:
             stats.operands_from_bypass += from_bypass
             stats.operands_from_file += from_file
-            self.bypass.operands_from_bypass += from_bypass
-            self.bypass.operands_from_regfile += from_file
 
     def _handle_upper_level_misses(self, entry: IssueQueueEntry, cycle: int) -> None:
         """Fetch-on-demand: bring missing operands up over the buses.

@@ -9,7 +9,7 @@ lower-level read plus the upper-level write.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -26,7 +26,8 @@ class TransferBusSet:
         self.transfer_latency = transfer_latency
         #: busy-until cycle of each bus (finite case only).
         self._busy_until: List[int] = [0] * (count or 0)
-        # statistics
+        # statistics (reported by the register file cache as
+        # ``bus_transfers`` and ``bus_denied``)
         self.transfers_started = 0
         self.transfers_denied = 0
 
@@ -52,15 +53,3 @@ class TransferBusSet:
                 return completion
         self.transfers_denied += 1
         return None
-
-    def busy_count(self, cycle: int) -> int:
-        """Number of buses still busy at ``cycle`` (0 when unlimited)."""
-        if self.unlimited:
-            return 0
-        return sum(1 for busy_until in self._busy_until if busy_until > cycle)
-
-    def statistics(self) -> Dict[str, int]:
-        return {
-            "transfers_started": self.transfers_started,
-            "transfers_denied": self.transfers_denied,
-        }

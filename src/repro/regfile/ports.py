@@ -25,8 +25,6 @@ class PortSet:
         self.count = count
         self.kind = kind
         self._used = 0
-        # statistics
-        self.denied_claims = 0
 
     @property
     def unlimited(self) -> bool:
@@ -64,14 +62,12 @@ class PortSet:
             used = self._used
             if amount <= count:
                 if used + amount > count:
-                    self.denied_claims += 1
                     raise RegisterFileError(
                         f"over-subscribed {self.kind} ports: {used}+{amount} > {count}"
                     )
                 self._used = used + amount
                 return
             if used != 0:
-                self.denied_claims += 1
                 raise RegisterFileError(
                     f"oversized {self.kind} request while the bank is busy"
                 )
@@ -93,10 +89,8 @@ class WriteScheduler:
         #: of earlier cycles (see :meth:`_prune`); the first write always
         #: does, whatever its cycle (warm-up runs at negative cycles).
         self._prune_at = -(1 << 62)
-        # statistics
-        self.total_writes = 0
+        # statistics (the single-banked file reports it as ``write_delays``)
         self.delayed_writes = 0
-        self.total_delay_cycles = 0
 
     @property
     def unlimited(self) -> bool:
@@ -107,7 +101,6 @@ class WriteScheduler:
 
         Returns the cycle at which the write actually happens.
         """
-        self.total_writes += 1
         ports = self.ports_per_cycle
         if ports is None:
             return requested_cycle
@@ -120,15 +113,7 @@ class WriteScheduler:
         scheduled[cycle] = scheduled.get(cycle, 0) + 1
         if cycle != requested_cycle:
             self.delayed_writes += 1
-            self.total_delay_cycles += cycle - requested_cycle
         return cycle
-
-    def ports_free(self, cycle: int) -> bool:
-        """Whether at least one port is still free at ``cycle``."""
-        ports = self.ports_per_cycle
-        if ports is None:
-            return True
-        return self._scheduled.get(cycle, 0) < ports
 
     def reserve(self, cycle: int) -> bool:
         """Reserve a port exactly at ``cycle`` if one is free."""
@@ -142,7 +127,6 @@ class WriteScheduler:
         if used >= ports:
             return False
         scheduled[cycle] = used + 1
-        self.total_writes += 1
         return True
 
     def forget_before(self, cycle: int) -> None:

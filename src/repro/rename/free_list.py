@@ -78,16 +78,3 @@ class FreeList:
             raise RenameError(f"double release of physical register {register}")
         members.add(register)
         self._free.append(register)
-
-    def contains(self, register: int) -> bool:
-        """Whether ``register`` is currently free."""
-        return register in self._members
-
-    def snapshot(self) -> tuple[int, ...]:
-        """Immutable snapshot of the current free registers (for checkpoints)."""
-        return tuple(self._free)
-
-    def restore(self, snapshot: tuple[int, ...]) -> None:
-        """Restore a snapshot taken with :meth:`snapshot`."""
-        self._free = deque(snapshot)
-        self._members = set(snapshot)

@@ -1,4 +1,4 @@
-"""Logical → physical register map table with checkpointing."""
+"""Logical → physical register map table."""
 
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ class MapTable:
     One flat slot list covers both register classes, indexed by the
     logical register's cached integer hash (``(index << 1) | is_fp``):
     a lookup is one list index whatever the register object (interned or
-    not), with no Python-level ``__hash__``/``__eq__`` call.  Checkpoints
-    are slot copies.  The slot list is never rebound, so the renamer
-    reads it directly on its hot path.
+    not), with no Python-level ``__hash__``/``__eq__`` call.  The slot
+    list is never rebound, so the renamer reads and writes it directly
+    on its hot path.
     """
 
     _NUM_SLOTS = NUM_LOGICAL_PER_CLASS * 2
@@ -49,29 +49,6 @@ class MapTable:
         if physical is None:
             raise RenameError(f"logical register {register} has no mapping")
         return physical
-
-    def contains(self, register: LogicalRegister) -> bool:
-        return self._slots[register._hash] is not None
-
-    def update(self, register: LogicalRegister, physical):
-        """Map ``register`` to ``physical``; returns the previous mapping."""
-        slots = self._slots
-        slot = register._hash
-        previous = slots[slot]
-        slots[slot] = physical
-        return previous
-
-    def mapped_physical_registers(self) -> set:
-        """The set of physical registers currently mapped."""
-        return {physical for physical in self._slots if physical is not None}
-
-    def checkpoint(self) -> tuple:
-        """Return a copy of the current mapping (branch checkpoint)."""
-        return tuple(self._slots)
-
-    def restore(self, checkpoint: tuple) -> None:
-        """Restore a mapping copied with :meth:`checkpoint` (in place)."""
-        self._slots[:] = checkpoint
 
     def items(self) -> Iterable[tuple[LogicalRegister, object]]:
         """``(logical, physical)`` for every mapped register, in slot order."""

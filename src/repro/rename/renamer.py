@@ -3,11 +3,12 @@
 Dynamically scheduled processors rename logical to physical registers at
 decode so every in-flight result gets its own physical register (Section
 2 of the paper).  The renamer here keeps one map table and one free list
-per register class (integer and floating point), supports checkpointing
-for recovery, and records the *previous* mapping of each destination so
-the physical register can be released when the next writer of the same
-logical register commits (the paper's "registers are released late"
-observation).
+per register class (integer and floating point) and records the
+*previous* mapping of each destination so the physical register can be
+released when the next writer of the same logical register commits (the
+paper's "registers are released late" observation).  The pipeline runs
+the correct path only, so a renamed instruction always commits: there
+is no squash, checkpoint or restore.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class Renamer:
             )
         self.num_int_physical = num_int_physical
         self.num_fp_physical = num_fp_physical
-        self._checkpoints: Dict[int, tuple] = {}
-        self._next_checkpoint_id = 0
 
         # One interned PhysicalRegister object per (class, index), reused
         # by every rename instead of allocating one per operand.
@@ -181,7 +180,7 @@ class Renamer:
         return record
 
     # ------------------------------------------------------------------
-    # retirement / recovery
+    # retirement
     # ------------------------------------------------------------------
 
     def commit(self, record: "IssueQueueEntry") -> Optional[PhysicalRegister]:
@@ -193,47 +192,3 @@ class Renamer:
             return None
         self._free[record.previous_dest.reg_class].release(record.previous_dest.index)
         return record.previous_dest
-
-    def squash(self, record: "IssueQueueEntry") -> None:
-        """Undo the rename of a squashed (never committed) instruction.
-
-        The *new* destination register is returned to the free list and
-        the previous mapping is restored, provided the instruction is
-        squashed in reverse program order (youngest first).
-        """
-        if record.dest is None:
-            return
-        logical = record.instruction.dest
-        if self._map.lookup(logical).index != record.dest.index:
-            raise RenameError(
-                "squash must proceed youngest-first; mapping already overwritten"
-            )
-        if record.previous_dest is not None:
-            self._map.update(logical, record.previous_dest)
-        self._free[record.dest.reg_class].release(record.dest.index)
-
-    def checkpoint(self) -> int:
-        """Take a checkpoint of the full rename state; returns its id."""
-        checkpoint_id = self._next_checkpoint_id
-        self._next_checkpoint_id += 1
-        self._checkpoints[checkpoint_id] = (
-            self._map.checkpoint(), self._int_free.snapshot(), self._fp_free.snapshot()
-        )
-        return checkpoint_id
-
-    def restore(self, checkpoint_id: int) -> None:
-        """Restore a checkpoint taken with :meth:`checkpoint`."""
-        try:
-            mapping, int_free, fp_free = self._checkpoints.pop(checkpoint_id)
-        except KeyError as exc:
-            raise RenameError(f"unknown checkpoint {checkpoint_id}") from exc
-        self._map.restore(mapping)
-        self._int_free.restore(int_free)
-        self._fp_free.restore(fp_free)
-
-    # ------------------------------------------------------------------
-
-    def in_use_registers(self, reg_class: RegisterClass) -> int:
-        """Number of physical registers currently not free."""
-        total = self.num_int_physical if reg_class is RegisterClass.INT else self.num_fp_physical
-        return total - len(self._free[reg_class])

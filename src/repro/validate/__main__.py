@@ -91,7 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.sampled_accuracy:
+        for flag, value in (("--sample", args.sample),
+                            ("--instructions", args.instructions)):
+            if value is not None:
+                parser.error(f"{flag} only applies with --sampled-accuracy")
 
     if args.list:
         for name, factory in validation_matrix().items():

@@ -73,7 +73,7 @@ class TestScenarios:
             "component/register_file_cache_writeback_path",
         }
         assert counts["component/workload_generation"] == 5000
-        assert counts["component/gshare_prediction_throughput"] > 0
+        assert counts["component/gshare_prediction_throughput"] == 2000
         assert counts["component/dcache_accesses"] > 0
         assert counts["component/pseudo_lru_operations"] == 16
         assert counts["component/register_file_cache_writeback_path"] == 128

@@ -1,7 +1,8 @@
-"""The docs gate's stale-mention check (``tools/check_docs.py``).
+"""The docs gate's stale-mention and API-name checks (``tools/check_docs.py``).
 
 A flag a CLI no longer defines must not survive in the docs: the gate
 reports every ``--flag`` a document mentions that no mapped CLI defines.
+Nor may a deleted function: every backticked ``repro.`` name must resolve.
 """
 
 from __future__ import annotations
@@ -47,3 +48,24 @@ class TestStaleMentions:
             "then `--help`.\n",
         )
         assert check_docs.check_mentions({"--help", "--cache-dir"}) == []
+
+
+class TestApiNames:
+    def test_a_deleted_method_is_flagged(self, monkeypatch, check_docs, tmp_path):
+        _gate_docs(
+            monkeypatch, check_docs, tmp_path,
+            "Recovery used `repro.rename.renamer.Renamer.squash` and "
+            "`repro.rename.renamer.Renamer.commit`.\n",
+        )
+        assert check_docs.check_names() == [
+            "service.md: names `repro.rename.renamer.Renamer.squash`, "
+            "which does not resolve"
+        ]
+
+    def test_modules_classes_and_other_spans_pass(self, monkeypatch, check_docs, tmp_path):
+        _gate_docs(
+            monkeypatch, check_docs, tmp_path,
+            "See `repro.storage`, `repro.storage.TwoTierCache`, "
+            "`repro.chaos.faults.Fault` and `python -m repro.validate --quick`.\n",
+        )
+        assert check_docs.check_names() == []

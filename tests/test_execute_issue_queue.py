@@ -43,7 +43,7 @@ class TestDispatchAndWakeup:
         queue, scoreboard = _queue()
         scoreboard.seed_architected(_phys(1))
         entry = queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=5)
-        assert entry.data_ready
+        assert not entry.pending
         # Not selectable in the dispatch cycle, selectable from the next one.
         assert queue.schedulable(5) == []
         assert queue.schedulable(6) == [entry]
@@ -52,7 +52,7 @@ class TestDispatchAndWakeup:
         queue, scoreboard = _queue()
         scoreboard.allocate(_phys(50), producer_seq=0)
         entry = queue.dispatch(_renamed(1, dest=41, sources=(50,)), cycle=0)
-        assert not entry.data_ready
+        assert entry.pending
         assert queue.schedulable(10) == []
         became_ready = queue.wakeup(_phys(50), ex_end_cycle=7)
         assert became_ready == [entry]
@@ -118,14 +118,6 @@ class TestConsumersIndex:
         queue.mark_issued(a)
         consumers = queue.waiting_consumers_of(_phys(50))
         assert {entry.seq for entry in consumers} == {2}
-
-    def test_waiting_source_registers(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        scoreboard.allocate(_phys(50), producer_seq=0)
-        queue.dispatch(_renamed(1, dest=41, sources=(50, 1)), cycle=0)
-        registers = queue.waiting_source_registers()
-        assert registers == {_phys(50), _phys(1)}
 
     def test_max_occupancy_tracked(self):
         # The pipeline's statistics report the window's peak occupancy: a

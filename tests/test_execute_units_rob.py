@@ -49,14 +49,11 @@ class TestFunctionalUnits:
         assert pool.can_issue(OpClass.FP_DIV, 14)
 
     def test_branches_use_simple_int_units(self):
-        assert FunctionalUnitPool.group_for(OpClass.BRANCH) == "simple_int"
-
-    def test_utilization(self):
-        pool = FunctionalUnitPool()
+        pool = FunctionalUnitPool(FunctionalUnitConfig(simple_int=1))
         pool.begin_cycle(0)
-        pool.issue(OpClass.INT_ALU, 0, 1)
-        utilization = pool.utilization(total_cycles=10)
-        assert 0 < utilization["simple_int"] <= 1
+        pool.issue(OpClass.BRANCH, 0, 1)
+        assert not pool.can_issue(OpClass.INT_ALU, 0)
+        assert pool.can_issue(OpClass.INT_MUL, 0)
 
 
 def _entry(seq):
@@ -156,18 +153,6 @@ class TestScoreboard:
         state = scoreboard.get(register)
         assert state.produced and state.written_back and state.rf_ready_cycle == 0
 
-    def test_read_recording(self):
-        scoreboard = ValueScoreboard()
-        register = PhysicalRegister(RegisterClass.INT, 40)
-        scoreboard.allocate(register, 0)
-        scoreboard.record_read(register, "bypass")
-        scoreboard.record_read(register, "upper")
-        state = scoreboard.get(register)
-        assert state.consumed_via_bypass
-        assert state.reads_from_bypass == 1 and state.reads_from_upper == 1
-        with pytest.raises(SimulationError):
-            scoreboard.record_read(register, "sideways")
-
     def test_release(self):
         scoreboard = ValueScoreboard()
         register = PhysicalRegister(RegisterClass.INT, 40)
@@ -186,22 +171,7 @@ class TestBypassNetwork:
     def test_full_bypass_back_to_back(self):
         bypass = BypassNetwork(read_stages=2, bypass_levels=2)
         assert bypass.earliest_consumer_execute(producer_ex_end=10) == 11
-        assert bypass.timing.extra_consumer_latency == 0
 
     def test_missing_level_adds_latency(self):
         bypass = BypassNetwork(read_stages=2, bypass_levels=1)
         assert bypass.earliest_consumer_execute(producer_ex_end=10) == 12
-        assert bypass.timing.extra_consumer_latency == 1
-
-    def test_served_by_bypass_vs_regfile(self):
-        bypass = BypassNetwork(read_stages=1, bypass_levels=1)
-        # Value written to the register file at cycle 12.
-        assert bypass.served_by_bypass(10, rf_ready_cycle=12, consumer_ex_start=11)
-        assert not bypass.served_by_bypass(10, rf_ready_cycle=12, consumer_ex_start=14)
-        assert bypass.served_by_bypass(10, rf_ready_cycle=None, consumer_ex_start=20)
-
-    def test_statistics(self):
-        bypass = BypassNetwork(1, 1)
-        bypass.record_bypass_read()
-        bypass.record_regfile_read()
-        assert bypass.bypass_fraction == 0.5

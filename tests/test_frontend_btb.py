@@ -47,11 +47,3 @@ class TestBTB:
         btb.insert(c, 3)
         assert btb.lookup(a) == 1
         assert btb.lookup(b) is None
-
-    def test_hit_rate(self):
-        btb = BranchTargetBuffer(num_entries=64, associativity=4)
-        btb.lookup(0x1000)
-        btb.insert(0x1000, 0x2000)
-        btb.lookup(0x1000)
-        assert btb.hits == 1 and btb.misses == 1
-        assert btb.hit_rate == 0.5

@@ -59,7 +59,9 @@ class TestFetchGrouping:
         stream = [_alu(i, 0x1000 + 4 * i) for i in range(4)]
         fetch = _make_fetch(stream)
         assert fetch.fetch(0) == []          # compulsory miss
-        assert fetch.icache_stall_cycles > 0
+        refill = fetch.icache.config.miss_latency - fetch.icache.config.hit_latency
+        assert fetch.fetch(refill) == []     # still refilling
+        assert [f.seq for f in fetch.fetch(refill + 1)] == [0, 1, 2, 3]
 
 
 class TestBranchHandling:

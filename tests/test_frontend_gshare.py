@@ -52,23 +52,6 @@ class TestPrediction:
         # After warm-up the alternating pattern is captured by the history.
         assert mispredictions < len(outcomes) * 0.2
 
-    def test_accuracy_statistics(self):
-        predictor = GSharePredictor(num_entries=256)
-        pc = 0x10
-        for _ in range(20):
-            predicted, checkpoint = predictor.predict(pc)
-            predictor.update(pc, True, checkpoint, predicted)
-        assert predictor.predictions == 20
-        assert 0.0 <= predictor.accuracy <= 1.0
-
-    def test_reset_statistics(self):
-        predictor = GSharePredictor(num_entries=256)
-        predicted, checkpoint = predictor.predict(0)
-        predictor.update(0, True, checkpoint, predicted)
-        predictor.reset_statistics()
-        assert predictor.predictions == 0
-        assert predictor.accuracy == 1.0
-
     def test_history_repair_on_misprediction(self):
         predictor = GSharePredictor(num_entries=256, history_bits=4)
         predicted, checkpoint = predictor.predict(0x40)

@@ -16,7 +16,7 @@ class TestLSQBasics:
         lsq = LoadStoreQueue(capacity=2)
         lsq.insert(0, is_store=False)
         lsq.insert(1, is_store=True)
-        assert lsq.full
+        assert len(lsq) == lsq.capacity
         with pytest.raises(SimulationError):
             lsq.insert(2, is_store=False)
 
@@ -30,11 +30,11 @@ class TestLSQBasics:
         lsq = LoadStoreQueue()
         lsq.insert(0, is_store=True)
         lsq.insert(1, is_store=False)
-        assert lsq.occupancy() == 2
+        assert len(lsq) == 2
         lsq.release(0)
-        assert lsq.occupancy() == 1
+        assert len(lsq) == 1
         lsq.release(12345)   # unknown seq is a no-op
-        assert lsq.occupancy() == 1
+        assert len(lsq) == 1
 
 
 class TestOrderingRules:
@@ -91,23 +91,11 @@ class TestForwarding:
         assert lsq.forwarding_store(0, 0x200) is None
 
 
-class TestFlush:
-    def test_flush_after_drops_younger_entries(self):
-        lsq = LoadStoreQueue()
-        for seq in range(4):
-            lsq.insert(seq, is_store=seq % 2 == 0)
-        lsq.flush_after(1)
-        assert lsq.occupancy() == 2
-        lsq.clear()
-        assert lsq.occupancy() == 0
-
-
 class _LinearScanLSQ:
     """Reference model: the ordering rules as a scan of the whole queue."""
 
     def __init__(self):
         self.entries = {}  # seq -> [is_store, address_known], program order
-        self.blocked_loads = 0
 
     def insert(self, seq, is_store):
         self.entries[seq] = [is_store, False]
@@ -120,22 +108,14 @@ class _LinearScanLSQ:
             if other_seq >= seq:
                 break
             if is_store and not address_known:
-                self.blocked_loads += 1
                 return False
         return True
 
     def release(self, seq):
         self.entries.pop(seq, None)
 
-    def flush_after(self, seq):
-        for other_seq in [s for s in self.entries if s > seq]:
-            del self.entries[other_seq]
 
-    def clear(self):
-        self.entries.clear()
-
-
-_OPS = ("insert", "set_address", "release", "flush_after", "clear", "query")
+_OPS = ("insert", "set_address", "release", "query")
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +129,7 @@ def test_ordering_check_matches_a_linear_scan(data):
         op = data.draw(st.sampled_from(_OPS), label="op")
         live = list(reference.entries)
         if op == "insert":
-            if lsq.full:
+            if len(lsq) >= lsq.capacity:
                 continue
             is_store = data.draw(st.booleans(), label="is_store")
             lsq.insert(next_seq, is_store)
@@ -161,15 +141,11 @@ def test_ordering_check_matches_a_linear_scan(data):
             seq = data.draw(st.sampled_from(live), label="seq")
             lsq.set_address(seq, data.draw(st.integers(0, 255), label="address"))
             reference.set_address(seq)
-        elif op in ("release", "flush_after"):
+        elif op == "release":
             seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
-            getattr(lsq, op)(seq)
-            getattr(reference, op)(seq)
-        elif op == "clear":
-            lsq.clear()
-            reference.clear()
+            lsq.release(seq)
+            reference.release(seq)
         else:
             seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
             assert lsq.load_may_issue(seq) == reference.load_may_issue(seq)
-        assert lsq.blocked_loads == reference.blocked_loads
-        assert lsq.occupancy() == len(reference.entries)
+        assert len(lsq) == len(reference.entries)

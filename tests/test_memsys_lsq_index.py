@@ -3,8 +3,8 @@
 ``LoadStoreQueue.forwarding_store`` reads a per-address index of the
 queued stores instead of scanning the queue.  A seeded random sequence
 of inserts, address updates (a store's address may be set twice, to a
-new value), releases and flushes drives the queue and a plain list
-model side by side; every forwarding query and load-ordering check must
+new value) and releases drives the queue and a plain list model side
+by side; every forwarding query and load-ordering check must
 agree with a scan of that list.
 """
 
@@ -37,9 +37,6 @@ class ReferenceQueue:
     def release(self, seq):
         self.entries = [e for e in self.entries if e["seq"] != seq]
 
-    def flush_after(self, seq):
-        self.entries = [e for e in self.entries if e["seq"] <= seq]
-
     def forwarding_store(self, seq, address):
         best = None
         for entry in self.entries:
@@ -66,7 +63,7 @@ def test_index_matches_linear_scan(seed):
         queued = [e["seq"] for e in reference.entries]
         op = rng.random()
         if op < 0.3:
-            if not lsq.full:
+            if len(lsq) < lsq.capacity:
                 next_seq += rng.randint(1, 3)
                 is_store = rng.random() < 0.6
                 lsq.insert(next_seq, is_store)
@@ -82,10 +79,6 @@ def test_index_matches_linear_scan(seed):
             seq = rng.choice(queued)
             lsq.release(seq)
             reference.release(seq)
-        elif op < 0.73 and queued:
-            seq = rng.choice(queued)
-            lsq.flush_after(seq)
-            reference.flush_after(seq)
         else:
             seq = rng.randint(max(0, next_seq - 12), next_seq + 2)
             address = rng.choice(ADDRESSES)

@@ -58,6 +58,15 @@ class TestRunnerCli:
         assert "nosuchbench" in err
         assert err.startswith("error:")
 
+    def test_unwritable_output_exits_two_without_traceback(self, tmp_path, capsys):
+        code = runner_main([
+            "--experiment", "figure2", "--benchmarks", "gcc", "swim",
+            "--instructions", "50", "--no-cache", "--quiet",
+            "--output", str(tmp_path / "missing" / "report.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write report:")
+
     def test_empty_benchmark_filter_exits_two(self, capsys):
         code = runner_main(["--experiment", "figure6", "--benchmarks", "--quiet"])
         assert code == 2

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.distributions import cumulative_distribution
 from repro.analysis.metrics import harmonic_mean
-from repro.frontend.gshare import GSharePredictor
 from repro.hwmodel.access_time import access_time_ns
 from repro.hwmodel.area import RegisterFileGeometry
 from repro.hwmodel.pareto import DesignPoint, pareto_frontier
@@ -107,23 +106,6 @@ def test_cache_hits_plus_misses_equals_accesses(addresses):
     for address in addresses:
         cache.access(address)
     assert cache.hits + cache.misses == len(addresses)
-
-
-# ----------------------------------------------------------------------
-# gshare
-# ----------------------------------------------------------------------
-
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 20), st.booleans()),
-                min_size=1, max_size=300))
-@settings(max_examples=30, deadline=None)
-def test_gshare_statistics_are_consistent(branches):
-    predictor = GSharePredictor(num_entries=1024)
-    for pc, taken in branches:
-        predicted, checkpoint = predictor.predict(pc)
-        predictor.update(pc, taken, checkpoint, predicted)
-    assert predictor.predictions == len(branches)
-    assert 0 <= predictor.mispredictions <= predictor.predictions
-    assert 0.0 <= predictor.accuracy <= 1.0
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The one-table renamer against a dictionary-based reference model.
 
-Seeded random walks of rename, commit, squash, checkpoint and restore
-steps drive the :class:`~repro.rename.renamer.Renamer` and a plain
+Seeded random walks of rename and commit steps (including renames that
+find the free list empty) drive the :class:`~repro.rename.renamer.Renamer` and a plain
 reference (a dict keyed by ``(class, index)`` and FIFO free lists).
 Every instruction uses freshly built, non-interned ``LogicalRegister``
 objects, as the workload generator does, so the map table's slot
@@ -42,7 +42,6 @@ class ReferenceRenamer:
         logical = range(NUM_LOGICAL_PER_CLASS)
         self.mapping = {(c, index): index for c in CLASSES for index in logical}
         self.free = {c: deque(range(len(logical), PHYSICAL[c])) for c in CLASSES}
-        self.checkpoints = {}
 
     def rename(self, instruction):
         mapping = self.mapping
@@ -55,15 +54,6 @@ class ReferenceRenamer:
         previous = mapping[key]
         mapping[key] = new
         return sources, (logical.reg_class, new), (logical.reg_class, previous)
-
-    def squash(self, record):
-        logical = record.instruction.dest
-        self.mapping[(logical.reg_class, logical.index)] = record.previous_dest.index
-        self.free[record.dest.reg_class].append(record.dest.index)
-
-    def snapshot(self, in_flight):
-        free = {c: deque(registers) for c, registers in self.free.items()}
-        return dict(self.mapping), free, list(in_flight)
 
 
 def _fresh(reg_class, index):
@@ -82,10 +72,6 @@ def _random_instruction(rng, seq):
         dest = _fresh(reg_class, rng.randrange(NUM_LOGICAL_PER_CLASS))
     op_class = OpClass.FP_ALU if reg_class is FP else OpClass.INT_ALU
     return DynamicInstruction(seq=seq, op_class=op_class, dest=dest, sources=sources)
-
-
-def _alu(seq, dest):
-    return DynamicInstruction(seq=seq, op_class=OpClass.INT_ALU, dest=_fresh(INT, dest))
 
 
 def _pair(physical):
@@ -122,62 +108,28 @@ def test_random_walk_matches_reference(seed):
     rng = random.Random(seed)
     renamer = Renamer(PHYSICAL[INT], PHYSICAL[FP])
     reference = ReferenceRenamer()
-    in_flight = []  # renamed, neither committed nor squashed; oldest first
+    in_flight = []  # renamed, not yet committed; oldest first
     for seq in range(600):
-        step = rng.random()
-        if step < 0.5:
+        if rng.random() < 0.6 or not in_flight:
             _rename_step(rng, seq, renamer, reference, in_flight)
-        elif step < 0.7 and in_flight:
+        else:
             record = in_flight.pop(0)
             released = renamer.commit(record)
             assert released is record.previous_dest
             if released is not None:
                 reference.free[released.reg_class].append(released.index)
-        elif step < 0.85 and in_flight:
-            record = in_flight.pop()
-            renamer.squash(record)
-            if record.dest is not None:
-                reference.squash(record)
-        elif step < 0.93:
-            checkpoint = renamer.checkpoint()
-            reference.checkpoints[checkpoint] = reference.snapshot(in_flight)
-        elif reference.checkpoints:
-            checkpoint = rng.choice(sorted(reference.checkpoints))
-            renamer.restore(checkpoint)
-            mapping, free, in_flight = reference.checkpoints.pop(checkpoint)
-            reference.mapping, reference.free = mapping, free
         _check_state(renamer, reference)
-
-
-def test_squash_out_of_order_is_still_rejected():
-    renamer = Renamer(40, 40)
-    first = renamer.rename(IssueQueueEntry(_alu(0, dest=3)))
-    renamer.rename(IssueQueueEntry(_alu(1, dest=3)))
-    with pytest.raises(RenameError):
-        renamer.squash(first)
 
 
 class TestMapTableSlots:
     def test_non_interned_registers_share_a_slot(self):
         table = MapTable({_fresh(FP, 7): 3})
         assert table.lookup(_fresh(FP, 7)) == 3
-        assert table.contains(_fresh(FP, 7))
-        assert not table.contains(_fresh(INT, 7))
-        assert table.update(_fresh(FP, 7), 9) == 3
-        assert table.lookup(_fresh(FP, 7)) == 9
+        with pytest.raises(RenameError):
+            table.lookup(_fresh(INT, 7))
 
     def test_items_and_len_read_the_slots(self):
         table = MapTable({_fresh(INT, 2): 6, _fresh(FP, 1): 5})
         assert len(table) == 2
         # Slot order: ``(index << 1) | is_fp`` puts f1 (slot 3) before r2 (slot 4).
         assert [(str(reg), physical) for reg, physical in table.items()] == [("f1", 5), ("r2", 6)]
-        assert table.mapped_physical_registers() == {5, 6}
-
-    def test_restore_is_in_place(self):
-        table = MapTable({_fresh(INT, 0): 1})
-        slots = table._slots
-        checkpoint = table.checkpoint()
-        table.update(_fresh(INT, 0), 2)
-        table.restore(checkpoint)
-        assert table._slots is slots
-        assert table.lookup(_fresh(INT, 0)) == 1

@@ -140,6 +140,13 @@ class TestCli:
         assert err.startswith("error:")
         assert "jobs must be at least 1" in err
 
+    @pytest.mark.parametrize("flag, value", [("--sample", "10:5"), ("--instructions", "99")])
+    def test_sampled_accuracy_flags_rejected_in_fuzz_mode(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "1", flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag} only applies with --sampled-accuracy" in capsys.readouterr().err
+
     def test_non_positive_checkpoint_interval_rejected(self, capsys):
         assert main(["--seeds", "1", "--checkpoint-interval", "0"]) == 2
         assert "checkpoint" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift gate: dead links, undocumented and stale CLI flags.
+"""Docs drift gate: dead links, stale API names, undocumented and stale CLI flags.
 
-Three checks, all stdlib-only, run by the CI ``docs`` job (and runnable
+Four checks, all stdlib-only, run by the CI ``docs`` job (and runnable
 locally with ``python tools/check_docs.py``):
 
 1. **Links** — every intra-repository markdown link in ``docs/*.md``
@@ -16,6 +16,11 @@ locally with ``python tools/check_docs.py``):
    ``README.md`` mentions must be defined by one of those CLIs (or by
    a :data:`CITED_CLIS` command).  A renamed or deleted flag leaving a
    stale mention behind a dead name fails the build.
+4. **API names** — every backticked ``repro.``-qualified dotted name in
+   ``docs/*.md`` and ``README.md`` (a code span holding nothing but the
+   name, e.g. ``repro.storage.TwoTierCache``) must resolve: the longest
+   importable module prefix, then ``getattr`` for the rest.  A deleted
+   or renamed function, class or module fails the build.
 
 Exit codes: 0 clean, 1 drift found, 2 environment error (a CLI's
 ``--help`` could not be produced).
@@ -23,12 +28,14 @@ Exit codes: 0 clean, 1 drift found, 2 environment error (a CLI's
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 #: (module, subcommand or None, doc that must mention its flags).
 CLI_DOC_MAP = [
@@ -66,6 +73,11 @@ _FLAG_DEF = re.compile(r"^\s+(?:-\w,\s+)?(--[a-z][a-z0-9-]*)", re.MULTILINE)
 #: A flag *mention* in a document: ``--name`` not glued to a word.
 _FLAG_MENTION = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 
+#: A backticked span holding only a ``repro.``-qualified dotted name.
+_API_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+
+_MISSING = object()
+
 
 def _doc_files() -> list:
     docs_dir = os.path.join(ROOT, "docs")
@@ -97,6 +109,39 @@ def check_links() -> list:
             )
             if not os.path.exists(resolved):
                 problems.append(f"{rel}: dead link -> {match.group(1)}")
+    return problems
+
+
+def resolves(name: str) -> bool:
+    """Whether the dotted ``name`` imports as a module, or as a module
+    followed by attributes."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            target = getattr(target, attribute, _MISSING)
+            if target is _MISSING:
+                return False
+        return True
+    return False
+
+
+def check_names() -> list:
+    """Return one problem string per backticked ``repro.`` name in the
+    docs that does not resolve (see :func:`resolves`)."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    problems = []
+    for path in _doc_files():
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        rel = os.path.relpath(path, ROOT)
+        for name in sorted(set(_API_NAME.findall(text))):
+            if not resolves(name):
+                problems.append(f"{rel}: names `{name}`, which does not resolve")
     return problems
 
 
@@ -163,7 +208,7 @@ def check_mentions(defined: set) -> list:
 
 def main() -> int:
     try:
-        problems = check_links() + check_flags()
+        problems = check_links() + check_names() + check_flags()
     except (RuntimeError, subprocess.SubprocessError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -176,7 +221,7 @@ def main() -> int:
               f"{docs} documents / {clis} CLIs")
         return 1
     print(f"check_docs: OK ({docs} documents, {clis} CLI surfaces, "
-          "no dead links, no undocumented or stale flags)")
+          "no dead links or API names, no undocumented or stale flags)")
     return 0
 
 
