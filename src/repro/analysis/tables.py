@@ -1,8 +1,8 @@
 """Plain-text rendering of tables and figure series.
 
 The experiment harness prints every reproduced figure/table as text so
-that results can be inspected (and recorded in EXPERIMENTS.md) without a
-plotting dependency.
+that results can be inspected (and saved as reports; see
+``docs/experiments.md``) without a plotting dependency.
 """
 
 from __future__ import annotations

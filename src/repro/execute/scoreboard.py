@@ -36,10 +36,9 @@ class ValueState:
     #: network (input to the non-bypass caching policy).
     consumed_via_bypass: bool = False
     #: Number of consumers that have read the value so far, through the
-    #: bypass network and from the register file (the commit stage sums
-    #: them into ``SimulationStats.value_read_distribution``).
-    reads_from_bypass: int = 0
-    reads_from_upper: int = 0
+    #: bypass network or from the register file (the commit stage counts
+    #: it into ``SimulationStats.value_read_distribution``).
+    reads: int = 0
     #: Whether the value has been written back to the (lowest) bank.
     written_back: bool = False
 

@@ -8,9 +8,10 @@ report nor the model code is available, so this package implements models
 with the same functional form (multi-ported register cells whose side
 grows linearly with the port count; access time composed of decode,
 word-line, bit-line and sense terms) and calibrates the constants against
-the twelve (area, cycle-time) points of Table 2.  See DESIGN.md for the
-substitution rationale and EXPERIMENTS.md for the model-vs-paper
-comparison.
+the twelve (area, cycle-time) points of Table 2.  See
+``docs/architecture.md`` ("The hardware model") for how the models feed
+the experiments, and :mod:`repro.experiments.figure9_table2` for the
+model-vs-paper rows of Table 2.
 """
 
 from repro.hwmodel.area import RegisterFileGeometry, area_lambda2, AREA_UNIT

@@ -18,7 +18,8 @@ access/cycle-time points reported in Table 2 of the paper (the 1-cycle
 single-banked file with 128 registers at 3R2W…4R4W, and the uppermost
 bank of the register file cache with 16 registers at its four port
 configurations).  The calibration reproduces those points to within a few
-percent; EXPERIMENTS.md tabulates model vs paper values.
+percent; :mod:`repro.experiments.figure9_table2` tabulates model vs
+paper values.
 """
 
 from __future__ import annotations

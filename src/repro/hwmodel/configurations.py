@@ -151,9 +151,9 @@ TABLE2_CONFIGURATIONS: tuple[ArchitectureConfiguration, ...] = (
 )
 
 
-#: Reference values reported in the paper's Table 2, used by EXPERIMENTS.md
-#: and the model-validation tests: name -> (architecture -> (area 10Kλ²,
-#: cycle time ns)).
+#: Reference values reported in the paper's Table 2, used by
+#: :mod:`repro.experiments.figure9_table2` and the model-validation tests:
+#: name -> (architecture -> (area 10Kλ², cycle time ns)).
 PAPER_TABLE2: dict[str, dict[str, tuple[float, float]]] = {
     "C1": {
         "one-cycle": (10921.0, 4.71),

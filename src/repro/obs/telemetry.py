@@ -20,8 +20,9 @@ Spans come in two shapes:
 The span taxonomy (see ``docs/observability.md``)::
 
     job                      root span, one per submitted job
-    ├─ queue.wait            admission → executor pickup
-    ├─ lease.hold            lease acquire → release
+    ├─ queue.wait            admission → executor pickup (ends at admission
+    │                        for a job answered there)
+    ├─ lease.hold            lease acquire → release (queued jobs only)
     └─ execute               the engine run
        ├─ trace.record       one trace-record worker call
        ├─ trace.replay       one replay batch
@@ -88,7 +89,8 @@ class Telemetry:
 
     def phase(self, job_id: str, phase: str,
               trace: Optional[TraceContext] = None, **fields) -> None:
-        """A job phase transition (queued → leased → running → …)."""
+        """A job phase transition (queued → leased → running → …; a job
+        answered at admission has no ``leased`` phase)."""
         self.emit(
             "job_phase",
             job_id=job_id,

@@ -304,7 +304,7 @@ class Processor:
                 uid = released.uid
                 state = sb_states.get(uid)
                 if state is not None:
-                    value_reads[state.reads_from_bypass + state.reads_from_upper] += 1
+                    value_reads[state.reads] += 1
                     del sb_states[uid]  # inlined ``scoreboard.release``
                     if release_hooks:
                         regfile.release(released)
@@ -455,12 +455,11 @@ class Processor:
                 fp_rf.claim_reads(fp_accesses)
             for access in entry.accesses:
                 state = access.state
+                state.reads += 1
                 if access.source is via_bypass:
                     state.consumed_via_bypass = True
-                    state.reads_from_bypass += 1
                     from_bypass += 1
                 else:
-                    state.reads_from_upper += 1
                     from_file += 1
 
             # Execution latency: the common (non-memory) case is a plain

@@ -19,6 +19,10 @@ Deduplication happens at two levels, both inherited from the engine:
   awaited instead of re-executed (``remote_inflight``; see
   :mod:`repro.service.fleet` and the engine's store-level claims).
 
+A figure or points plan whose every point is already stored skips the
+queue altogether: :meth:`ServiceApp.submit` answers it on the request
+thread, with no lease and one job-log record, the completed one.
+
 With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
 one replica runs a job; a crashed replica's jobs are stolen and re-run,
@@ -30,12 +34,13 @@ steals expired leases.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.chaos import seams as _seams
 from repro.errors import ConfigurationError, ReproError
@@ -403,6 +408,9 @@ class ServiceApp:
     def submit(self, payload, trace: Optional[TraceContext] = None) -> Job:
         """Validate a submission and enqueue a job (raises ApiError).
 
+        A figure or points plan whose every unique point is stored is
+        answered here instead, while the executors run (see
+        :meth:`_answer`): the returned job is already terminal.
         ``trace`` is the client's context (parsed from ``X-Repro-Trace``
         by the HTTP layer, if sent); the job's root span is minted as its
         child, so a client-side trace id follows the job all the way to
@@ -428,10 +436,16 @@ class ServiceApp:
             # A search plans its points rung by rung; admit it with the
             # first rung's size (the counters grow as rungs complete).
             requested = unique = plan.search.rung0_points()
+            stored = False
         else:
             points = plan.plan_points()
+            keys = dedupe_points(points)
             requested = len(points)
-            unique = len(dedupe_points(points))
+            unique = len(keys)
+            # Answered here only while executors run: before start() or
+            # during a drain, a job must wait in the queue like any other.
+            stored = (bool(self._threads) and not self._stop.is_set()
+                      and all(self.store.peek(key) is not None for key in keys))
         job.points["requested"] = requested
         job.points["unique"] = unique
         self._point_counters["requested"].inc(requested)
@@ -444,8 +458,15 @@ class ServiceApp:
         queue_span = self.telemetry.span_start(
             "queue.wait", parent=job_span, job_id=job.id
         )
+        queued_at = time.perf_counter()
+        if stored:
+            self.telemetry.span_end(
+                "queue.wait", queue_span, started=queued_at, job_id=job.id
+            )
+            self._answer(job, plan)
+            return job
         with self._span_lock:
-            self._queue_waits[job.id] = (queue_span, time.perf_counter())
+            self._queue_waits[job.id] = (queue_span, queued_at)
         self._plans[job.id] = plan
         self.job_store.save(job)
         self.queue.add(job)
@@ -454,6 +475,25 @@ class ServiceApp:
             f"priority {job.priority})"
         )
         return job
+
+    def _answer(self, job: Job, plan: spec_mod.JobPlan) -> None:
+        """Run a fully stored plan on the request thread.
+
+        The job takes no queue slot and no lease, and its one job-log
+        record is the terminal one.  A lease only keeps other replicas
+        from stealing a job with a persisted ``running`` record; this job
+        never persists ``running``, so other replicas first see it
+        finished.  A point that vanished since admission checked it (TTL
+        or size bound) is simply simulated here.
+        """
+        with self._running(job):
+            self.queue.add(job, enqueue=False)
+            job.mark_running()
+            self.telemetry.phase(job.id, "running", trace=self._job_trace(job),
+                                 replica=self.replica_id)
+            self._settle(job, lambda: self._execute(
+                job, plan, self._point_hook(job, persist=False)
+            ))
 
     def get_job(self, job_id: str) -> Job:
         job = self.queue.get(job_id)
@@ -515,19 +555,28 @@ class ServiceApp:
                     "lease.hold", parent=trace, job_id=job.id
                 )
                 lease_started = time.perf_counter()
-                with self._running_lock:
-                    self._running_ids.add(job.id)
                 try:
-                    self._run_job(job)
+                    with self._running(job):
+                        self._run_job(job)
                 finally:
-                    with self._running_lock:
-                        self._running_ids.discard(job.id)
                     self.telemetry.span_end(
                         "lease.hold", lease_span, started=lease_started,
                         job_id=job.id,
                     )
             finally:
                 self.leases.release(job.id)
+
+    @contextlib.contextmanager
+    def _running(self, job: Job) -> Iterator[None]:
+        """Mark ``job`` as executed here: the fleet poller neither
+        refreshes nor steals it meanwhile."""
+        with self._running_lock:
+            self._running_ids.add(job.id)
+        try:
+            yield
+        finally:
+            with self._running_lock:
+                self._running_ids.discard(job.id)
 
     # ------------------------------------------------------------------
     # deadlines and poison quarantine
@@ -705,64 +754,86 @@ class ServiceApp:
         self.telemetry.phase(job.id, "running", trace=self._job_trace(job),
                              replica=self.replica_id)
         self._say(f"job {job.id}: running")
-        try:
+
+        def run() -> Tuple[dict, dict]:
             plan = self._plans.pop(job.id, None)
             if plan is None:  # resumed from the job store after a restart
                 plan = spec_mod.validate_submission(job.spec)
+            return self._execute(job, plan,
+                                 self._point_hook(job, persist=True))
 
-            last_save = [time.monotonic()]
+        self._settle(job, run)
 
-            def on_point(_point) -> None:
-                if job.terminal:
-                    # The deadline watchdog already failed this job; stop
-                    # burning simulation time on a dead record.
-                    raise _DeadlineExceeded()
-                left = self._deadline_remaining(job)
-                if left is not None and left <= 0:
-                    raise _DeadlineExceeded()
-                job.points["completed"] += 1
-                self._rate_window.record(1)
-                # Persist progress (throttled) so other replicas' watch
-                # requests see this job advance, not just start/finish.
-                now = time.monotonic()
-                if now - last_save[0] >= 0.5:
-                    last_save[0] = now
+    def _point_hook(self, job: Job, persist: bool) -> Callable[[object], None]:
+        """The engine's per-point callback for ``job``: stop at the
+        deadline, count the point and, with ``persist``, save progress
+        (throttled) so other replicas' watch requests see the job
+        advance, not just start and finish."""
+        last_save = [time.monotonic()]
+
+        def on_point(_point) -> None:
+            if job.terminal:
+                # The deadline watchdog already failed this job; stop
+                # burning simulation time on a dead record.
+                raise _DeadlineExceeded()
+            left = self._deadline_remaining(job)
+            if left is not None and left <= 0:
+                raise _DeadlineExceeded()
+            job.points["completed"] += 1
+            self._rate_window.record(1)
+            now = time.monotonic()
+            if persist and now - last_save[0] >= 0.5:
+                last_save[0] = now
+                self.job_store.save(job)
+
+        return on_point
+
+    def _execute(self, job: Job, plan: spec_mod.JobPlan,
+                 on_point: Callable[[object], None]) -> Tuple[dict, dict]:
+        """The ``execute`` span of a job: the engine call and the result
+        assembly.  Returns ``(result, counters)``."""
+        with self.telemetry.span(
+            "execute", parent=self._job_trace(job), job_id=job.id,
+            job_kind=plan.kind, histogram="job.execute_seconds",
+        ):
+            if plan.kind == "search":
+                from repro.search.driver import run_search
+
+                job.points["requested"] = 0
+                job.points["unique"] = 0
+
+                def on_rung(_index: int, rung_counters: dict) -> None:
+                    # Point totals grow rung by rung: the halving
+                    # schedule decides the next rung's size only once
+                    # this one is scored.
+                    job.points["requested"] += rung_counters["requested"]
+                    job.points["unique"] += rung_counters["unique"]
                     self.job_store.save(job)
 
-            with self.telemetry.span(
-                "execute", parent=self._job_trace(job), job_id=job.id,
-                job_kind=plan.kind, histogram="job.execute_seconds",
-            ):
-                if plan.kind == "search":
-                    from repro.search.driver import run_search
+                report, counters = run_search(
+                    plan.search, self.engine, progress=self.progress,
+                    on_point=on_point, on_rung=on_rung,
+                )
+                return {"kind": "search", "report": report}, counters
+            points = plan.plan_points()
+            job.points["requested"] = len(points)
+            job.points["unique"] = len(dedupe_points(points))
+            counters = self.engine.execute(
+                points, progress=self.progress, on_point=on_point
+            )
+            if plan.kind == "figures":
+                result = spec_mod.assemble_figure_result(plan, self.store)
+            else:
+                result = spec_mod.assemble_points_result(plan, self.store)
+            return result, counters
 
-                    job.points["requested"] = 0
-                    job.points["unique"] = 0
-
-                    def on_rung(_index: int, rung_counters: dict) -> None:
-                        # Point totals grow rung by rung: the halving
-                        # schedule decides the next rung's size only once
-                        # this one is scored.
-                        job.points["requested"] += rung_counters["requested"]
-                        job.points["unique"] += rung_counters["unique"]
-                        self.job_store.save(job)
-
-                    report, counters = run_search(
-                        plan.search, self.engine, progress=self.progress,
-                        on_point=on_point, on_rung=on_rung,
-                    )
-                    result = {"kind": "search", "report": report}
-                else:
-                    points = plan.plan_points()
-                    job.points["requested"] = len(points)
-                    job.points["unique"] = len(dedupe_points(points))
-                    counters = self.engine.execute(
-                        points, progress=self.progress, on_point=on_point
-                    )
-                    if plan.kind == "figures":
-                        result = spec_mod.assemble_figure_result(plan, self.store)
-                    else:
-                        result = spec_mod.assemble_points_result(plan, self.store)
+    def _settle(self, job: Job, run: Callable[[], Tuple[dict, dict]]) -> None:
+        """Call ``run`` (an :meth:`_execute` step) and record how the job
+        ended: point counters and the completed mark, or the failure code
+        of what ``run`` raised; then the final save and the job's
+        terminal telemetry."""
+        try:
+            result, counters = run()
             job.points["completed"] = counters["unique"]
             completed = job.mark_completed(result, counters)
             self._point_counters["unique"].inc(counters["unique"])

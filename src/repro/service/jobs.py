@@ -316,8 +316,9 @@ class JobStore:
     def load(self, job_id: str) -> Optional[Job]:
         """The latest record of one job, including saves made by other
         processes since this store last looked; ``None`` when missing or
-        unreadable."""
-        if self._log is None or job_id not in self._log.versions():
+        unreadable.  Only the id's own shard is refreshed, so the cost
+        does not grow with the number of jobs."""
+        if self._log is None or self._log.version(job_id) is None:
             return None
         return self._decode(job_id)
 

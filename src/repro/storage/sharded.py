@@ -388,6 +388,18 @@ class ShardedStore:
                         result[key] = (entry.ts, entry.data_len)
         return result
 
+    def version(self, key: str) -> Optional[Tuple[float, int]]:
+        """The :meth:`versions` stamp of one key, after folding in other
+        processes' appends to that key's shard only; ``None`` when the
+        key is missing or expired."""
+        shard = self._shard(self.shard_of(key))
+        with shard.lock:
+            self._refresh(shard)
+            entry = shard.index.get(key)
+        if entry is None or self._expired(entry.ts):
+            return None
+        return (entry.ts, entry.data_len)
+
     def keys(self) -> List[str]:
         """Every live, unexpired key (refreshes all shards)."""
         return list(self.versions())

@@ -3,11 +3,11 @@
 The paper evaluates on the full SPEC95 suite compiled for Alpha and
 simulated for 100M instructions.  Neither the binaries nor an Alpha
 tool-chain are available here, so this package provides the substitution
-documented in DESIGN.md: per-benchmark *profiles* capturing the workload
-properties the register-file study is sensitive to (instruction mix,
-dataflow distance, branch behaviour, memory locality), and a seeded
-generator that turns a profile into a deterministic dynamic instruction
-stream.  Hand-written kernels in the toy ISA are also provided for the
+documented in ``README.md`` ("Workloads"): per-benchmark *profiles*
+capturing the workload properties the register-file study is sensitive
+to (instruction mix, dataflow distance, branch behaviour, memory
+locality), and a seeded generator that turns a profile into a
+deterministic dynamic instruction stream.  Hand-written kernels in the toy ISA are also provided for the
 examples and integration tests.
 """
 

@@ -1,8 +1,10 @@
-"""The docs gate's stale-mention and API-name checks (``tools/check_docs.py``).
+"""The docs gate's stale-mention, API-name and doc-pointer checks
+(``tools/check_docs.py``).
 
 A flag a CLI no longer defines must not survive in the docs: the gate
 reports every ``--flag`` a document mentions that no mapped CLI defines.
 Nor may a deleted function: every backticked ``repro.`` name must resolve.
+Nor may a source docstring point at a document that does not exist.
 """
 
 from __future__ import annotations
@@ -69,3 +71,39 @@ class TestApiNames:
             "`repro.chaos.faults.Fault` and `python -m repro.validate --quick`.\n",
         )
         assert check_docs.check_names() == []
+
+
+class TestDocPointers:
+    def _plant(self, monkeypatch, check_docs, tmp_path, source):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(source, encoding="utf-8")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "storage.md").write_text("# Storage\n")
+        (tmp_path / "README.md").write_text("# Readme\n")
+        monkeypatch.setattr(check_docs, "ROOT", str(tmp_path))
+        monkeypatch.setattr(check_docs, "SRC", str(tmp_path / "src"))
+
+    def test_a_dangling_name_is_flagged(self, monkeypatch, check_docs, tmp_path):
+        self._plant(
+            monkeypatch, check_docs, tmp_path,
+            '"""The model.\n\nSee ``docs/storage.md`` and DESIGN.md.\n"""\n'
+            "\n#: Values tabulated in EXPERIMENTS.md.\nVALUES = {}\n",
+        )
+        assert check_docs.check_pointers() == [
+            "src/pkg/mod.py:3: names DESIGN.md, which is not a file of "
+            "the repository",
+            "src/pkg/mod.py:6: names EXPERIMENTS.md, which is not a file "
+            "of the repository",
+        ]
+
+    def test_existing_files_pass(self, monkeypatch, check_docs, tmp_path):
+        self._plant(
+            monkeypatch, check_docs, tmp_path,
+            '"""See ``docs/storage.md`` and README.md."""\n'
+            "# README.md (\"Workloads\")\n",
+        )
+        assert check_docs.check_pointers() == []
+
+    def test_the_repository_has_no_dangling_pointer(self, check_docs):
+        assert check_docs.check_pointers() == []

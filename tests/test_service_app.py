@@ -18,7 +18,9 @@ from repro.experiments.runner import run_experiments
 from repro.experiments import scheduler
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
+from repro.obs.events import read_events, unfinished_spans
 from repro.service import ServiceApp
+from repro.service.app import EVENTS_SUBDIR
 from repro.service.jobs import COMPLETED, FAILED, QUEUED, RUNNING, JobStore
 from repro.service.spec import ApiError, validate_submission
 from repro.storage import ShardedStore
@@ -212,6 +214,85 @@ class TestExecution:
         assert payload["result"]["kind"] == "figures"
         csv_text = app.job_result(job.id, fmt="csv")
         assert csv_text.startswith("experiment,metric,value")
+
+
+class TestAdmissionAnswer:
+    """Fully stored figure/points plans complete inside ``submit``."""
+
+    def test_stored_plan_completes_at_admission(self, app):
+        first = app.submit(FIGURE_SPEC)
+        wait_for(lambda: app.get_job(first.id))
+        hits_before = app.store.counters()["memory_hits"]
+        second = app.submit(FIGURE_SPEC)
+        assert second.state == COMPLETED
+        assert second.result == app.get_job(first.id).result
+        assert second.counters["cached"] == second.points["unique"]
+        assert second.points["completed"] == second.points["unique"]
+        # The admission check does not count; the engine lookup and the
+        # assembly read do, one each per point, as on the executor path.
+        assert (app.store.counters()["memory_hits"] - hits_before
+                == 2 * second.points["unique"])
+        assert app.get_job(second.id) is second
+        assert app.queue.depth() == 0
+
+    def test_unstarted_or_stopped_app_queues_a_stored_plan(self, tmp_path):
+        app = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        app.start()
+        try:
+            first = app.submit(POINT_SPEC)
+            wait_for(lambda: app.get_job(first.id))
+        finally:
+            app.stop()
+        assert app.submit(POINT_SPEC).state == QUEUED
+        fresh = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        assert fresh.store.peek(
+            validate_submission(POINT_SPEC).plan_points()[0].store_key()
+        ) is not None
+        assert fresh.submit(POINT_SPEC).state == QUEUED
+
+    def test_search_is_queued_even_when_stored(self, app, monkeypatch):
+        monkeypatch.setattr(app.store, "peek", lambda key: object())
+        space = {"kind": "single-banked", "read_ports": [2],
+                 "write_ports": [2]}
+        job = app.submit({"search": {"space": space, "instructions": 200,
+                                     "rungs": 0}})
+        assert job.state == QUEUED
+        assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
+
+    def test_point_vanished_after_the_check_still_completes(
+            self, app, monkeypatch):
+        # Admission sees every point stored; the engine finds none.
+        monkeypatch.setattr(app.store, "peek", lambda key: object())
+        job = app.submit(POINT_SPEC)
+        assert job.state == COMPLETED
+        assert job.counters["executed"] == 2
+        assert [entry["stats"]["committed_instructions"]
+                for entry in job.result["points"]] == [200, 200]
+        assert JobStore(app.cache_dir).load(job.id).state == COMPLETED
+
+    def test_event_log_reads_queued_running_completed(self, tmp_path):
+        app = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        app.start()
+        try:
+            first = app.submit(POINT_SPEC)
+            wait_for(lambda: app.get_job(first.id))
+            job = app.submit(POINT_SPEC)
+        finally:
+            app.stop()
+        events = [event for event in read_events(str(tmp_path / EVENTS_SUBDIR))
+                  if event.get("job_id") == job.id]
+        assert [event["phase"] for event in events
+                if event["kind"] == "job_phase"] == [
+                    "queued", "running", "completed"]
+        ends = {event["span"]: event for event in events
+                if event["kind"] == "span_end"}
+        starts = {event["span"]: event for event in events
+                  if event["kind"] == "span_start"}
+        assert set(ends) == {"job", "queue.wait", "execute"}
+        assert starts["execute"]["parent_span_id"] == starts["job"]["span_id"]
+        assert (starts["queue.wait"]["parent_span_id"]
+                == starts["job"]["span_id"])
+        assert unfinished_spans(events) == []
 
 
 class TestSingleFlight:

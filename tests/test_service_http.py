@@ -7,8 +7,10 @@ malformed-payload cases, and ``repro.service.__main__`` for the CLI.
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
+import os
 import socket
 import threading
 import urllib.error
@@ -19,6 +21,7 @@ import pytest
 from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
+from repro.storage.segment import scan_segment
 
 FIGURE_SPEC = {
     "figure": "figure6",
@@ -146,6 +149,97 @@ class TestHttpApi:
             client.result(job["id"])
         assert excinfo.value.status == 409
         assert excinfo.value.code == "job_not_completed"
+
+
+def _point(architecture: str, instructions: int) -> dict:
+    return {"benchmark": "gcc", "architecture": architecture,
+            "config": {"max_instructions": instructions}}
+
+
+def _log_records(directory: str, key: str) -> list:
+    """Every record a segment log under ``directory`` holds for ``key``."""
+    return [
+        record.meta["op"]
+        for path in sorted(glob.glob(os.path.join(directory, "shard-*",
+                                                  "seg-*.log")))
+        for record in scan_segment(path)[0]
+        if record.meta.get("k") == key
+    ]
+
+
+class TestAdmissionAnswer:
+    """A plan whose every point is stored completes inside its POST."""
+
+    SPEC = {"points": [_point("admit/a", 200), _point("admit/b", 201)]}
+
+    def test_resubmitted_plan_is_completed_in_the_post_response(self, service):
+        url, _ = service
+        client = ServiceClient(url)
+        first = client.submit(self.SPEC)
+        assert first["state"] == "queued"
+        client.watch(first["id"], interval=0.05, timeout=120)
+        second = client.submit(self.SPEC)
+        assert second["state"] == COMPLETED
+        assert second["counters"]["executed"] == 0
+        assert second["points"]["completed"] == 2
+        assert (client.result(second["id"])["result"]
+                == client.result(first["id"])["result"])
+
+    def test_answered_job_writes_one_record_and_no_lease(self, service, tmp_path):
+        url, _ = service
+        client = ServiceClient(url)
+        first = client.submit(self.SPEC)
+        client.watch(first["id"], interval=0.05, timeout=120)
+        second = client.submit(self.SPEC)
+        jobs_dir = str(tmp_path / "jobs")
+        leases_dir = os.path.join(jobs_dir, "leases")
+        assert _log_records(jobs_dir, second["id"]) == ["put"]
+        assert _log_records(leases_dir, second["id"]) == []
+        # The queued job took the executor path: queued, running and
+        # completed records, and a lease claimed (maybe renewed) and
+        # released.
+        assert len(_log_records(jobs_dir, first["id"])) >= 3
+        lease = _log_records(leases_dir, first["id"])
+        assert lease[0] == "claim" and lease[-1] == "rel"
+
+    def test_plan_with_one_unstored_point_is_queued(self, service, tmp_path):
+        url, _ = service
+        client = ServiceClient(url)
+        first = client.submit({"points": [_point("admit/a", 200)]})
+        client.watch(first["id"], interval=0.05, timeout=120)
+        second = client.submit(self.SPEC)
+        assert second["state"] == "queued"
+        final = client.watch(second["id"], interval=0.05, timeout=120)
+        assert final["state"] == COMPLETED
+        assert final["counters"]["executed"] == 1
+        assert final["counters"]["cached"] == 1
+        lease = _log_records(str(tmp_path / "jobs" / "leases"), second["id"])
+        assert lease[0] == "claim" and lease[-1] == "rel"
+
+    def test_four_concurrent_resubmissions_complete_alike(self, service):
+        url, _ = service
+        first = ServiceClient(url).submit(self.SPEC)
+        ServiceClient(url).watch(first["id"], interval=0.05, timeout=120)
+        barrier = threading.Barrier(4)
+        answers = [None] * 4
+
+        def submit(slot: int) -> None:
+            client = ServiceClient(url)  # its own connection
+            barrier.wait()
+            job = client.submit(self.SPEC)
+            answers[slot] = (job["state"], client.result(job["id"]))
+
+        threads = [threading.Thread(target=submit, args=(slot,))
+                   for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert [state for state, _ in answers] == [COMPLETED] * 4
+        assert len({body["id"] for _, body in answers}) == 4
+        bodies = [json.dumps(body["result"], sort_keys=True)
+                  for _, body in answers]
+        assert len(set(bodies)) == 1
 
 
 class TestClientErrors:

@@ -170,6 +170,24 @@ class TestJobStore:
         writer.save(job)
         assert reader.load(job.id).state == RUNNING
 
+    def test_load_reads_one_record_without_listing_every_job(
+            self, tmp_path, monkeypatch):
+        writer, reader = JobStore(str(tmp_path)), JobStore(str(tmp_path))
+        for index in range(20):
+            writer.save(make_job(f"{index:012d}"))
+        job = make_job("a" * 12)
+        writer.save(job)
+
+        def listing(_store):
+            raise AssertionError("load must not list every job")
+
+        monkeypatch.setattr(ShardedStore, "versions", listing)
+        assert reader.load(job.id).state == QUEUED
+        job.mark_running()
+        writer.save(job)
+        assert reader.load(job.id).state == RUNNING
+        assert reader.load("f" * 12) is None
+
     def test_jobs_saved_within_one_second_reload_in_submission_order(
             self, tmp_path):
         while True:  # two submissions inside one wall-clock second

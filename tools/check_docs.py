@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs drift gate: dead links, stale API names, undocumented and stale CLI flags.
+"""Docs drift gate: dead links, stale API names and doc pointers, undocumented and stale CLI flags.
 
-Four checks, all stdlib-only, run by the CI ``docs`` job (and runnable
+Five checks, all stdlib-only, run by the CI ``docs`` job (and runnable
 locally with ``python tools/check_docs.py``):
 
 1. **Links** — every intra-repository markdown link in ``docs/*.md``
@@ -22,6 +22,11 @@ locally with ``python tools/check_docs.py``):
    importable module prefix, then ``getattr`` for the rest.  A deleted
    or renamed function, class or module fails the build.
 
+5. **Doc pointers** — every ``*.md`` name in a ``src/`` docstring or
+   comment (e.g. ``docs/storage.md``) must name a file in the
+   repository, as a path from its root.  A pointer at a document that
+   was never written, or was moved, fails the build.
+
 Exit codes: 0 clean, 1 drift found, 2 environment error (a CLI's
 ``--help`` could not be produced).
 """
@@ -33,6 +38,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -75,6 +81,9 @@ _FLAG_MENTION = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 
 #: A backticked span holding only a ``repro.``-qualified dotted name.
 _API_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+
+#: A markdown file name, optionally with a directory path, in source text.
+_MD_NAME = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
 
 _MISSING = object()
 
@@ -145,6 +154,33 @@ def check_names() -> list:
     return problems
 
 
+def check_pointers() -> list:
+    """Return one problem string per ``*.md`` name in a docstring or
+    comment under ``src/`` that is not a file of the repository."""
+    problems = []
+    for directory, _, names in sorted(os.walk(SRC)):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            rel = os.path.relpath(path, ROOT)
+            with open(path, "rb") as handle:
+                tokens = list(tokenize.tokenize(handle.readline))
+            for token in tokens:
+                if token.type not in (tokenize.STRING, tokenize.COMMENT):
+                    continue
+                for match in _MD_NAME.finditer(token.string):
+                    target = match.group(1)
+                    if not os.path.isfile(os.path.join(ROOT, target)):
+                        line = token.start[0] + token.string.count(
+                            "\n", 0, match.start())
+                        problems.append(
+                            f"{rel}:{line}: names {target}, which is not a "
+                            f"file of the repository"
+                        )
+    return problems
+
+
 def cli_flags(module: str, subcommand: str) -> list:
     """The --flags ``python -m module [subcommand] --help`` defines
     (``python module ...`` for a ``.py`` path)."""
@@ -208,7 +244,8 @@ def check_mentions(defined: set) -> list:
 
 def main() -> int:
     try:
-        problems = check_links() + check_names() + check_flags()
+        problems = (check_links() + check_names() + check_pointers()
+                    + check_flags())
     except (RuntimeError, subprocess.SubprocessError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -221,7 +258,8 @@ def main() -> int:
               f"{docs} documents / {clis} CLIs")
         return 1
     print(f"check_docs: OK ({docs} documents, {clis} CLI surfaces, "
-          "no dead links or API names, no undocumented or stale flags)")
+          "no dead links, API names or doc pointers, no undocumented or "
+          "stale flags)")
     return 0
 
 
