@@ -13,7 +13,6 @@ from repro.analysis.distributions import (
     percentile_from_cdf,
 )
 from repro.analysis.tables import format_table, format_series, format_figure
-from repro.analysis.charts import horizontal_bar_chart, sparkline, series_chart
 
 __all__ = [
     "harmonic_mean",
@@ -27,7 +26,4 @@ __all__ = [
     "format_table",
     "format_series",
     "format_figure",
-    "horizontal_bar_chart",
-    "sparkline",
-    "series_chart",
 ]

@@ -651,24 +651,6 @@ class SweepEngine:
         """Release the shared warm worker pool (idempotent)."""
         shutdown_pool()
 
-    def results_for(
-        self, points: Sequence[SimulationPoint]
-    ) -> Dict[str, SimulationStats]:
-        """Stored statistics of every (deduplicated) point, by store key.
-
-        A read-side companion to :meth:`execute` for callers — the
-        search driver above all — that score a batch after ensuring it
-        ran.  Points whose result is absent (e.g. a worker crashed
-        mid-batch) are simply missing from the mapping; callers decide
-        whether that is fatal.
-        """
-        results: Dict[str, SimulationStats] = {}
-        for key in dedupe_points(points):
-            stats = self.store.get(key)
-            if stats is not None:
-                results[key] = stats
-        return results
-
     # ------------------------------------------------------------------
 
     def _claim(

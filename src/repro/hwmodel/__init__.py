@@ -22,13 +22,7 @@ from repro.hwmodel.configurations import (
     TABLE2_CONFIGURATIONS,
     PAPER_TABLE2,
 )
-from repro.hwmodel.pareto import (
-    DesignPoint,
-    pareto_frontier,
-    enumerate_single_banked,
-    enumerate_register_file_cache,
-)
-from repro.hwmodel.evaluate import area_units, evaluate, geometry_payload
+from repro.hwmodel.pareto import DesignPoint, pareto_frontier
 
 __all__ = [
     "RegisterFileGeometry",
@@ -42,9 +36,4 @@ __all__ = [
     "PAPER_TABLE2",
     "DesignPoint",
     "pareto_frontier",
-    "enumerate_single_banked",
-    "enumerate_register_file_cache",
-    "area_units",
-    "evaluate",
-    "geometry_payload",
 ]

@@ -1,20 +1,17 @@
-"""Design-space enumeration and Pareto filtering (Figure 8 machinery).
+"""Pareto filtering (Figure 8 machinery).
 
 Figure 8 of the paper sweeps, for every register file architecture, all
 combinations of read/write port counts, discards the configurations that
 are dominated (another configuration of the same architecture with lower
 area and higher IPC) and plots the surviving (area, relative-performance)
-points.  This module provides the enumeration of candidate geometries and
-a generic Pareto filter.
+points.  This module provides the generic Pareto filter;
+:mod:`repro.experiments.figure8` enumerates the candidate geometries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
-
-from repro.hwmodel.area import RegisterFileGeometry
-from repro.hwmodel.configurations import RegisterFileCacheGeometry
+from typing import Iterable, List
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ def pareto_frontier(points: Iterable[DesignPoint]) -> List[DesignPoint]:
     value >= its value, with at least one strict inequality.  Points tied
     on *both* cost and value dominate nothing and are all kept — distinct
     configurations landing on the same (area, IPC) spot are equally
-    optimal and a search must report every one of them, not an arbitrary
+    optimal and the frontier reports every one of them, not an arbitrary
     winner.
     """
     candidates = sorted(points, key=lambda point: (point.cost, -point.value))
@@ -52,51 +49,3 @@ def pareto_frontier(points: Iterable[DesignPoint]) -> List[DesignPoint]:
             # neither point dominates the other (no strict inequality).
             frontier.append(point)
     return frontier
-
-
-def enumerate_single_banked(
-    num_registers: int = 128,
-    read_port_range: Sequence[int] = (2, 3, 4, 6, 8),
-    write_port_range: Sequence[int] = (1, 2, 3, 4),
-) -> List[RegisterFileGeometry]:
-    """Candidate port configurations for a single-banked register file."""
-    return [
-        RegisterFileGeometry(num_registers, reads, writes)
-        for reads in read_port_range
-        for writes in write_port_range
-    ]
-
-
-def enumerate_register_file_cache(
-    upper_registers: int = 16,
-    lower_registers: int = 128,
-    upper_read_range: Sequence[int] = (2, 3, 4, 6, 8),
-    upper_write_range: Sequence[int] = (1, 2, 3, 4),
-    lower_write_range: Sequence[int] = (1, 2, 3, 4),
-    bus_range: Sequence[int] = (1, 2, 3),
-) -> List[RegisterFileCacheGeometry]:
-    """Candidate geometries for the register file cache.
-
-    Enumerates the full ``upper_read × upper_write × lower_write × bus``
-    cross product over the given ranges; this function itself ties
-    nothing together.  The cross product grows fast, so callers restrict
-    the ranges they pass: the search space builder
-    (:mod:`repro.search.space`) defaults ``lower_write_range`` to the
-    upper-write range so the enumeration stays close to the paper's
-    Figure 8 sweep, where the lower bank has as many write ports as the
-    upper bank.
-    """
-    return [
-        RegisterFileCacheGeometry(
-            upper_registers=upper_registers,
-            lower_registers=lower_registers,
-            upper_read_ports=upper_reads,
-            upper_write_ports=upper_writes,
-            lower_write_ports=lower_writes,
-            buses=buses,
-        )
-        for upper_reads in upper_read_range
-        for upper_writes in upper_write_range
-        for lower_writes in lower_write_range
-        for buses in bus_range
-    ]

@@ -41,21 +41,17 @@ from repro.sampling.engine import (
     window_plan,
 )
 from repro.sampling.spec import (
-    MIN_SAMPLED_STREAM,
     SUPPORTED_CONFIDENCE_LEVELS,
     SamplingSpec,
     parse_sampling,
-    quick_sampling,
 )
 
 __all__ = [
-    "MIN_SAMPLED_STREAM",
     "SUPPORTED_CONFIDENCE_LEVELS",
     "SamplingSpec",
     "confidence_interval",
     "functional_warmup",
     "parse_sampling",
-    "quick_sampling",
     "sampled_simulate",
     "t_critical",
     "window_plan",

@@ -158,36 +158,6 @@ class SamplingSpec:
         return cls(**payload)
 
 
-#: Streams shorter than this gain nothing from sampling (the windows
-#: would cover most of the stream anyway); :func:`quick_sampling`
-#: returns ``None`` below it and callers fall back to exact simulation.
-MIN_SAMPLED_STREAM = 256
-
-
-def quick_sampling(instructions: int, fraction: int = 4) -> Optional[SamplingSpec]:
-    """A cheap sampling budget covering ``~1/fraction`` of the stream.
-
-    The successive-halving search rungs use this to derive their quick
-    budgets deterministically from the instruction budget alone: the
-    stride splits the stream into eight segments, the window covers
-    ``stride / fraction`` of each (halving ``fraction`` per promotion
-    rung doubles the detail).  Returns ``None`` when the stream is too
-    short to sample (< ``MIN_SAMPLED_STREAM``) or the derived window
-    would not leave at least two non-overlapping windows.
-    """
-    if not isinstance(instructions, int) or isinstance(instructions, bool):
-        raise ConfigurationError("instructions must be an integer")
-    if not isinstance(fraction, int) or isinstance(fraction, bool) or fraction < 1:
-        raise ConfigurationError("fraction must be a positive integer")
-    if instructions < MIN_SAMPLED_STREAM:
-        return None
-    stride = max(32, instructions // 8)
-    window = max(8, stride // fraction)
-    if window > stride or instructions < 2 * stride:
-        return None
-    return SamplingSpec(stride=stride, window=window, min_windows=2)
-
-
 def parse_sampling(text) -> SamplingSpec:
     """Parse the CLI form ``stride:window[:warmup]`` into a spec.
 

@@ -12,12 +12,6 @@ Talk to it::
     python -m repro.service result "$job" --format csv
     python -m repro.service metrics
 
-Let the service pick the config instead of naming one::
-
-    sid=$(python -m repro.service search --space figure8 \
-              --objective "pareto ipc-vs-area" --wait)
-    python -m repro.service frontier "$sid"
-
 ``submit`` prints the new job id alone on stdout (shell-friendly);
 everything narrative goes to stderr.  Server-side rejections are
 printed verbatim as ``error: [<code>] <message>``.
@@ -131,68 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "deadline_exceeded (default: unbounded)")
     submit.add_argument("--wait", action="store_true",
                         help="watch the job until it finishes")
-
-    search = client_parser("search",
-                           "submit a config-space search; prints the job id")
-    search.add_argument("--spec-file", default=None,
-                        help="JSON file with a full search request; flags "
-                             "below override its fields")
-    search.add_argument("--space", default=None,
-                        choices=("single-banked", "register-file-cache",
-                                 "figure8"),
-                        help="search space kind (default: single-banked)")
-    search.add_argument("--objective", default=None,
-                        help="'max ipc', 'min area' or 'pareto ipc-vs-area' "
-                             "(default: pareto ipc-vs-area)")
-    search.add_argument("--constraint", action="append", default=None,
-                        metavar="EXPR",
-                        help="feasibility bound, e.g. 'area_units <= 25000' "
-                             "or 'ipc >= 1.0' (repeatable)")
-    search.add_argument("--benchmarks", nargs="*", default=None,
-                        help="benchmarks scored per candidate "
-                             "(default: gcc)")
-    search.add_argument("--instructions", type=int, default=None,
-                        help="committed instructions per evaluation "
-                             "(default: 2000)")
-    search.add_argument("--warmup-instructions", type=int, default=None,
-                        help="warmup instructions per evaluation (default: 0)")
-    search.add_argument("--read-ports", nargs="+", type=int, default=None,
-                        help="read-port dimension of the space")
-    search.add_argument("--write-ports", nargs="+", type=int, default=None,
-                        help="write-port dimension of the space")
-    search.add_argument("--latencies", nargs="+", type=int, default=None,
-                        help="single-banked latencies to sweep (1 and/or 2)")
-    search.add_argument("--buses", nargs="+", type=int, default=None,
-                        help="bus dimension (register-file-cache space)")
-    search.add_argument("--lower-write-ports", nargs="+", type=int,
-                        default=None,
-                        help="lower-bank write ports (register-file-cache "
-                             "space; default: tied to the upper writes)")
-    search.add_argument("--rungs", type=int, default=None,
-                        help="sampled successive-halving rungs before the "
-                             "exact rung (default: 1)")
-    search.add_argument("--eta", type=int, default=None,
-                        help="halving factor: keep ceil(n/eta) per rung "
-                             "(default: 2)")
-    search.add_argument("--min-survivors", type=int, default=None,
-                        help="never halve below this many candidates "
-                             "(default: 2)")
-    search.add_argument("--priority", type=int, default=0,
-                        help="queue priority; higher runs first (default: 0)")
-    search.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="server-side wall-clock budget from submission; "
-                             "an unfinished search fails with cause "
-                             "deadline_exceeded (default: unbounded)")
-    search.add_argument("--wait", action="store_true",
-                        help="watch the search until it finishes")
-
-    frontier = client_parser("frontier",
-                             "print a completed search's Pareto frontier")
-    frontier.add_argument("job_id")
-    frontier.add_argument("--format", default="table",
-                          choices=("table", "json", "csv"),
-                          help="frontier rendering (default: table)")
 
     status = client_parser("status", "print one job's status record")
     status.add_argument("job_id")
@@ -396,83 +328,6 @@ def _run_submit(args: argparse.Namespace, client: ServiceClient) -> int:
     return 0
 
 
-def _run_search(args: argparse.Namespace, client: ServiceClient) -> int:
-    spec: dict = {}
-    if args.spec_file is not None:
-        try:
-            with open(args.spec_file, "r", encoding="utf-8") as handle:
-                spec = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot read spec file: {error}", file=sys.stderr)
-            return 2
-        if not isinstance(spec, dict):
-            print("error: spec file must hold a JSON object", file=sys.stderr)
-            return 2
-
-    dims = {
-        "read_ports": args.read_ports,
-        "write_ports": args.write_ports,
-        "latencies": args.latencies,
-        "buses": args.buses,
-        "lower_write_ports": args.lower_write_ports,
-    }
-    if args.space is not None or any(v is not None for v in dims.values()):
-        space = spec.get("space")
-        if isinstance(space, str):
-            space = {"kind": space}
-        elif not isinstance(space, dict):
-            space = {}
-        else:
-            space = dict(space)
-        if args.space is not None:
-            space["kind"] = args.space
-        space.setdefault("kind", "single-banked")
-        for key, value in dims.items():
-            if value is not None:
-                space[key] = value
-        spec["space"] = space
-    spec.setdefault("space", "single-banked")
-
-    if args.objective is not None:
-        spec["objective"] = args.objective
-    if args.constraint is not None:
-        spec["constraints"] = args.constraint
-    if args.benchmarks is not None:
-        spec["benchmarks"] = args.benchmarks
-    for key in ("instructions", "warmup_instructions", "rungs", "eta",
-                "min_survivors"):
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    spec["priority"] = args.priority
-    if args.deadline is not None:
-        spec["deadline_s"] = args.deadline
-
-    job = client.search(spec)
-    _print_job_line(job)
-    print(job["id"])
-    if args.wait:
-        return _watch(client, job["id"])
-    return 0
-
-
-def _run_frontier(args: argparse.Namespace, client: ServiceClient) -> int:
-    frontier = client.frontier(args.job_id)
-    if args.format == "json":
-        print(json.dumps(frontier, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("label,area_units,ipc")
-        for point in frontier:
-            print(f"{point['label']},{point['area_units']},{point['ipc']}")
-    else:
-        width = max([len("config")] + [len(p["label"]) for p in frontier])
-        print(f"{'config':<{width}}  {'area_units':>12}  {'ipc':>10}")
-        for point in frontier:
-            print(f"{point['label']:<{width}}  "
-                  f"{point['area_units']:>12.1f}  {point['ipc']:>10.6f}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
@@ -481,10 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "submit":
             return _run_submit(args, client)
-        if args.command == "search":
-            return _run_search(args, client)
-        if args.command == "frontier":
-            return _run_frontier(args, client)
         if args.command == "status":
             print(json.dumps(client.status(args.job_id), indent=2,
                              sort_keys=True))

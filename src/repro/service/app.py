@@ -432,20 +432,14 @@ class ServiceApp:
             spec=plan.spec,
             priority=int(plan.spec.get("priority", 0)),
         )
-        if plan.kind == "search":
-            # A search plans its points rung by rung; admit it with the
-            # first rung's size (the counters grow as rungs complete).
-            requested = unique = plan.search.rung0_points()
-            stored = False
-        else:
-            points = plan.plan_points()
-            keys = dedupe_points(points)
-            requested = len(points)
-            unique = len(keys)
-            # Answered here only while executors run: before start() or
-            # during a drain, a job must wait in the queue like any other.
-            stored = (bool(self._threads) and not self._stop.is_set()
-                      and all(self.store.peek(key) is not None for key in keys))
+        points = plan.plan_points()
+        keys = dedupe_points(points)
+        requested = len(points)
+        unique = len(keys)
+        # Answered here only while executors run: before start() or
+        # during a drain, a job must wait in the queue like any other.
+        stored = (bool(self._threads) and not self._stop.is_set()
+                  and all(self.store.peek(key) is not None for key in keys))
         job.points["requested"] = requested
         job.points["unique"] = unique
         self._point_counters["requested"].inc(requested)
@@ -796,25 +790,6 @@ class ServiceApp:
             "execute", parent=self._job_trace(job), job_id=job.id,
             job_kind=plan.kind, histogram="job.execute_seconds",
         ):
-            if plan.kind == "search":
-                from repro.search.driver import run_search
-
-                job.points["requested"] = 0
-                job.points["unique"] = 0
-
-                def on_rung(_index: int, rung_counters: dict) -> None:
-                    # Point totals grow rung by rung: the halving
-                    # schedule decides the next rung's size only once
-                    # this one is scored.
-                    job.points["requested"] += rung_counters["requested"]
-                    job.points["unique"] += rung_counters["unique"]
-                    self.job_store.save(job)
-
-                report, counters = run_search(
-                    plan.search, self.engine, progress=self.progress,
-                    on_point=on_point, on_rung=on_rung,
-                )
-                return {"kind": "search", "report": report}, counters
             points = plan.plan_points()
             job.points["requested"] = len(points)
             job.points["unique"] = len(dedupe_points(points))

@@ -136,7 +136,7 @@ class ServiceClient:
         self.retry_budget_s = retry_budget_s
         #: Total re-attempts made over this client's lifetime.
         self.retried = 0
-        #: The trace context of the most recent submit/search, if any.
+        #: The trace context of the most recent submit, if any.
         self.last_trace: Optional[TraceContext] = None
         self._sleep = _sleep
         self._clock = _clock
@@ -282,36 +282,6 @@ class ServiceClient:
 
     def metrics(self) -> dict:
         return self._request("GET", "/metrics")
-
-    # ------------------------------------------------------------------
-
-    def search(self, spec: dict,
-               trace: Optional[TraceContext] = None) -> dict:
-        """Submit a config-space search; returns the new job record."""
-        if trace is None:
-            trace = new_trace()
-        self.last_trace = trace
-        return self._request("POST", "/search", payload=spec,
-                             headers={TRACE_HEADER: trace.to_header()})
-
-    def searches(self) -> dict:
-        return self._request("GET", "/search")
-
-    def search_status(self, job_id: str) -> dict:
-        """A search job's record (the report is inlined once completed)."""
-        return self._request("GET", f"/search/{job_id}")
-
-    def frontier(self, job_id: str) -> list:
-        """The discovered Pareto frontier of a *completed* search job."""
-        record = self.search_status(job_id)
-        state = record.get("state")
-        if state != "completed":
-            raise ServiceError(
-                f"search {job_id} is {state}; the frontier exists once it "
-                f"completes", code="job_not_completed", status=409,
-            )
-        report = (record.get("result") or {}).get("report") or {}
-        return report.get("frontier") or []
 
     # ------------------------------------------------------------------
     # telemetry event stream

@@ -3,13 +3,9 @@
 Routes (all JSON unless ``format=csv``)::
 
     POST /jobs                  submit a figure plan or explicit points
-    POST /search                submit a config-space search (a job whose
-                                spec is the search request)
     GET  /jobs                  summary list of known jobs
     GET  /jobs/<id>             one job's status record
     GET  /jobs/<id>/result      completed job's result (?format=json|csv)
-    GET  /search                summary list of search jobs
-    GET  /search/<id>           one search job, report inlined once done
     GET  /healthz               liveness + version
     GET  /metrics               queue depth, jobs by state, points/min,
                                 cache hit rates, worker-pool resets
@@ -142,11 +138,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
 
-    def _job_route(self, path: str, root: str = "jobs",
-                   ) -> Tuple[Optional[str], Optional[str]]:
-        """``/<root>/<id>[/sub]`` -> (job_id, subresource)."""
+    def _job_route(self, path: str) -> Tuple[Optional[str], Optional[str]]:
+        """``/jobs/<id>[/sub]`` -> (job_id, subresource)."""
         parts = [part for part in path.split("/") if part]
-        if not parts or parts[0] != root:
+        if not parts or parts[0] != "jobs":
             return None, None
         if len(parts) == 1:
             return "", None
@@ -155,14 +150,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if len(parts) == 3:
             return parts[1], parts[2]
         return None, None
-
-    def _search_job(self, job_id: str):
-        """A job that is a search (404 otherwise, matching /jobs semantics)."""
-        job = self.app.get_job(job_id)
-        if "search" not in (job.spec or {}):
-            raise ApiError(404, "search_not_found",
-                           f"job {job_id!r} is not a search job")
-        return job
 
     def _read_body(self) -> bytes:
         length = self.headers.get("Content-Length")
@@ -266,21 +253,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(200, result)
                 return
-            search_id, sub = self._job_route(path, root="search")
-            if search_id == "" and sub is None:
-                searches = [
-                    job.to_dict() for job in self.app.queue.jobs()
-                    if "search" in (job.spec or {})
-                ]
-                searches.sort(key=lambda entry: entry["submitted_at"])
-                self._send_json(200, {"searches": searches})
-                return
-            if search_id and sub is None:
-                # The search record inlines the report once completed,
-                # so `GET /search/<id>` is the whole conversation.
-                job = self._search_job(search_id)
-                self._send_json(200, job.to_dict(include_result=True))
-                return
             raise ApiError(404, "not_found", f"no route for GET {path}")
         except ApiError as error:
             self._send_error(error)
@@ -295,7 +267,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         body_read = False
         try:
             path = urlparse(self.path).path
-            if path not in ("/jobs", "/jobs/", "/search", "/search/"):
+            if path not in ("/jobs", "/jobs/"):
                 raise ApiError(404, "not_found", f"no route for POST {path}")
             body = self._read_body()
             body_read = True
@@ -304,18 +276,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             except (ValueError, UnicodeDecodeError) as exc:
                 raise ApiError(400, "bad_request",
                                f"request body is not valid JSON: {exc}") from exc
-            if path.startswith("/search"):
-                # The body *is* the search request; wrap it into the
-                # one-of-figure/points/search submission shape.
-                if not isinstance(payload, dict):
-                    raise ApiError(400, "bad_request",
-                                   "search request body must be a JSON object")
-                payload = dict(payload)
-                priority = payload.pop("priority", 0)
-                deadline_s = payload.pop("deadline_s", None)
-                payload = {"search": payload, "priority": priority}
-                if deadline_s is not None:
-                    payload["deadline_s"] = deadline_s
             trace = TraceContext.parse(self.headers.get(TRACE_HEADER))
             job = self.app.submit(payload, trace=trace)
             self._send_json(202, job.to_dict())

@@ -1,6 +1,6 @@
 """Submission validation and result rendering for the sweep service.
 
-Three accepted job shapes (exactly one of ``figure``/``points``/``search``)::
+Two accepted job shapes (exactly one of ``figure``/``points``)::
 
     {"figure": "figure6",                      # or "all"
      "settings": {"instructions": 2000,
@@ -14,16 +14,6 @@ Three accepted job shapes (exactly one of ``figure``/``points``/``search``)::
                              "parameters": {"caching": "always"}},
                  "config": {"max_instructions": 2000},
                  "warmup_instructions": 0}],
-     "priority": 0}
-
-    {"search": {"space": {"kind": "single-banked",
-                          "read_ports": [2, 3, 4],
-                          "write_ports": [2, 3, 4]},
-                "objective": "pareto ipc-vs-area",
-                "constraints": {"max_area_units": 25000},
-                "benchmarks": ["gcc"],
-                "instructions": 2000,
-                "rungs": 1},
      "priority": 0}
 
 Every rejection raises :class:`ApiError` carrying an HTTP status and a
@@ -55,7 +45,6 @@ from repro.experiments.runner import (
 from repro.experiments.scheduler import SimulationPoint
 from repro.pipeline.config import ProcessorConfig
 from repro.sampling.spec import SamplingSpec, parse_sampling
-from repro.search.driver import SearchSpec
 
 
 class ApiError(Exception):
@@ -107,13 +96,10 @@ _CONFIG_FIELDS = {
 class JobPlan:
     """A validated submission, ready for the executor."""
 
-    kind: str  # "figures", "points" or "search"
+    kind: str  # "figures" or "points"
     figures: Sequence[str] = ()
     settings: Optional[ExperimentSettings] = None
     points: Sequence[SimulationPoint] = ()
-    #: The validated search request of a ``kind == "search"`` job; its
-    #: points are planned rung by rung by the search driver, not here.
-    search: Optional[SearchSpec] = None
     #: The canonical spec echoed in job records.
     spec: Optional[dict] = None
     #: Wall-clock budget from submission, seconds; ``None`` = unbounded.
@@ -278,12 +264,10 @@ def validate_submission(payload) -> JobPlan:
     payload = _require_mapping(payload, 400, "bad_request", "request body")
     has_figure = "figure" in payload
     has_points = "points" in payload
-    has_search = "search" in payload
-    if int(has_figure) + int(has_points) + int(has_search) != 1:
+    if has_figure == has_points:
         raise ApiError(
             422, "invalid_spec",
-            "submission must contain exactly one of 'figure', 'points' "
-            "or 'search'",
+            "submission must contain exactly one of 'figure' or 'points'",
         )
     priority = payload.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
@@ -297,25 +281,6 @@ def validate_submission(payload) -> JobPlan:
                            "deadline_s must be a positive number of seconds")
         deadline_s = float(deadline_s)
     sampling = _build_sampling(payload)
-
-    if has_search:
-        if sampling is not None:
-            raise ApiError(
-                422, "invalid_search",
-                "search jobs derive their own sampled rung budgets; "
-                "a top-level 'sample' is not accepted",
-            )
-        try:
-            search = SearchSpec.from_payload(payload["search"])
-        except ReproError as error:
-            raise ApiError(422, "invalid_search", str(error)) from error
-        # The echo must round-trip: resumed jobs re-validate their
-        # persisted spec, so the search has to rebuild exactly.
-        spec = {"search": search.to_payload(), "priority": priority}
-        if deadline_s is not None:
-            spec["deadline_s"] = deadline_s
-        return JobPlan(kind="search", search=search, spec=spec,
-                       deadline_s=deadline_s)
 
     if has_figure:
         figure = payload["figure"]
@@ -423,14 +388,6 @@ def assemble_points_result(plan: JobPlan, store) -> dict:
 
 def result_to_csv(result: dict) -> str:
     """Render a job result payload as the runner's CSV dialect."""
-    if result.get("kind") == "search":
-        lines = ["label,area_units,ipc"]
-        for entry in result.get("report", {}).get("frontier", []):
-            lines.append(
-                f"{entry.get('label')},{entry.get('area_units')},"
-                f"{entry.get('ipc')}"
-            )
-        return "\n".join(lines) + "\n"
     if result.get("kind") == "figures":
         experiment_results = [
             ExperimentResult(

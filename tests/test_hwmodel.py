@@ -10,12 +10,7 @@ from repro.hwmodel.configurations import (
     RegisterFileCacheGeometry,
     TABLE2_CONFIGURATIONS,
 )
-from repro.hwmodel.pareto import (
-    DesignPoint,
-    enumerate_register_file_cache,
-    enumerate_single_banked,
-    pareto_frontier,
-)
+from repro.hwmodel.pareto import DesignPoint, pareto_frontier
 
 
 class TestAreaModel:
@@ -141,12 +136,3 @@ class TestPareto:
 
     def test_empty_input(self):
         assert pareto_frontier([]) == []
-
-    def test_enumerations(self):
-        singles = enumerate_single_banked(read_port_range=(2, 3), write_port_range=(1,))
-        assert len(singles) == 2
-        caches = enumerate_register_file_cache(
-            upper_read_range=(2,), upper_write_range=(2,),
-            lower_write_range=(2,), bus_range=(1, 2),
-        )
-        assert len(caches) == 2

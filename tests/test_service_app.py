@@ -21,7 +21,9 @@ from repro.experiments.store import ResultStore
 from repro.obs.events import read_events, unfinished_spans
 from repro.service import ServiceApp
 from repro.service.app import EVENTS_SUBDIR
-from repro.service.jobs import COMPLETED, FAILED, QUEUED, RUNNING, JobStore
+from repro.service.jobs import (
+    COMPLETED, FAILED, QUEUED, RUNNING, Job, JobStore, new_job_id,
+)
 from repro.service.spec import ApiError, validate_submission
 from repro.storage import ShardedStore
 
@@ -250,15 +252,6 @@ class TestAdmissionAnswer:
         ) is not None
         assert fresh.submit(POINT_SPEC).state == QUEUED
 
-    def test_search_is_queued_even_when_stored(self, app, monkeypatch):
-        monkeypatch.setattr(app.store, "peek", lambda key: object())
-        space = {"kind": "single-banked", "read_ports": [2],
-                 "write_ports": [2]}
-        job = app.submit({"search": {"space": space, "instructions": 200,
-                                     "rungs": 0}})
-        assert job.state == QUEUED
-        assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
-
     def test_point_vanished_after_the_check_still_completes(
             self, app, monkeypatch):
         # Admission sees every point stored; the engine finds none.
@@ -401,6 +394,30 @@ class TestRestartResume:
             final = wait_for(lambda: second.get_job(job.id))
             assert final.state == COMPLETED
             assert final.state != RUNNING
+        finally:
+            second.stop()
+
+    def test_persisted_search_job_fails_as_invalid_spec(self, tmp_path):
+        # A job log written when the service still accepted config-space
+        # searches: the retired shape fails on re-validation, and the
+        # executor goes on to serve the job queued behind it.
+        first = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        search = Job(id=new_job_id(), spec={
+            "search": {"space": "figure8", "instructions": 200},
+            "priority": 0,
+        })
+        first.job_store.save(search)
+        good = first.submit(FIGURE_SPEC)
+        second = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        second.start()
+        try:
+            assert second.resumed_jobs == 2
+            failed = wait_for(lambda: second.get_job(search.id))
+            assert failed.state == FAILED
+            assert failed.error["code"] == "invalid_spec"
+            assert wait_for(lambda: second.get_job(good.id)).state == COMPLETED
+            assert (JobStore(str(tmp_path)).load(search.id).error["code"]
+                    == "invalid_spec")
         finally:
             second.stop()
 

@@ -1,11 +1,11 @@
-"""SIGTERM drain while a search job is mid-rung.
+"""SIGTERM drain while a points job is mid-run.
 
-A real ``python -m repro.service serve`` process is SIGTERMed while a
-config-space search is between rungs' point evaluations.  The drain
-contract: the in-flight job finishes before the process exits (exit
-code 0, terminal record on disk), and every rung result it computed is
-persisted — a later service on the same cache tree re-runs the same
-search entirely from the store, with ``executed == 0``.
+A real ``python -m repro.service serve`` process is SIGTERMed while an
+explicit-points job is between point evaluations.  The drain contract:
+the in-flight job finishes before the process exits (exit code 0,
+terminal record on disk), and every point it computed is persisted — a
+later service on the same cache tree answers the same submission
+entirely from the store, with ``executed == 0``, at admission.
 """
 
 from __future__ import annotations
@@ -21,13 +21,19 @@ from repro.service import ServiceApp
 from repro.service.client import ServiceClient
 from repro.service.jobs import COMPLETED, JobStore
 
-SEARCH_PAYLOAD = {"search": {
-    "space": {"kind": "single-banked", "read_ports": [2, 3],
-              "write_ports": [2, 3]},
-    "benchmarks": ["gcc"],
-    "instructions": 6000,
-    "rungs": 1,
-}}
+#: Four single-banked port configurations on gcc: enough points that the
+#: job is still running after its first one completes.
+POINTS_PAYLOAD = {"points": [
+    {
+        "benchmark": "gcc",
+        "architecture": f"single-banked/{reads}R{writes}W",
+        "factory": {"type": "SingleBankedFactory",
+                    "parameters": {"read_ports": reads,
+                                   "write_ports": writes}},
+        "config": {"max_instructions": 6000},
+    }
+    for reads in (2, 3) for writes in (2, 3)
+]}
 
 
 def _serve_env() -> dict:
@@ -48,7 +54,12 @@ def _wait(predicate, timeout: float, interval: float = 0.05) -> bool:
     return bool(predicate())
 
 
-def test_sigterm_drain_mid_rung_search_reused_on_resume(tmp_path):
+def _ipcs(result: dict) -> list:
+    return [entry["stats"]["committed_instructions"] / entry["stats"]["cycles"]
+            for entry in result["points"]]
+
+
+def test_sigterm_drain_mid_job_reused_on_resume(tmp_path):
     cache = str(tmp_path / "cache")
     port_file = str(tmp_path / "serve.port")
     proc = subprocess.Popen(
@@ -67,45 +78,40 @@ def test_sigterm_drain_mid_rung_search_reused_on_resume(tmp_path):
             port = int(handle.readline().strip())
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
 
-        job_id = client.search(SEARCH_PAYLOAD["search"])["id"]
+        job_id = client.submit(POINTS_PAYLOAD)["id"]
 
-        def mid_rung() -> bool:
+        def mid_job() -> bool:
             record = client.status(job_id)
+            points = record.get("points", {})
             return (record.get("state") == "running"
-                    and int(record.get("points", {}).get("completed", 0)) >= 1)
+                    and 1 <= int(points.get("completed", 0))
+                    < int(points.get("unique", 0)))
 
-        assert _wait(mid_rung, timeout=120.0), \
-            "search never reached mid-rung (running with >= 1 point done)"
+        assert _wait(mid_job, timeout=120.0), \
+            "job never reached mid-run (running with some points done)"
 
-        # SIGTERM mid-rung: serve must drain (finish the job), not drop it.
+        # SIGTERM mid-job: serve must drain (finish the job), not drop it.
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=300.0) == 0
 
         # The drained job is terminal *on disk* with its full result.
         drained = JobStore(cache).load(job_id)
         assert drained.state == COMPLETED, drained.error
-        drained_frontier = [point["label"] for point in
-                           drained.result["report"]["frontier"]]
-        assert drained_frontier
-        assert int(drained.counters["executed"]) > 0
+        assert int(drained.counters["executed"]) == len(POINTS_PAYLOAD["points"])
+        drained_ipcs = _ipcs(drained.result)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30.0)
 
-    # Resume on the same cache tree: the same search re-runs entirely
-    # from the drained rung results — zero points executed.
+    # Resume on the same cache tree: every point is stored, so the same
+    # submission is answered at admission with zero points executed.
     app = ServiceApp(cache_dir=cache, jobs=1, job_concurrency=1)
     app.start()
     try:
-        resumed = app.submit(SEARCH_PAYLOAD)
-        deadline = time.monotonic() + 120.0
-        while not resumed.terminal and time.monotonic() < deadline:
-            time.sleep(0.05)
+        resumed = app.submit(POINTS_PAYLOAD)
         assert resumed.state == COMPLETED, resumed.error
         assert int(resumed.counters["executed"]) == 0
-        frontier = [point["label"] for point in
-                    resumed.result["report"]["frontier"]]
-        assert frontier == drained_frontier
+        assert _ipcs(resumed.result) == drained_ipcs
     finally:
         app.stop(drain=True, timeout=60.0)

@@ -139,6 +139,22 @@ class TestHttpApi:
         status, payload = raw_request(f"{url}/healthz", method="POST", body=b"{}")
         assert status == 404
 
+    def test_retired_search_shape_is_rejected(self, service):
+        url, _ = service
+        status, payload = raw_request(
+            f"{url}/jobs", method="POST",
+            body=json.dumps({"search": {"space": "figure8"}}).encode("utf-8"),
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "invalid_spec"
+        assert "'figure'" in payload["error"]["message"]
+        assert "'points'" in payload["error"]["message"]
+        for method, body in (("POST", b"{}"), ("GET", None)):
+            status, payload = raw_request(f"{url}/search", method=method,
+                                          body=body)
+            assert status == 404
+            assert payload["error"]["code"] == "not_found"
+
     def test_result_before_completion_is_409(self, service):
         url, app = service
         # Admit without executing: stop the executors first.

@@ -52,8 +52,6 @@ CLI_DOC_MAP = [
     ("repro.bench", "compare", "docs/benchmarking.md"),
     ("repro.service", "serve", "docs/service.md"),
     ("repro.service", "submit", "docs/service.md"),
-    ("repro.service", "search", "docs/search.md"),
-    ("repro.service", "frontier", "docs/search.md"),
     ("repro.service", "status", "docs/service.md"),
     ("repro.service", "result", "docs/service.md"),
     ("repro.service", "watch", "docs/service.md"),
