@@ -42,7 +42,7 @@ from repro.chaos.harness import (
     watch_bounded,
 )
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import RUNNING, Job, JobStore
+from repro.service.jobs import POISON_ATTEMPTS, RUNNING, Job, JobStore
 from repro.storage.sharded import ShardedStore
 
 
@@ -642,7 +642,7 @@ def scenario_poison_quarantine(result: ScenarioResult, seed: int,
         store = JobStore(shared)
         job = Job(id="poisonjob0001",
                   spec=_points_spec(n=1, instructions=300),
-                  state=RUNNING, attempts=3)
+                  state=RUNNING, attempts=POISON_ATTEMPTS)
         job.points = {"requested": 1, "unique": 1, "completed": 0}
         job.record_fault("crash", "synthetic pre-history", replica="ghost-1")
         job.record_fault("lease_expired", "synthetic pre-history",
@@ -650,7 +650,7 @@ def scenario_poison_quarantine(result: ScenarioResult, seed: int,
         store.save(job)
 
         sut = env.service(cache_dir=shared, lease_ttl=2.0,
-                          fleet_poll_interval=0.1, poison_attempts=3)
+                          fleet_poll_interval=0.1)
         record = None
 
         def _terminal() -> bool:

@@ -50,7 +50,6 @@ from repro.chaos import seams as _seams
 from repro.errors import ConfigurationError
 from repro.experiments.store import DEFAULT_CLAIM_TTL, ResultStore, simulation_key
 from repro.obs import context as _obs_context
-from repro.obs import profile as _obs_profile
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
@@ -514,7 +513,6 @@ def _record_remote(
     """Worker entry for a :class:`_RecordTask`: :func:`_record_group`'s
     result with the trace as a payload (``None`` once persisted to the
     shared ``cache_dir``) and the stats as a dictionary."""
-    _obs_profile.maybe_enable_worker()
     telemetry, parent = _worker_telemetry(task.obs)
     trace, stats, record_seconds, point_seconds = _record_group(
         task.point, telemetry, parent
@@ -531,7 +529,6 @@ def _record_remote(
 def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
     """Worker entry for a :class:`_TraceBatch`: ``(stats dict, seconds)``
     per point."""
-    _obs_profile.maybe_enable_worker()
     telemetry, parent = _worker_telemetry(batch.obs)
     trace = _worker_trace(
         batch.trace_key, batch.payload, batch.cache_dir, batch.points[0]

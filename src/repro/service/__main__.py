@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import threading
@@ -29,7 +28,6 @@ from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.obs import logging as obs_logging
-from repro.obs import profile as obs_profile
 from repro.service.app import ServiceApp
 from repro.service.client import DEFAULT_URL, ServiceClient, ServiceError
 from repro.service.jobs import COMPLETED
@@ -88,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-json", action="store_true",
                        help="emit log lines as JSON objects (one per line) "
                             "carrying the active trace_id")
-    serve.add_argument("--profile-dir", default=None,
-                       help="enable cProfile in the server and every "
-                            "simulation worker; .pstats files land here on "
-                            "drain (default: off)")
 
     def client_parser(name: str, help_text: str) -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
@@ -139,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--interval", type=float, default=0.5,
                        help="initial poll interval in seconds (default: 0.5); "
                             "backs off with jitter while the job is idle")
-    watch.add_argument("--max-interval", type=float, default=None,
-                       help="poll interval ceiling for the idle backoff "
-                            "(default: max(interval, 8.0))")
     watch.add_argument("--timeout", type=float, default=None,
                        help="give up after this many seconds")
 
@@ -164,13 +155,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     def progress(message: str) -> None:
         logger.info(message)
-
-    if args.profile_dir is not None:
-        # The env var is inherited by the simulation worker processes
-        # (each dumps <dir>/worker-<pid>.pstats at exit); the server
-        # process profiles itself under the "serve" prefix.
-        os.environ[obs_profile.PROFILE_ENV] = os.path.abspath(args.profile_dir)
-        obs_profile.enable("serve")
 
     lease_kwargs = {}
     if args.lease_ttl is not None:
@@ -238,8 +222,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     server.shutdown()
     server.server_close()
     app.stop(drain=True)
-    if args.profile_dir is not None:
-        obs_profile.flush()  # dump the server's own .pstats before exit
     print("shutdown: complete", file=sys.stderr, flush=True)
     return 0
 
@@ -259,8 +241,7 @@ def _print_job_line(job: dict) -> None:
 
 
 def _watch(client: ServiceClient, job_id: str, interval: float = 0.5,
-           timeout: Optional[float] = None,
-           max_interval: Optional[float] = None) -> int:
+           timeout: Optional[float] = None) -> int:
     last_phase = [None]
 
     def on_phase(event: dict) -> None:
@@ -271,7 +252,7 @@ def _watch(client: ServiceClient, job_id: str, interval: float = 0.5,
         print(f"job {job_id}: phase {phase}", file=sys.stderr, flush=True)
 
     job = client.watch(job_id, interval=interval, timeout=timeout,
-                       max_interval=max_interval, on_update=_print_job_line,
+                       on_update=_print_job_line,
                        on_phase=on_phase)
     # Final span breakdown (queue wait / lease hold / execute) from the
     # event stream; older servers without /events just skip it.
@@ -349,8 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "watch":
             return _watch(client, args.job_id, interval=args.interval,
-                          timeout=args.timeout,
-                          max_interval=args.max_interval)
+                          timeout=args.timeout)
         if args.command == "metrics":
             print(json.dumps(client.metrics(), indent=2, sort_keys=True))
             return 0

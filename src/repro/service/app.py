@@ -55,8 +55,8 @@ from repro.service import spec as spec_mod
 from repro.service.fleet import DEFAULT_LEASE_TTL, LeaseManager, default_replica_id
 from repro.service.jobs import (
     COMPLETED,
-    DEFAULT_POISON_ATTEMPTS,
     FAILED,
+    POISON_ATTEMPTS,
     QUEUED,
     RUNNING,
     Job,
@@ -119,7 +119,6 @@ class ServiceApp:
         fleet_poll_interval: float = 1.0,
         claim_ttl: Optional[float] = None,
         max_queue_depth: Optional[int] = None,
-        poison_attempts: int = DEFAULT_POISON_ATTEMPTS,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         # Checked before anything touches the cache directory.
@@ -131,9 +130,6 @@ class ServiceApp:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be at least 1, got {max_queue_depth}")
-        if poison_attempts < 1:
-            raise ConfigurationError(
-                f"poison_attempts must be at least 1, got {poison_attempts}")
         self.cache_dir = cache_dir
         self.progress = progress
         self.replica_id = replica_id or default_replica_id()
@@ -205,8 +201,6 @@ class ServiceApp:
         #: Backpressure: submissions beyond this queue depth are rejected
         #: with a structured 503 ``overloaded`` (``None`` = unbounded).
         self.max_queue_depth = max_queue_depth
-        #: Execution attempts before a job is quarantined as poisonous.
-        self.poison_attempts = poison_attempts
         # Fleet/robustness counters live in the registry; the public
         # ``app.stolen_jobs``-style names survive as read-only properties.
         self._resumed_jobs = registry.counter("jobs.resumed")
@@ -477,8 +471,9 @@ class ServiceApp:
         record is the terminal one.  A lease only keeps other replicas
         from stealing a job with a persisted ``running`` record; this job
         never persists ``running``, so other replicas first see it
-        finished.  A point that vanished since admission checked it (TTL
-        or size bound) is simply simulated here.
+        finished.  Admission's ``peek`` decoded every point into the
+        result store's memory tier, which evicts nothing, so the
+        execution here reads them all back and simulates none.
         """
         with self._running(job):
             self.queue.add(job, enqueue=False)
@@ -627,12 +622,12 @@ class ServiceApp:
 
         Called wherever a job is about to be re-queued for another
         attempt (steal, crash-resume).  A job whose execution already
-        *started* ``poison_attempts`` times is terminally failed with
+        *started* :data:`POISON_ATTEMPTS` times is terminally failed with
         cause ``poisoned`` and its full record — fault history included —
         lands in ``jobs/quarantine/`` instead of ping-ponging between
         replicas forever.
         """
-        if job.attempts < self.poison_attempts:
+        if job.attempts < POISON_ATTEMPTS:
             return False
         if job.mark_failed(
             "poisoned",

@@ -222,13 +222,7 @@ class ServiceClient:
         attempt = 0
         while True:
             try:
-                # headers ride as a kwarg, and only when present, so test
-                # doubles written against the historical 4-argument
-                # signature keep working.
-                if headers:
-                    return self._request_once(method, path, payload, raw,
-                                              headers=headers)
-                return self._request_once(method, path, payload, raw)
+                return self._request_once(method, path, payload, raw, headers)
             except ServiceError as error:
                 transient = (
                     error.code == "unreachable"

@@ -58,7 +58,7 @@ FAULT_HISTORY_LIMIT = 20
 
 #: Execution attempts (first run + re-queues/steals) before a job is
 #: declared poisonous and quarantined instead of retried again.
-DEFAULT_POISON_ATTEMPTS = 3
+POISON_ATTEMPTS = 3
 
 
 def _now() -> str:

@@ -1,8 +1,8 @@
 """Traffic-grade storage: sharded append-only segment logs.
 
 This package is the persistence layer shared by the result store, the
-trace store and the service's control plane (job records, job leases,
-replica snapshots): :mod:`repro.storage.segment` frames
+trace store and the service's control plane (job records and job
+leases): :mod:`repro.storage.segment` frames
 individual records, :mod:`repro.storage.sharded` provides the
 sharded/compacting :class:`~repro.storage.sharded.ShardedStore`, and
 :class:`~repro.storage.tiered.TwoTierCache` puts a memory tier in front

@@ -1,8 +1,7 @@
 """A sharded, compacting key-value store over append-only segment logs.
 
 This is the traffic-grade storage layer behind the repository's result
-and trace stores and the service's job records, job leases and replica
-snapshots.  Design:
+and trace stores and the service's job records and job leases.  Design:
 
 * **Sharding.**  Keys (content hashes, job ids) are routed to one of
   ``num_shards`` shard directories by their leading hex byte, so
@@ -25,10 +24,9 @@ snapshots.  Design:
   first replica to claim a key computes it, everyone else polls for the
   value.  Claims expire, so a crashed owner never wedges the fleet, and
   a put for the key implicitly releases its claim.
-* **TTL, size bound, compaction.**  Entries older than ``ttl_seconds``
-  read as misses; when a shard's dead-byte ratio or payload budget
-  (``max_bytes / num_shards``) is exceeded, the shard is compacted:
-  live unexpired records are rewritten into one fresh segment (oldest
+* **Size bound, compaction.**  When a shard's dead-byte ratio or
+  payload budget (``max_bytes / num_shards``) is exceeded, the shard is
+  compacted: live records are rewritten into one fresh segment (oldest
   entries evicted first under a size bound) and the old segments are
   deleted.
 
@@ -59,19 +57,19 @@ except ImportError:  # pragma: no cover
 #: Segment files are ``seg-<8-digit id>.log`` inside a shard directory.
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.log$")
 
-#: Default upper bound before appends roll over to a fresh segment file.
-DEFAULT_SEGMENT_MAX_BYTES = 8 * 1024 * 1024
+#: Upper bound before appends roll over to a fresh segment file.
+SEGMENT_MAX_BYTES = 8 * 1024 * 1024
 
 #: A shard is auto-compacted when dead bytes exceed this share of the log.
-DEFAULT_COMPACT_DEAD_RATIO = 0.5
+COMPACT_DEAD_RATIO = 0.5
 
 #: ... but only once the log is big enough for compaction to matter.
-DEFAULT_COMPACT_MIN_BYTES = 64 * 1024
+COMPACT_MIN_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
 class _Entry:
-    """Where one live key's payload lives, plus TTL/eviction bookkeeping."""
+    """Where one live key's payload lives, plus eviction bookkeeping."""
 
     ts: float
     segment_id: int
@@ -89,6 +87,10 @@ class _Shard:
     def __init__(self, directory: str) -> None:
         self.directory = directory
         self.lock = threading.RLock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget everything scanned, as before the first scan."""
         #: key -> _Entry, in record order (dict insertion order).
         self.index: Dict[str, _Entry] = {}
         #: key -> (owner, absolute deadline).
@@ -105,7 +107,6 @@ class _Shard:
 class _Counters:
     compactions: int = 0
     evictions: int = 0
-    expired_dropped: int = 0
     torn_tails: int = 0
     rebuilds: int = 0
     write_errors: int = 0
@@ -115,31 +116,22 @@ class _Counters:
 class ShardedStore:
     """Sharded segment-log store; see the module docstring for the design.
 
-    ``clock`` is injectable (tests drive TTL/lease expiry with a fake
-    clock); everything time-based — entry TTLs, claim deadlines —
-    reads it.
+    ``clock`` is injectable (tests drive claim expiry with a fake
+    clock); entry timestamps and claim deadlines read it.
     """
 
     def __init__(
         self,
         root: str,
         num_shards: int = 16,
-        ttl_seconds: Optional[float] = None,
         max_bytes: Optional[int] = None,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
-        compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
-        compact_min_bytes: int = DEFAULT_COMPACT_MIN_BYTES,
         clock: Callable[[], float] = _wall_clock,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.root = root
         self.num_shards = num_shards
-        self.ttl_seconds = ttl_seconds
         self.max_bytes = max_bytes
-        self.segment_max_bytes = segment_max_bytes
-        self.compact_dead_ratio = compact_dead_ratio
-        self.compact_min_bytes = compact_min_bytes
         self.clock = clock
         self.counters = _Counters()
         #: Optional duration sink ``(op, seconds) -> None`` fired after
@@ -236,9 +228,6 @@ class ShardedStore:
     # index maintenance
     # ------------------------------------------------------------------
 
-    def _expired(self, ts: float) -> bool:
-        return self.ttl_seconds is not None and self.clock() - ts > self.ttl_seconds
-
     def _claim_live(self, claim: Tuple[str, float]) -> bool:
         return claim[1] > self.clock()
 
@@ -289,12 +278,7 @@ class ShardedStore:
 
     def _rebuild(self, shard: _Shard) -> None:
         """Re-scan the whole shard from scratch (after compaction races)."""
-        shard.index.clear()
-        shard.claims.clear()
-        shard.claim_bytes.clear()
-        shard.scanned.clear()
-        shard.live_data_bytes = 0
-        shard.dead_bytes = 0
+        shard.reset()
         with self.counters.lock:
             self.counters.rebuilds += 1
         self._refresh(shard)
@@ -311,12 +295,7 @@ class ShardedStore:
         if known - set(ids):
             # A segment we indexed disappeared: another process compacted
             # the shard.  Start over from the surviving files.
-            shard.index.clear()
-            shard.claims.clear()
-            shard.claim_bytes.clear()
-            shard.scanned.clear()
-            shard.live_data_bytes = 0
-            shard.dead_bytes = 0
+            shard.reset()
             with self.counters.lock:
                 self.counters.rebuilds += 1
         for segment_id in ids:
@@ -341,14 +320,14 @@ class ShardedStore:
     # ------------------------------------------------------------------
 
     def get(self, key: str) -> Optional[bytes]:
-        """The payload bytes of ``key``; ``None`` on miss/expiry."""
+        """The payload bytes of ``key``; ``None`` on a miss."""
         shard = self._shard(self.shard_of(key))
         with shard.lock:
             entry = shard.index.get(key)
             if entry is None:
                 self._refresh(shard)
                 entry = shard.index.get(key)
-            if entry is None or self._expired(entry.ts):
+            if entry is None:
                 return None
             data = seg.read_data(
                 self._segment_path(shard, entry.segment_id),
@@ -359,7 +338,7 @@ class ShardedStore:
                 # rebuild from the surviving files and retry once.
                 self._rebuild(shard)
                 entry = shard.index.get(key)
-                if entry is None or self._expired(entry.ts):
+                if entry is None:
                     return None
                 data = seg.read_data(
                     self._segment_path(shard, entry.segment_id),
@@ -371,8 +350,8 @@ class ShardedStore:
         return self.get(key) is not None
 
     def versions(self) -> Dict[str, Tuple[float, int]]:
-        """``key -> (write time, payload length)`` of every live,
-        unexpired key, after folding in other processes' appends.
+        """``key -> (write time, payload length)`` of every live key,
+        after folding in other processes' appends.
 
         The stamp changes with every put and survives compaction, so a
         reader that keeps the previous map re-reads only the keys whose
@@ -384,24 +363,23 @@ class ShardedStore:
             with shard.lock:
                 self._refresh(shard)
                 for key, entry in shard.index.items():
-                    if not self._expired(entry.ts):
-                        result[key] = (entry.ts, entry.data_len)
+                    result[key] = (entry.ts, entry.data_len)
         return result
 
     def version(self, key: str) -> Optional[Tuple[float, int]]:
         """The :meth:`versions` stamp of one key, after folding in other
         processes' appends to that key's shard only; ``None`` when the
-        key is missing or expired."""
+        key is missing."""
         shard = self._shard(self.shard_of(key))
         with shard.lock:
             self._refresh(shard)
             entry = shard.index.get(key)
-        if entry is None or self._expired(entry.ts):
+        if entry is None:
             return None
         return (entry.ts, entry.data_len)
 
     def keys(self) -> List[str]:
-        """Every live, unexpired key (refreshes all shards)."""
+        """Every live key (refreshes all shards)."""
         return list(self.versions())
 
     def __len__(self) -> int:
@@ -414,7 +392,7 @@ class ShardedStore:
     def _active_segment(self, shard: _Shard) -> int:
         ids = list(shard.scanned)
         active = max(ids) if ids else 1
-        if shard.scanned.get(active, 0) >= self.segment_max_bytes:
+        if shard.scanned.get(active, 0) >= SEGMENT_MAX_BYTES:
             active += 1
         return active
 
@@ -511,14 +489,12 @@ class ShardedStore:
         if self._read_only.is_set():
             with shard.lock:
                 self._refresh(shard)
-                entry = shard.index.get(key)
-                if entry is not None and not self._expired(entry.ts):
+                if key in shard.index:
                     return False, None
             return True, owner
         with shard.lock, self._file_lock(shard):
             self._refresh(shard)
-            entry = shard.index.get(key)
-            if entry is not None and not self._expired(entry.ts):
+            if key in shard.index:
                 return False, None
             current = shard.claims.get(key)
             if current is not None and self._claim_live(current) and current[0] != owner:
@@ -567,7 +543,7 @@ class ShardedStore:
             return None
 
     # ------------------------------------------------------------------
-    # compaction, TTL and the size bound
+    # compaction and the size bound
     # ------------------------------------------------------------------
 
     def _shard_budget(self) -> Optional[float]:
@@ -581,25 +557,21 @@ class ShardedStore:
             return True
         total = shard.live_data_bytes + shard.dead_bytes
         return (
-            total >= self.compact_min_bytes
-            and shard.dead_bytes > self.compact_dead_ratio * total
+            total >= COMPACT_MIN_BYTES
+            and shard.dead_bytes > COMPACT_DEAD_RATIO * total
         )
 
     def _compact_locked(self, shard: _Shard) -> None:
         """Rewrite the shard's live records into one fresh segment.
 
-        Expired entries are dropped; under a size bound the oldest
-        entries (by timestamp, then write order) are evicted until the
-        shard's payload fits its budget.  Caller holds both locks.
+        Under a size bound the oldest entries (by timestamp, then write
+        order) are evicted until the shard's payload fits its budget.
+        Caller holds both locks.
         """
         observer = self.observer
         compact_started = _perf_counter() if observer is not None else 0.0
         live: List[Tuple[str, _Entry, bytes]] = []
-        expired = 0
         for key, entry in shard.index.items():
-            if self._expired(entry.ts):
-                expired += 1
-                continue
             data = seg.read_data(
                 self._segment_path(shard, entry.segment_id),
                 entry.data_offset, entry.data_len,
@@ -649,12 +621,7 @@ class ShardedStore:
                 pass
 
         # Rebuild the in-memory state to mirror exactly what was written.
-        shard.index.clear()
-        shard.claims.clear()
-        shard.claim_bytes.clear()
-        shard.scanned.clear()
-        shard.live_data_bytes = 0
-        shard.dead_bytes = 0
+        shard.reset()
         records, end, _ = seg.scan_segment(self._segment_path(shard, new_id))
         for record in records:
             self._apply(shard, record, new_id)
@@ -662,7 +629,6 @@ class ShardedStore:
         with self.counters.lock:
             self.counters.compactions += 1
             self.counters.evictions += evicted
-            self.counters.expired_dropped += expired
         if observer is not None:
             observer("compact", _perf_counter() - compact_started)
 
@@ -693,10 +659,7 @@ class ShardedStore:
             shard = self._shard(i)
             with shard.lock:
                 self._refresh(shard)
-                entries += sum(
-                    1 for entry in shard.index.values()
-                    if not self._expired(entry.ts)
-                )
+                entries += len(shard.index)
                 claims += sum(
                     1 for claim in shard.claims.values()
                     if self._claim_live(claim)
@@ -713,7 +676,6 @@ class ShardedStore:
                 "segment_files": segments,
                 "compactions": self.counters.compactions,
                 "evictions": self.counters.evictions,
-                "expired_dropped": self.counters.expired_dropped,
                 "torn_tails": self.counters.torn_tails,
                 "rebuilds": self.counters.rebuilds,
                 "write_errors": self.counters.write_errors,

@@ -120,8 +120,8 @@ class TwoTierCache:
             self._disk.observer = observer
 
     def compact(self) -> None:
-        """Force-compact the disk tier (drops dead, expired and, past the
-        size bound, oldest records)."""
+        """Force-compact the disk tier (drops dead and, past the size
+        bound, oldest records)."""
         if self._disk is not None:
             self._disk.compact()
 

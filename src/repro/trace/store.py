@@ -6,10 +6,10 @@ directory, so one ``--cache-dir`` serves both the
 ``results/``) and the trace store without any collision.  The disk tier
 is a size-bounded :class:`~repro.storage.sharded.ShardedStore`: each
 trace payload is gzip-compressed JSON appended to a segment log, and
-when the store outgrows ``max_bytes`` the oldest traces are evicted at
-compaction — traces are pure derived data, so evicting one only costs a
-re-decode.  Unreadable, corrupt or schema-mismatching payloads are
-treated as cache misses.
+when the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
+evicted at compaction — traces are pure derived data, so evicting one
+only costs a re-decode.  Unreadable, corrupt or schema-mismatching
+payloads are treated as cache misses.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from repro.trace.schema import DecodedTrace
 #: Subdirectory of the cache dir reserved for traces.
 TRACE_SUBDIR = "traces"
 
-#: Default size bound for the on-disk trace tier.  Decoded traces are
-#: bulky relative to results; bounding the store keeps a long-lived
-#: cache tree from growing without limit (oldest traces are evicted
-#: first and simply get re-decoded on next use).
-DEFAULT_TRACE_MAX_BYTES = 1 << 30
+#: Size bound for the on-disk trace tier.  Decoded traces are bulky
+#: relative to results; bounding the store keeps a long-lived cache
+#: tree from growing without limit (oldest traces are evicted first and
+#: simply get re-decoded on next use).
+TRACE_MAX_BYTES = 1 << 30
 
 #: gzip level of stored payloads.  Level 9 costs ~5x the time of level 6
 #: on a decoded trace for ~5% fewer bytes; any level decompresses alike.
@@ -40,14 +40,10 @@ COMPRESS_LEVEL = 6
 class TraceStore(TwoTierCache):
     """Decoded traces in a :class:`~repro.storage.TwoTierCache`."""
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        max_bytes: Optional[int] = DEFAULT_TRACE_MAX_BYTES,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
         self.trace_dir = os.path.join(cache_dir, TRACE_SUBDIR) if cache_dir else None
-        super().__init__(self.trace_dir, max_bytes=max_bytes)
+        super().__init__(self.trace_dir, max_bytes=TRACE_MAX_BYTES)
 
     def _encode(self, key: str, trace: DecodedTrace, metadata: Optional[dict]) -> bytes:
         """gzip-compressed JSON of the trace (mtime 0: deterministic)."""

@@ -476,7 +476,7 @@ class TestReportShape:
             {"entries", "num_shards", "read_passes", "store_stats",
              "value_bytes"},
             {"store_stats": {"claims", "compactions", "dead_bytes", "entries",
-                             "evictions", "expired_dropped", "live_data_bytes",
+                             "evictions", "live_data_bytes",
                              "read_only", "rebuilds", "segment_files",
                              "torn_tails", "write_errors"}},
         ),

@@ -25,9 +25,12 @@ def check_docs():
     return module
 
 
-def _gate_docs(monkeypatch, check_docs, tmp_path, text):
+def _gate_docs(monkeypatch, check_docs, tmp_path, text, skill=""):
     doc = tmp_path / "service.md"
     doc.write_text(text, encoding="utf-8")
+    skill_path = tmp_path / ".claude" / "skills" / "verify" / "SKILL.md"
+    skill_path.parent.mkdir(parents=True)
+    skill_path.write_text(skill, encoding="utf-8")
     monkeypatch.setattr(check_docs, "_doc_files", lambda: [str(doc)])
     monkeypatch.setattr(check_docs, "ROOT", str(tmp_path))
 
@@ -50,6 +53,17 @@ class TestStaleMentions:
             "then `--help`.\n",
         )
         assert check_docs.check_mentions({"--help", "--cache-dir"}) == []
+
+    def test_the_verify_skill_is_held_to_the_same_check(self, monkeypatch, check_docs, tmp_path):
+        _gate_docs(
+            monkeypatch, check_docs, tmp_path,
+            "Run `serve --cache-dir d`.\n",
+            skill="serve --cache-dir d \\\n    --profile-dir /tmp/prof &\n",
+        )
+        assert check_docs.check_mentions({"--help", "--cache-dir"}) == [
+            ".claude/skills/verify/SKILL.md: mentions --profile-dir, which "
+            "no CLI defines"
+        ]
 
 
 class TestApiNames:

@@ -70,7 +70,6 @@ CACHE_DIR_TYPES = [
     "repro_storage_results_dead_bytes gauge",
     "repro_storage_results_entries gauge",
     "repro_storage_results_evictions gauge",
-    "repro_storage_results_expired_dropped gauge",
     "repro_storage_results_live_data_bytes gauge",
     "repro_storage_results_read_only gauge",
     "repro_storage_results_rebuilds gauge",
@@ -82,7 +81,6 @@ CACHE_DIR_TYPES = [
     "repro_storage_traces_dead_bytes gauge",
     "repro_storage_traces_entries gauge",
     "repro_storage_traces_evictions gauge",
-    "repro_storage_traces_expired_dropped gauge",
     "repro_storage_traces_live_data_bytes gauge",
     "repro_storage_traces_read_only gauge",
     "repro_storage_traces_rebuilds gauge",
@@ -185,7 +183,7 @@ class TestScrape:
         assert types == CACHE_DIR_TYPES
         kinds = [line.split()[1] for line in types]
         counts = {kind: kinds.count(kind) for kind in ("counter", "gauge", "histogram")}
-        assert counts == {"counter": 25, "gauge": 46, "histogram": 4}
+        assert counts == {"counter": 25, "gauge": 44, "histogram": 4}
 
     def test_type_lines_after_one_job_memory_only(self):
         app = ServiceApp(cache_dir=None, jobs=1)
@@ -225,8 +223,8 @@ class TestOneSnapshotTwoRenderings:
             for key, value in values.items():
                 assert samples[sanitize_name(f"{family}.{key}")] == value, (family, key)
                 compared += 1
-        # 6 counters per cache, 12 stats per store, 2 job-store counts.
-        assert compared == 6 + 6 + 12 + 12 + 2
+        # 6 counters per cache, 11 stats per store, 2 job-store counts.
+        assert compared == 6 + 6 + 11 + 11 + 2
         assert samples["repro_queue_depth"] == run.metrics["queue"]["depth"]
         for state in STATES:
             assert samples[f"repro_jobs_state_{state}"] == run.metrics["jobs"][state]

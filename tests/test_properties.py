@@ -215,7 +215,6 @@ def test_cumulative_distribution_is_monotone_and_ends_at_100(counts, max_value):
 # sharded segment-log store vs a dict model
 # ----------------------------------------------------------------------
 
-_STORE_TTL = 100.0
 _STORE_BUDGET = 160  # payload-byte budget (num_shards=1 => per-shard too)
 
 _KEYS = st.sampled_from([f"{i:02x}beef" for i in range(6)])
@@ -230,78 +229,62 @@ _OPS = st.one_of(
 
 
 class _StoreModel:
-    """Reference semantics: insertion-ordered dict + TTL + size budget.
+    """Reference semantics: insertion-ordered dict + size budget.
 
-    Mirrors the store's visible behaviour exactly: entries expire after
-    the TTL (reads miss immediately), and whenever the total payload
-    exceeds the budget a compaction drops expired entries first, then
-    evicts the oldest (by timestamp, then write order) until it fits.
+    Mirrors the store's visible behaviour exactly: whenever the total
+    payload exceeds the budget a compaction evicts the oldest entries
+    (by timestamp, then write order — one order, since the clock only
+    moves forward) until it fits.
     """
 
     def __init__(self):
-        self.entries = {}  # key -> (ts, value), insertion ordered
+        self.entries = {}  # key -> value, insertion ordered
 
     def _payload(self):
-        return sum(len(value) for _, value in self.entries.values())
+        return sum(len(value) for value in self.entries.values())
 
-    def compact(self, now):
-        self.entries = {
-            key: (ts, value) for key, (ts, value) in self.entries.items()
-            if now - ts <= _STORE_TTL
-        }
+    def compact(self):
         while self._payload() > _STORE_BUDGET:
-            oldest = min(self.entries,
-                         key=lambda k: (self.entries[k][0],
-                                        list(self.entries).index(k)))
-            del self.entries[oldest]
+            del self.entries[next(iter(self.entries))]
 
-    def put(self, key, value, now):
+    def put(self, key, value):
         self.entries.pop(key, None)
-        self.entries[key] = (now, value)
+        self.entries[key] = value
         if self._payload() > _STORE_BUDGET:
-            self.compact(now)
+            self.compact()
 
-    def get(self, key, now):
-        entry = self.entries.get(key)
-        if entry is None or now - entry[0] > _STORE_TTL:
-            return None
-        return entry[1]
+    def get(self, key):
+        return self.entries.get(key)
 
     def delete(self, key):
         return self.entries.pop(key, None) is not None
-
-    def live_keys(self, now):
-        return {key for key, (ts, _) in self.entries.items()
-                if now - ts <= _STORE_TTL}
 
 
 @given(st.lists(_OPS, max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_sharded_store_agrees_with_dict_model(tmp_path_factory, operations):
-    """put/get/delete/compact under TTL + size bound == the dict model."""
+    """put/get/delete/compact under a size bound == the dict model."""
     root = str(tmp_path_factory.mktemp("store"))
     clock = [1000.0]
-    store = ShardedStore(root, num_shards=1, ttl_seconds=_STORE_TTL,
-                         max_bytes=_STORE_BUDGET, clock=lambda: clock[0])
+    store = ShardedStore(root, num_shards=1, max_bytes=_STORE_BUDGET,
+                         clock=lambda: clock[0])
     model = _StoreModel()
     for op, a, b in operations:
-        now = clock[0]
         if op == "put":
             store.put(a, b)
-            model.put(a, b, now)
+            model.put(a, b)
         elif op == "get":
-            assert store.get(a) == model.get(a, now), a
+            assert store.get(a) == model.get(a), a
         elif op == "delete":
             assert store.delete(a) == model.delete(a), a
         elif op == "advance":
             clock[0] += a
         elif op == "compact":
             store.compact()
-            model.compact(now)
-    now = clock[0]
-    assert set(store.keys()) == model.live_keys(now)
-    for key in model.live_keys(now):
-        assert store.get(key) == model.get(key, now)
+            model.compact()
+    assert set(store.keys()) == set(model.entries)
+    for key in model.entries:
+        assert store.get(key) == model.get(key)
 
     # A fresh process over the same tree — with a torn tail injected at
     # the end of every segment — rebuilds exactly the same state.
@@ -313,8 +296,8 @@ def test_sharded_store_agrees_with_dict_model(tmp_path_factory, operations):
             if name.startswith("seg-") and name.endswith(".log"):
                 with open(os.path.join(shard_dir, name), "ab") as handle:
                     handle.write(b"\xff\xff\xff")  # short header: torn
-    reopened = ShardedStore(root, num_shards=1, ttl_seconds=_STORE_TTL,
-                            max_bytes=_STORE_BUDGET, clock=lambda: clock[0])
-    assert set(reopened.keys()) == model.live_keys(now)
-    for key in model.live_keys(now):
-        assert reopened.get(key) == model.get(key, now)
+    reopened = ShardedStore(root, num_shards=1, max_bytes=_STORE_BUDGET,
+                            clock=lambda: clock[0])
+    assert set(reopened.keys()) == set(model.entries)
+    for key in model.entries:
+        assert reopened.get(key) == model.get(key)

@@ -40,7 +40,8 @@ class TestClientRetries:
         """Stub transport: raise ``error`` for the first N calls."""
         calls = {"n": 0}
 
-        def fake_request_once(method, path, payload=None, raw=False):
+        def fake_request_once(method, path, payload=None, raw=False,
+                              headers=None):
             calls["n"] += 1
             if calls["n"] <= failures:
                 raise error

@@ -21,6 +21,7 @@ import pytest
 from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
+from repro.service.server import ServiceUnderTest
 from repro.storage.segment import scan_segment
 
 FIGURE_SPEC = {
@@ -345,6 +346,75 @@ class TestClientCli:
         code = service_main(["health", "--url", "http://127.0.0.1:1"])
         assert code == 2
         assert "error: [unreachable]" in capsys.readouterr().err
+
+
+class TestSubmitPointsFile:
+    """``submit --points-file``: the file is the spec, flags fill gaps."""
+
+    SPEC = {"points": [_point("file/a", 200), _point("file/b", 201)]}
+
+    @pytest.fixture
+    def sut(self, tmp_path):
+        sut = ServiceUnderTest(cache_dir=str(tmp_path / "cache"))
+        yield sut
+        sut.stop()
+
+    def _write(self, tmp_path, spec) -> str:
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        return str(path)
+
+    def test_a_points_file_runs_like_a_client_submission(self, sut, tmp_path, capsys):
+        code = service_main(["submit", "--points-file",
+                             self._write(tmp_path, self.SPEC),
+                             "--url", sut.url, "--wait"])
+        assert code == 0
+        job_id = capsys.readouterr().out.strip().splitlines()[-1]
+        assert sut.client.status(job_id)["state"] == COMPLETED
+        reference = ServiceUnderTest(cache_dir=None)
+        try:
+            job = reference.client.submit(self.SPEC)
+            reference.client.watch(job["id"], interval=0.05, timeout=120)
+            expected = reference.client.result(job["id"])["result"]
+        finally:
+            reference.stop()
+        assert sut.client.result(job_id)["result"] == expected
+
+    def test_values_in_the_file_win_over_the_flag_defaults(self, sut, tmp_path, capsys):
+        spec = dict(self.SPEC, priority=5, sample="100:50", deadline_s=600)
+        code = service_main(["submit", "--points-file",
+                             self._write(tmp_path, spec),
+                             "--priority", "1", "--sample", "200:40",
+                             "--deadline", "30", "--url", sut.url])
+        assert code == 0
+        job_id = capsys.readouterr().out.strip().splitlines()[-1]
+        submitted = sut.client.status(job_id)["spec"]
+        assert submitted["priority"] == 5
+        assert submitted["deadline_s"] == 600.0
+        assert (submitted["sample"]["stride"], submitted["sample"]["window"]) == (100, 50)
+
+    def test_the_flags_fill_what_the_file_leaves_out(self, sut, tmp_path, capsys):
+        code = service_main(["submit", "--points-file",
+                             self._write(tmp_path, self.SPEC),
+                             "--priority", "1", "--sample", "200:40",
+                             "--deadline", "30", "--url", sut.url])
+        assert code == 0
+        job_id = capsys.readouterr().out.strip().splitlines()[-1]
+        submitted = sut.client.status(job_id)["spec"]
+        assert submitted["priority"] == 1
+        assert submitted["deadline_s"] == 30.0
+        assert (submitted["sample"]["stride"], submitted["sample"]["window"]) == (200, 40)
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_an_unreadable_or_invalid_file_exits_two(self, sut, tmp_path, capsys, content):
+        path = tmp_path / "points.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = service_main(["submit", "--points-file", str(path),
+                             "--url", sut.url])
+        assert code == 2
+        assert "error: cannot read points file" in capsys.readouterr().err
+        assert sut.client.metrics()["queue"]["depth"] == 0
 
 
 class TestWatchBackoff:

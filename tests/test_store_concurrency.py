@@ -38,6 +38,7 @@ from repro.service.app import ServiceApp
 from repro.service.fleet import LeaseManager
 from repro.service.jobs import COMPLETED, RUNNING, JobStore
 from repro.storage import segment as seg
+from repro.storage import sharded
 from repro.storage.sharded import ShardedStore
 from repro.validate.differential import validation_matrix
 
@@ -296,11 +297,11 @@ class TestClaims:
         # With a value present, claiming reports "just read it".
         assert store.claim(key, "replica-b", ttl=60.0) == (False, None)
 
-    def test_claim_and_release_records_alone_compact(self, tmp_path):
+    def test_claim_and_release_records_alone_compact(self, tmp_path, monkeypatch):
         """A keyspace that only ever holds claims (job leases) stays
         bounded: claim/release appends trigger compaction like puts."""
-        store = ShardedStore(str(tmp_path / "s"), num_shards=1,
-                             compact_min_bytes=4096)
+        monkeypatch.setattr(sharded, "COMPACT_MIN_BYTES", 4096)
+        store = ShardedStore(str(tmp_path / "s"), num_shards=1)
         for index in range(200):
             key = f"job{index:04d}"
             assert store.claim(key, "replica-a", ttl=60.0)[0]

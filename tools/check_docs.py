@@ -12,10 +12,12 @@ locally with ``python tools/check_docs.py``):
    from its live ``--help`` output, so the check cannot go stale) must
    be mentioned, verbatim, in that subsystem's document.  A new flag
    without documentation fails the build.
-3. **Stale mentions** — every ``--flag`` that ``docs/*.md`` or
-   ``README.md`` mentions must be defined by one of those CLIs (or by
-   a :data:`CITED_CLIS` command).  A renamed or deleted flag leaving a
-   stale mention behind a dead name fails the build.
+3. **Stale mentions** — every ``--flag`` that ``docs/*.md``,
+   ``README.md`` or the verify skill (:data:`VERIFY_SKILL`, the
+   repository's run-it-end-to-end recipe) mentions must be defined by
+   one of those CLIs (or by a :data:`CITED_CLIS` command).  A renamed
+   or deleted flag leaving a stale mention behind a dead name fails the
+   build.
 4. **API names** — every backticked ``repro.``-qualified dotted name in
    ``docs/*.md`` and ``README.md`` (a code span holding nothing but the
    name, e.g. ``repro.storage.TwoTierCache``) must resolve: the longest
@@ -65,6 +67,10 @@ CLI_DOC_MAP = [
 #: list them all (the benchmark harness documents itself in
 #: ``perfbench/README.md``).  A ``.py`` entry is run as a script.
 CITED_CLIS = [("perfbench/run.py", None)]
+
+#: The recipe for building and running the repository end to end; its
+#: flag mentions are held to check 3 like the docs'.
+VERIFY_SKILL = ".claude/skills/verify/SKILL.md"
 
 #: Markdown inline links: [text](target).  Reference-style links and
 #: autolinks are not used in this repository's docs.
@@ -228,10 +234,10 @@ def check_flags() -> list:
 
 
 def check_mentions(defined: set) -> list:
-    """Return one problem string per ``--flag`` a doc mentions that is
-    not in ``defined`` (the flags every CLI defines)."""
+    """Return one problem string per ``--flag`` a doc or the verify skill
+    mentions that is not in ``defined`` (the flags every CLI defines)."""
     problems = []
-    for path in _doc_files():
+    for path in _doc_files() + [os.path.join(ROOT, VERIFY_SKILL)]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         rel = os.path.relpath(path, ROOT)
