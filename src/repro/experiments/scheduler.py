@@ -18,12 +18,14 @@ remainder with the **trace-once / replay-many** engine:
 
 Both steps run through :func:`fan_out` whatever the ``jobs`` count.  At
 ``jobs=1`` it calls the tasks inline on the engine's own traces.  With
-``jobs`` > 1 the work fans out across a **warm worker pool**: the pool
-persists across calls (figure sweeps reuse it), each worker receives a
-group's trace once per batch — as shared payload bytes, or by key when a
-``--cache-dir`` lets workers load it from disk — and caches it in
-process-global memory, and batches carry multiple points per dispatch
-instead of one task per point.
+``jobs`` > 1 the work fans out across a **warm worker pool** that
+persists across calls (figure sweeps reuse it); batches carry multiple
+points per dispatch instead of one task per point.  Workers only
+compute: a record task returns its trace as payload bytes, and a replay
+batch receives its group's trace the same way.  The engine process alone
+puts traces into its :class:`~repro.trace.store.TraceStore` and emits
+the ``trace.record`` and ``point.simulate`` spans, from the seconds each
+task reports, at every ``jobs`` value.
 
 Simulations are deterministic functions of ``(benchmark profile, seed,
 architecture, config)``, so a parallel or replayed run produces
@@ -36,9 +38,7 @@ and live runs of the same point share one result-store entry.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import math
-import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,8 +49,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.chaos import seams as _seams
 from repro.errors import ConfigurationError
 from repro.experiments.store import DEFAULT_CLAIM_TTL, ResultStore, simulation_key
-from repro.obs import context as _obs_context
-from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
@@ -65,9 +63,6 @@ from repro.workloads.synthetic import SyntheticWorkload
 
 #: Progress sink: receives human-readable one-liners.
 ProgressCallback = Callable[[str], None]
-
-#: Upper bound on decoded traces kept warm per worker process.
-_WORKER_TRACE_CACHE_LIMIT = 4
 
 #: Upper bound on memoised store keys (see ``SimulationPoint.store_key``);
 #: a full table is cleared, so the memo never outgrows it.
@@ -201,12 +196,6 @@ def record_point_trace(point: SimulationPoint):
     return trace, (stats if harvest else None)
 
 
-def build_point_trace(point: SimulationPoint) -> DecodedTrace:
-    """Record the decoded trace that drives ``point``'s sweep group."""
-    trace, _ = record_point_trace(point)
-    return trace
-
-
 def run_simulation_point(
     point: SimulationPoint, trace: Optional[DecodedTrace] = None
 ) -> SimulationStats:
@@ -232,7 +221,7 @@ def run_simulation_point(
         from repro.sampling.engine import sampled_simulate
 
         if trace is None:
-            trace = build_point_trace(point)
+            trace, _ = record_point_trace(point)
         return sampled_simulate(
             trace, point.factory, point.config, point.sampling,
             benchmark_name=point.benchmark,
@@ -278,9 +267,9 @@ def pool_resets() -> int:
 def warm_pool(jobs: int) -> ProcessPoolExecutor:
     """The persistent worker pool (created lazily, resized on demand).
 
-    Reusing one pool across ``SweepEngine.execute`` calls keeps workers —
-    and their per-process decoded-trace caches — warm for the whole
-    runner invocation instead of paying process spawn per figure.
+    Reusing one pool across ``SweepEngine.execute`` calls keeps workers
+    warm for the whole runner invocation instead of paying process
+    spawn per figure.
     """
     global _POOL, _POOL_JOBS
     with _POOL_LOCK:
@@ -378,109 +367,27 @@ def fan_out(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _RecordTask:
-    """Record one group's trace, then produce its first point's result."""
-
-    point: SimulationPoint
-    #: Shared cache dir a worker persists the trace to instead of
-    #: shipping it back; ``None`` ships the payload.
-    cache_dir: Optional[str]
-    #: Observability payload (``{"events_dir", "trace"}``) letting the
-    #: worker process emit its spans into the service's event log under
-    #: the submitting job's trace; ``None`` keeps workers silent.
-    obs: Optional[dict] = None
-
-
-@dataclass(frozen=True)
 class _TraceBatch:
     """Several points of one group, shipped to a worker in one dispatch."""
 
     points: Tuple[SimulationPoint, ...]
     trace_key: str
-    #: Trace payload shipped once per batch when workers cannot load the
-    #: trace from a shared ``cache_dir``.
+    #: The group's trace as a payload; ``None`` for a batch that runs
+    #: inline on the engine's own trace.
     payload: Optional[dict]
-    cache_dir: Optional[str]
-    obs: Optional[dict] = None
-
-
-#: Per-worker-process cache of decoded traces (warm across batches).
-_WORKER_TRACES: Dict[str, DecodedTrace] = {}
-
-#: Per-worker-process event-log telemetry, keyed by events dir.
-_WORKER_OBS: Dict[str, Telemetry] = {}
-
-
-def _worker_telemetry(
-    obs_payload: Optional[dict],
-) -> Tuple[Optional[Telemetry], Optional[TraceContext]]:
-    """This worker process's telemetry for a task's events dir (lazily
-    created, cached for the process lifetime) plus the task's parent
-    trace context.  ``(None, None)`` when the task carries no obs."""
-    if not isinstance(obs_payload, dict):
-        return None, None
-    events_dir = obs_payload.get("events_dir")
-    if not isinstance(events_dir, str) or not events_dir:
-        return None, None
-    telemetry = _WORKER_OBS.get(events_dir)
-    if telemetry is None:
-        from repro.obs.events import EventLog
-
-        telemetry = Telemetry(
-            log=EventLog(events_dir, f"worker-{os.getpid()}")
-        )
-        _WORKER_OBS[events_dir] = telemetry
-    return telemetry, TraceContext.from_dict(obs_payload.get("trace"))
-
-
-def _maybe_span(telemetry: Optional[Telemetry], name: str,
-                parent: Optional[TraceContext] = None, **attrs):
-    """A telemetry span, or a no-op context when telemetry is absent."""
-    if telemetry is None:
-        return contextlib.nullcontext()
-    return telemetry.span(name, parent=parent, **attrs)
-
-
-def _keep_worker_trace(trace: DecodedTrace) -> None:
-    while len(_WORKER_TRACES) >= _WORKER_TRACE_CACHE_LIMIT:
-        _WORKER_TRACES.pop(next(iter(_WORKER_TRACES)))
-    _WORKER_TRACES[trace.key] = trace
-
-
-def _worker_trace(key: str, payload: Optional[dict],
-                  cache_dir: Optional[str],
-                  fallback_point: SimulationPoint) -> DecodedTrace:
-    trace = _WORKER_TRACES.get(key)
-    if trace is None:
-        if payload is not None:
-            trace = DecodedTrace.from_payload(payload)
-        elif cache_dir:
-            trace = TraceStore(cache_dir).get(key)
-        if trace is None:
-            # Disk entry vanished or was corrupt: re-record locally.
-            trace = build_point_trace(fallback_point)
-        _keep_worker_trace(trace)
-    return trace
 
 
 def _replay_timed(
-    point: SimulationPoint,
-    trace: DecodedTrace,
-    telemetry: Optional[Telemetry],
-    parent: Optional[TraceContext] = None,
+    point: SimulationPoint, trace: DecodedTrace
 ) -> Tuple[SimulationStats, float]:
     """Replay ``point`` on ``trace``; returns its stats and wall seconds."""
     started = time.perf_counter()
-    with _maybe_span(telemetry, "point.simulate", parent=parent,
-                     strategy="replay", benchmark=point.benchmark):
-        stats = run_simulation_point(point, trace)
+    stats = run_simulation_point(point, trace)
     return stats, time.perf_counter() - started
 
 
 def _record_group(
     point: SimulationPoint,
-    telemetry: Optional[Telemetry],
-    parent: Optional[TraceContext] = None,
 ) -> Tuple[DecodedTrace, SimulationStats, float, float]:
     """Record ``point``'s group trace and produce ``point``'s result.
 
@@ -491,51 +398,28 @@ def _record_group(
     otherwise the point is replayed on the fresh trace.
     """
     started = time.perf_counter()
-    with _maybe_span(telemetry, "trace.record", parent=parent,
-                     benchmark=point.benchmark):
-        trace, stats = record_point_trace(point)
+    trace, stats = record_point_trace(point)
     record_seconds = time.perf_counter() - started
     if stats is None:
-        stats, point_seconds = _replay_timed(point, trace, telemetry, parent)
+        stats, point_seconds = _replay_timed(point, trace)
         return trace, stats, record_seconds, point_seconds
-    if telemetry is not None:
-        span = telemetry.span_start("point.simulate", parent,
-                                    strategy="harvest",
-                                    benchmark=point.benchmark)
-        telemetry.span_end("point.simulate", span, duration_s=record_seconds,
-                           strategy="harvest", benchmark=point.benchmark)
     return trace, stats, record_seconds, record_seconds
 
 
-def _record_remote(
-    task: _RecordTask,
-) -> Tuple[Optional[dict], dict, float, float]:
-    """Worker entry for a :class:`_RecordTask`: :func:`_record_group`'s
-    result with the trace as a payload (``None`` once persisted to the
-    shared ``cache_dir``) and the stats as a dictionary."""
-    telemetry, parent = _worker_telemetry(task.obs)
-    trace, stats, record_seconds, point_seconds = _record_group(
-        task.point, telemetry, parent
-    )
-    _keep_worker_trace(trace)
-    payload = None
-    if task.cache_dir:
-        TraceStore(task.cache_dir).put(trace)
-    else:
-        payload = trace.to_payload()
-    return payload, stats.to_dict(), record_seconds, point_seconds
+def _record_remote(point: SimulationPoint) -> Tuple[dict, dict, float, float]:
+    """Worker entry for a record task: :func:`_record_group`'s result
+    with the trace as a payload and the stats as a dictionary."""
+    trace, stats, record_seconds, point_seconds = _record_group(point)
+    return trace.to_payload(), stats.to_dict(), record_seconds, point_seconds
 
 
 def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
     """Worker entry for a :class:`_TraceBatch`: ``(stats dict, seconds)``
     per point."""
-    telemetry, parent = _worker_telemetry(batch.obs)
-    trace = _worker_trace(
-        batch.trace_key, batch.payload, batch.cache_dir, batch.points[0]
-    )
+    trace = DecodedTrace.from_payload(batch.payload)
     results = []
     for point in batch.points:
-        stats, seconds = _replay_timed(point, trace, telemetry, parent)
+        stats, seconds = _replay_timed(point, trace)
         results.append((stats.to_dict(), seconds))
     return results
 
@@ -545,8 +429,9 @@ def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
 # ----------------------------------------------------------------------
 
 #: Result sink of one executed point: ``(store key, point, stats,
-#: seconds)``; worker processes send the stats as a dictionary.
-_Recorder = Callable[[str, SimulationPoint, Any, float], None]
+#: seconds, strategy="replay")``; worker processes send the stats as a
+#: dictionary, and ``strategy`` is the ``point.simulate`` span attribute.
+_Recorder = Callable[..., None]
 
 
 class SweepEngine:
@@ -633,16 +518,12 @@ class SweepEngine:
         totals["pool_resets"] = pool_resets()
         return totals
 
-    def _worker_obs(self) -> Optional[dict]:
-        """The obs payload shipped with worker tasks (events dir + the
-        active trace), or ``None`` when spans aren't being collected."""
-        if self.telemetry is None or self.telemetry.log is None:
-            return None
-        context = _obs_context.current()
-        return {
-            "events_dir": self.telemetry.log.events_dir,
-            "trace": context.to_dict() if context is not None else None,
-        }
+    def _emit_span(self, name: str, seconds: float, **attrs) -> None:
+        """Emit a finished ``name`` span of ``seconds`` under the bound
+        context (a job's ``execute`` span in the service)."""
+        if self.telemetry is not None:
+            span = self.telemetry.span_start(name, **attrs)
+            self.telemetry.span_end(name, span, duration_s=seconds, **attrs)
 
     def close(self) -> None:
         """Release the shared warm worker pool (idempotent)."""
@@ -686,7 +567,8 @@ class SweepEngine:
 
         Returns a summary dictionary (``requested``, ``unique``,
         ``cached``, ``executed``, ``shared_inflight``,
-        ``traces_recorded``, ``traces_reused``, ``elapsed_seconds``)
+        ``remote_inflight``, ``remote_reclaimed``, ``traces_recorded``,
+        ``traces_reused``, ``elapsed_seconds``)
         that callers log or attach to job records.
         """
         started = time.time()
@@ -730,11 +612,13 @@ class SweepEngine:
         total_pending = len(owned)
 
         def record(key: str, point: SimulationPoint, stats: Any,
-                   seconds: float) -> None:
+                   seconds: float, strategy: str = "replay") -> None:
             nonlocal done
             if isinstance(stats, dict):  # sent by a worker process
                 stats = SimulationStats.from_dict(stats)
             self._point_histogram.observe(seconds)
+            self._emit_span("point.simulate", seconds, strategy=strategy,
+                            benchmark=point.benchmark)
             self.store.put(key, stats, metadata=point.metadata())
             # Release as soon as the result is visible so concurrent
             # callers waiting on this very point unblock point by point
@@ -871,15 +755,13 @@ class SweepEngine:
         the group's first point.  Then the remaining points go out in
         per-group chunks.  At ``jobs=1`` both run inline on the traces
         this process holds, with no payloads and no stats dictionaries;
-        with more jobs, workers receive each group's trace once per
-        chunk — as payload bytes, or by key from a shared cache dir.
+        with more jobs, workers return each recorded trace as a payload
+        and receive a group's trace as a payload once per chunk.  Either
+        way this process puts every recorded trace into its trace store
+        and emits every task's spans.
         """
         jobs = self.jobs
         traces = self.trace_store
-        telemetry = self.telemetry
-        cache_dir = traces.cache_dir if traces.trace_dir else None
-        ship = jobs > 1 and cache_dir is None
-        worker_obs = self._worker_obs() if jobs > 1 else None
 
         # Group the pending points by the decoded trace that can drive them.
         groups: Dict[str, List[Tuple[str, SimulationPoint]]] = {}
@@ -904,69 +786,67 @@ class SweepEngine:
         def on_recorded(index: int, result) -> None:
             group_key, members = record_groups[index]
             trace, stats, record_seconds, point_seconds = result
-            if isinstance(trace, dict):
+            if isinstance(trace, dict):  # sent by a worker process
                 payloads[group_key] = trace
                 trace = DecodedTrace.from_payload(trace)
-            if trace is not None:  # None: a worker persisted it to disk
-                traces.put(trace)
-                loaded[group_key] = trace
+            traces.put(trace)
+            loaded[group_key] = trace
             self.registry.histogram("trace.record_seconds").observe(
                 record_seconds
             )
             first_key, first_point = members[0]
-            record(first_key, first_point, stats, point_seconds)
+            self._emit_span("trace.record", record_seconds,
+                            benchmark=first_point.benchmark)
+            strategy = ("harvest" if _recording_doubles_as_run(first_point)
+                        else "replay")
+            record(first_key, first_point, stats, point_seconds, strategy)
             replay_groups.append((group_key, members[1:]))
 
         fan_out(
-            [
-                _RecordTask(point=members[0][1], cache_dir=cache_dir,
-                            obs=worker_obs)
-                for _, members in record_groups
-            ],
-            worker=lambda task: _record_group(task.point, telemetry),
+            [members[0][1] for _, members in record_groups],
+            worker=_record_group,
             jobs=jobs,
             remote_worker=_record_remote,
             on_result=on_recorded,
         )
 
-        # Chunk each group so it spreads across the workers, each of
-        # which decodes or loads the trace once per chunk and keeps it
-        # warm for later ones.  Inline tasks cost nothing to dispatch, so
-        # jobs=1 records every point as soon as it finishes.
-        batches: List[Tuple[_TraceBatch, List[Tuple[str, SimulationPoint]]]] = []
+        # Chunk each group so it spreads across the workers.  Inline tasks
+        # cost nothing to dispatch, so jobs=1 records every point as soon
+        # as it finishes.
+        parts: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         for group_key, members in replay_groups:
-            if not members:
-                continue
             size = max(1, math.ceil(len(members) / jobs)) if jobs > 1 else 1
-            payload = None
-            if ship:
-                payload = payloads.get(group_key) or loaded[group_key].to_payload()
             for start in range(0, len(members), size):
-                part = members[start:start + size]
-                batch = _TraceBatch(
-                    points=tuple(point for _, point in part),
-                    trace_key=group_key,
-                    payload=payload,
-                    cache_dir=cache_dir,
-                    obs=worker_obs,
-                )
-                batches.append((batch, part))
+                parts.append((group_key, members[start:start + size]))
+        # fan_out runs a lone task inline, so only several chunks ship
+        # their group's trace, encoded once per group.
+        ship = jobs > 1 and len(parts) > 1
+
+        def payload(group_key: str) -> dict:
+            if group_key not in payloads:
+                payloads[group_key] = loaded[group_key].to_payload()
+            return payloads[group_key]
+
+        batches = [
+            _TraceBatch(
+                points=tuple(point for _, point in part),
+                trace_key=group_key,
+                payload=payload(group_key) if ship else None,
+            )
+            for group_key, part in parts
+        ]
 
         def replay_inline(batch: _TraceBatch) -> List[Tuple[SimulationStats, float]]:
-            trace = loaded.get(batch.trace_key)
-            if trace is None:  # recorded by a worker into the cache dir
-                trace = _worker_trace(batch.trace_key, None, cache_dir,
-                                      batch.points[0])
-            return [_replay_timed(point, trace, telemetry)
-                    for point in batch.points]
+            trace = loaded[batch.trace_key]
+            return [_replay_timed(point, trace) for point in batch.points]
 
         def on_batch(index: int, results) -> None:
-            _, part = batches[index]
+            _, part = parts[index]
             for (key, point), (stats, seconds) in zip(part, results):
                 record(key, point, stats, seconds)
 
         fan_out(
-            [batch for batch, _ in batches],
+            batches,
             worker=replay_inline,
             jobs=jobs,
             remote_worker=_batch_remote,

@@ -11,7 +11,7 @@ The subsystem has four small, composable parts:
 * :mod:`repro.obs.context` — **trace contexts**: a ``trace_id`` minted
   by :class:`~repro.service.client.ServiceClient` (or the server at
   admission) and propagated via the ``X-Repro-Trace`` header through
-  job records and into worker processes, so every span a job produces
+  job records and into the engine, so every span a job produces
   anywhere in the fleet shares one trace.
 * :mod:`repro.obs.events` — the **event log**: a bounded,
   schema-versioned JSONL stream under ``<cache-dir>/events/`` (one

@@ -1,7 +1,7 @@
 """The event stream: a rotated JSONL log on disk, a ring buffer in RAM.
 
-**On disk** (:class:`EventLog`): every writer — a service replica, a
-worker process — owns one file series ``<events-dir>/<source>-NNNN.jsonl``
+**On disk** (:class:`EventLog`): every writer — one per service
+replica — owns one file series ``<events-dir>/<source>-NNNN.jsonl``
 and appends one JSON object per line.  Writers never share a file, so
 no cross-process locking is needed and a torn final line (a killed
 process) damages at most that writer's last event.  Files rotate at

@@ -24,8 +24,7 @@ The span taxonomy (see ``docs/observability.md``)::
     │                        for a job answered there)
     ├─ lease.hold            lease acquire → release (queued jobs only)
     └─ execute               the engine run
-       ├─ trace.record       one trace-record worker call
-       ├─ trace.replay       one replay batch
+       ├─ trace.record       one trace recording
        ├─ point.simulate     one point (attr: strategy)
        ├─ storage.append     one sharded-store append
        └─ storage.compact    one shard compaction

@@ -6,7 +6,11 @@ objects) in front of a large lower level (a
 :class:`~repro.storage.sharded.ShardedStore` of encoded bytes).  A lower
 level hit is decoded once and promoted into the upper level.  A subclass
 supplies only its codec, :meth:`TwoTierCache._encode` and
-:meth:`TwoTierCache._decode`; a record that fails to decode, for any
+:meth:`TwoTierCache._decode`, and may cap the upper level at
+``memory_entries``.  A capped upper level is least-recently-used: a hit
+through :meth:`~TwoTierCache.get` or :meth:`~TwoTierCache.peek`
+refreshes an entry, and an insert past the cap drops the coldest one
+from memory only.  A record that fails to decode, for any
 reason, is a counted miss and never an error, and a counted lookup that
 meets one also counts it as ``rejected``, so a codec fault that turns
 every disk read into a recompute shows in ``/metrics``.
@@ -15,6 +19,7 @@ every disk read into a recompute shows in ``/metrics``.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from repro.storage.sharded import ShardedStore
@@ -27,8 +32,16 @@ class TwoTierCache:
     """Memory tier plus an optional disk tier rooted at ``root``."""
 
     def __init__(self, root: Optional[str] = None,
-                 max_bytes: Optional[int] = None) -> None:
-        self._memory: Dict[str, Any] = {}
+                 max_bytes: Optional[int] = None,
+                 memory_entries: Optional[int] = None) -> None:
+        #: Entry cap of the memory tier; ``None`` never evicts and keeps
+        #: the lookups lock-free.
+        self._memory_entries = memory_entries
+        self._memory: Dict[str, Any] = (
+            {} if memory_entries is None else OrderedDict()
+        )
+        # Guards the recency order of a capped memory tier.
+        self._memory_lock = threading.Lock()
         # Concurrent SweepEngine.execute calls (the service's job threads)
         # share one store; the lock keeps the counters exact so /metrics
         # hit rates are trustworthy.  Disk appends are already serialized
@@ -61,6 +74,29 @@ class TwoTierCache:
     def __len__(self) -> int:
         return len(self._memory)
 
+    def _recall(self, key: str) -> Any:
+        """Memory-tier lookup; a hit in a capped tier becomes its most
+        recently used entry."""
+        if self._memory_entries is None:
+            return self._memory.get(key)
+        with self._memory_lock:
+            value = self._memory.get(key)
+            if value is not None:
+                self._memory.move_to_end(key)
+        return value
+
+    def _remember(self, key: str, value: Any) -> None:
+        """Insert into the memory tier; a capped tier then drops its least
+        recently used entries past the cap."""
+        if self._memory_entries is None:
+            self._memory[key] = value
+            return
+        with self._memory_lock:
+            self._memory[key] = value
+            self._memory.move_to_end(key)
+            while len(self._memory) > self._memory_entries:
+                self._memory.popitem(last=False)
+
     def _load(self, key: str) -> Any:
         """Decode ``key`` from the disk tier and promote it into memory:
         ``None`` without a record, ``_REJECTED`` if it does not decode."""
@@ -75,19 +111,19 @@ class TwoTierCache:
             return _REJECTED
         if value is None:
             return _REJECTED
-        self._memory[key] = value
+        self._remember(key, value)
         return value
 
     def peek(self, key: str) -> Any:
         """Lookup without touching the hit/miss counters."""
-        value = self._memory.get(key)
+        value = self._recall(key)
         if value is None:
             value = self._load(key)
         return None if value is _REJECTED else value
 
     def get(self, key: str) -> Any:
         """Counted lookup, promoting disk entries into the memory tier."""
-        value = self._memory.get(key)
+        value = self._recall(key)
         if value is not None:
             with self._counter_lock:
                 self.memory_hits += 1
@@ -105,7 +141,7 @@ class TwoTierCache:
 
     def put(self, key: str, value: Any, metadata: Optional[dict] = None) -> None:
         """Record ``value`` in both tiers (the disk append is atomic)."""
-        self._memory[key] = value
+        self._remember(key, value)
         with self._counter_lock:
             self.stores += 1
         if self._disk is not None:

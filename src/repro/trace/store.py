@@ -8,7 +8,10 @@ is a size-bounded :class:`~repro.storage.sharded.ShardedStore`: each
 trace payload is gzip-compressed JSON appended to a segment log, and
 when the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
 evicted at compaction — traces are pure derived data, so evicting one
-only costs a re-decode.  Unreadable, corrupt or schema-mismatching
+only costs a re-decode.  The memory tier in front of it holds at most
+:data:`TRACE_MEMORY_ENTRIES` decoded traces, least recently used out
+first, so a long-lived service does not keep every trace it has touched.
+Unreadable, corrupt or schema-mismatching
 payloads are treated as cache misses.
 """
 
@@ -32,6 +35,11 @@ TRACE_SUBDIR = "traces"
 #: simply get re-decoded on next use).
 TRACE_MAX_BYTES = 1 << 30
 
+#: Decoded traces kept in memory.  A service workload that resubmits
+#: figure plans and adds fresh points touches about ten trace keys, two
+#: of them on nearly every fresh job; the cap keeps all of them.
+TRACE_MEMORY_ENTRIES = 16
+
 #: gzip level of stored payloads.  Level 9 costs ~5x the time of level 6
 #: on a decoded trace for ~5% fewer bytes; any level decompresses alike.
 COMPRESS_LEVEL = 6
@@ -43,7 +51,8 @@ class TraceStore(TwoTierCache):
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
         self.trace_dir = os.path.join(cache_dir, TRACE_SUBDIR) if cache_dir else None
-        super().__init__(self.trace_dir, max_bytes=TRACE_MAX_BYTES)
+        super().__init__(self.trace_dir, max_bytes=TRACE_MAX_BYTES,
+                         memory_entries=TRACE_MEMORY_ENTRIES)
 
     def _encode(self, key: str, trace: DecodedTrace, metadata: Optional[dict]) -> bytes:
         """gzip-compressed JSON of the trace (mtime 0: deterministic)."""

@@ -25,6 +25,8 @@ from repro.experiments.scheduler import (
     shutdown_pool,
 )
 from repro.experiments.store import ResultStore
+from repro.obs.events import EventBus, EventLog
+from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
 from repro.trace import (
@@ -35,7 +37,7 @@ from repro.trace import (
     replay_simulate,
     trace_key,
 )
-from repro.trace.store import COMPRESS_LEVEL
+from repro.trace.store import COMPRESS_LEVEL, TRACE_MEMORY_ENTRIES
 from repro.validate.differential import validation_matrix
 from repro.validate.observer import CommitObserver
 from repro.workloads.profiles import get_profile
@@ -234,6 +236,35 @@ class TestTraceStore:
         store.put(gcc_trace)
         assert store.get(gcc_trace.key) is gcc_trace
 
+    def test_memory_tier_is_bounded_and_least_recently_used(self, tmp_path):
+        """More traces than the memory cap: the tier never outgrows it, a
+        trace read (``get`` or ``peek``) between inserts survives, and an
+        evicted one still loads from disk."""
+        traces = [
+            record_trace("gcc", _stream("gcc", count),
+                         ProcessorConfig(max_instructions=count),
+                         _workload_id("gcc", count))
+            for count in range(40, 40 + TRACE_MEMORY_ENTRIES + 3)
+        ]
+        store = TraceStore(str(tmp_path))
+        for trace in traces[:-1]:
+            store.put(trace)
+            assert store.get(traces[0].key) is traces[0]
+            assert store.counters()["entries"] <= TRACE_MEMORY_ENTRIES
+        assert store.counters()["entries"] == TRACE_MEMORY_ENTRIES
+        # Memory holds traces[0] and the newest inserts; refresh the
+        # coldest of those, so the next insert evicts the one after it.
+        coldest, next_coldest = traces[-TRACE_MEMORY_ENTRIES:][:2]
+        assert store.peek(coldest.key) is coldest
+        store.put(traces[-1])
+        assert store.counters()["entries"] == TRACE_MEMORY_ENTRIES
+        assert store.get(coldest.key) is coldest
+        assert store.counters()["disk_hits"] == 0
+        loaded = store.get(next_coldest.key)
+        assert loaded is not next_coldest
+        assert loaded.to_payload() == next_coldest.to_payload()
+        assert store.counters()["disk_hits"] == 1
+
 
 class TestCacheDirCoexistence:
     """One ``--cache-dir`` serves results and traces without collision."""
@@ -389,10 +420,10 @@ class TestParallelEngineBookkeeping:
         assert (second["traces_recorded"], second["traces_reused"]) == (0, 1)
         assert second["executed"] == 3
 
-    def test_lone_chunk_replays_a_worker_recorded_trace_inline(self, tmp_path):
-        """Two groups record in workers (traces persisted to the cache
-        dir); the single remaining point then runs in-process and must
-        load its trace from disk."""
+    def test_lone_chunk_replays_an_engine_held_trace_inline(self, tmp_path):
+        """Two groups record in workers, which return their traces to
+        the engine; the single remaining point then runs in-process on
+        the trace the engine holds."""
         config = ProcessorConfig(max_instructions=500)
         matrix = list(validation_matrix().items())
         points = [
@@ -411,3 +442,39 @@ class TestParallelEngineBookkeeping:
         for point in points:
             assert (engine.store.get(point.store_key()).to_dict()
                     == run_simulation_point(point).to_dict()), point.benchmark
+
+    def test_engine_persists_traces_and_emits_every_span(self, tmp_path):
+        """With workers, the engine process still puts every recorded
+        trace into its own store and emits every point's and trace's
+        span onto the live bus, under the bound execute span."""
+        config = ProcessorConfig(max_instructions=500)
+        matrix = list(validation_matrix().items())[:3]
+        points = [
+            SimulationPoint(benchmark=benchmark, factory=factory,
+                            architecture=name, config=config)
+            for benchmark in ("gcc", "swim")
+            for name, factory in matrix
+        ]
+        events_dir = str(tmp_path / "events")
+        bus = EventBus()
+        telemetry = Telemetry(log=EventLog(events_dir, "engine"), bus=bus)
+        engine = SweepEngine(store=ResultStore(cache_dir=str(tmp_path / "cache")),
+                             jobs=2, telemetry=telemetry)
+        try:
+            with telemetry.span("execute") as execute:
+                summary = engine.execute(points)
+        finally:
+            shutdown_pool()
+            telemetry.close()
+        assert (summary["executed"], summary["traces_recorded"]) == (6, 2)
+        counters = engine.trace_store.counters()
+        assert counters["stores"] == summary["traces_recorded"]
+        assert counters["entries"] == summary["traces_recorded"]
+        ends = [event for event in bus.since(0)
+                if event["kind"] == "span_end"
+                and event["trace_id"] == execute.trace_id]
+        spans = [event["span"] for event in ends]
+        assert spans.count("point.simulate") == summary["executed"]
+        assert spans.count("trace.record") == summary["traces_recorded"]
+        assert not [name for name in os.listdir(events_dir)
+                    if name.startswith("worker")]
