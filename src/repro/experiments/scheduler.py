@@ -24,8 +24,9 @@ points per dispatch instead of one task per point.  Workers only
 compute: a record task returns its trace as payload bytes, and a replay
 batch receives its group's trace the same way.  The engine process alone
 puts traces into its :class:`~repro.trace.store.TraceStore` and emits
-the ``trace.record`` and ``point.simulate`` spans, from the seconds each
-task reports, at every ``jobs`` value.
+the ``trace.record`` and ``point.simulate`` spans, at every ``jobs``
+value: live around the work it runs itself, and from the seconds each
+worker task reports for the rest.
 
 Simulations are deterministic functions of ``(benchmark profile, seed,
 architecture, config)``, so a parallel or replayed run produces
@@ -38,6 +39,7 @@ and live runs of the same point share one result-store entry.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import math
 import threading
 import time
@@ -386,30 +388,28 @@ def _replay_timed(
     return stats, time.perf_counter() - started
 
 
-def _record_group(
+def _record_timed(
     point: SimulationPoint,
-) -> Tuple[DecodedTrace, SimulationStats, float, float]:
-    """Record ``point``'s group trace and produce ``point``'s result.
+) -> Tuple[DecodedTrace, Optional[SimulationStats], float]:
+    """:func:`record_point_trace` plus its wall seconds."""
+    started = time.perf_counter()
+    trace, stats = record_point_trace(point)
+    return trace, stats, time.perf_counter() - started
 
-    Returns ``(trace, stats, record_seconds, point_seconds)``.  When the
-    recording run doubles as the point's run its statistics are
+
+def _record_remote(point: SimulationPoint) -> Tuple[dict, dict, float, float]:
+    """Worker entry for a record task: ``(trace payload, stats dict,
+    record_seconds, point_seconds)``.
+
+    When the recording run doubles as the point's run its statistics are
     harvested and its wall time is billed to the point too, so
     single-point jobs aren't invisible in the latency percentiles;
     otherwise the point is replayed on the fresh trace.
     """
-    started = time.perf_counter()
-    trace, stats = record_point_trace(point)
-    record_seconds = time.perf_counter() - started
+    trace, stats, record_seconds = _record_timed(point)
+    point_seconds = record_seconds
     if stats is None:
         stats, point_seconds = _replay_timed(point, trace)
-        return trace, stats, record_seconds, point_seconds
-    return trace, stats, record_seconds, record_seconds
-
-
-def _record_remote(point: SimulationPoint) -> Tuple[dict, dict, float, float]:
-    """Worker entry for a record task: :func:`_record_group`'s result
-    with the trace as a payload and the stats as a dictionary."""
-    trace, stats, record_seconds, point_seconds = _record_group(point)
     return trace.to_payload(), stats.to_dict(), record_seconds, point_seconds
 
 
@@ -429,9 +429,8 @@ def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
 # ----------------------------------------------------------------------
 
 #: Result sink of one executed point: ``(store key, point, stats,
-#: seconds, strategy="replay")``; worker processes send the stats as a
-#: dictionary, and ``strategy`` is the ``point.simulate`` span attribute.
-_Recorder = Callable[..., None]
+#: seconds)``.
+_Recorder = Callable[[str, SimulationPoint, SimulationStats, float], None]
 
 
 class SweepEngine:
@@ -518,9 +517,16 @@ class SweepEngine:
         totals["pool_resets"] = pool_resets()
         return totals
 
+    def _span(self, name: str, **attrs):
+        """A live ``name`` span around work done on this thread, under the
+        bound context (a job's ``execute`` span in the service)."""
+        if self.telemetry is None:
+            return contextlib.nullcontext()
+        return self.telemetry.span(name, **attrs)
+
     def _emit_span(self, name: str, seconds: float, **attrs) -> None:
         """Emit a finished ``name`` span of ``seconds`` under the bound
-        context (a job's ``execute`` span in the service)."""
+        context: work a worker process reported, or a harvested run."""
         if self.telemetry is not None:
             span = self.telemetry.span_start(name, **attrs)
             self.telemetry.span_end(name, span, duration_s=seconds, **attrs)
@@ -611,14 +617,10 @@ class SweepEngine:
         done = 0
         total_pending = len(owned)
 
-        def record(key: str, point: SimulationPoint, stats: Any,
-                   seconds: float, strategy: str = "replay") -> None:
+        def record(key: str, point: SimulationPoint, stats: SimulationStats,
+                   seconds: float) -> None:
             nonlocal done
-            if isinstance(stats, dict):  # sent by a worker process
-                stats = SimulationStats.from_dict(stats)
             self._point_histogram.observe(seconds)
-            self._emit_span("point.simulate", seconds, strategy=strategy,
-                            benchmark=point.benchmark)
             self.store.put(key, stats, metadata=point.metadata())
             # Release as soon as the result is visible so concurrent
             # callers waiting on this very point unblock point by point
@@ -758,7 +760,8 @@ class SweepEngine:
         with more jobs, workers return each recorded trace as a payload
         and receive a group's trace as a payload once per chunk.  Either
         way this process puts every recorded trace into its trace store
-        and emits every task's spans.
+        and emits every task's spans: inline work runs inside live spans,
+        a worker's are emitted from the seconds it returns.
         """
         jobs = self.jobs
         traces = self.trace_store
@@ -783,28 +786,47 @@ class SweepEngine:
         counters["traces_recorded"] += len(record_groups)
         counters["traces_reused"] += len(replay_groups)
 
+        def record_inline(
+            point: SimulationPoint,
+        ) -> Tuple[DecodedTrace, SimulationStats, float, float]:
+            """:func:`_record_remote` in this process, inside live spans."""
+            with self._span("trace.record", benchmark=point.benchmark):
+                trace, stats, record_seconds = _record_timed(point)
+            if stats is not None:
+                self._emit_span("point.simulate", record_seconds,
+                                strategy="harvest", benchmark=point.benchmark)
+                return trace, stats, record_seconds, record_seconds
+            with self._span("point.simulate", strategy="replay",
+                            benchmark=point.benchmark):
+                stats, point_seconds = _replay_timed(point, trace)
+            return trace, stats, record_seconds, point_seconds
+
         def on_recorded(index: int, result) -> None:
             group_key, members = record_groups[index]
             trace, stats, record_seconds, point_seconds = result
+            first_key, first_point = members[0]
             if isinstance(trace, dict):  # sent by a worker process
                 payloads[group_key] = trace
                 trace = DecodedTrace.from_payload(trace)
+                stats = SimulationStats.from_dict(stats)
+                self._emit_span("trace.record", record_seconds,
+                                benchmark=first_point.benchmark)
+                strategy = ("harvest" if _recording_doubles_as_run(first_point)
+                            else "replay")
+                self._emit_span("point.simulate", point_seconds,
+                                strategy=strategy,
+                                benchmark=first_point.benchmark)
             traces.put(trace)
             loaded[group_key] = trace
             self.registry.histogram("trace.record_seconds").observe(
                 record_seconds
             )
-            first_key, first_point = members[0]
-            self._emit_span("trace.record", record_seconds,
-                            benchmark=first_point.benchmark)
-            strategy = ("harvest" if _recording_doubles_as_run(first_point)
-                        else "replay")
-            record(first_key, first_point, stats, point_seconds, strategy)
+            record(first_key, first_point, stats, point_seconds)
             replay_groups.append((group_key, members[1:]))
 
         fan_out(
             [members[0][1] for _, members in record_groups],
-            worker=_record_group,
+            worker=record_inline,
             jobs=jobs,
             remote_worker=_record_remote,
             on_result=on_recorded,
@@ -838,11 +860,21 @@ class SweepEngine:
 
         def replay_inline(batch: _TraceBatch) -> List[Tuple[SimulationStats, float]]:
             trace = loaded[batch.trace_key]
-            return [_replay_timed(point, trace) for point in batch.points]
+            results = []
+            for point in batch.points:
+                with self._span("point.simulate", strategy="replay",
+                                benchmark=point.benchmark):
+                    results.append(_replay_timed(point, trace))
+            return results
 
         def on_batch(index: int, results) -> None:
             _, part = parts[index]
             for (key, point), (stats, seconds) in zip(part, results):
+                if isinstance(stats, dict):  # sent by a worker process
+                    stats = SimulationStats.from_dict(stats)
+                    self._emit_span("point.simulate", seconds,
+                                    strategy="replay",
+                                    benchmark=point.benchmark)
                 record(key, point, stats, seconds)
 
         fan_out(

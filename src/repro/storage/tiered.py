@@ -6,10 +6,10 @@ objects) in front of a large lower level (a
 :class:`~repro.storage.sharded.ShardedStore` of encoded bytes).  A lower
 level hit is decoded once and promoted into the upper level.  A subclass
 supplies only its codec, :meth:`TwoTierCache._encode` and
-:meth:`TwoTierCache._decode`, and may cap the upper level at
-``memory_entries``.  A capped upper level is least-recently-used: a hit
-through :meth:`~TwoTierCache.get` or :meth:`~TwoTierCache.peek`
-refreshes an entry, and an insert past the cap drops the coldest one
+:meth:`TwoTierCache._decode`.  The upper level is kept in
+least-recently-used order (a hit through :meth:`~TwoTierCache.get` or
+:meth:`~TwoTierCache.peek` refreshes an entry); a subclass may cap it at
+``memory_entries``, and an insert past the cap drops the coldest entry
 from memory only.  A record that fails to decode, for any
 reason, is a counted miss and never an error, and a counted lookup that
 meets one also counts it as ``rejected``, so a codec fault that turns
@@ -34,19 +34,14 @@ class TwoTierCache:
     def __init__(self, root: Optional[str] = None,
                  max_bytes: Optional[int] = None,
                  memory_entries: Optional[int] = None) -> None:
-        #: Entry cap of the memory tier; ``None`` never evicts and keeps
-        #: the lookups lock-free.
+        #: Entry cap of the memory tier; ``None`` never evicts.
         self._memory_entries = memory_entries
-        self._memory: Dict[str, Any] = (
-            {} if memory_entries is None else OrderedDict()
-        )
-        # Guards the recency order of a capped memory tier.
-        self._memory_lock = threading.Lock()
+        self._memory: "OrderedDict[str, Any]" = OrderedDict()
         # Concurrent SweepEngine.execute calls (the service's job threads)
-        # share one store; the lock keeps the counters exact so /metrics
-        # hit rates are trustworthy.  Disk appends are already serialized
-        # by the shard file locks.
-        self._counter_lock = threading.Lock()
+        # share one store; the lock keeps the recency order and the
+        # counters exact so /metrics hit rates are trustworthy.  Disk
+        # appends are already serialized by the shard file locks.
+        self._lock = threading.Lock()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -75,27 +70,22 @@ class TwoTierCache:
         return len(self._memory)
 
     def _recall(self, key: str) -> Any:
-        """Memory-tier lookup; a hit in a capped tier becomes its most
-        recently used entry."""
-        if self._memory_entries is None:
-            return self._memory.get(key)
-        with self._memory_lock:
-            value = self._memory.get(key)
-            if value is not None:
-                self._memory.move_to_end(key)
+        """Memory-tier lookup; a hit becomes the most recently used entry.
+        The caller holds ``_lock``."""
+        value = self._memory.get(key)
+        if value is not None:
+            self._memory.move_to_end(key)
         return value
 
     def _remember(self, key: str, value: Any) -> None:
-        """Insert into the memory tier; a capped tier then drops its least
-        recently used entries past the cap."""
-        if self._memory_entries is None:
-            self._memory[key] = value
-            return
-        with self._memory_lock:
+        """Insert into the memory tier, then drop the least recently used
+        entries past the cap."""
+        with self._lock:
             self._memory[key] = value
             self._memory.move_to_end(key)
-            while len(self._memory) > self._memory_entries:
-                self._memory.popitem(last=False)
+            if self._memory_entries is not None:
+                while len(self._memory) > self._memory_entries:
+                    self._memory.popitem(last=False)
 
     def _load(self, key: str) -> Any:
         """Decode ``key`` from the disk tier and promote it into memory:
@@ -116,20 +106,21 @@ class TwoTierCache:
 
     def peek(self, key: str) -> Any:
         """Lookup without touching the hit/miss counters."""
-        value = self._recall(key)
+        with self._lock:
+            value = self._recall(key)
         if value is None:
             value = self._load(key)
         return None if value is _REJECTED else value
 
     def get(self, key: str) -> Any:
         """Counted lookup, promoting disk entries into the memory tier."""
-        value = self._recall(key)
-        if value is not None:
-            with self._counter_lock:
+        with self._lock:
+            value = self._recall(key)
+            if value is not None:
                 self.memory_hits += 1
-            return value
+                return value
         value = self._load(key)
-        with self._counter_lock:
+        with self._lock:
             if value is _REJECTED:
                 self.rejected += 1
                 value = None
@@ -142,7 +133,7 @@ class TwoTierCache:
     def put(self, key: str, value: Any, metadata: Optional[dict] = None) -> None:
         """Record ``value`` in both tiers (the disk append is atomic)."""
         self._remember(key, value)
-        with self._counter_lock:
+        with self._lock:
             self.stores += 1
         if self._disk is not None:
             self._disk.put(key, self._encode(key, value, metadata))

@@ -8,10 +8,12 @@ is a size-bounded :class:`~repro.storage.sharded.ShardedStore`: each
 trace payload is gzip-compressed JSON appended to a segment log, and
 when the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
 evicted at compaction — traces are pure derived data, so evicting one
-only costs a re-decode.  The memory tier in front of it holds at most
-:data:`TRACE_MEMORY_ENTRIES` decoded traces, least recently used out
-first, so a long-lived service does not keep every trace it has touched.
-Unreadable, corrupt or schema-mismatching
+only costs a re-decode.  With a disk tier behind it, the memory tier
+holds at most :data:`TRACE_MEMORY_ENTRIES` decoded traces, least
+recently used out first, so a long-lived service does not keep every
+trace it has touched; a memory-only store never evicts, since a trace it
+dropped would have to be recorded again.  Unreadable, corrupt or
+schema-mismatching
 payloads are treated as cache misses.
 """
 
@@ -35,10 +37,12 @@ TRACE_SUBDIR = "traces"
 #: simply get re-decoded on next use).
 TRACE_MAX_BYTES = 1 << 30
 
-#: Decoded traces kept in memory.  A service workload that resubmits
-#: figure plans and adds fresh points touches about ten trace keys, two
-#: of them on nearly every fresh job; the cap keeps all of them.
-TRACE_MEMORY_ENTRIES = 16
+#: Decoded traces kept in memory in front of a disk tier.  Every figure
+#: at default settings replays the same 18 traces, one per benchmark of
+#: the suite; the cap holds the suite at two instruction budgets (about
+#: 2 MB per trace at the default budget), so a figure job never cycles
+#: its own traces through the disk decoder.
+TRACE_MEMORY_ENTRIES = 36
 
 #: gzip level of stored payloads.  Level 9 costs ~5x the time of level 6
 #: on a decoded trace for ~5% fewer bytes; any level decompresses alike.
@@ -51,8 +55,10 @@ class TraceStore(TwoTierCache):
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
         self.trace_dir = os.path.join(cache_dir, TRACE_SUBDIR) if cache_dir else None
-        super().__init__(self.trace_dir, max_bytes=TRACE_MAX_BYTES,
-                         memory_entries=TRACE_MEMORY_ENTRIES)
+        super().__init__(
+            self.trace_dir, max_bytes=TRACE_MAX_BYTES,
+            memory_entries=TRACE_MEMORY_ENTRIES if cache_dir else None,
+        )
 
     def _encode(self, key: str, trace: DecodedTrace, metadata: Optional[dict]) -> bytes:
         """gzip-compressed JSON of the trace (mtime 0: deterministic)."""

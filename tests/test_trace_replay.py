@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.experiments import scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
@@ -265,6 +266,21 @@ class TestTraceStore:
         assert loaded.to_payload() == next_coldest.to_payload()
         assert store.counters()["disk_hits"] == 1
 
+    def test_memory_only_store_never_evicts(self):
+        """Without a disk tier a dropped trace would have to be recorded
+        again, so a memory-only store keeps every trace past the cap."""
+        traces = [
+            record_trace("gcc", _stream("gcc", count),
+                         ProcessorConfig(max_instructions=count),
+                         _workload_id("gcc", count))
+            for count in range(40, 40 + TRACE_MEMORY_ENTRIES + 1)
+        ]
+        store = TraceStore(None)
+        for trace in traces:
+            store.put(trace)
+        assert store.counters()["entries"] == len(traces)
+        assert all(store.get(trace.key) is trace for trace in traces)
+
 
 class TestCacheDirCoexistence:
     """One ``--cache-dir`` serves results and traces without collision."""
@@ -478,3 +494,42 @@ class TestParallelEngineBookkeeping:
         assert spans.count("trace.record") == summary["traces_recorded"]
         assert not [name for name in os.listdir(events_dir)
                     if name.startswith("worker")]
+
+    def test_inline_work_runs_inside_live_spans(self, monkeypatch, tmp_path):
+        """At jobs=1 the engine runs every point inside its own span: the
+        span is open on the bus while the point runs, and a point that
+        raises ends its span with the error."""
+        points = self._points()[:3]
+        bus = EventBus()
+        telemetry = Telemetry(log=EventLog(str(tmp_path), "engine"), bus=bus)
+        engine = SweepEngine(store=ResultStore(), jobs=1, telemetry=telemetry)
+        open_during_run = []
+
+        def run(point, trace=None):
+            events = bus.since(0)
+            started = {event["span_id"] for event in events
+                       if event["kind"] == "span_start"
+                       and event["span"] == "point.simulate"}
+            ended = {event["span_id"] for event in events
+                     if event["kind"] == "span_end"}
+            open_during_run.append(len(started - ended))
+            if point is points[-1]:
+                raise RuntimeError("injected")
+            return run_simulation_point(point, trace)
+
+        monkeypatch.setattr(scheduler, "run_simulation_point", run)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.execute(points)
+        finally:
+            telemetry.close()
+        # The first point was harvested from the recording run; the two
+        # replays each ran inside an open span.
+        assert open_during_run == [1, 1]
+        ends = [event for event in bus.since(0)
+                if event["kind"] == "span_end"
+                and event["span"] == "point.simulate"]
+        assert [event["strategy"] for event in ends] == [
+            "harvest", "replay", "replay"]
+        assert [event.get("error") for event in ends] == [
+            None, None, "RuntimeError"]
