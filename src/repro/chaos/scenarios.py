@@ -414,7 +414,6 @@ def scenario_replica_sigkill(result: ScenarioResult, seed: int,
              "--cache-dir", shared, "--jobs", "1",
              "--job-concurrency", "1",
              "--lease-ttl", str(lease_ttl),
-             "--claim-ttl", "3",
              "--replica-id", "victim", "--quiet"],
             env=child_env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -443,13 +442,9 @@ def scenario_replica_sigkill(result: ScenarioResult, seed: int,
             ):
                 result.violate("victim never started running the job")
                 return
-            # Short claim TTL on both sides: the dead victim's point
-            # claims expire quickly, so the survivor's reclaim path —
-            # not a 120s default timeout — is what this scenario times.
             survivor = env.service(
                 cache_dir=shared, replica_id="survivor",
                 lease_ttl=lease_ttl, fleet_poll_interval=0.2,
-                claim_ttl=3.0,
             )
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=10.0)

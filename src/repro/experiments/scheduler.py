@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.chaos import seams as _seams
 from repro.errors import ConfigurationError
-from repro.experiments.store import DEFAULT_CLAIM_TTL, ResultStore, simulation_key
+from repro.experiments.store import ResultStore, simulation_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
@@ -448,22 +448,12 @@ class SweepEngine:
     across concurrent calls: the first caller simulates a point, every
     other caller blocks until the result lands in the shared store and
     reports it as ``shared_inflight`` instead of executing it again.
-
-    When the result store supports claims (a disk-backed
-    :class:`ResultStore`), single-flight extends **across replicas**:
-    before simulating, the engine claims each point in the shared store.
-    Points already claimed by another replica are not executed — the
-    engine polls the store until the remote result lands (reported as
-    ``remote_inflight``) and, should the remote holder's claim expire
-    (a crashed replica), reclaims and executes them itself
-    (``remote_reclaimed``).
     """
 
     #: Engine counter families; order fixes the layout of :meth:`totals`.
     _COUNTER_NAMES = (
         "calls", "requested", "unique", "cached", "executed",
-        "shared_inflight", "remote_inflight", "remote_reclaimed",
-        "traces_recorded", "traces_reused",
+        "shared_inflight", "traces_recorded", "traces_reused",
     )
 
     def __init__(
@@ -471,8 +461,6 @@ class SweepEngine:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         trace_store: Optional[TraceStore] = None,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
-        claim_poll_interval: float = 0.05,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if jobs < 1:
@@ -483,8 +471,6 @@ class SweepEngine:
             trace_store if trace_store is not None
             else TraceStore(self.store.cache_dir)
         )
-        self.claim_ttl = claim_ttl
-        self.claim_poll_interval = claim_poll_interval
         self._lock = threading.Lock()
         self._inflight: Dict[str, threading.Event] = {}
         #: Telemetry (spans + event log) is optional; the *registry* is
@@ -573,8 +559,7 @@ class SweepEngine:
 
         Returns a summary dictionary (``requested``, ``unique``,
         ``cached``, ``executed``, ``shared_inflight``,
-        ``remote_inflight``, ``remote_reclaimed``, ``traces_recorded``,
-        ``traces_reused``, ``elapsed_seconds``)
+        ``traces_recorded``, ``traces_reused``, ``elapsed_seconds``)
         that callers log or attach to job records.
         """
         started = time.time()
@@ -588,20 +573,6 @@ class SweepEngine:
         cached = len(unique) - len(pending)
         owned, shared = self._claim(pending)
 
-        # Cross-replica single-flight: claim every owned point in the
-        # shared store; points another replica already holds move to the
-        # remote set and are awaited instead of executed.  (A stored
-        # result supersedes its claim, so successful runs need no
-        # explicit release.)
-        remote: Dict[str, SimulationPoint] = {}
-        if owned and self.store.supports_claims():
-            for key in list(owned):
-                ok, holder = self.store.claim_point(key, self.claim_ttl)
-                if not ok:
-                    # Either another replica holds a live claim, or its
-                    # result just landed; both resolve in the wait loop.
-                    remote[key] = owned.pop(key)
-
         def say(message: str) -> None:
             if progress is not None:
                 progress(message)
@@ -610,7 +581,6 @@ class SweepEngine:
             f"schedule: {requested} runs requested, {len(unique)} unique, "
             f"{cached} cached, {len(owned)} to simulate"
             + (f", {len(shared)} in flight elsewhere" if shared else "")
-            + (f", {len(remote)} claimed by other replicas" if remote else "")
             + (f" on {self.jobs} workers" if self.jobs > 1 and owned else "")
         )
 
@@ -640,8 +610,6 @@ class SweepEngine:
             "cached": cached,
             "executed": len(owned),
             "shared_inflight": len(shared),
-            "remote_inflight": len(remote),
-            "remote_reclaimed": 0,
             "traces_recorded": 0,
             "traces_reused": 0,
         }
@@ -650,24 +618,10 @@ class SweepEngine:
             if owned:
                 self._run_pending(owned, counters, record, say)
         finally:
-            # Drop store claims for any owned point that never produced a
-            # result (worker crash) so other replicas need not wait for
-            # the claim TTL to expire.
-            if self.store.supports_claims():
-                for key in owned:
-                    if self.store.peek(key) is None:
-                        self.store.release_point(key)
             # Normally every event was already released by ``record``;
             # after a worker crash this unblocks waiting callers, whose
             # fallback below re-executes the points that never finished.
             self._release(owned)
-
-        try:
-            self._await_remote(remote, counters, record, say)
-        finally:
-            # This call holds the in-process events for remote keys, so
-            # a crash here must unblock same-process waiters too.
-            self._release(remote)
 
         for key, event in shared.items():
             while True:
@@ -682,6 +636,8 @@ class SweepEngine:
                 point = pending[key]
                 reclaimed, still_shared = self._claim({key: point})
                 if reclaimed:
+                    counters["executed"] += 1
+                    total_pending += 1
                     try:
                         self._run_pending(reclaimed, counters, record, say)
                     finally:
@@ -693,53 +649,10 @@ class SweepEngine:
         self._counters["calls"].inc()
         self._busy_seconds.inc(time.time() - started)
         for field_name in ("requested", "unique", "cached", "executed",
-                           "shared_inflight", "remote_inflight",
-                           "remote_reclaimed", "traces_recorded",
+                           "shared_inflight", "traces_recorded",
                            "traces_reused"):
             self._counters[field_name].inc(counters[field_name])
         return counters
-
-    # ------------------------------------------------------------------
-
-    def _await_remote(
-        self,
-        remote: Dict[str, SimulationPoint],
-        counters: Dict[str, int],
-        record: _Recorder,
-        say: ProgressCallback,
-    ) -> None:
-        """Wait for points claimed by other replicas; reclaim crashed ones.
-
-        This call already holds the in-process single-flight event for
-        every remote key, so same-process waiters block on us while we
-        poll the shared store.  ``peek`` keeps the polling loop out of
-        the hit/miss counters.  When a remote holder's claim expires
-        without a result, we claim the point ourselves and execute it —
-        the cross-replica mirror of the in-process crash-recovery path.
-        """
-        for key, point in remote.items():
-            while True:
-                if self.store.peek(key) is not None:
-                    self._release((key,))
-                    break
-                ok, _holder = self.store.claim_point(key, self.claim_ttl)
-                if ok:
-                    # The remote claim expired (or was released).  Guard
-                    # against the result landing in the race window
-                    # between our peek and our claim before re-running.
-                    if self.store.peek(key) is not None:
-                        self.store.release_point(key)
-                        self._release((key,))
-                        break
-                    say(
-                        f"reclaim: remote claim on {key[:12]}… expired; "
-                        f"executing locally"
-                    )
-                    counters["executed"] += 1
-                    counters["remote_reclaimed"] += 1
-                    self._run_pending({key: point}, counters, record, say)
-                    break
-                time.sleep(self.claim_poll_interval)
 
     # ------------------------------------------------------------------
 

@@ -15,11 +15,6 @@ The historical in-process cache keyed on a 5-field tuple silently
 collided when two configurations differed in any other field
 (``issue_width``, ``lsq_size``, cache geometry, ...); hashing the whole
 config closes that hole.
-
-The disk tier doubles as the fleet's coordination point: *claims*
-(:meth:`ResultStore.claim_point`) give N service replicas sharing one
-cache tree cross-replica single-flight — only one replica simulates a
-given point, the others poll for its stored result.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
@@ -40,11 +35,6 @@ SCHEMA_VERSION = 1
 
 #: Subdirectory of the cache dir holding the sharded result segments.
 RESULT_SUBDIR = "results"
-
-#: Default lifetime of a point claim; generous next to point runtimes so
-#: a live replica never loses a claim mid-simulation, short enough that
-#: a crashed replica's claims expire quickly.
-DEFAULT_CLAIM_TTL = 120.0
 
 
 def _canonical_json(payload) -> str:
@@ -104,11 +94,9 @@ class ResultStore(TwoTierCache):
     equal-but-distinct object.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None, owner: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         super().__init__(os.path.join(cache_dir, RESULT_SUBDIR) if cache_dir else None)
         self.cache_dir = cache_dir
-        #: Identity used for store-level claims (fleet single-flight).
-        self.owner = owner or f"pid-{os.getpid()}"
 
     def _encode(self, key: str, stats: SimulationStats, metadata: Optional[dict]) -> bytes:
         payload = {
@@ -134,32 +122,8 @@ class ResultStore(TwoTierCache):
         return TwoTierCache.get(self, key)
 
     def put(self, key: str, stats: SimulationStats, metadata: Optional[dict] = None) -> None:
-        """Record a result in both tiers (the disk append is atomic and
-        implicitly releases any claim held on the key)."""
+        """Record a result in both tiers (the disk append is atomic)."""
         TwoTierCache.put(self, key, stats, metadata)
-
-    # ------------------------------------------------------------------
-    # fleet claims (cross-replica single-flight)
-    # ------------------------------------------------------------------
-
-    def supports_claims(self) -> bool:
-        """Store-level claims need a disk tier shared between replicas."""
-        return self._disk is not None
-
-    def claim_point(
-        self, key: str, ttl: float = DEFAULT_CLAIM_TTL
-    ) -> Tuple[bool, Optional[str]]:
-        """Claim ``key`` for this store's owner; ``(ok, holder)``."""
-        if self._disk is None:
-            return True, self.owner
-        return self._disk.claim(key, self.owner, ttl)
-
-    def release_point(self, key: str) -> None:
-        """Drop this owner's claim on ``key`` (storing a result also does)."""
-        if self._disk is not None:
-            self._disk.release(key, self.owner)
-
-    # ------------------------------------------------------------------
 
     def describe(self) -> str:
         counts = self.counters()

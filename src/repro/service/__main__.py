@@ -65,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="job lease lifetime in seconds; a replica dead "
                             "longer than this has its jobs stolen "
                             "(default: 15)")
-    serve.add_argument("--claim-ttl", type=float, default=None,
-                       help="point claim lifetime in seconds; a point "
-                            "claimed by a replica dead longer than this is "
-                            "re-executed by whoever waits on it "
-                            "(default: 120)")
     serve.add_argument("--max-queue-depth", type=int, default=None,
                        help="reject submissions with a structured 503 "
                             "'overloaded' (plus Retry-After) once this many "
@@ -159,8 +154,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     lease_kwargs = {}
     if args.lease_ttl is not None:
         lease_kwargs["lease_ttl"] = args.lease_ttl
-    if args.claim_ttl is not None:
-        lease_kwargs["claim_ttl"] = args.claim_ttl
 
     try:
         app = ServiceApp(

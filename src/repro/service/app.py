@@ -12,12 +12,13 @@ Deduplication happens at two levels, both inherited from the engine:
 
 * **completed points** are served from the ``ResultStore``/``TraceStore``
   (a re-submitted figure is ~instant, ``executed == 0``);
-* **in-flight points** submitted concurrently by different jobs are
-  single-flighted — one job simulates, the others wait on the shared
-  result and report the points as ``shared_inflight``;
-* **points claimed by another replica** sharing the cache tree are
-  awaited instead of re-executed (``remote_inflight``; see
-  :mod:`repro.service.fleet` and the engine's store-level claims).
+* **in-flight points** submitted concurrently by different jobs of this
+  replica are single-flighted — one job simulates, the others wait on
+  the shared result and report the points as ``shared_inflight``.
+
+Replicas sharing a cache tree do not dedupe in-flight points with each
+other: two of them running overlapping jobs may both simulate a point,
+and both store the same bytes.
 
 A figure or points plan whose every point is already stored skips the
 queue altogether: :meth:`ServiceApp.submit` answers it on the request
@@ -69,14 +70,14 @@ from repro.trace import TraceStore
 from repro.version import __version__
 
 #: Metrics/health payload schema; bump on layout changes.
-METRICS_SCHEMA_VERSION = 2
+METRICS_SCHEMA_VERSION = 3
 
 #: Point counters served under ``points`` in /metrics.  The names and
 #: their order are part of the JSON contract (regression tested against
 #: the historical payload shape).
 POINT_FIELDS = (
     "requested", "unique", "completed", "executed", "from_cache",
-    "shared_inflight", "remote_inflight", "remote_reclaimed",
+    "shared_inflight",
 )
 
 #: Progress sink for one-line status messages.
@@ -117,7 +118,6 @@ class ServiceApp:
         replica_id: Optional[str] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         fleet_poll_interval: float = 1.0,
-        claim_ttl: Optional[float] = None,
         max_queue_depth: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -150,7 +150,7 @@ class ServiceApp:
         # Each counter owner is read only through the collector it
         # registers here, so the JSON and Prometheus renderings agree.
         registry = telemetry.registry
-        self.store = ResultStore(cache_dir=cache_dir, owner=self.replica_id)
+        self.store = ResultStore(cache_dir=cache_dir)
         self.trace_store = TraceStore(cache_dir)
         self.store.set_observer(self._storage_observer("results"))
         self.trace_store.set_observer(self._storage_observer("traces"))
@@ -158,15 +158,11 @@ class ServiceApp:
         registry.register_collector(self.trace_store.counters, "trace_cache")
         registry.register_collector(self.store.storage_stats, "storage.results")
         registry.register_collector(self.trace_store.storage_stats, "storage.traces")
-        engine_kwargs = {}
-        if claim_ttl is not None:
-            engine_kwargs["claim_ttl"] = claim_ttl
         self.engine = SweepEngine(
             store=self.store,
             jobs=jobs,
             trace_store=self.trace_store,
             telemetry=self.telemetry,
-            **engine_kwargs,
         )
         self.job_store = JobStore(cache_dir)
         registry.register_collector(lambda: {
@@ -813,18 +809,11 @@ class ServiceApp:
             self._point_counters["shared_inflight"].inc(
                 counters["shared_inflight"]
             )
-            self._point_counters["remote_inflight"].inc(
-                counters.get("remote_inflight", 0)
-            )
-            self._point_counters["remote_reclaimed"].inc(
-                counters.get("remote_reclaimed", 0)
-            )
             if completed:
                 self._say(
                     f"job {job.id}: completed ({counters['executed']} executed, "
                     f"{counters['cached']} cached, "
-                    f"{counters['shared_inflight']} shared in-flight, "
-                    f"{counters.get('remote_inflight', 0)} remote in-flight)"
+                    f"{counters['shared_inflight']} shared in-flight)"
                 )
         except _DeadlineExceeded:
             if job.mark_failed(

@@ -2,9 +2,10 @@
 
 Several ``repro.service`` replicas may share one ``--cache-dir``.  The
 result/trace stores already make that safe for *data* (sharded segment
-logs, cross-replica claims); :class:`LeaseManager` adds the *control*
-plane on the same :class:`~repro.storage.ShardedStore`: at most one
-replica runs a given job.  A lease is a store *claim*
+logs; two replicas that simulate the same point store the same bytes);
+:class:`LeaseManager` adds the *control* plane on the same
+:class:`~repro.storage.ShardedStore`: at most one replica runs a given
+job.  A lease is a store *claim*
 (``owner``/``deadline``) on the job id in the lease log under
 ``jobs/leases/``, a key that never holds a value; the store's shard
 flock makes acquire/steal decisions atomic across processes.  Live

@@ -33,9 +33,9 @@ Protocol invariants (the full narrative is ``docs/storage.md``):
   while the key has no live value and no unexpired foreign claim
   (first writer wins under the flock); a ``put`` supersedes any claim,
   and an expired claim is simply ignorable — crash recovery needs no
-  cleanup.  This is the store-level single-flight primitive the sweep
-  fleet builds on (:mod:`repro.service.fleet`'s job *leases* are claims
-  on keys that never hold a value).
+  cleanup.  Claims serve only the sweep fleet's job *leases*
+  (:mod:`repro.service.fleet`), which are claims on keys that never
+  hold a value.
 """
 
 from repro.storage.sharded import ShardedStore

@@ -20,10 +20,10 @@ and trace stores and the service's job records and job leases.  Design:
   many processes cheap — another replica's fresh write is picked up by
   a tail scan, not a full reload.
 * **Claims.**  A claim is a small leased marker record
-  (``owner``/``deadline``) used for cross-replica single-flight: the
-  first replica to claim a key computes it, everyone else polls for the
-  value.  Claims expire, so a crashed owner never wedges the fleet, and
-  a put for the key implicitly releases its claim.
+  (``owner``/``deadline``); the service's job leases are claims on job
+  ids (:mod:`repro.service.fleet`).  Claims expire, so a crashed owner
+  never wedges the fleet, and a put for the key implicitly releases its
+  claim.
 * **Size bound, compaction.**  When a shard's dead-byte ratio or
   payload budget (``max_bytes / num_shards``) is exceeded, the shard is
   compacted: live records are rewritten into one fresh segment (oldest
@@ -470,7 +470,7 @@ class ShardedStore:
             return True
 
     # ------------------------------------------------------------------
-    # claims (cross-replica single-flight)
+    # claims (the primitive under job leases)
     # ------------------------------------------------------------------
 
     def claim(self, key: str, owner: str, ttl: float) -> Tuple[bool, Optional[str]]:
@@ -483,7 +483,7 @@ class ShardedStore:
 
         While :attr:`read_only` (ENOSPC degradation), claims cannot be
         persisted; the grant is returned without a record, degrading
-        cross-replica single-flight to each replica's in-process dedup.
+        job leases to a fleet of one.
         """
         shard = self._shard(self.shard_of(key))
         if self._read_only.is_set():

@@ -410,8 +410,8 @@ class TestReportShape:
     _BASE = {"kind", "metadata", "name", "repeats", "wall_seconds"}
     _SIM = {"cycles", "cycles_per_second", "instructions", "instructions_per_second"}
     _ENGINE_SUMMARY = {
-        "cached", "elapsed_seconds", "executed", "remote_inflight",
-        "remote_reclaimed", "requested", "shared_inflight",
+        "cached", "elapsed_seconds", "executed",
+        "requested", "shared_inflight",
         "traces_recorded", "traces_reused", "unique",
     }
     _SERVICE = {"benchmarks", "figure", "instructions", "points_per_minute",

@@ -235,6 +235,51 @@ class TestScheduler:
         assert summary["executed"] == 2
         assert len(store) == 2
 
+    def test_waiter_counts_a_point_it_reruns_after_the_owner_died(self):
+        """A call waiting on another call's in-flight point re-runs it
+        when the owner dies, and counts it as executed."""
+        engine = SweepEngine(store=ResultStore())
+        claim, run_pending = engine._claim, engine._run_pending
+        owner_running = threading.Event()
+        waiter_registered = threading.Event()
+
+        def claim_and_signal(pending):
+            owned, shared = claim(pending)
+            if shared:
+                waiter_registered.set()
+            return owned, shared
+
+        def owner_dies_first(*args):
+            if not owner_running.is_set():
+                owner_running.set()
+                assert waiter_registered.wait(timeout=30)
+                raise RuntimeError("owner died")
+            run_pending(*args)
+
+        engine._claim = claim_and_signal
+        engine._run_pending = owner_dies_first
+        point = _point("swim")
+        failures = []
+
+        def owner():
+            try:
+                engine.execute([point])
+            except RuntimeError as error:
+                failures.append(error)
+
+        owner_thread = threading.Thread(target=owner)
+        owner_thread.start()
+        assert owner_running.wait(timeout=30)
+        messages = []
+        summary = engine.execute([point], progress=messages.append)
+        owner_thread.join(timeout=30)
+        assert len(failures) == 1
+        assert summary["shared_inflight"] == 1
+        assert summary["executed"] == 1
+        assert any(message.startswith("[1/1] swim") for message in messages)
+        assert engine.store.get(point.store_key()) is not None
+        assert engine.totals()["executed"] == 1
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_engine_rejects_non_positive_jobs(self, jobs):
         with pytest.raises(ConfigurationError, match="jobs must be at least 1"):

@@ -29,8 +29,6 @@ CACHE_DIR_TYPES = [
     "repro_engine_cached_total counter",
     "repro_engine_calls_total counter",
     "repro_engine_executed_total counter",
-    "repro_engine_remote_inflight_total counter",
-    "repro_engine_remote_reclaimed_total counter",
     "repro_engine_requested_total counter",
     "repro_engine_shared_inflight_total counter",
     "repro_engine_traces_recorded_total counter",
@@ -44,8 +42,6 @@ CACHE_DIR_TYPES = [
     "repro_points_completed_total counter",
     "repro_points_executed_total counter",
     "repro_points_from_cache_total counter",
-    "repro_points_remote_inflight_total counter",
-    "repro_points_remote_reclaimed_total counter",
     "repro_points_requested_total counter",
     "repro_points_shared_inflight_total counter",
     "repro_points_unique_total counter",
@@ -183,7 +179,7 @@ class TestScrape:
         assert types == CACHE_DIR_TYPES
         kinds = [line.split()[1] for line in types]
         counts = {kind: kinds.count(kind) for kind in ("counter", "gauge", "histogram")}
-        assert counts == {"counter": 25, "gauge": 44, "histogram": 4}
+        assert counts == {"counter": 21, "gauge": 44, "histogram": 4}
 
     def test_type_lines_after_one_job_memory_only(self):
         app = ServiceApp(cache_dir=None, jobs=1)
@@ -194,7 +190,7 @@ class TestScrape:
         finally:
             app.stop()
         assert _type_lines(text) == MEMORY_TYPES
-        assert len(MEMORY_TYPES) == 50
+        assert len(MEMORY_TYPES) == 46
 
 
 class TestOneSnapshotTwoRenderings:

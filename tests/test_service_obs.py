@@ -154,7 +154,7 @@ class TestMetricsShapes:
     }
     LEGACY_POINT_KEYS = {
         "requested", "unique", "completed", "executed", "from_cache",
-        "shared_inflight", "remote_inflight", "remote_reclaimed",
+        "shared_inflight",
         "per_minute",
     }
 

@@ -7,8 +7,9 @@ This suite is the proof behind the traffic-grade claims:
 * a writer SIGKILLed mid-stream never damages the log — every put that
   returned is durable, the torn tail is skipped by readers and
   truncated away by the next writer;
-* store-level claims give cross-replica single-flight, including
-  reclaim of a crashed claimer's points after its claim expires;
+* store-level claims (the primitive under job leases) conflict until
+  they expire, yield to a stored value and compact, while the result
+  store itself holds only values;
 * a service replica killed mid-job has its lease expire and the job is
   stolen and completed by a surviving replica, with the dead replica's
   finished points served from the shared cache.
@@ -17,20 +18,16 @@ Child processes use the ``spawn`` start method: the parent runs service
 threads, and forking a threaded process can deadlock the child.
 """
 
+import glob
 import hashlib
 import json
 import multiprocessing as mp
 import os
-import threading
 import time
 
 import pytest
 
-from repro.experiments.scheduler import (
-    SimulationPoint,
-    SweepEngine,
-    run_simulation_point,
-)
+from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.obs.prometheus import parse as parse_prometheus
 from repro.pipeline.config import ProcessorConfig
@@ -112,7 +109,6 @@ def _victim_replica_main(cache_dir, spec_json, ready_path):
     app = ServiceApp(
         cache_dir=cache_dir, jobs=1, job_concurrency=1,
         replica_id="victim", lease_ttl=1.0, fleet_poll_interval=0.25,
-        claim_ttl=1.0,
     )
     app.start()
     job = app.submit(json.loads(spec_json))
@@ -262,7 +258,7 @@ class TestTornTail:
 
 
 # ----------------------------------------------------------------------
-# claims: cross-replica single-flight
+# claims: the job-lease primitive
 # ----------------------------------------------------------------------
 
 
@@ -314,48 +310,18 @@ class TestClaims:
         reopened = ShardedStore(str(tmp_path / "s"), num_shards=1)
         assert reopened.claim_holder("held")[0] == "replica-a"
 
-    def test_engine_waits_for_remotely_claimed_point(self, tmp_path):
-        """Replica B never executes a point A is computing — it polls
-        until A's result lands in the shared store."""
+    def test_engine_appends_no_point_claims(self, tmp_path):
+        """Points are deduped in-process only: a disk-backed engine's
+        result segments hold one ``put`` per executed point and no
+        claim or release records."""
         cache = str(tmp_path / "cache")
-        point = _point()
-        key = point.store_key()
-        stats = run_simulation_point(point)  # "A's" computation
-
-        store_a = ResultStore(cache_dir=cache, owner="replica-a")
-        assert store_a.claim_point(key, ttl=60.0)[0]
-
-        def remote_completes():
-            time.sleep(0.3)
-            store_a.put(key, stats, metadata=point.metadata())
-
-        publisher = threading.Thread(target=remote_completes)
-        publisher.start()
-        store_b = ResultStore(cache_dir=cache, owner="replica-b")
-        engine = SweepEngine(store=store_b, jobs=1, claim_poll_interval=0.02)
-        summary = engine.execute([point])
-        publisher.join()
-        assert summary["remote_inflight"] == 1
-        assert summary["executed"] == 0
-        assert summary["remote_reclaimed"] == 0
-        assert store_b.peek(key) is not None
-
-    def test_engine_reclaims_expired_remote_claim(self, tmp_path):
-        """A crashed claimer's points are reclaimed and executed locally."""
-        cache = str(tmp_path / "cache")
-        point = _point()
-        key = point.store_key()
-        store_a = ResultStore(cache_dir=cache, owner="replica-a")
-        assert store_a.claim_point(key, ttl=0.3)[0]  # then "a" crashes
-
-        store_b = ResultStore(cache_dir=cache, owner="replica-b")
-        engine = SweepEngine(store=store_b, jobs=1, claim_ttl=30.0,
-                             claim_poll_interval=0.02)
-        summary = engine.execute([point])
-        assert summary["remote_inflight"] == 1
-        assert summary["remote_reclaimed"] == 1
-        assert summary["executed"] == 1
-        assert store_b.peek(key) is not None
+        points = [_point(instructions) for instructions in (300, 400, 500)]
+        summary = SweepEngine(store=ResultStore(cache_dir=cache)).execute(points)
+        assert summary["executed"] == 3
+        segments = glob.glob(os.path.join(cache, "results", "shard-*", "seg-*.log"))
+        ops = [record.meta["op"]
+               for path in segments for record in seg.scan_segment(path)[0]]
+        assert ops == ["put"] * 3
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +369,7 @@ class TestLeases:
 
 
 # ----------------------------------------------------------------------
-# fleet: work-stealing and cross-replica dedup
+# fleet: work-stealing and overlapping jobs
 # ----------------------------------------------------------------------
 
 _FLEET_SPEC = {
@@ -445,15 +411,21 @@ class TestFleet:
             app_b.stop(drain=True, timeout=60)
         totals_a = app_a.engine.totals()
         totals_b = app_b.engine.totals()
-        # The heart of the fleet guarantee: across both replicas, every
-        # unique point was executed exactly once.
-        assert totals_a["executed"] + totals_b["executed"] == unique
-        assert totals_a["remote_reclaimed"] == totals_b["remote_reclaimed"] == 0
+        # No replica executes a point twice.  Points are not deduped
+        # across replicas while in flight, so overlapping jobs may each
+        # simulate a shared point once: the fleet total lies between
+        # unique and twice that, and both jobs return the same result.
+        assert totals_a["executed"] <= unique
+        assert totals_b["executed"] <= unique
+        executed = totals_a["executed"] + totals_b["executed"]
+        assert unique <= executed <= 2 * unique
+        assert (app_a.job_result(job_a.id)["result"]
+                == app_b.job_result(job_b.id)["result"])
         # And the replicas' own registries sum to the same (what CI
         # asserts over HTTP): points in the JSON, latency in the scrape.
         metrics = [app.metrics() for app in (app_a, app_b)]
         assert {m["replica"]["id"] for m in metrics} == {"fleet-a", "fleet-b"}
-        assert sum(m["points"]["executed"] for m in metrics) == unique
+        assert sum(m["points"]["executed"] for m in metrics) == executed
         assert sum(m["points"]["completed"] for m in metrics) >= 2 * unique
         latency = sum(
             sample.value
@@ -463,14 +435,14 @@ class TestFleet:
             ]
             if sample.name == "repro_point_simulate_seconds_count"
         )
-        assert latency == unique
+        assert latency == executed
 
     def test_dead_replica_job_is_stolen_and_completed(self, tmp_path):
         cache = str(tmp_path / "cache")
         ready_path = str(tmp_path / "victim-job-id")
         survivor = ServiceApp(cache_dir=cache, jobs=1, job_concurrency=1,
                               replica_id="survivor", lease_ttl=1.0,
-                              fleet_poll_interval=0.5, claim_ttl=1.0)
+                              fleet_poll_interval=0.5)
         survivor.start()
         victim = _MP.Process(
             target=_victim_replica_main,
@@ -510,9 +482,8 @@ class TestFleet:
         assert job.state == COMPLETED
         assert job.points["completed"] == job.points["unique"] > 0
         assert survivor.stolen_jobs >= 1
-        # Every point of the stolen job is present in the shared store;
-        # whatever the victim finished was reused, not recomputed after
-        # its claims expired (reclaim or cache hit, never a duplicate
-        # while the victim lived).
+        # Every point of the stolen job is present in the shared store:
+        # whatever the victim stored was a cache hit, and the survivor
+        # executed the rest.
         totals = survivor.engine.totals()
         assert totals["executed"] + totals["cached"] >= job.points["unique"]
