@@ -24,6 +24,11 @@ A figure or points plan whose every point is already stored skips the
 queue altogether: :meth:`ServiceApp.submit` answers it on the request
 thread, with no lease and one job-log record, the completed one.
 
+Neither a job's plan nor its result is kept beside its record: every
+job runs the plan re-derived from its persisted spec, and
+:meth:`ServiceApp.job_result` renders a completed job's result from
+that spec over the result store.
+
 With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
 one replica runs a job; a crashed replica's jobs are stolen and re-run,
@@ -70,7 +75,7 @@ from repro.trace import TraceStore
 from repro.version import __version__
 
 #: Metrics/health payload schema; bump on layout changes.
-METRICS_SCHEMA_VERSION = 3
+METRICS_SCHEMA_VERSION = 4
 
 #: Point counters served under ``points`` in /metrics.  The names and
 #: their order are part of the JSON contract (regression tested against
@@ -185,9 +190,6 @@ class ServiceApp:
         registry.register_collector(self._service_values)
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
-        #: Validated plans of jobs admitted by *this* process; resumed
-        #: jobs re-validate from their persisted spec instead.
-        self._plans: Dict[str, spec_mod.JobPlan] = {}
         self._point_counters = {
             name: registry.counter(
                 f"points.{name}", help=f"points {name} service-wide"
@@ -451,7 +453,6 @@ class ServiceApp:
             return job
         with self._span_lock:
             self._queue_waits[job.id] = (queue_span, queued_at)
-        self._plans[job.id] = plan
         self.job_store.save(job)
         self.queue.add(job)
         self._say(
@@ -487,7 +488,13 @@ class ServiceApp:
         return job
 
     def job_result(self, job_id: str, fmt: str = "json"):
-        """The result payload of a completed job (dict for json, str for csv)."""
+        """The result payload of a completed job (dict for json, str for csv).
+
+        The result is rendered on every call from the job's spec over the
+        result store, so a restarted or adopting replica answers with the
+        same bytes.  A completed job whose points are no longer all stored
+        answers ``409 result_unavailable``.
+        """
         if fmt not in ("json", "csv"):
             raise ApiError(400, "bad_format",
                            f"unsupported result format {fmt!r} (json or csv)")
@@ -499,14 +506,27 @@ class ServiceApp:
                 f"job {job_id} failed: "
                 f"[{error.get('code', 'unknown')}] {error.get('message', '')}",
             )
-        if job.state != COMPLETED or job.result is None:
+        if job.state != COMPLETED:
             raise ApiError(
                 409, "job_not_completed",
                 f"job {job_id} is {job.state}; results exist once it completes",
             )
+        plan = spec_mod.validate_submission(job.spec)
+        missing = sum(1 for key in dedupe_points(plan.plan_points())
+                      if self.store.peek(key) is None)
+        if missing:
+            raise ApiError(
+                409, "result_unavailable",
+                f"job {job_id} completed, but {missing} of its points are no "
+                f"longer stored; re-submit the job to recompute them",
+            )
+        if plan.kind == "figures":
+            result = spec_mod.assemble_figure_result(plan, self.store)
+        else:
+            result = spec_mod.assemble_points_result(plan, self.store)
         if fmt == "csv":
-            return spec_mod.result_to_csv(job.result)
-        return {"id": job.id, "version": __version__, "result": job.result}
+            return spec_mod.result_to_csv(result)
+        return {"id": job.id, "version": __version__, "result": result}
 
     # ------------------------------------------------------------------
     # execution
@@ -740,14 +760,10 @@ class ServiceApp:
                              replica=self.replica_id)
         self._say(f"job {job.id}: running")
 
-        def run() -> Tuple[dict, dict]:
-            plan = self._plans.pop(job.id, None)
-            if plan is None:  # resumed from the job store after a restart
-                plan = spec_mod.validate_submission(job.spec)
-            return self._execute(job, plan,
-                                 self._point_hook(job, persist=True))
-
-        self._settle(job, run)
+        self._settle(job, lambda: self._execute(
+            job, spec_mod.validate_submission(job.spec),
+            self._point_hook(job, persist=True),
+        ))
 
     def _point_hook(self, job: Job, persist: bool) -> Callable[[object], None]:
         """The engine's per-point callback for ``job``: stop at the
@@ -774,9 +790,9 @@ class ServiceApp:
         return on_point
 
     def _execute(self, job: Job, plan: spec_mod.JobPlan,
-                 on_point: Callable[[object], None]) -> Tuple[dict, dict]:
-        """The ``execute`` span of a job: the engine call and the result
-        assembly.  Returns ``(result, counters)``."""
+                 on_point: Callable[[object], None]) -> dict:
+        """The ``execute`` span of a job: the engine call.  Returns the
+        engine counters."""
         with self.telemetry.span(
             "execute", parent=self._job_trace(job), job_id=job.id,
             job_kind=plan.kind, histogram="job.execute_seconds",
@@ -784,24 +800,19 @@ class ServiceApp:
             points = plan.plan_points()
             job.points["requested"] = len(points)
             job.points["unique"] = len(dedupe_points(points))
-            counters = self.engine.execute(
+            return self.engine.execute(
                 points, progress=self.progress, on_point=on_point
             )
-            if plan.kind == "figures":
-                result = spec_mod.assemble_figure_result(plan, self.store)
-            else:
-                result = spec_mod.assemble_points_result(plan, self.store)
-            return result, counters
 
-    def _settle(self, job: Job, run: Callable[[], Tuple[dict, dict]]) -> None:
+    def _settle(self, job: Job, run: Callable[[], dict]) -> None:
         """Call ``run`` (an :meth:`_execute` step) and record how the job
         ended: point counters and the completed mark, or the failure code
         of what ``run`` raised; then the final save and the job's
         terminal telemetry."""
         try:
-            result, counters = run()
+            counters = run()
             job.points["completed"] = counters["unique"]
-            completed = job.mark_completed(result, counters)
+            completed = job.mark_completed(counters)
             self._point_counters["unique"].inc(counters["unique"])
             self._point_counters["completed"].inc(counters["unique"])
             self._point_counters["executed"].inc(counters["executed"])
@@ -866,9 +877,12 @@ class ServiceApp:
         which a client only ever observes as a connection failure.
         """
         values = self.telemetry.registry.collect()
-        storage_read_only = bool(values.get("storage.results.read_only", 0))
-        save_errors = values["job_store.save_errors"]
-        storage_degraded = storage_read_only or save_errors > 0
+        stores = ("storage.results", "storage.traces")
+        storage_read_only = any(values.get(f"{store}.read_only", 0) for store in stores)
+        write_errors = values["job_store.save_errors"] + sum(
+            values.get(f"{store}.write_errors", 0) for store in stores
+        )
+        storage_degraded = storage_read_only or write_errors > 0
         depth = values["queue.depth"]
         queue_saturated = (
             self.max_queue_depth is not None
@@ -879,8 +893,7 @@ class ServiceApp:
             "storage": {
                 "status": "degraded" if storage_degraded else "ok",
                 "writable": not storage_read_only,
-                "write_errors": (values.get("storage.results.write_errors", 0)
-                                 + save_errors),
+                "write_errors": write_errors,
             },
             "pool": {
                 # The warm pool self-heals (a broken pool is torn down

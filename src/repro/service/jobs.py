@@ -8,6 +8,12 @@ restarted service resumes exactly where the previous process stopped —
 ``queued`` jobs re-enter the queue, and jobs that were ``running`` when
 the process died are re-queued rather than lost.
 
+A record holds only what nothing else can rebuild: the spec, the
+lifecycle state, the point accounting, the engine counters, the fault
+history and the trace context.  The plan is re-derived from the spec
+and a completed job's result is rendered from the result store, so
+neither is ever persisted here.
+
 A record that does not decode (schema or id mismatch) is skipped and
 counted as **quarantined**, mirroring the
 :class:`~repro.trace.store.TraceStore` convention that a bad cache
@@ -89,7 +95,6 @@ class Job:
     #: traces recorded/reused, ...).
     counters: Optional[dict] = None
     error: Optional[dict] = None
-    result: Optional[dict] = None
     #: Trace context of the job's root span (``{"trace_id", "span_id"}``),
     #: minted at admission (or propagated from the client's
     #: ``X-Repro-Trace`` header) and persisted so every replica that
@@ -123,15 +128,11 @@ class Job:
             self.started_at = _now()
             self.attempts += 1
 
-    def mark_completed(self, result: dict, counters: dict) -> bool:
+    def mark_completed(self, counters: dict) -> bool:
         """Complete the job; ``False`` (no-op) if already terminal."""
         with self._state_lock:
             if self.state in TERMINAL_STATES:
                 return False
-            # Publish the payload before flipping the state: readers in
-            # other threads treat a terminal state as "the result is
-            # there".
-            self.result = result
             self.counters = counters
             self.finished_at = _now()
             self.state = COMPLETED
@@ -179,7 +180,6 @@ class Job:
         self.points = dict(other.points)
         self.counters = other.counters
         self.error = other.error
-        self.result = other.result
         self.attempts = other.attempts
         self.fault_history = list(other.fault_history)
         if other.trace is not None:
@@ -187,8 +187,8 @@ class Job:
 
     # ------------------------------------------------------------------
 
-    def to_dict(self, include_result: bool = False) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "schema": SCHEMA_VERSION,
             "version": __version__,
             "id": self.id,
@@ -205,9 +205,6 @@ class Job:
             "fault_history": list(self.fault_history),
             "trace": self.trace,
         }
-        if include_result:
-            payload["result"] = self.result
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Job":
@@ -235,7 +232,6 @@ class Job:
             },
             counters=payload.get("counters"),
             error=payload.get("error"),
-            result=payload.get("result"),
             # Pre-resilience records carry neither field; defaulting
             # keeps SCHEMA_VERSION at 1 and old files loadable.
             attempts=int(payload.get("attempts", 0)),
@@ -266,7 +262,7 @@ class JobStore:
         self.job_dir = os.path.join(cache_dir, JOB_SUBDIR) if cache_dir else None
         self._log = ShardedStore(self.job_dir, num_shards=1) if self.job_dir else None
         #: Records skipped because they do not decode (schema or id
-        #: mismatch), plus poisoned jobs landed in ``quarantine/``.
+        #: mismatch).  Poisoned jobs are counted by ``jobs.poisoned``.
         self.quarantined = 0
         #: Persist attempts dropped because the disk was full; the job
         #: lives on in memory, so a full disk degrades durability (a
@@ -292,9 +288,7 @@ class JobStore:
             if _seams.active is not None:
                 _seams.active.fire("jobs.save", job_id=job.id,
                                    state=job.state)
-            self._log.put(job.id, json.dumps(
-                job.to_dict(include_result=True), default=str
-            ).encode("utf-8"))
+            self._log.put(job.id, json.dumps(job.to_dict(), default=str).encode("utf-8"))
             dropped = self._log.read_only
         except OSError as error:
             if error.errno != errno.ENOSPC:
@@ -364,13 +358,11 @@ class JobStore:
             os.makedirs(quarantine_dir, exist_ok=True)
             target = os.path.join(quarantine_dir, f"{job.id}.json")
             with open(target, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(job.to_dict(include_result=True),
-                                        default=str))
+                handle.write(json.dumps(job.to_dict(), default=str))
         except OSError:
             # Quarantine-on-a-full-disk still works in memory: the job
             # is terminally failed either way.
             pass
-        self.quarantined += 1
         self.save(job)
 
 

@@ -373,15 +373,15 @@ def assemble_figure_result(plan: JobPlan, store) -> dict:
 
 
 def assemble_points_result(plan: JobPlan, store) -> dict:
-    """Per-point statistics of a completed explicit-points job."""
+    """Per-point statistics of a completed explicit-points job; every
+    point must be stored."""
     entries = []
     for point in plan.points:
-        stats = store.get(point.store_key())
         entries.append({
             "benchmark": point.benchmark,
             "architecture": point.architecture,
             "store_key": point.store_key(),
-            "stats": stats.to_dict() if stats is not None else None,
+            "stats": store.get(point.store_key()).to_dict(),
         })
     return {"kind": "points", "points": entries}
 
@@ -400,7 +400,7 @@ def result_to_csv(result: dict) -> str:
     experiment_results = [
         ExperimentResult(
             name=f"{entry['benchmark']}@{entry['architecture']}",
-            title="", body="", data=entry.get("stats") or {},
+            title="", body="", data=entry["stats"],
         )
         for entry in result.get("points", [])
     ]

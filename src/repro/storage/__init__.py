@@ -30,12 +30,11 @@ Protocol invariants (the full narrative is ``docs/storage.md``):
   when it is not hex); writers serialize per shard on
   ``flock(shard-XX/.lock)`` plus an in-process thread lock.
 * **Claims** — ``claim(key, owner, ttl)`` appends a claim record only
-  while the key has no live value and no unexpired foreign claim
-  (first writer wins under the flock); a ``put`` supersedes any claim,
-  and an expired claim is simply ignorable — crash recovery needs no
-  cleanup.  Claims serve only the sweep fleet's job *leases*
-  (:mod:`repro.service.fleet`), which are claims on keys that never
-  hold a value.
+  while the key has no unexpired foreign claim (first writer wins under
+  the flock), and an expired claim is simply ignorable — crash recovery
+  needs no cleanup.  Claims serve only the sweep fleet's job *leases*
+  (:mod:`repro.service.fleet`), kept in a lease log that holds no
+  values; claims and values never share a key.
 """
 
 from repro.storage.sharded import ShardedStore

@@ -21,9 +21,8 @@ and trace stores and the service's job records and job leases.  Design:
   a tail scan, not a full reload.
 * **Claims.**  A claim is a small leased marker record
   (``owner``/``deadline``); the service's job leases are claims on job
-  ids (:mod:`repro.service.fleet`).  Claims expire, so a crashed owner
-  never wedges the fleet, and a put for the key implicitly releases its
-  claim.
+  ids (:mod:`repro.service.fleet`), in a lease log that holds no values.
+  Claims expire, so a crashed owner never wedges the fleet.
 * **Size bound, compaction.**  When a shard's dead-byte ratio or
   payload budget (``max_bytes / num_shards``) is exceeded, the shard is
   compacted: live records are rewritten into one fresh segment (oldest
@@ -252,9 +251,6 @@ class ShardedStore:
                 record_bytes=size,
             )
             shard.live_data_bytes += record.data_len
-            # A stored value supersedes any claim on its key.
-            if shard.claims.pop(key, None) is not None:
-                shard.dead_bytes += shard.claim_bytes.pop(key, 0)
         elif op == "del":
             previous = shard.index.pop(key, None)
             if previous is not None:
@@ -424,7 +420,7 @@ class ShardedStore:
             self._compact_locked(shard)
 
     def put(self, key: str, data: bytes) -> None:
-        """Store ``data`` under ``key`` (last writer wins, claim released).
+        """Store ``data`` under ``key`` (last writer wins).
 
         On ENOSPC the store degrades to read-only instead of raising:
         the write is dropped (callers keep the value in their memory
@@ -473,29 +469,22 @@ class ShardedStore:
     # claims (the primitive under job leases)
     # ------------------------------------------------------------------
 
-    def claim(self, key: str, owner: str, ttl: float) -> Tuple[bool, Optional[str]]:
+    def claim(self, key: str, owner: str, ttl: float) -> Tuple[bool, str]:
         """Try to claim ``key`` for ``owner`` for ``ttl`` seconds.
 
         Returns ``(True, owner)`` on success (re-claiming one's own key
-        renews the deadline), ``(False, holder)`` when another owner's
-        unexpired claim holds the key, and ``(False, None)`` when a live
-        value already exists — the caller should simply read it.
+        renews the deadline) and ``(False, holder)`` when another owner's
+        unexpired claim holds the key.
 
         While :attr:`read_only` (ENOSPC degradation), claims cannot be
         persisted; the grant is returned without a record, degrading
         job leases to a fleet of one.
         """
-        shard = self._shard(self.shard_of(key))
         if self._read_only.is_set():
-            with shard.lock:
-                self._refresh(shard)
-                if key in shard.index:
-                    return False, None
             return True, owner
+        shard = self._shard(self.shard_of(key))
         with shard.lock, self._file_lock(shard):
             self._refresh(shard)
-            if key in shard.index:
-                return False, None
             current = shard.claims.get(key)
             if current is not None and self._claim_live(current) and current[0] != owner:
                 return False, current[0]
@@ -651,7 +640,6 @@ class ShardedStore:
     def stats(self) -> Dict[str, int]:
         """Fleet-facing storage counters (refreshes every shard)."""
         entries = 0
-        claims = 0
         live_data = 0
         dead = 0
         segments = 0
@@ -660,17 +648,12 @@ class ShardedStore:
             with shard.lock:
                 self._refresh(shard)
                 entries += len(shard.index)
-                claims += sum(
-                    1 for claim in shard.claims.values()
-                    if self._claim_live(claim)
-                )
                 live_data += shard.live_data_bytes
                 dead += shard.dead_bytes
                 segments += len(shard.scanned)
         with self.counters.lock:
             return {
                 "entries": entries,
-                "claims": claims,
                 "live_data_bytes": live_data,
                 "dead_bytes": dead,
                 "segment_files": segments,

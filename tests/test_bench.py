@@ -475,7 +475,7 @@ class TestReportShape:
             "store", _BASE | _RATES | {"stats_digest"},
             {"entries", "num_shards", "read_passes", "store_stats",
              "value_bytes"},
-            {"store_stats": {"claims", "compactions", "dead_bytes", "entries",
+            {"store_stats": {"compactions", "dead_bytes", "entries",
                              "evictions", "live_data_bytes",
                              "read_only", "rebuilds", "segment_files",
                              "torn_tails", "write_errors"}},

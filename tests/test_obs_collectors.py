@@ -61,7 +61,6 @@ CACHE_DIR_TYPES = [
     "repro_result_cache_misses gauge",
     "repro_result_cache_rejected gauge",
     "repro_result_cache_stores gauge",
-    "repro_storage_results_claims gauge",
     "repro_storage_results_compactions gauge",
     "repro_storage_results_dead_bytes gauge",
     "repro_storage_results_entries gauge",
@@ -72,7 +71,6 @@ CACHE_DIR_TYPES = [
     "repro_storage_results_segment_files gauge",
     "repro_storage_results_torn_tails gauge",
     "repro_storage_results_write_errors gauge",
-    "repro_storage_traces_claims gauge",
     "repro_storage_traces_compactions gauge",
     "repro_storage_traces_dead_bytes gauge",
     "repro_storage_traces_entries gauge",
@@ -179,7 +177,7 @@ class TestScrape:
         assert types == CACHE_DIR_TYPES
         kinds = [line.split()[1] for line in types]
         counts = {kind: kinds.count(kind) for kind in ("counter", "gauge", "histogram")}
-        assert counts == {"counter": 21, "gauge": 44, "histogram": 4}
+        assert counts == {"counter": 21, "gauge": 42, "histogram": 4}
 
     def test_type_lines_after_one_job_memory_only(self):
         app = ServiceApp(cache_dir=None, jobs=1)
@@ -219,8 +217,8 @@ class TestOneSnapshotTwoRenderings:
             for key, value in values.items():
                 assert samples[sanitize_name(f"{family}.{key}")] == value, (family, key)
                 compared += 1
-        # 6 counters per cache, 11 stats per store, 2 job-store counts.
-        assert compared == 6 + 6 + 11 + 11 + 2
+        # 6 counters per cache, 10 stats per store, 2 job-store counts.
+        assert compared == 6 + 6 + 10 + 10 + 2
         assert samples["repro_queue_depth"] == run.metrics["queue"]["depth"]
         for state in STATES:
             assert samples[f"repro_jobs_state_{state}"] == run.metrics["jobs"][state]

@@ -7,6 +7,7 @@ waiting); service-side behaviour runs against real in-process
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -17,7 +18,9 @@ from repro.chaos import seams
 from repro.chaos.faults import Fault, FaultInjector
 from repro.service import ServiceApp
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import COMPLETED, FAILED, RUNNING, Job, JobStore
+from repro.service.jobs import (
+    COMPLETED, FAILED, POISON_ATTEMPTS, RUNNING, Job, JobStore,
+)
 from repro.service.spec import ApiError, validate_submission
 from repro.storage.sharded import ShardedStore
 
@@ -237,7 +240,7 @@ class TestOverload:
 class TestStickyTerminalMarks:
     def test_first_terminal_mark_wins(self):
         job = Job(id="j1", spec={})
-        assert job.mark_completed({"kind": "points"}, {"executed": 1})
+        assert job.mark_completed({"executed": 1})
         assert not job.mark_failed("deadline_exceeded", "too late")
         assert job.state == COMPLETED
         assert job.error is None
@@ -245,7 +248,7 @@ class TestStickyTerminalMarks:
     def test_watchdog_failure_blocks_late_completion(self):
         job = Job(id="j2", spec={})
         assert job.mark_failed("deadline_exceeded", "too late")
-        assert not job.mark_completed({"kind": "points"}, {})
+        assert not job.mark_completed({})
         assert job.state == FAILED
         assert job.error["code"] == "deadline_exceeded"
 
@@ -288,11 +291,31 @@ class TestPoisonQuarantine:
             record = json.load(handle)
         assert record["error"]["code"] == "poisoned"
         assert record["fault_history"]
-        assert store.quarantined == 1
+        # ``quarantined`` counts undecodable records; ``jobs.poisoned``
+        # counts poisoned jobs.
+        assert store.quarantined == 0
         # The primary record stays, terminal, for /jobs queries.
         primary = store.load("badjob")
         assert primary is not None
         assert primary.state == FAILED
+
+    def test_job_poisoned_on_resume_is_not_an_unreadable_record(self, tmp_path):
+        job = Job(id="poisonjob000", spec={"points": []}, state=RUNNING,
+                  attempts=POISON_ATTEMPTS)
+        JobStore(str(tmp_path)).save(job)
+        messages = []
+        app = ServiceApp(cache_dir=str(tmp_path), progress=messages.append)
+        app.start()
+        try:
+            assert app.get_job(job.id).error["code"] == "poisoned"
+            assert app.job_store.quarantined == 0
+            assert app.metrics()["jobs"]["poisoned"] == 1
+            assert app.metrics()["job_store"]["quarantined"] == 0
+        finally:
+            app.stop()
+        assert not [line for line in messages if "unreadable" in line]
+        assert os.path.exists(os.path.join(
+            str(tmp_path), "jobs", "quarantine", f"{job.id}.json"))
 
 
 class TestEnospcDegradation:
@@ -350,6 +373,18 @@ class TestComponentHealth:
         health = app.health()
         assert health["status"] == "degraded"
         assert health["components"]["storage"]["status"] == "degraded"
+
+    def test_read_only_trace_store_degrades_health(self, tmp_path):
+        # Traces are the largest writes, so ENOSPC usually trips the
+        # trace store's own read-only flag first.
+        app = ServiceApp(cache_dir=str(tmp_path))
+        app.trace_store._disk._degrade(OSError(errno.ENOSPC, "disk full"))
+        health = app.health()
+        assert health["status"] == "degraded"
+        storage = health["components"]["storage"]
+        assert storage["status"] == "degraded"
+        assert storage["writable"] is False
+        assert storage["write_errors"] == 1
 
     def test_saturated_queue_degrades_health(self, tmp_path):
         app = ServiceApp(cache_dir=str(tmp_path), max_queue_depth=1)

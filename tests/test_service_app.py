@@ -7,6 +7,10 @@ failure injection and concurrency control deterministic.
 
 from __future__ import annotations
 
+import glob
+import json
+import os
+import shutil
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -26,6 +30,7 @@ from repro.service.jobs import (
 )
 from repro.service.spec import ApiError, validate_submission
 from repro.storage import ShardedStore
+from repro.storage import segment as seg
 
 #: A figure submission small enough for the full job to take ~a second.
 FIGURE_SPEC = {
@@ -158,7 +163,7 @@ class TestExecution:
         (expected,) = run_experiments(["figure6"], settings,
                                       store=ResultStore())
         expected.data.pop("elapsed_seconds", None)
-        (served,) = final.result["results"]
+        (served,) = app.job_result(job.id)["result"]["results"]
         assert served["data"] == expected.data
         assert served["body"] == expected.body
 
@@ -197,7 +202,7 @@ class TestExecution:
         job = app.submit(POINT_SPEC)
         final = wait_for(lambda: app.get_job(job.id))
         assert final.state == COMPLETED
-        entries = final.result["points"]
+        entries = app.job_result(job.id)["result"]["points"]
         assert len(entries) == 2
         for entry in entries:
             assert entry["stats"] is not None
@@ -227,13 +232,17 @@ class TestAdmissionAnswer:
         hits_before = app.store.counters()["memory_hits"]
         second = app.submit(FIGURE_SPEC)
         assert second.state == COMPLETED
-        assert second.result == app.get_job(first.id).result
         assert second.counters["cached"] == second.points["unique"]
         assert second.points["completed"] == second.points["unique"]
-        # The admission check does not count; the engine lookup and the
-        # assembly read do, one each per point, as on the executor path.
+        # The admission check does not count; the engine lookup does,
+        # once per point, as on the executor path.
+        assert (app.store.counters()["memory_hits"] - hits_before
+                == second.points["unique"])
+        # Rendering the result reads each point once more.
+        served = app.job_result(second.id)["result"]
         assert (app.store.counters()["memory_hits"] - hits_before
                 == 2 * second.points["unique"])
+        assert served == app.job_result(first.id)["result"]
         assert app.get_job(second.id) is second
         assert app.queue.depth() == 0
 
@@ -260,7 +269,7 @@ class TestAdmissionAnswer:
         assert job.state == COMPLETED
         assert job.counters["executed"] == 2
         assert [entry["stats"]["committed_instructions"]
-                for entry in job.result["points"]] == [200, 200]
+                for entry in app.job_result(job.id)["result"]["points"]] == [200, 200]
         assert JobStore(app.cache_dir).load(job.id).state == COMPLETED
 
     def test_event_log_reads_queued_running_completed(self, tmp_path):
@@ -440,6 +449,67 @@ class TestRestartResume:
             assert final.state == COMPLETED
         finally:
             second.stop()
+
+
+class TestRenderedResults:
+    """A job record holds no result: :meth:`ServiceApp.job_result`
+    renders it from the job's spec over the result store, in the app that
+    ran the job or in a fresh one on the same cache dir."""
+
+    def _complete_both(self, cache_dir):
+        app = ServiceApp(cache_dir=cache_dir, jobs=1)
+        app.start()
+        try:
+            jobs = [app.submit(FIGURE_SPEC), app.submit(POINT_SPEC)]
+            for job in jobs:
+                assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
+            served = {job.id: (app.job_result(job.id),
+                               app.job_result(job.id, fmt="csv"))
+                      for job in jobs}
+        finally:
+            app.stop()
+        return jobs, served
+
+    def test_job_log_records_carry_no_result(self, tmp_path):
+        jobs, _ = self._complete_both(str(tmp_path))
+        records = []
+        for path in glob.glob(str(tmp_path / "jobs" / "shard-*" / "seg-*.log")):
+            for record in seg.scan_segment(path)[0]:
+                records.append(json.loads(seg.read_data(
+                    path, record.data_offset, record.data_len)))
+        assert {record["id"] for record in records} == {job.id for job in jobs}
+        assert COMPLETED in {record["state"] for record in records}
+        assert not [record for record in records if "result" in record]
+
+    def test_fresh_app_serves_the_same_results(self, tmp_path):
+        jobs, served = self._complete_both(str(tmp_path))
+        fresh = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        fresh.start()
+        try:
+            for job in jobs:
+                assert (fresh.job_result(job.id),
+                        fresh.job_result(job.id, fmt="csv")) == served[job.id]
+        finally:
+            fresh.stop()
+
+    def test_lost_points_answer_result_unavailable(self, tmp_path):
+        (_, points_job), _ = self._complete_both(str(tmp_path))
+        shards = ShardedStore(str(tmp_path / "results"))
+        for point in validate_submission(POINT_SPEC).plan_points():
+            shard = shards.shard_of(point.store_key())
+            shutil.rmtree(os.path.join(shards.root, f"shard-{shard:02x}"),
+                          ignore_errors=True)
+        fresh = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        fresh.start()
+        try:
+            assert fresh.get_job(points_job.id).state == COMPLETED
+            for fmt in ("json", "csv"):
+                with pytest.raises(ApiError) as excinfo:
+                    fresh.job_result(points_job.id, fmt=fmt)
+                assert excinfo.value.status == 409
+                assert excinfo.value.code == "result_unavailable"
+        finally:
+            fresh.stop()
 
 
 class TestDrain:

@@ -4,8 +4,9 @@ A real ``python -m repro.service serve`` process is SIGTERMed while an
 explicit-points job is between point evaluations.  The drain contract:
 the in-flight job finishes before the process exits (exit code 0,
 terminal record on disk), and every point it computed is persisted — a
-later service on the same cache tree answers the same submission
-entirely from the store, with ``executed == 0``, at admission.
+later service on the same cache tree renders the drained job's result
+and answers the same submission entirely from the store, with
+``executed == 0``, at admission.
 """
 
 from __future__ import annotations
@@ -94,24 +95,26 @@ def test_sigterm_drain_mid_job_reused_on_resume(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=300.0) == 0
 
-        # The drained job is terminal *on disk* with its full result.
+        # The drained job is terminal *on disk* with its counters.
         drained = JobStore(cache).load(job_id)
         assert drained.state == COMPLETED, drained.error
         assert int(drained.counters["executed"]) == len(POINTS_PAYLOAD["points"])
-        drained_ipcs = _ipcs(drained.result)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30.0)
 
-    # Resume on the same cache tree: every point is stored, so the same
-    # submission is answered at admission with zero points executed.
+    # Resume on the same cache tree: the drained job's result renders
+    # from the stored points, and the same submission is answered at
+    # admission with zero points executed.
     app = ServiceApp(cache_dir=cache, jobs=1, job_concurrency=1)
     app.start()
     try:
+        drained_ipcs = _ipcs(app.job_result(job_id)["result"])
+        assert len(drained_ipcs) == len(POINTS_PAYLOAD["points"])
         resumed = app.submit(POINTS_PAYLOAD)
         assert resumed.state == COMPLETED, resumed.error
         assert int(resumed.counters["executed"]) == 0
-        assert _ipcs(resumed.result) == drained_ipcs
+        assert _ipcs(app.job_result(resumed.id)["result"]) == drained_ipcs
     finally:
         app.stop(drain=True, timeout=60.0)

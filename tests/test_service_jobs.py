@@ -37,16 +37,25 @@ class TestJobModel:
         job.points["requested"] = 6
         job.points["unique"] = 3
         job.mark_running()
-        job.mark_completed({"kind": "figures", "results": []},
-                           {"executed": 3, "cached": 0})
-        payload = job.to_dict(include_result=True)
+        job.mark_completed({"executed": 3, "cached": 0})
+        payload = job.to_dict()
         clone = Job.from_dict(payload)
         assert clone.id == job.id
         assert clone.state == COMPLETED
         assert clone.points == job.points
         assert clone.counters == {"executed": 3, "cached": 0}
-        assert clone.result == {"kind": "figures", "results": []}
         assert clone.submitted_at == job.submitted_at
+        assert clone.to_dict() == payload
+
+    def test_record_with_a_result_still_loads(self):
+        # Records written before results were rendered from the result
+        # store carry the assembled result; it is ignored, not an error.
+        job = make_job()
+        job.mark_completed({"executed": 0, "cached": 3})
+        payload = job.to_dict()
+        clone = Job.from_dict({**payload, "result": {"kind": "figures"}})
+        assert clone.state == COMPLETED
+        assert clone.to_dict() == payload
 
     def test_to_dict_embeds_schema_and_version(self):
         payload = make_job().to_dict()
@@ -54,7 +63,7 @@ class TestJobModel:
         from repro import __version__
 
         assert payload["version"] == __version__
-        assert "result" not in payload  # status payloads stay small
+        assert "result" not in payload  # rendered from the result store
 
     def test_failed_records_cause(self):
         job = make_job()
@@ -110,7 +119,7 @@ class TestJobStore:
         assert loaded.state == RUNNING
         assert fresh.quarantined == 0
         # The next save truncates the torn bytes and lands intact.
-        job.mark_completed({"kind": "figures", "results": []}, {})
+        job.mark_completed({})
         fresh.save(job)
         assert JobStore(str(tmp_path)).load(job.id).state == COMPLETED
 
@@ -132,7 +141,7 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         job = make_job("d" * 12)
         job_log(str(tmp_path)).put("e" * 12, json.dumps(
-            job.to_dict(include_result=True)
+            job.to_dict()
         ).encode("utf-8"))
         assert store.load_changed() == []
         assert store.quarantined == 1
@@ -142,10 +151,9 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         job = make_job("a" * 12)
         job.mark_running()
-        job.mark_completed({"kind": "figures", "results": [{"ipc": 1.25}]},
-                           {"executed": 0, "cached": 3})
+        job.mark_completed({"executed": 0, "cached": 3})
         store.save(job)
-        expected = json.dumps(job.to_dict(include_result=True), default=str)
+        expected = json.dumps(job.to_dict(), default=str)
         assert job_log(str(tmp_path)).get(job.id) == expected.encode("utf-8")
 
     def test_save_overwrites_atomically(self, tmp_path):
@@ -201,7 +209,7 @@ class TestJobStore:
         assert [job.id for job in loaded] == [first.id, second.id]
 
     def test_second_resolution_record_still_loads(self, tmp_path):
-        payload = make_job("0" * 12).to_dict(include_result=True)
+        payload = make_job("0" * 12).to_dict()
         payload["submitted_at"] = "2020-01-01T00:00:00+00:00"
         payload["spec"]["deadline_s"] = 30
         job_log(str(tmp_path)).put("0" * 12,
@@ -248,7 +256,7 @@ class TestJobLogPolling:
         for index in range(history):
             job = make_job(f"{index:012x}")
             job.mark_running()
-            job.mark_completed({"kind": "figures", "results": []}, {})
+            job.mark_completed({})
             writer.save(job)
         decoded = []
         original = Job.from_dict.__func__
@@ -290,7 +298,7 @@ class TestJobQueue:
         queue = JobQueue()
         done = make_job("4" * 12)
         done.mark_running()
-        done.mark_completed({}, {})
+        done.mark_completed({})
         queue.add(done, enqueue=False)
         assert queue.get(done.id) is done
         assert queue.depth() == 0

@@ -8,8 +8,8 @@ This suite is the proof behind the traffic-grade claims:
   returned is durable, the torn tail is skipped by readers and
   truncated away by the next writer;
 * store-level claims (the primitive under job leases) conflict until
-  they expire, yield to a stored value and compact, while the result
-  store itself holds only values;
+  they expire and compact, while the result store itself holds only
+  values;
 * a service replica killed mid-job has its lease expire and the job is
   stolen and completed by a surviving replica, with the dead replica's
   finished points served from the shared cache.
@@ -283,15 +283,6 @@ class TestClaims:
         clock[0] += 11.0  # the claim expires; b may now take it
         ok, holder = store.claim("aa" * 32, "replica-b", ttl=10.0)
         assert ok and holder == "replica-b"
-
-    def test_put_supersedes_claim(self, tmp_path):
-        store = ShardedStore(str(tmp_path / "s"), num_shards=1)
-        key = "bb" * 32
-        assert store.claim(key, "replica-a", ttl=60.0)[0]
-        store.put(key, b"result")
-        assert store.claim_holder(key) is None
-        # With a value present, claiming reports "just read it".
-        assert store.claim(key, "replica-b", ttl=60.0) == (False, None)
 
     def test_claim_and_release_records_alone_compact(self, tmp_path, monkeypatch):
         """A keyspace that only ever holds claims (job leases) stays
