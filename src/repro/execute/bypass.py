@@ -9,9 +9,10 @@ avoids "holes": once a value leaves the bypass network it is already
 readable from the register file).
 
 This module encapsulates that arithmetic.  How operands are actually
-delivered is counted elsewhere: the pipeline reports it in
-``SimulationStats.operands_from_bypass``/``operands_from_file``, and the
-non-bypass caching policy reads ``ValueState.consumed_via_bypass``.
+delivered is counted elsewhere: each register file's ``claim_reads``
+counts it (summed into ``SimulationStats.operands_from_bypass`` and
+``operands_from_file``) and sets ``ValueState.consumed_via_bypass``,
+which the non-bypass caching policy reads.
 """
 
 from __future__ import annotations

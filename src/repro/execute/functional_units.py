@@ -48,7 +48,7 @@ _GROUP_FOR_CLASS: dict[OpClass, str] = {
 }
 
 #: Operation classes whose units are NOT pipelined (busy for the full latency).
-_UNPIPELINED_CLASSES = frozenset({OpClass.INT_DIV, OpClass.FP_DIV})
+UNPIPELINED_CLASSES = frozenset({OpClass.INT_DIV, OpClass.FP_DIV})
 
 
 @dataclass
@@ -71,8 +71,10 @@ class FunctionalUnitPool:
             "fp_div": _Group(self.config.fp_div),
             "load_store": _Group(self.config.load_store),
         }
-        # Resolve op class -> group once; ``can_issue``/``issue`` run for
-        # every issued instruction.
+        # Resolve op class -> group once.  The pipeline's issue stage reads
+        # this map for every issued instruction and books the unit in
+        # place: one more ``issued_this_cycle``, ``idle`` cleared and, for
+        # an ``UNPIPELINED_CLASSES`` operation, its end in ``busy_until``.
         self._group_for_class: dict[OpClass, _Group] = {
             op_class: self._groups[name]
             for op_class, name in _GROUP_FOR_CLASS.items()
@@ -112,28 +114,3 @@ class FunctionalUnitPool:
             if busy_cycle > cycle:
                 available -= 1
         return available > 0
-
-    def issue(self, op_class: OpClass, cycle: int, latency: int) -> None:
-        """Record that an operation started executing this cycle.
-
-        Callers must have checked :meth:`can_issue`; issuing beyond
-        capacity raises ``ConfigurationError`` to surface scheduler bugs.
-        """
-        if not self.can_issue(op_class, cycle):
-            raise ConfigurationError(
-                f"no free {_GROUP_FOR_CLASS[op_class]} unit at cycle {cycle}"
-            )
-        self.issue_unchecked(op_class, cycle, latency)
-
-    def issue_unchecked(self, op_class: OpClass, cycle: int, latency: int) -> None:
-        """:meth:`issue` without re-running the availability check.
-
-        The pipeline's issue stage calls :meth:`can_issue` moments before
-        committing to the issue (with no intervening FU state change), so
-        re-checking inside :meth:`issue` doubled the per-issue cost.
-        """
-        group = self._group_for_class[op_class]
-        group.issued_this_cycle += 1
-        self.idle = False
-        if op_class in _UNPIPELINED_CLASSES:
-            group.busy_until.append(cycle + latency)

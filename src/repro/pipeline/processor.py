@@ -16,32 +16,42 @@ Implementation note: ``run`` is the hottest loop of the repository — the
 whole experiment harness is bounded by it — so the stage methods trade a
 little indirection for speed: one in-flight record
 (:class:`~repro.execute.issue_queue.IssueQueueEntry`) per instruction,
-from rename to commit — the renamer fills its physical registers, the
-window builds its operand accesses once, and the same object sits in
+from rename to commit — the renamer fills its physical registers,
+dispatch builds its operand accesses once, and the same object sits in
 the window and the ROB and is what a completion and the commit observer
 carry, so no stage looks an instruction up by sequence number or
-allocates a second record; collaborator containers that are never
-rebound (window entries, ROB, scoreboard states) are read directly; the
-select loop is one flat loop with its collaborators bound once per
-cycle, and a select attempt allocates nothing; and stages are skipped
-outright on the cycles where their input queues are provably empty.
+allocates a second record; the select loop is one flat loop with its
+collaborators bound once per cycle, and a select attempt allocates
+nothing; and stages are skipped outright on the cycles where their input
+queues are provably empty.
 
-The per-instruction path also makes no Python call that nobody wrote
-on purpose: state read every cycle is a plain attribute, not a
-property (the frontend's ``exhausted`` and ``blocked``, the register
-files' and FU pool's ``idle``, which lets a cycle skip their
-``begin_cycle``); one-line hops are inlined where they run per attempt
-(``IssueQueue.defer``, the oldest-entry check, ``FunctionalUnitPool.can_issue``
-without busy dividers, ``ValueScoreboard.allocate``); register-file hooks
-that are no-ops on a model (``on_issue``, ``release``) are resolved once
-per processor; and physical registers, interned by the renamer, are
-compared by identity.  Hot functions read enum members through
-module-level constants bound once (``_LOAD``), never as ``OpClass.LOAD``,
-an attribute read CPython 3.11 does not specialize
-(``tests/test_hot_path_enum_reads.py`` lists the functions).  Every
-change here is guarded by the golden-stats parity tests
-(``tests/test_golden_stats.py``): optimizations must leave
-``SimulationStats`` bit-identical.
+The stages own the per-instruction bookkeeping of the structures they
+drive, in place and with the checks those structures' methods made:
+dispatch inserts into the window (operand accesses, waiter and consumer
+lists), the ROB and the load/store queue, each with its overflow or
+program-order check; issue selects, removes the entry from the window
+("issued twice"), wakes its waiting consumers and books the functional
+unit; commit pops the ROB head and drops a committed store from the
+queue's address index.  The register files count the operand reads
+they deliver (:meth:`~repro.regfile.base.RegisterFileModel.claim_reads`),
+and ``SimulationStats.operands_from_*`` is their sum.  Beyond that,
+the per-instruction path makes no Python call that nobody wrote on
+purpose: state read every cycle is a plain attribute, not a property
+(the frontend's ``exhausted`` and ``blocked``, the register files' and
+FU pool's ``idle``, which lets a cycle skip their ``begin_cycle``);
+one-line hops are inlined where they run per attempt (deferring an
+entry, the oldest-entry check, ``FunctionalUnitPool.can_issue``
+without busy dividers, ``ValueScoreboard.allocate``); register-file
+hooks that are no-ops on a model (``on_issue``, ``release``) are
+resolved once per processor; and physical registers, interned by the
+renamer, are compared by identity.  Hot functions read enum members
+through module-level constants bound once (``_LOAD``), never as
+``OpClass.LOAD``, an attribute read CPython 3.11 does not specialize
+(``tests/test_hot_path_enum_reads.py`` lists the functions), and
+``tests/test_hot_path_calls.py`` caps the Python-level calls per
+committed instruction.  Every change here is guarded by the
+golden-stats parity tests (``tests/test_golden_stats.py``):
+optimizations must leave ``SimulationStats`` bit-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
-from repro.execute.functional_units import FunctionalUnitPool
+from repro.execute.functional_units import UNPIPELINED_CLASSES, FunctionalUnitPool
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.rob import ReorderBuffer
 from repro.execute.scoreboard import ValueScoreboard, ValueState
@@ -64,14 +74,13 @@ from repro.memsys.cache import CacheModel
 from repro.memsys.lsq import LoadStoreQueue
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
-from repro.regfile.base import OperandSource, RegisterFileModel
+from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
 
 # Enum members bound once.  The enum metaclass defines ``__getattr__``
 # (CPython 3.11), so a read such as ``OpClass.LOAD`` takes a slow
 # attribute path the specializing interpreter never specializes; a
 # module global read is several times cheaper.
-_BYPASS = OperandSource.BYPASS
 _FILE = OperandSource.FILE
 _MISS = OperandSource.MISS
 _NOT_READY = OperandSource.NOT_READY
@@ -127,9 +136,11 @@ class Processor:
         self._seed_architected_registers()
 
         self.window = IssueQueue(
-            self.config.instruction_window, self.scoreboard, self.bypass,
+            self.config.instruction_window, self.scoreboard,
             track_consumers=int_rf.needs_consumer_index,
         )
+        # Producer end of execution -> a consumer's earliest execute cycle.
+        self._consumer_offset = self.bypass.earliest_consumer_execute(0)
         self.rob = ReorderBuffer(self.config.rob_size)
         self.lsq = LoadStoreQueue(self.config.lsq_size)
         self.fu_pool = FunctionalUnitPool(self.config.functional_units)
@@ -277,13 +288,22 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _commit_stage(self, cycle: int) -> None:
+        """Retire up to ``commit_width`` completed entries from the ROB head.
+
+        Commit is in program order: an entry leaves only from the head, so
+        a completed entry waits behind an older incomplete one, and it
+        commits at the earliest one cycle after it completes (write-back
+        and commit are separate stages).
+        """
         stats = self.stats
         observer = self.commit_observer
+        rob_entries = self.rob._entries
         renamer = self.renamer
         int_free = renamer._int_free
         fp_free = renamer._fp_free
         sb_states = self._sb_states
         lsq = self.lsq
+        stores_at = lsq.stores_at
         int_rf = self._int_rf
         fp_rf = self._fp_rf
         release_hooks = self._release_hooks
@@ -291,7 +311,12 @@ class Processor:
         committed = stats.committed_instructions
         width = min(self.config.commit_width,
                     self.config.max_instructions - committed)
-        for entry in self.rob.retire(width, cycle):
+        while width > 0 and rob_entries:
+            entry = rob_entries[0]
+            if not entry.completed or entry.complete_cycle >= cycle:
+                break
+            rob_entries.popleft()
+            width -= 1
             # Inlined ``renamer.commit``: release the previous mapping of
             # the committed destination.
             released = entry.previous_dest
@@ -311,10 +336,23 @@ class Processor:
             instruction = entry.instruction
             op_class = instruction.op_class
             if op_class is _STORE:
-                self.dcache.access(instruction.mem_address or 0, is_write=True)
-                lsq.release(entry.seq)
+                address = instruction.mem_address
+                self.dcache.access(address, is_write=True)
+                # Stores leave the queue in program order, so this one is
+                # the oldest queued store to its address.
+                stores = stores_at.get(address)
+                if stores is None or stores[0] != entry.seq:
+                    raise SimulationError(
+                        f"store {entry.seq} is not the oldest queued store "
+                        f"to address {address}"
+                    )
+                if len(stores) == 1:
+                    del stores_at[address]
+                else:
+                    del stores[0]
+                lsq.occupancy -= 1
             elif op_class is _LOAD:
-                lsq.release(entry.seq)
+                lsq.occupancy -= 1
             committed += 1
             if observer is not None:
                 observer.on_commit(entry, cycle)
@@ -364,25 +402,30 @@ class Processor:
         """Select up to ``issue_width`` window entries, oldest first.
 
         Every candidate is attempted in order and each check runs in a
-        fixed order — load ordering, operand plan, upper-level fill, FU,
-        read ports — because failed attempts have side effects the
-        statistics see: stall counters, and the register file cache's
-        pseudo-LRU touches while planning.  An attempt allocates nothing:
-        it re-plans the accesses its entry built at dispatch, and counters
-        are summed in locals and added once per cycle.
+        fixed order — operand plan, upper-level fill, FU, read ports —
+        because failed attempts have side effects the statistics see:
+        stall counters, and the register file cache's pseudo-LRU touches
+        while planning.  An attempt allocates nothing: it re-plans the
+        accesses its entry built at dispatch, and counters are summed in
+        locals and added once per cycle.  A load never waits for older
+        store addresses: the stream gives every store its address at
+        dispatch (see :mod:`repro.memsys.lsq`).
+
+        Select, the window removal, the wakeup of the waiting consumers
+        and the functional-unit booking run here in place, on the
+        window's and the FU pool's own structures.
         """
         window = self.window
-        candidates = window.schedulable(cycle)
-        if not candidates:
-            return
-        issue_width = self.config.issue_width
+        window_entries = window._entries
         read_stages = self.read_stages
+        ex_start = cycle + read_stages
+        issue_width = self.config.issue_width
         next_cycle = cycle + 1
-        lsq = self.lsq
-        dcache = self.dcache
         fu_pool = self.fu_pool
-        fu_can_issue = fu_pool.can_issue
         fu_groups = fu_pool._group_for_class
+        waiters = window._waiters
+        consumers = window._consumers if window.track_consumers else None
+        consumer_offset = self._consumer_offset
         issue_hooks = self._issue_hooks
         completions = self._completions
         int_rf = self._int_rf
@@ -391,24 +434,23 @@ class Processor:
         fp_plan = fp_rf.plan_operand_read
         not_ready = _NOT_READY
         miss = _MISS
-        via_bypass = _BYPASS
         load = _LOAD
         store = _STORE
         issued = 0
         stalls_fu = 0
         stalls_ports = 0
-        from_bypass = 0
-        from_file = 0
-        for entry in candidates:
+        # Select, oldest first without sorting: insertion order is program
+        # order (see ``IssueQueue._entries``), and issued entries leave the
+        # window on selection, so every resident entry is unissued.  The
+        # loop walks a copy, and testing each entry when it is reached
+        # selects the entries that were ready when the cycle began: an
+        # entry woken by a producer issued this cycle cannot execute by
+        # ``ex_start``.
+        for entry in list(window_entries.values()):
+            if entry.pending or entry.earliest_ex_cycle > ex_start:
+                continue
             instruction = entry.instruction
             op_class = instruction.op_class
-
-            if op_class is load and not lsq.load_may_issue(entry.seq):
-                # Inlined ``window.defer(entry, next_cycle)``, as below.
-                earliest = next_cycle + read_stages
-                if earliest > entry.earliest_ex_cycle:
-                    entry.earliest_ex_cycle = earliest
-                continue
 
             # Operand read planning, in source order, in place on the
             # accesses built at dispatch.
@@ -424,6 +466,7 @@ class Processor:
                 if source is miss:
                     missing = True
             if retry is not None:
+                # Defer: no execution before the retry cycle's read.
                 earliest = retry + read_stages
                 if earliest > entry.earliest_ex_cycle:
                     entry.earliest_ex_cycle = earliest
@@ -436,7 +479,7 @@ class Processor:
             # matters while an unpipelined divide is in flight.
             group = fu_groups[op_class]
             if group.issued_this_cycle >= group.count or (
-                    group.busy_until and not fu_can_issue(op_class, cycle)):
+                    group.busy_until and not fu_pool.can_issue(op_class, cycle)):
                 stalls_fu += 1
                 continue
             int_accesses = entry.int_accesses
@@ -448,38 +491,47 @@ class Processor:
                 stalls_ports += 1
                 continue
 
-            # Issue: claim the read ports and record how operands arrive.
+            # Issue: claim the read ports.  The models also count how the
+            # operands arrive and each value's reads.
             if int_accesses:
                 int_rf.claim_reads(int_accesses)
             if fp_accesses:
                 fp_rf.claim_reads(fp_accesses)
-            for access in entry.accesses:
-                state = access.state
-                state.reads += 1
-                if access.source is via_bypass:
-                    state.consumed_via_bypass = True
-                    from_bypass += 1
-                else:
-                    from_file += 1
 
             # Execution latency: the common (non-memory) case is a plain
             # field read, and loads are the only class with real work.
             if op_class is load:
                 address = instruction.mem_address or 0
-                if lsq.forwarding_store(entry.seq, address) is not None:
+                if self.lsq.forwarding_store(entry.seq, address) is not None:
                     latency = 2  # address generation + forward from the store queue
                 else:
-                    latency = 1 + dcache.access(address).latency
+                    latency = 1 + self.dcache.access(address).latency
             elif op_class is store:
                 latency = 1  # address generation; data is written at commit
             else:
                 latency = instruction.latency or 1
-            fu_pool.issue_unchecked(op_class, cycle, latency)
+            # Book the unit; ``fu_pool.idle`` is cleared once, below.
+            group.issued_this_cycle += 1
+            if op_class in UNPIPELINED_CLASSES:
+                group.busy_until.append(cycle + latency)
             ex_end = cycle + read_stages + latency - 1
 
-            # No LSQ update here: a store's address went in at dispatch,
-            # and nothing reads a load's.
-            window.mark_issued(entry)
+            # Leave the window.  Waiter lists need no cleaning: the entry
+            # was selectable only once every list it waited on was popped.
+            if entry.issued:
+                raise SimulationError(f"instruction {entry.seq} issued twice")
+            entry.issued = True
+            del window_entries[entry.seq]
+            if consumers is not None:
+                for register in entry.sources:
+                    uid = register.uid
+                    waiting = consumers.get(uid)
+                    if waiting is None:
+                        continue
+                    if entry in waiting:
+                        waiting.remove(entry)
+                    if not waiting:
+                        del consumers[uid]
 
             dest = entry.dest
             if dest is not None:
@@ -487,7 +539,20 @@ class Processor:
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {dest}")
                 state.ex_end_cycle = ex_end
-                window.wakeup(dest, ex_end)
+                # Wakeup: the producer's end of execution is now known, so
+                # its whole waiter list learns when the value can be used.
+                uid = dest.uid
+                waiting = waiters.pop(uid, None)
+                if waiting is not None:
+                    available = ex_end + consumer_offset
+                    for waiter in waiting:
+                        if waiter.issued:
+                            continue
+                        pending = waiter.pending
+                        if pending is not None:
+                            pending.discard(uid)
+                        if available > waiter.earliest_ex_cycle:
+                            waiter.earliest_ex_cycle = available
                 if issue_hooks:
                     (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
                         entry, cycle, window, self.scoreboard
@@ -504,12 +569,11 @@ class Processor:
             if issued >= issue_width:
                 break
 
+        if issued:
+            fu_pool.idle = False
         stats = self.stats
         stats.issue_stalls_fu += stalls_fu
         stats.issue_stalls_ports += stalls_ports
-        if from_bypass or from_file:
-            stats.operands_from_bypass += from_bypass
-            stats.operands_from_file += from_file
 
     def _handle_upper_level_misses(self, entry: IssueQueueEntry, cycle: int) -> None:
         """Fetch-on-demand: bring missing operands up over the buses.
@@ -538,7 +602,8 @@ class Processor:
                     latest_completion = max(latest_completion or 0, completion)
             elif is_oldest and source is _FILE:
                 (int_rf if access.is_int else fp_rf).pin_operand(access.register)
-        # Inlined ``window.defer``.
+        # Defer: no execution before the fills complete (or, with no
+        # fill started, before the next cycle's read).
         until = cycle + 1 if latest_completion is None else latest_completion
         earliest = until + self.read_stages
         if earliest > entry.earliest_ex_cycle:
@@ -549,6 +614,12 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _dispatch_stage(self, cycle: int) -> None:
+        """Rename up to ``decode_width`` decoded instructions and insert
+        them into the window, the ROB and, for loads and stores, the LSQ.
+
+        The insertions run here in place, each with its own overflow or
+        program-order check.
+        """
         decode_queue = self._decode_queue
         stats = self.stats
         decode_width = self.config.decode_width
@@ -558,14 +629,19 @@ class Processor:
         window = self.window
         window_entries = window._entries
         window_capacity = window.capacity
+        waiters = window._waiters
+        consumers = window._consumers if window.track_consumers else None
         lsq = self.lsq
-        lsq_entries = lsq._entries
         lsq_capacity = lsq.capacity
+        stores_at = lsq.stores_at
         renamer = self.renamer
         rename = renamer.rename
         sb_states = self._sb_states
-        rob_dispatch = rob.dispatch
-        window_dispatch = window.dispatch
+        offset = self._consumer_offset
+        # An instruction cannot be selected in the cycle it is dispatched;
+        # the earliest issue is the next cycle, hence the earliest execute
+        # is ``dispatch + 1 + read_stages``.
+        dispatch_earliest = cycle + 1 + self.read_stages
         # Direct free-list views for the inlined ``renamer.can_rename``.
         int_free = renamer._int_free._free
         fp_free = renamer._fp_free._free
@@ -587,7 +663,7 @@ class Processor:
             if window_room <= 0:
                 stats.dispatch_stalls_window += 1
                 break
-            if is_memory and len(lsq_entries) >= lsq_capacity:
+            if is_memory and lsq.occupancy >= lsq_capacity:
                 stats.dispatch_stalls_lsq += 1
                 break
             # Inlined ``renamer.can_rename``.
@@ -601,24 +677,94 @@ class Processor:
             decode_queue.popleft()
             # One in-flight record per instruction, from rename to commit.
             entry = rename(IssueQueueEntry(instruction, fetched))
+            seq = entry.seq
             dest = entry.dest
             if dest is not None:
                 # Inlined ``scoreboard.allocate``.
-                state = entry.dest_state = ValueState(dest, instruction.seq)
+                state = entry.dest_state = ValueState(dest, seq)
                 sb_states[dest.uid] = state
-            rob_dispatch(window_dispatch(entry, cycle))
+
+            # Window insert: one operand access per source, built once;
+            # the entry joins the consumer list of every source (when the
+            # window keeps one) and the waiter list of every source whose
+            # producer has not issued.
+            if len(window_entries) >= window_capacity:
+                raise SimulationError("issue queue overflow")
+            earliest = dispatch_earliest
+            sources = entry.sources
+            if sources:
+                accesses = []
+                int_count = 0
+                for register in sources:
+                    uid = register.uid
+                    if consumers is not None:
+                        consumer_list = consumers.get(uid)
+                        if consumer_list is None:
+                            consumers[uid] = [entry]
+                        else:
+                            consumer_list.append(entry)
+                    state = sb_states.get(uid)
+                    if state is None:
+                        raise SimulationError(f"no scoreboard state for {register}")
+                    access = OperandAccess(register, state)
+                    accesses.append(access)
+                    if access.is_int:
+                        int_count += 1
+                    ex_end = state.ex_end_cycle
+                    if ex_end is not None:
+                        if ex_end + offset > earliest:
+                            earliest = ex_end + offset
+                    else:
+                        if entry.pending is None:
+                            entry.pending = {uid}
+                        else:
+                            entry.pending.add(uid)
+                        waiter_list = waiters.get(uid)
+                        if waiter_list is None:
+                            waiters[uid] = [entry]
+                        else:
+                            waiter_list.append(entry)
+                entry.accesses = accesses
+                # Most instructions read one register file only; they share
+                # the source-order list instead of copying it.
+                if int_count == len(accesses):
+                    entry.int_accesses = accesses
+                elif not int_count:
+                    entry.fp_accesses = accesses
+                else:
+                    entry.int_accesses = [a for a in accesses if a.is_int]
+                    entry.fp_accesses = [a for a in accesses if not a.is_int]
+            entry.earliest_ex_cycle = earliest
+            window_entries[seq] = entry
+
+            # ROB append, in program order.
+            if len(rob_entries) >= rob_capacity:
+                raise SimulationError("ROB overflow")
+            if rob_entries and rob_entries[-1].seq >= seq:
+                raise SimulationError("ROB entries must be dispatched in program order")
+            rob_entries.append(entry)
             rob_room -= 1
             window_room -= 1
+
             if is_memory:
-                is_store = op_class is _STORE
-                lsq.insert(instruction.seq, is_store)
-                if is_store and instruction.mem_address is not None:
+                if lsq.occupancy and lsq.youngest >= seq:
+                    raise SimulationError("LSQ entries must be inserted in program order")
+                lsq.occupancy += 1
+                lsq.youngest = seq
+                if op_class is _STORE:
                     # Store addresses are produced by the address-generation
                     # part of the store, which does not wait for the store
                     # data; the stream already carries the effective
                     # address, so younger loads are only delayed by real
                     # same-address conflicts (store→load forwarding).
-                    lsq.set_address(instruction.seq, instruction.mem_address)
+                    address = instruction.mem_address
+                    if address is None:
+                        raise SimulationError(f"store {seq} has no address at dispatch")
+                    stores = stores_at.get(address)
+                    if stores is None:
+                        stores_at[address] = [seq]
+                    else:
+                        stores.append(seq)
             dispatched += 1
 
         if dispatched:
@@ -668,6 +814,12 @@ class Processor:
         self.stats.dcache_hits = self.dcache.hits
         self.stats.dcache_misses = self.dcache.misses
         self.stats.loads_forwarded = self.lsq.forwarded_loads
+        # The register files count how the operands they delivered
+        # arrived; those counts are the only ones.
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
+        self.stats.operands_from_bypass = int_rf.reads_from_bypass + fp_rf.reads_from_bypass
+        self.stats.operands_from_file = int_rf.reads_from_file + fp_rf.reads_from_file
         regfile_stats: Dict[str, int] = {}
         for reg_class, regfile in self._regfiles.items():
             for key, value in regfile.statistics().items():

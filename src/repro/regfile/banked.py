@@ -66,7 +66,7 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         self.idle = True
         # statistics
         self.reads_from_bypass = 0
-        self.reads_from_banks = 0
+        self.reads_from_file = 0  # reported as ``reads_from_banks``
         self.read_port_stalls = 0
         self.bank_conflicts = 0
 
@@ -128,15 +128,18 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         demand = self._bank_demand
         touched = self._banks_touched
         for access in accesses:
+            state = access.state
+            state.reads += 1
             source = access.source
             if source is _FILE:
                 bank = access.bank
                 if demand[bank] == 0:
                     touched.append(bank)
                 demand[bank] += 1
-                self.reads_from_banks += 1
+                self.reads_from_file += 1
             elif source is _BYPASS:
                 self.reads_from_bypass += 1
+                state.consumed_via_bypass = True
         for bank in touched:
             needed = demand[bank]
             demand[bank] = 0
@@ -166,7 +169,7 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
     def statistics(self) -> dict:
         return {
             "reads_from_bypass": self.reads_from_bypass,
-            "reads_from_banks": self.reads_from_banks,
+            "reads_from_banks": self.reads_from_file,
             "read_port_stalls": self.read_port_stalls,
             "bank_conflicts": self.bank_conflicts,
         }

@@ -100,6 +100,12 @@ class RegisterFileModel(ABC):
     #: to true in ``begin_cycle``; the pipeline skips the call while it
     #: is true.  The default, false, means "call every cycle".
     idle: bool = False
+    #: Operands this file delivered from its (uppermost) bank and from the
+    #: bypass network; :meth:`claim_reads` counts them, and the pipeline
+    #: sums them over both files into ``SimulationStats.operands_from_file``
+    #: and ``operands_from_bypass``.
+    reads_from_file: int = 0
+    reads_from_bypass: int = 0
 
     # ------------------------------------------------------------------
     # per-cycle bookkeeping
@@ -131,7 +137,10 @@ class RegisterFileModel(ABC):
 
     @abstractmethod
     def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
-        """Consume read ports for the FILE accesses in ``accesses``."""
+        """Issue the reads of ``accesses``: consume read ports for the FILE
+        accesses, count every access's value read (``state.reads``), mark
+        bypassed values (``state.consumed_via_bypass``) and add the
+        accesses to :attr:`reads_from_file` / :attr:`reads_from_bypass`."""
 
     # ------------------------------------------------------------------
     # fills / prefetches (register file cache only; default no-ops)

@@ -102,7 +102,7 @@ class RegisterFileCache(RegisterFileModel):
         )
         # statistics
         self.reads_from_bypass = 0
-        self.reads_from_upper = 0
+        self.reads_from_file = 0  # reported as ``reads_from_upper``
         self.upper_misses = 0
         self.demand_fills = 0
         self.prefetch_fills = 0
@@ -217,6 +217,8 @@ class RegisterFileCache(RegisterFileModel):
         upper_slots = self._upper_slots
         read_pinned = self._read_pinned
         for access in accesses:
+            state = access.state
+            state.reads += 1
             source = access.source
             if source is _FILE:
                 needed += 1
@@ -230,9 +232,10 @@ class RegisterFileCache(RegisterFileModel):
                     read_pinned.discard(uid)
             elif source is _BYPASS:
                 bypassed += 1
+                state.consumed_via_bypass = True
                 if read_pinned:
                     read_pinned.discard(access.register.uid)
-        self.reads_from_upper += needed
+        self.reads_from_file += needed
         self.reads_from_bypass += bypassed
         if needed:
             self.upper_read_ports.claim_capped(needed)
@@ -336,7 +339,7 @@ class RegisterFileCache(RegisterFileModel):
     def statistics(self) -> dict:
         return {
             "reads_from_bypass": self.reads_from_bypass,
-            "reads_from_upper": self.reads_from_upper,
+            "reads_from_upper": self.reads_from_file,
             "upper_misses": self.upper_misses,
             "demand_fills": self.demand_fills,
             "prefetch_fills": self.prefetch_fills,

@@ -119,12 +119,16 @@ class SingleBankedRegisterFile(RegisterFileModel):
         needed = 0
         bypassed = 0
         for access in accesses:
+            state = access.state
+            state.reads += 1
             source = access.source
             if source is _FILE:
                 needed += 1
             elif source is _BYPASS:
                 bypassed += 1
-        if needed:
+                state.consumed_via_bypass = True
+        # Unlimited ports keep no budget, so the file stays idle.
+        if needed and self.read_ports.count is not None:
             self.read_ports.claim_capped(needed)
             self.idle = False
         self.reads_from_file += needed
@@ -139,8 +143,10 @@ class SingleBankedRegisterFile(RegisterFileModel):
         cycle: int,
         window,
     ) -> int:
-        write_cycle = self.writes.schedule(cycle)
-        return write_cycle
+        writes = self.writes
+        if writes.ports_per_cycle is None:
+            return cycle  # no port to wait for
+        return writes.schedule(cycle)
 
     # ------------------------------------------------------------------
 

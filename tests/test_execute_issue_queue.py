@@ -1,123 +1,139 @@
-"""Unit tests for the issue queue (instruction window)."""
+"""Unit tests for the issue queue (instruction window).
+
+The pipeline's dispatch stage inserts into the window and its issue
+stage selects, removes and wakes up in place, so these tests run those
+stages on hand-built instructions (see ``staged_pipeline.py``).
+"""
 
 import pytest
 
+from staged_pipeline import StagedPipeline, op
+
 from repro.errors import SimulationError
-from repro.execute.bypass import BypassNetwork
-from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
-from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.assembler import assemble
-from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
+from repro.isa.instruction import int_reg
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
+from repro.regfile.cache import RegisterFileCache
 from repro.regfile.monolithic import SingleBankedRegisterFile
-from repro.rename.renamer import PhysicalRegister
-
-
-def _phys(index):
-    return PhysicalRegister(RegisterClass.INT, index)
-
-
-def _renamed(seq, dest=None, sources=()):
-    inst = DynamicInstruction(
-        seq=seq, op_class=OpClass.INT_ALU,
-        dest=INT_LOGICAL_REGISTERS[1] if dest is not None else None,
-        sources=tuple(INT_LOGICAL_REGISTERS[2] for _ in sources),
-    )
-    return IssueQueueEntry(
-        instruction=inst,
-        dest=_phys(dest) if dest is not None else None,
-        sources=tuple(_phys(s) for s in sources),
-    )
-
-
-def _queue(capacity=8, read_stages=1, bypass_levels=1):
-    scoreboard = ValueScoreboard()
-    bypass = BypassNetwork(read_stages, bypass_levels)
-    return IssueQueue(capacity, scoreboard, bypass), scoreboard
 
 
 class TestDispatchAndWakeup:
     def test_ready_at_dispatch_when_operands_available(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        entry = queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=5)
+        pipe = StagedPipeline()
+        [entry] = pipe.dispatch(5, op(0, dest=int_reg(1), sources=[int_reg(2)]))
         assert not entry.pending
+        assert pipe.window._entries[0] is entry
         # Not selectable in the dispatch cycle, selectable from the next one.
-        assert queue.schedulable(5) == []
-        assert queue.schedulable(6) == [entry]
+        pipe.issue(5)
+        assert not entry.issued
+        pipe.issue(6)
+        assert entry.issued
 
     def test_waits_for_unproduced_operand(self):
-        queue, scoreboard = _queue()
-        scoreboard.allocate(_phys(50), producer_seq=0)
-        entry = queue.dispatch(_renamed(1, dest=41, sources=(50,)), cycle=0)
-        assert entry.pending
-        assert queue.schedulable(10) == []
-        became_ready = queue.wakeup(_phys(50), ex_end_cycle=7)
-        assert became_ready == [entry]
-        # With one read stage and full bypass, execution can start at 8,
-        # i.e. issue at cycle 7.
-        assert queue.schedulable(7) == [entry]
-        assert queue.schedulable(6) == []
+        pipe = StagedPipeline()
+        producer, consumer = pipe.dispatch(
+            0, op(0, dest=int_reg(1)), op(1, dest=int_reg(3), sources=[int_reg(1)]))
+        assert consumer.pending and not producer.pending
+        assert pipe.window._waiters[producer.dest.uid] == [consumer]
+        # The producer executes in cycle 2; with one read stage and full
+        # bypass the consumer can execute in 3, i.e. issue in 2.  It was
+        # not ready when cycle 1 began, so it does not issue then.
+        pipe.issue(1)
+        assert producer.issued and not consumer.issued
+        assert not consumer.pending and consumer.earliest_ex_cycle == 3
+        assert producer.dest.uid not in pipe.window._waiters
+        pipe.issue(2)
+        assert consumer.issued
 
     def test_wakeup_with_missing_bypass_level_delays_consumer(self):
-        queue, scoreboard = _queue(read_stages=2, bypass_levels=1)
-        scoreboard.allocate(_phys(50), producer_seq=0)
-        entry = queue.dispatch(_renamed(1, dest=41, sources=(50,)), cycle=0)
-        queue.wakeup(_phys(50), ex_end_cycle=7)
-        # earliest execute = 7 + 1 + (2-1) = 9 -> earliest issue = 7
-        assert entry.earliest_ex_cycle == 9
-        assert queue.schedulable(7) == [entry]
+        pipe = StagedPipeline(lambda: SingleBankedRegisterFile(latency=2, bypass_levels=1))
+        producer, consumer = pipe.dispatch(
+            0, op(0, dest=int_reg(1)), op(1, dest=int_reg(3), sources=[int_reg(1)]))
+        pipe.issue(1)
+        # The producer ends executing in cycle 3; earliest consumer execute
+        # = 3 + 1 + (2-1) = 5 -> earliest issue = 3.
+        assert producer.issued
+        assert consumer.earliest_ex_cycle == 5
+        pipe.issue(2)
+        assert not consumer.issued
+        pipe.issue(3)
+        assert consumer.issued
 
     def test_overflow(self):
-        queue, scoreboard = _queue(capacity=1)
-        scoreboard.seed_architected(_phys(1))
-        queue.dispatch(_renamed(0, dest=40), cycle=0)
-        assert queue.full
-        with pytest.raises(SimulationError):
-            queue.dispatch(_renamed(1, dest=41), cycle=0)
+        pipe = StagedPipeline(instruction_window=1)
+        dispatched = pipe.dispatch(0, op(0, dest=int_reg(1)), op(1, dest=int_reg(2)))
+        assert len(dispatched) == 1
+        assert len(pipe.window._entries) == pipe.window.capacity
+        assert pipe.stats.dispatch_stalls_window == 1
+        assert pipe.stats.max_window_occupancy == 1
 
 
 class TestSelect:
     def test_oldest_first_ordering(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        older = queue.dispatch(_renamed(5, dest=41, sources=(1,)), cycle=0)
-        younger = queue.dispatch(_renamed(6, dest=42, sources=(1,)), cycle=0)
-        assert queue.schedulable(3) == [older, younger]
+        pipe = StagedPipeline(issue_width=1)
+        older, younger = pipe.dispatch(
+            0,
+            op(5, dest=int_reg(1), sources=[int_reg(2)]),
+            op(6, dest=int_reg(3), sources=[int_reg(2)]),
+        )
+        pipe.issue(1)
+        assert older.issued and not younger.issued
+        pipe.issue(2)
+        assert younger.issued
 
     def test_mark_issued_removes_entry(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        entry = queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=0)
-        queue.mark_issued(entry)
-        assert len(queue) == 0
-        assert queue.schedulable(5) == []
-        with pytest.raises(SimulationError):
-            queue.mark_issued(entry)
+        pipe = StagedPipeline()
+        [entry] = pipe.dispatch(0, op(0, dest=int_reg(1), sources=[int_reg(2)]))
+        pipe.issue(1)
+        assert entry.issued
+        assert not pipe.window._entries
+        # An issued entry that finds its way back into the window is
+        # refused when it is selected again.
+        pipe.window._entries[entry.seq] = entry
+        with pytest.raises(SimulationError, match="issued twice"):
+            pipe.issue(2)
 
     def test_defer_delays_selection(self):
-        queue, scoreboard = _queue()
-        scoreboard.seed_architected(_phys(1))
-        entry = queue.dispatch(_renamed(0, dest=40, sources=(1,)), cycle=0)
-        queue.defer(entry, until_cycle=10)
-        assert queue.schedulable(5) == []
-        assert queue.schedulable(10) == [entry]
+        # The architected value of r2 sits only in the lower level of a
+        # register file cache: the first attempt starts a fill and defers
+        # the entry until the fill completes.
+        pipe = StagedPipeline(RegisterFileCache)
+        [entry] = pipe.dispatch(0, op(0, dest=int_reg(1), sources=[int_reg(2)]))
+        pipe.issue(1)
+        assert not entry.issued
+        assert pipe.stats.issue_stalls_fill == 1
+        # Lower-level read + upper-level write: readable from cycle 3,
+        # executing from cycle 4.
+        assert entry.earliest_ex_cycle == 4
+        pipe.issue(2)
+        assert not entry.issued
+        pipe.issue(3)
+        assert entry.issued
+        assert pipe.stats.issue_stalls_fill == 1
 
 
 class TestConsumersIndex:
     def test_waiting_consumers_of(self):
-        queue, scoreboard = _queue()
-        scoreboard.allocate(_phys(50), producer_seq=0)
-        scoreboard.seed_architected(_phys(1))
-        a = queue.dispatch(_renamed(1, dest=41, sources=(50,)), cycle=0)
-        b = queue.dispatch(_renamed(2, dest=42, sources=(50, 1)), cycle=0)
-        consumers = queue.waiting_consumers_of(_phys(50))
-        assert {entry.seq for entry in consumers} == {1, 2}
-        queue.mark_issued(a)
-        consumers = queue.waiting_consumers_of(_phys(50))
-        assert {entry.seq for entry in consumers} == {2}
+        # The register file cache's policies read the consumer index.
+        pipe = StagedPipeline(RegisterFileCache)
+        producer, divide, first, second = pipe.dispatch(
+            0,
+            op(0, dest=int_reg(1)),
+            op(1, OpClass.INT_DIV, dest=int_reg(3)),
+            op(2, dest=int_reg(4), sources=[int_reg(1)]),
+            op(3, dest=int_reg(5), sources=[int_reg(1), int_reg(3)]),
+        )
+        consumers = pipe.window.waiting_consumers_of(producer.dest)
+        assert [entry.seq for entry in consumers] == [2, 3]
+        pipe.issue(1)
+        assert producer.issued and divide.issued
+        # ``first`` catches the producer on the bypass; ``second`` waits
+        # for the 14-cycle divide.
+        pipe.issue(2)
+        assert first.issued and not second.issued
+        assert pipe.window.waiting_consumers_of(producer.dest) == [second]
 
     def test_max_occupancy_tracked(self):
         # The pipeline's statistics report the window's peak occupancy: a

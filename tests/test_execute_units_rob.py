@@ -1,15 +1,24 @@
-"""Unit tests for functional units, ROB, scoreboard and bypass model."""
+"""Unit tests for functional units, ROB, scoreboard and bypass model.
+
+The pipeline books functional units at issue and pops the ROB head at
+commit in place, so the unit and ROB tests run the stages on hand-built
+instructions (see ``staged_pipeline.py``) or whole simulations with a
+commit observer.
+"""
 
 import pytest
 
+from staged_pipeline import CommitRecorder, StagedPipeline, op
+
 from repro.errors import ConfigurationError, SimulationError
 from repro.execute.bypass import BypassNetwork
-from repro.execute.functional_units import FunctionalUnitConfig, FunctionalUnitPool
-from repro.execute.issue_queue import IssueQueueEntry
-from repro.execute.rob import ReorderBuffer
+from repro.execute.functional_units import FunctionalUnitConfig
 from repro.execute.scoreboard import ValueScoreboard, ValueState
-from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
+from repro.isa.instruction import RegisterClass, fp_reg, int_reg
 from repro.isa.opcodes import OpClass
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import simulate
+from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.rename.renamer import PhysicalRegister
 
 
@@ -24,112 +33,122 @@ class TestFunctionalUnits:
             FunctionalUnitConfig(simple_int=0)
 
     def test_issue_limit_per_cycle(self):
-        pool = FunctionalUnitPool(FunctionalUnitConfig(simple_int=2))
-        pool.begin_cycle(0)
-        pool.issue(OpClass.INT_ALU, 0, 1)
-        pool.issue(OpClass.INT_ALU, 0, 1)
-        assert not pool.can_issue(OpClass.INT_ALU, 0)
-        with pytest.raises(ConfigurationError):
-            pool.issue(OpClass.INT_ALU, 0, 1)
+        pipe = StagedPipeline(functional_units=FunctionalUnitConfig(simple_int=2))
+        entries = pipe.dispatch(0, *(op(seq, dest=int_reg(seq + 1)) for seq in range(3)))
+        pipe.issue(1)
+        assert [entry.issued for entry in entries] == [True, True, False]
+        assert pipe.stats.issue_stalls_fu == 1
+        assert not pipe.processor.fu_pool.can_issue(OpClass.INT_ALU, 1)
+        pipe.issue(2)
+        assert entries[2].issued
 
     def test_pipelined_units_free_next_cycle(self):
-        pool = FunctionalUnitPool(FunctionalUnitConfig(simple_fp=1))
-        pool.begin_cycle(0)
-        pool.issue(OpClass.FP_MUL, 0, 2)
-        pool.begin_cycle(1)
-        assert pool.can_issue(OpClass.FP_MUL, 1)
+        pipe = StagedPipeline(functional_units=FunctionalUnitConfig(simple_fp=1))
+        first, second = pipe.dispatch(0, op(0, OpClass.FP_MUL, dest=fp_reg(1)),
+                                      op(1, OpClass.FP_MUL, dest=fp_reg(2)))
+        pipe.issue(1)
+        assert first.issued and not second.issued
+        pipe.issue(2)
+        assert second.issued
 
     def test_divider_busy_for_full_latency(self):
-        pool = FunctionalUnitPool(FunctionalUnitConfig(fp_div=1))
-        pool.begin_cycle(0)
-        pool.issue(OpClass.FP_DIV, 0, 14)
-        pool.begin_cycle(5)
-        assert not pool.can_issue(OpClass.FP_DIV, 5)
-        pool.begin_cycle(14)
-        assert pool.can_issue(OpClass.FP_DIV, 14)
+        pipe = StagedPipeline(functional_units=FunctionalUnitConfig(fp_div=1))
+        first, second = pipe.dispatch(0, op(0, OpClass.FP_DIV, dest=fp_reg(1)),
+                                      op(1, OpClass.FP_DIV, dest=fp_reg(2)))
+        pipe.issue(1)
+        assert first.issued
+        for cycle in range(2, 15):
+            pipe.issue(cycle)
+            assert not second.issued, cycle
+        pipe.issue(15)  # the 14-cycle divide issued in cycle 1 is done
+        assert second.issued
+        assert pipe.stats.issue_stalls_fu == 14
 
     def test_branches_use_simple_int_units(self):
-        pool = FunctionalUnitPool(FunctionalUnitConfig(simple_int=1))
-        pool.begin_cycle(0)
-        pool.issue(OpClass.BRANCH, 0, 1)
-        assert not pool.can_issue(OpClass.INT_ALU, 0)
-        assert pool.can_issue(OpClass.INT_MUL, 0)
+        pipe = StagedPipeline(functional_units=FunctionalUnitConfig(simple_int=1))
+        branch, alu, multiply = pipe.dispatch(
+            0,
+            op(0, OpClass.BRANCH),
+            op(1, dest=int_reg(1)),
+            op(2, OpClass.INT_MUL, dest=int_reg(2)),
+        )
+        pipe.issue(1)
+        assert branch.issued and not alu.issued and multiply.issued
 
 
-def _entry(seq):
-    """An in-flight record as the pipeline dispatches it into the ROB."""
-    inst = DynamicInstruction(seq=seq, op_class=OpClass.INT_ALU,
-                              dest=INT_LOGICAL_REGISTERS[1])
-    return IssueQueueEntry(instruction=inst)
+def _commits(instructions, **config):
+    """Simulate ``instructions``; return the stats and ``(entry, cycle)`` commits."""
+    recorder = CommitRecorder()
+    stats = simulate(instructions, SingleBankedRegisterFile,
+                     ProcessorConfig(**config), commit_observer=recorder)
+    return stats, recorder.commits
 
 
-def _complete(entry, cycle):
-    """What write-back does to a completing record."""
-    entry.completed = True
-    entry.complete_cycle = cycle
+def _divide_then_adds(count):
+    """A 14-cycle divide followed by ``count`` independent 1-cycle adds."""
+    return [op(0, OpClass.INT_DIV, dest=int_reg(1))] + [
+        op(seq, dest=int_reg(2 + seq % 20)) for seq in range(1, count + 1)]
 
 
 class TestReorderBuffer:
     def test_dispatch_commit_in_order(self):
-        rob = ReorderBuffer(capacity=4)
-        first = rob.dispatch(_entry(0))
-        second = rob.dispatch(_entry(1))
-        _complete(first, 3)
-        _complete(second, 2)
-        assert list(rob.retire(width=4, cycle=4)) == [first, second]
-        assert rob.occupancy() == 0
-        assert list(rob.retire(width=4, cycle=5)) == []
+        stats, commits = _commits(_divide_then_adds(10))
+        assert [entry.seq for entry, _ in commits] == list(range(11))
+        assert stats.committed_instructions == 11
 
     def test_commit_blocked_by_incomplete_head(self):
-        rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_entry(0))
-        _complete(rob.dispatch(_entry(1)), 1)
-        assert list(rob.retire(width=4, cycle=5)) == []
-        assert rob.occupancy() == 2
+        _, commits = _commits(_divide_then_adds(4))
+        (divide, divide_commit), *adds = commits
+        for entry, cycle in adds:
+            # Each add completed long before the divide, yet commits with
+            # or after it.
+            assert entry.complete_cycle < divide.complete_cycle
+            assert cycle >= divide_commit
 
     def test_commit_width_respected(self):
-        rob = ReorderBuffer(capacity=16)
-        for seq in range(10):
-            _complete(rob.dispatch(_entry(seq)), 1)
-        assert [e.seq for e in rob.retire(width=4, cycle=3)] == [0, 1, 2, 3]
-        assert rob.occupancy() == 6
+        _, commits = _commits(_divide_then_adds(10), commit_width=4)
+        per_cycle = {}
+        for _, cycle in commits:
+            per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
+        # Everything waits for the divide at the head, then drains four
+        # per cycle.
+        assert [count for _, count in sorted(per_cycle.items())] == [4, 4, 3]
 
     def test_completion_cycle_gates_commit(self):
-        rob = ReorderBuffer(capacity=4)
-        _complete(rob.dispatch(_entry(0)), 5)
-        assert list(rob.retire(width=1, cycle=5)) == []
-        assert len(list(rob.retire(width=1, cycle=6))) == 1
+        _, commits = _commits(_divide_then_adds(10))
+        # Write-back and commit are separate stages: a completed entry
+        # commits one cycle after it completes at the earliest.
+        assert all(cycle > entry.complete_cycle for entry, cycle in commits)
+        divide, cycle = commits[0]
+        assert cycle == divide.complete_cycle + 1
 
     def test_overflow(self):
-        rob = ReorderBuffer(capacity=1)
-        rob.dispatch(_entry(0))
-        assert rob.full
-        with pytest.raises(SimulationError):
-            rob.dispatch(_entry(1))
+        stats, commits = _commits(_divide_then_adds(10), rob_size=4)
+        assert stats.max_rob_occupancy == 4
+        assert stats.dispatch_stalls_rob > 0
+        assert len(commits) == 11
 
     def test_program_order_enforced(self):
-        rob = ReorderBuffer(capacity=4)
-        rob.dispatch(_entry(3))
-        with pytest.raises(SimulationError):
-            rob.dispatch(_entry(1))
+        with pytest.raises(SimulationError, match="program order"):
+            _commits([op(3, dest=int_reg(1)), op(1, dest=int_reg(2))])
 
     def test_out_of_order_commit_rejected(self):
-        # Entries leave only from the head: a completed younger entry
-        # waits until the older one completes, then both commit in order.
-        rob = ReorderBuffer(capacity=4)
-        first = rob.dispatch(_entry(0))
-        second = rob.dispatch(_entry(1))
-        _complete(second, 1)
-        assert list(rob.retire(width=4, cycle=2)) == []
-        _complete(first, 2)
-        assert list(rob.retire(width=4, cycle=3)) == [first, second]
+        # Entries leave only from the head: younger entries that complete
+        # first wait for the older one, then all commit in order.
+        _, commits = _commits(_divide_then_adds(3))
+        completion_order = sorted(commits, key=lambda commit: commit[0].complete_cycle)
+        assert [entry.seq for entry, _ in completion_order] == [1, 2, 3, 0]
+        assert [entry.seq for entry, _ in commits] == [0, 1, 2, 3]
+        assert commits[0][1] == commits[-1][1]
 
     def test_holds_the_window_entry_itself(self):
-        rob = ReorderBuffer(capacity=4)
-        entry = _entry(0)
-        assert rob.dispatch(entry) is entry
-        _complete(entry, 0)
-        assert rob.retire(width=1, cycle=1)[0] is entry
+        pipe = StagedPipeline()
+        instruction = op(0, dest=int_reg(1))
+        [entry] = pipe.dispatch(0, instruction)
+        assert pipe.rob._entries[0] is entry is pipe.window._entries[0]
+        assert entry.instruction is instruction
+        _, commits = _commits([instruction])
+        assert commits[0][0].instruction is instruction
 
 
 class TestScoreboard:

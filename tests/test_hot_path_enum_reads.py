@@ -33,10 +33,6 @@ HOT_FUNCTIONS = [
     ("repro.pipeline.processor", "Processor._issue_stage"),
     ("repro.pipeline.processor", "Processor._handle_upper_level_misses"),
     ("repro.pipeline.processor", "Processor._dispatch_stage"),
-    ("repro.execute.issue_queue", "IssueQueue.dispatch"),
-    ("repro.execute.issue_queue", "IssueQueue.wakeup"),
-    ("repro.execute.issue_queue", "IssueQueue.schedulable"),
-    ("repro.execute.issue_queue", "IssueQueue.mark_issued"),
     ("repro.regfile.base", "OperandAccess.__init__"),
     ("repro.rename.renamer", "Renamer.rename"),
     ("repro.isa.instruction", "DynamicInstruction.__post_init__"),

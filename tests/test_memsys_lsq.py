@@ -1,10 +1,36 @@
-"""Unit tests for the load/store queue."""
+"""Unit tests for the load/store queue.
+
+The core is stream driven: every load and store carries its address, so
+the queue is an occupancy count plus an index of the queued stores by
+address, kept by the dispatch and commit stages.  These tests run those
+stages on hand-built instructions (see ``staged_pipeline.py``) or whole
+simulations of hand-built streams.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staged_pipeline import CommitRecorder, StagedPipeline, op
+
 from repro.errors import ConfigurationError, SimulationError
+from repro.isa.instruction import int_reg
+from repro.isa.opcodes import OpClass
 from repro.memsys.lsq import LoadStoreQueue
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import Processor, simulate
+from repro.regfile.monolithic import SingleBankedRegisterFile
+
+
+def _store(seq, address, data=2):
+    return op(seq, OpClass.STORE, sources=[int_reg(data), int_reg(5)], mem_address=address)
+
+
+def _load(seq, address, dest=3):
+    return op(seq, OpClass.LOAD, dest=int_reg(dest), sources=[int_reg(5)], mem_address=address)
+
+
+def _latency(entry, issue_cycle, read_stages=1):
+    return entry.dest_state.ex_end_cycle - issue_cycle - read_stages + 1
 
 
 class TestLSQBasics:
@@ -13,139 +39,150 @@ class TestLSQBasics:
             LoadStoreQueue(capacity=0)
 
     def test_insert_and_full(self):
-        lsq = LoadStoreQueue(capacity=2)
-        lsq.insert(0, is_store=False)
-        lsq.insert(1, is_store=True)
-        assert len(lsq) == lsq.capacity
-        with pytest.raises(SimulationError):
-            lsq.insert(2, is_store=False)
+        pipe = StagedPipeline(lsq_size=2)
+        dispatched = pipe.dispatch(0, _load(0, 0x100), _store(1, 0x200), _load(2, 0x300))
+        assert [entry.seq for entry in dispatched] == [0, 1]
+        assert pipe.lsq.occupancy == pipe.lsq.capacity
+        assert pipe.stats.dispatch_stalls_lsq == 1
+        assert pipe.lsq.stores_at == {0x200: [1]}
 
     def test_program_order_enforced(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(5, is_store=False)
-        with pytest.raises(SimulationError):
-            lsq.insert(3, is_store=True)
+        with pytest.raises(SimulationError, match="program order"):
+            simulate([_store(5, 0x200), _load(3, 0x200)], SingleBankedRegisterFile)
 
     def test_release_and_occupancy(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=True)
-        lsq.insert(1, is_store=False)
-        assert len(lsq) == 2
-        lsq.release(0)
-        assert len(lsq) == 1
-        lsq.release(12345)   # unknown seq is a no-op
-        assert len(lsq) == 1
+        stream = [_store(seq, 0x100 + 8 * (seq % 3)) if seq % 2 else _load(seq, 0x100)
+                  for seq in range(40)]
+        processor = Processor(stream, SingleBankedRegisterFile, ProcessorConfig(lsq_size=4))
+        stats = processor.run()
+        assert stats.committed_instructions == 40
+        assert stats.dispatch_stalls_lsq > 0
+        # Commit released every load and store.
+        assert processor.lsq.occupancy == 0
+        assert processor.lsq.stores_at == {}
 
 
 class TestOrderingRules:
-    def test_load_blocked_by_unknown_store_address(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=True)
-        lsq.insert(1, is_store=False)
-        assert not lsq.load_may_issue(1)
-        lsq.set_address(0, 0x100)
-        assert lsq.load_may_issue(1)
-
     def test_load_not_blocked_by_younger_store(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=False)
-        lsq.insert(1, is_store=True)
-        assert lsq.load_may_issue(0)
+        pipe = StagedPipeline()
+        load, store = pipe.dispatch(0, _load(0, 0x200), _store(1, 0x200))
+        pipe.issue(1)
+        assert load.issued and store.issued
+        # The younger store does not forward: the load reads the D-cache.
+        assert pipe.lsq.forwarded_loads == 0
+        assert _latency(load, issue_cycle=1) == 1 + pipe.processor.dcache.config.miss_latency
 
-    def test_set_address_unknown_entry(self):
-        lsq = LoadStoreQueue()
-        with pytest.raises(SimulationError):
-            lsq.set_address(7, 0x100)
+    def test_store_without_address_raises_at_dispatch(self):
+        store = _store(0, 0x200)
+        store.mem_address = None
+        with pytest.raises(SimulationError, match="no address"):
+            simulate([store], SingleBankedRegisterFile)
 
 
 class TestForwarding:
     def test_forwarding_from_matching_store(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=True)
-        lsq.set_address(0, 0x200)
-        lsq.insert(1, is_store=False)
-        assert lsq.forwarding_store(1, 0x200) == 0
-        assert lsq.forwarded_loads == 1
+        pipe = StagedPipeline()
+        store, load = pipe.dispatch(0, _store(0, 0x200), _load(1, 0x200))
+        pipe.issue(1)
+        assert store.issued and load.issued
+        assert pipe.lsq.forwarded_loads == 1
+        assert _latency(load, issue_cycle=1) == 2  # address generation + forward
 
     def test_no_forwarding_from_different_address(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=True)
-        lsq.set_address(0, 0x200)
-        lsq.insert(1, is_store=False)
-        assert lsq.forwarding_store(1, 0x300) is None
+        pipe = StagedPipeline()
+        _, load = pipe.dispatch(0, _store(0, 0x200), _load(1, 0x300))
+        assert pipe.lsq.forwarding_store(load.seq, 0x300) is None
+        pipe.issue(1)
+        assert pipe.lsq.forwarded_loads == 0
+        assert _latency(load, issue_cycle=1) == 1 + pipe.processor.dcache.config.miss_latency
 
     def test_youngest_older_store_wins(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=True)
-        lsq.set_address(0, 0x200)
-        lsq.insert(1, is_store=True)
-        lsq.set_address(1, 0x200)
-        lsq.insert(2, is_store=False)
-        assert lsq.forwarding_store(2, 0x200) == 1
+        pipe = StagedPipeline()
+        pipe.dispatch(0, _store(0, 0x200), _store(1, 0x200, data=3), _load(2, 0x200, dest=4))
+        assert pipe.lsq.stores_at == {0x200: [0, 1]}
+        assert pipe.lsq.forwarding_store(2, 0x200) == 1
 
     def test_no_forwarding_from_younger_store(self):
-        lsq = LoadStoreQueue()
-        lsq.insert(0, is_store=False)
-        lsq.insert(1, is_store=True)
-        lsq.set_address(1, 0x200)
-        assert lsq.forwarding_store(0, 0x200) is None
+        pipe = StagedPipeline()
+        pipe.dispatch(0, _load(0, 0x200), _store(1, 0x200))
+        assert pipe.lsq.forwarding_store(0, 0x200) is None
+        assert pipe.lsq.forwarded_loads == 0
+
+    def test_store_to_load_forwarding_in_a_hand_built_stream(self):
+        # A store, a load from its address and a load from elsewhere; the
+        # expected cycles are those the simulator gave when the queue
+        # still kept one record per load and store.
+        stream = [
+            op(0, dest=int_reg(2)),
+            _store(1, 0x200),
+            _load(2, 0x200, dest=3),
+            _load(3, 0x300, dest=4),
+        ]
+        recorder = CommitRecorder()
+        stats = simulate(stream, SingleBankedRegisterFile, commit_observer=recorder)
+        assert stats.loads_forwarded == 1
+        assert (stats.cycles, stats.dcache_hits, stats.dcache_misses) == (18, 0, 2)
+        loads = {entry.seq: entry for entry, _ in recorder.commits if entry.seq >= 2}
+        # Both loads issue in cycle 8: the forwarded one takes 2 cycles,
+        # the other a D-cache miss (1 + 6).
+        assert (loads[2].dest_state.ex_end_cycle, loads[2].complete_cycle) == (10, 11)
+        assert (loads[3].dest_state.ex_end_cycle, loads[3].complete_cycle) == (15, 16)
+        assert [cycle for _, cycle in recorder.commits] == [11, 12, 12, 17]
 
 
-class _LinearScanLSQ:
-    """Reference model: the ordering rules as a scan of the whole queue."""
+class _IndexScan:
+    """A commit observer that checks the queue against a scan of the ROB.
 
-    def __init__(self):
-        self.entries = {}  # seq -> [is_store, address_known], program order
+    The ROB holds exactly the loads and stores the queue does: both take
+    them at dispatch and drop them at commit, in program order.
+    """
 
-    def insert(self, seq, is_store):
-        self.entries[seq] = [is_store, False]
+    def __init__(self, processor) -> None:
+        self.processor = processor
+        self.stores_committed = 0
 
-    def set_address(self, seq):
-        self.entries[seq][1] = True
+    def on_commit(self, entry, cycle) -> None:
+        queued = [e.instruction for e in self.processor.rob._entries
+                  if e.instruction.op_class in (OpClass.LOAD, OpClass.STORE)]
+        index = {}
+        for instruction in queued:
+            if instruction.op_class is OpClass.STORE:
+                index.setdefault(instruction.mem_address, []).append(instruction.seq)
+        lsq = self.processor.lsq
+        assert lsq.occupancy == len(queued)
+        assert lsq.stores_at == index
+        if entry.instruction.op_class is OpClass.STORE:
+            self.stores_committed += 1
+            # The store that left was older than every store still queued
+            # at its address.
+            assert all(seq > entry.seq for seq in index.get(entry.instruction.mem_address, []))
 
-    def load_may_issue(self, seq):
-        for other_seq, (is_store, address_known) in self.entries.items():
-            if other_seq >= seq:
-                break
-            if is_store and not address_known:
-                return False
-        return True
-
-    def release(self, seq):
-        self.entries.pop(seq, None)
+    def final_digest(self) -> str:
+        return ""
 
 
-_OPS = ("insert", "set_address", "release", "query")
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ordering_check_matches_a_linear_scan(data):
-    """Random op sequences, including stores that never get an address."""
-    lsq = LoadStoreQueue(capacity=16)
-    reference = _LinearScanLSQ()
-    next_seq = 0
-    for _ in range(data.draw(st.integers(0, 60), label="length")):
-        op = data.draw(st.sampled_from(_OPS), label="op")
-        live = list(reference.entries)
-        if op == "insert":
-            if len(lsq) >= lsq.capacity:
-                continue
-            is_store = data.draw(st.booleans(), label="is_store")
-            lsq.insert(next_seq, is_store)
-            reference.insert(next_seq, is_store)
-            next_seq += data.draw(st.integers(1, 3), label="gap")
-        elif op == "set_address":
-            if not live:
-                continue
-            seq = data.draw(st.sampled_from(live), label="seq")
-            lsq.set_address(seq, data.draw(st.integers(0, 255), label="address"))
-            reference.set_address(seq)
-        elif op == "release":
-            seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
-            lsq.release(seq)
-            reference.release(seq)
+    """Random streams of loads, stores and adds over three addresses: after
+    every commit the queue's occupancy and per-address store index match a
+    linear scan of the in-flight instructions."""
+    stream = []
+    for seq in range(data.draw(st.integers(1, 40), label="length")):
+        kind = data.draw(st.sampled_from(["load", "store", "add"]), label="kind")
+        address = data.draw(st.sampled_from([0x100, 0x108, 0x110]), label="address")
+        if kind == "load":
+            stream.append(_load(seq, address, dest=data.draw(st.integers(1, 4), label="dest")))
+        elif kind == "store":
+            stream.append(_store(seq, address, data=data.draw(st.integers(1, 4), label="data")))
         else:
-            seq = data.draw(st.integers(-1, next_seq + 1), label="seq")
-            assert lsq.load_may_issue(seq) == reference.load_may_issue(seq)
-        assert len(lsq) == len(reference.entries)
+            stream.append(op(seq, dest=int_reg(data.draw(st.integers(1, 4), label="dest")),
+                             sources=[int_reg(data.draw(st.integers(1, 4), label="src"))]))
+    processor = Processor(stream, SingleBankedRegisterFile,
+                          ProcessorConfig(lsq_size=3, rob_size=6))
+    scan = _IndexScan(processor)
+    processor.commit_observer = scan
+    stats = processor.run()
+    assert stats.committed_instructions == len(stream)
+    assert scan.stores_committed == sum(i.op_class is OpClass.STORE for i in stream)
+    assert processor.lsq.occupancy == 0 and processor.lsq.stores_at == {}

@@ -1,11 +1,13 @@
 """The load/store queue's address index against a reference linear scan.
 
 ``LoadStoreQueue.forwarding_store`` reads a per-address index of the
-queued stores instead of scanning the queue.  A seeded random sequence
-of inserts, address updates (a store's address may be set twice, to a
-new value) and releases drives the queue and a plain list model side
-by side; every forwarding query and load-ordering check must
-agree with a scan of that list.
+queued stores, which the dispatch stage appends to and the commit stage
+pops from, instead of scanning the queue.  A seeded random stream of
+loads, stores and ALU operations over a few addresses runs through the
+pipeline, and every forwarding query the issue stage makes is checked
+against a scan of the reorder buffer, which holds exactly the loads and
+stores the queue does (both take them at dispatch and drop them at
+commit).
 """
 
 from __future__ import annotations
@@ -14,89 +16,101 @@ import random
 
 import pytest
 
-from repro.memsys.lsq import LoadStoreQueue
+from repro.isa.instruction import DynamicInstruction, int_reg
+from repro.isa.opcodes import OpClass
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import Processor
+from repro.regfile.monolithic import SingleBankedRegisterFile
 
 ADDRESSES = [0x100 + 8 * i for i in range(6)]
 
 
-class ReferenceQueue:
-    """The queue as a program-ordered list, queried by linear scans."""
+def random_stream(rng: random.Random, count: int) -> list:
+    stream = []
+    for seq in range(count):
+        kind = rng.random()
+        if kind < 0.35:
+            stream.append(
+                DynamicInstruction(
+                    seq=seq,
+                    op_class=OpClass.STORE,
+                    sources=(int_reg(rng.randint(1, 8)), int_reg(9)),
+                    mem_address=rng.choice(ADDRESSES),
+                )
+            )
+        elif kind < 0.7:
+            stream.append(
+                DynamicInstruction(
+                    seq=seq,
+                    op_class=OpClass.LOAD,
+                    dest=int_reg(rng.randint(1, 8)),
+                    sources=(int_reg(9),),
+                    mem_address=rng.choice(ADDRESSES),
+                )
+            )
+        else:
+            stream.append(
+                DynamicInstruction(
+                    seq=seq,
+                    op_class=rng.choice([OpClass.INT_ALU, OpClass.INT_MUL]),
+                    dest=int_reg(rng.randint(1, 8)),
+                    sources=(int_reg(rng.randint(1, 8)),),
+                )
+            )
+    return stream
 
-    def __init__(self) -> None:
-        self.entries = []
+
+class CheckedQueue:
+    """Wraps a processor's ``forwarding_store`` with a reference scan."""
+
+    def __init__(self, processor: Processor) -> None:
+        self.processor = processor
+        self.lsq = processor.lsq
+        self.forward = processor.lsq.forwarding_store
+        self.queries = 0
         self.forwarded_loads = 0
 
-    def insert(self, seq, is_store):
-        self.entries.append({"seq": seq, "store": is_store, "address": None})
+    def queued(self) -> list:
+        """The loads and stores in flight, oldest first."""
+        memory = (OpClass.LOAD, OpClass.STORE)
+        return [
+            entry.instruction
+            for entry in self.processor.rob._entries
+            if entry.instruction.op_class in memory
+        ]
 
-    def set_address(self, seq, address):
-        for entry in self.entries:
-            if entry["seq"] == seq:
-                entry["address"] = address
-
-    def release(self, seq):
-        self.entries = [e for e in self.entries if e["seq"] != seq]
-
-    def forwarding_store(self, seq, address):
+    def __call__(self, seq: int, address: int):
+        queued = self.queued()
         best = None
-        for entry in self.entries:
-            if entry["seq"] >= seq:
-                break
-            if entry["store"] and entry["address"] == address:
-                best = entry["seq"]
+        index = {}
+        for instruction in queued:
+            if instruction.op_class is OpClass.STORE:
+                index.setdefault(instruction.mem_address, []).append(instruction.seq)
+                if instruction.seq < seq and instruction.mem_address == address:
+                    best = instruction.seq
+        assert self.lsq.occupancy == len(queued)
+        assert self.lsq.stores_at == index
         if best is not None:
             self.forwarded_loads += 1
+        self.queries += 1
+        assert self.forward(seq, address) == best
         return best
-
-    def load_may_issue(self, seq):
-        unresolved = [e["seq"] for e in self.entries if e["store"] and e["address"] is None]
-        return not unresolved or unresolved[0] >= seq
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_index_matches_linear_scan(seed):
     rng = random.Random(seed)
-    lsq = LoadStoreQueue(capacity=12)
-    reference = ReferenceQueue()
-    next_seq = 0
-    for _ in range(400):
-        queued = [e["seq"] for e in reference.entries]
-        op = rng.random()
-        if op < 0.3:
-            if len(lsq) < lsq.capacity:
-                next_seq += rng.randint(1, 3)
-                is_store = rng.random() < 0.6
-                lsq.insert(next_seq, is_store)
-                reference.insert(next_seq, is_store)
-        elif op < 0.55 and queued:
-            # Includes second calls for the same store, with a new address
-            # or the same one.
-            seq = rng.choice(queued)
-            address = rng.choice(ADDRESSES)
-            lsq.set_address(seq, address)
-            reference.set_address(seq, address)
-        elif op < 0.7 and queued:
-            seq = rng.choice(queued)
-            lsq.release(seq)
-            reference.release(seq)
-        else:
-            seq = rng.randint(max(0, next_seq - 12), next_seq + 2)
-            address = rng.choice(ADDRESSES)
-            expected = reference.forwarding_store(seq, address)
-            assert lsq.forwarding_store(seq, address) == expected
-            assert lsq.load_may_issue(seq) == reference.load_may_issue(seq)
-        assert lsq.forwarded_loads == reference.forwarded_loads
-        assert len(lsq) == len(reference.entries)
-    assert reference.forwarded_loads > 0
-
-
-def test_readdressed_store_forwards_only_from_its_new_address():
-    lsq = LoadStoreQueue()
-    lsq.insert(1, is_store=True)
-    lsq.set_address(1, 0x100)
-    lsq.set_address(1, 0x200)
-    assert lsq.forwarding_store(5, 0x100) is None
-    assert lsq.forwarding_store(5, 0x200) == 1
-    lsq.release(1)
-    assert lsq.forwarding_store(5, 0x200) is None
-    assert lsq.forwarded_loads == 1
+    processor = Processor(
+        random_stream(rng, 400),
+        SingleBankedRegisterFile,
+        ProcessorConfig(lsq_size=12, rob_size=24),
+    )
+    checked = CheckedQueue(processor)
+    processor.lsq.forwarding_store = checked
+    stats = processor.run()
+    assert stats.committed_instructions == 400
+    assert checked.queries > 0
+    assert stats.loads_forwarded == checked.forwarded_loads
+    assert checked.forwarded_loads > 0
+    assert processor.lsq.occupancy == 0
+    assert processor.lsq.stores_at == {}

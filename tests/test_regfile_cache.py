@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.execute.bypass import BypassNetwork
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueScoreboard
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
@@ -28,7 +27,16 @@ def _phys(index):
 
 def _window():
     scoreboard = ValueScoreboard()
-    return IssueQueue(32, scoreboard, BypassNetwork(1, 1)), scoreboard
+    return IssueQueue(32, scoreboard), scoreboard
+
+
+def _wait_in_window(window, entry):
+    """Put ``entry`` in the window the way the dispatch stage does for the
+    policies: as a window entry and a consumer of each of its sources."""
+    window._entries[entry.seq] = entry
+    for register in entry.sources:
+        window._consumers.setdefault(register.uid, []).append(entry)
+    return entry
 
 
 def _produced_state(scoreboard, index, ex_end, rf_ready):
@@ -205,7 +213,7 @@ class TestWritebackPolicies:
                                                     INT_LOGICAL_REGISTERS[2])),
             dest=_phys(50), sources=(producer_reg, other_ready),
         )
-        window.dispatch(consumer, cycle=2)
+        _wait_in_window(window, consumer)
         cache.writeback(producer_reg, producer_state, cycle=6, window=window)
         assert cache.present_in_upper(producer_reg)
 
@@ -222,7 +230,7 @@ class TestWritebackPolicies:
                                                     INT_LOGICAL_REGISTERS[2])),
             dest=_phys(50), sources=(producer_reg, pending),
         )
-        window.dispatch(consumer, cycle=2)
+        _wait_in_window(window, consumer)
         cache.writeback(producer_reg, producer_state, cycle=6, window=window)
         assert not cache.present_in_upper(producer_reg)
 
@@ -288,8 +296,8 @@ class TestPrefetchFirstPair:
                                                     INT_LOGICAL_REGISTERS[6])),
             dest=_phys(51), sources=(dest, other),
         )
-        producer_entry = window.dispatch(producer, cycle=0)
-        window.dispatch(consumer, cycle=0)
+        producer_entry = _wait_in_window(window, producer)
+        _wait_in_window(window, consumer)
         cache.on_issue(producer_entry, cycle=3, window=window, scoreboard=scoreboard)
         assert cache.prefetch_fills == 1
         assert cache.fill_in_flight(other) is not None
@@ -314,8 +322,8 @@ class TestPrefetchFirstPair:
                                                     INT_LOGICAL_REGISTERS[6])),
             dest=_phys(51), sources=(dest, other),
         )
-        producer_entry = window.dispatch(producer, cycle=0)
-        window.dispatch(consumer, cycle=0)
+        producer_entry = _wait_in_window(window, producer)
+        _wait_in_window(window, consumer)
         cache.on_issue(producer_entry, cycle=3, window=window, scoreboard=scoreboard)
         assert cache.prefetch_fills == 0
 
@@ -329,6 +337,6 @@ class TestPrefetchFirstPair:
                                            dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        entry = window.dispatch(producer, cycle=0)
+        entry = _wait_in_window(window, producer)
         cache.on_issue(entry, cycle=3, window=window, scoreboard=scoreboard)
         assert cache.prefetch_fills == 0
