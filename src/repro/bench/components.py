@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict
 
-from repro.execute.scoreboard import ValueScoreboard
+from repro.execute.scoreboard import ValueState
 from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import RegisterClass
 from repro.memsys.cache import CacheConfig, CacheModel
@@ -67,13 +67,9 @@ def pseudo_lru_operations() -> int:
 
 def register_file_cache_writeback_path() -> int:
     """Write back 128 results through the register file cache."""
-    scoreboard = ValueScoreboard()
     registers = [PhysicalRegister(RegisterClass.INT, i) for i in range(128)]
-    states = []
-    for index, register in enumerate(registers):
-        state = scoreboard.allocate(register, producer_seq=index)
-        state.ex_end_cycle = index
-        states.append(state)
+    states = [ValueState(register, producer_seq=index, ex_end_cycle=index)
+              for index, register in enumerate(registers)]
     cache = RegisterFileCache(caching_policy=AlwaysCaching())
     for cycle, (register, state) in enumerate(zip(registers, states)):
         cache.begin_cycle(cycle)

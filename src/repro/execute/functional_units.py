@@ -75,7 +75,7 @@ class FunctionalUnitPool:
         # this map for every issued instruction and books the unit in
         # place: one more ``issued_this_cycle``, ``idle`` cleared and, for
         # an ``UNPIPELINED_CLASSES`` operation, its end in ``busy_until``.
-        self._group_for_class: dict[OpClass, _Group] = {
+        self.group_for_class: dict[OpClass, _Group] = {
             op_class: self._groups[name]
             for op_class, name in _GROUP_FOR_CLASS.items()
         }
@@ -104,7 +104,7 @@ class FunctionalUnitPool:
 
     def can_issue(self, op_class: OpClass, cycle: int) -> bool:
         """Whether a unit for ``op_class`` can accept a new operation now."""
-        group = self._group_for_class[op_class]
+        group = self.group_for_class[op_class]
         available = group.count - group.issued_this_cycle
         if available <= 0:
             return False

@@ -11,10 +11,12 @@ physical register, the list of waiting consumers so that
   prefetch-first-pair scheme can ask which consumers of a value exist in
   the window and whether they are ready.
 
-Insertion, wakeup and select run once or more per simulated
-instruction, so the pipeline's dispatch and issue stages
-(:mod:`repro.pipeline.processor`) do them in place on the window's
-dictionaries rather than through a method call each.
+The window also holds the timing state of every live physical
+register's value (:attr:`IssueQueue.values`), which the stages and the
+register-file policies read.  Insertion, wakeup and select run once or
+more per simulated instruction, so the pipeline's dispatch and issue
+stages (:mod:`repro.pipeline.processor`) do them in place on the
+window's dictionaries rather than through a method call each.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.execute.scoreboard import ValueScoreboard, ValueState
+from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import DynamicInstruction
 from repro.regfile.base import OperandAccess
 from repro.rename.renamer import PhysicalRegister
@@ -65,7 +67,7 @@ class IssueQueueEntry:
         self.sources = sources
         self.dest = dest
         self.previous_dest = previous_dest
-        #: Scoreboard state of ``dest``, resolved once at dispatch.
+        #: Value state of ``dest``, created at dispatch.
         self.dest_state: Optional[ValueState] = None
         #: ``uid``s of source registers whose producer completion time is
         #: not yet known.  ``None`` until the first pending source appears
@@ -82,7 +84,7 @@ class IssueQueueEntry:
         #: same accesses split by register file; all built once at
         #: dispatch.  Issue attempts re-plan each access in place every
         #: retry and hand the per-class lists to the port checks, so a
-        #: select attempt allocates nothing.  The scoreboard state an
+        #: select attempt allocates nothing.  The value state an
         #: access holds is stable from allocation to release, and a source
         #: register cannot be released while a consumer still waits (its
         #: releaser commits after the consumer).
@@ -98,20 +100,14 @@ class IssueQueue:
     """Bounded out-of-order issue window.
 
     The window is the state the pipeline's dispatch and issue stages work
-    on in place — entries, waiter lists and consumer lists — plus the
-    consumer query of the caching and prefetch policies.
+    on in place — entries, waiter lists, consumer lists and value states
+    — plus the consumer query of the caching and prefetch policies.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        scoreboard: ValueScoreboard,
-        track_consumers: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int, track_consumers: bool = True) -> None:
         if capacity <= 0:
             raise ConfigurationError("issue queue capacity must be positive")
         self.capacity = capacity
-        self.scoreboard = scoreboard
         #: Whether the per-register consumer index is maintained.  Only
         #: the register-file-cache policies query it
         #: (:meth:`waiting_consumers_of`); the pipeline disables it for
@@ -126,16 +122,22 @@ class IssueQueue:
         #: the select loop relies on this instead of sorting every cycle.
         #: The dictionary object is never rebound (the pipeline hot loop
         #: holds a direct reference to it).
-        self._entries: Dict[int, IssueQueueEntry] = {}
+        self.entries: Dict[int, IssueQueueEntry] = {}
         #: ``PhysicalRegister.uid`` -> the entries waiting for that
         #: register's producer to issue.  Issuing the producer pops the
         #: whole list, so an entry is selectable only once every list it
         #: waited on is gone.
-        self._waiters: Dict[int, List[IssueQueueEntry]] = {}
+        self.waiters: Dict[int, List[IssueQueueEntry]] = {}
         #: ``PhysicalRegister.uid`` -> the window entries that source it
         #: (maintained only with ``track_consumers``).
-        self._consumers: Dict[int, List[IssueQueueEntry]] = {}
+        self.consumers: Dict[int, List[IssueQueueEntry]] = {}
+        #: ``PhysicalRegister.uid`` -> the timing state of the value of
+        #: every live physical register: seeded for the architected
+        #: mappings, created when dispatch renames a destination and
+        #: dropped when commit frees the register.  Keyed by the
+        #: register's integer ``uid``, which hashes at C speed.
+        self.values: Dict[int, ValueState] = {}
 
     def waiting_consumers_of(self, register: PhysicalRegister) -> List[IssueQueueEntry]:
         """Not-yet-issued window entries that source ``register``."""
-        return [e for e in self._consumers.get(register.uid, []) if not e.issued]
+        return [e for e in self.consumers.get(register.uid, []) if not e.issued]

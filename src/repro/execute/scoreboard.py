@@ -1,23 +1,20 @@
-"""Value scoreboard: timing state of every physical register's value.
+"""Value scoreboard entries: the timing state of a physical register's value.
 
-The scoreboard records, for each physical register currently in use, when
+A :class:`ValueState` records, for one physical register in use, when
 its value is produced (end of the producer's execution), when it becomes
 readable from the register file (after write-port arbitration), and
-whether any consumer obtained it through the bypass network.  Both the
-issue logic and the register-file caching policies consult it.
+whether any consumer obtained it through the bypass network.  The issue
+window keeps one per live register (``IssueQueue.values``); the pipeline
+stages, the register-file models and their caching and prefetch
+policies read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.errors import SimulationError
 from repro.rename.renamer import PhysicalRegister
-
-
-#: Sentinel for "not yet known".
-UNKNOWN = None
 
 
 @dataclass(slots=True)
@@ -46,62 +43,3 @@ class ValueState:
     def produced(self) -> bool:
         """Whether the producing instruction's finish time is known."""
         return self.ex_end_cycle is not None
-
-
-class ValueScoreboard:
-    """Tracks :class:`ValueState` for all live physical registers."""
-
-    def __init__(self) -> None:
-        #: State per live physical register, keyed by the register's
-        #: cached integer ``uid`` — integers hash at C speed, and this is
-        #: one of the hottest dictionaries in the simulator.  The
-        #: dictionary object is never rebound: the pipeline hot loop
-        #: keeps a direct reference to it to skip a method call per
-        #: operand lookup.
-        self._states: Dict[int, ValueState] = {}
-
-    # ------------------------------------------------------------------
-
-    def seed_architected(self, register: PhysicalRegister) -> None:
-        """Mark ``register`` as holding an architected value available from
-        cycle 0 (used for the initial logical→physical mappings)."""
-        state = ValueState(
-            register=register,
-            producer_seq=-1,
-            ex_end_cycle=-1,
-            rf_ready_cycle=0,
-            written_back=True,
-        )
-        self._states[register.uid] = state
-
-    def allocate(self, register: PhysicalRegister, producer_seq: int) -> ValueState:
-        """Create a fresh state when ``register`` is allocated at rename."""
-        state = ValueState(register, producer_seq)
-        self._states[register.uid] = state
-        return state
-
-    def release(self, register: PhysicalRegister) -> None:
-        """Drop the state when the register returns to the free list."""
-        self._states.pop(register.uid, None)
-
-    def get(self, register: PhysicalRegister) -> ValueState:
-        """Return the state of ``register``.
-
-        Raises
-        ------
-        SimulationError
-            If the register has no recorded state (reading a register that
-            was never allocated indicates a renaming bug).
-        """
-        state = self._states.get(register.uid)
-        if state is None:
-            raise SimulationError(f"no scoreboard state for {register}")
-        return state
-
-    def contains(self, register: PhysicalRegister) -> bool:
-        return register.uid in self._states
-
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._states)

@@ -1,11 +1,14 @@
-"""Memory system models: caches and the load/store queue."""
+"""Memory system models: the instruction and data caches.
+
+The load/store queue is state of
+:class:`~repro.pipeline.processor.Processor` (``lsq_occupancy`` and the
+store index ``stores_at``, read by ``Processor.forwarding_store``).
+"""
 
 from repro.memsys.cache import CacheModel, CacheConfig, AccessResult
-from repro.memsys.lsq import LoadStoreQueue
 
 __all__ = [
     "CacheModel",
     "CacheConfig",
     "AccessResult",
-    "LoadStoreQueue",
 ]

@@ -25,23 +25,31 @@ collaborators bound once per cycle, and a select attempt allocates
 nothing; and stages are skipped outright on the cycles where their input
 queues are provably empty.
 
-The stages own the per-instruction bookkeeping of the structures they
-drive, in place and with the checks those structures' methods made:
-dispatch inserts into the window (operand accesses, waiter and consumer
-lists), the ROB and the load/store queue, each with its overflow or
-program-order check; issue selects, removes the entry from the window
-("issued twice"), wakes its waiting consumers and books the functional
-unit; commit pops the ROB head and drops a committed store from the
-queue's address index.  The register files count the operand reads
-they deliver (:meth:`~repro.regfile.base.RegisterFileModel.claim_reads`),
-and ``SimulationStats.operands_from_*`` is their sum.  Beyond that,
-the per-instruction path makes no Python call that nobody wrote on
+The back-end state has one owner per piece, all plain public
+attributes: the processor holds the reorder buffer (``rob``), the
+load/store queue (``lsq_occupancy`` and the store index ``stores_at``)
+and the bypass timing (``consumer_offset``); the window holds its
+entries, waiter and consumer lists and the value state of every live
+physical register (``values``); the renamer holds the map table and the
+free lists.  The stages do the per-instruction bookkeeping on that state
+in place: dispatch renames and inserts into the window (operand
+accesses, waiter and consumer lists), the ROB (with its program-order
+check) and the load/store queue, stalling when any of them or the free
+list is full; issue selects, removes the entry from the window ("issued
+twice"), wakes its waiting consumers and books the functional unit;
+commit pops the ROB head, releases the replaced mapping and drops a
+committed store from the store index.  The same state is what
+:meth:`Processor.functional_warmup` warms before a sampled window.  The
+register files count the operand reads they deliver
+(:meth:`~repro.regfile.base.RegisterFileModel.claim_reads`), and
+``SimulationStats.operands_from_*`` is their sum.  Beyond that, the
+per-instruction path makes no Python call that nobody wrote on
 purpose: state read every cycle is a plain attribute, not a property
 (the frontend's ``exhausted`` and ``blocked``, the register files' and
 FU pool's ``idle``, which lets a cycle skip their ``begin_cycle``);
 one-line hops are inlined where they run per attempt (deferring an
 entry, the oldest-entry check, ``FunctionalUnitPool.can_issue``
-without busy dividers, ``ValueScoreboard.allocate``); register-file
+without busy dividers, a free-list allocation); register-file
 hooks that are no-ops on a model (``on_issue``, ``release``) are
 resolved once per processor; and physical registers, interned by the
 renamer, are compared by identity.  Hot functions read enum members
@@ -60,18 +68,20 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.execute.bypass import BypassNetwork
 from repro.execute.functional_units import UNPIPELINED_CLASSES, FunctionalUnitPool
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
-from repro.execute.rob import ReorderBuffer
-from repro.execute.scoreboard import ValueScoreboard, ValueState
+from repro.execute.scoreboard import ValueState
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FetchedInstruction, FetchUnit
 from repro.frontend.gshare import GSharePredictor
-from repro.isa.instruction import DynamicInstruction, RegisterClass
+from repro.isa.instruction import (
+    FP_LOGICAL_REGISTERS,
+    INT_LOGICAL_REGISTERS,
+    DynamicInstruction,
+    RegisterClass,
+)
 from repro.isa.opcodes import OpClass
 from repro.memsys.cache import CacheModel
-from repro.memsys.lsq import LoadStoreQueue
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
 from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
@@ -129,20 +139,36 @@ class Processor:
             type(rf).release is not RegisterFileModel.release for rf in (int_rf, fp_rf)
         )
         self.read_stages = int_rf.read_stages
-        self.bypass = BypassNetwork(int_rf.read_stages, int_rf.bypass_levels)
+        #: Cycles from the end of a producer's execution to the earliest
+        #: execution of a dependent instruction: the next cycle with full
+        #: bypass, and one more per missing bypass level (keeping only
+        #: the last levels leaves no "holes": a value that has left the
+        #: bypass network is already readable from the file).
+        self.consumer_offset = 1 + int_rf.read_stages - int_rf.bypass_levels
 
-        self.scoreboard = ValueScoreboard()
         self.renamer = Renamer(self.config.num_int_physical, self.config.num_fp_physical)
-        self._seed_architected_registers()
-
         self.window = IssueQueue(
-            self.config.instruction_window, self.scoreboard,
+            self.config.instruction_window,
             track_consumers=int_rf.needs_consumer_index,
         )
-        # Producer end of execution -> a consumer's earliest execute cycle.
-        self._consumer_offset = self.bypass.earliest_consumer_execute(0)
-        self.rob = ReorderBuffer(self.config.rob_size)
-        self.lsq = LoadStoreQueue(self.config.lsq_size)
+        self._seed_architected_registers()
+        #: The reorder buffer, oldest first: the dispatch stage appends
+        #: each in-flight record in program order and the commit stage
+        #: pops completed ones from the head.  Never rebound (the run
+        #: loop holds a direct reference).
+        self.rob: deque[IssueQueueEntry] = deque()
+        # The load/store queue (Table 1: 64 entries with store→load
+        # forwarding).  The stream gives every load and store its
+        # address, so a store's address is known at dispatch and no load
+        # waits for an older one; the queue is its occupancy, for the
+        # dispatch stall, and the queued stores by address, for
+        # forwarding (see :meth:`forwarding_store`).
+        #: Loads and stores dispatched and not yet committed.
+        self.lsq_occupancy = 0
+        #: Address -> ascending seqs of the queued stores to it.  Stores
+        #: enter and commit in program order, so each list is appended
+        #: at the tail and popped at the head.
+        self.stores_at: Dict[int, List[int]] = {}
         self.fu_pool = FunctionalUnitPool(self.config.functional_units)
 
         self.dcache = CacheModel(self.config.dcache, name="dcache")
@@ -176,10 +202,6 @@ class Processor:
         # complete then.
         self._completions: Dict[int, List[IssueQueueEntry]] = {}
 
-        # The scoreboard's state dictionary is mutated in place and never
-        # rebound.
-        self._sb_states = self.scoreboard._states
-
         self.stats = SimulationStats(
             benchmark=benchmark_name,
             architecture=int_rf.describe(),
@@ -190,12 +212,70 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _seed_architected_registers(self) -> None:
-        """The initial logical→physical mappings hold architected values."""
-        from repro.isa.instruction import INT_LOGICAL_REGISTERS, FP_LOGICAL_REGISTERS
-
+        """The initial logical→physical mappings hold architected values,
+        readable from the register file from cycle 0."""
+        values = self.window.values
         for logical in INT_LOGICAL_REGISTERS + FP_LOGICAL_REGISTERS:
             physical = self.renamer.current_mapping(logical)
-            self.scoreboard.seed_architected(physical)
+            values[physical.uid] = ValueState(
+                physical, producer_seq=-1, ex_end_cycle=-1, rf_ready_cycle=0,
+                written_back=True,
+            )
+
+    def functional_warmup(self, instructions) -> None:
+        """Warm the value-tracking state of this (fresh) processor.
+
+        Replays ``instructions`` through rename, the window's value
+        states, the register-file models and the data cache — one
+        instruction per cycle at negative cycle numbers, with the
+        previous mapping of each destination released at once (so any
+        physical-register budget that admits the logical set suffices).
+        No pipeline timing runs and no statistic of the subsequent run
+        is touched: the data cache's hit/miss counters are zeroed
+        afterwards and the value-read distribution is deliberately not
+        updated on release.  The sampling engine runs it before each
+        detailed window.
+        """
+        if not instructions:
+            return
+        renamer = self.renamer
+        int_free = renamer.int_free
+        fp_free = renamer.fp_free
+        int_rf = self._int_rf
+        fp_rf = self._fp_rf
+        window = self.window
+        values = window.values
+        dcache = self.dcache
+        cycle = -len(instructions)
+        for instruction in instructions:
+            int_rf.begin_cycle(cycle)
+            fp_rf.begin_cycle(cycle)
+            record = renamer.rename(IssueQueueEntry(instruction))
+            dest = record.dest
+            if dest is not None:
+                state = values[dest.uid] = ValueState(dest, instruction.seq)
+                state.ex_end_cycle = cycle
+                regfile = int_rf if dest.reg_class is _INT else fp_rf
+                state.rf_ready_cycle = regfile.writeback(dest, state, cycle, window)
+                state.written_back = True
+            op_class = instruction.op_class
+            if op_class is _LOAD:
+                dcache.access(instruction.mem_address or 0)
+            elif op_class is _STORE:
+                dcache.access(instruction.mem_address or 0, is_write=True)
+            released = record.previous_dest
+            if released is not None:
+                if released.reg_class is _INT:
+                    free_list, regfile = int_free, int_rf
+                else:
+                    free_list, regfile = fp_free, fp_rf
+                free_list.release(released.index)
+                if values.pop(released.uid, None) is not None:
+                    regfile.release(released)
+            cycle += 1
+        # Warm accesses must not count toward the detailed run's rates.
+        dcache.hits = 0
+        dcache.misses = 0
 
     # ------------------------------------------------------------------
     # main loop
@@ -214,8 +294,8 @@ class Processor:
         completions = self._completions
         # Collaborator containers; both are mutated in place and never
         # rebound, so the emptiness checks below stay valid.
-        rob_entries = self.rob._entries
-        window_entries = self.window._entries
+        rob = self.rob
+        window_entries = self.window.entries
         int_rf = self._int_rf
         fp_rf = self._fp_rf
         fu_pool = self.fu_pool
@@ -256,7 +336,7 @@ class Processor:
 
             # Commit runs before this cycle's write-back, so a completed
             # head always completed in an earlier cycle.
-            if rob_entries and rob_entries[0].completed:
+            if rob and rob[0].completed:
                 commit_stage(cycle)
             if cycle in completions:
                 writeback_stage(cycle)
@@ -276,7 +356,7 @@ class Processor:
             cycle += 1
             if stats.committed_instructions >= max_instructions:
                 break
-            if not decode_queue and not rob_entries and fetch_unit.exhausted:
+            if not decode_queue and not rob and fetch_unit.exhausted:
                 break
 
         stats.cycles = cycle
@@ -297,13 +377,12 @@ class Processor:
         """
         stats = self.stats
         observer = self.commit_observer
-        rob_entries = self.rob._entries
+        rob = self.rob
         renamer = self.renamer
-        int_free = renamer._int_free
-        fp_free = renamer._fp_free
-        sb_states = self._sb_states
-        lsq = self.lsq
-        stores_at = lsq.stores_at
+        int_free = renamer.int_free
+        fp_free = renamer.fp_free
+        values = self.window.values
+        stores_at = self.stores_at
         int_rf = self._int_rf
         fp_rf = self._fp_rf
         release_hooks = self._release_hooks
@@ -311,14 +390,13 @@ class Processor:
         committed = stats.committed_instructions
         width = min(self.config.commit_width,
                     self.config.max_instructions - committed)
-        while width > 0 and rob_entries:
-            entry = rob_entries[0]
+        while width > 0 and rob:
+            entry = rob[0]
             if not entry.completed or entry.complete_cycle >= cycle:
                 break
-            rob_entries.popleft()
+            rob.popleft()
             width -= 1
-            # Inlined ``renamer.commit``: release the previous mapping of
-            # the committed destination.
+            # Release the previous mapping of the committed destination.
             released = entry.previous_dest
             if released is not None:
                 if released.reg_class is _INT:
@@ -327,10 +405,10 @@ class Processor:
                     free_list, regfile = fp_free, fp_rf
                 free_list.release(released.index)
                 uid = released.uid
-                state = sb_states.get(uid)
+                state = values.get(uid)
                 if state is not None:
                     value_reads[state.reads] += 1
-                    del sb_states[uid]  # inlined ``scoreboard.release``
+                    del values[uid]
                     if release_hooks:
                         regfile.release(released)
             instruction = entry.instruction
@@ -350,9 +428,9 @@ class Processor:
                     del stores_at[address]
                 else:
                     del stores[0]
-                lsq.occupancy -= 1
+                self.lsq_occupancy -= 1
             elif op_class is _LOAD:
-                lsq.occupancy -= 1
+                self.lsq_occupancy -= 1
             committed += 1
             if observer is not None:
                 observer.on_commit(entry, cycle)
@@ -409,23 +487,23 @@ class Processor:
         accesses its entry built at dispatch, and counters are summed in
         locals and added once per cycle.  A load never waits for older
         store addresses: the stream gives every store its address at
-        dispatch (see :mod:`repro.memsys.lsq`).
+        dispatch.
 
         Select, the window removal, the wakeup of the waiting consumers
         and the functional-unit booking run here in place, on the
         window's and the FU pool's own structures.
         """
         window = self.window
-        window_entries = window._entries
+        window_entries = window.entries
         read_stages = self.read_stages
         ex_start = cycle + read_stages
         issue_width = self.config.issue_width
         next_cycle = cycle + 1
         fu_pool = self.fu_pool
-        fu_groups = fu_pool._group_for_class
-        waiters = window._waiters
-        consumers = window._consumers if window.track_consumers else None
-        consumer_offset = self._consumer_offset
+        fu_groups = fu_pool.group_for_class
+        waiters = window.waiters
+        consumers = window.consumers if window.track_consumers else None
+        consumer_offset = self.consumer_offset
         issue_hooks = self._issue_hooks
         completions = self._completions
         int_rf = self._int_rf
@@ -440,7 +518,7 @@ class Processor:
         stalls_fu = 0
         stalls_ports = 0
         # Select, oldest first without sorting: insertion order is program
-        # order (see ``IssueQueue._entries``), and issued entries leave the
+        # order (see ``IssueQueue.entries``), and issued entries leave the
         # window on selection, so every resident entry is unissued.  The
         # loop walks a copy, and testing each entry when it is reached
         # selects the entries that were ready when the cycle began: an
@@ -502,7 +580,7 @@ class Processor:
             # field read, and loads are the only class with real work.
             if op_class is load:
                 address = instruction.mem_address or 0
-                if self.lsq.forwarding_store(entry.seq, address) is not None:
+                if self.forwarding_store(entry.seq, address) is not None:
                     latency = 2  # address generation + forward from the store queue
                 else:
                     latency = 1 + self.dcache.access(address).latency
@@ -555,7 +633,7 @@ class Processor:
                             waiter.earliest_ex_cycle = available
                 if issue_hooks:
                     (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
-                        entry, cycle, window, self.scoreboard
+                        entry, cycle, window
                     )
 
             # The completion carries the in-flight record itself.
@@ -588,7 +666,7 @@ class Processor:
         fp_rf = self._fp_rf
         # The window's first key is its oldest entry (insertion order is
         # program order), and ``entry`` is in the window.
-        is_oldest = next(iter(self.window._entries)) == entry.seq
+        is_oldest = next(iter(self.window.entries)) == entry.seq
         # One pass: pin the file-resident operands of the oldest entry and
         # request a fill, in source order, for every missing one.
         latest_completion: Optional[int] = None
@@ -609,6 +687,23 @@ class Processor:
         if earliest > entry.earliest_ex_cycle:
             entry.earliest_ex_cycle = earliest
 
+    def forwarding_store(self, seq: int, address: int) -> Optional[int]:
+        """Return the seq of the youngest queued store to ``address`` that
+        is older than the load ``seq``, if any.
+
+        A hit means the load's data is forwarded inside the load/store
+        queue and the D-cache is not accessed; it counts into
+        ``SimulationStats.loads_forwarded``.
+        """
+        stores = self.stores_at.get(address)
+        if stores is None:
+            return None
+        for store_seq in reversed(stores):
+            if store_seq < seq:
+                self.stats.loads_forwarded += 1
+                return store_seq
+        return None
+
     # ------------------------------------------------------------------
     # decode / rename / dispatch
     # ------------------------------------------------------------------
@@ -617,38 +712,38 @@ class Processor:
         """Rename up to ``decode_width`` decoded instructions and insert
         them into the window, the ROB and, for loads and stores, the LSQ.
 
-        The insertions run here in place, each with its own overflow or
-        program-order check.
+        The insertions run here in place.  An instruction that finds the
+        ROB, the window, the queue or its destination's free list full
+        stalls dispatch; nothing leaves any of them during dispatch, so
+        these stall checks are the only capacity checks.
         """
         decode_queue = self._decode_queue
         stats = self.stats
-        decode_width = self.config.decode_width
+        config = self.config
+        decode_width = config.decode_width
         rob = self.rob
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
+        rob_capacity = config.rob_size
         window = self.window
-        window_entries = window._entries
+        window_entries = window.entries
         window_capacity = window.capacity
-        waiters = window._waiters
-        consumers = window._consumers if window.track_consumers else None
-        lsq = self.lsq
-        lsq_capacity = lsq.capacity
-        stores_at = lsq.stores_at
+        waiters = window.waiters
+        consumers = window.consumers if window.track_consumers else None
+        values = window.values
+        stores_at = self.stores_at
         renamer = self.renamer
         rename = renamer.rename
-        sb_states = self._sb_states
-        offset = self._consumer_offset
+        offset = self.consumer_offset
         # An instruction cannot be selected in the cycle it is dispatched;
         # the earliest issue is the next cycle, hence the earliest execute
         # is ``dispatch + 1 + read_stages``.
         dispatch_earliest = cycle + 1 + self.read_stages
-        # Direct free-list views for the inlined ``renamer.can_rename``.
-        int_free = renamer._int_free._free
-        fp_free = renamer._fp_free._free
-        # Free ROB and window slots: nothing leaves either structure
-        # during dispatch, so they are counted down instead of re-measured.
-        rob_room = rob_capacity - len(rob_entries)
+        # The free registers, for the rename stall.
+        int_free = renamer.int_free.free
+        fp_free = renamer.fp_free.free
+        # Free ROB, window and queue slots, counted down as entries enter.
+        rob_room = rob_capacity - len(rob)
         window_room = window_capacity - len(window_entries)
+        lsq_room = config.lsq_size - self.lsq_occupancy
         dispatched = 0
         while decode_queue and dispatched < decode_width:
             fetched = decode_queue[0]
@@ -663,10 +758,9 @@ class Processor:
             if window_room <= 0:
                 stats.dispatch_stalls_window += 1
                 break
-            if is_memory and lsq.occupancy >= lsq_capacity:
+            if is_memory and lsq_room <= 0:
                 stats.dispatch_stalls_lsq += 1
                 break
-            # Inlined ``renamer.can_rename``.
             dest = instruction.dest
             if dest is not None and not (
                 int_free if dest.reg_class is _INT else fp_free
@@ -680,16 +774,13 @@ class Processor:
             seq = entry.seq
             dest = entry.dest
             if dest is not None:
-                # Inlined ``scoreboard.allocate``.
                 state = entry.dest_state = ValueState(dest, seq)
-                sb_states[dest.uid] = state
+                values[dest.uid] = state
 
             # Window insert: one operand access per source, built once;
             # the entry joins the consumer list of every source (when the
             # window keeps one) and the waiter list of every source whose
             # producer has not issued.
-            if len(window_entries) >= window_capacity:
-                raise SimulationError("issue queue overflow")
             earliest = dispatch_earliest
             sources = entry.sources
             if sources:
@@ -703,7 +794,7 @@ class Processor:
                             consumers[uid] = [entry]
                         else:
                             consumer_list.append(entry)
-                    state = sb_states.get(uid)
+                    state = values.get(uid)
                     if state is None:
                         raise SimulationError(f"no scoreboard state for {register}")
                     access = OperandAccess(register, state)
@@ -737,20 +828,17 @@ class Processor:
             entry.earliest_ex_cycle = earliest
             window_entries[seq] = entry
 
-            # ROB append, in program order.
-            if len(rob_entries) >= rob_capacity:
-                raise SimulationError("ROB overflow")
-            if rob_entries and rob_entries[-1].seq >= seq:
+            # ROB append, in program order.  Every queued load and store
+            # is also in the ROB, so this check keeps the queue in program
+            # order too.
+            if rob and rob[-1].seq >= seq:
                 raise SimulationError("ROB entries must be dispatched in program order")
-            rob_entries.append(entry)
+            rob.append(entry)
             rob_room -= 1
             window_room -= 1
 
             if is_memory:
-                if lsq.occupancy and lsq.youngest >= seq:
-                    raise SimulationError("LSQ entries must be inserted in program order")
-                lsq.occupancy += 1
-                lsq.youngest = seq
+                lsq_room -= 1
                 if op_class is _STORE:
                     # Store addresses are produced by the address-generation
                     # part of the store, which does not wait for the store
@@ -768,6 +856,7 @@ class Processor:
             dispatched += 1
 
         if dispatched:
+            self.lsq_occupancy = config.lsq_size - lsq_room
             # Occupancies and registers-in-use only grow at dispatch, so
             # the maxima are attained right here; cycles without a
             # dispatch cannot set a new maximum.
@@ -791,12 +880,12 @@ class Processor:
     def _sample_occupancy(self, cycle: int) -> None:
         needed: set[PhysicalRegister] = set()
         ready: set[PhysicalRegister] = set()
-        sb_states = self._sb_states
-        for entry in self.window._entries.values():
+        values = self.window.values
+        for entry in self.window.entries.values():
             produced_sources = []
             all_produced = True
             for register in entry.sources:
-                state = sb_states.get(register.uid)
+                state = values.get(register.uid)
                 if state is None:
                     raise SimulationError(f"no scoreboard state for {register}")
                 if state.ex_end_cycle is not None and state.ex_end_cycle <= cycle:
@@ -813,7 +902,6 @@ class Processor:
         self.stats.icache_misses = self.fetch_unit.icache_misses
         self.stats.dcache_hits = self.dcache.hits
         self.stats.dcache_misses = self.dcache.misses
-        self.stats.loads_forwarded = self.lsq.forwarded_loads
         # The register files count how the operands they delivered
         # arrived; those counts are the only ones.
         int_rf = self._int_rf

@@ -69,7 +69,7 @@ class OperandAccess:
 
     def __init__(self, register: PhysicalRegister, state: "ValueState") -> None:
         self.register = register
-        #: Scoreboard state of the register, resolved once at dispatch.
+        #: Value state of the register, resolved once at dispatch.
         self.state = state
         #: Whether the integer (else the FP) register file holds the value.
         self.is_int: bool = register.reg_class is _INT
@@ -163,7 +163,6 @@ class RegisterFileModel(ABC):
         entry: "IssueQueueEntry",
         cycle: int,
         window: "IssueQueue",
-        scoreboard,
     ) -> None:
         """Hook invoked when an instruction issues (prefetch-first-pair)."""
 

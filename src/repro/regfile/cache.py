@@ -286,8 +286,8 @@ class RegisterFileCache(RegisterFileModel):
             self.demand_fills += 1
         return completion
 
-    def on_issue(self, entry, cycle: int, window, scoreboard) -> None:
-        self.fetch_policy.on_issue(self, entry, cycle, window, scoreboard)
+    def on_issue(self, entry, cycle: int, window) -> None:
+        self.fetch_policy.on_issue(self, entry, cycle, window)
 
     # ------------------------------------------------------------------
     # writes

@@ -76,9 +76,10 @@ class ReadyCaching(CachingPolicy):
         window: "IssueQueue",
         cycle: int,
     ) -> bool:
+        values = window.values
         for entry in window.waiting_consumers_of(register):
             other_sources = [s for s in entry.sources if s != register]
-            if all(window.scoreboard.get(src).produced for src in other_sources):
+            if all(values[src.uid].produced for src in other_sources):
                 return True
         return False
 

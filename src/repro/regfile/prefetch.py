@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
-    from repro.execute.scoreboard import ValueScoreboard
     from repro.regfile.cache import RegisterFileCache
 
 
@@ -38,7 +37,6 @@ class FetchPolicy(ABC):
         entry: "IssueQueueEntry",
         cycle: int,
         window: "IssueQueue",
-        scoreboard: "ValueScoreboard",
     ) -> None:
         """Hook called when ``entry`` is issued (prefetch opportunity)."""
 
@@ -60,7 +58,6 @@ class PrefetchFirstPair(FetchPolicy):
         entry: "IssueQueueEntry",
         cycle: int,
         window: "IssueQueue",
-        scoreboard: "ValueScoreboard",
     ) -> None:
         dest = entry.dest
         if dest is None:
@@ -71,7 +68,7 @@ class PrefetchFirstPair(FetchPolicy):
         # Consumer lists are appended at dispatch, in program order, so the
         # first waiting consumer is the oldest.
         first = consumers[0]
-        sb_states = scoreboard._states
+        values = window.values
         reg_class = dest.reg_class
         for other in first.sources:
             # The renamer interns its physical registers, so identity is
@@ -83,7 +80,7 @@ class PrefetchFirstPair(FetchPolicy):
                 # integer base address feeding an FP load); this register
                 # file cannot prefetch it.
                 continue
-            state = sb_states.get(other.uid)
+            state = values.get(other.uid)
             if state is None:
                 continue
             if not state.written_back:

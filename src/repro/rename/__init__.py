@@ -1,7 +1,6 @@
-"""Register renaming: map table, free list and the renamer."""
+"""Register renaming: the renamer, its map table (``Renamer.map``) and free lists."""
 
 from repro.rename.free_list import FreeList
-from repro.rename.map_table import MapTable
 from repro.rename.renamer import Renamer
 
-__all__ = ["FreeList", "MapTable", "Renamer"]
+__all__ = ["FreeList", "Renamer"]

@@ -15,7 +15,10 @@ class FreeList:
     register identifiers are recycled in a round-robin fashion, which is
     both realistic and makes simulations deterministic.  A membership set
     mirrors the FIFO, so the double-release check on every commit is a
-    hash lookup rather than a scan of the free registers.
+    hash lookup rather than a scan of the free registers.  The renamer
+    allocates in place (it pops ``free`` and drops the register from
+    ``members``); the commit stage and the functional warm-up call
+    :meth:`release`.
     """
 
     def __init__(self, registers: Iterable[int],
@@ -31,36 +34,20 @@ class FreeList:
             currently mapped may be released into the pool later).
             Defaults to ``registers``.
         """
-        self._free = deque(registers)
-        #: The registers in ``_free``, as a set.
-        self._members = set(self._free)
-        if len(self._members) != len(self._free):
+        #: The free registers, oldest first: rename pops the head, release
+        #: appends at the tail.
+        self.free = deque(registers)
+        #: The registers in ``free``, as a set.
+        self.members = set(self.free)
+        if len(self.members) != len(self.free):
             raise ConfigurationError("free list initialized with duplicate registers")
         self._valid = (set(valid_registers) if valid_registers is not None
-                       else set(self._members))
-        if not self._members <= self._valid:
+                       else set(self.members))
+        if not self.members <= self._valid:
             raise ConfigurationError("initially free registers must be within the valid set")
 
     def __len__(self) -> int:
-        return len(self._free)
-
-    @property
-    def empty(self) -> bool:
-        return not self._free
-
-    def allocate(self) -> int:
-        """Pop a free physical register.
-
-        Raises
-        ------
-        RenameError
-            If no register is free (the caller must check first).
-        """
-        if not self._free:
-            raise RenameError("free list underflow")
-        register = self._free.popleft()
-        self._members.discard(register)
-        return register
+        return len(self.free)
 
     def release(self, register: int) -> None:
         """Return a physical register to the pool.
@@ -73,8 +60,8 @@ class FreeList:
         """
         if register not in self._valid:
             raise RenameError(f"physical register {register} does not belong to this pool")
-        members = self._members
+        members = self.members
         if register in members:
             raise RenameError(f"double release of physical register {register}")
         members.add(register)
-        self._free.append(register)
+        self.free.append(register)

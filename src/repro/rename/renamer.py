@@ -2,8 +2,9 @@
 
 Dynamically scheduled processors rename logical to physical registers at
 decode so every in-flight result gets its own physical register (Section
-2 of the paper).  The renamer here keeps one map table and one free list
-per register class (integer and floating point) and records the
+2 of the paper).  The renamer here keeps one map table for both register
+classes and one free list per class (integer and floating point), and
+records the
 *previous* mapping of each destination so the physical register can be
 released when the next writer of the same logical register commits (the
 paper's "registers are released late" observation).  The pipeline runs
@@ -14,18 +15,17 @@ is no squash, checkpoint or restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.errors import ConfigurationError, RenameError
 from repro.isa.instruction import (
-    DynamicInstruction,
+    NUM_LOGICAL_PER_CLASS,
     LogicalRegister,
     RegisterClass,
     INT_LOGICAL_REGISTERS,
     FP_LOGICAL_REGISTERS,
 )
 from repro.rename.free_list import FreeList
-from repro.rename.map_table import MapTable
 
 if TYPE_CHECKING:  # pragma: no cover - the window imports this module
     from repro.execute.issue_queue import IssueQueueEntry
@@ -83,47 +83,28 @@ class Renamer:
         self._fp_physical: tuple[PhysicalRegister, ...] = tuple(
             PhysicalRegister(RegisterClass.FP, i) for i in range(num_fp_physical)
         )
-        self._int_free = FreeList(
+        self.int_free = FreeList(
             range(num_logical, num_int_physical), valid_registers=range(num_int_physical)
         )
-        self._fp_free = FreeList(
+        self.fp_free = FreeList(
             range(num_logical, num_fp_physical), valid_registers=range(num_fp_physical)
         )
-        self._free: Dict[RegisterClass, FreeList] = {
-            RegisterClass.INT: self._int_free,
-            RegisterClass.FP: self._fp_free,
-        }
-        # One map table for both classes, holding the current
-        # PhysicalRegister objects themselves: renaming a source is one
-        # list index by the logical register's slot, with no class branch.
-        initial = {}
+        #: The map table: the current PhysicalRegister of every logical
+        #: register, both classes in one list indexed by the logical
+        #: register's cached integer hash (``(index << 1) | is_fp``).  A
+        #: lookup is one list index whatever the register object (interned
+        #: or not), with no class branch and no Python-level
+        #: ``__hash__``/``__eq__`` call.  Every slot is mapped from the
+        #: start, and the list is never rebound.
+        self.map: List[PhysicalRegister] = [None] * (2 * NUM_LOGICAL_PER_CLASS)
         for logicals, physical in ((INT_LOGICAL_REGISTERS, self._int_physical),
                                    (FP_LOGICAL_REGISTERS, self._fp_physical)):
             for i, logical in enumerate(logicals):
-                initial[logical] = physical[i]
-        self._map = MapTable(initial)
-        #: The map table's slot list (never rebound), read on the hot path.
-        self._current = self._map._slots
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    def free_count(self, reg_class: RegisterClass) -> int:
-        """Number of currently free physical registers of ``reg_class``."""
-        return len(self._free[reg_class])
-
-    def can_rename(self, instruction: DynamicInstruction) -> bool:
-        """Whether a free destination register is available for ``instruction``."""
-        dest = instruction.dest
-        if dest is None:
-            return True
-        free = (self._int_free if dest.reg_class is RegisterClass.INT
-                else self._fp_free)
-        return not free.empty
+                self.map[logical._hash] = physical[i]
 
     def current_mapping(self, register: LogicalRegister) -> PhysicalRegister:
-        return self._map.lookup(register)
+        """The physical register ``register`` is currently mapped to."""
+        return self.map[register._hash]
 
     # ------------------------------------------------------------------
     # renaming
@@ -140,10 +121,10 @@ class Renamer:
         ------
         RenameError
             If no free physical register is available for the destination;
-            callers should check :meth:`can_rename` first.
+            the dispatch stage stalls before that happens.
         """
         instruction = record.instruction
-        current = self._current
+        current = self.map
         # Unrolled for the one- and two-source common cases: a list
         # comprehension costs a function frame per renamed instruction.
         sources = instruction.sources
@@ -160,35 +141,21 @@ class Renamer:
             record.previous_dest = None
             return record
         if logical.reg_class is _INT:
-            free_list, physical = self._int_free, self._int_physical
+            free_list, physical = self.int_free, self._int_physical
         else:
-            free_list, physical = self._fp_free, self._fp_physical
-        # Inlined ``free_list.allocate()``, underflow check included.
-        free = free_list._free
+            free_list, physical = self.fp_free, self._fp_physical
+        # Allocate the oldest free register.
+        free = free_list.free
         if not free:
             raise RenameError(
                 f"no free {logical.reg_class.value} physical register for seq "
                 f"{instruction.seq}"
             )
         new_index = free.popleft()
-        free_list._members.discard(new_index)
+        free_list.members.discard(new_index)
         dest = physical[new_index]
         slot = logical._hash
         record.previous_dest = current[slot]
         current[slot] = dest
         record.dest = dest
         return record
-
-    # ------------------------------------------------------------------
-    # retirement
-    # ------------------------------------------------------------------
-
-    def commit(self, record: "IssueQueueEntry") -> Optional[PhysicalRegister]:
-        """Commit ``record``: release the previous mapping of its destination.
-
-        Returns the released physical register (or ``None``).
-        """
-        if record.previous_dest is None:
-            return None
-        self._free[record.previous_dest.reg_class].release(record.previous_dest.index)
-        return record.previous_dest

@@ -23,8 +23,9 @@ Protocol invariants the rest of the stack relies on:
   snaps forward to the next fetch-event boundary (fetch groups are
   indivisible); a spec that places fewer than two windows is rejected
   (:class:`~repro.errors.ConfigurationError`), never silently degraded.
-* **Warm-up neutrality** — functional warm-up touches rename, the
-  scoreboard, the register-file model and the data cache only, at
+* **Warm-up neutrality** — functional warm-up
+  (``Processor.functional_warmup``) touches rename, the window's value
+  states, the register-file models and the data cache only, at
   negative cycle numbers, and must not contribute to any window
   statistic (data-cache counters are zeroed after warming; value-read
   accounting is skipped on warm releases).
@@ -35,7 +36,6 @@ ranges; ``--spec STRIDE:WINDOW[:WARMUP]`` validates a spec offline.
 
 from repro.sampling.engine import (
     confidence_interval,
-    functional_warmup,
     sampled_simulate,
     t_critical,
     window_plan,
@@ -50,7 +50,6 @@ __all__ = [
     "SUPPORTED_CONFIDENCE_LEVELS",
     "SamplingSpec",
     "confidence_interval",
-    "functional_warmup",
     "parse_sampling",
     "sampled_simulate",
     "t_critical",

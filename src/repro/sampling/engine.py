@@ -10,11 +10,13 @@ over the per-window IPCs.
   mispredicted branch, so a window cannot begin inside one).
 * **Functional warm-up** — before each window, the ``warmup``
   instructions preceding it are replayed through the *rename and
-  value-tracking* structures only: map table, scoreboard, register-file
-  model (including RFC upper-level content) and the data cache.  One
-  instruction retires per warm cycle at negative cycle numbers, so the
-  window itself starts at cycle 0 with warmed state and zero timing
-  residue.
+  value-tracking* state only
+  (:meth:`~repro.pipeline.processor.Processor.functional_warmup`): the
+  renamer's map table and free lists, the window's value states, the
+  register-file models (including RFC upper-level content) and the data
+  cache.  One instruction retires per warm cycle at negative cycle
+  numbers, so the window itself starts at cycle 0 with warmed state and
+  zero timing residue.
 * **Estimate** — IPC is reported as the mean of the per-window IPCs
   with a Student-t confidence interval (the per-window populations are
   equal-size, so the unweighted mean is the systematic-sampling
@@ -35,20 +37,12 @@ from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.execute.issue_queue import IssueQueueEntry
-from repro.isa.instruction import RegisterClass
-from repro.isa.opcodes import OpClass
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimulationStats
 from repro.sampling.spec import SamplingSpec
 from repro.trace.replayer import TraceReplayer
 from repro.trace.schema import DecodedTrace
-
-# Enum members bound once, as in ``repro.pipeline.processor``.
-_INT = RegisterClass.INT
-_LOAD = OpClass.LOAD
-_STORE = OpClass.STORE
 
 # ----------------------------------------------------------------------
 # Student-t critical values
@@ -166,65 +160,6 @@ def window_plan(trace: DecodedTrace, spec: SamplingSpec) -> List[Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
-# functional warm-up
-# ----------------------------------------------------------------------
-
-def functional_warmup(processor: Processor, instructions) -> None:
-    """Warm a freshly built processor's value-tracking state.
-
-    Replays ``instructions`` through rename, the scoreboard, the
-    register-file model and the data cache — one instruction per cycle
-    at negative cycle numbers, with the previous mapping of each
-    destination released immediately (so any physical-register budget
-    that admits the logical set suffices).  No pipeline timing runs, no
-    statistic of the subsequent detailed window is touched: the data
-    cache's hit/miss counters are zeroed afterwards and the value-read
-    distribution is deliberately not updated on release.
-    """
-    if not instructions:
-        return
-    renamer = processor.renamer
-    scoreboard = processor.scoreboard
-    sb_states = processor._sb_states
-    int_free = renamer._int_free
-    fp_free = renamer._fp_free
-    int_rf = processor._int_rf
-    fp_rf = processor._fp_rf
-    window = processor.window
-    dcache = processor.dcache
-    cycle = -len(instructions)
-    for instruction in instructions:
-        int_rf.begin_cycle(cycle)
-        fp_rf.begin_cycle(cycle)
-        record = renamer.rename(IssueQueueEntry(instruction))
-        dest = record.dest
-        if dest is not None:
-            state = scoreboard.allocate(dest, instruction.seq)
-            state.ex_end_cycle = cycle
-            regfile = int_rf if dest.reg_class is _INT else fp_rf
-            state.rf_ready_cycle = regfile.writeback(dest, state, cycle, window)
-            state.written_back = True
-        op_class = instruction.op_class
-        if op_class is _LOAD:
-            dcache.access(instruction.mem_address or 0)
-        elif op_class is _STORE:
-            dcache.access(instruction.mem_address or 0, is_write=True)
-        released = record.previous_dest
-        if released is not None:
-            (int_free if released.reg_class is _INT
-             else fp_free).release(released.index)
-            state = sb_states.get(released.uid)
-            if state is not None:
-                scoreboard.release(released)
-                (int_rf if released.reg_class is _INT
-                 else fp_rf).release(released)
-        cycle += 1
-    # Warm accesses must not count toward the detailed window's rates.
-    dcache.hits = 0
-    dcache.misses = 0
-
-
-# ----------------------------------------------------------------------
 # windows and aggregation
 # ----------------------------------------------------------------------
 
@@ -249,7 +184,7 @@ def run_window(
         frontend=replayer,
     )
     warm_start = max(0, start_offset - warmup)
-    functional_warmup(processor, trace.instructions[warm_start:start_offset])
+    processor.functional_warmup(trace.instructions[warm_start:start_offset])
     return processor.run()
 
 

@@ -1,8 +1,9 @@
 """Drive a :class:`~repro.pipeline.processor.Processor` one stage at a time.
 
-The window, the ROB, the load/store queue and the functional units keep
-no per-instruction methods of their own: the pipeline's stages insert,
-select, wake up, book and retire in place.  Their unit tests therefore
+The window and the functional units keep no per-instruction methods of
+their own, and the ROB and the load/store queue are plain state of the
+processor: the pipeline's stages insert, select, wake up, book and
+retire in place.  Their unit tests therefore
 feed hand-built instructions into the decode queue and run the stages
 for chosen cycles, so they check the bookkeeping the simulator runs.
 """
@@ -31,7 +32,6 @@ class StagedPipeline:
         self.stats = self.processor.stats
         self.window = self.processor.window
         self.rob = self.processor.rob
-        self.lsq = self.processor.lsq
 
     def dispatch(self, cycle, *instructions):
         """Decode ``instructions`` by ``cycle`` and run dispatch in ``cycle``.
@@ -41,9 +41,9 @@ class StagedPipeline:
         processor = self.processor
         for instruction in instructions:
             processor._decode_queue.append(FetchedInstruction(instruction, cycle - 1))
-        before = len(self.rob._entries)
+        before = len(self.rob)
         processor._dispatch_stage(cycle)
-        return list(self.rob._entries)[before:]
+        return list(self.rob)[before:]
 
     def issue(self, cycle):
         """Start ``cycle`` as ``Processor.run`` does and run the issue stage."""

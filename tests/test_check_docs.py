@@ -71,7 +71,7 @@ class TestApiNames:
         _gate_docs(
             monkeypatch, check_docs, tmp_path,
             "Recovery used `repro.rename.renamer.Renamer.squash` and "
-            "`repro.rename.renamer.Renamer.commit`.\n",
+            "`repro.rename.renamer.Renamer.rename`.\n",
         )
         assert check_docs.check_names() == [
             "service.md: names `repro.rename.renamer.Renamer.squash`, "

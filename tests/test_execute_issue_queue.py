@@ -24,7 +24,7 @@ class TestDispatchAndWakeup:
         pipe = StagedPipeline()
         [entry] = pipe.dispatch(5, op(0, dest=int_reg(1), sources=[int_reg(2)]))
         assert not entry.pending
-        assert pipe.window._entries[0] is entry
+        assert pipe.window.entries[0] is entry
         # Not selectable in the dispatch cycle, selectable from the next one.
         pipe.issue(5)
         assert not entry.issued
@@ -36,14 +36,14 @@ class TestDispatchAndWakeup:
         producer, consumer = pipe.dispatch(
             0, op(0, dest=int_reg(1)), op(1, dest=int_reg(3), sources=[int_reg(1)]))
         assert consumer.pending and not producer.pending
-        assert pipe.window._waiters[producer.dest.uid] == [consumer]
+        assert pipe.window.waiters[producer.dest.uid] == [consumer]
         # The producer executes in cycle 2; with one read stage and full
         # bypass the consumer can execute in 3, i.e. issue in 2.  It was
         # not ready when cycle 1 began, so it does not issue then.
         pipe.issue(1)
         assert producer.issued and not consumer.issued
         assert not consumer.pending and consumer.earliest_ex_cycle == 3
-        assert producer.dest.uid not in pipe.window._waiters
+        assert producer.dest.uid not in pipe.window.waiters
         pipe.issue(2)
         assert consumer.issued
 
@@ -65,7 +65,7 @@ class TestDispatchAndWakeup:
         pipe = StagedPipeline(instruction_window=1)
         dispatched = pipe.dispatch(0, op(0, dest=int_reg(1)), op(1, dest=int_reg(2)))
         assert len(dispatched) == 1
-        assert len(pipe.window._entries) == pipe.window.capacity
+        assert len(pipe.window.entries) == pipe.window.capacity
         assert pipe.stats.dispatch_stalls_window == 1
         assert pipe.stats.max_window_occupancy == 1
 
@@ -88,10 +88,10 @@ class TestSelect:
         [entry] = pipe.dispatch(0, op(0, dest=int_reg(1), sources=[int_reg(2)]))
         pipe.issue(1)
         assert entry.issued
-        assert not pipe.window._entries
+        assert not pipe.window.entries
         # An issued entry that finds its way back into the window is
         # refused when it is selected again.
-        pipe.window._entries[entry.seq] = entry
+        pipe.window.entries[entry.seq] = entry
         with pytest.raises(SimulationError, match="issued twice"):
             pipe.issue(2)
 

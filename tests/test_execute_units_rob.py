@@ -1,9 +1,9 @@
-"""Unit tests for functional units, ROB, scoreboard and bypass model.
+"""Unit tests for functional units, ROB, value states and bypass timing.
 
-The pipeline books functional units at issue and pops the ROB head at
-commit in place, so the unit and ROB tests run the stages on hand-built
-instructions (see ``staged_pipeline.py``) or whole simulations with a
-commit observer.
+The pipeline books functional units at issue, keeps the value states in
+the window and pops the ROB head at commit in place, so these tests run
+the stages on hand-built instructions (see ``staged_pipeline.py``) or
+whole simulations with a commit observer.
 """
 
 import pytest
@@ -11,15 +11,13 @@ import pytest
 from staged_pipeline import CommitRecorder, StagedPipeline, op
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.execute.bypass import BypassNetwork
 from repro.execute.functional_units import FunctionalUnitConfig
-from repro.execute.scoreboard import ValueScoreboard, ValueState
-from repro.isa.instruction import RegisterClass, fp_reg, int_reg
+from repro.execute.scoreboard import ValueState
+from repro.isa.instruction import FP_LOGICAL_REGISTERS, INT_LOGICAL_REGISTERS, fp_reg, int_reg
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
+from repro.pipeline.processor import Processor, simulate
 from repro.regfile.monolithic import SingleBankedRegisterFile
-from repro.rename.renamer import PhysicalRegister
 
 
 class TestFunctionalUnits:
@@ -145,52 +143,94 @@ class TestReorderBuffer:
         pipe = StagedPipeline()
         instruction = op(0, dest=int_reg(1))
         [entry] = pipe.dispatch(0, instruction)
-        assert pipe.rob._entries[0] is entry is pipe.window._entries[0]
+        assert pipe.rob[0] is entry is pipe.window.entries[0]
         assert entry.instruction is instruction
         _, commits = _commits([instruction])
         assert commits[0][0].instruction is instruction
 
 
 class TestScoreboard:
+    """The value states the window keeps per live physical register."""
+
     def test_allocate_and_get(self):
-        scoreboard = ValueScoreboard()
-        register = PhysicalRegister(RegisterClass.INT, 40)
-        state = scoreboard.allocate(register, producer_seq=7)
+        pipe = StagedPipeline()
+        [entry] = pipe.dispatch(0, op(7, dest=int_reg(1)))
+        state = entry.dest_state
         assert isinstance(state, ValueState)
+        assert (state.register, state.producer_seq) == (entry.dest, 7)
         assert not state.produced
-        assert scoreboard.get(register) is state
+        assert pipe.window.values[entry.dest.uid] is state
 
     def test_get_unknown_raises(self):
-        scoreboard = ValueScoreboard()
-        with pytest.raises(SimulationError):
-            scoreboard.get(PhysicalRegister(RegisterClass.INT, 1))
+        # A source without a value state is a renaming bug, reported at
+        # dispatch.
+        pipe = StagedPipeline()
+        mapped = pipe.processor.renamer.current_mapping(int_reg(2))
+        del pipe.window.values[mapped.uid]
+        with pytest.raises(SimulationError, match="no scoreboard state"):
+            pipe.dispatch(0, op(0, dest=int_reg(1), sources=[int_reg(2)]))
 
     def test_architected_seed_is_available(self):
-        scoreboard = ValueScoreboard()
-        register = PhysicalRegister(RegisterClass.FP, 2)
-        scoreboard.seed_architected(register)
-        state = scoreboard.get(register)
-        assert state.produced and state.written_back and state.rf_ready_cycle == 0
+        processor = Processor([], SingleBankedRegisterFile)
+        values = processor.window.values
+        logicals = INT_LOGICAL_REGISTERS + FP_LOGICAL_REGISTERS
+        assert len(values) == len(logicals)
+        for logical in logicals:
+            state = values[processor.renamer.current_mapping(logical).uid]
+            assert state.produced and state.written_back and state.rf_ready_cycle == 0
 
     def test_release(self):
-        scoreboard = ValueScoreboard()
-        register = PhysicalRegister(RegisterClass.INT, 40)
-        scoreboard.allocate(register, 0)
-        scoreboard.release(register)
-        assert not scoreboard.contains(register)
+        # Commit drops the value state of the register a destination
+        # replaced; the new mapping keeps its state.
+        recorder = CommitRecorder()
+        processor = Processor([op(0, dest=int_reg(1))], SingleBankedRegisterFile,
+                              commit_observer=recorder)
+        replaced = processor.renamer.current_mapping(int_reg(1))
+        processor.run()
+        [(entry, _)] = recorder.commits
+        assert entry.previous_dest is replaced
+        assert replaced.uid not in processor.window.values
+        assert processor.window.values[entry.dest.uid] is entry.dest_state
 
 
 class TestBypassNetwork:
+    """Producer-to-consumer timing for a file's bypass levels."""
+
     def test_validation(self):
+        # Every register file bounds its bypass levels by its read stages.
         with pytest.raises(ConfigurationError):
-            BypassNetwork(read_stages=0, bypass_levels=0)
+            SingleBankedRegisterFile(latency=0, bypass_levels=0)
         with pytest.raises(ConfigurationError):
-            BypassNetwork(read_stages=1, bypass_levels=2)
+            SingleBankedRegisterFile(latency=1, bypass_levels=2)
+        with pytest.raises(ConfigurationError):
+            SingleBankedRegisterFile(latency=2, bypass_levels=0)
+
+    @staticmethod
+    def _producer_consumer(bypass_levels):
+        pipe = StagedPipeline(lambda: SingleBankedRegisterFile(
+            latency=2, bypass_levels=bypass_levels))
+        producer, consumer = pipe.dispatch(
+            0, op(0, dest=int_reg(1)), op(1, dest=int_reg(3), sources=[int_reg(1)]))
+        pipe.issue(1)
+        assert producer.issued
+        return pipe, producer, consumer
 
     def test_full_bypass_back_to_back(self):
-        bypass = BypassNetwork(read_stages=2, bypass_levels=2)
-        assert bypass.earliest_consumer_execute(producer_ex_end=10) == 11
+        pipe, producer, consumer = self._producer_consumer(bypass_levels=2)
+        assert pipe.processor.consumer_offset == 1
+        # Issued in 1, the producer executes in 3; the consumer executes
+        # in the next cycle, so it issues in 2.
+        assert producer.dest_state.ex_end_cycle == 3
+        assert consumer.earliest_ex_cycle == 4
+        pipe.issue(2)
+        assert consumer.issued
 
     def test_missing_level_adds_latency(self):
-        bypass = BypassNetwork(read_stages=2, bypass_levels=1)
-        assert bypass.earliest_consumer_execute(producer_ex_end=10) == 12
+        pipe, producer, consumer = self._producer_consumer(bypass_levels=1)
+        assert pipe.processor.consumer_offset == 2
+        assert producer.dest_state.ex_end_cycle == 3
+        assert consumer.earliest_ex_cycle == 5
+        pipe.issue(2)
+        assert not consumer.issued
+        pipe.issue(3)
+        assert consumer.issued

@@ -33,13 +33,14 @@ HOT_FUNCTIONS = [
     ("repro.pipeline.processor", "Processor._issue_stage"),
     ("repro.pipeline.processor", "Processor._handle_upper_level_misses"),
     ("repro.pipeline.processor", "Processor._dispatch_stage"),
+    ("repro.pipeline.processor", "Processor.forwarding_store"),
+    ("repro.pipeline.processor", "Processor.functional_warmup"),
     ("repro.regfile.base", "OperandAccess.__init__"),
     ("repro.rename.renamer", "Renamer.rename"),
     ("repro.isa.instruction", "DynamicInstruction.__post_init__"),
     ("repro.frontend.fetch", "FetchUnit.fetch"),
     ("repro.frontend.fetch", "FetchUnit.fetch_into"),
     ("repro.trace.replayer", "TraceReplayer.fetch_into"),
-    ("repro.sampling.engine", "functional_warmup"),
     ("repro.trace.schema", "encode_instruction"),
     ("repro.trace.schema", "_encode_register"),
     ("repro.trace.schema", "decode_instruction"),

@@ -1,10 +1,11 @@
 """Unit tests for the load/store queue.
 
 The core is stream driven: every load and store carries its address, so
-the queue is an occupancy count plus an index of the queued stores by
-address, kept by the dispatch and commit stages.  These tests run those
-stages on hand-built instructions (see ``staged_pipeline.py``) or whole
-simulations of hand-built streams.
+the queue is the processor's occupancy count (``lsq_occupancy``) plus
+its index of the queued stores by address (``stores_at``), kept by the
+dispatch and commit stages.  These tests run those stages on hand-built
+instructions (see ``staged_pipeline.py``) or whole simulations of
+hand-built streams.
 """
 
 import pytest
@@ -12,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from staged_pipeline import CommitRecorder, StagedPipeline, op
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.isa.instruction import int_reg
 from repro.isa.opcodes import OpClass
-from repro.memsys.lsq import LoadStoreQueue
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, simulate
 from repro.regfile.monolithic import SingleBankedRegisterFile
@@ -34,19 +34,17 @@ def _latency(entry, issue_cycle, read_stages=1):
 
 
 class TestLSQBasics:
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigurationError):
-            LoadStoreQueue(capacity=0)
-
     def test_insert_and_full(self):
         pipe = StagedPipeline(lsq_size=2)
         dispatched = pipe.dispatch(0, _load(0, 0x100), _store(1, 0x200), _load(2, 0x300))
         assert [entry.seq for entry in dispatched] == [0, 1]
-        assert pipe.lsq.occupancy == pipe.lsq.capacity
+        assert pipe.processor.lsq_occupancy == 2
         assert pipe.stats.dispatch_stalls_lsq == 1
-        assert pipe.lsq.stores_at == {0x200: [1]}
+        assert pipe.processor.stores_at == {0x200: [1]}
 
     def test_program_order_enforced(self):
+        # Every queued load and store is also in the ROB, whose
+        # program-order check keeps the queue in order.
         with pytest.raises(SimulationError, match="program order"):
             simulate([_store(5, 0x200), _load(3, 0x200)], SingleBankedRegisterFile)
 
@@ -58,8 +56,8 @@ class TestLSQBasics:
         assert stats.committed_instructions == 40
         assert stats.dispatch_stalls_lsq > 0
         # Commit released every load and store.
-        assert processor.lsq.occupancy == 0
-        assert processor.lsq.stores_at == {}
+        assert processor.lsq_occupancy == 0
+        assert processor.stores_at == {}
 
 
 class TestOrderingRules:
@@ -69,7 +67,7 @@ class TestOrderingRules:
         pipe.issue(1)
         assert load.issued and store.issued
         # The younger store does not forward: the load reads the D-cache.
-        assert pipe.lsq.forwarded_loads == 0
+        assert pipe.stats.loads_forwarded == 0
         assert _latency(load, issue_cycle=1) == 1 + pipe.processor.dcache.config.miss_latency
 
     def test_store_without_address_raises_at_dispatch(self):
@@ -85,28 +83,28 @@ class TestForwarding:
         store, load = pipe.dispatch(0, _store(0, 0x200), _load(1, 0x200))
         pipe.issue(1)
         assert store.issued and load.issued
-        assert pipe.lsq.forwarded_loads == 1
+        assert pipe.stats.loads_forwarded == 1
         assert _latency(load, issue_cycle=1) == 2  # address generation + forward
 
     def test_no_forwarding_from_different_address(self):
         pipe = StagedPipeline()
         _, load = pipe.dispatch(0, _store(0, 0x200), _load(1, 0x300))
-        assert pipe.lsq.forwarding_store(load.seq, 0x300) is None
+        assert pipe.processor.forwarding_store(load.seq, 0x300) is None
         pipe.issue(1)
-        assert pipe.lsq.forwarded_loads == 0
+        assert pipe.stats.loads_forwarded == 0
         assert _latency(load, issue_cycle=1) == 1 + pipe.processor.dcache.config.miss_latency
 
     def test_youngest_older_store_wins(self):
         pipe = StagedPipeline()
         pipe.dispatch(0, _store(0, 0x200), _store(1, 0x200, data=3), _load(2, 0x200, dest=4))
-        assert pipe.lsq.stores_at == {0x200: [0, 1]}
-        assert pipe.lsq.forwarding_store(2, 0x200) == 1
+        assert pipe.processor.stores_at == {0x200: [0, 1]}
+        assert pipe.processor.forwarding_store(2, 0x200) == 1
 
     def test_no_forwarding_from_younger_store(self):
         pipe = StagedPipeline()
         pipe.dispatch(0, _load(0, 0x200), _store(1, 0x200))
-        assert pipe.lsq.forwarding_store(0, 0x200) is None
-        assert pipe.lsq.forwarded_loads == 0
+        assert pipe.processor.forwarding_store(0, 0x200) is None
+        assert pipe.stats.loads_forwarded == 0
 
     def test_store_to_load_forwarding_in_a_hand_built_stream(self):
         # A store, a load from its address and a load from elsewhere; the
@@ -142,15 +140,15 @@ class _IndexScan:
         self.stores_committed = 0
 
     def on_commit(self, entry, cycle) -> None:
-        queued = [e.instruction for e in self.processor.rob._entries
+        queued = [e.instruction for e in self.processor.rob
                   if e.instruction.op_class in (OpClass.LOAD, OpClass.STORE)]
         index = {}
         for instruction in queued:
             if instruction.op_class is OpClass.STORE:
                 index.setdefault(instruction.mem_address, []).append(instruction.seq)
-        lsq = self.processor.lsq
-        assert lsq.occupancy == len(queued)
-        assert lsq.stores_at == index
+        processor = self.processor
+        assert processor.lsq_occupancy == len(queued)
+        assert processor.stores_at == index
         if entry.instruction.op_class is OpClass.STORE:
             self.stores_committed += 1
             # The store that left was older than every store still queued
@@ -185,4 +183,4 @@ def test_ordering_check_matches_a_linear_scan(data):
     stats = processor.run()
     assert stats.committed_instructions == len(stream)
     assert scan.stores_committed == sum(i.op_class is OpClass.STORE for i in stream)
-    assert processor.lsq.occupancy == 0 and processor.lsq.stores_at == {}
+    assert processor.lsq_occupancy == 0 and processor.stores_at == {}

@@ -1,8 +1,8 @@
 """The load/store queue's address index against a reference linear scan.
 
-``LoadStoreQueue.forwarding_store`` reads a per-address index of the
-queued stores, which the dispatch stage appends to and the commit stage
-pops from, instead of scanning the queue.  A seeded random stream of
+``Processor.forwarding_store`` reads a per-address index of the queued
+stores (``Processor.stores_at``), which the dispatch stage appends to and
+the commit stage pops from, instead of scanning the queue.  A seeded random stream of
 loads, stores and ALU operations over a few addresses runs through the
 pipeline, and every forwarding query the issue stage makes is checked
 against a scan of the reorder buffer, which holds exactly the loads and
@@ -65,8 +65,7 @@ class CheckedQueue:
 
     def __init__(self, processor: Processor) -> None:
         self.processor = processor
-        self.lsq = processor.lsq
-        self.forward = processor.lsq.forwarding_store
+        self.forward = processor.forwarding_store
         self.queries = 0
         self.forwarded_loads = 0
 
@@ -75,7 +74,7 @@ class CheckedQueue:
         memory = (OpClass.LOAD, OpClass.STORE)
         return [
             entry.instruction
-            for entry in self.processor.rob._entries
+            for entry in self.processor.rob
             if entry.instruction.op_class in memory
         ]
 
@@ -88,8 +87,8 @@ class CheckedQueue:
                 index.setdefault(instruction.mem_address, []).append(instruction.seq)
                 if instruction.seq < seq and instruction.mem_address == address:
                     best = instruction.seq
-        assert self.lsq.occupancy == len(queued)
-        assert self.lsq.stores_at == index
+        assert self.processor.lsq_occupancy == len(queued)
+        assert self.processor.stores_at == index
         if best is not None:
             self.forwarded_loads += 1
         self.queries += 1
@@ -106,11 +105,11 @@ def test_index_matches_linear_scan(seed):
         ProcessorConfig(lsq_size=12, rob_size=24),
     )
     checked = CheckedQueue(processor)
-    processor.lsq.forwarding_store = checked
+    processor.forwarding_store = checked
     stats = processor.run()
     assert stats.committed_instructions == 400
     assert checked.queries > 0
     assert stats.loads_forwarded == checked.forwarded_loads
     assert checked.forwarded_loads > 0
-    assert processor.lsq.occupancy == 0
-    assert processor.lsq.stores_at == {}
+    assert processor.lsq_occupancy == 0
+    assert processor.stores_at == {}

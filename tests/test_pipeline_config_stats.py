@@ -26,6 +26,11 @@ class TestProcessorConfig:
             ProcessorConfig(fetch_width=0)
         with pytest.raises(ConfigurationError):
             ProcessorConfig(max_cycles=0)
+        # The window, ROB and load/store queue sizes are checked here only.
+        for name in ("instruction_window", "rob_size", "lsq_size"):
+            for size in (0, -1):
+                with pytest.raises(ConfigurationError, match=name):
+                    ProcessorConfig(**{name: size})
 
     def test_with_overrides(self):
         config = ProcessorConfig().with_overrides(num_int_physical=64)

@@ -47,11 +47,11 @@ class _CheckedProcessor(Processor):
     def _issue_stage(self, cycle: int) -> None:
         super()._issue_stage(cycle)
         window = self.window
-        rob_ids = {id(entry) for entry in self.rob._entries}
-        for waiting in window._waiters.values():
+        rob_ids = {id(entry) for entry in self.rob}
+        for waiting in window.waiters.values():
             assert not any(entry.issued for entry in waiting), (
                 f"issued entry left in a waiter list at cycle {cycle}")
-        for entry in window._entries.values():
+        for entry in window.entries.values():
             assert not entry.issued and not entry.completed
             assert id(entry) in rob_ids, "window entry missing from the ROB"
         for bucket in self._completions.values():

@@ -1,19 +1,22 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
 import os
-from collections import Counter
+from collections import Counter, deque
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.distributions import cumulative_distribution
 from repro.analysis.metrics import harmonic_mean
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.hwmodel.access_time import access_time_ns
 from repro.hwmodel.area import RegisterFileGeometry
 from repro.hwmodel.pareto import DesignPoint, pareto_frontier
+from repro.isa.instruction import INT_LOGICAL_REGISTERS, DynamicInstruction
+from repro.isa.opcodes import OpClass
 from repro.memsys.cache import CacheConfig, CacheModel
 from repro.regfile.ports import WriteScheduler
 from repro.regfile.replacement import PseudoLRU
-from repro.rename.free_list import FreeList
+from repro.rename.renamer import Renamer
 from repro.storage.sharded import ShardedStore
 
 
@@ -24,17 +27,26 @@ from repro.storage.sharded import ShardedStore
 @given(st.lists(st.booleans(), max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_free_list_never_duplicates_allocations(operations):
-    """Alternating allocate/release never hands out the same register twice."""
-    free = FreeList(range(8))
-    allocated = []
-    for do_allocate in operations:
-        if do_allocate and not free.empty:
-            register = free.allocate()
-            assert register not in allocated
-            allocated.append(register)
-        elif allocated:
-            free.release(allocated.pop())
-    assert len(allocated) + len(free) == 8
+    """Renaming interleaved with commit-order releases never hands out a
+    register that is still mapped or in flight."""
+    renamer = Renamer(40, 40)   # 8 spare integer registers
+    free = renamer.int_free
+    live = set(range(32))       # the architected mappings
+    in_flight = deque()
+    for seq, do_allocate in enumerate(operations):
+        if do_allocate and free.free:
+            instruction = DynamicInstruction(seq=seq, op_class=OpClass.INT_ALU,
+                                             dest=INT_LOGICAL_REGISTERS[seq % 32])
+            record = renamer.rename(IssueQueueEntry(instruction))
+            assert record.dest.index not in live
+            live.add(record.dest.index)
+            in_flight.append(record)
+        elif in_flight:
+            released = in_flight.popleft().previous_dest.index
+            free.release(released)
+            live.remove(released)
+    assert len(live) + len(free) == 40
+    assert set(free.free) == free.members
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.execute.scoreboard import ValueScoreboard
+from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import RegisterClass
 from repro.regfile.banked import OneLevelBankedRegisterFile
 from repro.regfile.base import OperandAccess, OperandSource
@@ -29,12 +29,10 @@ def _phys(index):
     return PhysicalRegister(RegisterClass.INT, index)
 
 
-def _produced(scoreboard, index, ex_end=1, rf_ready=2):
+def _produced(index, ex_end=1, rf_ready=2):
     register = _phys(index)
-    state = scoreboard.allocate(register, producer_seq=index)
-    state.ex_end_cycle = ex_end
-    state.rf_ready_cycle = rf_ready
-    state.written_back = True
+    state = ValueState(register, producer_seq=index, ex_end_cycle=ex_end,
+                       rf_ready_cycle=rf_ready, written_back=True)
     return register, state
 
 
@@ -51,10 +49,9 @@ class TestOneLevelBanked:
     def test_bank_conflicts_block_issue(self):
         regfile = OneLevelBankedRegisterFile(num_banks=2, read_ports_per_bank=1)
         regfile.begin_cycle(10)
-        scoreboard = ValueScoreboard()
-        a, state_a = _produced(scoreboard, 2)    # bank 0
-        b, state_b = _produced(scoreboard, 4)    # bank 0
-        c, state_c = _produced(scoreboard, 5)    # bank 1
+        a, state_a = _produced(2)    # bank 0
+        b, state_b = _produced(4)    # bank 0
+        c, state_c = _produced(5)    # bank 1
         access_a = _plan(regfile, a, state_a, issue_cycle=10)
         access_b = _plan(regfile, b, state_b, issue_cycle=10)
         access_c = _plan(regfile, c, state_c, issue_cycle=10)
@@ -70,19 +67,17 @@ class TestOneLevelBanked:
 
     def test_bypass_when_not_yet_written(self):
         regfile = OneLevelBankedRegisterFile(num_banks=2)
-        scoreboard = ValueScoreboard()
         register = _phys(2)
-        state = scoreboard.allocate(register, 0)
+        state = ValueState(register, 0)
         state.ex_end_cycle = 9
         access = _plan(regfile, register, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_writeback_uses_bank_scheduler(self):
         regfile = OneLevelBankedRegisterFile(num_banks=2, write_ports_per_bank=1)
-        scoreboard = ValueScoreboard()
-        a, state_a = _produced(scoreboard, 2)
-        b, state_b = _produced(scoreboard, 4)    # same bank as a
-        c, state_c = _produced(scoreboard, 5)    # other bank
+        a, state_a = _produced(2)
+        b, state_b = _produced(4)    # same bank as a
+        c, state_c = _produced(5)    # other bank
         assert regfile.writeback(a, state_a, cycle=5, window=None) == 5
         assert regfile.writeback(b, state_b, cycle=5, window=None) == 6
         assert regfile.writeback(c, state_c, cycle=5, window=None) == 5

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
-from repro.execute.scoreboard import ValueScoreboard
+from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
 from repro.regfile.base import OperandAccess, OperandSource
@@ -26,22 +26,29 @@ def _phys(index):
 
 
 def _window():
-    scoreboard = ValueScoreboard()
-    return IssueQueue(32, scoreboard), scoreboard
+    """A window and its value states (``uid`` -> ``ValueState``)."""
+    window = IssueQueue(32)
+    return window, window.values
 
 
 def _wait_in_window(window, entry):
     """Put ``entry`` in the window the way the dispatch stage does for the
     policies: as a window entry and a consumer of each of its sources."""
-    window._entries[entry.seq] = entry
+    window.entries[entry.seq] = entry
     for register in entry.sources:
-        window._consumers.setdefault(register.uid, []).append(entry)
+        window.consumers.setdefault(register.uid, []).append(entry)
     return entry
 
 
-def _produced_state(scoreboard, index, ex_end, rf_ready):
+def _allocate(values, register, producer_seq):
+    """A fresh value state for ``register``, as the dispatch stage makes."""
+    state = values[register.uid] = ValueState(register, producer_seq)
+    return state
+
+
+def _produced_state(values, index, ex_end, rf_ready):
     register = _phys(index)
-    state = scoreboard.allocate(register, producer_seq=index)
+    state = _allocate(values, register, producer_seq=index)
     state.ex_end_cycle = ex_end
     state.rf_ready_cycle = rf_ready
     state.written_back = True
@@ -70,39 +77,39 @@ class TestConstruction:
 class TestReadPlanning:
     def test_bypass_exactly_one_cycle_after_produce(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=9, rf_ready=10)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=9, rf_ready=10)
         access = _plan(cache, register, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_miss_when_not_cached(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.MISS
 
     def test_hit_after_caching_at_writeback(self):
         cache = RegisterFileCache(caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.FILE
 
     def test_not_ready_while_value_in_flight_to_lower(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
+        window, values = _window()
         register = _phys(40)
-        state = scoreboard.allocate(register, 0)
+        state = _allocate(values, register, 0)
         state.ex_end_cycle = 5          # produced but not yet written back
         access = _plan(cache, register, state, issue_cycle=10)
         assert access.source is OperandSource.NOT_READY
 
     def test_not_ready_while_fill_in_flight(self):
         cache = RegisterFileCache(lower_read_latency=2)
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         completion = cache.request_fill(register, state, cycle=10)
         assert completion == 13          # lower read (2) + upper write (1)
         access = _plan(cache, register, state, issue_cycle=11)
@@ -113,8 +120,8 @@ class TestReadPlanning:
 class TestFills:
     def test_fill_completion_inserts_into_upper(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         completion = cache.request_fill(register, state, cycle=10)
         assert completion == 12
         assert not cache.present_in_upper(register)
@@ -124,24 +131,24 @@ class TestFills:
 
     def test_fill_denied_when_all_buses_busy(self):
         cache = RegisterFileCache(num_buses=1)
-        window, scoreboard = _window()
-        first, state1 = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        second, state2 = _produced_state(scoreboard, 41, ex_end=5, rf_ready=6)
+        window, values = _window()
+        first, state1 = _produced_state(values, 40, ex_end=5, rf_ready=6)
+        second, state2 = _produced_state(values, 41, ex_end=5, rf_ready=6)
         assert cache.request_fill(first, state1, cycle=10) is not None
         assert cache.request_fill(second, state2, cycle=10) is None
         assert cache.buses.transfers_denied == 1
 
     def test_fill_for_resident_register_is_trivial(self):
         cache = RegisterFileCache(caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         assert cache.request_fill(register, state, cycle=10) == 10
 
     def test_duplicate_fill_requests_share_the_transfer(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         first = cache.request_fill(register, state, cycle=10)
         second = cache.request_fill(register, state, cycle=11)
         assert first == second
@@ -149,9 +156,9 @@ class TestFills:
 
     def test_fill_rejected_before_value_reaches_lower_level(self):
         cache = RegisterFileCache()
-        window, scoreboard = _window()
+        window, values = _window()
         register = _phys(40)
-        state = scoreboard.allocate(register, 0)
+        state = _allocate(values, register, 0)
         state.ex_end_cycle = 9
         assert cache.request_fill(register, state, cycle=10) is None
 
@@ -159,8 +166,8 @@ class TestFills:
 class TestWritebackPolicies:
     def test_non_bypass_caching_skips_bypassed_values(self):
         cache = RegisterFileCache(caching_policy=NonBypassCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         state.consumed_via_bypass = True
         cache.writeback(register, state, cycle=6, window=window)
         assert not cache.present_in_upper(register)
@@ -168,24 +175,24 @@ class TestWritebackPolicies:
 
     def test_non_bypass_caching_keeps_unbypassed_values(self):
         cache = RegisterFileCache(caching_policy=NonBypassCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         assert cache.present_in_upper(register)
         assert cache.results_cached == 1
 
     def test_never_caching(self):
         cache = RegisterFileCache(caching_policy=NeverCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         assert not cache.present_in_upper(register)
 
     def test_upper_write_port_conflict_skips_caching(self):
         cache = RegisterFileCache(caching_policy=AlwaysCaching(), upper_write_ports=1)
-        window, scoreboard = _window()
-        a, state_a = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        b, state_b = _produced_state(scoreboard, 41, ex_end=5, rf_ready=6)
+        window, values = _window()
+        a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
+        b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
         cache.writeback(a, state_a, cycle=6, window=window)
         cache.writeback(b, state_b, cycle=6, window=window)
         assert cache.present_in_upper(a)
@@ -194,18 +201,17 @@ class TestWritebackPolicies:
 
     def test_lower_write_port_contention_delays_availability(self):
         cache = RegisterFileCache(lower_write_ports=1, caching_policy=NeverCaching())
-        window, scoreboard = _window()
-        a, state_a = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        b, state_b = _produced_state(scoreboard, 41, ex_end=5, rf_ready=6)
+        window, values = _window()
+        a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
+        b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
         assert cache.writeback(a, state_a, cycle=6, window=window) == 6
         assert cache.writeback(b, state_b, cycle=6, window=window) == 7
 
     def test_ready_caching_requires_ready_waiting_consumer(self):
         cache = RegisterFileCache(caching_policy=ReadyCaching())
-        window, scoreboard = _window()
-        producer_reg, producer_state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        other_ready = _phys(41)
-        scoreboard.seed_architected(other_ready)
+        window, values = _window()
+        producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
+        other_ready, _ = _produced_state(values, 41, ex_end=-1, rf_ready=0)  # architected
         consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[3],
@@ -219,10 +225,10 @@ class TestWritebackPolicies:
 
     def test_ready_caching_skips_when_other_operand_missing(self):
         cache = RegisterFileCache(caching_policy=ReadyCaching())
-        window, scoreboard = _window()
-        producer_reg, producer_state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         pending = _phys(42)
-        scoreboard.allocate(pending, producer_seq=8)   # not produced yet
+        _allocate(values, pending, producer_seq=8)   # not produced yet
         consumer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[3],
@@ -238,10 +244,10 @@ class TestWritebackPolicies:
 class TestEvictionAndRelease:
     def test_eviction_when_upper_is_full(self):
         cache = RegisterFileCache(upper_capacity=4, caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
+        window, values = _window()
         registers = []
         for index in range(5):
-            register, state = _produced_state(scoreboard, 40 + index, ex_end=5, rf_ready=6)
+            register, state = _produced_state(values, 40 + index, ex_end=5, rf_ready=6)
             cache.writeback(register, state, cycle=6 + index, window=window)
             registers.append(register)
         assert cache.evictions == 1
@@ -250,17 +256,17 @@ class TestEvictionAndRelease:
 
     def test_release_removes_from_upper_and_pending(self):
         cache = RegisterFileCache(caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
-        register, state = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
+        window, values = _window()
+        register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         cache.release(register)
         assert not cache.present_in_upper(register)
 
     def test_read_ports_enforced(self):
         cache = RegisterFileCache(upper_read_ports=1, caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
-        a, state_a = _produced_state(scoreboard, 40, ex_end=5, rf_ready=6)
-        b, state_b = _produced_state(scoreboard, 41, ex_end=5, rf_ready=6)
+        window, values = _window()
+        a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
+        b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
         cache.writeback(a, state_a, cycle=6, window=window)
         cache.writeback(b, state_b, cycle=6, window=window)
         cache.begin_cycle(10)
@@ -278,12 +284,12 @@ class TestPrefetchFirstPair:
     def test_prefetches_other_operand_of_first_consumer(self):
         cache = RegisterFileCache(fetch_policy=PrefetchFirstPair(),
                                   caching_policy=NonBypassCaching())
-        window, scoreboard = _window()
+        window, values = _window()
         # The issuing producer writes dest; its first consumer also needs
         # `other`, which sits only in the lower level.
         dest = _phys(50)
-        scoreboard.allocate(dest, producer_seq=5)
-        other, other_state = _produced_state(scoreboard, 60, ex_end=1, rf_ready=2)
+        _allocate(values, dest, producer_seq=5)
+        other, other_state = _produced_state(values, 60, ex_end=1, rf_ready=2)
         producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[4]),
@@ -298,17 +304,17 @@ class TestPrefetchFirstPair:
         )
         producer_entry = _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
-        cache.on_issue(producer_entry, cycle=3, window=window, scoreboard=scoreboard)
+        cache.on_issue(producer_entry, cycle=3, window=window)
         assert cache.prefetch_fills == 1
         assert cache.fill_in_flight(other) is not None
 
     def test_no_prefetch_when_operand_already_resident(self):
         cache = RegisterFileCache(fetch_policy=PrefetchFirstPair(),
                                   caching_policy=AlwaysCaching())
-        window, scoreboard = _window()
+        window, values = _window()
         dest = _phys(50)
-        scoreboard.allocate(dest, producer_seq=5)
-        other, other_state = _produced_state(scoreboard, 60, ex_end=1, rf_ready=2)
+        _allocate(values, dest, producer_seq=5)
+        other, other_state = _produced_state(values, 60, ex_end=1, rf_ready=2)
         cache.writeback(other, other_state, cycle=2, window=window)
         producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
@@ -324,19 +330,19 @@ class TestPrefetchFirstPair:
         )
         producer_entry = _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
-        cache.on_issue(producer_entry, cycle=3, window=window, scoreboard=scoreboard)
+        cache.on_issue(producer_entry, cycle=3, window=window)
         assert cache.prefetch_fills == 0
 
     def test_fetch_on_demand_never_prefetches(self):
         cache = RegisterFileCache(fetch_policy=FetchOnDemand())
-        window, scoreboard = _window()
+        window, values = _window()
         dest = _phys(50)
-        scoreboard.allocate(dest, producer_seq=5)
+        _allocate(values, dest, producer_seq=5)
         producer = IssueQueueEntry(
             instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
                                            dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
         entry = _wait_in_window(window, producer)
-        cache.on_issue(entry, cycle=3, window=window, scoreboard=scoreboard)
+        cache.on_issue(entry, cycle=3, window=window)
         assert cache.prefetch_fills == 0

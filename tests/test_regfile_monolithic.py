@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.execute.scoreboard import ValueScoreboard
+from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import RegisterClass
 from repro.regfile.base import OperandAccess, OperandSource
 from repro.regfile.monolithic import SingleBankedRegisterFile
@@ -22,9 +22,8 @@ def _phys(index=40):
 
 
 def _state(ex_end=None, rf_ready=None):
-    scoreboard = ValueScoreboard()
     register = _phys()
-    state = scoreboard.allocate(register, producer_seq=0)
+    state = ValueState(register, producer_seq=0)
     if ex_end is not None:
         state.ex_end_cycle = ex_end
     if rf_ready is not None:

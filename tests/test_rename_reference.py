@@ -2,12 +2,14 @@
 
 Seeded random walks of rename and commit steps (including renames that
 find the free list empty) drive the :class:`~repro.rename.renamer.Renamer` and a plain
-reference (a dict keyed by ``(class, index)`` and FIFO free lists).
-Every instruction uses freshly built, non-interned ``LogicalRegister``
-objects, as the workload generator does, so the map table's slot
-indexing sees registers that equal the interned ones without being
-them.  After every step the renamed record, every current mapping and
-the free counts must agree with the reference.
+reference (a dict keyed by ``(class, index)`` and FIFO free lists).  A
+rename step calls ``Renamer.rename``; a commit step runs the release the
+pipeline's commit stage runs, ``FreeList.release`` of the committed
+record's ``previous_dest``.  Every instruction uses freshly built,
+non-interned ``LogicalRegister`` objects, as the workload generator
+does, so the map table's slot indexing sees registers that equal the
+interned ones without being them.  After every step the renamed record,
+every current mapping and the free lists must agree with the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.isa.instruction import (
     RegisterClass,
 )
 from repro.isa.opcodes import OpClass
-from repro.rename.map_table import MapTable
 from repro.rename.renamer import Renamer
 
 INT = RegisterClass.INT
@@ -82,19 +83,18 @@ def _check_state(renamer, reference):
     for (reg_class, index), physical in reference.mapping.items():
         mapped = renamer.current_mapping(_fresh(reg_class, index))
         assert _pair(mapped) == (reg_class, physical)
-    for reg_class in CLASSES:
-        assert renamer.free_count(reg_class) == len(reference.free[reg_class])
+    for reg_class, free_list in ((INT, renamer.int_free), (FP, renamer.fp_free)):
+        assert list(free_list.free) == list(reference.free[reg_class])
+        assert free_list.members == set(reference.free[reg_class])
 
 
 def _rename_step(rng, seq, renamer, reference, in_flight):
     instruction = _random_instruction(rng, seq)
     dest = instruction.dest
     if dest is not None and not reference.free[dest.reg_class]:
-        assert not renamer.can_rename(instruction)
         with pytest.raises(RenameError):
             renamer.rename(IssueQueueEntry(instruction))
         return
-    assert renamer.can_rename(instruction)
     record = renamer.rename(IssueQueueEntry(instruction))
     sources, new, previous = reference.rename(instruction)
     assert [_pair(source) for source in record.sources] == sources
@@ -113,23 +113,25 @@ def test_random_walk_matches_reference(seed):
         if rng.random() < 0.6 or not in_flight:
             _rename_step(rng, seq, renamer, reference, in_flight)
         else:
-            record = in_flight.pop(0)
-            released = renamer.commit(record)
-            assert released is record.previous_dest
+            released = in_flight.pop(0).previous_dest
             if released is not None:
+                free_list = renamer.int_free if released.reg_class is INT else renamer.fp_free
+                free_list.release(released.index)
                 reference.free[released.reg_class].append(released.index)
         _check_state(renamer, reference)
 
 
 class TestMapTableSlots:
     def test_non_interned_registers_share_a_slot(self):
-        table = MapTable({_fresh(FP, 7): 3})
-        assert table.lookup(_fresh(FP, 7)) == 3
-        with pytest.raises(RenameError):
-            table.lookup(_fresh(INT, 7))
+        renamer = Renamer(PHYSICAL[INT], PHYSICAL[FP])
+        record = renamer.rename(IssueQueueEntry(
+            DynamicInstruction(seq=0, op_class=OpClass.FP_ALU, dest=_fresh(FP, 7))))
+        assert renamer.current_mapping(_fresh(FP, 7)) is record.dest
+        assert _pair(renamer.current_mapping(_fresh(INT, 7))) == (INT, 7)
 
-    def test_items_and_len_read_the_slots(self):
-        table = MapTable({_fresh(INT, 2): 6, _fresh(FP, 1): 5})
-        assert len(table) == 2
-        # Slot order: ``(index << 1) | is_fp`` puts f1 (slot 3) before r2 (slot 4).
-        assert [(str(reg), physical) for reg, physical in table.items()] == [("f1", 5), ("r2", 6)]
+    def test_slots_are_indexed_by_the_register_hash(self):
+        renamer = Renamer(PHYSICAL[INT], PHYSICAL[FP])
+        # Slot ``(index << 1) | is_fp``: f1 is slot 3 and r2 slot 4.
+        assert [str(physical) for physical in renamer.map[3:5]] == ["pf1", "p2"]
+        assert all(renamer.map[_fresh(c, i)._hash] is renamer.current_mapping(_fresh(c, i))
+                   for c in CLASSES for i in range(NUM_LOGICAL_PER_CLASS))

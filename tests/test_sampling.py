@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.store import simulation_key
 from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimulationStats
 from repro.sampling import SamplingSpec, parse_sampling, sampled_simulate
 from repro.sampling.__main__ import main as sampling_main
@@ -21,7 +22,7 @@ from repro.sampling.engine import (
     t_critical,
     window_plan,
 )
-from repro.trace import record_trace, replay_simulate
+from repro.trace import TraceReplayer, record_trace, replay_simulate
 from repro.validate.differential import validation_matrix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
@@ -198,6 +199,28 @@ class TestSampledSimulate:
         # Omit-when-None: passing sampling=None is the pre-sampling key.
         assert simulation_key("gcc", "mono-1c", config, 0,
                               sampling=None) == exact_key
+
+
+class TestFunctionalWarmup:
+    def test_warms_only_the_processor_state(self, gcc_trace):
+        """``Processor.functional_warmup`` leaves one value state per live
+        mapping, every other register free, no instruction in flight and
+        no D-cache count behind."""
+        processor = Processor(None, validation_matrix()["rfc-ready"],
+                              ProcessorConfig(max_instructions=N),
+                              frontend=TraceReplayer(gcc_trace, start_event=0))
+        processor.functional_warmup(gcc_trace.instructions[:600])
+        renamer = processor.renamer
+        mapped = {physical.uid for physical in renamer.map}
+        assert set(processor.window.values) == mapped
+        for free_list, physical in ((renamer.int_free, renamer.num_int_physical),
+                                    (renamer.fp_free, renamer.num_fp_physical)):
+            assert len(free_list) == physical - len(renamer.map) // 2
+            assert set(free_list.free) == free_list.members
+        assert all(state.written_back for state in processor.window.values.values())
+        assert (processor.dcache.hits, processor.dcache.misses) == (0, 0)
+        assert not processor.rob and not processor.window.entries
+        assert processor.lsq_occupancy == 0 and not processor.stores_at
 
 
 class TestSamplingCli:
