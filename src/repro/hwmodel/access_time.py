@@ -20,13 +20,15 @@ bank of the register file cache with 16 registers at its four port
 configurations).  The calibration reproduces those points to within a few
 percent; :mod:`repro.experiments.figure9_table2` tabulates model vs
 paper values.
+
+numpy is imported on first evaluation, not at module import, so that
+``import repro`` and the simulator need only the standard library.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ModelError
 from repro.hwmodel.area import (
@@ -34,6 +36,9 @@ from repro.hwmodel.area import (
     CELL_TRACK_LAMBDA,
     DEFAULT_REGISTER_BITS,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Calibration points from Table 2: (num_registers, read_ports, write_ports,
 #: access_time_ns).  For the register file cache the uppermost bank has
@@ -58,6 +63,8 @@ def _cell_side(read_ports: int, write_ports: int) -> float:
 
 def _features(num_registers: int, read_ports: int, write_ports: int,
               bits: int) -> np.ndarray:
+    import numpy as np
+
     side = _cell_side(read_ports, write_ports)
     return np.array(
         [
@@ -72,6 +79,8 @@ def _features(num_registers: int, read_ports: int, write_ports: int,
 @lru_cache(maxsize=1)
 def calibrated_constants() -> tuple[float, float, float, float]:
     """Least-squares coefficients (k_fixed, k_decode, k_wordline, k_bitline)."""
+    import numpy as np
+
     rows = [
         _features(registers, reads, writes, DEFAULT_REGISTER_BITS)
         for registers, reads, writes, _ in _CALIBRATION_POINTS
@@ -101,6 +110,8 @@ def access_time_ns(
         raise ModelError("a register file needs at least one port")
     if bits <= 0:
         raise ModelError("bits must be positive")
+    import numpy as np
+
     coefficients = np.array(calibrated_constants())
     features = _features(num_registers, read_ports, write_ports, bits)
     value = float(coefficients @ features)

@@ -46,9 +46,6 @@ class FreeList:
         if not self.members <= self._valid:
             raise ConfigurationError("initially free registers must be within the valid set")
 
-    def __len__(self) -> int:
-        return len(self.free)
-
     def release(self, register: int) -> None:
         """Return a physical register to the pool.
 

@@ -45,7 +45,7 @@ def test_free_list_never_duplicates_allocations(operations):
             released = in_flight.popleft().previous_dest.index
             free.release(released)
             live.remove(released)
-    assert len(live) + len(free) == 40
+    assert len(live) + len(free.free) == 40
     assert set(free.free) == free.members
 
 

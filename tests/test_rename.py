@@ -37,7 +37,7 @@ class TestFreeList:
         assert not free.free and not free.members
         for record in records:
             free.release(record.previous_dest.index)
-        assert len(free) == 4
+        assert len(free.free) == 4
         assert list(free.free) == [1, 2, 3, 4]
 
     def test_underflow(self):
@@ -46,7 +46,7 @@ class TestFreeList:
         renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
         with pytest.raises(RenameError, match="no free int physical register for seq 1"):
             renamer.rename(IssueQueueEntry(_alu(1, dest=2)))
-        assert len(renamer.int_free) == 0
+        assert len(renamer.int_free.free) == 0
 
     def test_double_release_rejected(self):
         free = FreeList(range(1, 2), valid_registers=range(2))
@@ -70,7 +70,7 @@ class TestFreeList:
         free.release(second)
         with pytest.raises(RenameError):
             free.release(second)
-        assert len(free) == 1 and free.members == {second}
+        assert len(free.free) == 1 and free.members == {second}
 
     def test_foreign_register_rejected(self):
         free = FreeList(range(2))
@@ -164,15 +164,15 @@ class TestRenamer:
         fp_inst = DynamicInstruction(seq=0, op_class=OpClass.FP_ALU,
                                      dest=FP_LOGICAL_REGISTERS[1])
         renamer.rename(IssueQueueEntry(fp_inst))
-        assert len(renamer.int_free) == 2
-        assert len(renamer.fp_free) == 31
+        assert len(renamer.int_free.free) == 2
+        assert len(renamer.fp_free.free) == 31
 
     def test_in_use_registers(self):
         # In use = the physical registers not on the free list.
         renamer = Renamer(64, 64)
-        assert 64 - len(renamer.int_free) == 32
+        assert 64 - len(renamer.int_free.free) == 32
         renamer.rename(IssueQueueEntry(_alu(0, dest=1)))
-        assert 64 - len(renamer.int_free) == 33
+        assert 64 - len(renamer.int_free.free) == 33
 
     def test_physical_register_str(self):
         assert str(PhysicalRegister(RegisterClass.INT, 3)) == "p3"

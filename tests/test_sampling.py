@@ -215,7 +215,7 @@ class TestFunctionalWarmup:
         assert set(processor.window.values) == mapped
         for free_list, physical in ((renamer.int_free, renamer.num_int_physical),
                                     (renamer.fp_free, renamer.num_fp_physical)):
-            assert len(free_list) == physical - len(renamer.map) // 2
+            assert len(free_list.free) == physical - len(renamer.map) // 2
             assert set(free_list.free) == free_list.members
         assert all(state.written_back for state in processor.window.values.values())
         assert (processor.dcache.hits, processor.dcache.misses) == (0, 0)
