@@ -21,12 +21,14 @@ Both steps run through :func:`fan_out` whatever the ``jobs`` count.  At
 ``jobs`` > 1 the work fans out across a **warm worker pool** that
 persists across calls (figure sweeps reuse it); batches carry multiple
 points per dispatch instead of one task per point.  Workers only
-compute: a record task returns its trace as payload bytes, and a replay
-batch receives its group's trace the same way.  The engine process alone
-puts traces into its :class:`~repro.trace.store.TraceStore` and emits
-the ``trace.record`` and ``point.simulate`` spans, at every ``jobs``
-value: live around the work it runs itself, and from the seconds each
-worker task reports for the rest.
+compute: a record task returns its trace as its columnar blob
+(:meth:`~repro.trace.schema.DecodedTrace.to_bytes`, the bytes the trace
+store writes), and a replay batch receives its group's trace the same
+way.  The engine process alone puts traces into its
+:class:`~repro.trace.store.TraceStore` and emits the ``trace.record``
+and ``point.simulate`` spans, at every ``jobs`` value: live around the
+work it runs itself, and from the seconds each worker task reports for
+the rest.
 
 Simulations are deterministic functions of ``(benchmark profile, seed,
 architecture, config)``, so a parallel or replayed run produces
@@ -374,9 +376,9 @@ class _TraceBatch:
 
     points: Tuple[SimulationPoint, ...]
     trace_key: str
-    #: The group's trace as a payload; ``None`` for a batch that runs
-    #: inline on the engine's own trace.
-    payload: Optional[dict]
+    #: The group's trace as its :meth:`DecodedTrace.to_bytes` blob;
+    #: ``None`` for a batch that runs inline on the engine's own trace.
+    blob: Optional[bytes]
 
 
 def _replay_timed(
@@ -397,8 +399,8 @@ def _record_timed(
     return trace, stats, time.perf_counter() - started
 
 
-def _record_remote(point: SimulationPoint) -> Tuple[dict, dict, float, float]:
-    """Worker entry for a record task: ``(trace payload, stats dict,
+def _record_remote(point: SimulationPoint) -> Tuple[bytes, dict, float, float]:
+    """Worker entry for a record task: ``(trace blob, stats dict,
     record_seconds, point_seconds)``.
 
     When the recording run doubles as the point's run its statistics are
@@ -410,13 +412,13 @@ def _record_remote(point: SimulationPoint) -> Tuple[dict, dict, float, float]:
     point_seconds = record_seconds
     if stats is None:
         stats, point_seconds = _replay_timed(point, trace)
-    return trace.to_payload(), stats.to_dict(), record_seconds, point_seconds
+    return trace.to_bytes(), stats.to_dict(), record_seconds, point_seconds
 
 
 def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
     """Worker entry for a :class:`_TraceBatch`: ``(stats dict, seconds)``
     per point."""
-    trace = DecodedTrace.from_payload(batch.payload)
+    trace = DecodedTrace.from_bytes(batch.blob)
     results = []
     for point in batch.points:
         stats, seconds = _replay_timed(point, trace)
@@ -669,12 +671,16 @@ class SweepEngine:
         record task per group whose trace is not stored; it also yields
         the group's first point.  Then the remaining points go out in
         per-group chunks.  At ``jobs=1`` both run inline on the traces
-        this process holds, with no payloads and no stats dictionaries;
-        with more jobs, workers return each recorded trace as a payload
-        and receive a group's trace as a payload once per chunk.  Either
-        way this process puts every recorded trace into its trace store
-        and emits every task's spans: inline work runs inside live spans,
-        a worker's are emitted from the seconds it returns.
+        this process holds, with no blobs and no stats dictionaries;
+        with more jobs, workers return each recorded trace as its blob
+        and receive a group's trace as its blob once per chunk.  A trace
+        is encoded at most once per process: the blob is kept on the
+        trace, so the trace store writes the very blob a worker returned
+        or a disk load read, and a group reused across calls ships the
+        blob it already has.  Either way this process puts every recorded
+        trace into its trace store and emits every task's spans: inline
+        work runs inside live spans, a worker's are emitted from the
+        seconds it returns.
         """
         jobs = self.jobs
         traces = self.trace_store
@@ -684,9 +690,8 @@ class SweepEngine:
         for key, point in pending.items():
             groups.setdefault(point.trace_key(), []).append((key, point))
 
-        # Decoded traces held in this process, and payloads workers sent.
+        # Decoded traces held in this process.
         loaded: Dict[str, DecodedTrace] = {}
-        payloads: Dict[str, dict] = {}
         record_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         replay_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         for group_key, members in groups.items():
@@ -718,9 +723,8 @@ class SweepEngine:
             group_key, members = record_groups[index]
             trace, stats, record_seconds, point_seconds = result
             first_key, first_point = members[0]
-            if isinstance(trace, dict):  # sent by a worker process
-                payloads[group_key] = trace
-                trace = DecodedTrace.from_payload(trace)
+            if isinstance(trace, bytes):  # sent by a worker process
+                trace = DecodedTrace.from_bytes(trace)
                 stats = SimulationStats.from_dict(stats)
                 self._emit_span("trace.record", record_seconds,
                                 benchmark=first_point.benchmark)
@@ -754,19 +758,13 @@ class SweepEngine:
             for start in range(0, len(members), size):
                 parts.append((group_key, members[start:start + size]))
         # fan_out runs a lone task inline, so only several chunks ship
-        # their group's trace, encoded once per group.
+        # their group's trace.
         ship = jobs > 1 and len(parts) > 1
-
-        def payload(group_key: str) -> dict:
-            if group_key not in payloads:
-                payloads[group_key] = loaded[group_key].to_payload()
-            return payloads[group_key]
-
         batches = [
             _TraceBatch(
                 points=tuple(point for _, point in part),
                 trace_key=group_key,
-                payload=payload(group_key) if ship else None,
+                blob=loaded[group_key].to_bytes() if ship else None,
             )
             for group_key, part in parts
         ]

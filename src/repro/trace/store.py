@@ -5,23 +5,20 @@ directory, so one ``--cache-dir`` serves both the
 :class:`~repro.experiments.store.ResultStore` (sharded segments under
 ``results/``) and the trace store without any collision.  The disk tier
 is a size-bounded :class:`~repro.storage.sharded.ShardedStore`: each
-trace payload is gzip-compressed JSON appended to a segment log, and
-when the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
+trace is its :meth:`~repro.trace.schema.DecodedTrace.to_bytes` blob
+(typed columns, zlib-compressed) appended to a segment log, and when
+the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
 evicted at compaction — traces are pure derived data, so evicting one
 only costs a re-decode.  With a disk tier behind it, the memory tier
 holds at most :data:`TRACE_MEMORY_ENTRIES` decoded traces, least
 recently used out first, so a long-lived service does not keep every
 trace it has touched; a memory-only store never evicts, since a trace it
-dropped would have to be recorded again.  Unreadable, corrupt or
-schema-mismatching
-payloads are treated as cache misses.
+dropped would have to be recorded again.  Unreadable, corrupt,
+schema-mismatching or mis-keyed blobs are treated as cache misses.
 """
 
 from __future__ import annotations
 
-import gzip
-import io
-import json
 import os
 from typing import Optional
 
@@ -39,14 +36,12 @@ TRACE_MAX_BYTES = 1 << 30
 
 #: Decoded traces kept in memory in front of a disk tier.  Every figure
 #: at default settings replays the same 18 traces, one per benchmark of
-#: the suite; the cap holds the suite at two instruction budgets (about
-#: 2 MB per trace at the default budget), so a figure job never cycles
-#: its own traces through the disk decoder.
+#: the suite; the cap holds the suite at two instruction budgets, so a
+#: figure job never cycles its own traces through the disk decoder.  A
+#: decoded trace at the default budget (10k instructions) holds about
+#: 2.4 MB, its blob included, and about 3.5 MB once its replay groups
+#: are built (``tracemalloc``, gcc/swim/fpppp/m88ksim, CPython 3.11).
 TRACE_MEMORY_ENTRIES = 36
-
-#: gzip level of stored payloads.  Level 9 costs ~5x the time of level 6
-#: on a decoded trace for ~5% fewer bytes; any level decompresses alike.
-COMPRESS_LEVEL = 6
 
 
 class TraceStore(TwoTierCache):
@@ -61,15 +56,10 @@ class TraceStore(TwoTierCache):
         )
 
     def _encode(self, key: str, trace: DecodedTrace, metadata: Optional[dict]) -> bytes:
-        """gzip-compressed JSON of the trace (mtime 0: deterministic)."""
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0,
-                           compresslevel=COMPRESS_LEVEL) as handle:
-            handle.write(json.dumps(trace.to_payload()).encode("utf-8"))
-        return buffer.getvalue()
+        return trace.to_bytes()
 
     def _decode(self, key: str, raw: bytes) -> Optional[DecodedTrace]:
-        trace = DecodedTrace.from_payload(json.loads(gzip.decompress(raw).decode("utf-8")))
+        trace = DecodedTrace.from_bytes(raw)
         return trace if trace.key == key else None
 
     # get and put are defined here, not inherited: perfbench's tracer

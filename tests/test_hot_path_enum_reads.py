@@ -41,10 +41,9 @@ HOT_FUNCTIONS = [
     ("repro.frontend.fetch", "FetchUnit.fetch"),
     ("repro.frontend.fetch", "FetchUnit.fetch_into"),
     ("repro.trace.replayer", "TraceReplayer.fetch_into"),
-    ("repro.trace.schema", "encode_instruction"),
-    ("repro.trace.schema", "_encode_register"),
-    ("repro.trace.schema", "decode_instruction"),
-    ("repro.trace.schema", "_decode_register"),
+    ("repro.trace.schema", "DecodedTrace.to_bytes"),
+    ("repro.trace.schema", "DecodedTrace.from_bytes"),
+    ("repro.trace.schema", "DecodedTrace.replay_groups"),
 ]
 
 #: Every register-file model the pipeline can be built with.

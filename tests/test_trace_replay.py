@@ -11,14 +11,17 @@ result-store key.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
-import io
 import json
 import os
+import sys
+import zlib
 
 import pytest
 
-from repro.experiments import scheduler
+from repro.errors import SimulationError
+from repro.experiments import figure6, scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
@@ -26,6 +29,8 @@ from repro.experiments.scheduler import (
     shutdown_pool,
 )
 from repro.experiments.store import ResultStore
+from repro.isa.instruction import DynamicInstruction, fp_reg, int_reg
+from repro.isa.opcodes import OpClass
 from repro.obs.events import EventBus, EventLog
 from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
@@ -36,12 +41,14 @@ from repro.trace import (
     TraceStore,
     record_trace,
     replay_simulate,
+    schema,
     trace_key,
 )
-from repro.trace.store import COMPRESS_LEVEL, TRACE_MEMORY_ENTRIES
+from repro.trace.store import TRACE_MEMORY_ENTRIES
 from repro.validate.differential import validation_matrix
 from repro.validate.observer import CommitObserver
-from repro.workloads.profiles import get_profile
+from repro.workloads.kernels import KERNELS, kernel_workload
+from repro.workloads.profiles import all_profiles, get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
 N = 2000
@@ -54,6 +61,29 @@ def _stream(benchmark: str, count: int):
 def _workload_id(benchmark: str, count: int) -> dict:
     return {"kind": "synthetic-profile", "benchmark": benchmark,
             "instructions": count}
+
+
+def _snapshot(trace: DecodedTrace):
+    """Everything a trace holds, each value with its type, so ``True``
+    against ``1`` or ``None`` against ``0`` tells apart."""
+    names = [field.name for field in dataclasses.fields(DynamicInstruction)]
+    return (
+        trace.name, trace.key, trace.workload, trace.frontend,
+        [[(name, type(getattr(inst, name)), getattr(inst, name)) for name in names]
+         for inst in trace.instructions],
+        [(type(event), [(type(value), value) for value in event])
+         for event in trace.events],
+    )
+
+
+def _rewrite_header(blob: bytes, **changes) -> bytes:
+    """``blob`` with header fields replaced, columns untouched."""
+    raw = zlib.decompress(blob)
+    size = int.from_bytes(raw[:4], "little")
+    header = json.loads(raw[4:4 + size])
+    header.update(changes)
+    encoded = json.dumps(header).encode("utf-8")
+    return zlib.compress(len(encoded).to_bytes(4, "little") + encoded + raw[4 + size:])
 
 
 @pytest.fixture(scope="module")
@@ -133,32 +163,33 @@ class TestTraceStore:
         fresh = TraceStore(str(tmp_path))
         loaded = fresh.get(gcc_trace.key)
         assert loaded is not None
-        assert loaded.to_payload() == gcc_trace.to_payload()
+        assert _snapshot(loaded) == _snapshot(gcc_trace)
         factory = validation_matrix()["rfc-always-demand"]
         config = ProcessorConfig(max_instructions=N)
         assert (replay_simulate(loaded, factory, config).to_dict()
                 == replay_simulate(gcc_trace, factory, config).to_dict())
 
-    def test_blobs_use_the_store_level(self, gcc_trace, tmp_path):
+    def test_v1_gzip_json_record_is_a_miss(self, gcc_trace, tmp_path):
+        """A record of the row-wise gzip-JSON format (schema 1) under the
+        current key is a counted miss, never migrated."""
+        rows = [
+            [inst.seq, list(OpClass).index(inst.op_class),
+             -1 if inst.dest is None else inst.dest._hash,
+             [source._hash for source in inst.sources], inst.latency,
+             inst.pc, int(inst.is_branch) | int(inst.branch_taken) << 1,
+             inst.branch_target, inst.mem_address, inst.mnemonic]
+            for inst in gcc_trace.instructions
+        ]
+        payload = {"schema": 1, "name": gcc_trace.name, "key": gcc_trace.key,
+                   "workload": gcc_trace.workload,
+                   "frontend": gcc_trace.frontend, "instructions": rows,
+                   "events": [list(event) for event in gcc_trace.events]}
         store = TraceStore(str(tmp_path))
-        store.put(gcc_trace)
-        blob = store._disk.get(gcc_trace.key)
-        # gzip header XFL byte: 2 marks level 9, 0 the levels between.
-        assert blob[8] == 0
-        assert COMPRESS_LEVEL == 6
-
-    def test_level9_blobs_still_load(self, gcc_trace, tmp_path):
-        """Traces a cache wrote at gzip's default level 9 load unchanged:
-        the level only affects writing."""
-        store = TraceStore(str(tmp_path))
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as handle:
-            handle.write(json.dumps(gcc_trace.to_payload()).encode("utf-8"))
-        assert buffer.getvalue()[8] == 2
-        store._disk.put(gcc_trace.key, buffer.getvalue())
-        loaded = TraceStore(str(tmp_path)).get(gcc_trace.key)
-        assert loaded is not None
-        assert loaded.to_payload() == gcc_trace.to_payload()
+        store._disk.put(gcc_trace.key, gzip.compress(
+            json.dumps(payload).encode("utf-8"), mtime=0))
+        fresh = TraceStore(str(tmp_path))
+        assert fresh.get(gcc_trace.key) is None
+        assert fresh.counters()["rejected"] == 1
 
     def test_memory_tier_returns_same_object(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
@@ -177,10 +208,19 @@ class TestTraceStore:
 
     def test_schema_mismatch_is_a_miss(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
-        payload = gcc_trace.to_payload()
-        payload["schema"] = TRACE_SCHEMA_VERSION + 1
-        store._disk.put(gcc_trace.key,
-                        gzip.compress(json.dumps(payload).encode("utf-8")))
+        blob = _rewrite_header(gcc_trace.to_bytes(),
+                               schema=TRACE_SCHEMA_VERSION + 1)
+        assert DecodedTrace.from_bytes(_rewrite_header(blob, schema=TRACE_SCHEMA_VERSION))
+        store._disk.put(gcc_trace.key, blob)
+        assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
+
+    def test_other_byte_order_is_a_miss(self, gcc_trace, tmp_path):
+        store = TraceStore(str(tmp_path))
+        other = "little" if sys.byteorder == "big" else "big"
+        blob = _rewrite_header(gcc_trace.to_bytes(), byteorder=other)
+        with pytest.raises(SimulationError, match="byte order"):
+            DecodedTrace.from_bytes(blob)
+        store._disk.put(gcc_trace.key, blob)
         assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
 
     def test_corrupt_segment_is_a_miss(self, gcc_trace, tmp_path):
@@ -204,11 +244,20 @@ class TestTraceStore:
                 handle.write(blob[: len(blob) // 2])
         assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
 
-    def test_truncated_gzip_payload_is_a_miss(self, gcc_trace, tmp_path):
+    def test_truncated_blob_is_a_miss(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
         store.put(gcc_trace)
         raw = store._disk.get(gcc_trace.key)
         store._disk.put(gcc_trace.key, raw[: len(raw) // 2])
+        fresh = TraceStore(str(tmp_path))
+        assert fresh.get(gcc_trace.key) is None
+        assert fresh.counters()["rejected"] == 1
+
+    def test_truncated_column_is_a_miss(self, gcc_trace, tmp_path):
+        """A blob that decompresses but lacks the tail of its columns."""
+        raw = zlib.decompress(gcc_trace.to_bytes())
+        store = TraceStore(str(tmp_path))
+        store._disk.put(gcc_trace.key, zlib.compress(raw[:-3]))
         assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
 
     def test_key_mismatch_is_a_miss(self, gcc_trace, tmp_path):
@@ -222,15 +271,19 @@ class TestTraceStore:
         assert fresh.counters()["misses"] == 1
         assert fresh.get(gcc_trace.key) is not None
 
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(Exception):
-            DecodedTrace.from_payload({"schema": TRACE_SCHEMA_VERSION})
+    def test_malformed_payload_rejected(self, gcc_trace):
+        blob = gcc_trace.to_bytes()
+        for bad in (b"", b"not zlib", zlib.compress(b"\x00"),
+                    zlib.compress(b"\xff\xff\xff\xff{}"),
+                    _rewrite_header(blob, lengths=[1, 2, 3]),
+                    _rewrite_header(blob, mnemonics=[])):
+            with pytest.raises(SimulationError):
+                DecodedTrace.from_bytes(bad)
 
     def test_event_coverage_validated(self, gcc_trace):
-        payload = gcc_trace.to_payload()
-        payload["events"] = payload["events"][:-1]
-        with pytest.raises(Exception):
-            DecodedTrace.from_payload(payload)
+        short = dataclasses.replace(gcc_trace, events=gcc_trace.events[:-1])
+        with pytest.raises(SimulationError, match="cover"):
+            DecodedTrace.from_bytes(short.to_bytes())
 
     def test_memory_only_store(self, gcc_trace):
         store = TraceStore(None)
@@ -263,7 +316,7 @@ class TestTraceStore:
         assert store.counters()["disk_hits"] == 0
         loaded = store.get(next_coldest.key)
         assert loaded is not next_coldest
-        assert loaded.to_payload() == next_coldest.to_payload()
+        assert _snapshot(loaded) == _snapshot(next_coldest)
         assert store.counters()["disk_hits"] == 1
 
     def test_memory_only_store_never_evicts(self):
@@ -280,6 +333,95 @@ class TestTraceStore:
             store.put(trace)
         assert store.counters()["entries"] == len(traces)
         assert all(store.get(trace.key) is trace for trace in traces)
+
+
+ROUND_TRIP_N = 600
+
+
+def _profile_trace(benchmark: str) -> DecodedTrace:
+    return record_trace(benchmark, _stream(benchmark, ROUND_TRIP_N),
+                        ProcessorConfig(max_instructions=ROUND_TRIP_N),
+                        _workload_id(benchmark, ROUND_TRIP_N))
+
+
+def _kernel_trace(name: str) -> DecodedTrace:
+    stream = list(kernel_workload(name, max_instructions=ROUND_TRIP_N))
+    return record_trace(name, stream,
+                        ProcessorConfig(max_instructions=len(stream)),
+                        {"kind": "kernel", "kernel": name,
+                         "instructions": ROUND_TRIP_N})
+
+
+class TestTraceBlob:
+    """``DecodedTrace.to_bytes``/``from_bytes`` lose nothing and share
+    one blob per trace."""
+
+    @pytest.mark.parametrize("profile", sorted(all_profiles()))
+    def test_round_trip_synthetic_profiles(self, profile):
+        trace = _profile_trace(profile)
+        assert _snapshot(DecodedTrace.from_bytes(trace.to_bytes())) == _snapshot(trace)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_round_trip_isa_kernels(self, kernel):
+        trace = _kernel_trace(kernel)
+        assert _snapshot(DecodedTrace.from_bytes(trace.to_bytes())) == _snapshot(trace)
+
+    def test_round_trip_keeps_values_the_constructor_derived(self):
+        """``mem_address`` ``None`` and 0, default and explicit latency,
+        both branch flags and mnemonics survive as stored."""
+        instructions = [
+            DynamicInstruction(seq=0, op_class=OpClass.LOAD, dest=int_reg(1),
+                               sources=(int_reg(2),)),
+            DynamicInstruction(seq=1, op_class=OpClass.STORE,
+                               sources=(int_reg(1), fp_reg(31)),
+                               mem_address=(1 << 40) + 8, mnemonic="st"),
+            DynamicInstruction(seq=2, op_class=OpClass.INT_ALU, dest=fp_reg(0),
+                               latency=7, mnemonic="weird"),
+            DynamicInstruction(seq=3, op_class=OpClass.BRANCH,
+                               sources=(int_reg(1), fp_reg(31)),
+                               branch_taken=True, branch_target=4096, pc=64),
+            DynamicInstruction(seq=4, op_class=OpClass.INT_ALU,
+                               is_branch=True, branch_target=8),
+        ]
+        assert instructions[0].mem_address == 0
+        assert instructions[2].mem_address is None
+        trace = DecodedTrace(name="edge", key="k" * 64, workload={"kind": "test"},
+                             frontend={}, instructions=instructions,
+                             events=[(3, 0, 1, 0, 0), (2, 5, 0, 1, 3)])
+        decoded = DecodedTrace.from_bytes(trace.to_bytes())
+        assert _snapshot(decoded) == _snapshot(trace)
+        # Equal source lists decode to one shared tuple.
+        assert decoded.instructions[1].sources is decoded.instructions[3].sources
+
+    def test_blob_is_encoded_once_and_kept(self, monkeypatch):
+        trace = _profile_trace("swim")
+        compress = zlib.compress
+        calls = []
+        monkeypatch.setattr(schema.zlib, "compress",
+                            lambda *args: calls.append(1) or compress(*args))
+        blob = trace.to_bytes()
+        assert trace.to_bytes() is blob
+        decoded = DecodedTrace.from_bytes(blob)
+        assert decoded.to_bytes() is blob
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("profile", ["gcc", "swim"])
+    def test_disk_loaded_trace_replays_every_figure6_architecture(
+            self, profile, tmp_path):
+        benchmark = profile
+        trace = record_trace(benchmark, _stream(benchmark, N),
+                             ProcessorConfig(max_instructions=N),
+                             _workload_id(benchmark, N))
+        TraceStore(str(tmp_path)).put(trace)
+        loaded = TraceStore(str(tmp_path)).get(trace.key)
+        assert loaded is not None and loaded is not trace
+        config = ProcessorConfig(max_instructions=N)
+        for name, factory, _ in figure6._architectures():
+            live = simulate(_stream(benchmark, N), factory, config,
+                            benchmark_name=benchmark)
+            assert (replay_simulate(loaded, factory, config,
+                                    benchmark_name=benchmark).to_dict()
+                    == live.to_dict()), name
 
 
 class TestCacheDirCoexistence:
@@ -494,6 +636,47 @@ class TestParallelEngineBookkeeping:
         assert spans.count("trace.record") == summary["traces_recorded"]
         assert not [name for name in os.listdir(events_dir)
                     if name.startswith("worker")]
+
+    def test_engine_encodes_no_trace_a_worker_recorded_or_disk_held(
+            self, monkeypatch, tmp_path):
+        """At ``--jobs 2`` the engine stores the blob each record worker
+        returned and ships that same blob to replay workers: it never
+        encodes a trace itself, neither on a repeated call reusing the
+        group nor for a trace a fresh engine loaded from disk."""
+        compress = zlib.compress
+        encodes = []
+        monkeypatch.setattr(schema.zlib, "compress",
+                            lambda *args: encodes.append(1) or compress(*args))
+        config = ProcessorConfig(max_instructions=500)
+        matrix = list(validation_matrix().items())
+
+        def points(architectures):
+            return [
+                SimulationPoint(benchmark=benchmark, factory=factory,
+                                architecture=name, config=config)
+                for benchmark in ("gcc", "swim")
+                for name, factory in architectures
+            ]
+
+        cache_dir = str(tmp_path)
+        engine = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=2)
+        try:
+            first = engine.execute(points(matrix[:3]))
+            second = engine.execute(points(matrix[3:6]))
+            fresh = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=2)
+            third = fresh.execute(points(matrix[6:9]))
+        finally:
+            shutdown_pool()
+        assert (first["traces_recorded"], second["traces_reused"],
+                third["traces_reused"]) == (2, 2, 2)
+        assert encodes == []
+        for point in points(matrix[:1]):
+            key = point.trace_key()
+            assert (engine.trace_store._disk.get(key)
+                    == engine.trace_store.get(key).to_bytes())
+        for point in points(matrix[:9]):
+            assert (fresh.store.get(point.store_key()).to_dict()
+                    == run_simulation_point(point).to_dict()), point.architecture
 
     def test_inline_work_runs_inside_live_spans(self, monkeypatch, tmp_path):
         """At jobs=1 the engine runs every point inside its own span: the
