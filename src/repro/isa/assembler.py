@@ -30,9 +30,11 @@ from typing import List
 
 from repro.errors import AssemblyError
 from repro.isa.instruction import (
+    NUM_LOGICAL_PER_CLASS,
     LogicalRegister,
-    RegisterClass,
     StaticInstruction,
+    fp_reg,
+    int_reg,
 )
 from repro.isa.opcodes import OPCODES
 from repro.isa.program import BasicBlock, Program
@@ -44,15 +46,17 @@ def _parse_register(token: str, line_no: int) -> LogicalRegister:
     token = token.strip()
     if len(token) < 2 or token[0] not in ("r", "f"):
         raise AssemblyError(f"line {line_no}: expected register, got {token!r}")
-    reg_class = RegisterClass.INT if token[0] == "r" else RegisterClass.FP
     try:
         index = int(token[1:])
     except ValueError as exc:
         raise AssemblyError(f"line {line_no}: bad register {token!r}") from exc
-    try:
-        return LogicalRegister(reg_class, index)
-    except ValueError as exc:
-        raise AssemblyError(f"line {line_no}: {exc}") from exc
+    # Checked here: a negative index would wrap around the register tuple.
+    if not 0 <= index < NUM_LOGICAL_PER_CLASS:
+        raise AssemblyError(
+            f"line {line_no}: logical register index {index} out of range "
+            f"[0, {NUM_LOGICAL_PER_CLASS})"
+        )
+    return int_reg(index) if token[0] == "r" else fp_reg(index)
 
 
 def _parse_immediate(token: str, line_no: int) -> int:

@@ -3,8 +3,8 @@
 The pipeline follows the paper's 6-stage structure (fetch, decode/rename,
 read, execute, write-back, commit); the read stage takes ``read_stages``
 cycles as dictated by the register file architecture under study, and
-dependent-instruction timing honours the number of bypass levels the
-architecture implements.
+dependent-instruction timing honours the architecture's
+``consumer_offset``, which its number of bypass levels sets.
 
 The processor is *stream driven*: it consumes a dynamic instruction
 stream (correct path only) and models timing.  Branch mispredictions
@@ -124,7 +124,8 @@ class Processor:
         }
         int_rf = self._regfiles[RegisterClass.INT]
         fp_rf = self._regfiles[RegisterClass.FP]
-        if (int_rf.read_stages, int_rf.bypass_levels) != (fp_rf.read_stages, fp_rf.bypass_levels):
+        if ((int_rf.read_stages, int_rf.consumer_offset)
+                != (fp_rf.read_stages, fp_rf.consumer_offset)):
             raise ConfigurationError(
                 "integer and FP register files must share the same timing"
             )
@@ -140,16 +141,17 @@ class Processor:
         )
         self.read_stages = int_rf.read_stages
         #: Cycles from the end of a producer's execution to the earliest
-        #: execution of a dependent instruction: the next cycle with full
-        #: bypass, and one more per missing bypass level (keeping only
-        #: the last levels leaves no "holes": a value that has left the
-        #: bypass network is already readable from the file).
-        self.consumer_offset = 1 + int_rf.read_stages - int_rf.bypass_levels
+        #: execution of a dependent instruction, as the register file
+        #: declares it.  The contract: dispatch and wakeup hold every
+        #: consumer until ``ex_end + consumer_offset``, and no other code
+        #: gates it, so a model plans an operand only for a consumer that
+        #: may execute (``RegisterFileModel.plan_operand_read``).
+        self.consumer_offset = int_rf.consumer_offset
 
         self.renamer = Renamer(self.config.num_int_physical, self.config.num_fp_physical)
         self.window = IssueQueue(
             self.config.instruction_window,
-            track_consumers=int_rf.needs_consumer_index,
+            track_consumers=int_rf.needs_consumer_index or fp_rf.needs_consumer_index,
         )
         self._seed_architected_registers()
         #: The reorder buffer, oldest first: the dispatch stage appends

@@ -31,14 +31,13 @@ from repro.rename.renamer import PhysicalRegister
 # Enum members bound once, as in ``repro.pipeline.processor``.
 _BYPASS = OperandSource.BYPASS
 _FILE = OperandSource.FILE
-_NOT_READY = OperandSource.NOT_READY
 
 
 class OneLevelBankedRegisterFile(RegisterFileModel):
     """A single-level register file split into several interleaved banks."""
 
     read_stages = 1
-    bypass_levels = 1
+    consumer_offset = 1
 
     def __init__(
         self,
@@ -88,21 +87,13 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
     def plan_operand_read(
         self, access: OperandAccess, issue_cycle: int
     ) -> OperandSource:
-        state = access.state
-        retry = None
-        if state.ex_end_cycle is None:
-            source = _NOT_READY
-        elif issue_cycle + self.read_stages < state.ex_end_cycle + 1:
-            source = _NOT_READY
-            retry = state.ex_end_cycle
+        access.bank = access.register.index % self.num_banks
+        rf_ready = access.state.rf_ready_cycle
+        if rf_ready is not None and issue_cycle >= rf_ready:
+            source = _FILE
         else:
-            access.bank = access.register.index % self.num_banks
-            if state.rf_ready_cycle is not None and issue_cycle >= state.rf_ready_cycle:
-                source = _FILE
-            else:
-                source = _BYPASS
+            source = _BYPASS
         access.source = source
-        access.retry_cycle = retry
         return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:

@@ -47,8 +47,8 @@ class OperandSource(enum.Enum):
     #: The value exists only in the lower bank of a register file cache
     #: and must be brought up over a bus before the instruction can issue.
     MISS = "miss"
-    #: The value is not available yet (producer still executing, or still
-    #: in flight to the lower bank).
+    #: The value is not readable yet: still in flight to the lower bank
+    #: of a register file cache, or on its way up in a fill.
     NOT_READY = "not_ready"
 
 
@@ -86,8 +86,10 @@ class RegisterFileModel(ABC):
 
     #: Cycles between issue and the start of execution (operand read).
     read_stages: int = 1
-    #: Number of bypass levels implemented.
-    bypass_levels: int = 1
+    #: Cycles from the end of a producer's execution to the earliest
+    #: execution of a consumer (1: the bypass catches a result in the
+    #: cycle after it is produced).  Only the processor applies it.
+    consumer_offset: int = 1
     #: Whether this architecture's policies query the issue window's
     #: per-register consumer index (``waiting_consumers_of``).  Single
     #: level organisations never do, so the window skips maintaining it.
@@ -126,8 +128,14 @@ class RegisterFileModel(ABC):
         """Plan how ``access.register`` would be obtained by an instruction
         issued at ``issue_cycle`` (executing ``read_stages`` cycles later).
 
-        Sets ``access.source`` (plus ``bank`` or ``retry_cycle`` where they
-        apply) in place and returns the source.
+        The processor guarantees the precondition: the producer has
+        issued (``access.state.ex_end_cycle`` is set), and the consumer
+        executes at or after ``ex_end_cycle + consumer_offset``.  So the
+        model decides only where the operand comes from, never whether
+        the consumer may execute yet.
+
+        Sets ``access.source`` (plus ``bank``, or ``retry_cycle`` for a
+        NOT_READY plan) in place and returns the source.
         """
 
     @abstractmethod

@@ -48,7 +48,7 @@ class RegisterFileCache(RegisterFileModel):
     """Two-level register file with caching and prefetching policies."""
 
     read_stages = 1
-    bypass_levels = 1
+    consumer_offset = 1
     #: The ready-caching policy and prefetch-first-pair both walk the
     #: window's per-register consumer lists.
     needs_consumer_index = True
@@ -159,18 +159,7 @@ class RegisterFileCache(RegisterFileModel):
         # Every outcome returns as soon as it is known; this is the most
         # frequently called method of a register-file-cache simulation.
         state = access.state
-        ex_end = state.ex_end_cycle
-        if ex_end is None:
-            access.source = _NOT_READY
-            access.retry_cycle = None
-            return _NOT_READY
-        ex_start = issue_cycle + self.read_stages
-        if ex_start <= ex_end:
-            access.source = _NOT_READY
-            access.retry_cycle = ex_end
-            return _NOT_READY
-        access.retry_cycle = None
-        if ex_start == ex_end + 1:
+        if issue_cycle + self.read_stages == state.ex_end_cycle + 1:
             # The single bypass level catches results exactly one cycle
             # after the producer finishes.
             access.source = _BYPASS

@@ -30,7 +30,6 @@ from repro.rename.renamer import PhysicalRegister
 # Enum members bound once, as in ``repro.pipeline.processor``.
 _BYPASS = OperandSource.BYPASS
 _FILE = OperandSource.FILE
-_NOT_READY = OperandSource.NOT_READY
 
 
 class SingleBankedRegisterFile(RegisterFileModel):
@@ -64,6 +63,15 @@ class SingleBankedRegisterFile(RegisterFileModel):
         self.reads_from_file = 0
         self.read_port_stalls = 0
 
+    @property
+    def consumer_offset(self) -> int:
+        """A consumer executes one cycle after its producer with full
+        bypass, and one cycle later per missing bypass level: the file
+        keeps the last levels, so a value that has left them is readable
+        from the file (a write delayed by the write ports keeps it on
+        the bypass network)."""
+        return 1 + self.read_stages - self.bypass_levels
+
     # ------------------------------------------------------------------
 
     def begin_cycle(self, cycle: int) -> None:
@@ -78,27 +86,14 @@ class SingleBankedRegisterFile(RegisterFileModel):
     def plan_operand_read(
         self, access: OperandAccess, issue_cycle: int
     ) -> OperandSource:
-        state = access.state
-        retry = None
-        if state.ex_end_cycle is None:
-            source = _NOT_READY
+        # The read (starting at issue) sees the written value once the
+        # write has landed; until then the value rides the bypass network.
+        rf_ready = access.state.rf_ready_cycle
+        if rf_ready is not None and issue_cycle >= rf_ready:
+            source = _FILE
         else:
-            earliest_ex = (
-                state.ex_end_cycle + 1 + (self.read_stages - self.bypass_levels)
-            )
-            if issue_cycle + self.read_stages < earliest_ex:
-                source = _NOT_READY
-                retry = earliest_ex - self.read_stages
-            # The operand is obtainable.  It comes from the register file
-            # when the read (starting at issue) can already see the written
-            # value; otherwise it rides the bypass network.
-            elif (state.rf_ready_cycle is not None
-                  and issue_cycle >= state.rf_ready_cycle):
-                source = _FILE
-            else:
-                source = _BYPASS
+            source = _BYPASS
         access.source = source
-        access.retry_cycle = retry
         return source
 
     def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:

@@ -49,9 +49,10 @@ from typing import Iterator, Optional
 
 from repro.errors import WorkloadError
 from repro.isa.instruction import (
+    FP_LOGICAL_REGISTERS,
+    INT_LOGICAL_REGISTERS,
     DynamicInstruction,
     LogicalRegister,
-    RegisterClass,
 )
 from repro.isa.opcodes import DEFAULT_LATENCIES, OpClass
 from repro.workloads.profiles import BenchmarkProfile
@@ -249,16 +250,16 @@ class SyntheticWorkload:
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        # Register pools and per-class state are indexed by the FP flag
-        # (``False`` = integer, ``True`` = FP).
+        # Register pools (slices of the canonical register tuples) and
+        # per-class state are indexed by the FP flag (``False`` = integer,
+        # ``True`` = FP).
         long_lived_pools = tuple(
-            [LogicalRegister(reg_class, i) for i in range(_NUM_LONG_LIVED)]
-            for reg_class in (RegisterClass.INT, RegisterClass.FP)
+            registers[:_NUM_LONG_LIVED]
+            for registers in (INT_LOGICAL_REGISTERS, FP_LOGICAL_REGISTERS)
         )
         rotating_pools = tuple(
-            [LogicalRegister(reg_class, _NUM_LONG_LIVED + i)
-             for i in range(_NUM_ROTATING)]
-            for reg_class in (RegisterClass.INT, RegisterClass.FP)
+            registers[_NUM_LONG_LIVED:_NUM_LONG_LIVED + _NUM_ROTATING]
+            for registers in (INT_LOGICAL_REGISTERS, FP_LOGICAL_REGISTERS)
         )
         rotating_keys = tuple([reg._hash for reg in pool] for pool in rotating_pools)
         # Next rotating slot to try as a destination, per class.

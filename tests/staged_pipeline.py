@@ -53,6 +53,22 @@ class StagedPipeline:
         processor.fu_pool.begin_cycle(cycle)
         processor._issue_stage(cycle)
 
+    def step(self, cycle, *instructions):
+        """Run ``cycle`` as ``Processor.run`` does: commit, write-back,
+        issue, then dispatch of ``instructions`` (the test is the fetch).
+
+        Returns the in-flight entries dispatched, oldest first.
+        """
+        processor = self.processor
+        processor._int_rf.begin_cycle(cycle)
+        processor._fp_rf.begin_cycle(cycle)
+        processor.fu_pool.begin_cycle(cycle)
+        if self.rob and self.rob[0].completed:
+            processor._commit_stage(cycle)
+        processor._writeback_stage(cycle)
+        processor._issue_stage(cycle)
+        return self.dispatch(cycle, *instructions)
+
 
 class CommitRecorder:
     """A commit observer that keeps every committed entry and its cycle."""

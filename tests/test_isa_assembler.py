@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AssemblyError
 from repro.isa.assembler import assemble
-from repro.isa.instruction import RegisterClass
+from repro.isa.instruction import RegisterClass, fp_reg, int_reg
 from repro.isa.opcodes import OpClass
 from repro.isa.program import register_class_mix, registers_touched
 
@@ -68,8 +68,14 @@ class TestAssembler:
             assemble("add r1, r2, x3")
 
     def test_register_out_of_range(self):
-        with pytest.raises(AssemblyError):
-            assemble("add r1, r2, r99")
+        # ``r-1`` must not wrap around to r31.
+        for text in ("add r1, r2, r99", "add r1, r2, r-1", "fadd f1, f2, f32"):
+            with pytest.raises(AssemblyError, match="out of range"):
+                assemble(text)
+
+    def test_registers_are_the_canonical_objects(self):
+        inst = assemble("fadd f1, f2, f3\nadd r1, r2, r31").instructions
+        assert inst[0].dest is fp_reg(1) and inst[1].sources[1] is int_reg(31)
 
     def test_empty_program_rejected(self):
         with pytest.raises(AssemblyError):

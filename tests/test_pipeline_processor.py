@@ -66,6 +66,30 @@ class TestBasicExecution:
         with pytest.raises(ConfigurationError):
             Processor(gcc_workload.instructions(100), alternating)
 
+    @pytest.mark.parametrize("int_file, fp_file", [
+        # Same read stages, different consumer offsets (1 and 2).
+        (lambda: SingleBankedRegisterFile(latency=2, bypass_levels=2),
+         _two_cycle_one_bypass),
+        # Same consumer offset, different read stages (1 and 2).
+        (RegisterFileCache, lambda: SingleBankedRegisterFile(latency=2)),
+    ])
+    def test_int_and_fp_files_must_share_operand_timing(self, int_file, fp_file,
+                                                        gcc_workload):
+        files = iter([int_file, fp_file])
+
+        def mixed():
+            return next(files)()
+
+        with pytest.raises(ConfigurationError, match="same timing"):
+            Processor(gcc_workload.instructions(100), mixed)
+
+    def test_consumer_index_kept_for_either_file(self, gcc_workload):
+        # A 1-cycle integer file and an FP register file cache share their
+        # timing; the cache's policies still need the consumer index.
+        files = iter([_one_cycle, RegisterFileCache])
+        processor = Processor(gcc_workload.instructions(100), lambda: next(files)())
+        assert processor.window.track_consumers
+
     def test_livelock_guard_raises(self, gcc_workload):
         config = ProcessorConfig(max_instructions=5000, max_cycles=3)
         with pytest.raises(SimulationError):

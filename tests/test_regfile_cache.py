@@ -63,7 +63,7 @@ class TestConstruction:
     def test_defaults_match_paper(self):
         cache = RegisterFileCache()
         assert cache.upper_capacity == 16
-        assert cache.read_stages == 1 and cache.bypass_levels == 1
+        assert cache.read_stages == 1 and cache.consumer_offset == 1
         assert isinstance(cache.caching_policy, NonBypassCaching)
         assert isinstance(cache.fetch_policy, FetchOnDemand)
 

@@ -53,29 +53,33 @@ class TestConstruction:
 
 
 class TestOperandTiming:
-    def test_unproduced_value_not_ready(self):
-        regfile = SingleBankedRegisterFile(latency=1)
-        register, state = _state()
-        access = _plan(regfile, register, state, issue_cycle=10)
-        assert access.source is OperandSource.NOT_READY
+    # When a consumer may execute is the processor's decision (see
+    # tests/test_operand_timing_table.py); the file picks the source.
+    def test_consumer_offset_per_missing_bypass_level(self):
+        assert SingleBankedRegisterFile(latency=1, bypass_levels=1).consumer_offset == 1
+        assert SingleBankedRegisterFile(latency=2, bypass_levels=2).consumer_offset == 1
+        assert SingleBankedRegisterFile(latency=2, bypass_levels=1).consumer_offset == 2
+        assert SingleBankedRegisterFile(latency=3, bypass_levels=1).consumer_offset == 3
+
+    def test_consumer_offset_is_derived(self):
+        regfile = SingleBankedRegisterFile(latency=2, bypass_levels=1)
+        with pytest.raises(AttributeError):
+            regfile.consumer_offset = 1
 
     def test_full_bypass_back_to_back(self):
         regfile = SingleBankedRegisterFile(latency=1, bypass_levels=1)
         register, state = _state(ex_end=9)
-        # Consumer issuing at 9 executes at 10 = ex_end + 1: allowed, via bypass.
+        # Consumer issuing at 9 executes at 10 = ex_end + 1: via bypass.
         access = _plan(regfile, register, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
-        too_early = _plan(regfile, register, state, issue_cycle=8)
-        assert too_early.source is OperandSource.NOT_READY
 
     def test_missing_bypass_level_adds_one_cycle(self):
         regfile = SingleBankedRegisterFile(latency=2, bypass_levels=1)
         register, state = _state(ex_end=9)
-        # Earliest execute is ex_end + 2 = 11, i.e. issue at 9.
+        # Earliest execute is ex_end + 2 = 11, i.e. issue at 9: the one
+        # bypass level kept is the second.
         ok = _plan(regfile, register, state, issue_cycle=9)
-        too_early = _plan(regfile, register, state, issue_cycle=8)
         assert ok.source is OperandSource.BYPASS
-        assert too_early.source is OperandSource.NOT_READY
 
     def test_reads_come_from_file_once_written(self):
         regfile = SingleBankedRegisterFile(latency=1)

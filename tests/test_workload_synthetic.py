@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.isa.instruction import FP_LOGICAL_REGISTERS, INT_LOGICAL_REGISTERS
 from repro.isa.opcodes import OpClass
 from repro.workloads.profiles import get_profile
 from repro.workloads.spec_suites import SPEC95
@@ -87,6 +88,14 @@ class TestStreamShape:
                 assert len(inst.sources) == 0
             else:
                 assert len(inst.sources) <= 2
+
+    def test_registers_are_the_canonical_objects(self):
+        canonical = {(reg.reg_class, reg.index): reg
+                     for reg in INT_LOGICAL_REGISTERS + FP_LOGICAL_REGISTERS}
+        for inst in SyntheticWorkload(get_profile("wave5")).instructions(2000):
+            for reg in (inst.dest, *inst.sources):
+                if reg is not None:
+                    assert reg is canonical[reg.reg_class, reg.index]
 
 
 class TestPaperProperties:
