@@ -31,17 +31,21 @@ from repro.rename.renamer import PhysicalRegister
 
 
 class IssueQueueEntry:
-    """The in-flight record of one instruction, from rename to commit.
+    """The in-flight record of one instruction, from fetch to commit.
 
-    The dispatch stage builds one per instruction: the renamer fills its
-    physical registers, and the stage adds its destination state and its
-    operand accesses.  The same object then waits in the issue window
-    until it is selected and sits in the reorder buffer until it commits,
-    so issue, write-back and commit all reach it without a lookup.
+    The frontend builds one per fetched instruction and appends it to the
+    decode queue, with the fetch cycle and, for a branch, the prediction
+    state.  The dispatch stage renames it in place (the renamer fills its
+    physical registers) and adds its destination state and its operand
+    accesses.  The same object then waits in the issue window until it
+    is selected and sits in the reorder buffer until it commits, so
+    decode, issue, write-back and commit all reach it without a lookup.
     """
 
     __slots__ = (
-        "instruction", "seq", "fetched", "sources", "dest", "previous_dest",
+        "instruction", "seq", "fetch_cycle", "predicted_taken",
+        "history_checkpoint", "mispredicted",
+        "sources", "dest", "previous_dest",
         "dest_state", "pending", "earliest_ex_cycle", "issued",
         "accesses", "int_accesses", "fp_accesses",
         "completed", "complete_cycle",
@@ -50,7 +54,7 @@ class IssueQueueEntry:
     def __init__(
         self,
         instruction: DynamicInstruction,
-        fetched: Optional[object] = None,
+        fetch_cycle: int = 0,
         sources: Tuple[PhysicalRegister, ...] = (),
         dest: Optional[PhysicalRegister] = None,
         previous_dest: Optional[PhysicalRegister] = None,
@@ -59,9 +63,17 @@ class IssueQueueEntry:
         #: Cached copy of ``instruction.seq``: the select loop reads it for
         #: every window entry every cycle.
         self.seq: int = instruction.seq
-        #: The front-end record of this instruction (``None`` off the
-        #: pipeline).
-        self.fetched = fetched
+        #: The cycle the frontend delivered this instruction; it is
+        #: decoded in that cycle and may dispatch from the next one.
+        self.fetch_cycle = fetch_cycle
+        #: Prediction state of a branch, set by the frontend that fetched
+        #: it: the predicted direction and the history checkpoint train
+        #: the predictor at write-back, and a mispredicted branch blocks
+        #: fetch until it resolves.  Every other instruction keeps the
+        #: defaults.
+        self.predicted_taken = False
+        self.history_checkpoint = 0
+        self.mispredicted = False
         #: Renamed registers (set by :meth:`~repro.rename.renamer.Renamer.rename`);
         #: ``previous_dest`` is released when this instruction commits.
         self.sources = sources

@@ -45,8 +45,7 @@ import contextlib
 import math
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -250,7 +249,7 @@ def dedupe_points(points: Iterable[SimulationPoint]) -> Dict[str, SimulationPoin
 # warm worker pool
 # ----------------------------------------------------------------------
 
-_POOL: Optional[ProcessPoolExecutor] = None
+_POOL: Optional[Executor] = None
 _POOL_JOBS = 0
 _POOL_RESETS = 0
 #: Guards _POOL/_POOL_JOBS: concurrent SweepEngine.execute calls (the
@@ -268,12 +267,14 @@ def pool_resets() -> int:
     return _POOL_RESETS
 
 
-def warm_pool(jobs: int) -> ProcessPoolExecutor:
+def warm_pool(jobs: int) -> Executor:
     """The persistent worker pool (created lazily, resized on demand).
 
     Reusing one pool across ``SweepEngine.execute`` calls keeps workers
     warm for the whole runner invocation instead of paying process
-    spawn per figure.
+    spawn per figure.  ``multiprocessing`` is imported here, with the
+    first pool: a process that runs everything inline (``jobs=1``)
+    never loads it.
     """
     global _POOL, _POOL_JOBS
     with _POOL_LOCK:
@@ -281,6 +282,8 @@ def warm_pool(jobs: int) -> ProcessPoolExecutor:
             _POOL.shutdown(wait=True)
             _POOL = None
         if _POOL is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             _POOL = ProcessPoolExecutor(max_workers=jobs)
             _POOL_JOBS = jobs
         return _POOL
@@ -354,8 +357,9 @@ def fan_out(
             finished, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
             for future in finished:
                 complete(futures[future], future.result())
-    except BrokenProcessPool:
-        # A dead worker poisons the whole executor.  Tear the persistent
+    except BrokenExecutor:
+        # ``BrokenProcessPool``, the only broken executor the pool raises:
+        # a dead worker poisons the whole executor.  Tear the persistent
         # pool down before re-raising so the *next* fan-out call gets a
         # fresh pool instead of inheriting the broken one forever.
         global _POOL_RESETS

@@ -2,11 +2,10 @@
 
 from repro.frontend.gshare import GSharePredictor
 from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.fetch import FetchUnit, FetchedInstruction
+from repro.frontend.fetch import FetchUnit
 
 __all__ = [
     "GSharePredictor",
     "BranchTargetBuffer",
     "FetchUnit",
-    "FetchedInstruction",
 ]

@@ -13,33 +13,14 @@ the branch resolves, which charges the full front-end refill penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.errors import ConfigurationError
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import DynamicInstruction
 from repro.memsys.cache import CacheModel
-
-
-@dataclass(slots=True)
-class FetchedInstruction:
-    """A dynamic instruction annotated with front-end prediction state.
-
-    Built with positional arguments on the fetch path (one per fetched
-    instruction); only branches carry prediction state.
-    """
-
-    instruction: DynamicInstruction
-    fetch_cycle: int
-    predicted_taken: bool = False
-    history_checkpoint: int = 0
-    mispredicted: bool = False
-
-    @property
-    def seq(self) -> int:
-        return self.instruction.seq
 
 
 class FetchUnit:
@@ -106,51 +87,42 @@ class FetchUnit:
         """I-cache misses observed by this frontend (for final statistics)."""
         return self.icache.misses
 
-    def on_branch_writeback(self, instruction, fetched: FetchedInstruction,
-                            ex_end_cycle: int) -> None:
+    def on_branch_writeback(self, entry: IssueQueueEntry, ex_end_cycle: int) -> None:
         """A fetched branch wrote back: train the predictor and unblock fetch.
 
         This is the only backend→frontend edge of the pipeline; routing it
         through the frontend object lets a trace replayer substitute its
         own (predictor-free) handling without touching the pipeline.
         """
+        instruction = entry.instruction
         self.predictor.update(
             instruction.pc,
             instruction.branch_taken,
-            fetched.history_checkpoint,
-            fetched.predicted_taken,
+            entry.history_checkpoint,
+            entry.predicted_taken,
         )
-        self.branch_resolved(instruction.seq, ex_end_cycle)
+        self.branch_resolved(entry.seq, ex_end_cycle)
 
     def fetch_into(self, decode_queue, stats, cycle: int) -> None:
-        """Run one fetch stage: append this cycle's group to ``decode_queue``
-        and account the fetched instructions/branch predictions in ``stats``."""
-        group = self.fetch(cycle)
-        if not group:
-            return
-        decode_queue.extend(group)
-        branches = 0
-        for fetched in group:
-            if fetched.instruction.is_branch:
-                branches += 1
-        stats.branch_predictions += branches
-        stats.fetched_instructions += len(group)
+        """Run one fetch stage for ``cycle``.
 
-    def fetch(self, cycle: int) -> List[FetchedInstruction]:
-        """Fetch the group of instructions for ``cycle``.
-
-        Returns an empty list when stalled (I-cache miss refill, blocked on
-        an unresolved mispredicted branch) or when the stream is exhausted.
+        Appends one in-flight record per fetched instruction to
+        ``decode_queue`` and accounts the fetched instructions and branch
+        predictions in ``stats``.  Nothing is fetched while stalled
+        (I-cache miss refill, blocked on an unresolved mispredicted
+        branch) or once the stream is exhausted.
         """
         if self.blocked or cycle <= self._stalled_until:
-            return []
+            return
 
-        group: List[FetchedInstruction] = []
+        append = decode_queue.append
+        fetched = 0
+        branches = 0
         current_line: Optional[int] = None
         icache = self.icache
         line_bytes = icache.config.line_bytes
         width = self.width
-        while len(group) < width:
+        while fetched < width:
             # The pushed-back instruction first, then the stream.
             inst = self._pending
             if inst is not None:
@@ -174,30 +146,37 @@ class FetchUnit:
                     break
                 current_line = line
 
+            entry = IssueQueueEntry(inst, cycle)
+            append(entry)
+            fetched += 1
             if not inst.is_branch:
-                group.append(FetchedInstruction(inst, cycle))
                 continue
-            fetched = self._predict_branch(inst, cycle)
-            group.append(fetched)
-            if fetched.mispredicted:
+            branches += 1
+            self._predict_branch(entry, inst, cycle)
+            if entry.mispredicted:
                 # Everything after a mispredicted branch would be wrong-path
                 # work; stop fetching until the branch resolves.
                 self.block_on_branch(inst.seq)
                 break
-            if fetched.predicted_taken or inst.branch_taken:
+            if entry.predicted_taken or inst.branch_taken:
                 # At most one taken branch per cycle: the group ends here.
                 break
 
-        return group
+        if fetched:
+            stats.branch_predictions += branches
+            stats.fetched_instructions += fetched
 
-    def _predict_branch(self, inst: DynamicInstruction, cycle: int) -> FetchedInstruction:
+    def _predict_branch(self, entry: IssueQueueEntry, inst: DynamicInstruction,
+                        cycle: int) -> None:
+        """Predict the branch ``inst`` and record the outcome on ``entry``."""
         predicted_taken, checkpoint = self.predictor.predict(inst.pc)
         btb_hit = self.btb.lookup(inst.pc) is not None
-        mispredicted = predicted_taken != inst.branch_taken
         if predicted_taken and inst.branch_taken and not btb_hit:
             # Correct direction but no cached target: the front end redirects
             # from decode instead of fetch, costing a short bubble.
             self._stalled_until = max(self._stalled_until, cycle + self._BTB_MISS_BUBBLE)
         if inst.branch_taken:
             self.btb.insert(inst.pc, inst.branch_target)
-        return FetchedInstruction(inst, cycle, predicted_taken, checkpoint, mispredicted)
+        entry.predicted_taken = predicted_taken
+        entry.history_checkpoint = checkpoint
+        entry.mispredicted = predicted_taken != inst.branch_taken

@@ -31,7 +31,7 @@ class GSharePredictor:
         self.history_bits = self.index_bits if history_bits is None else history_bits
         if not 0 <= self.history_bits <= 32:
             raise ConfigurationError("history_bits must be between 0 and 32")
-        self._counters = bytearray([2] * num_entries)  # weakly taken
+        self._counters = bytearray(b"\x02") * num_entries  # weakly taken
         self._history = 0
         self._history_mask = (1 << self.history_bits) - 1
 

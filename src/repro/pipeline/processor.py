@@ -16,14 +16,15 @@ Implementation note: ``run`` is the hottest loop of the repository — the
 whole experiment harness is bounded by it — so the stage methods trade a
 little indirection for speed: one in-flight record
 (:class:`~repro.execute.issue_queue.IssueQueueEntry`) per instruction,
-from rename to commit — the renamer fills its physical registers,
+from fetch to commit — the frontend builds it with the fetch cycle and
+the branch prediction state, the renamer fills its physical registers,
 dispatch builds its operand accesses once, and the same object sits in
-the window and the ROB and is what a completion and the commit observer
-carry, so no stage looks an instruction up by sequence number or
-allocates a second record; the select loop is one flat loop with its
-collaborators bound once per cycle, and a select attempt allocates
-nothing; and stages are skipped outright on the cycles where their input
-queues are provably empty.
+the decode queue, the window and the ROB and is what a completion and
+the commit observer carry, so no stage looks an instruction up by
+sequence number or allocates a second record; the select loop is one
+flat loop with its collaborators bound once per cycle, and a select
+attempt allocates nothing; and stages are skipped outright on the cycles
+where their input queues are provably empty.
 
 The back-end state has one owner per piece, all plain public
 attributes: the processor holds the reorder buffer (``rob``), the
@@ -72,7 +73,7 @@ from repro.execute.functional_units import UNPIPELINED_CLASSES, FunctionalUnitPo
 from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueState
 from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.fetch import FetchedInstruction, FetchUnit
+from repro.frontend.fetch import FetchUnit
 from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import (
     FP_LOGICAL_REGISTERS,
@@ -199,7 +200,8 @@ class Processor:
                 width=self.config.fetch_width,
             )
 
-        self._decode_queue: deque[FetchedInstruction] = deque()
+        #: Fetched, not yet dispatched in-flight records, oldest first.
+        self._decode_queue: deque[IssueQueueEntry] = deque()
         # Write-back cycle (``ex_end + 1``) -> the in-flight records that
         # complete then.
         self._completions: Dict[int, List[IssueQueueEntry]] = {}
@@ -465,13 +467,9 @@ class Processor:
             entry.completed = True
             entry.complete_cycle = cycle
 
-            instruction = entry.instruction
-            fetched = entry.fetched
-            if instruction.is_branch and fetched is not None:
-                self.fetch_unit.on_branch_writeback(
-                    instruction, fetched, ex_end_cycle
-                )
-                if fetched.mispredicted:
+            if entry.instruction.is_branch:
+                self.fetch_unit.on_branch_writeback(entry, ex_end_cycle)
+                if entry.mispredicted:
                     stats.branch_mispredictions += 1
 
     # ------------------------------------------------------------------
@@ -748,10 +746,10 @@ class Processor:
         lsq_room = config.lsq_size - self.lsq_occupancy
         dispatched = 0
         while decode_queue and dispatched < decode_width:
-            fetched = decode_queue[0]
-            if fetched.fetch_cycle >= cycle:
+            entry = decode_queue[0]
+            if entry.fetch_cycle >= cycle:
                 break  # still in the decode stage
-            instruction = fetched.instruction
+            instruction = entry.instruction
             op_class = instruction.op_class
             is_memory = op_class is _LOAD or op_class is _STORE
             if rob_room <= 0:
@@ -771,8 +769,8 @@ class Processor:
                 break
 
             decode_queue.popleft()
-            # One in-flight record per instruction, from rename to commit.
-            entry = rename(IssueQueueEntry(instruction, fetched))
+            # The record fetch built is renamed in place.
+            rename(entry)
             seq = entry.seq
             dest = entry.dest
             if dest is not None:

@@ -15,6 +15,7 @@ is no squash, checkpoint or restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, List
 
 from repro.errors import ConfigurationError, RenameError
@@ -62,6 +63,17 @@ class PhysicalRegister:
         return f"{prefix}{self.index}"
 
 
+@lru_cache(maxsize=None)
+def _physical_registers(reg_class: RegisterClass, count: int) -> tuple[PhysicalRegister, ...]:
+    """The interned physical registers ``0 .. count - 1`` of ``reg_class``.
+
+    Built once per process for each (class, count) and shared by every
+    renamer: the registers are immutable, and a processor only compares
+    its own registers, by identity.
+    """
+    return tuple(PhysicalRegister(reg_class, i) for i in range(count))
+
+
 class Renamer:
     """Renames logical registers of a dynamic instruction stream."""
 
@@ -77,12 +89,8 @@ class Renamer:
 
         # One interned PhysicalRegister object per (class, index), reused
         # by every rename instead of allocating one per operand.
-        self._int_physical: tuple[PhysicalRegister, ...] = tuple(
-            PhysicalRegister(RegisterClass.INT, i) for i in range(num_int_physical)
-        )
-        self._fp_physical: tuple[PhysicalRegister, ...] = tuple(
-            PhysicalRegister(RegisterClass.FP, i) for i in range(num_fp_physical)
-        )
+        self._int_physical = _physical_registers(RegisterClass.INT, num_int_physical)
+        self._fp_physical = _physical_registers(RegisterClass.FP, num_fp_physical)
         self.int_free = FreeList(
             range(num_logical, num_int_physical), valid_registers=range(num_int_physical)
         )

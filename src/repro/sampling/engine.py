@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from bisect import bisect_left
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.pipeline.config import ProcessorConfig
@@ -110,14 +110,11 @@ def confidence_interval(values: List[float], confidence: float) -> Tuple[float, 
 # window placement
 # ----------------------------------------------------------------------
 
-def event_offsets(trace: DecodedTrace) -> List[int]:
-    """Cumulative instruction offset at the start of each fetch event."""
-    offsets: List[int] = []
-    position = 0
-    for event in trace.events:
-        offsets.append(position)
-        position += event[0]
-    return offsets
+def event_offsets(trace: DecodedTrace) -> Sequence[int]:
+    """Cumulative instruction offset at the start of each fetch event
+    (the start column of the trace's replay groups)."""
+    starts, _ = trace.replay_groups()
+    return starts
 
 
 def window_plan(trace: DecodedTrace, spec: SamplingSpec) -> List[Tuple[int, int]]:

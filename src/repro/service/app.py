@@ -44,7 +44,7 @@ import contextlib
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -836,7 +836,8 @@ class ServiceApp:
                 self._deadline_failures.inc()
         except ApiError as error:
             job.mark_failed(error.code, error.message)
-        except BrokenProcessPool as error:
+        except BrokenExecutor as error:
+            # The engine's worker pool is the only executor that breaks.
             job.mark_failed(
                 "worker_crashed",
                 f"a simulation worker process died mid-job: {error} "

@@ -54,7 +54,7 @@ def _canonical_regfile() -> SingleBankedRegisterFile:
 
 
 class RecordingFetchUnit(FetchUnit):
-    """A fetch unit that logs one event per delivering ``fetch()`` call.
+    """A fetch unit that logs one event per delivering fetch call.
 
     Calls that return empty-handed *without* touching any state (blocked
     on a mispredicted branch, inside a stall window) are not events: the
@@ -66,21 +66,25 @@ class RecordingFetchUnit(FetchUnit):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.events: list[FetchEvent] = []
+        #: One tuple per distinct event, shared by every event equal to it.
+        self._distinct_events: dict[FetchEvent, FetchEvent] = {}
         self._recorded_exhaustion = False
 
-    def fetch(self, cycle: int):
+    def fetch_into(self, decode_queue, stats, cycle: int) -> None:
         icache = self.icache
         hits_before = icache.hits
         misses_before = icache.misses
-        group = super().fetch(cycle)
+        queued_before = len(decode_queue)
+        super().fetch_into(decode_queue, stats, cycle)
+        count = len(decode_queue) - queued_before
         hits = icache.hits - hits_before
         misses = icache.misses - misses_before
         exhausts = self.exhausted and not self._recorded_exhaustion
-        if not group and not hits and not misses and not exhausts:
-            return group  # blocked / stalled no-op; not an event
+        if not count and not hits and not misses and not exhausts:
+            return  # blocked / stalled no-op; not an event
         flags = 0
-        if self.blocked and group:
-            # ``fetch`` only delivers while unblocked, so a blocked state
+        if self.blocked and count:
+            # Fetch only delivers while unblocked, so a blocked state
             # after the call means this very group ended on a
             # mispredicted branch (always its last instruction).
             flags |= ENDS_BLOCKED
@@ -90,8 +94,8 @@ class RecordingFetchUnit(FetchUnit):
         post_stall = self._stalled_until - cycle
         if post_stall < 0:
             post_stall = 0
-        self.events.append((len(group), post_stall, hits, misses, flags))
-        return group
+        event = (count, post_stall, hits, misses, flags)
+        self.events.append(self._distinct_events.setdefault(event, event))
 
 
 def record_trace_with_stats(

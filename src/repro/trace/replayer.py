@@ -8,12 +8,17 @@ of running the workload generator, the I-cache, gshare and the BTB.
 Stall and block *timing* is still computed live — it depends on when the
 backend resolves branches — from the per-event stall deltas and the
 blocked-on-branch flags, using exactly the live fetch unit's rules.
+
+The trace and its replay groups are read-only: each replay builds its own
+in-flight records, so replays of one trace may run concurrently (the
+sweep service's executor threads do).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimulationStats
 from repro.trace.schema import ENDS_BLOCKED, EXHAUSTS, DecodedTrace
@@ -22,14 +27,17 @@ from repro.trace.schema import ENDS_BLOCKED, EXHAUSTS, DecodedTrace
 class TraceReplayer:
     """One pipeline run's frontend, fed from a :class:`DecodedTrace`.
 
-    Replayers of one trace share its prebuilt fetch groups (rewriting
-    ``fetch_cycle`` in place), so runs over the same trace must be
-    sequential within a process.
+    Replayers of one trace share its instructions and its read-only
+    replay groups; each fetch builds fresh in-flight records, so
+    replayers of one trace never see each other's state.
     """
 
     __slots__ = (
         "trace",
-        "_groups",
+        "_instructions",
+        "_events",
+        "_starts",
+        "_branch_counts",
         "_next_event",
         "_num_events",
         "_stalled_until",
@@ -42,16 +50,18 @@ class TraceReplayer:
 
     def __init__(self, trace: DecodedTrace, start_event: int = 0) -> None:
         self.trace = trace
-        self._groups = trace.replay_groups()
-        if not 0 <= start_event <= len(self._groups):
+        self._instructions = trace.instructions
+        self._events = trace.events
+        self._starts, self._branch_counts = trace.replay_groups()
+        self._num_events = len(self._events)
+        if not 0 <= start_event <= self._num_events:
             raise ValueError(
                 f"start_event {start_event} outside trace "
-                f"({len(self._groups)} fetch events)"
+                f"({self._num_events} fetch events)"
             )
         # Mid-stream replay (sampling windows): begin
         # delivering at a fetch-event boundary instead of event 0.
         self._next_event = start_event
-        self._num_events = len(self._groups)
         self._stalled_until = -1
         self._blocked_seq: Optional[int] = None
         #: Plain attributes, as on the live fetch unit: the pipeline reads
@@ -75,19 +85,22 @@ class TraceReplayer:
             self.exhausted = True
             return
         self._next_event = index + 1
-        count, post_stall, hits, misses, flags, group, branches = \
-            self._groups[index]
+        count, post_stall, hits, misses, flags = self._events[index]
         if count:
-            for fetched in group:
-                fetched.fetch_cycle = cycle
-            decode_queue.extend(group)
+            start = self._starts[index]
+            append = decode_queue.append
+            for inst in self._instructions[start:start + count]:
+                entry = IssueQueueEntry(inst, cycle)
+                append(entry)
             stats.fetched_instructions += count
-            stats.branch_predictions += branches
+            stats.branch_predictions += self._branch_counts[index]
+            if flags & ENDS_BLOCKED:
+                # The group's last instruction is the mispredicted branch.
+                entry.mispredicted = True
+                self._blocked_seq = entry.seq
+                self.blocked = True
         if post_stall:
             self._stalled_until = cycle + post_stall
-        if flags & ENDS_BLOCKED:
-            self._blocked_seq = group[-1].instruction.seq
-            self.blocked = True
         if flags & EXHAUSTS:
             self.exhausted = True
         if hits:
@@ -95,11 +108,11 @@ class TraceReplayer:
         if misses:
             self.icache_misses += misses
 
-    def on_branch_writeback(self, instruction, fetched, ex_end_cycle: int) -> None:
+    def on_branch_writeback(self, entry, ex_end_cycle: int) -> None:
         # Same resolution rule as ``FetchUnit.branch_resolved``; predictor
         # training is skipped — outcomes were recorded.
         blocked = self._blocked_seq
-        if blocked is not None and instruction.seq >= blocked:
+        if blocked is not None and entry.seq >= blocked:
             self._blocked_seq = None
             self.blocked = False
             if ex_end_cycle > self._stalled_until:

@@ -141,11 +141,10 @@ _ZLIB_LEVEL = 1
 class DecodedTrace:
     """A recorded decoded-instruction / fetch-event stream.
 
-    One trace drives any number of sequential replays in a process; the
-    prebuilt fetch groups are shared between replayers (their
-    ``fetch_cycle`` fields are rewritten per run), so two replays of the
-    same trace must not run concurrently in one process — worker
-    processes are the unit of parallelism.
+    A trace is never changed once recorded: its instructions, its events
+    and its replay groups are read-only, so any number of replays of one
+    trace may run at once, in one process or several.  Each replay builds
+    its own in-flight records.
     """
 
     name: str
@@ -154,9 +153,9 @@ class DecodedTrace:
     frontend: dict
     instructions: List[DynamicInstruction]
     events: List[FetchEvent]
-    #: Lazily-built per-event (group, branch_count) shared by replayers.
-    _groups: Optional[list] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    #: Lazily-built :meth:`replay_groups`, shared by replayers.
+    _groups: Optional[Tuple[array, array]] = field(
+        default=None, init=False, repr=False, compare=False)
     #: The :meth:`to_bytes` blob, once encoded or decoded.
     _blob: Optional[bytes] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -164,39 +163,43 @@ class DecodedTrace:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def replay_groups(self) -> list:
-        """Per-event replay tuples ``(count, post_stall, hits, misses,
-        flags, fetched_group, branch_count)``, built once per process."""
-        if self._groups is None:
-            from repro.frontend.fetch import FetchedInstruction
+    def replay_groups(self) -> Tuple[array, array]:
+        """Where each fetch event's group sits in :attr:`instructions`.
 
-            groups = []
+        ``(starts, branch_counts)``: per event, the index of its first
+        instruction and the number of branches it fetches, in two
+        compact arrays built (and the events checked against the
+        instructions) once per trace.  A replayer's fetch slices its
+        group from :attr:`instructions`; the arrays are read-only and
+        hold no per-replay state, so replayers of one trace share them.
+        """
+        if self._groups is None:
+            starts = array("q")
+            branch_counts = array("I")
             instructions = self.instructions
+            total = len(instructions)
             position = 0
-            for count, post_stall, hits, misses, flags in self.events:
-                group = []
+            for count, _, _, _, flags in self.events:
+                end = position + count
                 branches = 0
-                for inst in instructions[position:position + count]:
-                    group.append(FetchedInstruction(inst, 0))
+                for inst in instructions[position:end]:
                     if inst.is_branch:
                         branches += 1
-                position += count
-                if flags & ENDS_BLOCKED:
-                    if not group or not group[-1].instruction.is_branch:
-                        raise SimulationError(
-                            f"corrupt trace {self.name!r}: blocked fetch event "
-                            "does not end with a branch"
-                        )
-                    group[-1].mispredicted = True
-                groups.append(
-                    (count, post_stall, hits, misses, flags, group, branches)
-                )
-            if position != len(instructions):
+                if flags & ENDS_BLOCKED and not (
+                        count and end <= total and instructions[end - 1].is_branch):
+                    raise SimulationError(
+                        f"corrupt trace {self.name!r}: blocked fetch event "
+                        "does not end with a branch"
+                    )
+                starts.append(position)
+                branch_counts.append(branches)
+                position = end
+            if position != total:
                 raise SimulationError(
                     f"corrupt trace {self.name!r}: events cover {position} of "
-                    f"{len(instructions)} instructions"
+                    f"{total} instructions"
                 )
-            self._groups = groups
+            self._groups = (starts, branch_counts)
         return self._groups
 
     def replayer(self):
@@ -325,6 +328,14 @@ class DecodedTrace:
             if start != len(source_registers):
                 raise ValueError("source lengths do not cover the source registers")
 
+            # One int per distinct pc and branch target, shared like the
+            # source tuples: a stream has few distinct code addresses.
+            # The table maps each value to itself and is read through
+            # ``map`` at C speed; a trace's pcs need not come from the
+            # synthetic code layout, so it is keyed by value.
+            addresses = {value: value for value in set(pcs).union(targets)}
+            shared = addresses.__getitem__
+
             op_classes = _OP_CLASSES
             flag_bits = _FLAG_BITS
             mnemonics = header["mnemonics"]
@@ -334,8 +345,8 @@ class DecodedTrace:
             append = instructions.append
             for (seq, op, dest, source_id, latency, pc, flag, target,
                  mem_address, mnemonic_id) in zip(
-                    seqs, ops, dests, source_ids, latencies, pcs, flags,
-                    targets, mem_addresses, mnemonic_ids):
+                    seqs, ops, dests, source_ids, latencies, map(shared, pcs),
+                    flags, map(shared, targets), mem_addresses, mnemonic_ids):
                 is_branch, taken, has_mem = flag_bits[flag]
                 inst = new(instruction_class)
                 inst.seq = seq
@@ -354,7 +365,11 @@ class DecodedTrace:
             if len(event_values) % 5:
                 raise ValueError("fetch events are not five integers each")
             values = iter(event_values)
-            events = list(zip(values, values, values, values, values))
+            # One tuple per distinct event: a trace repeats a few dozen.
+            distinct_events: Dict[FetchEvent, FetchEvent] = {}
+            share_event = distinct_events.setdefault
+            events = [share_event(event, event)
+                      for event in zip(values, values, values, values, values)]
             trace = cls(
                 name=header["name"],
                 key=header["key"],

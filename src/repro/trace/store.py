@@ -38,9 +38,10 @@ TRACE_MAX_BYTES = 1 << 30
 #: at default settings replays the same 18 traces, one per benchmark of
 #: the suite; the cap holds the suite at two instruction budgets, so a
 #: figure job never cycles its own traces through the disk decoder.  A
-#: decoded trace at the default budget (10k instructions) holds about
-#: 2.4 MB, its blob included, and about 3.5 MB once its replay groups
-#: are built (``tracemalloc``, gcc/swim/fpppp/m88ksim, CPython 3.11).
+#: decoded trace at the default budget (10k instructions) holds
+#: 1.9-2.1 MB with its blob and its replay groups, which add 10-40 KB
+#: (``tracemalloc``, gcc/swim/fpppp/m88ksim, CPython 3.11), so a full
+#: tier holds about 70 MB.
 TRACE_MEMORY_ENTRIES = 36
 
 

@@ -240,8 +240,20 @@ class SyntheticWorkload:
             raise WorkloadError("instruction count must be positive")
         profile = self.profile
         rng = random.Random(self.seed)
+        # ``pcs[slot]`` is the instruction address ``_CODE_BASE + 4 *
+        # slot``, one int per address, shared by every instruction there
+        # (the static branches' pcs and targets included).  Every pc is
+        # 4-byte aligned and at most one slot past the code footprint
+        # (right after a branch in its last slot), so the loop tracks the
+        # next pc as its slot.
+        code_slots = -(-profile.code_footprint_bytes // 4)
+        pcs = list(range(_CODE_BASE, _CODE_BASE + 4 * code_slots + 4, 4))
+        static_branches = self._build_static_branches(rng)
+        for branch in static_branches:
+            branch.pc = pcs[(branch.pc - _CODE_BASE) >> 2]
+            branch.target = pcs[(branch.target - _CODE_BASE) >> 2]
         next_branch = _BranchSequencer(
-            self._build_static_branches(rng), profile.branches.loop_fraction
+            static_branches, profile.branches.loop_fraction
         ).next_branch
         next_address = _MemorySequencer(profile, rng).next_address
         rng_random = rng.random
@@ -289,8 +301,17 @@ class SyntheticWorkload:
         long_lived_source = 0.72 + profile.long_range_fraction
         fp_memory = profile.is_fp
 
-        pc = _CODE_BASE
-        code_limit = _CODE_BASE + profile.code_footprint_bytes
+        # One tuple per distinct source list, shared by every instruction
+        # that reads it.  Sources are canonical registers (the pools are
+        # slices of the canonical tuples), so a list indexed by
+        # ``LogicalRegister._hash`` (an integer below 64) holds every
+        # one-source tuple, and one indexed by ``first._hash << 6 |
+        # second._hash`` the two-source tuples seen so far.
+        single_sources = [None] * 64
+        for register in INT_LOGICAL_REGISTERS + FP_LOGICAL_REGISTERS:
+            single_sources[register._hash] = (register,)
+        pair_sources = [None] * 4096
+        pc_slot = 0
         op_rows = self._op_rows
         op_cum_weights = self._op_cum_weights
         op_total = op_cum_weights[-1]
@@ -403,20 +424,34 @@ class SyntheticWorkload:
                 branch, branch_taken = next_branch(rng)
                 this_pc = branch.pc
                 branch_target = branch.target
-                pc = branch_target if branch_taken else this_pc + 4
+                if branch_taken:
+                    pc_slot = (branch_target - _CODE_BASE) >> 2
+                else:
+                    pc_slot = ((this_pc - _CODE_BASE) >> 2) + 1
             else:
-                this_pc = pc
+                this_pc = pcs[pc_slot]
                 branch_taken = False
                 branch_target = 0
-                pc += 4
-                if pc >= code_limit:
-                    pc = _CODE_BASE
+                pc_slot += 1
+                if pc_slot >= code_slots:
+                    pc_slot = 0
             mem_address = next_address(rng) if is_memory else None
+
+            if not sources:
+                source_tuple = ()
+            elif len(sources) == 1:
+                source_tuple = single_sources[sources[0]._hash]
+            else:
+                first, second = sources
+                key = first._hash << 6 | second._hash
+                source_tuple = pair_sources[key]
+                if source_tuple is None:
+                    source_tuple = pair_sources[key] = (first, second)
 
             # Positional: seq, op_class, dest, sources, latency, pc,
             # is_branch, branch_taken, branch_target, mem_address, mnemonic.
             yield DynamicInstruction(
-                seq, op_class, dest, tuple(sources), latency, this_pc,
+                seq, op_class, dest, source_tuple, latency, this_pc,
                 is_branch, branch_taken, branch_target, mem_address, mnemonic,
             )
 

@@ -10,7 +10,7 @@ for chosen cycles, so they check the bookkeeping the simulator runs.
 
 from __future__ import annotations
 
-from repro.frontend.fetch import FetchedInstruction
+from repro.execute.issue_queue import IssueQueueEntry
 from repro.isa.instruction import DynamicInstruction
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import ProcessorConfig
@@ -40,7 +40,7 @@ class StagedPipeline:
         """
         processor = self.processor
         for instruction in instructions:
-            processor._decode_queue.append(FetchedInstruction(instruction, cycle - 1))
+            processor._decode_queue.append(IssueQueueEntry(instruction, cycle - 1))
         before = len(self.rob)
         processor._dispatch_stage(cycle)
         return list(self.rob)[before:]

@@ -22,6 +22,7 @@ from repro.isa.instruction import INT_LOGICAL_REGISTERS, DynamicInstruction
 from repro.isa.opcodes import OpClass
 from repro.memsys.cache import CacheConfig, CacheModel
 from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.stats import SimulationStats
 from repro.trace import record_trace
 from repro.trace.schema import EXHAUSTS
 from repro.workloads.profiles import get_profile
@@ -32,6 +33,13 @@ def _alu(seq, pc):
     return DynamicInstruction(
         seq=seq, op_class=OpClass.INT_ALU, dest=INT_LOGICAL_REGISTERS[1], pc=pc
     )
+
+
+def _fetch(unit, cycle):
+    """The group ``unit`` fetches in ``cycle``."""
+    group = []
+    unit.fetch_into(group, SimulationStats(), cycle)
+    return group
 
 
 def _fetch_unit(stream):
@@ -55,14 +63,14 @@ def test_pushed_back_last_instruction_keeps_the_stream_live():
     # reaches it misses and pushes it back.
     stream = [_alu(0, 0x1000), _alu(1, 0x1040)]
     fetch = _fetch_unit(stream)
-    assert fetch.fetch(0) == []  # cold miss on the first line
+    assert _fetch(fetch, 0) == []  # cold miss on the first line
     assert not fetch.exhausted
 
     cycle = 1
-    group = fetch.fetch(cycle)
+    group = _fetch(fetch, cycle)
     while not group:
         cycle += 1
-        group = fetch.fetch(cycle)
+        group = _fetch(fetch, cycle)
     assert [fetched.seq for fetched in group] == [0]
     # Instruction 1 was read and pushed back: nothing is exhausted yet.
     assert not fetch.exhausted
@@ -71,11 +79,11 @@ def test_pushed_back_last_instruction_keeps_the_stream_live():
     while not delivered:
         cycle += 1
         assert not fetch.exhausted
-        delivered = fetch.fetch(cycle)
+        delivered = _fetch(fetch, cycle)
     assert [fetched.seq for fetched in delivered] == [1]
     # The same call read past the end once the last instruction was in.
     assert fetch.exhausted
-    assert fetch.fetch(cycle + 10) == []
+    assert _fetch(fetch, cycle + 10) == []
 
 
 def test_blocked_is_a_plain_attribute():

@@ -19,6 +19,13 @@ def _branch(seq, pc, taken, target=0x5000):
                               pc=pc, branch_taken=taken, branch_target=target)
 
 
+def _fetch(unit, cycle):
+    """The group ``unit`` fetches in ``cycle``."""
+    group = []
+    unit.fetch_into(group, SimulationStats(), cycle)
+    return group
+
+
 def _make_fetch(stream, width=8):
     icache = CacheModel(CacheConfig(size_bytes=4096, associativity=2, line_bytes=64,
                                     miss_latency=6, dirty_miss_latency=6, writeback=False))
@@ -43,25 +50,25 @@ class TestFetchGrouping:
     def test_stops_at_taken_branch(self):
         stream = [_alu(0, 0x1000), _branch(1, 0x1004, taken=True), _alu(2, 0x5000)]
         fetch = _make_fetch(stream)
-        fetch.fetch(0)                      # cold miss
-        group = fetch.fetch(10)
+        _fetch(fetch, 0)                      # cold miss
+        group = _fetch(fetch, 10)
         assert [f.seq for f in group] == [0, 1]
 
     def test_exhaustion(self):
         stream = [_alu(0, 0x1000)]
         fetch = _make_fetch(stream)
-        fetch.fetch(0)
+        _fetch(fetch, 0)
         for cycle in range(1, 20):
-            fetch.fetch(cycle)
+            _fetch(fetch, cycle)
         assert fetch.exhausted
 
     def test_icache_miss_stalls(self):
         stream = [_alu(i, 0x1000 + 4 * i) for i in range(4)]
         fetch = _make_fetch(stream)
-        assert fetch.fetch(0) == []          # compulsory miss
+        assert _fetch(fetch, 0) == []          # compulsory miss
         refill = fetch.icache.config.miss_latency - fetch.icache.config.hit_latency
-        assert fetch.fetch(refill) == []     # still refilling
-        assert [f.seq for f in fetch.fetch(refill + 1)] == [0, 1, 2, 3]
+        assert _fetch(fetch, refill) == []     # still refilling
+        assert [f.seq for f in _fetch(fetch, refill + 1)] == [0, 1, 2, 3]
 
 
 class TestBranchHandling:
@@ -72,30 +79,30 @@ class TestBranchHandling:
         # branch that is NOT taken while the counters say taken.
         stream = [_branch(0, 0x1000, taken=False), _alu(1, 0x1004), _alu(2, 0x1008)]
         fetch = _make_fetch(stream)
-        fetch.fetch(0)
-        group = fetch.fetch(10)
+        _fetch(fetch, 0)
+        group = _fetch(fetch, 10)
         assert len(group) == 1 and group[0].mispredicted
         assert fetch.blocked
-        assert fetch.fetch(11) == []
+        assert _fetch(fetch, 11) == []
         fetch.branch_resolved(0, 20)
         assert not fetch.blocked
-        assert [f.seq for f in fetch.fetch(21)] == [1, 2]
+        assert [f.seq for f in _fetch(fetch, 21)] == [1, 2]
 
     def test_correctly_predicted_branch_does_not_block(self):
         # Initial 2-bit counters are weakly taken, so a taken branch is
         # predicted correctly; only the BTB-miss bubble applies.
         stream = [_branch(0, 0x1000, taken=True), _alu(1, 0x5000), _alu(2, 0x5004)]
         fetch = _make_fetch(stream)
-        fetch.fetch(0)
-        group = fetch.fetch(10)
+        _fetch(fetch, 0)
+        group = _fetch(fetch, 10)
         assert group and not group[0].mispredicted
         assert not fetch.blocked
 
     def test_branch_resolved_ignores_older_seq(self):
         stream = [_branch(0, 0x1000, taken=False), _alu(1, 0x1004)]
         fetch = _make_fetch(stream)
-        fetch.fetch(0)
-        fetch.fetch(10)
+        _fetch(fetch, 0)
+        _fetch(fetch, 10)
         assert fetch.blocked
         fetch.branch_resolved(-5, 12)   # unrelated older branch
         assert fetch.blocked

@@ -38,7 +38,7 @@ HOT_FUNCTIONS = [
     ("repro.regfile.base", "OperandAccess.__init__"),
     ("repro.rename.renamer", "Renamer.rename"),
     ("repro.isa.instruction", "DynamicInstruction.__post_init__"),
-    ("repro.frontend.fetch", "FetchUnit.fetch"),
+    ("repro.frontend.fetch", "FetchUnit._predict_branch"),
     ("repro.frontend.fetch", "FetchUnit.fetch_into"),
     ("repro.trace.replayer", "TraceReplayer.fetch_into"),
     ("repro.trace.schema", "DecodedTrace.to_bytes"),

@@ -1,10 +1,11 @@
-"""numpy stays off the import path; the hardware model loads it on demand.
+"""numpy and the process pool stay off the import path; each loads on demand.
 
 The only numpy user is the Table 2 access-time calibration
 (:mod:`repro.hwmodel.access_time`).  ``import repro``, the simulator,
 trace record/replay, the sweep engine and the service must run on the
 standard library alone, so the first test runs them under ``python -S``
-(no site-packages, hence no numpy) in a subprocess.  The second checks
+(no site-packages, hence no numpy) in a subprocess; since all of that
+runs with ``jobs=1``, it must not load ``multiprocessing`` either.  The second checks
 that the hardware model still imports numpy when first evaluated and
 that its numbers are the ones the eager-import model produced.
 """
@@ -63,6 +64,10 @@ STDLIB_ONLY = """
     ServiceApp(cache_dir=None, jobs=1).stop()
 
     assert "numpy" not in sys.modules, "numpy was imported"
+    # The worker pool, and with it multiprocessing, loads only when a
+    # pool starts (jobs > 1).
+    for name in ("multiprocessing", "concurrent.futures.process"):
+        assert name not in sys.modules, f"{name} was imported"
     print("ok")
 """
 

@@ -16,6 +16,7 @@ import gzip
 import json
 import os
 import sys
+import threading
 import zlib
 
 import pytest
@@ -35,9 +36,11 @@ from repro.obs.events import EventBus, EventLog
 from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
+from repro.pipeline.stats import SimulationStats
 from repro.trace import (
     TRACE_SCHEMA_VERSION,
     DecodedTrace,
+    TraceReplayer,
     TraceStore,
     record_trace,
     replay_simulate,
@@ -147,13 +150,70 @@ class TestReplayBitIdentity:
                 != trace_key(_workload_id("gcc", N), narrow))
 
     def test_sequential_replays_of_one_trace(self, gcc_trace):
-        """Replayers share prebuilt groups; back-to-back runs must not
-        contaminate each other."""
+        """Replayers share the trace's read-only groups; back-to-back runs
+        must not contaminate each other."""
         factory = validation_matrix()["monolithic-1c"]
         config = ProcessorConfig(max_instructions=N)
         first = replay_simulate(gcc_trace, factory, config)
         second = replay_simulate(gcc_trace, factory, config)
         assert first.to_dict() == second.to_dict()
+
+
+class TestConcurrentReplay:
+    """Replays of one trace share no state, so they may run at once: the
+    sweep service's executor threads replay one in-memory trace."""
+
+    def test_each_replayer_builds_its_own_records(self, gcc_trace):
+        event = next(index for index, (count, *_) in enumerate(gcc_trace.events)
+                     if count)
+        stats = SimulationStats()
+        first, second = [], []
+        TraceReplayer(gcc_trace, start_event=event).fetch_into(first, stats, 5)
+        TraceReplayer(gcc_trace, start_event=event).fetch_into(second, stats, 9)
+        assert first and len(first) == len(second)
+        assert [entry.fetch_cycle for entry in first] == [5] * len(first)
+        assert [entry.fetch_cycle for entry in second] == [9] * len(second)
+        assert not {id(entry) for entry in first} & {id(entry) for entry in second}
+        assert [entry.instruction for entry in first] == \
+            [entry.instruction for entry in second]
+
+    def test_concurrent_replays_equal_sequential_ones(self, gcc_trace):
+        matrix = validation_matrix()
+        names = ["monolithic-1c", "monolithic-2c-1-bypass", "banked-4x2r2w",
+                 "rfc-non-bypass-ported"]
+        config = ProcessorConfig(max_instructions=N)
+        expected = {
+            name: replay_simulate(gcc_trace, matrix[name], config).to_dict()
+            for name in names
+        }
+        results, errors = [], []
+
+        def replay_all(order):
+            try:
+                for name in order:
+                    stats = replay_simulate(gcc_trace, matrix[name], config)
+                    results.append((name, stats.to_dict()))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=replay_all, args=(names[i:] + names[:i],))
+            for i in range(len(names))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(results) == len(names) ** 2
+        for name, stats in results:
+            assert stats == expected[name], name
 
 
 class TestTraceStore:
