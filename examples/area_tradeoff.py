@@ -20,8 +20,8 @@ import sys
 from repro import ProcessorConfig, SyntheticWorkload, get_profile, simulate
 from repro.analysis import format_table, harmonic_mean
 from repro.experiments.common import (
+    RegisterFileCacheFactory,
     one_cycle_factory,
-    register_file_cache_factory,
     two_cycle_one_bypass_factory,
 )
 from repro.hwmodel import (
@@ -89,7 +89,7 @@ def main() -> None:
     if best_cache is not None:
         cycle = best_cache.cycle_time_ns()
         ipc = _suite_ipc(
-            register_file_cache_factory(
+            RegisterFileCacheFactory(
                 upper_read_ports=best_cache.upper_read_ports,
                 upper_write_ports=best_cache.upper_write_ports,
                 lower_write_ports=best_cache.lower_write_ports,

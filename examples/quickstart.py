@@ -22,7 +22,6 @@ from repro import (
     get_profile,
     simulate,
 )
-from repro.regfile import NonBypassCaching, PrefetchFirstPair
 
 
 def main() -> None:
@@ -41,7 +40,7 @@ def main() -> None:
     cache = simulate(
         workload.instructions(instructions + 2000),
         regfile_factory=lambda: RegisterFileCache(
-            caching_policy=NonBypassCaching(), fetch_policy=PrefetchFirstPair()
+            caching="non-bypass", fetch="prefetch-first-pair"
         ),
         config=config,
         benchmark_name=benchmark,

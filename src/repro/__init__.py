@@ -70,14 +70,6 @@ from repro.regfile import (
     SingleBankedRegisterFile,
     RegisterFileCache,
     OneLevelBankedRegisterFile,
-    NonBypassCaching,
-    ReadyCaching,
-    AlwaysCaching,
-    NeverCaching,
-    FetchOnDemand,
-    PrefetchFirstPair,
-    caching_policy_by_name,
-    fetch_policy_by_name,
     UNLIMITED,
 )
 from repro.pipeline import (
@@ -134,14 +126,6 @@ __all__ = [
     "SingleBankedRegisterFile",
     "RegisterFileCache",
     "OneLevelBankedRegisterFile",
-    "NonBypassCaching",
-    "ReadyCaching",
-    "AlwaysCaching",
-    "NeverCaching",
-    "FetchOnDemand",
-    "PrefetchFirstPair",
-    "caching_policy_by_name",
-    "fetch_policy_by_name",
     "UNLIMITED",
     # pipeline
     "ProcessorConfig",

@@ -18,7 +18,6 @@ from repro.frontend.gshare import GSharePredictor
 from repro.isa.instruction import RegisterClass
 from repro.memsys.cache import CacheConfig, CacheModel
 from repro.regfile.cache import RegisterFileCache
-from repro.regfile.policies import AlwaysCaching
 from repro.regfile.replacement import PseudoLRU
 from repro.rename.renamer import PhysicalRegister
 from repro.workloads.profiles import get_profile
@@ -70,7 +69,7 @@ def register_file_cache_writeback_path() -> int:
     registers = [PhysicalRegister(RegisterClass.INT, i) for i in range(128)]
     states = [ValueState(register, producer_seq=index, ex_end_cycle=index)
               for index, register in enumerate(registers)]
-    cache = RegisterFileCache(caching_policy=AlwaysCaching())
+    cache = RegisterFileCache(caching="always")
     for cycle, (register, state) in enumerate(zip(registers, states)):
         cache.begin_cycle(cycle)
         cache.writeback(register, state, cycle, window=None)

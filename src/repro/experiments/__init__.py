@@ -30,7 +30,6 @@ from repro.experiments.common import (
     one_cycle_factory,
     two_cycle_full_bypass_factory,
     two_cycle_one_bypass_factory,
-    register_file_cache_factory,
 )
 from repro.experiments import (
     ablations,
@@ -54,7 +53,6 @@ __all__ = [
     "one_cycle_factory",
     "two_cycle_full_bypass_factory",
     "two_cycle_one_bypass_factory",
-    "register_file_cache_factory",
     "figure1",
     "figure2",
     "figure3",

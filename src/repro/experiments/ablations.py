@@ -25,19 +25,18 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     OneLevelBankedFactory,
+    RegisterFileCacheFactory,
     SimulationCache,
     one_cycle_factory,
-    register_file_cache_factory,
     suite_harmonic_mean,
     suite_points,
 )
+from repro.regfile.cache import CACHING_POLICIES
 
 #: Upper-level capacities swept by the capacity ablation.
 UPPER_CAPACITIES: Sequence[int] = (4, 8, 16, 32, 64)
 #: Bus counts swept by the bandwidth ablation.
 BUS_COUNTS: Sequence[int] = (1, 2, 4)
-#: Caching policies compared by the policy ablation.
-CACHING_POLICIES: Sequence[str] = ("non-bypass", "ready", "always", "never")
 #: Bank counts for the one-level organisation.
 BANK_COUNTS: Sequence[int] = (2, 4)
 
@@ -50,20 +49,20 @@ def _suite_hmeans(cache: SimulationCache, factory, key: str) -> Dict[str, float]
 
 
 def _rfc_baseline_arch() -> tuple:
-    return (register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair")
+    return (RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair")
 
 
 def _capacity_arch(capacity: int) -> tuple:
-    return (register_file_cache_factory(upper_capacity=capacity),
+    return (RegisterFileCacheFactory(upper_capacity=capacity),
             f"rfc/cap{capacity}")
 
 
 def _policy_arch(policy: str) -> tuple:
-    return (register_file_cache_factory(caching=policy), f"rfc/policy/{policy}")
+    return (RegisterFileCacheFactory(caching=policy), f"rfc/policy/{policy}")
 
 
 def _bus_arch(buses: int) -> tuple:
-    return (register_file_cache_factory(buses=buses), f"rfc/buses{buses}")
+    return (RegisterFileCacheFactory(buses=buses), f"rfc/buses{buses}")
 
 
 def _banked_arch(banks: int, read_ports_per_bank: int = 2,

@@ -22,8 +22,6 @@ from repro.regfile.banked import OneLevelBankedRegisterFile
 from repro.regfile.base import RegisterFileModel, UNLIMITED
 from repro.regfile.cache import RegisterFileCache
 from repro.regfile.monolithic import SingleBankedRegisterFile
-from repro.regfile.policies import caching_policy_by_name
-from repro.regfile.prefetch import fetch_policy_by_name
 from repro.sampling.spec import SamplingSpec
 from repro.workloads.spec_suites import SPECFP95, SPECINT95
 
@@ -164,7 +162,12 @@ class SingleBankedFactory:
 
 @dataclass(frozen=True)
 class RegisterFileCacheFactory:
-    """Builds register file caches; policies are referenced by name."""
+    """Builds register file caches; policies are referenced by name.
+
+    The names are those of :mod:`repro.regfile.cache`.  Unlike a bare
+    ``RegisterFileCache()``, the default fetch policy here is the paper's
+    ``prefetch-first-pair``.
+    """
 
     caching: str = "non-bypass"
     fetch: str = "prefetch-first-pair"
@@ -178,8 +181,8 @@ class RegisterFileCacheFactory:
     def __call__(self) -> RegisterFileCache:
         return RegisterFileCache(
             upper_capacity=self.upper_capacity,
-            caching_policy=caching_policy_by_name(self.caching),
-            fetch_policy=fetch_policy_by_name(self.fetch),
+            caching=self.caching,
+            fetch=self.fetch,
             upper_read_ports=self.upper_read_ports,
             upper_write_ports=self.upper_write_ports,
             lower_write_ports=self.lower_write_ports,
@@ -231,39 +234,11 @@ def two_cycle_one_bypass_factory(read_ports: Optional[int] = UNLIMITED,
     )
 
 
-def register_file_cache_factory(
-    caching: str = "non-bypass",
-    fetch: str = "prefetch-first-pair",
-    upper_read_ports: Optional[int] = UNLIMITED,
-    upper_write_ports: Optional[int] = UNLIMITED,
-    lower_write_ports: Optional[int] = UNLIMITED,
-    buses: Optional[int] = UNLIMITED,
-    upper_capacity: int = 16,
-    lower_read_latency: int = 1,
-) -> RegfileFactory:
-    """Register file cache with the given policies and port counts.
-
-    ``caching`` accepts any registered policy name ("non-bypass",
-    "ready", "always", "never"); ``fetch`` accepts "prefetch-first-pair"
-    or "fetch-on-demand".
-    """
-    return RegisterFileCacheFactory(
-        caching=caching,
-        fetch=fetch,
-        upper_read_ports=upper_read_ports,
-        upper_write_ports=upper_write_ports,
-        lower_write_ports=lower_write_ports,
-        buses=buses,
-        upper_capacity=upper_capacity,
-        lower_read_latency=lower_read_latency,
-    )
-
-
 def architecture_factories() -> Dict[str, RegfileFactory]:
     """The three architectures compared throughout the paper (unlimited ports)."""
     return {
         "1-cycle": one_cycle_factory(),
-        "register file cache": register_file_cache_factory(),
+        "register file cache": RegisterFileCacheFactory(),
         "2-cycle, 1-bypass": two_cycle_one_bypass_factory(),
         "2-cycle, full bypass": two_cycle_full_bypass_factory(),
     }

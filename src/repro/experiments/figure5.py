@@ -12,8 +12,8 @@ from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
-    register_file_cache_factory,
     suite_points,
     with_hmean,
 )
@@ -30,7 +30,7 @@ def plan(settings: ExperimentSettings) -> list:
     """Simulation points Figure 5 needs (for the parallel scheduler)."""
     points: list = []
     for _name, caching, fetch in POLICY_COMBINATIONS:
-        factory = register_file_cache_factory(caching=caching, fetch=fetch)
+        factory = RegisterFileCacheFactory(caching=caching, fetch=fetch)
         points += suite_points(settings, ("int", "fp"), factory,
                                f"rfc/{caching}/{fetch}")
     return points
@@ -46,7 +46,7 @@ def run(
     for suite, label in settings.active_suite_labels():
         series = {}
         for name, caching, fetch in POLICY_COMBINATIONS:
-            factory = register_file_cache_factory(caching=caching, fetch=fetch)
+            factory = RegisterFileCacheFactory(caching=caching, fetch=fetch)
             key = f"rfc/{caching}/{fetch}"
             series[name] = with_hmean(cache.suite_ipcs(suite, factory, key))
         data[label] = series

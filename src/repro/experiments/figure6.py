@@ -15,9 +15,9 @@ from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
     one_cycle_factory,
-    register_file_cache_factory,
     suite_points,
     two_cycle_one_bypass_factory,
     with_hmean,
@@ -28,7 +28,7 @@ def _architectures() -> tuple:
     return (
         ("1-cycle", one_cycle_factory(), "1-cycle"),
         ("non-bypass caching + prefetch-first-pair",
-         register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair"),
+         RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair"),
         ("2-cycle", two_cycle_one_bypass_factory(), "2-cycle-1byp"),
     )
 

@@ -12,8 +12,8 @@ from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
-    register_file_cache_factory,
     suite_points,
     two_cycle_full_bypass_factory,
     with_hmean,
@@ -23,7 +23,7 @@ from repro.experiments.common import (
 def _architectures() -> tuple:
     return (
         ("non-bypass caching + prefetch-first-pair",
-         register_file_cache_factory(), "rfc/non-bypass/prefetch-first-pair"),
+         RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair"),
         ("2-cycle (full bypass)", two_cycle_full_bypass_factory(), "2-cycle-full"),
     )
 

@@ -15,9 +15,9 @@ from repro.analysis.tables import format_table
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
     one_cycle_factory,
-    register_file_cache_factory,
     suite_harmonic_mean,
     suite_points,
     two_cycle_one_bypass_factory,
@@ -46,7 +46,7 @@ def _single_banked_arch(latency: int, reads: int, writes: int) -> tuple:
 def _rfc_arch(reads: int, writes: int, buses: int) -> tuple:
     """(factory, key) of one swept register-file-cache configuration."""
     return (
-        register_file_cache_factory(
+        RegisterFileCacheFactory(
             upper_read_ports=reads,
             upper_write_ports=writes,
             lower_write_ports=writes,

@@ -18,9 +18,9 @@ from repro.analysis.tables import format_series, format_table
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
     one_cycle_factory,
-    register_file_cache_factory,
     suite_harmonic_mean,
     suite_points,
     two_cycle_one_bypass_factory,
@@ -71,7 +71,7 @@ def _configuration_architectures(
          f"1-cycle/{reads}R{writes}W"),
         (two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
          f"2-cycle-1byp/{reads}R{writes}W"),
-        (register_file_cache_factory(
+        (RegisterFileCacheFactory(
             upper_read_ports=cache_geometry.upper_read_ports,
             upper_write_ports=cache_geometry.upper_write_ports,
             lower_write_ports=cache_geometry.lower_write_ports,

@@ -12,8 +12,8 @@ by the pipeline model:
 * :class:`~repro.regfile.cache.RegisterFileCache` — the two-level
   *register file cache*: a small fully-associative upper bank with
   pseudo-LRU replacement that feeds the functional units, backed by a
-  large lower bank holding every physical register, with configurable
-  caching policies, fetch/prefetch policies, per-bank ports and
+  large lower bank holding every physical register, with caching and
+  fetch/prefetch policies chosen by name, per-bank ports and
   inter-level buses.
 * :class:`~repro.regfile.banked.OneLevelBankedRegisterFile` — the
   single-level multiple-banked organisation sketched in Section 3 of the
@@ -33,20 +33,6 @@ from repro.regfile.bus import TransferBusSet
 from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.regfile.cache import RegisterFileCache
 from repro.regfile.banked import OneLevelBankedRegisterFile
-from repro.regfile.policies import (
-    CachingPolicy,
-    NonBypassCaching,
-    ReadyCaching,
-    AlwaysCaching,
-    NeverCaching,
-    caching_policy_by_name,
-)
-from repro.regfile.prefetch import (
-    FetchPolicy,
-    FetchOnDemand,
-    PrefetchFirstPair,
-    fetch_policy_by_name,
-)
 
 __all__ = [
     "OperandSource",
@@ -60,14 +46,4 @@ __all__ = [
     "SingleBankedRegisterFile",
     "RegisterFileCache",
     "OneLevelBankedRegisterFile",
-    "CachingPolicy",
-    "NonBypassCaching",
-    "ReadyCaching",
-    "AlwaysCaching",
-    "NeverCaching",
-    "caching_policy_by_name",
-    "FetchPolicy",
-    "FetchOnDemand",
-    "PrefetchFirstPair",
-    "fetch_policy_by_name",
 ]

@@ -9,11 +9,28 @@ This is the architecture the paper proposes (Section 3, Figure 4b):
   monolithic register file;
 * the **lowest level** holds every physical register (128 by default) and
   is always written by every result;
-* results are optionally also written to the uppermost level according to
-  a :class:`~repro.regfile.policies.CachingPolicy`;
+* at write-back a result is also written to the uppermost level according
+  to the **caching policy**, named by one of :data:`CACHING_POLICIES`:
+
+  - ``non-bypass`` caches a result that no consumer read from the bypass
+    network.  Most values are read at most once; if that read was already
+    served by the bypass, a copy in the upper bank would be wasted space.
+  - ``ready`` caches a result that a waiting instruction in the window
+    sources and that, with this result, has all its operands ready.  Such
+    a value is certain to be read soon and can no longer come from the
+    bypass network.
+  - ``always`` (every result; LRU does the filtering, as earlier
+    register-cache work assumed) and ``never`` (the upper level is filled
+    only by fetches) are ablation bounds;
+
 * values missing from the uppermost level are brought up over a limited
-  number of buses, either on demand or ahead of time according to a
-  :class:`~repro.regfile.prefetch.FetchPolicy`.
+  number of buses according to the **fetch policy**, named by one of
+  :data:`FETCH_POLICIES`.  Both fill on demand: an instruction whose
+  operands are ready but live only in the lowest bank requests a fill and
+  waits for it.  ``prefetch-first-pair`` also prefetches: when an
+  instruction issues, the *other* source operand of the first (oldest)
+  waiting consumer of its result is brought up, so that it is there by
+  the time the consumer becomes ready.  ``fetch-on-demand`` does not.
 """
 
 from __future__ import annotations
@@ -29,9 +46,7 @@ from repro.regfile.base import (
     UNLIMITED,
 )
 from repro.regfile.bus import TransferBusSet
-from repro.regfile.policies import CachingPolicy, NonBypassCaching
 from repro.regfile.ports import PortSet, WriteScheduler
-from repro.regfile.prefetch import FetchPolicy, FetchOnDemand
 from repro.regfile.replacement import PseudoLRU
 from repro.rename.renamer import PhysicalRegister
 
@@ -43,21 +58,23 @@ _FILE = OperandSource.FILE
 _MISS = OperandSource.MISS
 _NOT_READY = OperandSource.NOT_READY
 
+#: Caching policy names (see the module docstring).
+CACHING_POLICIES = ("non-bypass", "ready", "always", "never")
+#: Fetch policy names (see the module docstring).
+FETCH_POLICIES = ("fetch-on-demand", "prefetch-first-pair")
+
 
 class RegisterFileCache(RegisterFileModel):
     """Two-level register file with caching and prefetching policies."""
 
     read_stages = 1
     consumer_offset = 1
-    #: The ready-caching policy and prefetch-first-pair both walk the
-    #: window's per-register consumer lists.
-    needs_consumer_index = True
 
     def __init__(
         self,
         upper_capacity: int = 16,
-        caching_policy: Optional[CachingPolicy] = None,
-        fetch_policy: Optional[FetchPolicy] = None,
+        caching: str = "non-bypass",
+        fetch: str = "fetch-on-demand",
         upper_read_ports: Optional[int] = UNLIMITED,
         upper_write_ports: Optional[int] = UNLIMITED,
         lower_write_ports: Optional[int] = UNLIMITED,
@@ -69,9 +86,21 @@ class RegisterFileCache(RegisterFileModel):
             raise ConfigurationError("upper_capacity must be a positive power of two")
         if lower_read_latency <= 0:
             raise ConfigurationError("lower_read_latency must be positive")
+        if caching not in CACHING_POLICIES:
+            raise ConfigurationError(
+                f"unknown caching policy {caching!r}; "
+                f"expected one of {sorted(CACHING_POLICIES)}"
+            )
+        if fetch not in FETCH_POLICIES:
+            raise ConfigurationError(
+                f"unknown fetch policy {fetch!r}; expected one of {sorted(FETCH_POLICIES)}"
+            )
         self.upper_capacity = upper_capacity
-        self.caching_policy = caching_policy or NonBypassCaching()
-        self.fetch_policy = fetch_policy or FetchOnDemand()
+        self.caching = caching
+        self.fetch = fetch
+        #: Ready caching and prefetch-first-pair walk the window's
+        #: per-register consumer lists; the other policies never do.
+        self.needs_consumer_index = caching == "ready" or fetch == "prefetch-first-pair"
         self.upper_read_ports = PortSet(upper_read_ports, kind="upper-read")
         self.upper_result_writes = WriteScheduler(upper_write_ports, kind="upper-write")
         self.lower_writes = WriteScheduler(lower_write_ports, kind="lower-write")
@@ -96,10 +125,7 @@ class RegisterFileCache(RegisterFileModel):
         #: with a tiny, heavily thrashed upper level.
         self._read_pinned: set[int] = set()
         self.idle = True
-        self.name = name or (
-            f"register file cache ({self.caching_policy.name} caching + "
-            f"{self.fetch_policy.name})"
-        )
+        self.name = name or f"register file cache ({caching} caching + {fetch})"
         # statistics
         self.reads_from_bypass = 0
         self.reads_from_file = 0  # reported as ``reads_from_upper``
@@ -276,7 +302,38 @@ class RegisterFileCache(RegisterFileModel):
         return completion
 
     def on_issue(self, entry, cycle: int, window) -> None:
-        self.fetch_policy.on_issue(self, entry, cycle, window)
+        """Prefetch the other operand of the first waiting consumer of
+        ``entry``'s result (prefetch-first-pair only)."""
+        if self.fetch == "fetch-on-demand":
+            return
+        dest = entry.dest
+        if dest is None:
+            return
+        consumers = window.waiting_consumers_of(dest)
+        if not consumers:
+            return
+        # Consumer lists are appended at dispatch, in program order, so the
+        # first waiting consumer is the oldest.
+        values = window.values
+        reg_class = dest.reg_class
+        for other in consumers[0].sources:
+            # The renamer interns its physical registers, so identity is
+            # equality here.
+            if other is dest:
+                continue
+            if other.reg_class is not reg_class:
+                # The other operand lives in the other register file (e.g. an
+                # integer base address feeding an FP load); this register
+                # file cannot prefetch it.
+                continue
+            state = values.get(other.uid)
+            if state is None:
+                continue
+            if not state.written_back:
+                continue  # still in flight; it will be cached or bypassed
+            # A value already in the upper level is left alone:
+            # ``request_fill`` returns at once, without side effects.
+            self.request_fill(other, state, cycle, prefetch=True)
 
     # ------------------------------------------------------------------
     # writes
@@ -290,7 +347,20 @@ class RegisterFileCache(RegisterFileModel):
         window,
     ) -> int:
         lower_ready = self.lower_writes.schedule(cycle)
-        if self.caching_policy.should_cache(register, state, window, cycle):
+        caching = self.caching
+        if caching == "non-bypass":
+            cache = not state.consumed_via_bypass
+        elif caching == "ready":
+            cache = False
+            values = window.values
+            for entry in window.waiting_consumers_of(register):
+                other_sources = [s for s in entry.sources if s != register]
+                if all(values[src.uid].produced for src in other_sources):
+                    cache = True
+                    break
+        else:
+            cache = caching == "always"
+        if cache:
             if self.upper_result_writes.reserve(cycle):
                 self._insert_upper(register.uid, cycle)
                 self.results_cached += 1

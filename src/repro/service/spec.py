@@ -25,6 +25,7 @@ traceback anywhere on the path.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -187,6 +188,9 @@ def _build_point(
     )
     try:
         factory = factory_cls(**parameters)
+        # Build the register file once, so a factory that cannot build
+        # is refused here rather than failing the job at execution.
+        factory()
     except (TypeError, ReproError) as error:
         raise ApiError(422, "invalid_point",
                        f"points[{index}].factory: {error}") from error
@@ -202,7 +206,7 @@ def _build_point(
         )
     try:
         config = ProcessorConfig().with_overrides(**overrides)
-    except ReproError as error:
+    except (TypeError, ReproError) as error:
         raise ApiError(422, "invalid_point",
                        f"points[{index}].config: {error}") from error
     warmup = entry.get("warmup_instructions", 0)
@@ -276,9 +280,9 @@ def validate_submission(payload) -> JobPlan:
     if deadline_s is not None:
         if (isinstance(deadline_s, bool)
                 or not isinstance(deadline_s, (int, float))
-                or deadline_s <= 0):
+                or not 0 < deadline_s <= sys.float_info.max):
             raise ApiError(422, "invalid_spec",
-                           "deadline_s must be a positive number of seconds")
+                           "deadline_s must be a positive, finite number of seconds")
         deadline_s = float(deadline_s)
     sampling = _build_sampling(payload)
 

@@ -116,8 +116,9 @@ class TestSelect:
 
 class TestConsumersIndex:
     def test_waiting_consumers_of(self):
-        # The register file cache's policies read the consumer index.
-        pipe = StagedPipeline(RegisterFileCache)
+        # The register file cache's prefetch-first-pair reads the
+        # consumer index.
+        pipe = StagedPipeline(lambda: RegisterFileCache(fetch="prefetch-first-pair"))
         producer, divide, first, second = pipe.dispatch(
             0,
             op(0, dest=int_reg(1)),

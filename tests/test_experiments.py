@@ -16,9 +16,9 @@ from repro.experiments import (
 )
 from repro.experiments.common import (
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
     architecture_factories,
-    register_file_cache_factory,
     suite_harmonic_mean,
     with_hmean,
 )
@@ -80,9 +80,9 @@ class TestCommon:
         assert extended["Hmean"] == pytest.approx(suite_harmonic_mean(ipcs))
 
     def test_register_file_cache_factory_policies(self):
-        cache = register_file_cache_factory(caching="ready", fetch="fetch-on-demand")()
-        assert cache.caching_policy.name == "ready"
-        assert cache.fetch_policy.name == "fetch-on-demand"
+        cache = RegisterFileCacheFactory(caching="ready", fetch="fetch-on-demand")()
+        assert cache.caching == "ready"
+        assert cache.fetch == "fetch-on-demand"
 
 
 class TestFigureExperiments:

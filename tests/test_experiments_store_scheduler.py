@@ -14,10 +14,10 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figure6, figure7
 from repro.experiments.common import (
     ExperimentSettings,
+    RegisterFileCacheFactory,
     SimulationCache,
     architecture_factories,
     one_cycle_factory,
-    register_file_cache_factory,
 )
 from repro.experiments.runner import main as runner_main
 from repro.experiments.runner import render_csv, run_experiments
@@ -135,9 +135,9 @@ class TestCacheKey:
         config = TINY.processor_config()
         assert (
             simulation_key("swim", "same-label", config, 100,
-                           register_file_cache_factory(upper_capacity=8))
+                           RegisterFileCacheFactory(upper_capacity=8))
             != simulation_key("swim", "same-label", config, 100,
-                              register_file_cache_factory(upper_capacity=16))
+                              RegisterFileCacheFactory(upper_capacity=16))
         )
 
 
@@ -206,7 +206,7 @@ class TestStoreKeyMemo:
 
     def test_unhashable_point_still_gets_its_key(self):
         point = _point()
-        factory = register_file_cache_factory(buses=[2])
+        factory = RegisterFileCacheFactory(buses=[2])
         odd = dataclasses.replace(point, factory=factory)
         assert odd.store_key() == simulation_key(
             point.benchmark, point.architecture, point.config, point.warmup_instructions, factory

@@ -85,8 +85,10 @@ class TestBasicExecution:
 
     def test_consumer_index_kept_for_either_file(self, gcc_workload):
         # A 1-cycle integer file and an FP register file cache share their
-        # timing; the cache's policies still need the consumer index.
-        files = iter([_one_cycle, RegisterFileCache])
+        # timing; the cache's prefetch-first-pair still needs the consumer
+        # index.
+        files = iter([_one_cycle,
+                      lambda: RegisterFileCache(fetch="prefetch-first-pair")])
         processor = Processor(gcc_workload.instructions(100), lambda: next(files)())
         assert processor.window.track_consumers
 

@@ -1,4 +1,4 @@
-"""Unit tests for the one-level banked register file and the policy registries."""
+"""Unit tests for the one-level banked register file and the policy names."""
 
 import pytest
 
@@ -7,14 +7,7 @@ from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import RegisterClass
 from repro.regfile.banked import OneLevelBankedRegisterFile
 from repro.regfile.base import OperandAccess, OperandSource
-from repro.regfile.policies import (
-    AlwaysCaching,
-    NeverCaching,
-    NonBypassCaching,
-    ReadyCaching,
-    caching_policy_by_name,
-)
-from repro.regfile.prefetch import FetchOnDemand, PrefetchFirstPair, fetch_policy_by_name
+from repro.regfile.cache import RegisterFileCache
 from repro.rename.renamer import PhysicalRegister
 
 
@@ -90,19 +83,17 @@ class TestOneLevelBanked:
 
 class TestPolicyRegistries:
     def test_caching_policy_by_name(self):
-        assert isinstance(caching_policy_by_name("non-bypass"), NonBypassCaching)
-        assert isinstance(caching_policy_by_name("ready"), ReadyCaching)
-        assert isinstance(caching_policy_by_name("always"), AlwaysCaching)
-        assert isinstance(caching_policy_by_name("never"), NeverCaching)
+        for name in ("non-bypass", "ready", "always", "never"):
+            assert RegisterFileCache(caching=name).caching == name
 
     def test_unknown_caching_policy(self):
         with pytest.raises(ConfigurationError):
-            caching_policy_by_name("magic")
+            RegisterFileCache(caching="magic")
 
     def test_fetch_policy_by_name(self):
-        assert isinstance(fetch_policy_by_name("fetch-on-demand"), FetchOnDemand)
-        assert isinstance(fetch_policy_by_name("prefetch-first-pair"), PrefetchFirstPair)
+        for name in ("fetch-on-demand", "prefetch-first-pair"):
+            assert RegisterFileCache(fetch=name).fetch == name
 
     def test_unknown_fetch_policy(self):
         with pytest.raises(ConfigurationError):
-            fetch_policy_by_name("oracle")
+            RegisterFileCache(fetch="oracle")

@@ -7,10 +7,9 @@ from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
 from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
+from repro.pipeline.processor import Processor
 from repro.regfile.base import OperandAccess, OperandSource
 from repro.regfile.cache import RegisterFileCache
-from repro.regfile.policies import AlwaysCaching, NeverCaching, NonBypassCaching, ReadyCaching
-from repro.regfile.prefetch import FetchOnDemand, PrefetchFirstPair
 from repro.rename.renamer import PhysicalRegister
 
 
@@ -64,12 +63,11 @@ class TestConstruction:
         cache = RegisterFileCache()
         assert cache.upper_capacity == 16
         assert cache.read_stages == 1 and cache.consumer_offset == 1
-        assert isinstance(cache.caching_policy, NonBypassCaching)
-        assert isinstance(cache.fetch_policy, FetchOnDemand)
+        assert cache.caching == "non-bypass"
+        assert cache.fetch == "fetch-on-demand"
 
     def test_describe_mentions_policies(self):
-        cache = RegisterFileCache(caching_policy=ReadyCaching(),
-                                  fetch_policy=PrefetchFirstPair())
+        cache = RegisterFileCache(caching="ready", fetch="prefetch-first-pair")
         assert "ready" in cache.describe()
         assert "prefetch-first-pair" in cache.describe()
 
@@ -90,7 +88,7 @@ class TestReadPlanning:
         assert access.source is OperandSource.MISS
 
     def test_hit_after_caching_at_writeback(self):
-        cache = RegisterFileCache(caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(caching="always")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
@@ -139,7 +137,7 @@ class TestFills:
         assert cache.buses.transfers_denied == 1
 
     def test_fill_for_resident_register_is_trivial(self):
-        cache = RegisterFileCache(caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(caching="always")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
@@ -165,7 +163,7 @@ class TestFills:
 
 class TestWritebackPolicies:
     def test_non_bypass_caching_skips_bypassed_values(self):
-        cache = RegisterFileCache(caching_policy=NonBypassCaching())
+        cache = RegisterFileCache(caching="non-bypass")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         state.consumed_via_bypass = True
@@ -174,7 +172,7 @@ class TestWritebackPolicies:
         assert cache.results_not_cached == 1
 
     def test_non_bypass_caching_keeps_unbypassed_values(self):
-        cache = RegisterFileCache(caching_policy=NonBypassCaching())
+        cache = RegisterFileCache(caching="non-bypass")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
@@ -182,14 +180,14 @@ class TestWritebackPolicies:
         assert cache.results_cached == 1
 
     def test_never_caching(self):
-        cache = RegisterFileCache(caching_policy=NeverCaching())
+        cache = RegisterFileCache(caching="never")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
         assert not cache.present_in_upper(register)
 
     def test_upper_write_port_conflict_skips_caching(self):
-        cache = RegisterFileCache(caching_policy=AlwaysCaching(), upper_write_ports=1)
+        cache = RegisterFileCache(caching="always", upper_write_ports=1)
         window, values = _window()
         a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
         b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
@@ -200,7 +198,7 @@ class TestWritebackPolicies:
         assert cache.cache_write_conflicts == 1
 
     def test_lower_write_port_contention_delays_availability(self):
-        cache = RegisterFileCache(lower_write_ports=1, caching_policy=NeverCaching())
+        cache = RegisterFileCache(lower_write_ports=1, caching="never")
         window, values = _window()
         a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
         b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
@@ -208,7 +206,7 @@ class TestWritebackPolicies:
         assert cache.writeback(b, state_b, cycle=6, window=window) == 7
 
     def test_ready_caching_requires_ready_waiting_consumer(self):
-        cache = RegisterFileCache(caching_policy=ReadyCaching())
+        cache = RegisterFileCache(caching="ready")
         window, values = _window()
         producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         other_ready, _ = _produced_state(values, 41, ex_end=-1, rf_ready=0)  # architected
@@ -224,7 +222,7 @@ class TestWritebackPolicies:
         assert cache.present_in_upper(producer_reg)
 
     def test_ready_caching_skips_when_other_operand_missing(self):
-        cache = RegisterFileCache(caching_policy=ReadyCaching())
+        cache = RegisterFileCache(caching="ready")
         window, values = _window()
         producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         pending = _phys(42)
@@ -243,7 +241,7 @@ class TestWritebackPolicies:
 
 class TestEvictionAndRelease:
     def test_eviction_when_upper_is_full(self):
-        cache = RegisterFileCache(upper_capacity=4, caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(upper_capacity=4, caching="always")
         window, values = _window()
         registers = []
         for index in range(5):
@@ -255,7 +253,7 @@ class TestEvictionAndRelease:
         assert resident == 4
 
     def test_release_removes_from_upper_and_pending(self):
-        cache = RegisterFileCache(caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(caching="always")
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
@@ -263,7 +261,7 @@ class TestEvictionAndRelease:
         assert not cache.present_in_upper(register)
 
     def test_read_ports_enforced(self):
-        cache = RegisterFileCache(upper_read_ports=1, caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(upper_read_ports=1, caching="always")
         window, values = _window()
         a, state_a = _produced_state(values, 40, ex_end=5, rf_ready=6)
         b, state_b = _produced_state(values, 41, ex_end=5, rf_ready=6)
@@ -282,8 +280,7 @@ class TestEvictionAndRelease:
 
 class TestPrefetchFirstPair:
     def test_prefetches_other_operand_of_first_consumer(self):
-        cache = RegisterFileCache(fetch_policy=PrefetchFirstPair(),
-                                  caching_policy=NonBypassCaching())
+        cache = RegisterFileCache(fetch="prefetch-first-pair", caching="non-bypass")
         window, values = _window()
         # The issuing producer writes dest; its first consumer also needs
         # `other`, which sits only in the lower level.
@@ -309,8 +306,7 @@ class TestPrefetchFirstPair:
         assert cache.fill_in_flight(other) is not None
 
     def test_no_prefetch_when_operand_already_resident(self):
-        cache = RegisterFileCache(fetch_policy=PrefetchFirstPair(),
-                                  caching_policy=AlwaysCaching())
+        cache = RegisterFileCache(fetch="prefetch-first-pair", caching="always")
         window, values = _window()
         dest = _phys(50)
         _allocate(values, dest, producer_seq=5)
@@ -334,7 +330,7 @@ class TestPrefetchFirstPair:
         assert cache.prefetch_fills == 0
 
     def test_fetch_on_demand_never_prefetches(self):
-        cache = RegisterFileCache(fetch_policy=FetchOnDemand())
+        cache = RegisterFileCache(fetch="fetch-on-demand")
         window, values = _window()
         dest = _phys(50)
         _allocate(values, dest, producer_seq=5)
@@ -346,3 +342,52 @@ class TestPrefetchFirstPair:
         entry = _wait_in_window(window, producer)
         cache.on_issue(entry, cycle=3, window=window)
         assert cache.prefetch_fills == 0
+
+
+#: Every statistic a register file cache reports, whatever its policies.
+STATISTICS_KEYS = [
+    "reads_from_bypass", "reads_from_upper", "upper_misses", "demand_fills",
+    "prefetch_fills", "results_cached", "results_not_cached",
+    "cache_write_conflicts", "read_port_stalls", "evictions",
+    "bus_transfers", "bus_denied",
+]
+
+
+@pytest.mark.parametrize("caching, fetch, describe, consumer_index", [
+    ("non-bypass", "fetch-on-demand",
+     "register file cache (non-bypass caching + fetch-on-demand) "
+     "(infR/infW upper, inf buses)", False),
+    ("non-bypass", "prefetch-first-pair",
+     "register file cache (non-bypass caching + prefetch-first-pair) "
+     "(infR/infW upper, inf buses)", True),
+    ("ready", "fetch-on-demand",
+     "register file cache (ready caching + fetch-on-demand) "
+     "(infR/infW upper, inf buses)", True),
+    ("ready", "prefetch-first-pair",
+     "register file cache (ready caching + prefetch-first-pair) "
+     "(infR/infW upper, inf buses)", True),
+    ("always", "fetch-on-demand",
+     "register file cache (always caching + fetch-on-demand) "
+     "(infR/infW upper, inf buses)", False),
+    ("always", "prefetch-first-pair",
+     "register file cache (always caching + prefetch-first-pair) "
+     "(infR/infW upper, inf buses)", True),
+    ("never", "fetch-on-demand",
+     "register file cache (never caching + fetch-on-demand) "
+     "(infR/infW upper, inf buses)", False),
+    ("never", "prefetch-first-pair",
+     "register file cache (never caching + prefetch-first-pair) "
+     "(infR/infW upper, inf buses)", True),
+])
+def test_policy_pair_by_name(caching, fetch, describe, consumer_index):
+    cache = RegisterFileCache(caching=caching, fetch=fetch)
+    assert cache.describe() == describe
+    assert list(cache.statistics()) == STATISTICS_KEYS
+    with pytest.raises(ConfigurationError, match="unknown caching policy 'magic'"):
+        RegisterFileCache(caching="magic", fetch=fetch)
+    with pytest.raises(ConfigurationError, match="unknown fetch policy 'oracle'"):
+        RegisterFileCache(caching=caching, fetch="oracle")
+    # Only ready caching and prefetch-first-pair walk the consumer lists,
+    # so only they keep the window maintaining them.
+    processor = Processor(iter(()), lambda: RegisterFileCache(caching=caching, fetch=fetch))
+    assert processor.window.track_consumers is consumer_index

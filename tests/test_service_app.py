@@ -139,6 +139,36 @@ class TestSubmissionValidation:
             validate_submission(spec)
         assert excinfo.value.code == "invalid_point"
 
+    @pytest.mark.parametrize("factory, config", [
+        ({"type": "RegisterFileCacheFactory", "parameters": {"caching": "bogus"}}, {}),
+        ({"type": "SingleBankedFactory",
+          "parameters": {"latency": 1, "bypass_levels": 3}}, {}),
+        ({"type": "OneLevelBankedFactory", "parameters": {"num_banks": 0}}, {}),
+        ({"type": "SingleBankedFactory", "parameters": {"latency": "2"}}, {}),
+        ({}, {"max_instructions": "abc"}),
+    ], ids=["unknown-caching", "bypass-deeper-than-file", "no-banks",
+            "string-latency", "string-max-instructions"])
+    def test_rejects_a_point_that_cannot_build(self, factory, config):
+        # Each of these used to be queued and fail at execution, or to
+        # escape admission as a TypeError.
+        spec = {"points": [{"benchmark": "gcc", "factory": factory,
+                            "config": config}]}
+        with pytest.raises(ApiError) as excinfo:
+            validate_submission(spec)
+        assert excinfo.value.status == 422
+        assert excinfo.value.code == "invalid_point"
+        assert excinfo.value.message.startswith("points[0].")
+
+    @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "beyond-float"])
+    def test_rejects_a_deadline_that_is_not_finite(self, deadline_s):
+        for spec in (FIGURE_SPEC, POINT_SPEC):
+            with pytest.raises(ApiError) as excinfo:
+                validate_submission({**spec, "deadline_s": deadline_s})
+            assert excinfo.value.status == 422
+            assert excinfo.value.code == "invalid_spec"
+            assert "deadline_s" in excinfo.value.message
+
     def test_valid_points_spec_builds_simulation_points(self):
         plan = validate_submission(POINT_SPEC)
         points = plan.plan_points()

@@ -132,6 +132,27 @@ class TestHttpApi:
         assert status == 422
         assert payload["error"]["code"] == "unknown_figure"
 
+    def test_non_numeric_config_override_is_structured_422(self, service):
+        url, app = service
+        spec = {"points": [{"benchmark": "gcc",
+                            "config": {"max_instructions": "abc"}}]}
+        status, payload = raw_request(f"{url}/jobs", method="POST",
+                                      body=json.dumps(spec).encode("utf-8"))
+        assert status == 422
+        assert payload["error"]["code"] == "invalid_point"
+        assert app.queue.depth() == 0
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_deadline_is_structured_422(self, service, literal):
+        # ``json.loads`` reads both literals, so the server sees a float.
+        url, _ = service
+        body = ('{"figure": "figure6", "settings": {"instructions": 200, '
+                '"benchmarks": ["gcc"]}, "deadline_s": %s}' % literal)
+        status, payload = raw_request(f"{url}/jobs", method="POST",
+                                      body=body.encode("utf-8"))
+        assert status == 422
+        assert payload["error"]["code"] == "invalid_spec"
+
     def test_unknown_route_is_structured_404(self, service):
         url, _ = service
         status, payload = raw_request(f"{url}/nope")
@@ -404,6 +425,16 @@ class TestSubmitPointsFile:
         assert submitted["priority"] == 1
         assert submitted["deadline_s"] == 30.0
         assert (submitted["sample"]["stride"], submitted["sample"]["window"]) == (200, 40)
+
+    def test_a_factory_that_cannot_build_is_refused(self, sut, tmp_path, capsys):
+        spec = {"points": [{"benchmark": "gcc",
+                            "factory": {"type": "RegisterFileCacheFactory",
+                                        "parameters": {"caching": "bogus"}}}]}
+        code = service_main(["submit", "--points-file",
+                             self._write(tmp_path, spec), "--url", sut.url])
+        assert code == 1
+        assert "error: [invalid_point]" in capsys.readouterr().err
+        assert sut.client.metrics()["queue"]["depth"] == 0
 
     @pytest.mark.parametrize("content", [None, "{not json"])
     def test_an_unreadable_or_invalid_file_exits_two(self, sut, tmp_path, capsys, content):
