@@ -11,7 +11,11 @@ remainder with the **trace-once / replay-many** engine:
   architecture and backend configuration in a sweep shares one group;
 * each group's trace is recorded once (one canonical pipeline run over
   the full stream, see :mod:`repro.trace`) unless the
-  :class:`~repro.trace.store.TraceStore` already holds it;
+  :class:`~repro.trace.store.TraceStore` already holds it — or, for a
+  group whose every point reads a bounded prefix of its stream (see
+  :func:`fetch_slack`), any long enough trace of the same stream, the
+  shortest stored one first; such groups that must record ride on the
+  longest recording of their family in the same call;
 * the group's points are then *replayed* against the trace, skipping
   workload generation and the whole frontend while reproducing the
   live-run statistics bit for bit.
@@ -61,6 +65,7 @@ from repro.regfile.base import RegisterFileModel
 from repro.sampling.spec import SamplingSpec
 from repro.trace import DecodedTrace, TraceStore, replay_simulate, trace_key
 from repro.trace.recorder import record_trace_with_stats
+from repro.trace.schema import frontend_fingerprint, trace_family
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -73,6 +78,45 @@ STORE_KEY_MEMO_LIMIT = 4096
 
 _STORE_KEYS: Dict["SimulationPoint", str] = {}
 _STORE_KEYS_LOCK = threading.Lock()
+
+
+def fetch_slack(config: ProcessorConfig) -> int:
+    """How far past its commit budget a run may read its stream.
+
+    ``rob_size + fetch_buffer_size + 2 * fetch_width + 2`` instructions:
+    162 at the Table 1 defaults.  The derivation, for a budget of B
+    instructions (``config.max_instructions``):
+
+    * Each cycle runs commit, write-back, issue, dispatch and fetch, in
+      that order, and the run stops after the first cycle that ends with
+      B commits.  Commit never retires past B.
+    * At the end of that cycle every fetched instruction is committed
+      (B), in the ROB (at most ``rob_size``; dispatch stops at a full
+      ROB) or in the fetch buffer.  Fetch runs only while the buffer
+      holds fewer than ``fetch_buffer_size`` entries and adds at most
+      ``fetch_width``, so the buffer ends with at most
+      ``fetch_buffer_size - 1 + fetch_width``.  Hence the run fetches at
+      most F = B + ``rob_size`` + ``fetch_buffer_size`` +
+      ``fetch_width`` - 1 instructions.
+    * A fetch call reads at most one instruction past the group it
+      delivers (the one whose I-cache line missed, or the read that
+      finds the stream empty), so no call of the run reads past index F.
+    * The recording of an N-instruction stream makes the same fetch
+      calls, with the same outcomes, as the recording of any longer
+      stream of its family, up to the call that reads index N.  For
+      N > F, every event a replay consumes comes from a call that read
+      no index past F: it is common to every trace of the family with
+      more than F instructions, and the replayer never reaches the last
+      event of any of them.
+
+    So every trace of at least B + ``rob_size`` + ``fetch_buffer_size``
+    + ``fetch_width`` instructions drives the run alike.  The slack adds
+    one more fetch group and two instructions, so that a change to the
+    fetch stage's look-ahead does not silently break the rule.
+    ``tests/test_trace_cover.py`` checks both the slack and its use.
+    """
+    return (config.rob_size + config.fetch_buffer_size
+            + 2 * config.fetch_width + 2)
 
 
 @dataclass(frozen=True)
@@ -151,6 +195,29 @@ class SimulationPoint:
     def trace_key(self) -> str:
         """Key of the decoded trace that can drive this point."""
         return trace_key(self.workload_identity(), self.config)
+
+    def family_key(self) -> str:
+        """Key shared by the traces of this point's stream at any length."""
+        return trace_family(self.workload_identity(),
+                            frontend_fingerprint(self.config))
+
+    def reach(self) -> Optional[int]:
+        """The stream length any trace must have to drive this point, when
+        a trace other than its own may; ``None`` when only its own may.
+
+        An exact point whose warm-up spans :func:`fetch_slack` never
+        reads its stream past budget + slack, so every trace of its
+        family at least that long replays it bit-identically.  A point
+        with less warm-up runs its stream dry at the end, and a sampled
+        point places its windows by the trace's length: both results
+        depend on the exact stream length.
+        """
+        if self.sampling is not None:
+            return None
+        slack = fetch_slack(self.config)
+        if self.warmup_instructions < slack:
+            return None
+        return self.config.max_instructions + slack
 
 
 def build_point_stream(point: SimulationPoint):
@@ -430,6 +497,51 @@ def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
     return results
 
 
+def _group_reach(members: Sequence[Tuple[str, SimulationPoint]]) -> Optional[int]:
+    """The trace length that drives every point of a group, or ``None``
+    when some point needs the group's own trace (see
+    :meth:`SimulationPoint.reach`)."""
+    need = 0
+    for _, point in members:
+        reach = point.reach()
+        if reach is None:
+            return None
+        need = max(need, reach)
+    return need
+
+
+def _fold_into_longest(
+    record_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]],
+) -> Tuple[List[Tuple[str, List[Tuple[str, SimulationPoint]]]], int]:
+    """Merge each group that any long enough trace drives into the
+    longest group of its family that records, so a family records once.
+
+    A group's reach never exceeds its own stream length, so the longest
+    stream of the family covers it.  Returns the groups left to record,
+    in their first order, and how many were folded away.
+    """
+    def stream_length(index: int) -> int:
+        return record_groups[index][1][0][1].stream_length()
+
+    families = [members[0][1].family_key() for _, members in record_groups]
+    longest: Dict[str, int] = {}
+    for index, family in enumerate(families):
+        best = longest.get(family)
+        if best is None or stream_length(index) > stream_length(best):
+            longest[family] = index
+    merged = {index: list(record_groups[index][1]) for index in longest.values()}
+    kept = []
+    for index, (group_key, members) in enumerate(record_groups):
+        target = longest[families[index]]
+        if index == target:
+            kept.append((group_key, merged[index]))
+        elif _group_reach(members) is not None:
+            merged[target].extend(members)
+        else:
+            kept.append((group_key, members))
+    return kept, len(record_groups) - len(kept)
+
+
 # ----------------------------------------------------------------------
 # the sweep engine
 # ----------------------------------------------------------------------
@@ -694,19 +806,27 @@ class SweepEngine:
         for key, point in pending.items():
             groups.setdefault(point.trace_key(), []).append((key, point))
 
-        # Decoded traces held in this process.
+        # Decoded traces held in this process, by group key.  A group
+        # whose points all have a reach may replay any trace of its
+        # family that covers it, the shortest stored one first.
         loaded: Dict[str, DecodedTrace] = {}
         record_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         replay_groups: List[Tuple[str, List[Tuple[str, SimulationPoint]]]] = []
         for group_key, members in groups.items():
-            trace = traces.get(group_key)
+            reach = _group_reach(members)
+            trace = None
+            if reach is not None:
+                trace = traces.cover(members[0][1].family_key(), reach)
+            if trace is None:
+                trace = traces.get(group_key)
             if trace is None:
                 record_groups.append((group_key, members))
             else:
                 loaded[group_key] = trace
                 replay_groups.append((group_key, members))
+        record_groups, folded = _fold_into_longest(record_groups)
         counters["traces_recorded"] += len(record_groups)
-        counters["traces_reused"] += len(replay_groups)
+        counters["traces_reused"] += len(replay_groups) + folded
 
         def record_inline(
             point: SimulationPoint,

@@ -13,7 +13,19 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.execute.functional_units import FunctionalUnitConfig
+from repro.isa.instruction import INT_LOGICAL_REGISTERS
 from repro.memsys.cache import CacheConfig
+
+
+#: Fields that must be positive integers.
+_POSITIVE_FIELDS = (
+    "fetch_width", "decode_width", "issue_width", "commit_width",
+    "instruction_window", "rob_size", "lsq_size",
+    "num_int_physical", "num_fp_physical",
+    "max_instructions", "fetch_buffer_size",
+)
+#: Every integer field but the optional ``max_cycles``.
+_INT_FIELDS = _POSITIVE_FIELDS + ("branch_predictor_entries", "btb_entries")
 
 
 @dataclass(frozen=True)
@@ -68,17 +80,33 @@ class ProcessorConfig:
     fetch_buffer_size: int = 16
 
     def __post_init__(self) -> None:
-        positive_fields = (
-            "fetch_width", "decode_width", "issue_width", "commit_width",
-            "instruction_window", "rob_size", "lsq_size",
-            "num_int_physical", "num_fp_physical",
-            "max_instructions", "fetch_buffer_size",
-        )
-        for name in positive_fields:
+        # Checked at construction, so a configuration no hardware has
+        # never reaches a simulation (a JSON ``true`` or ``2.5`` is a
+        # Python bool or float; neither counts anything).
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.max_cycles is not None and self.max_cycles <= 0:
+        max_cycles = self.max_cycles
+        if max_cycles is not None and (
+                not isinstance(max_cycles, int) or isinstance(max_cycles, bool)
+                or max_cycles <= 0):
             raise ConfigurationError("max_cycles must be positive or None")
+        if not isinstance(self.collect_occupancy, bool):
+            raise ConfigurationError(
+                f"collect_occupancy must be a boolean, got {self.collect_occupancy!r}"
+            )
+        logical = len(INT_LOGICAL_REGISTERS)
+        if self.num_int_physical <= logical or self.num_fp_physical <= logical:
+            raise ConfigurationError(
+                f"need more physical than logical registers "
+                f"({logical} logical per class)"
+            )
 
     def with_overrides(self, **overrides) -> "ProcessorConfig":
         """Return a copy with some fields replaced (dataclasses.replace)."""

@@ -51,8 +51,9 @@ FU pool's ``idle``, which lets a cycle skip their ``begin_cycle``);
 one-line hops are inlined where they run per attempt (deferring an
 entry, the oldest-entry check, ``FunctionalUnitPool.can_issue``
 without busy dividers, a free-list allocation); register-file
-hooks that are no-ops on a model (``on_issue``, ``release``) are
-resolved once per processor; and physical registers, interned by the
+hooks that are no-ops on a model (``on_issue`` unless the model
+sets ``prefetches_on_issue``, ``release``) are resolved once per
+processor; and physical registers, interned by the
 renamer, are compared by identity.  Hot functions read enum members
 through module-level constants bound once (``_LOAD``), never as
 ``OpClass.LOAD``, an attribute read CPython 3.11 does not specialize
@@ -132,11 +133,10 @@ class Processor:
             )
         self._int_rf = int_rf
         self._fp_rf = fp_rf
-        # The issue and release hooks are no-ops unless a model overrides
-        # them (only the register file cache does); resolve that once.
-        self._issue_hooks = any(
-            type(rf).on_issue is not RegisterFileModel.on_issue for rf in (int_rf, fp_rf)
-        )
+        # The issue hook runs only for a model that prefetches on issue
+        # (a prefetch-first-pair register file cache), and the release
+        # hook only where a model overrides it; resolve both once.
+        self._issue_hooks = int_rf.prefetches_on_issue or fp_rf.prefetches_on_issue
         self._release_hooks = any(
             type(rf).release is not RegisterFileModel.release for rf in (int_rf, fp_rf)
         )

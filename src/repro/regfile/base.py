@@ -94,6 +94,10 @@ class RegisterFileModel(ABC):
     #: per-register consumer index (``waiting_consumers_of``).  Single
     #: level organisations never do, so the window skips maintaining it.
     needs_consumer_index: bool = False
+    #: Whether the processor calls :meth:`on_issue` when an instruction
+    #: with a destination issues; only a prefetch-first-pair register
+    #: file cache sets it.
+    prefetches_on_issue: bool = False
     #: Human-readable architecture name used in reports.
     name: str = "register-file"
     #: Whether :meth:`begin_cycle` has nothing to do at the next cycle
@@ -172,7 +176,8 @@ class RegisterFileModel(ABC):
         cycle: int,
         window: "IssueQueue",
     ) -> None:
-        """Hook invoked when an instruction issues (prefetch-first-pair)."""
+        """Hook invoked when an instruction issues, only on a model whose
+        :attr:`prefetches_on_issue` is true (prefetch-first-pair)."""
 
     def pin_operand(self, register: PhysicalRegister) -> None:
         """Keep ``register`` resident in the uppermost level until it is read.

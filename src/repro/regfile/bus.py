@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
+from repro.regfile.ports import check_count
 
 
 class TransferBusSet:
     """A set of buses, each able to carry one value at a time."""
 
     def __init__(self, count: Optional[int], transfer_latency: int = 2) -> None:
-        if count is not None and count <= 0:
-            raise ConfigurationError("bus count must be positive or None (unlimited)")
+        check_count(count, "bus count")
         if transfer_latency <= 0:
             raise ConfigurationError("transfer latency must be positive")
         self.count = count

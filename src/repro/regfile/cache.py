@@ -101,6 +101,7 @@ class RegisterFileCache(RegisterFileModel):
         #: Ready caching and prefetch-first-pair walk the window's
         #: per-register consumer lists; the other policies never do.
         self.needs_consumer_index = caching == "ready" or fetch == "prefetch-first-pair"
+        self.prefetches_on_issue = fetch == "prefetch-first-pair"
         self.upper_read_ports = PortSet(upper_read_ports, kind="upper-read")
         self.upper_result_writes = WriteScheduler(upper_write_ports, kind="upper-write")
         self.lower_writes = WriteScheduler(lower_write_ports, kind="lower-write")

@@ -16,12 +16,22 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError, RegisterFileError
 
 
+def check_count(count: Optional[int], what: str) -> None:
+    """Refuse a hardware count that is not a positive ``int`` or ``None``
+    (unlimited); a ``bool`` or a ``float`` is no count of ports."""
+    if count is None:
+        return
+    if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+        raise ConfigurationError(
+            f"{what} must be a positive integer or None, got {count!r}"
+        )
+
+
 class PortSet:
     """A pool of identical ports consumed within a single cycle."""
 
     def __init__(self, count: Optional[int], kind: str = "read") -> None:
-        if count is not None and count <= 0:
-            raise ConfigurationError(f"{kind} port count must be positive or None")
+        check_count(count, f"{kind} port count")
         self.count = count
         self.kind = kind
         self._used = 0
@@ -80,8 +90,7 @@ class WriteScheduler:
     """Schedules writes onto a limited number of write ports per cycle."""
 
     def __init__(self, ports_per_cycle: Optional[int], kind: str = "write") -> None:
-        if ports_per_cycle is not None and ports_per_cycle <= 0:
-            raise ConfigurationError(f"{kind} port count must be positive or None")
+        check_count(ports_per_cycle, f"{kind} port count")
         self.ports_per_cycle = ports_per_cycle
         self.kind = kind
         self._scheduled: Dict[int, int] = {}

@@ -76,6 +76,15 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
+def _content_key(member: str, workload: dict, frontend: dict) -> str:
+    payload = {
+        "schema": TRACE_SCHEMA_VERSION,
+        member: workload,
+        "frontend": frontend,
+    }
+    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
     """Content hash identifying one decoded trace.
 
@@ -83,12 +92,21 @@ def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
     "synthetic-profile", "benchmark": "gcc", "instructions": 6000}``);
     the frontend fingerprint pins how it is fetched.
     """
-    payload = {
-        "schema": TRACE_SCHEMA_VERSION,
-        "workload": dict(workload_id),
-        "frontend": frontend_fingerprint(config),
-    }
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return _content_key("workload", dict(workload_id),
+                        frontend_fingerprint(config))
+
+
+def trace_family(workload_id: dict, frontend: dict) -> str:
+    """Content hash of every trace of one stream at any length.
+
+    The workload identity without its ``instructions`` count, plus the
+    frontend fingerprint: a generated stream's first *n* instructions do
+    not depend on how many follow, so the traces of one family differ
+    only past the end of the shorter one.
+    """
+    family = {name: value for name, value in workload_id.items()
+              if name != "instructions"}
+    return _content_key("family", family, frontend)
 
 
 # ----------------------------------------------------------------------

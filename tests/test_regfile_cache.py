@@ -391,3 +391,28 @@ def test_policy_pair_by_name(caching, fetch, describe, consumer_index):
     # so only they keep the window maintaining them.
     processor = Processor(iter(()), lambda: RegisterFileCache(caching=caching, fetch=fetch))
     assert processor.window.track_consumers is consumer_index
+
+
+@pytest.mark.parametrize("fetch", ["fetch-on-demand", "prefetch-first-pair"])
+def test_processor_calls_on_issue_only_to_prefetch(monkeypatch, fetch):
+    """The issue hook is resolved per instance: a fetch-on-demand cache
+    never sees an ``on_issue`` call, a prefetching one sees many."""
+    from repro.pipeline.config import ProcessorConfig
+    from repro.pipeline.processor import simulate
+    from repro.workloads.profiles import get_profile
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    calls = []
+    original = RegisterFileCache.on_issue
+
+    def counting(self, entry, cycle, window):
+        calls.append(cycle)
+        return original(self, entry, cycle, window)
+
+    monkeypatch.setattr(RegisterFileCache, "on_issue", counting)
+    stream = SyntheticWorkload(get_profile("gcc")).instructions(1000)
+    simulate(stream, lambda: RegisterFileCache(fetch=fetch),
+             ProcessorConfig(max_instructions=1000))
+    prefetches = fetch == "prefetch-first-pair"
+    assert RegisterFileCache(fetch=fetch).prefetches_on_issue is prefetches
+    assert bool(calls) is prefetches

@@ -159,6 +159,34 @@ class TestSubmissionValidation:
         assert excinfo.value.code == "invalid_point"
         assert excinfo.value.message.startswith("points[0].")
 
+    @pytest.mark.parametrize("parameters, config", [
+        ({"upper_read_ports": 2.5}, {}),
+        ({"upper_read_ports": True}, {}),
+        ({"lower_write_ports": 2.5}, {}),
+        ({"buses": True}, {}),
+        ({}, {"max_instructions": 2.5}),
+        ({}, {"max_instructions": True}),
+        ({}, {"num_int_physical": 16}),
+        ({}, {"fetch_width": 1e9}),
+        ({}, {"collect_occupancy": "yes"}),
+    ], ids=["fractional-read-ports", "boolean-read-ports",
+            "fractional-write-ports", "boolean-buses",
+            "fractional-max-instructions", "boolean-max-instructions",
+            "fewer-physical-than-logical", "float-fetch-width",
+            "string-collect-occupancy"])
+    def test_rejects_a_value_no_hardware_has(self, parameters, config):
+        # Each of these used to be queued, and then either simulated a
+        # machine that cannot exist or failed the job at execution.
+        spec = {"points": [{"benchmark": "gcc",
+                            "factory": {"type": "RegisterFileCacheFactory",
+                                        "parameters": parameters},
+                            "config": config}]}
+        with pytest.raises(ApiError) as excinfo:
+            validate_submission(spec)
+        assert excinfo.value.status == 422
+        assert excinfo.value.code == "invalid_point"
+        assert excinfo.value.message.startswith("points[0].")
+
     @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), 10 ** 400],
                              ids=["nan", "inf", "beyond-float"])
     def test_rejects_a_deadline_that_is_not_finite(self, deadline_s):
