@@ -118,19 +118,19 @@ def plan_experiments(
 def run_experiments(
     names: Sequence[str],
     settings: ExperimentSettings,
-    store: Optional[ResultStore] = None,
-    jobs: int = 1,
+    engine: Optional[SweepEngine] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> list[ExperimentResult]:
-    """Run the named experiments over one result store.
+    """Run the named experiments over one engine's result store.
 
     The experiments' declared simulation points are deduplicated and
-    executed up front through a :class:`SweepEngine` (across ``jobs``
-    worker processes when ``jobs`` > 1); the experiment functions then
-    only read the filled store, so a point a ``plan`` does not declare
-    raises instead of being simulated.
+    executed up front through ``engine`` (a memory-only, one-worker
+    :class:`SweepEngine` when omitted), which keeps the run's totals;
+    the experiment functions then only read the filled store, so a point
+    a ``plan`` does not declare raises instead of being simulated.
     """
-    engine = SweepEngine(store=store, jobs=jobs)
+    if engine is None:
+        engine = SweepEngine()
     engine.execute(plan_experiments(names, settings), progress=progress)
     cache = SimulationCache(settings, engine.store)
     results = []
@@ -153,7 +153,7 @@ def render_text(results: Sequence[ExperimentResult]) -> str:
 
 def render_json(results: Sequence[ExperimentResult],
                 settings: ExperimentSettings,
-                store: Optional[ResultStore] = None) -> str:
+                cache: Optional[dict] = None) -> str:
     payload = {
         "schema": 1,
         "version": __version__,
@@ -178,10 +178,11 @@ def render_json(results: Sequence[ExperimentResult],
             for result in results
         ],
     }
-    if store is not None:
+    if cache is not None:
         # Cache accounting for the run: a warm rerun must show zero misses
-        # and zero new results (CI asserts this determinism property).
-        payload["cache"] = store.counters()
+        # and zero new results, and a rerun on stored traces zero traces
+        # recorded (CI asserts both).
+        payload["cache"] = cache
     return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 
@@ -215,9 +216,9 @@ def render_csv(results: Sequence[ExperimentResult]) -> str:
 def render_report(results: Sequence[ExperimentResult],
                   settings: ExperimentSettings,
                   report_format: str,
-                  store: Optional[ResultStore] = None) -> str:
+                  cache: Optional[dict] = None) -> str:
     if report_format == "json":
-        return render_json(results, settings, store=store)
+        return render_json(results, settings, cache=cache)
     if report_format == "csv":
         return render_csv(results)
     return render_text(results)
@@ -253,14 +254,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(message, file=sys.stderr, flush=True)
 
     try:
-        results = run_experiments(names, settings, store=store,
-                                  jobs=args.jobs, progress=progress)
+        engine = SweepEngine(store=store, jobs=args.jobs)
+        results = run_experiments(names, settings, engine, progress=progress)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    report = render_report(results, settings, args.format, store=store)
+    totals = engine.totals()
+    traces = {name: totals[name] for name in ("traces_recorded", "traces_reused")}
+    report = render_report(results, settings, args.format,
+                           cache={**store.counters(), **traces})
     print(report)
     progress(store.describe())
+    progress(f"traces: {traces['traces_recorded']} recorded, "
+             f"{traces['traces_reused']} reused")
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -65,7 +65,7 @@ from repro.regfile.base import RegisterFileModel
 from repro.sampling.spec import SamplingSpec
 from repro.trace import DecodedTrace, TraceStore, replay_simulate, trace_key
 from repro.trace.recorder import record_trace_with_stats
-from repro.trace.schema import frontend_fingerprint, trace_family
+from repro.trace.schema import family_length
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -198,8 +198,8 @@ class SimulationPoint:
 
     def family_key(self) -> str:
         """Key shared by the traces of this point's stream at any length."""
-        return trace_family(self.workload_identity(),
-                            frontend_fingerprint(self.config))
+        family, _ = family_length(self.trace_key())
+        return family
 
     def reach(self) -> Optional[int]:
         """The stream length any trace must have to drive this point, when

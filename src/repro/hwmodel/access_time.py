@@ -17,18 +17,18 @@ The four coefficients are calibrated by least squares against the eight
 access/cycle-time points reported in Table 2 of the paper (the 1-cycle
 single-banked file with 128 registers at 3R2W…4R4W, and the uppermost
 bank of the register file cache with 16 registers at its four port
-configurations).  The calibration reproduces those points to within a few
-percent; :mod:`repro.experiments.figure9_table2` tabulates model vs
-paper values.
-
-numpy is imported on first evaluation, not at module import, so that
-``import repro`` and the simulator need only the standard library.
+configurations).  Both register counts are powers of two, so every
+feature of a calibration point is rational and the normal equations are
+solved exactly in :class:`fractions.Fraction`.  The calibration
+reproduces those points to within a few percent;
+:mod:`repro.experiments.figure9_table2` tabulates model vs paper values.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from repro.errors import ModelError
 from repro.hwmodel.area import (
@@ -36,9 +36,6 @@ from repro.hwmodel.area import (
     CELL_TRACK_LAMBDA,
     DEFAULT_REGISTER_BITS,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Calibration points from Table 2: (num_registers, read_ports, write_ports,
 #: access_time_ns).  For the register file cache the uppermost bank has
@@ -61,34 +58,44 @@ def _cell_side(read_ports: int, write_ports: int) -> float:
     return CELL_BASE_LAMBDA + CELL_TRACK_LAMBDA * (read_ports + write_ports)
 
 
-def _features(num_registers: int, read_ports: int, write_ports: int,
-              bits: int) -> np.ndarray:
-    import numpy as np
-
-    side = _cell_side(read_ports, write_ports)
-    return np.array(
-        [
-            1.0,
-            float(np.log2(num_registers)),
-            bits * side / 10_000.0,
-            num_registers * side / 10_000.0,
-        ]
-    )
+def _exact_features(num_registers: int, read_ports: int,
+                    write_ports: int) -> list[Fraction]:
+    """The model's four terms at a calibration point, as exact fractions
+    (``num_registers`` is a power of two)."""
+    side = Fraction(_cell_side(read_ports, write_ports))
+    return [
+        Fraction(1),
+        Fraction(num_registers.bit_length() - 1),
+        DEFAULT_REGISTER_BITS * side / 10_000,
+        num_registers * side / 10_000,
+    ]
 
 
 @lru_cache(maxsize=1)
 def calibrated_constants() -> tuple[float, float, float, float]:
-    """Least-squares coefficients (k_fixed, k_decode, k_wordline, k_bitline)."""
-    import numpy as np
+    """Least-squares coefficients (k_fixed, k_decode, k_wordline, k_bitline).
 
-    rows = [
-        _features(registers, reads, writes, DEFAULT_REGISTER_BITS)
-        for registers, reads, writes, _ in _CALIBRATION_POINTS
+    Gauss-Jordan elimination on the normal equations ``AᵀA k = Aᵀt``,
+    over the paper's decimal access times, in exact arithmetic.
+    """
+    rows = [_exact_features(registers, reads, writes)
+            for registers, reads, writes, _ in _CALIBRATION_POINTS]
+    targets = [Fraction(str(target)) for *_, target in _CALIBRATION_POINTS]
+    size = len(rows[0])
+    system = [
+        [sum(row[i] * row[j] for row in rows) for j in range(size)]
+        + [sum(row[i] * target for row, target in zip(rows, targets))]
+        for i in range(size)
     ]
-    targets = [target for *_, target in _CALIBRATION_POINTS]
-    matrix = np.vstack(rows)
-    coefficients, *_ = np.linalg.lstsq(matrix, np.array(targets), rcond=None)
-    return tuple(float(c) for c in coefficients)  # type: ignore[return-value]
+    for column in range(size):
+        pivot = next(r for r in range(column, size) if system[r][column])
+        system[column], system[pivot] = system[pivot], system[column]
+        for r in range(size):
+            if r != column and system[r][column]:
+                factor = system[r][column] / system[column][column]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[column])]
+    return tuple(float(system[i][size] / system[i][i])  # type: ignore[return-value]
+                 for i in range(size))
 
 
 def access_time_ns(
@@ -110,11 +117,11 @@ def access_time_ns(
         raise ModelError("a register file needs at least one port")
     if bits <= 0:
         raise ModelError("bits must be positive")
-    import numpy as np
-
-    coefficients = np.array(calibrated_constants())
-    features = _features(num_registers, read_ports, write_ports, bits)
-    value = float(coefficients @ features)
+    k_fixed, k_decode, k_wordline, k_bitline = calibrated_constants()
+    side = _cell_side(read_ports, write_ports)
+    value = (k_fixed + k_decode * math.log2(num_registers)
+             + k_wordline * (bits * side / 10_000.0)
+             + k_bitline * (num_registers * side / 10_000.0))
     # The fit is excellent inside the calibrated range; clamp to a small
     # positive floor so extreme extrapolations (e.g. 1 register, 1 port)
     # never return a non-physical non-positive delay.

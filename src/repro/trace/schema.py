@@ -13,7 +13,7 @@ frontend:
 
 Fetch-group composition never reads the cycle counter, so the events
 are a pure function of (workload, frontend configuration); the trace
-key hashes exactly those two things.  Backend parameters (register
+key names exactly those two things.  Backend parameters (register
 budgets, window sizes, regfile architecture) deliberately do **not**
 enter the key — that is what lets one trace drive a whole sweep.
 """
@@ -76,24 +76,17 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def _content_key(member: str, workload: dict, frontend: dict) -> str:
-    payload = {
-        "schema": TRACE_SCHEMA_VERSION,
-        member: workload,
-        "frontend": frontend,
-    }
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
-
-
 def trace_key(workload_id: dict, config: ProcessorConfig) -> str:
-    """Content hash identifying one decoded trace.
+    """Key identifying one decoded trace: ``<family>-<instructions>``.
 
     ``workload_id`` pins the instruction stream (e.g. ``{"kind":
     "synthetic-profile", "benchmark": "gcc", "instructions": 6000}``);
-    the frontend fingerprint pins how it is fetched.
+    the frontend fingerprint pins how it is fetched.  The key is the
+    stream's :func:`trace_family` and its length, so a store finds every
+    trace of a family from its keys alone (:func:`family_length`).
     """
-    return _content_key("workload", dict(workload_id),
-                        frontend_fingerprint(config))
+    family = trace_family(workload_id, frontend_fingerprint(config))
+    return f"{family}-{workload_id['instructions']}"
 
 
 def trace_family(workload_id: dict, frontend: dict) -> str:
@@ -104,9 +97,23 @@ def trace_family(workload_id: dict, frontend: dict) -> str:
     not depend on how many follow, so the traces of one family differ
     only past the end of the shorter one.
     """
-    family = {name: value for name, value in workload_id.items()
-              if name != "instructions"}
-    return _content_key("family", family, frontend)
+    payload = {
+        "schema": TRACE_SCHEMA_VERSION,
+        "family": {name: value for name, value in workload_id.items()
+                   if name != "instructions"},
+        "frontend": frontend,
+    }
+    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def family_length(key: str) -> Optional[Tuple[str, int]]:
+    """The ``(family, length)`` a :func:`trace_key` names, or ``None``
+    for a key of any other form."""
+    family, _, length = key.rpartition("-")
+    try:
+        return (family, int(length)) if family else None
+    except ValueError:
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -16,26 +16,21 @@ trace it has touched; a memory-only store never evicts, since a trace it
 dropped would have to be recorded again.  Unreadable, corrupt,
 schema-mismatching or mis-keyed blobs are treated as cache misses.
 
-The store also indexes its traces by *family* (the stream without its
-length, plus the frontend fingerprint, see
-:func:`~repro.trace.schema.trace_family`), so :meth:`TraceStore.cover`
-finds the shortest stored trace of a family that holds enough
-instructions.  With a cache dir the index is persisted beside the
-traces, in its own one-shard segment log under ``traces/lengths/``:
-one small record per stored trace, folded in by every process that
-shares the directory.  The index may name a trace that compaction has
-since evicted; :meth:`~TraceStore.cover` then skips it.
+A trace key names its *family* (the stream without its length, plus
+the frontend fingerprint, see :func:`~repro.trace.schema.trace_family`)
+and its length, so :meth:`TraceStore.cover` finds the shortest stored
+trace of a family that holds enough instructions from the keys the two
+tiers already hold: the disk tier's keys include every trace another
+process sharing the directory stored, and none that compaction evicted.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from repro.storage import ShardedStore, TwoTierCache
-from repro.trace.schema import DecodedTrace, trace_family
+from repro.storage import TwoTierCache
+from repro.trace.schema import DecodedTrace, family_length
 
 #: Subdirectory of the cache dir reserved for traces.
 TRACE_SUBDIR = "traces"
@@ -56,13 +51,9 @@ TRACE_MAX_BYTES = 1 << 30
 #: tier holds about 70 MB.
 TRACE_MEMORY_ENTRIES = 36
 
-#: Subdirectory of the trace directory holding the family index.
-INDEX_SUBDIR = "lengths"
-
 
 class TraceStore(TwoTierCache):
-    """Decoded traces in a :class:`~repro.storage.TwoTierCache`, indexed
-    by family and length."""
+    """Decoded traces in a :class:`~repro.storage.TwoTierCache`."""
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
@@ -71,16 +62,6 @@ class TraceStore(TwoTierCache):
             self.trace_dir, max_bytes=TRACE_MAX_BYTES,
             memory_entries=TRACE_MEMORY_ENTRIES if cache_dir else None,
         )
-        #: family -> {length: trace key} of every trace known to be stored.
-        self._families: Dict[str, Dict[int, str]] = {}
-        #: The persisted index (``None`` when memory-only), and the
-        #: version stamp of each of its records already folded in.
-        self._index: Optional[ShardedStore] = (
-            ShardedStore(os.path.join(self.trace_dir, INDEX_SUBDIR), num_shards=1)
-            if cache_dir else None
-        )
-        self._folded: Dict[str, Tuple[float, int]] = {}
-        self._index_lock = threading.Lock()
 
     def _encode(self, key: str, trace: DecodedTrace, metadata: Optional[dict]) -> bytes:
         return trace.to_bytes()
@@ -96,60 +77,29 @@ class TraceStore(TwoTierCache):
         return TwoTierCache.get(self, key)
 
     def put(self, trace: DecodedTrace) -> None:
-        """Record a trace in both tiers (the disk append is atomic) and in
-        the family index."""
+        """Record a trace in both tiers (the disk append is atomic)."""
         TwoTierCache.put(self, trace.key, trace)
-        family = trace_family(trace.workload, trace.frontend)
-        length = len(trace.instructions)
-        with self._index_lock:
-            self._families.setdefault(family, {})[length] = trace.key
-        if self._index is not None:
-            payload = {"family": family, "instructions": length}
-            self._index.put(trace.key, json.dumps(payload).encode("utf-8"))
-
-    # ------------------------------------------------------------------
-    # the family index
-    # ------------------------------------------------------------------
-
-    def _fold_index(self) -> None:
-        """Fold the index records other processes appended since the last
-        call into :attr:`_families` (the caller holds ``_index_lock``)."""
-        index = self._index
-        if index is None:
-            return
-        for key, stamp in index.versions().items():
-            if self._folded.get(key) == stamp:
-                continue
-            try:
-                payload = json.loads(index.get(key) or b"")
-                family = payload["family"]
-                length = int(payload["instructions"])
-            except (ValueError, KeyError, TypeError):
-                continue  # a record that does not decode names no trace
-            self._folded[key] = stamp
-            self._families.setdefault(family, {})[length] = key
 
     def cover(self, family: str, instructions: int) -> Optional[DecodedTrace]:
         """The shortest stored trace of ``family`` that holds at least
         ``instructions`` instructions, or ``None``.
 
-        Each candidate is a counted :meth:`get`; one that is no longer
-        stored (evicted by compaction) leaves the index of this process
-        and the next longer one is tried.
+        The candidates are the keys both tiers hold (the disk tier's after
+        folding in other processes' appends), shortest first, each tried
+        through the counted :meth:`get`.  A key of another form, such as
+        one written before keys named their family, is skipped.
         """
-        with self._index_lock:
-            self._fold_index()
-            candidates = sorted(
-                (length, key)
-                for length, key in self._families.get(family, {}).items()
-                if length >= instructions
-            )
-        for length, key in candidates:
+        with self._lock:
+            keys = set(self._memory)
+        if self._disk is not None:
+            keys.update(self._disk.keys())
+        candidates = sorted(
+            (split[1], key) for key in keys
+            if (split := family_length(key)) is not None
+            and split[0] == family and split[1] >= instructions
+        )
+        for _, key in candidates:
             trace = self.get(key)
             if trace is not None:
                 return trace
-            with self._index_lock:
-                lengths = self._families.get(family, {})
-                if lengths.get(length) == key:
-                    del lengths[length]
         return None

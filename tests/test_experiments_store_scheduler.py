@@ -308,8 +308,8 @@ class TestScheduler:
         assert cache.store.counters()["stores"] == 0
 
     def test_parallel_matches_serial(self):
-        serial = run_experiments(["figure6"], TINY, store=ResultStore(), jobs=1)
-        parallel = run_experiments(["figure6"], TINY, store=ResultStore(), jobs=2)
+        serial = run_experiments(["figure6"], TINY, SweepEngine(jobs=1))
+        parallel = run_experiments(["figure6"], TINY, SweepEngine(jobs=2))
         for suite in ("SpecInt95", "SpecFP95"):
             assert (json.dumps(serial[0].data[suite], sort_keys=True)
                     == json.dumps(parallel[0].data[suite], sort_keys=True))
@@ -344,7 +344,7 @@ class TestSuiteFilter:
                                      warmup_instructions=100,
                                      benchmarks=["swim"])
         assert fp_only.active_suite_labels() == [("fp", "SpecFP95")]
-        (result,) = run_experiments(["figure2"], fp_only, store=ResultStore())
+        (result,) = run_experiments(["figure2"], fp_only)
         assert "SpecFP95" in result.data
         assert "SpecInt95" not in result.data
 
@@ -370,7 +370,7 @@ class TestReportFormats:
         assert json.loads(capsys.readouterr().out)["schema"] == 1
 
     def test_csv_report_rows(self):
-        results = run_experiments(["figure6"], TINY, store=ResultStore())
+        results = run_experiments(["figure6"], TINY)
         report = render_csv(results)
         lines = report.strip().splitlines()
         assert lines[0] == "experiment,metric,value"

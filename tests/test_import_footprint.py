@@ -1,13 +1,13 @@
-"""numpy and the process pool stay off the import path; each loads on demand.
+"""The package runs on the standard library; the process pool loads on demand.
 
-The only numpy user is the Table 2 access-time calibration
-(:mod:`repro.hwmodel.access_time`).  ``import repro``, the simulator,
-trace record/replay, the sweep engine and the service must run on the
-standard library alone, so the first test runs them under ``python -S``
-(no site-packages, hence no numpy) in a subprocess; since all of that
-runs with ``jobs=1``, it must not load ``multiprocessing`` either.  The second checks
-that the hardware model still imports numpy when first evaluated and
-that its numbers are the ones the eager-import model produced.
+``import repro``, the simulator, trace record/replay, the sweep engine
+and the service must run on the standard library alone, so the first
+test runs them under ``python -S`` (no site-packages, hence no numpy) in
+a subprocess; since all of that runs with ``jobs=1``, it must not load
+``multiprocessing`` either.  The Table 2 access-time calibration
+(:mod:`repro.hwmodel.access_time`) solves its fit exactly in fractions;
+the second test checks that it loads no numpy either, and the rest that
+its numbers are the ones the numpy least-squares fit produced.
 """
 
 from __future__ import annotations
@@ -78,21 +78,18 @@ def test_simulator_runs_on_the_standard_library_only():
     assert result.stdout.strip() == "ok"
 
 
-def test_hardware_model_imports_numpy_on_first_evaluation():
+def test_hardware_model_loads_no_numpy():
     result = _run("""
-        import repro
-        print("numpy" in sys.modules)
         from repro.experiments import figure9_table2
-        print("numpy" in sys.modules)
         figure9_table2._table2_rows()
         print("numpy" in sys.modules)
     """)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "False", "True"]
+    assert result.stdout.split() == ["False"]
 
 
-#: access_time_ns at the calibration points, as the model computed it
-#: when numpy was imported at module load.
+#: access_time_ns at the calibration points, as the numpy least-squares
+#: fit computed it.
 CALIBRATION_ACCESS_NS = {
     (128, 3, 2): 4.715000000000004,
     (128, 3, 3): 4.970000000000004,

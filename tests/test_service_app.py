@@ -218,8 +218,7 @@ class TestExecution:
             instructions_per_benchmark=200, warmup_instructions=50,
             benchmarks=["gcc"],
         )
-        (expected,) = run_experiments(["figure6"], settings,
-                                      store=ResultStore())
+        (expected,) = run_experiments(["figure6"], settings)
         expected.data.pop("elapsed_seconds", None)
         (served,) = app.job_result(job.id)["result"]["results"]
         assert served["data"] == expected.data

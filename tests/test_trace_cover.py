@@ -6,12 +6,13 @@ its family at least that long replays it bit-identically
 (:meth:`SimulationPoint.reach`).  These tests check the rule itself, on
 every paper architecture and the ``point-live`` ones, and the engine's
 use of it: which groups a stored or same-call trace covers, which keep
-their exact-length trace, and that the family index works across
-processes sharing a cache dir.
+their exact-length trace, and that the keys a cache dir holds serve
+covers across processes sharing it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -36,7 +37,8 @@ from repro.experiments.scheduler import (
 from repro.experiments.store import ResultStore
 from repro.pipeline.config import ProcessorConfig
 from repro.sampling import parse_sampling
-from repro.trace import TraceStore, record_trace
+from repro.trace import TraceStore, record_trace, trace_key
+from repro.trace.schema import family_length
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -241,3 +243,53 @@ class TestIndexAcrossProcesses:
                 config=ProcessorConfig(max_instructions=B + 100),
                 warmup_instructions=2000)
             assert stats == run_simulation_point(point).to_dict()
+
+
+class TestKeysNameTheirFamily:
+    def test_a_key_round_trips_through_its_family_and_length(self):
+        workload = {"kind": "synthetic-profile", "benchmark": "gcc",
+                    "instructions": 700}
+        family, length = family_length(trace_key(workload, CONFIG))
+        assert length == 700
+        longer = dict(workload, instructions=1400)
+        assert family_length(trace_key(longer, CONFIG)) == (family, 1400)
+        short, long = _point(), _point(budget=2 * B)
+        assert family_length(short.trace_key()) == (short.family_key(),
+                                                    short.stream_length())
+        assert family_length(long.trace_key()) == (short.family_key(),
+                                                   long.stream_length())
+
+    def test_keys_of_other_forms_name_no_family(self):
+        for key in (hashlib.sha256(b"trace").hexdigest(), "junk", "-12",
+                    "family-", "family-twelve"):
+            assert family_length(key) is None, key
+
+    def test_cover_skips_keys_of_other_forms(self, tmp_path):
+        cache_dir = str(tmp_path)
+        point = _point()
+        trace = _trace(point, 2 * B)
+        store = TraceStore(cache_dir)
+        # A key of the old opaque form, holding a real blob, and junk.
+        store._disk.put(hashlib.sha256(b"old key").hexdigest(), trace.to_bytes())
+        store._disk.put("junk", b"junk")
+        assert store.cover(point.family_key(), B + SLACK) is None
+        store.put(trace)
+        fresh = TraceStore(cache_dir)  # only the disk tier knows the key
+        assert len(fresh.cover(point.family_key(), B + SLACK)) == 2 * B
+
+    def test_the_engine_records_beside_keys_of_other_forms(self, tmp_path):
+        cache_dir = str(tmp_path)
+        point = _point(architecture="register file cache")
+        engine = _engine(cache_dir)
+        engine.trace_store._disk.put(hashlib.sha256(b"old key").hexdigest(),
+                                     _trace(point, 2 * B).to_bytes())
+        engine.trace_store._disk.put("junk", b"junk")
+        summary = engine.execute([point])
+        assert summary["traces_recorded"] == 1
+        assert (engine.store.get(point.store_key()).to_dict()
+                == run_simulation_point(point).to_dict())
+
+    def test_a_cache_dir_holds_no_family_index(self, tmp_path):
+        _engine(str(tmp_path)).execute([_point(budget=2 * B), _point()])
+        entries = os.listdir(tmp_path / "traces")
+        assert entries and all(name.startswith("shard-") for name in entries)
