@@ -22,8 +22,10 @@ Seam names currently wired into production code:
 ``jobs.save``          :class:`repro.service.jobs.JobStore` record save,
                        before the record is appended to the job log.
 ``engine.point``       :func:`repro.experiments.scheduler.run_simulation_point`,
-                       before the simulation body runs (slow / hung /
-                       crashing worker faults).
+                       or ``record_point_trace`` when the recording is the
+                       point's run: once per executed point, before the
+                       simulation body runs (slow / hung / crashing worker
+                       faults).
 ``http.response``      :class:`repro.service.server.ServiceRequestHandler`
                        just before a response body is sent (drop / delay /
                        connection-reset faults).

@@ -1,19 +1,19 @@
 """Experiment harness: one module per figure/table of the paper's evaluation.
 
-Every experiment module exposes two functions:
-
-* ``plan(settings)`` declares the simulation points the experiment needs
-  as :class:`~repro.experiments.scheduler.SimulationPoint` objects; the
-  scheduler deduplicates them across experiments and fans them out over
-  worker processes.
-* ``run(settings, cache)`` assembles an
-  :class:`~repro.experiments.common.ExperimentResult` (whose ``render()``
-  prints the same rows/series the paper reports) by reading the results
-  of exactly those points through a
-  :class:`~repro.experiments.common.SimulationCache`.  It never
-  simulates: :meth:`~repro.experiments.scheduler.SweepEngine.execute`
-  fills the store first, and reading a point the plan does not declare
-  raises :class:`~repro.errors.ReproError`.
+Every experiment module exposes ``run(settings, cache)``, which
+assembles an :class:`~repro.experiments.common.ExperimentResult` (whose
+``render()`` prints the same rows/series the paper reports) by reading
+simulation results through a
+:class:`~repro.experiments.common.SimulationCache`.  The points it reads
+are its plan: :func:`~repro.experiments.common.plan` runs it once over
+stand-in results and returns them as
+:class:`~repro.experiments.scheduler.SimulationPoint` objects, which the
+scheduler deduplicates across experiments and fans out over worker
+processes.  This holds because ``run`` reads the same points whatever
+the results hold.  ``run`` never simulates:
+:meth:`~repro.experiments.scheduler.SweepEngine.execute` fills the store
+first, and reading a point missing from it raises
+:class:`~repro.errors.ReproError`.
 
 The :mod:`repro.experiments.runner` module ties them together for the
 command line::

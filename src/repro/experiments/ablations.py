@@ -29,7 +29,6 @@ from repro.experiments.common import (
     SimulationCache,
     one_cycle_factory,
     suite_harmonic_mean,
-    suite_points,
 )
 from repro.regfile.cache import CACHING_POLICIES
 
@@ -48,61 +47,6 @@ def _suite_hmeans(cache: SimulationCache, factory, key: str) -> Dict[str, float]
     }
 
 
-def _rfc_baseline_arch() -> tuple:
-    return (RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair")
-
-
-def _capacity_arch(capacity: int) -> tuple:
-    return (RegisterFileCacheFactory(upper_capacity=capacity),
-            f"rfc/cap{capacity}")
-
-
-def _policy_arch(policy: str) -> tuple:
-    return (RegisterFileCacheFactory(caching=policy), f"rfc/policy/{policy}")
-
-
-def _bus_arch(buses: int) -> tuple:
-    return (RegisterFileCacheFactory(buses=buses), f"rfc/buses{buses}")
-
-
-def _banked_arch(banks: int, read_ports_per_bank: int = 2,
-                 write_ports_per_bank: int = 2) -> tuple:
-    return (
-        OneLevelBankedFactory(
-            num_banks=banks,
-            read_ports_per_bank=read_ports_per_bank,
-            write_ports_per_bank=write_ports_per_bank,
-        ),
-        f"one-level/{banks}banks",
-    )
-
-
-def _swept_architectures(
-    capacities: Sequence[int] = UPPER_CAPACITIES,
-    policies: Sequence[str] = CACHING_POLICIES,
-    bus_counts: Sequence[int] = BUS_COUNTS,
-    bank_counts: Sequence[int] = BANK_COUNTS,
-) -> list:
-    """Every (factory, key) pair the four ablation sweeps evaluate."""
-    pairs: list = [
-        (one_cycle_factory(), "1-cycle"),
-        _rfc_baseline_arch(),
-    ]
-    pairs += [_capacity_arch(capacity) for capacity in capacities]
-    pairs += [_policy_arch(policy) for policy in policies]
-    pairs += [_bus_arch(buses) for buses in bus_counts]
-    pairs += [_banked_arch(banks) for banks in bank_counts]
-    return pairs
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the ablation sweeps need (parallel scheduler)."""
-    points: list = []
-    for factory, key in _swept_architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
 def upper_capacity_sweep(
     settings: ExperimentSettings,
     cache: SimulationCache,
@@ -113,7 +57,8 @@ def upper_capacity_sweep(
         label: {} for _suite, label in settings.active_suite_labels()
     }
     for capacity in capacities:
-        hmeans = _suite_hmeans(cache, *_capacity_arch(capacity))
+        hmeans = _suite_hmeans(cache, RegisterFileCacheFactory(upper_capacity=capacity),
+                               f"rfc/cap{capacity}")
         for suite, value in hmeans.items():
             series[suite][f"{capacity} regs"] = value
     baseline = _suite_hmeans(cache, one_cycle_factory(), "1-cycle")
@@ -138,7 +83,8 @@ def caching_policy_sweep(
         label: {} for _suite, label in settings.active_suite_labels()
     }
     for policy in policies:
-        hmeans = _suite_hmeans(cache, *_policy_arch(policy))
+        hmeans = _suite_hmeans(cache, RegisterFileCacheFactory(caching=policy),
+                               f"rfc/policy/{policy}")
         for suite, value in hmeans.items():
             series[suite][policy] = value
     body = format_series(series, title="Harmonic-mean IPC vs caching policy")
@@ -160,7 +106,8 @@ def bus_count_sweep(
         label: {} for _suite, label in settings.active_suite_labels()
     }
     for buses in bus_counts:
-        hmeans = _suite_hmeans(cache, *_bus_arch(buses))
+        hmeans = _suite_hmeans(cache, RegisterFileCacheFactory(buses=buses),
+                               f"rfc/buses{buses}")
         for suite, value in hmeans.items():
             series[suite][f"{buses} buses"] = value
     body = format_series(series, title="Harmonic-mean IPC vs number of inter-level buses")
@@ -184,12 +131,14 @@ def one_level_banked_comparison(
         label: {} for _suite, label in settings.active_suite_labels()
     }
     for banks in bank_counts:
-        hmeans = _suite_hmeans(
-            cache, *_banked_arch(banks, read_ports_per_bank, write_ports_per_bank)
-        )
+        factory = OneLevelBankedFactory(num_banks=banks,
+                                        read_ports_per_bank=read_ports_per_bank,
+                                        write_ports_per_bank=write_ports_per_bank)
+        hmeans = _suite_hmeans(cache, factory, f"one-level/{banks}banks")
         for suite, value in hmeans.items():
             series[suite][f"one-level, {banks} banks"] = value
-    rfc = _suite_hmeans(cache, *_rfc_baseline_arch())
+    rfc = _suite_hmeans(cache, RegisterFileCacheFactory(),
+                        "rfc/non-bypass/prefetch-first-pair")
     one_cycle = _suite_hmeans(cache, one_cycle_factory(), "1-cycle")
     for suite in series:
         series[suite]["register file cache"] = rfc[suite]

@@ -10,6 +10,7 @@ builds a fresh register-file model, exactly like the old closures did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.metrics import harmonic_mean
@@ -115,10 +116,23 @@ class ExperimentSettings:
         ]
 
     def processor_config(self, **overrides) -> ProcessorConfig:
-        """Processor configuration with the experiment's instruction budget."""
+        """Processor configuration with the experiment's instruction budget.
+
+        Without overrides it is the one :attr:`_default_config` of these
+        settings: most points read it, and planning and reading a point
+        would otherwise build it anew each time.
+        """
+        if not overrides:
+            return self._default_config
         merged = {"max_instructions": self.instructions_per_benchmark}
         merged.update(overrides)
         return self.base_config.with_overrides(**merged)
+
+    @cached_property
+    def _default_config(self) -> ProcessorConfig:
+        return self.base_config.with_overrides(
+            max_instructions=self.instructions_per_benchmark
+        )
 
 
 @dataclass
@@ -258,9 +272,9 @@ def experiment_point(
 ) -> SimulationPoint:
     """The point of ``benchmark`` on the architecture labelled ``key``.
 
-    The one constructor shared by the ``plan`` side (:func:`suite_points`)
-    and the ``run`` side (:class:`SimulationCache`), so a declared point
-    and the result an experiment reads always carry the same store key.
+    The one constructor behind both the planning pass and the reading
+    pass of :class:`SimulationCache`, so a planned point and the result
+    an experiment reads always carry the same store key.
     """
     return SimulationPoint(
         benchmark=benchmark,
@@ -276,12 +290,13 @@ class SimulationCache:
     """Read-only view of a result store for the experiment ``run`` functions.
 
     Results live in a :class:`~repro.experiments.store.ResultStore`,
-    keyed by a content hash of the benchmark, the architecture (factory
-    parameters included) and the **full** processor configuration — two
-    configs differing in any field never collide.  The store is filled
+    keyed by a content hash of the benchmark, the architecture's factory
+    parameters and the **full** processor configuration — two configs
+    differing in any field never collide.  The store is filled
     beforehand by :meth:`~repro.experiments.scheduler.SweepEngine.execute`
-    over the experiments' ``plan`` points; the cache never simulates, so
-    a point missing from the store is an error, not a slow path.
+    over the experiments' :func:`plan` points; the cache never
+    simulates, so a point missing from the store is an error, not a
+    slow path.
     """
 
     def __init__(self, settings: ExperimentSettings, store: ResultStore) -> None:
@@ -301,7 +316,7 @@ class SimulationCache:
         ------
         ReproError
             If the store holds no result for the point: the experiment's
-            ``plan`` does not declare it.
+            plan does not declare it.
         """
         point = experiment_point(self.settings, benchmark, factory, key, config)
         store_key = point.store_key()
@@ -328,25 +343,49 @@ class SimulationCache:
         }
 
 
-def suite_points(
-    settings: ExperimentSettings,
-    suites: Sequence[str],
-    factory: RegfileFactory,
-    key: str,
-    config: Optional[ProcessorConfig] = None,
-) -> List[SimulationPoint]:
-    """The simulation points ``suite_ipcs`` reads, one per benchmark.
+#: What a planning pass reads in place of every result.
+_STAND_IN_STATS = SimulationStats(cycles=1, committed_instructions=1)
 
-    The ``plan`` function of each figure module is built out of these;
-    the scheduler deduplicates overlapping declarations across figures.
+
+class _PlanningCache(SimulationCache):
+    """A :class:`SimulationCache` that notes each point it is asked for,
+    in first-read order, and answers every read with one stand-in."""
+
+    def __init__(self, settings: ExperimentSettings) -> None:
+        self.settings = settings
+        self.points: Dict[SimulationPoint, None] = {}
+
+    def stats(
+        self,
+        benchmark: str,
+        factory: RegfileFactory,
+        key: str,
+        config: Optional[ProcessorConfig] = None,
+    ) -> SimulationStats:
+        point = experiment_point(self.settings, benchmark, factory, key, config)
+        self.points.setdefault(point)
+        return _STAND_IN_STATS
+
+
+def plan(
+    run: Callable[..., ExperimentResult],
+    settings: ExperimentSettings,
+    *args,
+    **kwargs,
+) -> List[SimulationPoint]:
+    """The points ``run(settings, cache, *args, **kwargs)`` reads.
+
+    ``run`` goes once over a cache that answers every read with a
+    stand-in result.  This rests on one rule, which every experiment
+    keeps: ``run`` reads the same points whatever the results hold.  Its
+    reads follow the settings and its arguments only, never a value it
+    has read, so the stand-in pass declares exactly the points the real
+    pass reads.  ``tests/test_experiments_store_scheduler.py`` checks
+    both directions for every experiment.
     """
-    benchmarks: List[str] = []
-    for suite in suites:
-        benchmarks.extend(settings.suite_selection(suite))
-    return [
-        experiment_point(settings, benchmark, factory, key, config)
-        for benchmark in dict.fromkeys(benchmarks)
-    ]
+    cache = _PlanningCache(settings)
+    run(settings, cache, *args, **kwargs)
+    return list(cache.points)
 
 
 def suite_harmonic_mean(ipcs: Mapping[str, float]) -> float:

@@ -18,31 +18,10 @@ from repro.experiments.common import (
     SimulationCache,
     one_cycle_factory,
     suite_harmonic_mean,
-    suite_points,
 )
-from repro.experiments.scheduler import SimulationPoint
 
 #: Register counts swept by the paper.
 REGISTER_COUNTS: tuple[int, ...] = (48, 64, 96, 128, 160, 192, 224, 256)
-
-
-def plan(
-    settings: ExperimentSettings,
-    register_counts: Sequence[int] = REGISTER_COUNTS,
-) -> list[SimulationPoint]:
-    """Simulation points Figure 1 needs (for the parallel scheduler)."""
-    factory = one_cycle_factory()
-    points: list[SimulationPoint] = []
-    for count in register_counts:
-        config = settings.processor_config(
-            num_int_physical=count,
-            num_fp_physical=count,
-            instruction_window=256,
-            rob_size=256,
-        )
-        points += suite_points(settings, ("int", "fp"), factory,
-                               f"1-cycle/{count}regs", config)
-    return points
 
 
 def run(

@@ -15,7 +15,6 @@ from repro.experiments.common import (
     ExperimentSettings,
     SimulationCache,
     one_cycle_factory,
-    suite_points,
     two_cycle_full_bypass_factory,
     two_cycle_one_bypass_factory,
     with_hmean,
@@ -26,14 +25,6 @@ ARCHITECTURES = (
     ("2-cycle, 2-bypass levels", two_cycle_full_bypass_factory, "2-cycle-full"),
     ("2-cycle, 1-bypass level", two_cycle_one_bypass_factory, "2-cycle-1byp"),
 )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 2 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory_builder, key in ARCHITECTURES:
-        points += suite_points(settings, ("int", "fp"), factory_builder(), key)
-    return points
 
 
 def run(

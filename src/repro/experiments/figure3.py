@@ -18,17 +18,9 @@ from repro.experiments.common import (
     ExperimentSettings,
     SimulationCache,
     one_cycle_factory,
-    suite_points,
 )
 
 MAX_REGISTERS = 32
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 3 needs (for the parallel scheduler)."""
-    config = settings.processor_config(collect_occupancy=True)
-    return suite_points(settings, ("int", "fp"), one_cycle_factory(),
-                        "1-cycle/occupancy", config)
 
 
 def run(

@@ -14,7 +14,6 @@ from repro.experiments.common import (
     ExperimentSettings,
     RegisterFileCacheFactory,
     SimulationCache,
-    suite_points,
     with_hmean,
 )
 
@@ -24,16 +23,6 @@ POLICY_COMBINATIONS = (
     ("ready caching + prefetch-first-pair", "ready", "prefetch-first-pair"),
     ("non-bypass caching + prefetch-first-pair", "non-bypass", "prefetch-first-pair"),
 )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 5 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, caching, fetch in POLICY_COMBINATIONS:
-        factory = RegisterFileCacheFactory(caching=caching, fetch=fetch)
-        points += suite_points(settings, ("int", "fp"), factory,
-                               f"rfc/{caching}/{fetch}")
-    return points
 
 
 def run(

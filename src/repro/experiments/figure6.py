@@ -18,7 +18,6 @@ from repro.experiments.common import (
     RegisterFileCacheFactory,
     SimulationCache,
     one_cycle_factory,
-    suite_points,
     two_cycle_one_bypass_factory,
     with_hmean,
 )
@@ -31,14 +30,6 @@ def _architectures() -> tuple:
          RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair"),
         ("2-cycle", two_cycle_one_bypass_factory(), "2-cycle-1byp"),
     )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 6 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory, key in _architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
 
 
 def run(

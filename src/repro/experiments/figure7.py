@@ -14,7 +14,6 @@ from repro.experiments.common import (
     ExperimentSettings,
     RegisterFileCacheFactory,
     SimulationCache,
-    suite_points,
     two_cycle_full_bypass_factory,
     with_hmean,
 )
@@ -26,14 +25,6 @@ def _architectures() -> tuple:
          RegisterFileCacheFactory(), "rfc/non-bypass/prefetch-first-pair"),
         ("2-cycle (full bypass)", two_cycle_full_bypass_factory(), "2-cycle-full"),
     )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points Figure 7 needs (for the parallel scheduler)."""
-    points: list = []
-    for _name, factory, key in _architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
 
 
 def run(

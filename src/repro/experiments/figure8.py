@@ -19,7 +19,6 @@ from repro.experiments.common import (
     SimulationCache,
     one_cycle_factory,
     suite_harmonic_mean,
-    suite_points,
     two_cycle_one_bypass_factory,
 )
 from repro.hwmodel.area import RegisterFileGeometry
@@ -34,61 +33,19 @@ CACHE_WRITE_PORTS: Sequence[int] = (2, 3)
 CACHE_BUSES: Sequence[int] = (1, 2)
 
 
-def _single_banked_arch(latency: int, reads: int, writes: int) -> tuple:
-    """(factory, key) of one swept single-banked configuration."""
-    if latency == 1:
-        return (one_cycle_factory(read_ports=reads, write_ports=writes),
-                f"1-cycle/{reads}R{writes}W")
-    return (two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
-            f"2-cycle-1byp/{reads}R{writes}W")
-
-
-def _rfc_arch(reads: int, writes: int, buses: int) -> tuple:
-    """(factory, key) of one swept register-file-cache configuration."""
-    return (
-        RegisterFileCacheFactory(
-            upper_read_ports=reads,
-            upper_write_ports=writes,
-            lower_write_ports=writes,
-            buses=buses,
-        ),
-        f"rfc/{reads}R{writes}W{buses}B",
-    )
-
-
-def _swept_architectures() -> List[tuple]:
-    """Every (factory, key) pair the sweep evaluates, baseline included."""
-    pairs: List[tuple] = [(one_cycle_factory(), "1-cycle")]
-    for reads in SINGLE_READ_PORTS:
-        for writes in SINGLE_WRITE_PORTS:
-            pairs.append(_single_banked_arch(1, reads, writes))
-            pairs.append(_single_banked_arch(2, reads, writes))
-    for reads in CACHE_READ_PORTS:
-        for writes in CACHE_WRITE_PORTS:
-            for buses in CACHE_BUSES:
-                pairs.append(_rfc_arch(reads, writes, buses))
-    return pairs
-
-
-def plan(settings: ExperimentSettings) -> List:
-    """Simulation points Figure 8 needs (for the parallel scheduler)."""
-    points: List = []
-    for factory, key in _swept_architectures():
-        points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
 def _single_banked_points(
     cache: SimulationCache,
     suite: str,
     latency: int,
     baseline_ipc: float,
 ) -> List[DesignPoint]:
+    factory, name = ((one_cycle_factory, "1-cycle") if latency == 1
+                     else (two_cycle_one_bypass_factory, "2-cycle-1byp"))
     points: List[DesignPoint] = []
     for reads in SINGLE_READ_PORTS:
         for writes in SINGLE_WRITE_PORTS:
-            factory, key = _single_banked_arch(latency, reads, writes)
-            ipcs = cache.suite_ipcs(suite, factory, key)
+            ipcs = cache.suite_ipcs(suite, factory(read_ports=reads, write_ports=writes),
+                                    f"{name}/{reads}R{writes}W")
             geometry = RegisterFileGeometry(128, reads, writes)
             points.append(
                 DesignPoint(
@@ -109,14 +66,11 @@ def _register_file_cache_points(
     for reads in CACHE_READ_PORTS:
         for writes in CACHE_WRITE_PORTS:
             for buses in CACHE_BUSES:
-                factory, key = _rfc_arch(reads, writes, buses)
-                ipcs = cache.suite_ipcs(suite, factory, key)
-                geometry = RegisterFileCacheGeometry(
-                    upper_read_ports=reads,
-                    upper_write_ports=writes,
-                    lower_write_ports=writes,
-                    buses=buses,
-                )
+                ports = dict(upper_read_ports=reads, upper_write_ports=writes,
+                             lower_write_ports=writes, buses=buses)
+                ipcs = cache.suite_ipcs(suite, RegisterFileCacheFactory(**ports),
+                                        f"rfc/{reads}R{writes}W{buses}B")
+                geometry = RegisterFileCacheGeometry(**ports)
                 points.append(
                     DesignPoint(
                         cost=geometry.area_units(),

@@ -22,7 +22,6 @@ from repro.experiments.common import (
     SimulationCache,
     one_cycle_factory,
     suite_harmonic_mean,
-    suite_points,
     two_cycle_one_bypass_factory,
 )
 from repro.hwmodel.configurations import (
@@ -59,59 +58,36 @@ def _table2_rows() -> list[tuple]:
     return rows
 
 
-def _configuration_architectures(
-    configuration: ArchitectureConfiguration,
-) -> tuple:
-    """(factory, key) of the three architectures at one Table 2 config."""
-    reads = configuration.single_read_ports
-    writes = configuration.single_write_ports
-    cache_geometry = configuration.cache_geometry
-    return (
-        (one_cycle_factory(read_ports=reads, write_ports=writes),
-         f"1-cycle/{reads}R{writes}W"),
-        (two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
-         f"2-cycle-1byp/{reads}R{writes}W"),
-        (RegisterFileCacheFactory(
-            upper_read_ports=cache_geometry.upper_read_ports,
-            upper_write_ports=cache_geometry.upper_write_ports,
-            lower_write_ports=cache_geometry.lower_write_ports,
-            buses=cache_geometry.buses,
-            lower_read_latency=cache_geometry.lower_read_latency_cycles(),
-        ),
-         (
-             f"rfc/{cache_geometry.upper_read_ports}R"
-             f"{cache_geometry.upper_write_ports}W{cache_geometry.buses}B"
-         )),
-    )
-
-
-def plan(settings) -> list:
-    """Simulation points Figure 9 / Table 2 need (parallel scheduler)."""
-    points: list = []
-    for configuration in TABLE2_CONFIGURATIONS:
-        for factory, key in _configuration_architectures(configuration):
-            points += suite_points(settings, ("int", "fp"), factory, key)
-    return points
-
-
 def _suite_throughputs(
     cache: SimulationCache,
     suite: str,
     configuration: ArchitectureConfiguration,
 ) -> Dict[str, float]:
     """Instruction throughput (inst/ns) of each architecture at one config."""
+    reads = configuration.single_read_ports
+    writes = configuration.single_write_ports
     cache_geometry = configuration.cache_geometry
-    architectures = _configuration_architectures(configuration)
 
-    one_cycle_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[0][0], architectures[0][1])
-    )
-    two_cycle_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[1][0], architectures[1][1])
-    )
-    cache_ipc = suite_harmonic_mean(
-        cache.suite_ipcs(suite, architectures[2][0], architectures[2][1])
-    )
+    one_cycle_ipc = suite_harmonic_mean(cache.suite_ipcs(
+        suite, one_cycle_factory(read_ports=reads, write_ports=writes),
+        f"1-cycle/{reads}R{writes}W",
+    ))
+    two_cycle_ipc = suite_harmonic_mean(cache.suite_ipcs(
+        suite, two_cycle_one_bypass_factory(read_ports=reads, write_ports=writes),
+        f"2-cycle-1byp/{reads}R{writes}W",
+    ))
+    cache_ipc = suite_harmonic_mean(cache.suite_ipcs(
+        suite,
+        RegisterFileCacheFactory(
+            upper_read_ports=cache_geometry.upper_read_ports,
+            upper_write_ports=cache_geometry.upper_write_ports,
+            lower_write_ports=cache_geometry.lower_write_ports,
+            buses=cache_geometry.buses,
+            lower_read_latency=cache_geometry.lower_read_latency_cycles(),
+        ),
+        f"rfc/{cache_geometry.upper_read_ports}R"
+        f"{cache_geometry.upper_write_ports}W{cache_geometry.buses}B",
+    ))
 
     access_time = configuration.single_banked_access_time_ns()
     return {

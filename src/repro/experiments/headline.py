@@ -33,11 +33,6 @@ PAPER_CLAIMS = {
 }
 
 
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the headline experiment needs (Figures 6 and 9)."""
-    return figure6.plan(settings) + figure9_table2.plan(settings)
-
-
 def run(
     settings: ExperimentSettings,
     cache: SimulationCache,

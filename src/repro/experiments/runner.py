@@ -44,14 +44,19 @@ from repro.experiments import (
     value_reuse,
 )
 from repro.errors import ReproError
-from repro.experiments.common import ExperimentResult, ExperimentSettings, SimulationCache
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSettings,
+    SimulationCache,
+    plan,
+)
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.sampling.spec import parse_sampling
 from repro.version import __version__
 
-#: Every experiment module (each with ``plan`` and ``run``) by report
-#: name, in the order the experiments appear in the paper.
+#: Every experiment module (each with its ``run``) by report name, in
+#: the order the experiments appear in the paper.
 EXPERIMENTS: Dict[str, ModuleType] = {
     "figure1": figure1,
     "figure2": figure2,
@@ -108,10 +113,11 @@ def plan_experiments(
     names: Sequence[str],
     settings: ExperimentSettings,
 ) -> List[SimulationPoint]:
-    """Every simulation point the named experiments declare."""
+    """Every simulation point the named experiments read (see
+    :func:`~repro.experiments.common.plan`)."""
     points: List[SimulationPoint] = []
     for name in names:
-        points.extend(EXPERIMENTS[name].plan(settings))
+        points.extend(plan(EXPERIMENTS[name].run, settings))
     return points
 
 
@@ -123,11 +129,11 @@ def run_experiments(
 ) -> list[ExperimentResult]:
     """Run the named experiments over one engine's result store.
 
-    The experiments' declared simulation points are deduplicated and
+    The points the experiments read are planned, deduplicated and
     executed up front through ``engine`` (a memory-only, one-worker
     :class:`SweepEngine` when omitted), which keeps the run's totals;
     the experiment functions then only read the filled store, so a point
-    a ``plan`` does not declare raises instead of being simulated.
+    the plan lacks raises instead of being simulated.
     """
     if engine is None:
         engine = SweepEngine()

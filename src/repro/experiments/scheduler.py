@@ -1,8 +1,9 @@
 """Parallel execution of simulation points.
 
-Experiments *declare* the simulation runs they need as
-:class:`SimulationPoint` objects (see the ``plan`` function of each
-figure module); the scheduler deduplicates them, skips points already in
+Experiments plan the simulation runs they need as
+:class:`SimulationPoint` objects (see
+:func:`repro.experiments.common.plan`); the scheduler deduplicates
+them, skips points already in
 the :class:`~repro.experiments.store.ResultStore` and executes the
 remainder with the **trace-once / replay-many** engine:
 
@@ -159,10 +160,9 @@ class SimulationPoint:
     def _compute_store_key(self) -> str:
         return simulation_key(
             self.benchmark,
-            self.architecture,
+            self.factory,
             self.config,
             self.warmup_instructions,
-            self.factory,
             sampling=None if self.sampling is None else self.sampling.to_payload(),
         )
 
@@ -246,16 +246,16 @@ def _recording_doubles_as_run(point: SimulationPoint) -> bool:
 def record_point_trace(point: SimulationPoint):
     """Record the group's trace; harvest the recording run as ``point``'s
     result when eligible.  Returns ``(trace, stats_or_None)``."""
-    if _seams.active is not None:
-        # Chaos seam: the recording run doubles as this point's
-        # execution, so worker faults must be able to land here as well
-        # as in run_simulation_point.
+    harvest = _recording_doubles_as_run(point)
+    if harvest and _seams.active is not None:
+        # Chaos seam: the recording run is this point's execution, so
+        # worker faults land here; a point that is not harvested meets
+        # the seam once, in run_simulation_point.
         _seams.active.fire(
             "engine.point",
             benchmark=point.benchmark,
             architecture=point.architecture,
         )
-    harvest = _recording_doubles_as_run(point)
     trace, stats = record_trace_with_stats(
         point.benchmark,
         build_point_stream(point),

@@ -8,9 +8,10 @@ optionally, mirrors it to a sharded append-only segment log
 only pay for simulation points they have never seen before.
 
 Keys are content hashes over everything that determines a simulation's
-outcome: the benchmark name, the register-file architecture (its factory
-parameters, not just its display label), the **full**
-:class:`~repro.pipeline.config.ProcessorConfig` and the warmup budget.
+outcome: the benchmark name, the register-file architecture's factory
+parameters, the **full** :class:`~repro.pipeline.config.ProcessorConfig`
+and the warmup budget.  A point's display label is not part of its key,
+so one architecture under two labels is simulated and stored once.
 The historical in-process cache keyed on a 5-field tuple silently
 collided when two configurations differed in any other field
 (``issue_width``, ``lsq_size``, cache geometry, ...); hashing the whole
@@ -25,6 +26,7 @@ import json
 import os
 from typing import Callable, Optional
 
+from repro.errors import ConfigurationError
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
 from repro.storage import TwoTierCache
@@ -47,23 +49,30 @@ def factory_fingerprint(factory: Callable) -> dict:
     The factories built by :mod:`repro.experiments.common` are frozen
     dataclasses, so their class name plus parameters pin down the exact
     architecture.  Opaque callables (lambdas, local closures) cannot be
-    introspected; they are identified by their qualified name and rely on
-    the experiment's architecture key for disambiguation.
+    introspected, and two of them with one qualified name may build
+    different files, so they have no fingerprint.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``factory`` is not a dataclass instance.
     """
     if dataclasses.is_dataclass(factory) and not isinstance(factory, type):
         return {
             "type": type(factory).__name__,
             "parameters": dataclasses.asdict(factory),
         }
-    return {"type": getattr(factory, "__qualname__", type(factory).__name__)}
+    raise ConfigurationError(
+        f"register-file factory {factory!r} is not a dataclass instance, "
+        f"so its parameters cannot key a stored result"
+    )
 
 
 def simulation_key(
     benchmark: str,
-    architecture: str,
+    factory: Callable,
     config: ProcessorConfig,
     warmup_instructions: int,
-    factory: Optional[Callable] = None,
     sampling: Optional[dict] = None,
 ) -> str:
     """Content hash identifying one simulation point.
@@ -75,8 +84,7 @@ def simulation_key(
     payload = {
         "schema": SCHEMA_VERSION,
         "benchmark": benchmark,
-        "architecture": architecture,
-        "factory": factory_fingerprint(factory) if factory is not None else None,
+        "factory": factory_fingerprint(factory),
         "config": dataclasses.asdict(config),
         "warmup_instructions": warmup_instructions,
     }

@@ -16,13 +16,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     SimulationCache,
     one_cycle_factory,
-    suite_points,
 )
-
-
-def plan(settings: ExperimentSettings) -> list:
-    """Simulation points the value-reuse statistic needs."""
-    return suite_points(settings, ("int", "fp"), one_cycle_factory(), "1-cycle")
 
 
 def run(

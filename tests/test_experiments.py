@@ -19,6 +19,7 @@ from repro.experiments.common import (
     RegisterFileCacheFactory,
     SimulationCache,
     architecture_factories,
+    plan,
     suite_harmonic_mean,
     with_hmean,
 )
@@ -43,10 +44,10 @@ def filled_cache(settings: ExperimentSettings, points) -> SimulationCache:
 @pytest.fixture(scope="module")
 def shared_cache() -> SimulationCache:
     """Every point the figure tests below read, figure 1 at two counts."""
-    points = figure1.plan(QUICK, register_counts=(48, 128))
+    points = plan(figure1.run, QUICK, register_counts=(48, 128))
     for module in (figure2, figure3, figure5, figure6, figure7, value_reuse,
                    figure9_table2, headline):
-        points += module.plan(QUICK)
+        points += plan(module.run, QUICK)
     return filled_cache(QUICK, points)
 
 
@@ -163,7 +164,7 @@ class TestFigure8:
         settings = ExperimentSettings(instructions_per_benchmark=400,
                                       warmup_instructions=100,
                                       benchmarks=["m88ksim", "swim"])
-        result = figure8.run(settings, filled_cache(settings, figure8.plan(settings)))
+        result = figure8.run(settings, filled_cache(settings, plan(figure8.run, settings)))
         for suite in ("SpecInt95", "SpecFP95"):
             for architecture, points in result.data[suite].items():
                 assert points, f"no pareto points for {architecture}"

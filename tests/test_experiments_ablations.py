@@ -5,9 +5,8 @@ import pytest
 from repro.experiments import ablations
 from repro.experiments.common import (
     ExperimentSettings,
-    OneLevelBankedFactory,
     SimulationCache,
-    suite_points,
+    plan,
 )
 from repro.experiments.scheduler import SweepEngine
 from repro.experiments.store import ResultStore
@@ -19,10 +18,10 @@ QUICK = ExperimentSettings(instructions_per_benchmark=700, warmup_instructions=2
 @pytest.fixture(scope="module")
 def shared_cache() -> SimulationCache:
     """The full ablation plan plus the 8-port one-level banked points."""
-    wide_banks = OneLevelBankedFactory(num_banks=2, read_ports_per_bank=8,
-                                       write_ports_per_bank=8)
-    points = ablations.plan(QUICK) + suite_points(QUICK, ("int", "fp"), wide_banks,
-                                                  "one-level/2banks")
+    points = plan(ablations.run, QUICK) + plan(
+        ablations.one_level_banked_comparison, QUICK,
+        bank_counts=(2,), read_ports_per_bank=8, write_ports_per_bank=8,
+    )
     store = ResultStore()
     SweepEngine(store=store).execute(points)
     return SimulationCache(QUICK, store)

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.chaos import seams
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figure6, figure7
 from repro.experiments.common import (
@@ -18,9 +19,15 @@ from repro.experiments.common import (
     SimulationCache,
     architecture_factories,
     one_cycle_factory,
+    plan,
 )
 from repro.experiments.runner import main as runner_main
-from repro.experiments.runner import render_csv, run_experiments
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    plan_experiments,
+    render_csv,
+    run_experiments,
+)
 from repro.experiments import scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
@@ -114,8 +121,8 @@ class TestCacheKey:
                           {"fetch_width": 4}, {"max_cycles": 100_000}):
             changed = TINY.processor_config(**overrides)
             assert (
-                simulation_key("swim", "1-cycle", base, 100, one_cycle_factory())
-                != simulation_key("swim", "1-cycle", changed, 100, one_cycle_factory())
+                simulation_key("swim", one_cycle_factory(), base, 100)
+                != simulation_key("swim", one_cycle_factory(), changed, 100)
             ), f"key collision for {overrides}"
 
     def test_differing_configs_simulate_separately(self):
@@ -134,35 +141,53 @@ class TestCacheKey:
     def test_factory_parameters_are_keyed(self):
         config = TINY.processor_config()
         assert (
-            simulation_key("swim", "same-label", config, 100,
-                           RegisterFileCacheFactory(upper_capacity=8))
-            != simulation_key("swim", "same-label", config, 100,
-                              RegisterFileCacheFactory(upper_capacity=16))
+            simulation_key("swim", RegisterFileCacheFactory(upper_capacity=8),
+                           config, 100)
+            != simulation_key("swim", RegisterFileCacheFactory(upper_capacity=16),
+                              config, 100)
         )
+
+    def test_labels_of_one_factory_share_a_key(self):
+        """The display label names a point; it does not key its result, so
+        one architecture under two labels is simulated once."""
+        point = _point()
+        relabelled = dataclasses.replace(point, architecture="another label")
+        assert relabelled.store_key() == point.store_key()
+        store = ResultStore()
+        summary = SweepEngine(store=store).execute([point, relabelled])
+        assert summary["unique"] == summary["executed"] == len(store) == 1
+
+    def test_opaque_factory_is_refused(self):
+        """A lambda has no parameters to fingerprint: two lambdas of one
+        name would share a key, so the key refuses them."""
+        with pytest.raises(ConfigurationError, match="not a dataclass instance"):
+            simulation_key("swim", lambda: None, TINY.processor_config(), 100)
+        with pytest.raises(ConfigurationError, match="not a dataclass instance"):
+            dataclasses.replace(_point(), factory=lambda: None).store_key()
 
 
 class TestStoreKeyMemo:
     def test_keys_are_unchanged(self):
-        """The memoised keys equal the ones every existing cache was
-        written under (recorded before the memo existed)."""
-        points = figure6.plan(TINY) + figure7.plan(TINY)
+        """The memoised keys equal the ones recorded when the display
+        label left the key payload."""
+        points = plan(figure6.run, TINY) + plan(figure7.run, TINY)
         keys = sorted({point.store_key() for point in points})
         assert len(points) == 10 and len(keys) == 8
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
-            "c1d2b4667846d192880fbf3d185649bf2c92b8176c4fe51ebbe68f8e1dda0109"
+            "921d846ab79ac1606705ba7496c7e7ba94919111ff8d919070f2c16fc83d89f0"
         )
         assert points[0].store_key() == (
-            "0340294fa6ec50429aee761307c9220c06975d57b285a2eb725c155d492d061b"
+            "c4be756ac3b0e94c016ffaa7f4b5b778228341c8a2548e99d42d3a1ec20bc71f"
         )
         sampled = dataclasses.replace(points[0], sampling=parse_sampling("600:150:150"))
         assert sampled.store_key() == (
-            "5eea65a651717c5d5e65d534eafa99d97d9ef3387cffdcbe13bffcb410772ae3"
+            "56e9fec19c4cf1e57268b8c7cce63569b8b7ff3e02a8e8a4971b1bbfe1be9d40"
         )
 
     def test_memo_matches_a_fresh_computation(self):
-        for point in figure6.plan(TINY):
-            fresh = simulation_key(point.benchmark, point.architecture, point.config,
-                                   point.warmup_instructions, point.factory)
+        for point in plan(figure6.run, TINY):
+            fresh = simulation_key(point.benchmark, point.factory, point.config,
+                                   point.warmup_instructions)
             assert point.store_key() == fresh
             assert dataclasses.replace(point).store_key() == fresh
 
@@ -209,7 +234,7 @@ class TestStoreKeyMemo:
         factory = RegisterFileCacheFactory(buses=[2])
         odd = dataclasses.replace(point, factory=factory)
         assert odd.store_key() == simulation_key(
-            point.benchmark, point.architecture, point.config, point.warmup_instructions, factory
+            point.benchmark, factory, point.config, point.warmup_instructions
         )
 
 
@@ -220,7 +245,7 @@ class TestScheduler:
             assert rebuilt == factory, name
 
     def test_dedupe_across_plans(self):
-        points = figure6.plan(TINY) + figure7.plan(TINY)
+        points = plan(figure6.run, TINY) + plan(figure7.run, TINY)
         unique = dedupe_points(points)
         # figure6 and figure7 share the register-file-cache runs.
         assert len(unique) < len(points)
@@ -285,19 +310,35 @@ class TestScheduler:
         with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
             SweepEngine(store=ResultStore(), jobs=jobs)
 
-    def test_plans_cover_their_runs(self):
-        """Each experiment's run() reads only the points its own plan()
-        declares: it runs over a store holding that plan's results and
-        nothing else, so leaning on another experiment's points raises."""
-        from repro.experiments.runner import EXPERIMENTS, plan_experiments
-
+    def test_plans_are_the_points_runs_read(self):
+        """Each experiment's run() reads, from a store holding every
+        experiment's results, exactly the points its plan names: no
+        fewer, and no more.  A run whose reads followed the values it
+        read would plan other points over the stand-in results."""
         pooled = ResultStore()
         SweepEngine(store=pooled).execute(plan_experiments(list(EXPERIMENTS), TINY))
-        for module in EXPERIMENTS.values():
-            own = ResultStore()
-            for key in dedupe_points(module.plan(TINY)):
-                own.put(key, pooled.get(key))
-            module.run(TINY, SimulationCache(TINY, own))
+
+        class ReadLog:
+            def __init__(self):
+                self.keys = set()
+
+            def get(self, key):
+                self.keys.add(key)
+                return pooled.get(key)
+
+        for name, module in EXPERIMENTS.items():
+            reads = ReadLog()
+            module.run(TINY, SimulationCache(TINY, reads))
+            planned = {point.store_key() for point in plan(module.run, TINY)}
+            assert reads.keys == planned, name
+
+    def test_ablations_simulate_each_architecture_once(self):
+        """The ablations' baseline, 16-register and non-bypass points are
+        one architecture under three labels: at the full suite, 288
+        labelled points are 252 simulations."""
+        points = plan_experiments(["ablations"], ExperimentSettings())
+        assert len({point.architecture for point in points}) == 16
+        assert len(dedupe_points(points)) == 252
 
     def test_undeclared_point_is_an_error(self):
         cache = SimulationCache(TINY, ResultStore())
@@ -313,6 +354,49 @@ class TestScheduler:
         for suite in ("SpecInt95", "SpecFP95"):
             assert (json.dumps(serial[0].data[suite], sort_keys=True)
                     == json.dumps(parallel[0].data[suite], sort_keys=True))
+
+
+class _SeamLog:
+    """A fault injector that only notes which point each seam call is."""
+
+    def __init__(self):
+        self.points = []
+
+    def fire(self, seam, **context):
+        if seam == "engine.point":
+            self.points.append(context["architecture"])
+
+
+class TestPointSeam:
+    """``engine.point`` fires once per executed point, so a fault aimed at
+    the Nth point lands on that point."""
+
+    @pytest.fixture
+    def seam_log(self):
+        log = _SeamLog()
+        seams.install(log)
+        yield log
+        seams.uninstall()
+
+    @staticmethod
+    def _pair(warmup, sampling=None):
+        return [
+            dataclasses.replace(_point(), factory=factory, architecture=label,
+                                warmup_instructions=warmup, sampling=sampling)
+            for label, factory in (("1-cycle", one_cycle_factory()),
+                                   ("rfc", RegisterFileCacheFactory()))
+        ]
+
+    @pytest.mark.parametrize("warmup", [0, 100])
+    def test_one_fire_per_exact_point(self, seam_log, warmup):
+        summary = SweepEngine(store=ResultStore()).execute(self._pair(warmup))
+        assert summary["executed"] == summary["traces_recorded"] * 2 == 2
+        assert seam_log.points == ["1-cycle", "rfc"]
+
+    def test_one_fire_per_sampled_point(self, seam_log):
+        points = self._pair(100, parse_sampling("200:50:50"))
+        assert SweepEngine(store=ResultStore()).execute(points)["executed"] == 2
+        assert seam_log.points == ["1-cycle", "rfc"]
 
 
 class TestSuiteFilter:

@@ -38,6 +38,7 @@ STDLIB_ONLY = """
     import repro
     from repro import ProcessorConfig, RegisterFileCache, simulate
     from repro.experiments import ExperimentSettings, figure6, figure7, value_reuse
+    from repro.experiments.common import plan
     from repro.experiments.scheduler import SweepEngine
     from repro.service.app import ServiceApp
     from repro.trace import record_trace, replay_simulate
@@ -59,7 +60,7 @@ STDLIB_ONLY = """
     settings = ExperimentSettings(instructions_per_benchmark=N,
                                   benchmarks=["gcc", "swim"])
     for module in (figure6, figure7, value_reuse):
-        assert module.plan(settings)
+        assert plan(module.run, settings)
     SweepEngine(jobs=1).close()
     ServiceApp(cache_dir=None, jobs=1).stop()
 

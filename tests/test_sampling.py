@@ -192,12 +192,13 @@ class TestSampledSimulate:
     def test_sampled_store_key_differs_from_exact(self):
         config = ProcessorConfig(max_instructions=N)
         spec = SamplingSpec(stride=500, window=100)
-        exact_key = simulation_key("gcc", "mono-1c", config, 0)
-        sampled_key = simulation_key("gcc", "mono-1c", config, 0,
+        factory = validation_matrix()["monolithic-1c"]
+        exact_key = simulation_key("gcc", factory, config, 0)
+        sampled_key = simulation_key("gcc", factory, config, 0,
                                      sampling=spec.to_payload())
         assert exact_key != sampled_key
         # Omit-when-None: passing sampling=None is the pre-sampling key.
-        assert simulation_key("gcc", "mono-1c", config, 0,
+        assert simulation_key("gcc", factory, config, 0,
                               sampling=None) == exact_key
 
 
