@@ -26,9 +26,10 @@ import csv
 import io
 import json
 import sys
+import threading
 import time
 from types import ModuleType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments import (
     ablations,
@@ -73,6 +74,13 @@ EXPERIMENTS: Dict[str, ModuleType] = {
 
 REPORT_FORMATS = ("text", "json", "csv")
 
+#: Upper bound on memoised experiment plans (see :func:`plan_experiments`);
+#: a full table is cleared, so the memo never outgrows it.
+PLAN_MEMO_LIMIT = 256
+
+_PLANS: Dict[tuple, Tuple[SimulationPoint, ...]] = {}
+_PLANS_LOCK = threading.Lock()
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__,
@@ -114,11 +122,35 @@ def plan_experiments(
     settings: ExperimentSettings,
 ) -> List[SimulationPoint]:
     """Every simulation point the named experiments read (see
-    :func:`~repro.experiments.common.plan`)."""
+    :func:`~repro.experiments.common.plan`), as a new list.
+
+    Each experiment's plan is memoised process-wide by its ``run`` and
+    the settings.  That is exact because a ``run`` reads the same points
+    whatever the results hold, so its plan follows from the two alone;
+    a resubmitted service job plans for free.  Settings that do not hash
+    (a benchmark list) are planned afresh, and a plan that raises is
+    not kept.
+    """
     points: List[SimulationPoint] = []
     for name in names:
-        points.extend(plan(EXPERIMENTS[name].run, settings))
+        points.extend(_experiment_plan(EXPERIMENTS[name].run, settings))
     return points
+
+
+def _experiment_plan(run: Callable[..., ExperimentResult],
+                     settings: ExperimentSettings) -> Sequence[SimulationPoint]:
+    key = (run, settings)
+    try:
+        planned = _PLANS.get(key)
+    except TypeError:  # unhashable settings
+        return plan(run, settings)
+    if planned is None:
+        planned = tuple(plan(run, settings))
+        with _PLANS_LOCK:
+            if len(_PLANS) >= PLAN_MEMO_LIMIT:
+                _PLANS.clear()
+            _PLANS[key] = planned
+    return planned
 
 
 def run_experiments(

@@ -54,6 +54,10 @@ class SimulationStats:
     operands_from_file: int = 0
 
     #: Stall cycle accounting (per stall reason, counted per event).
+    #: ``dispatch_stalls_window`` reads 0 at the Table 1 configuration:
+    #: the window and the ROB both hold 128 entries and dispatch checks
+    #: the ROB first, so only a window smaller than the ROB (the
+    #: validation fuzzer's) stalls on it.
     dispatch_stalls_window: int = 0
     dispatch_stalls_registers: int = 0
     dispatch_stalls_rob: int = 0

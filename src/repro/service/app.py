@@ -27,7 +27,10 @@ thread, with no lease and one job-log record, the completed one.
 Neither a job's plan nor its result is kept beside its record: every
 job runs the plan re-derived from its persisted spec, and
 :meth:`ServiceApp.job_result` renders a completed job's result from
-that spec over the result store.
+that spec over the result store.  Both derivations are memoised by the
+plan (its figures and settings), not by the job: planning process-wide
+(:func:`repro.experiments.runner.plan_experiments`), rendering per app,
+so a resubmitted figure plan is planned once and rendered once.
 
 With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
@@ -93,6 +96,10 @@ WATCHDOG_INTERVAL = 0.2
 
 #: Subdirectory of the cache dir holding the telemetry event log.
 EVENTS_SUBDIR = "events"
+
+#: Upper bound on the rendered figure results an app keeps (see
+#: :meth:`ServiceApp.job_result`); a full table is cleared.
+RESULT_MEMO_LIMIT = 64
 
 
 class _DeadlineExceeded(Exception):
@@ -218,6 +225,9 @@ class ServiceApp:
         #: never refreshes or steals a job its own executor owns.
         self._running_ids: set = set()
         self._running_lock = threading.Lock()
+        #: Rendered figure results by (figures, settings).  They are
+        #: read from this app's result store, so the memo is the app's.
+        self._figure_results: Dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------
     # registry-backed counter views (historical attribute names)
@@ -490,9 +500,13 @@ class ServiceApp:
     def job_result(self, job_id: str, fmt: str = "json"):
         """The result payload of a completed job (dict for json, str for csv).
 
-        The result is rendered on every call from the job's spec over the
-        result store, so a restarted or adopting replica answers with the
-        same bytes.  A completed job whose points are no longer all stored
+        The result is rendered from the job's spec over the result store,
+        so a restarted or adopting replica answers with the same bytes.
+        A figure result is rendered once per distinct plan and kept; the
+        stored points decide it and never change, so a later job of the
+        same plan is answered with the kept payload (treat it as
+        read-only).  Every call first checks that the plan's points are
+        still stored: a completed job whose points are not all stored
         answers ``409 result_unavailable``.
         """
         if fmt not in ("json", "csv"):
@@ -521,7 +535,13 @@ class ServiceApp:
                 f"longer stored; re-submit the job to recompute them",
             )
         if plan.kind == "figures":
-            result = spec_mod.assemble_figure_result(plan, self.store)
+            key = (tuple(plan.figures), plan.settings)
+            result = self._figure_results.get(key)
+            if result is None:
+                result = spec_mod.assemble_figure_result(plan, self.store)
+                if len(self._figure_results) >= RESULT_MEMO_LIMIT:
+                    self._figure_results.clear()
+                self._figure_results[key] = result
         else:
             result = spec_mod.assemble_points_result(plan, self.store)
         if fmt == "csv":

@@ -23,6 +23,12 @@ Every error — including unknown routes and internal failures — is a
 structured JSON body ``{"error": {"code": ..., "message": ...}}``; a
 client never sees an HTML traceback.
 
+JSON bodies are compact (keys sorted, no indentation): with ``indent``
+set, :mod:`json` falls back to its pure-Python encoder.  A figure
+job's result is rendered once per distinct plan and kept by the app
+(:meth:`ServiceApp.job_result`), which still checks on every request
+that the plan's points are stored.
+
 Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set: the
 response head and body go out as separate writes, which Nagle's
 algorithm would otherwise hold back for the client's delayed ACK
@@ -62,6 +68,12 @@ EVENTS_MAX_SECONDS = 3600.0
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
+def json_body(payload: dict) -> str:
+    """A JSON response body: keys sorted, no indentation, so the C
+    encoder of :mod:`json` writes it; newline-terminated."""
+    return json.dumps(payload, sort_keys=True, default=str) + "\n"
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Maps HTTP requests onto :class:`ServiceApp` methods."""
 
@@ -80,8 +92,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.app.progress("http: " + format % args)
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str)
-        self._send_body(status, body + "\n", "application/json")
+        self._send_body(status, json_body(payload), "application/json")
 
     def _send_body(self, status: int, body: str, content_type: str,
                    retry_after: Optional[float] = None,
@@ -130,9 +141,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(encoded)
 
     def _send_error(self, error: ApiError, close: bool = False) -> None:
-        body = json.dumps(error.to_dict(), indent=2, sort_keys=True,
-                          default=str)
-        self._send_body(error.status, body + "\n", "application/json",
+        self._send_body(error.status, json_body(error.to_dict()),
+                        "application/json",
                         retry_after=getattr(error, "retry_after", None),
                         close=close)
 

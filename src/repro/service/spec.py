@@ -154,7 +154,9 @@ def _build_settings(payload: dict) -> ExperimentSettings:
                 or not all(isinstance(name, str) for name in benchmarks)):
             raise ApiError(422, "invalid_settings",
                            "settings.benchmarks must be a list of names")
-        kwargs["benchmarks"] = benchmarks
+        # A tuple, so the settings hash: plans and rendered results are
+        # memoised by them.
+        kwargs["benchmarks"] = tuple(benchmarks)
     try:
         return ExperimentSettings(**kwargs)
     except ReproError as error:

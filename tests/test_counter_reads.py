@@ -17,7 +17,18 @@ from __future__ import annotations
 import ast
 import os
 
+import pytest
+
 import repro
+from repro.experiments.common import (
+    OneLevelBankedFactory,
+    RegisterFileCacheFactory,
+    SingleBankedFactory,
+)
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import simulate
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import SyntheticWorkload
 
 SRC = os.path.dirname(repro.__file__)
 
@@ -98,3 +109,64 @@ def test_detects_an_unread_counter(tmp_path):
     found = unread_counters([str(model)], [str(model)])
     assert len(found) == 1
     assert found[0].endswith("model.py:7: self.shadow")
+
+
+# ----------------------------------------------------------------------
+# identities between the register files' counters
+# ----------------------------------------------------------------------
+
+#: Every register file organisation the experiments build: the three
+#: single-banked files, the register file cache under each caching and
+#: fetch policy family and with limited ports and buses, and the
+#: one-level banked file.
+IDENTITY_FACTORIES = {
+    "1-cycle": SingleBankedFactory(latency=1, bypass_levels=1),
+    "2-cycle-full-bypass": SingleBankedFactory(latency=2, bypass_levels=2),
+    "2-cycle-1-bypass": SingleBankedFactory(latency=2, bypass_levels=1),
+    "rfc-default": RegisterFileCacheFactory(),
+    "rfc-fetch-on-demand": RegisterFileCacheFactory(fetch="fetch-on-demand"),
+    "rfc-ready": RegisterFileCacheFactory(caching="ready"),
+    "rfc-never": RegisterFileCacheFactory(caching="never"),
+    "rfc-4r2w-2bus": RegisterFileCacheFactory(
+        upper_read_ports=4, upper_write_ports=2, lower_write_ports=4, buses=2),
+    "banked-4x2r2w": OneLevelBankedFactory(
+        num_banks=4, read_ports_per_bank=2, write_ports_per_bank=2),
+}
+
+IDENTITY_INSTRUCTIONS = 1500
+
+#: ``statistics()`` name of the reads a file delivered from its
+#: (uppermost) bank, by organisation.
+FILE_READS = ("reads_from_file", "reads_from_upper", "reads_from_banks")
+
+
+@pytest.mark.parametrize("profile", ["gcc", "fpppp"])
+@pytest.mark.parametrize("architecture", sorted(IDENTITY_FACTORIES))
+def test_register_file_counters_agree(profile, architecture):
+    stream = list(SyntheticWorkload(get_profile(profile)).instructions(
+        IDENTITY_INSTRUCTIONS * 3 // 2))
+    stats = simulate(stream, IDENTITY_FACTORIES[architecture],
+                     ProcessorConfig(max_instructions=IDENTITY_INSTRUCTIONS),
+                     benchmark_name=profile)
+    assert stats.committed_instructions == IDENTITY_INSTRUCTIONS
+    counters = stats.regfile_statistics
+    classes = sorted({name.split("_", 1)[0] for name in counters})
+    assert len(classes) == 2, counters
+    # Every operand the pipeline counts was delivered by one of the files,
+    # from its bank or from the bypass network.
+    delivered = sum(
+        counters[f"{reg_class}_reads_from_bypass"]
+        + sum(counters.get(f"{reg_class}_{name}", 0) for name in FILE_READS)
+        for reg_class in classes
+    )
+    assert delivered == stats.operands_from_bypass + stats.operands_from_file > 0
+    for reg_class in classes:
+        if f"{reg_class}_bus_transfers" in counters:
+            # Each bus transfer is one fill into the upper level.
+            assert counters[f"{reg_class}_bus_transfers"] == (
+                counters[f"{reg_class}_demand_fills"]
+                + counters[f"{reg_class}_prefetch_fills"]
+            )
+    # The ROB and the window both hold 128 at Table 1 and dispatch checks
+    # the ROB first, so a full window is never the reason it stops.
+    assert stats.dispatch_stalls_window == 0

@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     render_csv,
     run_experiments,
 )
-from repro.experiments import scheduler
+from repro.experiments import runner, scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
@@ -236,6 +236,44 @@ class TestStoreKeyMemo:
         assert odd.store_key() == simulation_key(
             point.benchmark, factory, point.config, point.warmup_instructions
         )
+
+
+class TestPlanMemo:
+    """``plan_experiments`` keeps each experiment's plan by its ``run`` and
+    hashable settings (a benchmark tuple; the service builds one)."""
+
+    SETTINGS = dataclasses.replace(TINY, benchmarks=("m88ksim", "swim"))
+
+    def test_memo_matches_a_fresh_plan_in_a_new_list(self, monkeypatch):
+        monkeypatch.setattr(runner, "_PLANS", {})
+        fresh = plan(figure6.run, self.SETTINGS) + plan(figure7.run, self.SETTINGS)
+        first = plan_experiments(["figure6", "figure7"], self.SETTINGS)
+        assert first == fresh and len(runner._PLANS) == 2
+        first.clear()
+        assert plan_experiments(["figure6", "figure7"], self.SETTINGS) == fresh
+
+    def test_unhashable_settings_are_planned_afresh(self, monkeypatch):
+        monkeypatch.setattr(runner, "_PLANS", {})
+        assert plan_experiments(["figure6"], TINY) == plan(figure6.run, TINY)
+        assert runner._PLANS == {}
+
+    def test_a_plan_that_raises_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(runner, "_PLANS", {})
+        settings = dataclasses.replace(TINY, benchmarks=("nosuchbench",))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="nosuchbench"):
+                plan_experiments(["figure6"], settings)
+        assert runner._PLANS == {}
+
+    def test_memo_never_outgrows_its_cap(self, monkeypatch):
+        monkeypatch.setattr(runner, "PLAN_MEMO_LIMIT", 2)
+        monkeypatch.setattr(runner, "_PLANS", {})
+        for instructions in range(300, 305):
+            settings = dataclasses.replace(
+                self.SETTINGS, instructions_per_benchmark=instructions)
+            assert (plan_experiments(["figure6"], settings)
+                    == plan(figure6.run, settings))
+            assert len(runner._PLANS) <= 2
 
 
 class TestScheduler:

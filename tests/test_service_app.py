@@ -17,9 +17,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import ExperimentSettings, SimulationCache
 from repro.experiments.runner import run_experiments
-from repro.experiments import scheduler
+from repro.experiments import figure6, scheduler
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.obs.events import read_events, unfinished_spans
@@ -254,6 +254,35 @@ class TestExecution:
         assert final.state == COMPLETED
         assert final.counters["executed"] == 0
         assert len(calls) == final.points["unique"] == len(set(calls))
+
+    def test_cached_plan_is_planned_once_and_rendered_once(self, app, monkeypatch):
+        first = app.submit(FIGURE_SPEC)
+        assert wait_for(lambda: app.get_job(first.id)).state == COMPLETED
+        passes = []
+        real_run = figure6.run
+
+        def counting_run(settings, cache, *args, **kwargs):
+            passes.append("render" if type(cache) is SimulationCache else "plan")
+            return real_run(settings, cache, *args, **kwargs)
+
+        # A new ``run`` is a new plan-memo key, so the memo starts cold.
+        monkeypatch.setattr(figure6, "run", counting_run)
+        results = []
+        for _ in range(3):
+            job = app.submit(FIGURE_SPEC)
+            assert job.state == COMPLETED
+            results.append(app.job_result(job.id)["result"])
+        assert passes == ["plan", "render"]
+        assert results[0] == results[1] == results[2]
+
+    def test_kept_result_still_checks_its_points(self, app, monkeypatch):
+        job = app.submit(FIGURE_SPEC)
+        assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
+        assert app.job_result(job.id)["result"]["kind"] == "figures"
+        monkeypatch.setattr(app.store, "peek", lambda key: None)
+        with pytest.raises(ApiError) as excinfo:
+            app.job_result(job.id)
+        assert excinfo.value.code == "result_unavailable"
 
     def test_points_job_reports_stats(self, app):
         job = app.submit(POINT_SPEC)
