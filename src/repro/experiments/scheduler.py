@@ -143,8 +143,15 @@ class SimulationPoint:
 
         Every part of a point is frozen, so equal points share one key;
         the memo spares a cached job the ``asdict``/JSON/SHA-256 work
-        at each of its dedupe, execute and assembly steps.
+        at each of its dedupe, execute and assembly steps.  The key is
+        also kept on the instance (not a field: equality, ``repr`` and
+        ``replace`` ignore it), so the points of a memoised plan answer
+        without hashing themselves and their nested configs; an equal
+        but distinct point still finds its key in the memo.
         """
+        key = self.__dict__.get("_store_key")
+        if key is not None:
+            return key
         try:
             key = _STORE_KEYS.get(self)
         except TypeError:  # an unhashable field value (a list from a JSON spec)
@@ -155,6 +162,7 @@ class SimulationPoint:
                 if len(_STORE_KEYS) >= STORE_KEY_MEMO_LIMIT:
                     _STORE_KEYS.clear()
                 _STORE_KEYS[self] = key
+        object.__setattr__(self, "_store_key", key)
         return key
 
     def _compute_store_key(self) -> str:

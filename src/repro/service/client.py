@@ -1,4 +1,4 @@
-"""HTTP client for the sweep service (stdlib ``http.client`` only).
+"""HTTP client for the sweep service (stdlib sockets only).
 
 :class:`ServiceClient` wraps the JSON API; server-side rejections are
 re-raised as :class:`ServiceError` carrying the server's structured
@@ -6,14 +6,19 @@ re-raised as :class:`ServiceError` carrying the server's structured
 what the service said.
 
 **Connections.**  Each thread using a client keeps one persistent
-HTTP/1.1 connection to the service (``Connection: keep-alive``, the
+HTTP/1.1 socket to the service (``Connection: keep-alive``, the
 HTTP/1.1 default) with ``TCP_NODELAY`` set, so a poll costs one round
-trip instead of a TCP handshake plus a Nagle/delayed-ACK stall.  A
-response carrying ``Connection: close`` retires the connection; any
-transport failure discards it, and the call goes through the retry
-policy below like every other transport failure (a stale connection to
-a restarted server costs one counted retry, never a hidden re-send).
-Proxy environment variables (``http_proxy``) are not consulted.
+trip instead of a TCP handshake plus a Nagle/delayed-ACK stall.  The
+client speaks HTTP/1.1 itself rather than through ``http.client``:
+each request leaves in one ``sendall``, and a response is its status
+line, a head read by :func:`repro.service.wire.read_head` and a
+``Content-Length`` body.  An ``https`` URL is wrapped with
+``ssl.create_default_context()``.  A response carrying ``Connection:
+close`` retires the socket; any transport or protocol failure
+discards it, and the call goes through the retry policy below like
+every other transport failure (a stale connection to a restarted
+server costs one counted retry, never a hidden re-send).  Proxy
+environment variables (``http_proxy``) are not consulted.
 
 **Retries.**  Transport failures (connection refused/reset, timeouts,
 dropped responses) and transient server rejections (``503 overloaded``,
@@ -30,17 +35,18 @@ job completes from cache).
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
+import ssl
 import threading
 import time
-from typing import Dict, Iterator, Optional, Set
+from typing import BinaryIO, Dict, Iterator, Optional, Set, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 from repro.obs.context import TRACE_HEADER, TraceContext, new_trace
+from repro.service import wire
 from repro.service.jobs import TERMINAL_STATES
 
 #: Default address of ``python -m repro.service serve``.
@@ -85,20 +91,58 @@ def _parse_retry_after(value) -> Optional[float]:
     return seconds if seconds >= 0 else None
 
 
-def _http_error(response: http.client.HTTPResponse, body: str) -> ServiceError:
+def _http_error(status: int, headers: Dict[str, str], body: str) -> ServiceError:
     """The :class:`ServiceError` for an error response (status >= 400)."""
-    retry_after = _parse_retry_after(response.getheader("Retry-After"))
+    retry_after = _parse_retry_after(headers.get("retry-after"))
     try:
         detail = json.loads(body)["error"]
         if retry_after is None:
             retry_after = _parse_retry_after(detail.get("retry_after"))
         return ServiceError(str(detail.get("message", body)),
                             code=str(detail.get("code", "http_error")),
-                            status=response.status, retry_after=retry_after)
+                            status=status, retry_after=retry_after)
     except (ValueError, KeyError, TypeError, AttributeError):
-        return ServiceError(f"HTTP {response.status}: {body.strip()}",
-                            code="http_error", status=response.status,
+        return ServiceError(f"HTTP {status}: {body.strip()}",
+                            code="http_error", status=status,
                             retry_after=retry_after)
+
+
+class _Connection:
+    """One socket to the service and the buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile: BinaryIO = sock.makefile("rb")
+
+    def request(self, message: bytes) -> Tuple[int, Dict[str, str]]:
+        """Send one request in one write; the response's status and head."""
+        self.sock.sendall(message)
+        line = wire.read_line(self.rfile)
+        version, _, rest = line.decode("iso-8859-1").partition(" ")
+        code = rest[:3]
+        if not version.startswith("HTTP/1.") or not code.isdecimal():
+            raise ValueError(f"malformed status line {line[:80]!r}" if line
+                             else "connection closed before a response")
+        return int(code), wire.read_head(self.rfile)
+
+    def body(self, headers: Dict[str, str]) -> bytes:
+        """The body a head announces: ``Content-Length`` bytes, or
+        everything up to the close when it names no length."""
+        length = headers.get("content-length")
+        if length is None:
+            return self.rfile.read()
+        body = self.rfile.read(int(length))
+        if len(body) != int(length):
+            raise ValueError("connection closed mid-body")
+        return body
+
+    def close(self) -> None:
+        # The reader holds a reference to the socket: close both, or
+        # the descriptor stays open and the server never sees the end.
+        self.rfile.close()
+        self.sock.close()
 
 
 class ServiceClient:
@@ -118,16 +162,16 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         parts = urlsplit(self.base_url)
-        self._connection_class = (http.client.HTTPSConnection
-                                  if parts.scheme == "https"
-                                  else http.client.HTTPConnection)
-        self._netloc = parts.netloc
+        self._tls = parts.scheme == "https"
+        self._address = (parts.hostname or "",
+                         parts.port or (443 if self._tls else 80))
+        self._host = parts.netloc
         #: Path prefix of ``base_url`` (a service mounted below ``/``).
         self._prefix = parts.path
         #: One persistent connection per calling thread; ``_open`` holds
         #: every thread's connection so :meth:`close` can reach them all.
         self._local = threading.local()
-        self._open: Set[http.client.HTTPConnection] = set()
+        self._open: Set[_Connection] = set()
         self._open_lock = threading.Lock()
         self.timeout = timeout
         self.retries = retries
@@ -144,17 +188,23 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> _Connection:
         """A new connection to the service, ``TCP_NODELAY`` set."""
-        connection = self._connection_class(self._netloc, timeout=self.timeout)
-        connection.connect()
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return connection
+        sock = socket.create_connection(self._address, timeout=self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls:
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """The calling thread's connection, opened on first use."""
         connection = getattr(self._local, "connection", None)
-        if connection is None or connection.sock is None:  # None: closed
+        if connection is None or connection.rfile.closed:  # closed: close()
             connection = self._local.connection = self._connect()
             with self._open_lock:
                 self._open.add(connection)
@@ -176,35 +226,48 @@ class ServiceClient:
         for connection in connections:
             connection.close()
 
+    def _message(self, method: str, path: str, fields: str = "",
+                 data: bytes = b"") -> bytes:
+        """One request, head and body, ready for a single ``sendall``."""
+        return (f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+                f"Host: {self._host}\r\n{fields}\r\n").encode("iso-8859-1") + data
+
+    def _unreachable(self, error: Exception) -> ServiceError:
+        return ServiceError(
+            f"cannot reach sweep service at {self.base_url}: {error}"
+        )
+
     def _request_once(self, method: str, path: str,
                       payload: Optional[dict] = None, raw: bool = False,
                       headers: Optional[dict] = None):
-        data = None
-        request_headers = {"Accept": "application/json"}
+        fields = "Accept: application/json\r\n"
         if headers:
-            request_headers.update(headers)
+            fields += "".join(f"{name}: {value}\r\n"
+                              for name, value in headers.items())
+        data = b""
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
-            request_headers["Content-Type"] = "application/json"
+            fields += ("Content-Type: application/json\r\n"
+                       f"Content-Length: {len(data)}\r\n")
         try:
             connection = self._connection()
-            connection.request(method, self._prefix + path, body=data,
-                               headers=request_headers)
-            response = connection.getresponse()
-            body = response.read().decode("utf-8", errors="replace")
-        except (OSError, http.client.HTTPException) as error:
+            status, response_headers = connection.request(
+                self._message(method, path, fields, data))
+            raw_body = connection.body(response_headers)
+        except (OSError, ValueError) as error:
             # Connection refused (restarting replica), a stale keep-alive
-            # connection, reset mid-response, dropped responses
-            # (RemoteDisconnected / BadStatusLine) and timeouts all land
-            # here — every one is retryable, on a fresh connection.
+            # connection, reset mid-response, dropped responses (nothing
+            # or a cut message before the close), a malformed response
+            # and timeouts all land here — every one is retryable, on a
+            # fresh connection.
             self._discard_connection()
-            raise ServiceError(
-                f"cannot reach sweep service at {self.base_url}: {error}"
-            ) from error
-        if response.will_close:
+            raise self._unreachable(error) from error
+        if ("content-length" not in response_headers
+                or response_headers.get("connection", "").lower() == "close"):
             self._discard_connection()
-        if response.status >= 400:
-            raise _http_error(response, body)
+        body = raw_body.decode("utf-8", errors="replace")
+        if status >= 400:
+            raise _http_error(status, response_headers, body)
         if raw:
             return body
         try:
@@ -296,24 +359,22 @@ class ServiceClient:
         connection = None
         try:
             connection = self._connect()
-            connection.request(
-                "GET", f"{self._prefix}/events?since={int(since)}",
-                headers={"Accept": "text/event-stream"},
-            )
-            response = connection.getresponse()
-        except (OSError, http.client.HTTPException) as error:
+            status, headers = connection.request(self._message(
+                "GET", f"/events?since={int(since)}",
+                "Accept: text/event-stream\r\nConnection: close\r\n",
+            ))
+            if status >= 400:
+                body = connection.body(headers)
+        except (OSError, ValueError) as error:
             if connection is not None:
                 connection.close()
-            raise ServiceError(
-                f"cannot reach sweep service at {self.base_url}: {error}"
-            ) from error
-        if response.status >= 400:
-            body = response.read().decode("utf-8", errors="replace")
+            raise self._unreachable(error) from error
+        if status >= 400:
             connection.close()
-            raise _http_error(response, body)
+            raise _http_error(status, headers, body.decode("utf-8", errors="replace"))
         data_lines: list = []
         try:
-            for raw_line in response:
+            for raw_line in connection.rfile:
                 line = raw_line.decode("utf-8", errors="replace").rstrip("\r\n")
                 if not line:
                     if data_lines:
@@ -331,7 +392,7 @@ class ServiceClient:
                     continue
                 if line.startswith("data:"):
                     data_lines.append(line[5:].lstrip())
-        except (OSError, TimeoutError, http.client.HTTPException):
+        except (OSError, ValueError):
             return  # stream ended (server drained or connection lost)
         finally:
             connection.close()

@@ -29,12 +29,17 @@ job's result is rendered once per distinct plan and kept by the app
 (:meth:`ServiceApp.job_result`), which still checks on every request
 that the plan's points are stored.
 
-Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set: the
-response head and body go out as separate writes, which Nagle's
-algorithm would otherwise hold back for the client's delayed ACK
-(~40 ms per request).  An error answered before the request body was
-read closes the connection, so unread body bytes are never parsed as
-the next request; ``server_close`` ends idle keep-alive connections.
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set.  The
+handler reads each request's head with :func:`repro.service.wire.read_head`
+(not ``http.server``'s :mod:`email` parser) and accepts only
+``METHOD SP target SP HTTP/1.x``; a request it cannot parse (a garbage
+request line, ``HTTP/2.0``, a header line over 64 KiB, an unknown
+method) gets a JSON error and a closed connection like any other
+refusal.  A response's status line, headers and body leave in one
+write, so the client wakes once per response.  An error answered
+before the request body was read closes the connection, so unread body
+bytes are never parsed as the next request; ``server_close`` ends idle
+keep-alive connections.
 """
 
 from __future__ import annotations
@@ -44,12 +49,14 @@ import socket
 import struct
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.chaos import seams as _seams
 from repro.obs.context import TRACE_HEADER, TraceContext
+from repro.service import wire
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient
 from repro.service.spec import ApiError
@@ -63,6 +70,9 @@ EVENTS_POLL_SECONDS = 1.0
 #: bounded stream costs a resumed cursor, not lost events.
 EVENTS_MAX_SECONDS = 3600.0
 
+#: The trace header's key in a head read by :func:`wire.read_head`.
+TRACE_FIELD = TRACE_HEADER.lower()
+
 #: Submissions larger than this are rejected outright (a malformed
 #: Content-Length must not let a request buffer without bound).
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -74,12 +84,22 @@ def json_body(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, default=str) + "\n"
 
 
+def http_date(seconds: Optional[float] = None) -> str:
+    """A ``Date`` header value, as ``email.utils.formatdate(usegmt=True)``
+    writes it (English names whatever the locale)."""
+    year, month, day, hour, minute, second, weekday = time.gmtime(seconds)[:7]
+    return (f"{BaseHTTPRequestHandler.weekdayname[weekday]}, {day:02d} "
+            f"{BaseHTTPRequestHandler.monthname[month]} {year} "
+            f"{hour:02d}:{minute:02d}:{second:02d} GMT")
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Maps HTTP requests onto :class:`ServiceApp` methods."""
 
     server_version = "repro-sweep-service"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    path = ""  # until a request line parses
 
     @property
     def app(self) -> ServiceApp:
@@ -90,6 +110,73 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.app.progress is not None:
             self.app.progress("http: " + format % args)
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and read the head that follows it.
+
+        Only ``METHOD SP target SP HTTP/1.x`` is served.  Keep-alive
+        follows ``http.server``: an HTTP/1.1 connection stays open unless
+        the request says ``Connection: close``, an HTTP/1.0 one closes
+        unless it says ``Connection: keep-alive``.  ``Expect:
+        100-continue`` on HTTP/1.1 is answered ``100 Continue`` before
+        the body is read.  On failure the JSON error is already sent.
+        """
+        self.command = None
+        self.path = ""
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split(" ")
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            self.send_error(400, f"malformed request line {self.requestline[:80]!r}")
+            return False
+        command, path, version = words
+        major, dot, minor = version[5:].partition(".")
+        if not (major.isdecimal() and dot and minor.isdecimal()):
+            self.send_error(400, f"malformed HTTP version {version[:80]!r}")
+            return False
+        if int(major) != 1:
+            self.send_error(505, f"HTTP/1.x only, not {version}")
+            return False
+        self.command, self.request_version = command, version
+        # As http.server does: a target of '//host/...' must not read as
+        # a network location.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = wire.read_head(self.rfile)
+        except wire.HeadError as error:
+            self.send_error(error.status, str(error))
+            return False
+        http11 = int(minor) > 0
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = (connection == "close" if http11
+                                 else connection != "keep-alive")
+        if http11 and self.headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Refuse a request that cannot be served, as JSON, and close.
+
+        Also answers ``http.server``'s own refusals (a request line over
+        64 KiB, a method with no ``do_`` handler), which would otherwise
+        be HTML pages.
+        """
+        status = HTTPStatus(code)
+        self._send_error(ApiError(status.value, status.name.lower(),
+                                  message or status.phrase), close=True)
+
+    def _head(self, status: int, *fields: str) -> bytes:
+        """The status line, ``Server``, ``Date`` and ``fields``, through
+        the blank line that ends the head; logs the response."""
+        self.log_request(status)
+        phrase = self.responses.get(status, ("",))[0]
+        return "\r\n".join((
+            f"HTTP/1.1 {status} {phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {http_date()}",
+            *fields, "", "",
+        )).encode("iso-8859-1")
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send_body(status, json_body(payload), "application/json")
@@ -129,16 +216,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     pass
                 return
         encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(encoded)))
+        fields = [f"Content-Type: {content_type}; charset=utf-8",
+                  f"Content-Length: {len(encoded)}"]
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, int(retry_after))))
-        if close:
-            # Also sets close_connection: the handler ends this connection.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(encoded)
+            fields.append(f"Retry-After: {max(1, int(retry_after))}")
+        if close or self.close_connection:
+            # Also when the request asked to close (RFC 9112, 9.6).
+            fields.append("Connection: close")
+            self.close_connection = True
+        # One write: the peer wakes once, with the whole response.
+        self.wfile.write(self._head(status, *fields) + encoded)
 
     def _send_error(self, error: ApiError, close: bool = False) -> None:
         self._send_body(error.status, json_body(error.to_dict()),
@@ -162,7 +249,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         return None, None
 
     def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
+        length = self.headers.get("content-length")
         try:
             size = int(length) if length is not None else 0
         except ValueError as exc:
@@ -194,12 +281,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             raise ApiError(400, "bad_request",
                            "since must be an integer event seq") from exc
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Connection", "close")
-        self.end_headers()
         self.close_connection = True
+        self.wfile.write(self._head(
+            200, "Content-Type: text/event-stream; charset=utf-8",
+            "Cache-Control: no-store", "Connection: close",
+        ))
         deadline = time.monotonic() + EVENTS_MAX_SECONDS
         try:
             while not self.app.stopping and time.monotonic() < deadline:
@@ -286,7 +372,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             except (ValueError, UnicodeDecodeError) as exc:
                 raise ApiError(400, "bad_request",
                                f"request body is not valid JSON: {exc}") from exc
-            trace = TraceContext.parse(self.headers.get(TRACE_HEADER))
+            trace = TraceContext.parse(self.headers.get(TRACE_FIELD))
             job = self.app.submit(payload, trace=trace)
             self._send_json(202, job.to_dict())
         except ApiError as error:

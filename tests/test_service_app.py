@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiments.common import ExperimentSettings, SimulationCache
 from repro.experiments.runner import run_experiments
-from repro.experiments import figure6, scheduler
+from repro.experiments import figure6, runner, scheduler
 from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.obs.events import read_events, unfinished_spans
@@ -246,8 +246,10 @@ class TestExecution:
             calls.append(args[:2])
             return real_key(*args, **kwargs)
 
-        # A cold memo: the resubmission must derive every key itself.
+        # Cold memos: the resubmission plans fresh points (which carry no
+        # key yet) and must derive every key itself.
         monkeypatch.setattr(scheduler, "_STORE_KEYS", {})
+        monkeypatch.setattr(runner, "_PLANS", {})
         monkeypatch.setattr(scheduler, "simulation_key", counting_key)
         second = app.submit(FIGURE_SPEC)
         final = wait_for(lambda: app.get_job(second.id))

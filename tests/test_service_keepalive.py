@@ -109,7 +109,10 @@ class TestConnectionReuse:
     def test_nodelay_on_both_ends(self, live):
         client = live.client()
         client.health()
-        client_sock = client._local.connection.sock
+        (connection,) = client._open  # the thread's own socket, no http.client
+        assert connection is client._local.connection
+        client_sock = connection.sock
+        assert isinstance(client_sock, socket.socket)
         assert client_sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         assert ServiceRequestHandler.disable_nagle_algorithm is True
         (server_sock,) = live.accepted
