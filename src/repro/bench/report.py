@@ -47,7 +47,7 @@ class ScenarioResult:
     """Measured outcome of one benchmark scenario."""
 
     name: str
-    kind: str  # "simulation", "sweep", "service", "store" or "component"
+    kind: str  # "simulation", "sweep", "service" or "component"
     wall_seconds: float  # best over ``repeats`` timed runs
     repeats: int
     #: Simulation scenarios: simulated cycles / committed instructions and

@@ -22,10 +22,6 @@ Six kinds of scenarios:
   poll to completion), measured in points/minute — the perf gate's view
   of the :mod:`repro.service` subsystem.  Two of them also gate the
   in-pass overhead of the chaos seams and of telemetry.
-* **store scenarios** — the sharded segment-log store hammered
-  directly (writes, re-reads, deletes, compaction, a cold reopen),
-  measured in store operations/second — the perf gate's view of the
-  :mod:`repro.storage` subsystem every cache hit rides on.
 * **component scenarios** — microbenchmarks of the simulator's building
   blocks, the plain kernel functions of :mod:`repro.bench.components`,
   each returning its operation count.
@@ -874,108 +870,6 @@ def service_scenarios(quick: bool = False) -> List[ServiceScenario]:
 
 
 # ----------------------------------------------------------------------
-# store scenarios (sharded segment-log store, hammered directly)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StoreScenario:
-    """One write/read/compact workout of the sharded segment-log store.
-
-    The run writes ``entries`` deterministic values, re-reads the whole
-    key space ``read_passes`` times, overwrites half the keys (creating
-    dead bytes), deletes a quarter, compacts, and finally reopens the
-    tree cold — the index rebuild every replica pays at startup.  The
-    metric is store operations/second over the whole sequence; the
-    digest hashes every byte read, so a payload corruption anywhere
-    fails the determinism gate.
-    """
-
-    name: str
-    entries: int
-    value_bytes: int
-    read_passes: int = 2
-
-    best_of_repeats: ClassVar[bool] = True
-
-    def _key(self, index: int) -> str:
-        return hashlib.sha256(f"bench-store-{index}".encode()).hexdigest()
-
-    def _value(self, index: int, generation: int) -> bytes:
-        seed = f"{self.name}:{index}:{generation}".encode()
-        block = hashlib.sha256(seed).digest()
-        repeated = block * (self.value_bytes // len(block) + 1)
-        return repeated[: self.value_bytes]
-
-    def run(self) -> Dict[str, object]:
-        from repro.storage.sharded import ShardedStore
-
-        tmp = tempfile.mkdtemp(prefix="repro-bench-store-")
-        digest = hashlib.sha256()
-        operations = 0
-        try:
-            store = ShardedStore(tmp, num_shards=16)
-            for index in range(self.entries):
-                store.put(self._key(index), self._value(index, 0))
-            operations += self.entries
-            for _ in range(self.read_passes):
-                for index in range(self.entries):
-                    digest.update(store.get(self._key(index)) or b"")
-                operations += self.entries
-            for index in range(0, self.entries, 2):  # dead bytes to compact
-                store.put(self._key(index), self._value(index, 1))
-                operations += 1
-            for index in range(0, self.entries, 4):
-                store.delete(self._key(index))
-                operations += 1
-            store.compact()
-            operations += 1
-            stats = store.stats()  # counters of the instance that did the work
-            reopened = ShardedStore(tmp, num_shards=16)  # cold index rebuild
-            for index in range(self.entries):
-                digest.update(reopened.get(self._key(index)) or b"")
-            operations += self.entries
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-        return {
-            "operations": operations,
-            "stats_digest": digest.hexdigest(),
-            "store_stats": stats,
-        }
-
-    def metadata(self) -> Dict[str, object]:
-        return {
-            "entries": self.entries,
-            "value_bytes": self.value_bytes,
-            "read_passes": self.read_passes,
-            "num_shards": 16,
-        }
-
-    def result(self, outcome: Dict[str, object], wall: float,
-               repeats: int) -> ScenarioResult:
-        metadata = self.metadata()
-        metadata["store_stats"] = outcome["store_stats"]
-        return _operations_result(self, "store", wall, repeats,
-                                  int(outcome["operations"]),
-                                  outcome["stats_digest"], metadata)
-
-    def describe(self) -> str:
-        return (f"{self.name}: {self.entries} x {self.value_bytes}B entries "
-                f"through the sharded segment-log store")
-
-
-def store_scenarios(quick: bool = False) -> List[StoreScenario]:
-    """The store-throughput scenario (quick-eligible, so CI gates it)."""
-    return [
-        StoreScenario(
-            name="store_throughput/sharded-segment-log",
-            entries=400 if quick else 2000,
-            value_bytes=2048 if quick else 8192,
-        )
-    ]
-
-
-# ----------------------------------------------------------------------
 # component microbenchmarks
 # ----------------------------------------------------------------------
 
@@ -995,7 +889,6 @@ def scenario_matrix(quick: bool = False) -> List[Scenario]:
         *sweep_scenarios(quick),
         *sampled_sweep_scenarios(quick),
         *service_scenarios(quick),
-        *store_scenarios(quick),
         *component_scenarios(quick),
     ]
 

@@ -19,8 +19,8 @@ Layout:
 * :mod:`repro.chaos.harness` — boots a live in-process fleet (service
   apps + HTTP servers + real client), runs one scenario against it and
   asserts the global invariants.
-* :mod:`repro.chaos.scenarios` — the scenario matrix: segment-log bit
-  flips and torn tails, ENOSPC, hung/slow/crashing workers, replica
+* :mod:`repro.chaos.scenarios` — the scenario matrix: ENOSPC,
+  hung/slow/crashing workers, replica
   SIGKILL mid-lease, clock skew on heartbeat renewal, dropped/delayed/
   reset HTTP responses, queue overload and poison jobs.
 

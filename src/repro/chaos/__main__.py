@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "fleet, checked against the robustness invariants.",
     )
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every injected fault and corruption "
-                             "(default: 0)")
+                        help="seed for every injected fault (default: 0)")
     parser.add_argument("--scenarios", default=None,
                         help="comma-separated scenario names to run "
                              "(default: all, or the quick subset with "

@@ -98,10 +98,9 @@ class FaultInjector:
 
     The injector is installed process-globally via
     :func:`repro.chaos.seams.install`; production guards then route every
-    seam call through :meth:`fire`.  ``seed`` feeds ``self.rng``, which
-    scenarios use for data-corruption choices (which byte to flip, how
-    many bytes to tear); the *schedule* of faults is fixed by the fault
-    list itself, so two runs with the same seed and faults are
+    seam call through :meth:`fire`.  ``seed`` feeds ``self.rng``, for a
+    scenario's own random choices; the *schedule* of faults is fixed by
+    the fault list itself, so two runs with the same seed and faults are
     byte-identical in what they inject.
     """
 

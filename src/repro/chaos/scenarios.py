@@ -21,10 +21,8 @@ contract.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -43,7 +41,6 @@ from repro.chaos.harness import (
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import POISON_ATTEMPTS, RUNNING, Job, JobStore
-from repro.storage.sharded import ShardedStore
 
 
 def _points_spec(n: int = 1, instructions: int = 400,
@@ -125,119 +122,6 @@ def scenario_baseline_identity(result: ScenarioResult, seed: int,
                            f"not through, the seams")
         result.note(f"seam {seam}: {calls} calls, 0 faults")
     result.faults_injected = len(injector.log())
-
-
-# ----------------------------------------------------------------------
-# storage corruption: torn tails and bit flips are misses, not crashes
-# ----------------------------------------------------------------------
-
-
-def _segment_files(root: str):
-    return sorted(glob.glob(os.path.join(root, "*", "seg-*.log")))
-
-
-def scenario_torn_tail(result: ScenarioResult, seed: int,
-                       quick: bool) -> None:
-    """Truncate a segment mid-record; the tail is lost, nothing crashes."""
-    rng = random.Random(seed)
-    with scenario_env() as env:
-        root = env.cache_dir("store")
-        store = ShardedStore(root, num_shards=1)
-        payloads = {
-            f"torn-key-{index}": bytes(rng.randrange(256) for _ in range(64))
-            for index in range(5)
-        }
-        for key, data in payloads.items():
-            store.put(key, data)
-
-        segments = _segment_files(root)
-        if not segments:
-            result.violate("no segment file written")
-            return
-        tail = segments[-1]
-        size = os.path.getsize(tail)
-        cut = rng.randrange(1, 32)  # always lands inside the last record
-        with open(tail, "r+b") as handle:
-            handle.truncate(size - cut)
-
-        reopened = ShardedStore(root, num_shards=1)
-        keys = list(payloads)
-        missing = []
-        for key in keys:
-            try:
-                value = reopened.get(key)
-            except Exception as error:  # noqa: BLE001 - crash IS the bug
-                result.violate(f"get({key!r}) crashed on torn tail: {error}")
-                return
-            if value is None:
-                missing.append(key)
-            elif value != payloads[key]:
-                result.violate(f"get({key!r}) returned corrupt bytes "
-                               f"after torn tail")
-        if missing != [keys[-1]]:
-            result.violate(f"torn tail should lose exactly the last record; "
-                           f"lost {missing!r}")
-        if reopened.stats().get("torn_tails", 0) < 1:
-            result.violate("torn tail not counted in stats()['torn_tails']")
-        # The miss is recomputable: re-put and the store heals.
-        reopened.put(keys[-1], payloads[keys[-1]])
-        if reopened.get(keys[-1]) != payloads[keys[-1]]:
-            result.violate("re-put after torn tail did not heal the store")
-        result.note(f"cut {cut} bytes off the tail; lost 1 record, "
-                    f"healed by recompute")
-        result.faults_injected = 1
-
-
-def scenario_bit_flip(result: ScenarioResult, seed: int,
-                      quick: bool) -> None:
-    """Flip one byte mid-segment; CRC catches it, readers see a miss."""
-    rng = random.Random(seed + 1)
-    with scenario_env() as env:
-        root = env.cache_dir("store")
-        store = ShardedStore(root, num_shards=1)
-        payloads = {
-            f"flip-key-{index}": bytes(rng.randrange(256) for _ in range(64))
-            for index in range(5)
-        }
-        for key, data in payloads.items():
-            store.put(key, data)
-
-        segments = _segment_files(root)
-        tail = segments[-1]
-        size = os.path.getsize(tail)
-        offset = rng.randrange(size // 2, size - 1)
-        with open(tail, "r+b") as handle:
-            handle.seek(offset)
-            original = handle.read(1)
-            handle.seek(offset)
-            handle.write(bytes([original[0] ^ 0xFF]))
-
-        reopened = ShardedStore(root, num_shards=1)
-        misses = 0
-        for key, data in payloads.items():
-            try:
-                value = reopened.get(key)
-            except Exception as error:  # noqa: BLE001 - crash IS the bug
-                result.violate(f"get({key!r}) crashed on bit flip: {error}")
-                return
-            if value is None:
-                misses += 1
-            elif value != data:
-                result.violate(f"get({key!r}) returned corrupt bytes — "
-                               f"bit flip not caught by CRC")
-        if misses < 1:
-            result.violate("bit flip at offset inside the log caused no "
-                           "miss — corruption went undetected")
-        # Heal every miss by recompute (re-put); all keys readable after.
-        for key, data in payloads.items():
-            if reopened.get(key) is None:
-                reopened.put(key, data)
-        for key, data in payloads.items():
-            if reopened.get(key) != data:
-                result.violate(f"store did not heal {key!r} after re-put")
-        result.note(f"flipped byte at offset {offset}; {misses} record(s) "
-                    f"rejected by CRC, healed by recompute")
-        result.faults_injected = 1
 
 
 # ----------------------------------------------------------------------
@@ -688,8 +572,6 @@ def scenario_poison_quarantine(result: ScenarioResult, seed: int,
 #: Every scenario, in execution order.
 SCENARIOS = {
     "baseline-identity": scenario_baseline_identity,
-    "torn-tail": scenario_torn_tail,
-    "bit-flip": scenario_bit_flip,
     "enospc": scenario_enospc,
     "slow-worker": scenario_slow_worker,
     "hung-worker": scenario_hung_worker_deadline,
@@ -705,7 +587,6 @@ SCENARIOS = {
 #: replica-sigkill and enospc (the robustness contract pins them).
 QUICK_SCENARIOS = (
     "baseline-identity",
-    "torn-tail",
     "enospc",
     "hung-worker",
     "crash-worker",

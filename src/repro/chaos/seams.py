@@ -6,7 +6,7 @@ inject a fault.  Production call sites are written as::
     from repro.chaos import seams as _seams
     ...
     if _seams.active is not None:
-        _seams.active.fire("storage.append", path=str(path))
+        _seams.active.fire("storage.append")
 
 When chaos is disabled (the default, always true in production) the
 guard is a single module-attribute load plus an ``is None`` test — no
@@ -17,10 +17,10 @@ baseline.
 Seam names currently wired into production code:
 
 =====================  ====================================================
-``storage.append``     :class:`repro.storage.sharded.ShardedStore` write
-                       funnel, before bytes hit the segment file.
+``storage.append``     :meth:`repro.storage.Database.write`, before each
+                       write statement reaches the database file.
 ``jobs.save``          :class:`repro.service.jobs.JobStore` record save,
-                       before the record is appended to the job log.
+                       before the record is written to the jobs table.
 ``engine.point``       :func:`repro.experiments.scheduler.run_simulation_point`,
                        or ``record_point_trace`` when the recording is the
                        point's run: once per executed point, before the

@@ -612,6 +612,10 @@ class SweepEngine:
             for name in self._COUNTER_NAMES
         }
         self._busy_seconds = self.registry.counter("engine.busy_seconds")
+        # Pool resets are counted per process, not per engine: a gauge.
+        self.registry.register_collector(
+            lambda: {"pool_resets": pool_resets()}, "engine"
+        )
         self._point_histogram = self.registry.histogram(
             "point.simulate_seconds",
             help="Wall time of one in-engine simulated point",

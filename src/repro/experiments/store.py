@@ -2,10 +2,10 @@
 
 :class:`ResultStore` keeps every :class:`~repro.pipeline.stats.SimulationStats`
 produced by the experiment harness in an in-memory dictionary and,
-optionally, mirrors it to a sharded append-only segment log
-(:class:`~repro.storage.sharded.ShardedStore` under
-``<cache_dir>/results/``) so that repeated invocations of the runner
-only pay for simulation points they have never seen before.
+optionally, mirrors it to the ``results`` table of the cache directory's
+database (:mod:`repro.storage.database`) so that repeated invocations
+of the runner only pay for simulation points they have never seen
+before.
 
 Keys are content hashes over everything that determines a simulation's
 outcome: the benchmark name, the register-file architecture's factory
@@ -23,21 +23,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimulationStats
-from repro.storage import TwoTierCache
+from repro.storage import Table, TwoTierCache, open_database
 
 #: Bump when the on-disk payload layout changes; mismatching entries are
 #: treated as cache misses rather than errors.
 SCHEMA_VERSION = 1
-
-#: Subdirectory of the cache dir holding the sharded result segments.
-RESULT_SUBDIR = "results"
-
 
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
@@ -103,7 +98,9 @@ class ResultStore(TwoTierCache):
     """
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
-        super().__init__(os.path.join(cache_dir, RESULT_SUBDIR) if cache_dir else None)
+        super().__init__(
+            Table(open_database(cache_dir), "results") if cache_dir else None
+        )
         self.cache_dir = cache_dir
 
     def _encode(self, key: str, stats: SimulationStats, metadata: Optional[dict]) -> bytes:
@@ -130,7 +127,7 @@ class ResultStore(TwoTierCache):
         return TwoTierCache.get(self, key)
 
     def put(self, key: str, stats: SimulationStats, metadata: Optional[dict] = None) -> None:
-        """Record a result in both tiers (the disk append is atomic)."""
+        """Record a result in both tiers (the disk write is atomic)."""
         TwoTierCache.put(self, key, stats, metadata)
 
     def describe(self) -> str:

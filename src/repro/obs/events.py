@@ -41,6 +41,10 @@ DEFAULT_MAX_BYTES = 4 * 1024 * 1024
 #: Default bound on files kept per writer (oldest deleted beyond it).
 DEFAULT_MAX_FILES = 8
 
+#: Encodes one event line, as ``json.dumps(event, separators=(",", ":"),
+#: default=str)`` does without building an encoder per call.
+EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
 _FILE_RE = re.compile(r"^(?P<source>.+)-(?P<index>\d{4})\.jsonl$")
 
 
@@ -169,10 +173,7 @@ class EventLog:
             record.update(event)
             try:
                 handle = self._ensure_handle_locked()
-                handle.write(
-                    json.dumps(record, separators=(",", ":"), default=str)
-                    + "\n"
-                )
+                handle.write(EVENT_ENCODER.encode(record) + "\n")
                 handle.flush()
                 if handle.tell() >= self.max_bytes:
                     self._rotate_locked()

@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import read_events, span_pairs
 
-#: Span names summed into the breakdown columns.
-_STORAGE_SPANS = ("storage.append", "storage.compact")
+#: The span summed into the breakdown's storage column.
+_STORAGE_SPAN = "storage.append"
 
 
 @dataclass
@@ -130,7 +130,7 @@ def build_job_reports(events: List[dict]) -> List[JobReport]:
                 report.execute_s += member.duration_s
             elif member.name == "lease.hold":
                 report.lease_hold_s += member.duration_s
-            elif member.name in _STORAGE_SPANS:
+            elif member.name == _STORAGE_SPAN:
                 report.storage_s += member.duration_s
             elif member.name == "point.simulate":
                 report.points += 1

@@ -26,8 +26,7 @@ The span taxonomy (see ``docs/observability.md``)::
     └─ execute               the engine run
        ├─ trace.record       one trace recording
        ├─ point.simulate     one point (attr: strategy)
-       ├─ storage.append     one sharded-store append
-       └─ storage.compact    one shard compaction
+       └─ storage.append     one result or trace write
 """
 
 from __future__ import annotations

@@ -22,15 +22,17 @@ and both store the same bytes.
 
 A figure or points plan whose every point is already stored skips the
 queue altogether: :meth:`ServiceApp.submit` answers it on the request
-thread, with no lease and one job-log record, the completed one.
+thread, with no lease and one saved job record, the completed one.
 
-Neither a job's plan nor its result is kept beside its record: every
-job runs the plan re-derived from its persisted spec, and
+Neither a job's plan nor its result is persisted beside its record: a
+job keeps the plan validated at submission in memory (a job loaded from
+the store validates its persisted spec once), and
 :meth:`ServiceApp.job_result` renders a completed job's result from
-that spec over the result store.  Both derivations are memoised by the
-plan (its figures and settings), not by the job: planning process-wide
-(:func:`repro.experiments.runner.plan_experiments`), rendering per app,
-so a resubmitted figure plan is planned once and rendered once.
+that plan over the result store.  Planning and rendering are memoised
+by the plan (its figures and settings), not by the job: planning
+process-wide (:func:`repro.experiments.runner.plan_experiments`),
+rendering per app, so a resubmitted figure plan is planned once and
+rendered once.
 
 With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
@@ -78,7 +80,7 @@ from repro.trace import TraceStore
 from repro.version import __version__
 
 #: Metrics/health payload schema; bump on layout changes.
-METRICS_SCHEMA_VERSION = 4
+METRICS_SCHEMA_VERSION = 5
 
 #: Point counters served under ``points`` in /metrics.  The names and
 #: their order are part of the JSON contract (regression tested against
@@ -268,7 +270,7 @@ class ServiceApp:
         def observer(op: str, seconds: float) -> None:
             name = f"storage.{op}"
             self.telemetry.registry.histogram(
-                f"{name}_seconds", help=f"sharded-store {op} latency"
+                f"{name}_seconds", help=f"storage {op} latency"
             ).observe(seconds)
             span = self.telemetry.span_start(name, tier=tier)
             self.telemetry.span_end(name, span, duration_s=seconds, tier=tier)
@@ -433,6 +435,7 @@ class ServiceApp:
             id=new_job_id(),
             spec=plan.spec,
             priority=int(plan.spec.get("priority", 0)),
+            plan=plan,
         )
         points = plan.plan_points()
         keys = dedupe_points(points)
@@ -474,7 +477,7 @@ class ServiceApp:
     def _answer(self, job: Job, plan: spec_mod.JobPlan) -> None:
         """Run a fully stored plan on the request thread.
 
-        The job takes no queue slot and no lease, and its one job-log
+        The job takes no queue slot and no lease, and its one saved
         record is the terminal one.  A lease only keeps other replicas
         from stealing a job with a persisted ``running`` record; this job
         never persists ``running``, so other replicas first see it
@@ -525,7 +528,7 @@ class ServiceApp:
                 409, "job_not_completed",
                 f"job {job_id} is {job.state}; results exist once it completes",
             )
-        plan = spec_mod.validate_submission(job.spec)
+        plan = self._plan(job)
         missing = sum(1 for key in dedupe_points(plan.plan_points())
                       if self.store.peek(key) is None)
         if missing:
@@ -781,9 +784,16 @@ class ServiceApp:
         self._say(f"job {job.id}: running")
 
         self._settle(job, lambda: self._execute(
-            job, spec_mod.validate_submission(job.spec),
-            self._point_hook(job, persist=True),
+            job, self._plan(job), self._point_hook(job, persist=True),
         ))
+
+    @staticmethod
+    def _plan(job: Job) -> spec_mod.JobPlan:
+        """The job's validated plan: kept from admission, or validated
+        once for a job loaded from the store (resumed, adopted, stolen)."""
+        if job.plan is None:
+            job.plan = spec_mod.validate_submission(job.spec)
+        return job.plan
 
     def _point_hook(self, job: Job, persist: bool) -> Callable[[object], None]:
         """The engine's per-point callback for ``job``: stop at the
@@ -909,7 +919,6 @@ class ServiceApp:
             self.max_queue_depth is not None
             and depth >= self.max_queue_depth
         )
-        pool_resets = self.engine.totals().get("pool_resets", 0)
         components = {
             "storage": {
                 "status": "degraded" if storage_degraded else "ok",
@@ -921,7 +930,7 @@ class ServiceApp:
                 # and rebuilt), so resets are a health *signal*, not a
                 # degradation by themselves.
                 "status": "ok",
-                "resets": pool_resets,
+                "resets": values["engine.pool_resets"],
             },
             "queue": {
                 "status": "saturated" if queue_saturated else "ok",
@@ -992,6 +1001,7 @@ class ServiceApp:
                 "jobs": self.engine.jobs,
                 "job_concurrency": self.job_concurrency,
                 **self.engine.totals(),
+                **_family(values, "engine"),
             },
             "job_store": {
                 "persistent": bool(self.job_store.job_dir),

@@ -3,7 +3,8 @@
 A *job* is one submitted sweep: either a named figure plan plus
 settings, or an explicit list of simulation points.  Jobs move through
 ``queued -> running -> completed | failed``; every transition is
-appended to the job log (a segment-log store under ``jobs/``) so a
+saved to the ``jobs`` table of the cache directory's database
+(:mod:`repro.storage.database`) so a
 restarted service resumes exactly where the previous process stopped —
 ``queued`` jobs re-enter the queue, and jobs that were ``running`` when
 the process died are re-queued rather than lost.
@@ -17,8 +18,7 @@ neither is ever persisted here.
 A record that does not decode (schema or id mismatch) is skipped and
 counted as **quarantined**, mirroring the
 :class:`~repro.trace.store.TraceStore` convention that a bad cache
-entry is a miss, never a crash; a torn log tail loses only the
-transition being written.
+entry is a miss, never a crash.
 """
 
 from __future__ import annotations
@@ -32,17 +32,17 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.chaos import seams as _seams
-from repro.storage import ShardedStore
+from repro.storage import open_database
 from repro.version import __version__
 
 #: Bump when the job record layout changes; mismatching records are
 #: quarantined as misses rather than errors.
 SCHEMA_VERSION = 1
 
-#: Subdirectory of the cache dir reserved for job records.
+#: Subdirectory of the cache dir holding the quarantine directory.
 JOB_SUBDIR = "jobs"
 
 #: Subdirectory of the job dir holding poisoned jobs' post-mortem records.
@@ -58,6 +58,10 @@ STATES = (QUEUED, RUNNING, COMPLETED, FAILED)
 
 #: States a job can never leave.
 TERMINAL_STATES = (COMPLETED, FAILED)
+
+#: Encodes a job record, as ``json.dumps(record, default=str)`` does
+#: without building an encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(default=str)
 
 #: Fault-history entries kept per job (oldest dropped beyond this).
 FAULT_HISTORY_LIMIT = 20
@@ -109,6 +113,10 @@ class Job:
     #: (steals, crashes, deadline kills), persisted with the record so a
     #: quarantined job carries its own post-mortem.
     fault_history: List[dict] = field(default_factory=list)
+    #: The validated plan (a :class:`~repro.service.spec.JobPlan`): kept
+    #: from admission, or validated once from a loaded record.  Held in
+    #: memory only, never persisted.
+    plan: Optional[Any] = field(default=None, repr=False, compare=False)
     #: Guards terminal transitions: a deadline watchdog and the executor
     #: may race to finish one job — first terminal mark wins, later ones
     #: are no-ops.  Not part of the persisted record.
@@ -247,12 +255,12 @@ class Job:
 
 
 class JobStore:
-    """Job records as one segment log under ``<cache-dir>/jobs/``.
+    """Job records in the ``jobs`` table of ``<cache-dir>/cache.sqlite3``.
 
-    Every save appends the job's full JSON record to a single-shard
-    :class:`~repro.storage.ShardedStore` keyed by job id (crc framing,
-    torn-tail recovery and compaction come with it); the latest record
-    of an id wins.  Without a ``cache_dir`` the store is memory-less:
+    Every save replaces the job's row with its full JSON record under a
+    new ``seq`` (the table's ``AUTOINCREMENT`` key never reuses one), so
+    the rows past the highest ``seq`` a reader has seen are exactly the
+    jobs saved since.  Without a ``cache_dir`` the store is memory-less:
     saves are no-ops and nothing loads, so a cache-less service simply
     has no persistence (jobs die with the process, by design).
     """
@@ -260,7 +268,7 @@ class JobStore:
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
         self.job_dir = os.path.join(cache_dir, JOB_SUBDIR) if cache_dir else None
-        self._log = ShardedStore(self.job_dir, num_shards=1) if self.job_dir else None
+        self._database = open_database(cache_dir) if cache_dir else None
         #: Records skipped because they do not decode (schema or id
         #: mismatch).  Poisoned jobs are counted by ``jobs.poisoned``.
         self.quarantined = 0
@@ -268,28 +276,29 @@ class JobStore:
         #: lives on in memory, so a full disk degrades durability (a
         #: restart forgets recent transitions) without failing jobs.
         self.save_errors = 0
-        #: job id -> version stamp of the record :meth:`load_changed`
-        #: last decoded.
-        self._seen: Dict[str, tuple] = {}
+        #: The highest ``seq`` :meth:`load_changed` has read.
+        self._last_seq = 0
 
     # ------------------------------------------------------------------
 
     def save(self, job: Job) -> None:
-        """Append one job record (no-op without a dir).
+        """Replace the job's stored record (no-op without a dir).
 
         ENOSPC is absorbed: the write is dropped and counted in
         ``save_errors`` rather than failing the job — the in-memory
         record stays authoritative for this process's lifetime.  Once
-        the log has degraded to read-only every save is such a drop.
+        the database has degraded to read-only every save is such a drop.
         """
-        if self._log is None:
+        if self._database is None:
             return
         try:
             if _seams.active is not None:
                 _seams.active.fire("jobs.save", job_id=job.id,
                                    state=job.state)
-            self._log.put(job.id, json.dumps(job.to_dict(), default=str).encode("utf-8"))
-            dropped = self._log.read_only
+            dropped = self._database.write(
+                "INSERT OR REPLACE INTO jobs (id, record) VALUES (?, ?)",
+                (job.id, _RECORD_ENCODER.encode(job.to_dict())),
+            ) is None
         except OSError as error:
             if error.errno != errno.ENOSPC:
                 raise
@@ -297,43 +306,44 @@ class JobStore:
         if dropped:
             self.save_errors += 1
 
-    def _decode(self, job_id: str) -> Optional[Job]:
-        """The stored record of ``job_id``; ``None`` if it does not decode
-        to a job of that id."""
-        data = self._log.get(job_id)  # type: ignore[union-attr]
+    @staticmethod
+    def _decode(job_id: str, record: str) -> Optional[Job]:
+        """The job stored as ``record``; ``None`` if it does not decode to
+        a job of ``job_id``."""
         try:
-            job = Job.from_dict(json.loads(data))
+            job = Job.from_dict(json.loads(record))
         except (ValueError, KeyError, TypeError):
             return None
         return job if job.id == job_id else None
 
     def load(self, job_id: str) -> Optional[Job]:
         """The latest record of one job, including saves made by other
-        processes since this store last looked; ``None`` when missing or
-        unreadable.  Only the id's own shard is refreshed, so the cost
-        does not grow with the number of jobs."""
-        if self._log is None or self._log.version(job_id) is None:
+        processes; ``None`` when missing or unreadable."""
+        if self._database is None:
             return None
-        return self._decode(job_id)
+        rows = self._database.query("SELECT record FROM jobs WHERE id = ?", (job_id,))
+        return self._decode(job_id, rows[0][0]) if rows else None
 
     def load_changed(self) -> List[Job]:
-        """Jobs whose record changed since the previous call, oldest
-        submission first — every job on the first call.
+        """Jobs saved since the previous call, oldest submission first —
+        every job on the first call.
 
         This is the one read path of startup resume and the fleet
-        poller.  The log's index stamps each key's latest record, so an
-        unchanged job is skipped without being read.  A record that does
-        not decode (schema or id mismatch) is skipped and counted in
-        ``quarantined`` — a bad record is a miss, never a crash.
+        poller; its cost follows the saves since the last call, not the
+        number of stored jobs.  A record that does not decode (schema
+        or id mismatch) is skipped and counted in ``quarantined`` — a
+        bad record is a miss, never a crash.
         """
-        if self._log is None:
+        if self._database is None:
             return []
+        rows = self._database.query(
+            "SELECT seq, id, record FROM jobs WHERE seq > ? ORDER BY seq",
+            (self._last_seq,),
+        )
         jobs: List[Job] = []
-        for job_id, version in self._log.versions().items():
-            if self._seen.get(job_id) == version:
-                continue
-            self._seen[job_id] = version
-            job = self._decode(job_id)
+        for seq, job_id, record in rows:
+            self._last_seq = seq
+            job = self._decode(job_id, record)
             if job is None:
                 self.quarantined += 1
             else:
@@ -347,7 +357,7 @@ class JobStore:
         Called after the job has been terminally failed (cause
         ``poisoned``): the record — fault history included — is written
         to ``quarantine/<id>.json`` as a post-mortem, and the terminal
-        record is saved to the log too, so no replica's resume/steal
+        record is saved to the table too, so no replica's resume/steal
         path will ever pick the job up again while status queries keep
         answering after a restart.
         """
@@ -358,7 +368,7 @@ class JobStore:
             os.makedirs(quarantine_dir, exist_ok=True)
             target = os.path.join(quarantine_dir, f"{job.id}.json")
             with open(target, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(job.to_dict(), default=str))
+                handle.write(_RECORD_ENCODER.encode(job.to_dict()))
         except OSError:
             # Quarantine-on-a-full-disk still works in memory: the job
             # is terminally failed either way.

@@ -56,6 +56,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.chaos import seams as _seams
 from repro.obs.context import TRACE_HEADER, TraceContext
+from repro.obs.events import EVENT_ENCODER
 from repro.service import wire
 from repro.service.app import ServiceApp
 from repro.service.client import ServiceClient
@@ -78,10 +79,15 @@ TRACE_FIELD = TRACE_HEADER.lower()
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
+#: Encodes response bodies, as ``json.dumps(payload, sort_keys=True,
+#: default=str)`` does without building an encoder per call.
+_BODY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def json_body(payload: dict) -> str:
     """A JSON response body: keys sorted, no indentation, so the C
     encoder of :mod:`json` writes it; newline-terminated."""
-    return json.dumps(payload, sort_keys=True, default=str) + "\n"
+    return _BODY_ENCODER.encode(payload) + "\n"
 
 
 def http_date(seconds: Optional[float] = None) -> str:
@@ -297,8 +303,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 for event in events:
                     seq = int(event.get("seq", 0))
                     cursor = max(cursor, seq)
-                    data = json.dumps(event, separators=(",", ":"),
-                                      default=str)
+                    data = EVENT_ENCODER.encode(event)
                     self.wfile.write(
                         f"id: {seq}\ndata: {data}\n\n".encode("utf-8")
                     )

@@ -1,9 +1,9 @@
-"""Two-tier cache: a memory dictionary in front of an optional segment log.
+"""Two-tier cache: a memory dictionary in front of an optional table.
 
 The result store and the trace store are the same policy as the paper's
 register file cache: a small fast upper level (a dictionary of decoded
 objects) in front of a large lower level (a
-:class:`~repro.storage.sharded.ShardedStore` of encoded bytes).  A lower
+:class:`~repro.storage.database.Table` of encoded bytes).  A lower
 level hit is decoded once and promoted into the upper level.  A subclass
 supplies only its codec, :meth:`TwoTierCache._encode` and
 :meth:`TwoTierCache._decode`.  The upper level is kept in
@@ -22,34 +22,31 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro.storage.sharded import ShardedStore
+from repro.storage.database import Table
 
 #: What :meth:`TwoTierCache._load` returns for a record that does not decode.
 _REJECTED = object()
 
 
 class TwoTierCache:
-    """Memory tier plus an optional disk tier rooted at ``root``."""
+    """Memory tier plus an optional disk tier, the table ``disk``."""
 
-    def __init__(self, root: Optional[str] = None,
-                 max_bytes: Optional[int] = None,
+    def __init__(self, disk: Optional[Table] = None,
                  memory_entries: Optional[int] = None) -> None:
         #: Entry cap of the memory tier; ``None`` never evicts.
         self._memory_entries = memory_entries
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         # Concurrent SweepEngine.execute calls (the service's job threads)
         # share one store; the lock keeps the recency order and the
-        # counters exact so /metrics hit rates are trustworthy.  Disk
-        # appends are already serialized by the shard file locks.
+        # counters exact so /metrics hit rates are trustworthy.  The
+        # database serialises its own statements.
         self._lock = threading.Lock()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.rejected = 0
         self.stores = 0
-        self._disk: Optional[ShardedStore] = (
-            ShardedStore(root, max_bytes=max_bytes) if root else None
-        )
+        self._disk = disk
 
     # ------------------------------------------------------------------
     # codec (subclasses)
@@ -131,7 +128,7 @@ class TwoTierCache:
         return value
 
     def put(self, key: str, value: Any, metadata: Optional[dict] = None) -> None:
-        """Record ``value`` in both tiers (the disk append is atomic)."""
+        """Record ``value`` in both tiers (the disk write is atomic)."""
         self._remember(key, value)
         with self._lock:
             self.stores += 1
@@ -142,18 +139,12 @@ class TwoTierCache:
 
     def set_observer(self, observer) -> None:
         """Install a ``(op, seconds)`` duration sink on the disk tier
-        (see :attr:`ShardedStore.observer`); no-op when memory-only."""
+        (see :attr:`Table.observer`); no-op when memory-only."""
         if self._disk is not None:
             self._disk.observer = observer
 
-    def compact(self) -> None:
-        """Force-compact the disk tier (drops dead and, past the size
-        bound, oldest records)."""
-        if self._disk is not None:
-            self._disk.compact()
-
     def storage_stats(self) -> Dict[str, int]:
-        """Segment-log health counters for /metrics (empty when memory-only)."""
+        """Disk-tier counters for /metrics (empty when memory-only)."""
         if self._disk is None:
             return {}
         return self._disk.stats()

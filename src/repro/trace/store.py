@@ -1,39 +1,36 @@
 """On-disk store of decoded traces.
 
-Traces live in a ``traces/`` subdirectory of the experiment cache
-directory, so one ``--cache-dir`` serves both the
-:class:`~repro.experiments.store.ResultStore` (sharded segments under
-``results/``) and the trace store without any collision.  The disk tier
-is a size-bounded :class:`~repro.storage.sharded.ShardedStore`: each
-trace is its :meth:`~repro.trace.schema.DecodedTrace.to_bytes` blob
-(typed columns, zlib-compressed) appended to a segment log, and when
-the store outgrows :data:`TRACE_MAX_BYTES` the oldest traces are
-evicted at compaction — traces are pure derived data, so evicting one
-only costs a re-decode.  With a disk tier behind it, the memory tier
-holds at most :data:`TRACE_MEMORY_ENTRIES` decoded traces, least
-recently used out first, so a long-lived service does not keep every
-trace it has touched; a memory-only store never evicts, since a trace it
-dropped would have to be recorded again.  Unreadable, corrupt,
+Traces live in the ``traces`` table of the cache directory's database
+(:mod:`repro.storage.database`), beside the
+:class:`~repro.experiments.store.ResultStore`'s ``results`` table, so
+one ``--cache-dir`` serves both.  Each row holds a trace's
+:meth:`~repro.trace.schema.DecodedTrace.to_bytes` blob (typed columns,
+zlib-compressed), and once the table holds more than
+:data:`TRACE_MAX_BYTES` of blobs a put evicts the oldest-written
+traces — traces are pure derived data, so evicting one only costs a
+re-decode.  With a disk tier behind it, the memory tier holds at most
+:data:`TRACE_MEMORY_ENTRIES` decoded traces, least recently used out
+first, so a long-lived service does not keep every trace it has
+touched; a memory-only store never evicts, since a trace it dropped
+would have to be recorded again.  Unreadable, corrupt,
 schema-mismatching or mis-keyed blobs are treated as cache misses.
 
 A trace key names its *family* (the stream without its length, plus
 the frontend fingerprint, see :func:`~repro.trace.schema.trace_family`)
-and its length, so :meth:`TraceStore.cover` finds the shortest stored
-trace of a family that holds enough instructions from the keys the two
-tiers already hold: the disk tier's keys include every trace another
-process sharing the directory stored, and none that compaction evicted.
+and its length, and a put files both in the row's ``family`` and
+``length`` columns, so :meth:`TraceStore.cover` finds the shortest
+stored trace of a family that holds enough instructions with one
+indexed query, merged with the memory tier's keys: the table holds
+every trace another process sharing the directory stored, and none
+that eviction dropped.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.storage import TwoTierCache
+from repro.storage import Table, TwoTierCache, open_database
 from repro.trace.schema import DecodedTrace, family_length
-
-#: Subdirectory of the cache dir reserved for traces.
-TRACE_SUBDIR = "traces"
 
 #: Size bound for the on-disk trace tier.  Decoded traces are bulky
 #: relative to results; bounding the store keeps a long-lived cache
@@ -52,14 +49,20 @@ TRACE_MAX_BYTES = 1 << 30
 TRACE_MEMORY_ENTRIES = 36
 
 
+def _family_columns(key: str) -> Tuple[Optional[str], Optional[int]]:
+    """A trace row's ``family`` and ``length``; both NULL for a key of
+    another form."""
+    return family_length(key) or (None, None)
+
+
 class TraceStore(TwoTierCache):
     """Decoded traces in a :class:`~repro.storage.TwoTierCache`."""
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
-        self.trace_dir = os.path.join(cache_dir, TRACE_SUBDIR) if cache_dir else None
         super().__init__(
-            self.trace_dir, max_bytes=TRACE_MAX_BYTES,
+            Table(open_database(cache_dir), "traces", derive=_family_columns,
+                  max_bytes=TRACE_MAX_BYTES) if cache_dir else None,
             memory_entries=TRACE_MEMORY_ENTRIES if cache_dir else None,
         )
 
@@ -77,28 +80,30 @@ class TraceStore(TwoTierCache):
         return TwoTierCache.get(self, key)
 
     def put(self, trace: DecodedTrace) -> None:
-        """Record a trace in both tiers (the disk append is atomic)."""
+        """Record a trace in both tiers (the disk write is atomic)."""
         TwoTierCache.put(self, trace.key, trace)
 
     def cover(self, family: str, instructions: int) -> Optional[DecodedTrace]:
         """The shortest stored trace of ``family`` that holds at least
         ``instructions`` instructions, or ``None``.
 
-        The candidates are the keys both tiers hold (the disk tier's after
-        folding in other processes' appends), shortest first, each tried
-        through the counted :meth:`get`.  A key of another form, such as
-        one written before keys named their family, is skipped.
+        The candidates are the memory tier's keys and the disk tier's
+        rows of the family, shortest first, each tried through the
+        counted :meth:`get`.  A key of another form, such as one written
+        before keys named their family, is skipped.
         """
         with self._lock:
-            keys = set(self._memory)
+            candidates = {
+                (split[1], key) for key in self._memory
+                if (split := family_length(key)) is not None
+                and split[0] == family and split[1] >= instructions
+            }
         if self._disk is not None:
-            keys.update(self._disk.keys())
-        candidates = sorted(
-            (split[1], key) for key in keys
-            if (split := family_length(key)) is not None
-            and split[0] == family and split[1] >= instructions
-        )
-        for _, key in candidates:
+            candidates.update(self._disk.database.query(
+                "SELECT length, key FROM traces WHERE family = ? AND length >= ?",
+                (family, instructions),
+            ))
+        for _, key in sorted(candidates):
             trace = self.get(key)
             if trace is not None:
                 return trace

@@ -317,43 +317,6 @@ class TestCli:
         assert result.metadata["points_per_minute"] > 0
 
 
-class TestStoreScenario:
-    def _scenario(self):
-        from repro.bench.scenarios import StoreScenario
-
-        return StoreScenario(name="store_throughput/sharded-segment-log",
-                             entries=60, value_bytes=256, read_passes=1)
-
-    def test_store_result_in_report(self):
-        runner = BenchmarkRunner(repeats=1, scenarios=[self._scenario()])
-        report = runner.run(index=1)
-        [result] = report.scenarios
-        assert result.kind == "store"
-        # 60 puts + 60 reads + 30 overwrites + 15 deletes + 1 compact
-        # + 60 cold re-reads
-        assert result.operations == 226
-        assert result.operations_per_second > 0
-        assert result.stats_digest and len(result.stats_digest) == 64
-        assert result.metadata["num_shards"] == 16
-        stats = result.metadata["store_stats"]
-        assert stats["entries"] == 45  # 60 written, 15 deleted
-        assert stats["compactions"] >= 1
-
-    def test_scenario_is_quick_eligible_and_stably_named(self):
-        from repro.bench.scenarios import store_scenarios
-
-        (quick,) = store_scenarios(quick=True)
-        (full,) = store_scenarios(quick=False)
-        # The perf gate matches scenarios by name across reports, so the
-        # quick CI run must carry the same name as the committed baseline.
-        assert quick.name == full.name == "store_throughput/sharded-segment-log"
-        assert quick.entries < full.entries
-
-    def test_deterministic_digest(self):
-        scenario = self._scenario()
-        assert scenario.run()["stats_digest"] == scenario.run()["stats_digest"]
-
-
 class TestSampledSweepScenario:
     def _scenario(self):
         from repro.bench.scenarios import SampledSweepScenario
@@ -471,15 +434,6 @@ class TestReportShape:
                               "full_wall_seconds", "pairs",
                               "telemetry_overhead", "threshold"}},
         ),
-        "store_throughput/sharded-segment-log": (
-            "store", _BASE | _RATES | {"stats_digest"},
-            {"entries", "num_shards", "read_passes", "store_stats",
-             "value_bytes"},
-            {"store_stats": {"compactions", "dead_bytes", "entries",
-                             "evictions", "live_data_bytes",
-                             "read_only", "rebuilds", "segment_files",
-                             "torn_tails", "write_errors"}},
-        ),
         "component/pseudo_lru_operations": ("component", _BASE | _RATES, set(), {}),
     }
 
@@ -510,8 +464,6 @@ class TestReportShape:
             sc.ResilienceOverheadScenario(name="resilience_overhead/figure6",
                                           **plan),
             sc.ObsOverheadScenario(name="obs_overhead/figure6", **plan),
-            sc.StoreScenario(name="store_throughput/sharded-segment-log",
-                             entries=60, value_bytes=256, read_passes=1),
             sc.ComponentScenario(name="component/pseudo_lru_operations",
                                  kernel=sc.KERNELS["pseudo_lru_operations"]),
         ]

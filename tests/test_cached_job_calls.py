@@ -42,20 +42,19 @@ from repro.service.server import json_body
 SETTINGS = {"instructions": 2000, "warmup_instructions": 500,
             "benchmarks": ["gcc", "swim"]}
 
-#: plan -> (ceiling, count when every job planned twice, rendered its
-#: result afresh and the bodies were indented JSON).
+#: plan -> (ceiling, count when each JSON encode built its own encoder
+#: and the job save went through the segment log).
 CEILINGS = {
-    "figure6": (470, 3273),
-    "figure7": (445, 2715),
-    "value_reuse": (420, 2146),
+    "figure6": (365, 426),
+    "figure7": (340, 404),
+    "value_reuse": (315, 382),
 }
 
-#: plan -> (ceiling over HTTP, count when both ends parsed heads through
-#: ``email`` and memoised store keys were found by hashing the point).
+#: plan -> (ceiling over HTTP, the same earlier count).
 HTTP_CEILINGS = {
-    "figure6": (610, 1282),
-    "figure7": (590, 1209),
-    "value_reuse": (565, 1142),
+    "figure6": (515, 560),
+    "figure7": (490, 541),
+    "value_reuse": (465, 519),
 }
 
 UNCOUNTED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
@@ -100,22 +99,24 @@ class Profile:
 def served(tmp_path_factory):
     """A client and a loopback server whose every thread is profiled."""
     profile = Profile()
-    threading.setprofile(profile)  # threads started from here on
+    # Every thread started while the server runs, the per-connection
+    # handler threads included, is profiled.
+    threading.setprofile(profile)
     try:
         service = ServiceApp(cache_dir=str(tmp_path_factory.mktemp("http")), jobs=1)
         server = build_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         service.start()
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        yield client, profile
+        client.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        service.stop()
     finally:
         threading.setprofile(None)
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    yield client, profile
-    client.close()
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    service.stop()
 
 
 def warm(app: ServiceApp, spec: dict) -> None:
@@ -149,8 +150,8 @@ def test_cached_job_calls_stay_under_the_ceiling(app, figure):
     ceiling, before = CEILINGS[figure]
     assert calls <= ceiling, (
         f"one cached {figure} job made {calls} Python calls, ceiling {ceiling} "
-        f"(it was {before} before plans and rendered results were memoised "
-        "and bodies were C-encoded)"
+        f"(it was {before} when each JSON encode built its own encoder and "
+        "the job save went through the segment log)"
     )
 
 
@@ -182,6 +183,6 @@ def test_cached_job_over_http_stays_under_the_ceiling(served, figure):
     ceiling, before = HTTP_CEILINGS[figure]
     assert calls <= ceiling, (
         f"one cached {figure} job over HTTP made {calls} Python calls on all "
-        f"threads, ceiling {ceiling} (it was {before} when both ends parsed "
-        "heads through email and store keys were found by hashing the point)"
+        f"threads, ceiling {ceiling} (it was {before} when each JSON encode "
+        "built its own encoder and the job save went through the segment log)"
     )

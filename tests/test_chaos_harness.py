@@ -62,10 +62,10 @@ def test_registry_quick_subset_pins_the_contract_scenarios():
 
 
 def test_run_matrix_executes_a_real_scenario_and_summarizes():
-    results = run_matrix(["torn-tail"], seed=3, quick=True)
+    results = run_matrix(["enospc"], seed=3, quick=True)
     assert len(results) == 1
     assert results[0].ok, results[0].violations
-    assert results[0].faults_injected == 1
+    assert results[0].faults_injected >= 1
     summary = summarize(results)
     assert summary["total"] == 1
     assert summary["failed"] == 0

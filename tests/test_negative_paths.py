@@ -67,6 +67,21 @@ class TestRunnerCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write report:")
 
+    @pytest.mark.parametrize("occupant", ["file", "garbage database"])
+    def test_unusable_cache_dir_exits_two_without_traceback(self, tmp_path, capsys, occupant):
+        if occupant == "file":
+            cache_dir = tmp_path / "cache"
+            cache_dir.write_text("not a directory")
+        else:
+            cache_dir = tmp_path
+            (tmp_path / "cache.sqlite3").write_bytes(b"not a database" * 100)
+        code = runner_main([
+            "--experiment", "figure6", "--benchmarks", "gcc",
+            "--instructions", "50", "--cache-dir", str(cache_dir), "--quiet",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot use cache directory")
+
     def test_empty_benchmark_filter_exits_two(self, capsys):
         code = runner_main(["--experiment", "figure6", "--benchmarks", "--quiet"])
         assert code == 2

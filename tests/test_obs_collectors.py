@@ -1,10 +1,11 @@
 """One registry snapshot behind ``/metrics`` and the Prometheus scrape.
 
-Counter owners (the result and trace caches, their segment-log stores,
-the job store, the queue and the leases) are registered once as
-collectors on the service's :class:`MetricsRegistry`.  A scrape reads
-one snapshot of them and creates no instruments, and every collected
-value reads the same in the JSON rendering and in the exposition.
+Counter owners (the result and trace caches, their database tables,
+the job store, the engine's pool, the queue and the leases) are
+registered once as collectors on the service's :class:`MetricsRegistry`.
+A scrape reads one snapshot of them and creates no instruments, and
+every collected value reads the same in the JSON rendering and in the
+exposition.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ CACHE_DIR_TYPES = [
     "repro_points_shared_inflight_total counter",
     "repro_points_unique_total counter",
     "repro_queue_rejected_overloaded_total counter",
+    "repro_engine_pool_resets gauge",
     "repro_job_store_quarantined gauge",
     "repro_job_store_save_errors gauge",
     "repro_jobs_state_completed gauge",
@@ -61,25 +63,15 @@ CACHE_DIR_TYPES = [
     "repro_result_cache_misses gauge",
     "repro_result_cache_rejected gauge",
     "repro_result_cache_stores gauge",
-    "repro_storage_results_compactions gauge",
-    "repro_storage_results_dead_bytes gauge",
     "repro_storage_results_entries gauge",
     "repro_storage_results_evictions gauge",
     "repro_storage_results_live_data_bytes gauge",
     "repro_storage_results_read_only gauge",
-    "repro_storage_results_rebuilds gauge",
-    "repro_storage_results_segment_files gauge",
-    "repro_storage_results_torn_tails gauge",
     "repro_storage_results_write_errors gauge",
-    "repro_storage_traces_compactions gauge",
-    "repro_storage_traces_dead_bytes gauge",
     "repro_storage_traces_entries gauge",
     "repro_storage_traces_evictions gauge",
     "repro_storage_traces_live_data_bytes gauge",
     "repro_storage_traces_read_only gauge",
-    "repro_storage_traces_rebuilds gauge",
-    "repro_storage_traces_segment_files gauge",
-    "repro_storage_traces_torn_tails gauge",
     "repro_storage_traces_write_errors gauge",
     "repro_trace_cache_disk_hits gauge",
     "repro_trace_cache_entries gauge",
@@ -94,7 +86,7 @@ CACHE_DIR_TYPES = [
     "repro_trace_record_seconds histogram",
 ]
 
-#: A memory-only service has no segment-log stores: no storage families.
+#: A memory-only service has no database tables: no storage families.
 MEMORY_TYPES = [line for line in CACHE_DIR_TYPES if "_storage_" not in line]
 
 
@@ -177,7 +169,7 @@ class TestScrape:
         assert types == CACHE_DIR_TYPES
         kinds = [line.split()[1] for line in types]
         counts = {kind: kinds.count(kind) for kind in ("counter", "gauge", "histogram")}
-        assert counts == {"counter": 21, "gauge": 42, "histogram": 4}
+        assert counts == {"counter": 21, "gauge": 33, "histogram": 4}
 
     def test_type_lines_after_one_job_memory_only(self):
         app = ServiceApp(cache_dir=None, jobs=1)
@@ -188,7 +180,7 @@ class TestScrape:
         finally:
             app.stop()
         assert _type_lines(text) == MEMORY_TYPES
-        assert len(MEMORY_TYPES) == 46
+        assert len(MEMORY_TYPES) == 47
 
 
 class TestOneSnapshotTwoRenderings:
@@ -217,9 +209,22 @@ class TestOneSnapshotTwoRenderings:
             for key, value in values.items():
                 assert samples[sanitize_name(f"{family}.{key}")] == value, (family, key)
                 compared += 1
-        # 6 counters per cache, 10 stats per store, 2 job-store counts.
-        assert compared == 6 + 6 + 10 + 10 + 2
+        # 6 counters per cache, 5 stats per store, 2 job-store counts.
+        assert compared == 6 + 6 + 5 + 5 + 2
         assert samples["repro_queue_depth"] == run.metrics["queue"]["depth"]
         for state in STATES:
             assert samples[f"repro_jobs_state_{state}"] == run.metrics["jobs"][state]
         assert run.metrics["jobs"]["completed"] == 2
+
+    def test_engine_totals_read_alike_in_both_renderings(self):
+        app = ServiceApp(cache_dir=None, jobs=1)
+        samples = {
+            name: family[0].value for name, family in parse(app.prometheus_text()).items() if family
+        }
+        engine = app.metrics()["engine"]
+        totals = app.engine.totals()
+        assert "pool_resets" in totals
+        for key in totals:
+            name = sanitize_name(f"engine.{key}")
+            sample = samples[name + "_total"] if name + "_total" in samples else samples[name]
+            assert sample == engine[key], key

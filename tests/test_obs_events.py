@@ -9,11 +9,14 @@ reader, and the ``since``-cursor semantics of :class:`EventBus`.
 
 from __future__ import annotations
 
+import json
 import os
+from datetime import datetime, timezone
 
 import pytest
 
 from repro.obs.events import (
+    EVENT_ENCODER,
     EVENT_SCHEMA_VERSION,
     EventBus,
     EventLog,
@@ -21,6 +24,33 @@ from repro.obs.events import (
     span_pairs,
     unfinished_spans,
 )
+from repro.service import jobs
+from repro.service.server import json_body
+
+#: Holds a value only ``default=str`` can encode, and unsorted keys.
+_PAYLOAD = {"z": 1, "a": [1.5, "é", None, True],
+            "at": datetime(2020, 1, 2, tzinfo=timezone.utc), "m": {"y": {}, "b": 2}}
+
+
+class TestSharedEncoders:
+    """The module-level encoders write the bytes ``json.dumps`` does."""
+
+    def test_event_lines(self, tmp_path):
+        assert EVENT_ENCODER.encode(_PAYLOAD) == json.dumps(
+            _PAYLOAD, separators=(",", ":"), default=str)
+        log = EventLog(str(tmp_path), source="svc", clock=lambda: 5.0)
+        record = log.append(dict(_PAYLOAD))
+        log.close()
+        (name,) = [n for n in os.listdir(tmp_path) if n.endswith(".jsonl")]
+        with open(tmp_path / name, encoding="utf-8") as handle:
+            line = handle.read()
+        assert line == json.dumps(record, separators=(",", ":"), default=str) + "\n"
+
+    def test_response_bodies(self):
+        assert json_body(_PAYLOAD) == json.dumps(_PAYLOAD, sort_keys=True, default=str) + "\n"
+
+    def test_job_records(self):
+        assert jobs._RECORD_ENCODER.encode(_PAYLOAD) == json.dumps(_PAYLOAD, default=str)
 
 
 class TestEventLog:

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
-import os
 from collections import Counter, deque
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,7 @@ from repro.memsys.cache import CacheConfig, CacheModel
 from repro.regfile.ports import WriteScheduler
 from repro.regfile.replacement import PseudoLRU
 from repro.rename.renamer import Renamer
-from repro.storage.sharded import ShardedStore
+from repro.storage import Table, open_database
 
 
 # ----------------------------------------------------------------------
@@ -224,92 +223,35 @@ def test_cumulative_distribution_is_monotone_and_ends_at_100(counts, max_value):
 
 
 # ----------------------------------------------------------------------
-# sharded segment-log store vs a dict model
+# a size-bounded store table vs a dict model
 # ----------------------------------------------------------------------
 
-_STORE_BUDGET = 160  # payload-byte budget (num_shards=1 => per-shard too)
+_STORE_BUDGET = 160  # value-byte bound of the table
 
 _KEYS = st.sampled_from([f"{i:02x}beef" for i in range(6)])
 _OPS = st.one_of(
     st.tuples(st.just("put"), _KEYS, st.binary(min_size=0, max_size=48)),
     st.tuples(st.just("get"), _KEYS, st.just(b"")),
-    st.tuples(st.just("delete"), _KEYS, st.just(b"")),
-    st.tuples(st.just("advance"),
-              st.floats(min_value=0.5, max_value=60.0), st.just(b"")),
-    st.tuples(st.just("compact"), st.just(0), st.just(b"")),
 )
-
-
-class _StoreModel:
-    """Reference semantics: insertion-ordered dict + size budget.
-
-    Mirrors the store's visible behaviour exactly: whenever the total
-    payload exceeds the budget a compaction evicts the oldest entries
-    (by timestamp, then write order — one order, since the clock only
-    moves forward) until it fits.
-    """
-
-    def __init__(self):
-        self.entries = {}  # key -> value, insertion ordered
-
-    def _payload(self):
-        return sum(len(value) for value in self.entries.values())
-
-    def compact(self):
-        while self._payload() > _STORE_BUDGET:
-            del self.entries[next(iter(self.entries))]
-
-    def put(self, key, value):
-        self.entries.pop(key, None)
-        self.entries[key] = value
-        if self._payload() > _STORE_BUDGET:
-            self.compact()
-
-    def get(self, key):
-        return self.entries.get(key)
-
-    def delete(self, key):
-        return self.entries.pop(key, None) is not None
 
 
 @given(st.lists(_OPS, max_size=60))
 @settings(max_examples=40, deadline=None)
-def test_sharded_store_agrees_with_dict_model(tmp_path_factory, operations):
-    """put/get/delete/compact under a size bound == the dict model."""
-    root = str(tmp_path_factory.mktemp("store"))
-    clock = [1000.0]
-    store = ShardedStore(root, num_shards=1, max_bytes=_STORE_BUDGET,
-                         clock=lambda: clock[0])
-    model = _StoreModel()
-    for op, a, b in operations:
+def test_bounded_table_agrees_with_dict_model(tmp_path_factory, operations):
+    """put/get under a size bound == an insertion-ordered dict that drops
+    its oldest-written entries until the values fit the bound."""
+    cache_dir = str(tmp_path_factory.mktemp("store"))
+    table = Table(open_database(cache_dir), "results", max_bytes=_STORE_BUDGET)
+    model = {}
+    for op, key, value in operations:
         if op == "put":
-            store.put(a, b)
-            model.put(a, b)
-        elif op == "get":
-            assert store.get(a) == model.get(a), a
-        elif op == "delete":
-            assert store.delete(a) == model.delete(a), a
-        elif op == "advance":
-            clock[0] += a
-        elif op == "compact":
-            store.compact()
-            model.compact()
-    assert set(store.keys()) == set(model.entries)
-    for key in model.entries:
-        assert store.get(key) == model.get(key)
-
-    # A fresh process over the same tree — with a torn tail injected at
-    # the end of every segment — rebuilds exactly the same state.
-    for shard_name in os.listdir(root):
-        shard_dir = os.path.join(root, shard_name)
-        if not os.path.isdir(shard_dir):
-            continue
-        for name in os.listdir(shard_dir):
-            if name.startswith("seg-") and name.endswith(".log"):
-                with open(os.path.join(shard_dir, name), "ab") as handle:
-                    handle.write(b"\xff\xff\xff")  # short header: torn
-    reopened = ShardedStore(root, num_shards=1, max_bytes=_STORE_BUDGET,
-                            clock=lambda: clock[0])
-    assert set(reopened.keys()) == set(model.entries)
-    for key in model.entries:
-        assert reopened.get(key) == model.get(key)
+            table.put(key, value)
+            model.pop(key, None)
+            model[key] = value
+            while sum(len(held) for held in model.values()) > _STORE_BUDGET:
+                del model[next(iter(model))]
+        else:
+            assert table.get(key) == model.get(key), key
+    rows = table.database.query("SELECT key, value FROM results ORDER BY rowid")
+    assert rows == list(model.items())
+    assert table.stats()["entries"] == len(model)

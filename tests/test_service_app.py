@@ -7,10 +7,7 @@ failure injection and concurrency control deterministic.
 
 from __future__ import annotations
 
-import glob
 import json
-import os
-import shutil
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -24,13 +21,13 @@ from repro.experiments.scheduler import SimulationPoint, SweepEngine
 from repro.experiments.store import ResultStore
 from repro.obs.events import read_events, unfinished_spans
 from repro.service import ServiceApp
+from repro.service import spec as spec_mod
 from repro.service.app import EVENTS_SUBDIR
 from repro.service.jobs import (
     COMPLETED, FAILED, QUEUED, RUNNING, Job, JobStore, new_job_id,
 )
 from repro.service.spec import ApiError, validate_submission
-from repro.storage import ShardedStore
-from repro.storage import segment as seg
+from repro.storage import open_database
 
 #: A figure submission small enough for the full job to take ~a second.
 FIGURE_SPEC = {
@@ -277,6 +274,46 @@ class TestExecution:
         assert passes == ["plan", "render"]
         assert results[0] == results[1] == results[2]
 
+    def test_result_requests_reuse_the_admitted_plan(self, app, monkeypatch):
+        job = app.submit(FIGURE_SPEC)
+        assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
+        calls = []
+        real_validate = spec_mod.validate_submission
+
+        def counting_validate(payload):
+            calls.append(payload)
+            return real_validate(payload)
+
+        monkeypatch.setattr(spec_mod, "validate_submission", counting_validate)
+        results = [app.job_result(job.id)["result"] for _ in range(3)]
+        assert calls == []
+        assert results[0] == results[1] == results[2]
+
+    def test_loaded_job_is_validated_once(self, tmp_path, monkeypatch):
+        first = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        first.start()
+        try:
+            job = first.submit(FIGURE_SPEC)
+            assert wait_for(lambda: first.get_job(job.id)).state == COMPLETED
+        finally:
+            first.stop()
+        calls = []
+        real_validate = spec_mod.validate_submission
+
+        def counting_validate(payload):
+            calls.append(payload)
+            return real_validate(payload)
+
+        monkeypatch.setattr(spec_mod, "validate_submission", counting_validate)
+        fresh = ServiceApp(cache_dir=str(tmp_path), jobs=1)
+        fresh.start()
+        try:
+            for _ in range(3):
+                fresh.job_result(job.id)
+        finally:
+            fresh.stop()
+        assert len(calls) == 1
+
     def test_kept_result_still_checks_its_points(self, app, monkeypatch):
         job = app.submit(FIGURE_SPEC)
         assert wait_for(lambda: app.get_job(job.id)).state == COMPLETED
@@ -521,13 +558,9 @@ class TestRestartResume:
     def test_corrupt_job_record_is_quarantined_not_fatal(self, tmp_path):
         first = ServiceApp(cache_dir=str(tmp_path), jobs=1)
         good = first.submit(FIGURE_SPEC)
-        # An undecodable record, then a torn tail from a dying writer.
-        ShardedStore(str(tmp_path / "jobs"), num_shards=1).put(
-            "badbadbadbad", b"{corrupt"
+        open_database(str(tmp_path)).write(
+            "INSERT INTO jobs (id, record) VALUES (?, ?)", ("badbadbadbad", "{corrupt")
         )
-        (segment,) = (tmp_path / "jobs").glob("shard-*/seg-*.log")
-        with open(segment, "ab") as handle:
-            handle.write(b"\x09\x00torn")
         second = ServiceApp(cache_dir=str(tmp_path), jobs=1)
         second.start()
         try:
@@ -558,13 +591,10 @@ class TestRenderedResults:
             app.stop()
         return jobs, served
 
-    def test_job_log_records_carry_no_result(self, tmp_path):
+    def test_job_records_carry_no_result(self, tmp_path):
         jobs, _ = self._complete_both(str(tmp_path))
-        records = []
-        for path in glob.glob(str(tmp_path / "jobs" / "shard-*" / "seg-*.log")):
-            for record in seg.scan_segment(path)[0]:
-                records.append(json.loads(seg.read_data(
-                    path, record.data_offset, record.data_len)))
+        records = [json.loads(record) for (record,) in open_database(
+            str(tmp_path)).query("SELECT record FROM jobs")]
         assert {record["id"] for record in records} == {job.id for job in jobs}
         assert COMPLETED in {record["state"] for record in records}
         assert not [record for record in records if "result" in record]
@@ -582,11 +612,9 @@ class TestRenderedResults:
 
     def test_lost_points_answer_result_unavailable(self, tmp_path):
         (_, points_job), _ = self._complete_both(str(tmp_path))
-        shards = ShardedStore(str(tmp_path / "results"))
         for point in validate_submission(POINT_SPEC).plan_points():
-            shard = shards.shard_of(point.store_key())
-            shutil.rmtree(os.path.join(shards.root, f"shard-{shard:02x}"),
-                          ignore_errors=True)
+            open_database(str(tmp_path)).write(
+                "DELETE FROM results WHERE key = ?", (point.store_key(),))
         fresh = ServiceApp(cache_dir=str(tmp_path), jobs=1)
         fresh.start()
         try:

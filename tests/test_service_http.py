@@ -7,10 +7,8 @@ malformed-payload cases, and ``repro.service.__main__`` for the CLI.
 
 from __future__ import annotations
 
-import glob
 import json
 import logging
-import os
 import socket
 import threading
 import urllib.error
@@ -22,7 +20,7 @@ from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
 from repro.service.server import ServiceUnderTest
-from repro.storage.segment import scan_segment
+from repro.storage import Database
 
 FIGURE_SPEC = {
     "figure": "figure6",
@@ -194,15 +192,25 @@ def _point(architecture: str, instructions: int) -> dict:
             "config": {"max_instructions": instructions}}
 
 
-def _log_records(directory: str, key: str) -> list:
-    """Every record a segment log under ``directory`` holds for ``key``."""
-    return [
-        record.meta["op"]
-        for path in sorted(glob.glob(os.path.join(directory, "shard-*",
-                                                  "seg-*.log")))
-        for record in scan_segment(path)[0]
-        if record.meta.get("k") == key
-    ]
+@pytest.fixture
+def writes(monkeypatch):
+    """Every ``(sql, params)`` write statement the database runs."""
+    log = []
+    real_write = Database.write
+
+    def recording(self, sql, params=()):
+        log.append((sql, params))
+        return real_write(self, sql, params)
+
+    monkeypatch.setattr(Database, "write", recording)
+    return log
+
+
+def _writes(log: list, table: str, key: str) -> list:
+    """The verbs (``INSERT``/``UPDATE``/``DELETE``) of the logged writes
+    to ``table`` that name ``key``, in order."""
+    return [sql.split()[0] for sql, params in log
+            if table in sql.split() and key in params]
 
 
 class TestAdmissionAnswer:
@@ -223,24 +231,22 @@ class TestAdmissionAnswer:
         assert (client.result(second["id"])["result"]
                 == client.result(first["id"])["result"])
 
-    def test_answered_job_writes_one_record_and_no_lease(self, service, tmp_path):
+    def test_answered_job_writes_one_record_and_no_lease(self, writes, service):
         url, _ = service
         client = ServiceClient(url)
         first = client.submit(self.SPEC)
         client.watch(first["id"], interval=0.05, timeout=120)
         second = client.submit(self.SPEC)
-        jobs_dir = str(tmp_path / "jobs")
-        leases_dir = os.path.join(jobs_dir, "leases")
-        assert _log_records(jobs_dir, second["id"]) == ["put"]
-        assert _log_records(leases_dir, second["id"]) == []
+        assert _writes(writes, "jobs", second["id"]) == ["INSERT"]
+        assert _writes(writes, "claims", second["id"]) == []
         # The queued job took the executor path: queued, running and
-        # completed records, and a lease claimed (maybe renewed) and
+        # completed records, and a lease acquired (maybe renewed) and
         # released.
-        assert len(_log_records(jobs_dir, first["id"])) >= 3
-        lease = _log_records(leases_dir, first["id"])
-        assert lease[0] == "claim" and lease[-1] == "rel"
+        assert len(_writes(writes, "jobs", first["id"])) >= 3
+        lease = _writes(writes, "claims", first["id"])
+        assert lease[0] == "INSERT" and lease[-1] == "DELETE"
 
-    def test_plan_with_one_unstored_point_is_queued(self, service, tmp_path):
+    def test_plan_with_one_unstored_point_is_queued(self, writes, service):
         url, _ = service
         client = ServiceClient(url)
         first = client.submit({"points": [_point("admit/a", 200)]})
@@ -251,8 +257,8 @@ class TestAdmissionAnswer:
         assert final["state"] == COMPLETED
         assert final["counters"]["executed"] == 1
         assert final["counters"]["cached"] == 1
-        lease = _log_records(str(tmp_path / "jobs" / "leases"), second["id"])
-        assert lease[0] == "claim" and lease[-1] == "rel"
+        lease = _writes(writes, "claims", second["id"])
+        assert lease[0] == "INSERT" and lease[-1] == "DELETE"
 
     def test_four_concurrent_resubmissions_complete_alike(self, service):
         url, _ = service

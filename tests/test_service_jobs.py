@@ -1,8 +1,7 @@
-"""Job model, priority queue and the job log."""
+"""Job model, priority queue and the job store."""
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 from datetime import datetime
@@ -23,7 +22,7 @@ from repro.service.jobs import (
     JobStore,
     new_job_id,
 )
-from repro.storage import ShardedStore
+from repro.storage import open_database
 
 
 def make_job(job_id: str = "abc123def456", priority: int = 0) -> Job:
@@ -84,9 +83,11 @@ class TestJobModel:
         assert len(ids) == 64
 
 
-def job_log(cache_dir: str) -> ShardedStore:
-    """A second handle on the job log, for writing records by hand."""
-    return ShardedStore(os.path.join(cache_dir, "jobs"), num_shards=1)
+def put_record(cache_dir: str, job_id: str, record: str) -> None:
+    """Store a job record by hand, as a save would."""
+    open_database(cache_dir).write(
+        "INSERT OR REPLACE INTO jobs (id, record) VALUES (?, ?)", (job_id, record)
+    )
 
 
 class TestJobStore:
@@ -104,31 +105,12 @@ class TestJobStore:
         assert store.load_changed() == []
         assert store.load("abc123def456") is None
 
-    def test_torn_log_tail_keeps_earlier_transitions(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        job = make_job("a" * 12)
-        store.save(job)
-        job.mark_running()
-        store.save(job)
-        (segment,) = glob.glob(os.path.join(store.job_dir, "shard-*",
-                                            "seg-*.log"))
-        with open(segment, "ab") as handle:
-            handle.write(b"\x07\x00\x00garbage-of-a-dying-writer")
-        fresh = JobStore(str(tmp_path))
-        (loaded,) = fresh.load_changed()
-        assert loaded.state == RUNNING
-        assert fresh.quarantined == 0
-        # The next save truncates the torn bytes and lands intact.
-        job.mark_completed({})
-        fresh.save(job)
-        assert JobStore(str(tmp_path)).load(job.id).state == COMPLETED
-
     def test_schema_mismatch_is_quarantined(self, tmp_path):
         store = JobStore(str(tmp_path))
         store.save(make_job("a" * 12))
-        job_log(str(tmp_path)).put("c" * 12, json.dumps(
+        put_record(str(tmp_path), "c" * 12, json.dumps(
             {"schema": 999, "id": "c" * 12, "state": QUEUED}
-        ).encode("utf-8"))
+        ))
         fresh = JobStore(str(tmp_path))
         assert [job.id for job in fresh.load_changed()] == ["a" * 12]
         assert fresh.quarantined == 1
@@ -140,9 +122,7 @@ class TestJobStore:
     def test_key_id_mismatch_is_quarantined(self, tmp_path):
         store = JobStore(str(tmp_path))
         job = make_job("d" * 12)
-        job_log(str(tmp_path)).put("e" * 12, json.dumps(
-            job.to_dict()
-        ).encode("utf-8"))
+        put_record(str(tmp_path), "e" * 12, json.dumps(job.to_dict()))
         assert store.load_changed() == []
         assert store.quarantined == 1
         assert store.load("e" * 12) is None
@@ -154,7 +134,8 @@ class TestJobStore:
         job.mark_completed({"executed": 0, "cached": 3})
         store.save(job)
         expected = json.dumps(job.to_dict(), default=str)
-        assert job_log(str(tmp_path)).get(job.id) == expected.encode("utf-8")
+        assert open_database(str(tmp_path)).query(
+            "SELECT record FROM jobs WHERE id = ?", (job.id,)) == [(expected,)]
 
     def test_save_overwrites_atomically(self, tmp_path):
         store = JobStore(str(tmp_path))
@@ -164,10 +145,10 @@ class TestJobStore:
         store.save(job)
         (loaded,) = JobStore(str(tmp_path)).load_changed()
         assert loaded.state == RUNNING
-        # The latest save wins; the job dir holds only the log.
-        names = {name for _, _, files in os.walk(store.job_dir)
-                 for name in files}
-        assert names == {".lock", "seg-00000001.log"}
+        # The latest save replaced the row; no job files are written.
+        assert open_database(str(tmp_path)).query(
+            "SELECT count(*) FROM jobs") == [(1,)]
+        assert not os.path.exists(store.job_dir)
 
     def test_second_instance_sees_later_save_of_same_id(self, tmp_path):
         writer, reader = JobStore(str(tmp_path)), JobStore(str(tmp_path))
@@ -186,15 +167,21 @@ class TestJobStore:
         job = make_job("a" * 12)
         writer.save(job)
 
-        def listing(_store):
-            raise AssertionError("load must not list every job")
+        rows_read = []
+        query = reader._database.query
 
-        monkeypatch.setattr(ShardedStore, "versions", listing)
+        def counting(sql, params=()):
+            rows = query(sql, params)
+            rows_read.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(reader._database, "query", counting)
         assert reader.load(job.id).state == QUEUED
         job.mark_running()
         writer.save(job)
         assert reader.load(job.id).state == RUNNING
         assert reader.load("f" * 12) is None
+        assert rows_read == [1, 1, 0]
 
     def test_jobs_saved_within_one_second_reload_in_submission_order(
             self, tmp_path):
@@ -203,7 +190,7 @@ class TestJobStore:
             if first.submitted_at[:19] == second.submitted_at[:19]:
                 break
         store = JobStore(str(tmp_path))
-        store.save(second)  # log order is the reverse of submission order
+        store.save(second)  # save order is the reverse of submission order
         store.save(first)
         loaded = JobStore(str(tmp_path)).load_changed()
         assert [job.id for job in loaded] == [first.id, second.id]
@@ -212,8 +199,7 @@ class TestJobStore:
         payload = make_job("0" * 12).to_dict()
         payload["submitted_at"] = "2020-01-01T00:00:00+00:00"
         payload["spec"]["deadline_s"] = 30
-        job_log(str(tmp_path)).put("0" * 12,
-                                   json.dumps(payload).encode("utf-8"))
+        put_record(str(tmp_path), "0" * 12, json.dumps(payload))
         (loaded,) = JobStore(str(tmp_path)).load_changed()
         assert loaded.submitted_at == "2020-01-01T00:00:00+00:00"
         # The deadline still counts from the old timestamp: long gone.
@@ -237,7 +223,7 @@ class TestJobStore:
         ]))
         try:
             job.mark_running()
-            store.save(job)  # the log degrades to read-only: dropped
+            store.save(job)  # the database degrades to read-only: dropped
         finally:
             seams.uninstall()
         assert store.save_errors == 1

@@ -195,7 +195,8 @@ class TestEngineServesCovers:
         first = _engine(cache_dir)
         first.execute([_point(budget=2 * B)])
         long_key = _point(budget=2 * B).trace_key()
-        assert first.trace_store._disk.delete(long_key)
+        assert first.trace_store._disk.database.write(
+            "DELETE FROM traces WHERE key = ?", (long_key,)) == 1
         engine = _engine(cache_dir)  # a cold memory tier
         point = _point(architecture="register file cache")
         summary = engine.execute([point])
@@ -290,7 +291,11 @@ class TestKeysNameTheirFamily:
         assert (engine.store.get(point.store_key()).to_dict()
                 == run_simulation_point(point).to_dict())
 
-    def test_a_cache_dir_holds_no_family_index(self, tmp_path):
-        _engine(str(tmp_path)).execute([_point(budget=2 * B), _point()])
-        entries = os.listdir(tmp_path / "traces")
-        assert entries and all(name.startswith("shard-") for name in entries)
+    def test_each_row_files_its_family_and_length(self, tmp_path):
+        engine = _engine(str(tmp_path))
+        engine.execute([_point(budget=2 * B), _point()])
+        rows = engine.trace_store._disk.database.query(
+            "SELECT key, family, length FROM traces")
+        assert rows
+        for key, family, length in rows:
+            assert family_length(key) == (family, length)

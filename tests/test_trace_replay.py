@@ -37,6 +37,7 @@ from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimulationStats
+from repro.storage import open_database
 from repro.trace import (
     TRACE_SCHEMA_VERSION,
     DecodedTrace,
@@ -257,15 +258,6 @@ class TestTraceStore:
         assert store.get(gcc_trace.key) is gcc_trace
         assert store.counters()["memory_hits"] == 1
 
-    @staticmethod
-    def _segment_files(trace_dir):
-        return [
-            os.path.join(root, name)
-            for root, _, names in os.walk(trace_dir)
-            for name in names
-            if name.startswith("seg-") and name.endswith(".log")
-        ]
-
     def test_schema_mismatch_is_a_miss(self, gcc_trace, tmp_path):
         store = TraceStore(str(tmp_path))
         blob = _rewrite_header(gcc_trace.to_bytes(),
@@ -281,27 +273,6 @@ class TestTraceStore:
         with pytest.raises(SimulationError, match="byte order"):
             DecodedTrace.from_bytes(blob)
         store._disk.put(gcc_trace.key, blob)
-        assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
-
-    def test_corrupt_segment_is_a_miss(self, gcc_trace, tmp_path):
-        store = TraceStore(str(tmp_path))
-        store.put(gcc_trace)
-        segments = self._segment_files(store.trace_dir)
-        assert segments, "trace store wrote no segment files"
-        for path in segments:
-            with open(path, "wb") as handle:
-                handle.write(b"not a segment record at all")
-        assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
-
-    def test_truncated_segment_is_a_miss(self, gcc_trace, tmp_path):
-        """A torn tail (writer killed mid-append) reads as a miss."""
-        store = TraceStore(str(tmp_path))
-        store.put(gcc_trace)
-        for path in self._segment_files(store.trace_dir):
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            with open(path, "wb") as handle:
-                handle.write(blob[: len(blob) // 2])
         assert TraceStore(str(tmp_path)).get(gcc_trace.key) is None
 
     def test_truncated_blob_is_a_miss(self, gcc_trace, tmp_path):
@@ -496,19 +467,12 @@ class TestCacheDirCoexistence:
                                 architecture="mono-1c", config=config)
         SweepEngine(store=results).execute([point])
 
-        # Results live in segment logs under results/, traces under
-        # traces/; a fresh ResultStore must not mistake the trace for a
-        # result and a fresh TraceStore must not see the result payload.
-        def segment_files(subdir):
-            return [
-                os.path.join(root, name)
-                for root, _, names in os.walk(os.path.join(cache_dir, subdir))
-                for name in names
-                if name.startswith("seg-") and name.endswith(".log")
-            ]
-
-        assert segment_files("results"), "result segments missing"
-        assert segment_files("traces"), "trace segments missing"
+        # Results live in the results table, traces in the traces table;
+        # a fresh ResultStore must not mistake the trace for a result and
+        # a fresh TraceStore must not see the result payload.
+        database = open_database(cache_dir)
+        for table in ("results", "traces"):
+            assert database.query(f"SELECT count(*) FROM {table}") == [(1,)], table
 
         fresh_results = ResultStore(cache_dir=cache_dir)
         assert fresh_results.peek(point.store_key()) is not None

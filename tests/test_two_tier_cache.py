@@ -13,12 +13,15 @@ import pytest
 
 from repro.experiments.store import SCHEMA_VERSION, ResultStore
 from repro.pipeline.stats import SimulationStats
-from repro.storage import TwoTierCache
+from repro.storage import Table, TwoTierCache, open_database
 from repro.trace import TraceStore
 
 
 class _TextCache(TwoTierCache):
     # UTF-8 text; "reject" decodes to a rejection, "raise" to an error.
+    def __init__(self, cache_dir=None):
+        super().__init__(Table(open_database(cache_dir), "results") if cache_dir else None)
+
     def _encode(self, key, value, metadata):
         return value.encode("utf-8")
 
@@ -75,7 +78,6 @@ class TestTwoTierCache:
     def test_memory_only_cache_has_no_disk_tier(self):
         cache = _TextCache()
         cache.set_observer(lambda op, seconds: None)
-        cache.compact()
         assert cache.storage_stats() == {}
         assert cache.get("k") is None
         cache.put("k", "v")
