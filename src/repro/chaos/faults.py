@@ -1,10 +1,9 @@
 """Seeded, deterministic fault specifications and the injector.
 
 A :class:`Fault` names a seam, an action, and a *window* of matching
-calls it fires on; a :class:`FaultInjector` owns a list of faults plus a
-``random.Random(seed)`` and counts every seam call so that, for a given
-seed and fault list, exactly the same calls fail in exactly the same way
-on every run.
+calls it fires on; a :class:`FaultInjector` owns a list of faults and
+counts every seam call so that, for a given fault list, exactly the same
+calls fail in exactly the same way on every run.
 
 Actions fall in two groups:
 
@@ -32,7 +31,6 @@ from __future__ import annotations
 import errno as _errno
 import threading
 import time
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -98,14 +96,13 @@ class FaultInjector:
 
     The injector is installed process-globally via
     :func:`repro.chaos.seams.install`; production guards then route every
-    seam call through :meth:`fire`.  ``seed`` feeds ``self.rng``, for a
-    scenario's own random choices; the *schedule* of faults is fixed by
-    the fault list itself, so two runs with the same seed and faults are
-    byte-identical in what they inject.
+    seam call through :meth:`fire`.  The *schedule* of faults is fixed by
+    the fault list itself, so two runs with the same faults are
+    byte-identical in what they inject.  ``seed`` is the scenario's
+    seed; the injector only records it.
     """
 
     def __init__(self, faults: Optional[List[Fault]] = None, seed: int = 0):
-        self.rng = random.Random(seed)
         self.seed = seed
         self.faults = list(faults or [])
         self._lock = threading.Lock()

@@ -8,10 +8,10 @@ a *robustness* failure — they call ``result.violate`` — so one broken
 invariant doesn't hide the others.  A scenario that crashes outright is
 itself counted as a violation by the matrix runner.
 
-Determinism: every scenario derives all randomness from ``seed`` (via
-``random.Random(seed)`` or the injector's seeded RNG).  Wall-clock
-still varies run to run, so scenarios assert *outcomes* (terminal
-states, causes, counters), never timings.
+Determinism: no scenario draws random numbers; its fault list fixes
+which seam calls fail, and how.  Wall-clock still varies run to run, so
+scenarios assert *outcomes* (terminal states, causes, counters), never
+timings.
 
 ``SCENARIOS`` maps name -> function; ``QUICK_SCENARIOS`` is the subset
 run by ``python -m repro.chaos --quick`` (CI) and includes the

@@ -18,13 +18,16 @@ little indirection for speed: one in-flight record
 (:class:`~repro.execute.issue_queue.IssueQueueEntry`) per instruction,
 from fetch to commit — the frontend builds it with the fetch cycle and
 the branch prediction state, the renamer fills its physical registers,
-dispatch builds its operand accesses once, and the same object sits in
+dispatch adds its operand accesses, and the same object sits in
 the decode queue, the window and the ROB and is what a completion and
 the commit observer carry, so no stage looks an instruction up by
-sequence number or allocates a second record; the select loop is one
-flat loop with its collaborators bound once per cycle, and a select
-attempt allocates nothing; and stages are skipped outright on the cycles
-where their input queues are provably empty.
+sequence number or allocates a second record; one record per live
+value, too: a source's operand access *is* its
+:class:`~repro.execute.scoreboard.ValueState`, on which each issue
+attempt writes its read plan; the select loop is one flat loop with its
+collaborators bound once per cycle, and a select attempt allocates
+nothing; and stages are skipped outright on the cycles where their
+input queues are provably empty.
 
 The back-end state has one owner per piece, all plain public
 attributes: the processor holds the reorder buffer (``rob``), the
@@ -34,10 +37,12 @@ entries, waiter and consumer lists and the value state of every live
 physical register (``values``); the renamer holds the map table and the
 free lists.  The stages do the per-instruction bookkeeping on that state
 in place: dispatch renames and inserts into the window (operand
-accesses, waiter and consumer lists), the ROB (with its program-order
+accesses, waiter lists and their ``pending`` count, and the consumer
+lists that only ready caching reads), the ROB (with its program-order
 check) and the load/store queue, stalling when any of them or the free
 list is full; issue selects, removes the entry from the window ("issued
-twice"), wakes its waiting consumers and books the functional unit;
+twice"), wakes its waiting consumers, hands their list to a prefetching
+register file's ``on_issue`` and books the functional unit;
 commit pops the ROB head, releases the replaced mapping and drops a
 committed store from the store index.  The same state is what
 :meth:`Processor.functional_warmup` warms before a sampled window.  The
@@ -86,7 +91,7 @@ from repro.isa.opcodes import OpClass
 from repro.memsys.cache import CacheModel
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import OccupancySample, SimulationStats
-from repro.regfile.base import OperandAccess, OperandSource, RegisterFileModel
+from repro.regfile.base import OperandSource, RegisterFileModel
 from repro.rename.renamer import PhysicalRegister, Renamer
 
 # Enum members bound once.  The enum metaclass defines ``__getattr__``
@@ -483,11 +488,11 @@ class Processor:
         fixed order — operand plan, upper-level fill, FU, read ports —
         because failed attempts have side effects the statistics see:
         stall counters, and the register file cache's pseudo-LRU touches
-        while planning.  An attempt allocates nothing: it re-plans the
-        accesses its entry built at dispatch, and counters are summed in
-        locals and added once per cycle.  A load never waits for older
-        store addresses: the stream gives every store its address at
-        dispatch.
+        while planning.  An attempt allocates nothing: it re-plans its
+        sources' value states, which dispatch put in the entry, and
+        counters are summed in locals and added once per cycle.  A load
+        never waits for older store addresses: the stream gives every
+        store its address at dispatch.
 
         Select, the window removal, the wakeup of the waiting consumers
         and the functional-unit booking run here in place, on the
@@ -512,6 +517,7 @@ class Processor:
         fp_plan = fp_rf.plan_operand_read
         not_ready = _NOT_READY
         miss = _MISS
+        int_class = _INT
         load = _LOAD
         store = _STORE
         issued = 0
@@ -531,13 +537,14 @@ class Processor:
             op_class = instruction.op_class
 
             # Operand read planning, in source order, in place on the
-            # accesses built at dispatch.
+            # sources' value states.
             retry = None
             missing = False
-            for access in entry.accesses:
-                source = (int_plan if access.is_int else fp_plan)(access, cycle)
+            for state in entry.accesses:
+                source = (int_plan if state.register.reg_class is int_class
+                          else fp_plan)(state, cycle)
                 if source is not_ready:
-                    retry = access.retry_cycle
+                    retry = state.retry_cycle
                     if retry is None or retry < next_cycle:
                         retry = next_cycle
                     break
@@ -619,22 +626,21 @@ class Processor:
                 state.ex_end_cycle = ex_end
                 # Wakeup: the producer's end of execution is now known, so
                 # its whole waiter list learns when the value can be used.
-                uid = dest.uid
-                waiting = waiters.pop(uid, None)
+                # A waiter waits on its producer, so none has issued; one
+                # that reads ``dest`` twice is listed, and counted, twice.
+                waiting = waiters.pop(dest.uid, None)
                 if waiting is not None:
                     available = ex_end + consumer_offset
                     for waiter in waiting:
-                        if waiter.issued:
-                            continue
-                        pending = waiter.pending
-                        if pending is not None:
-                            pending.discard(uid)
+                        waiter.pending -= 1
                         if available > waiter.earliest_ex_cycle:
                             waiter.earliest_ex_cycle = available
-                if issue_hooks:
-                    (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
-                        entry, cycle, window
-                    )
+                    # The waiters are all of the producer's unissued
+                    # consumers, oldest first: the prefetch's candidates.
+                    if issue_hooks:
+                        (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
+                            dest, waiting, cycle, window
+                        )
 
             # The completion carries the in-flight record itself.
             bucket = completions.get(ex_end + 1)
@@ -670,16 +676,18 @@ class Processor:
         # One pass: pin the file-resident operands of the oldest entry and
         # request a fill, in source order, for every missing one.
         latest_completion: Optional[int] = None
-        for access in entry.accesses:
-            source = access.source
+        for state in entry.accesses:
+            source = state.source
             if source is _MISS:
-                completion = (int_rf if access.is_int else fp_rf).request_fill(
-                    access.register, access.state, cycle, pin=is_oldest
+                register = state.register
+                completion = (int_rf if register.reg_class is _INT else fp_rf).request_fill(
+                    register, state, cycle, pin=is_oldest
                 )
                 if completion is not None:
                     latest_completion = max(latest_completion or 0, completion)
             elif is_oldest and source is _FILE:
-                (int_rf if access.is_int else fp_rf).pin_operand(access.register)
+                register = state.register
+                (int_rf if register.reg_class is _INT else fp_rf).pin_operand(register)
         # Defer: no execution before the fills complete (or, with no
         # fill started, before the next cycle's read).
         until = cycle + 1 if latest_completion is None else latest_completion
@@ -777,11 +785,12 @@ class Processor:
                 state = entry.dest_state = ValueState(dest, seq)
                 values[dest.uid] = state
 
-            # Window insert: one operand access per source, built once;
-            # the entry joins the consumer list of every source (when the
-            # window keeps one) and the waiter list of every source whose
-            # producer has not issued.
+            # Window insert: the operand accesses are the sources' value
+            # states; the entry joins the consumer list of every source
+            # (when the window keeps one) and the waiter list of every
+            # source whose producer has not issued, and counts those.
             earliest = dispatch_earliest
+            pending = 0
             sources = entry.sources
             if sources:
                 accesses = []
@@ -797,19 +806,15 @@ class Processor:
                     state = values.get(uid)
                     if state is None:
                         raise SimulationError(f"no scoreboard state for {register}")
-                    access = OperandAccess(register, state)
-                    accesses.append(access)
-                    if access.is_int:
+                    accesses.append(state)
+                    if register.reg_class is _INT:
                         int_count += 1
                     ex_end = state.ex_end_cycle
                     if ex_end is not None:
                         if ex_end + offset > earliest:
                             earliest = ex_end + offset
                     else:
-                        if entry.pending is None:
-                            entry.pending = {uid}
-                        else:
-                            entry.pending.add(uid)
+                        pending += 1
                         waiter_list = waiters.get(uid)
                         if waiter_list is None:
                             waiters[uid] = [entry]
@@ -820,11 +825,17 @@ class Processor:
                 # the source-order list instead of copying it.
                 if int_count == len(accesses):
                     entry.int_accesses = accesses
+                    entry.fp_accesses = ()
                 elif not int_count:
+                    entry.int_accesses = ()
                     entry.fp_accesses = accesses
                 else:
-                    entry.int_accesses = [a for a in accesses if a.is_int]
-                    entry.fp_accesses = [a for a in accesses if not a.is_int]
+                    entry.int_accesses = [a for a in accesses if a.register.reg_class is _INT]
+                    entry.fp_accesses = [a for a in accesses
+                                         if a.register.reg_class is not _INT]
+            else:
+                entry.accesses = entry.int_accesses = entry.fp_accesses = ()
+            entry.pending = pending
             entry.earliest_ex_cycle = earliest
             window_entries[seq] = entry
 
@@ -880,16 +891,12 @@ class Processor:
     def _sample_occupancy(self, cycle: int) -> None:
         needed: set[PhysicalRegister] = set()
         ready: set[PhysicalRegister] = set()
-        values = self.window.values
         for entry in self.window.entries.values():
             produced_sources = []
             all_produced = True
-            for register in entry.sources:
-                state = values.get(register.uid)
-                if state is None:
-                    raise SimulationError(f"no scoreboard state for {register}")
+            for state in entry.accesses:
                 if state.ex_end_cycle is not None and state.ex_end_cycle <= cycle:
-                    produced_sources.append(register)
+                    produced_sources.append(state.register)
                 else:
                     all_produced = False
             needed.update(produced_sources)

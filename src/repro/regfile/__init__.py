@@ -23,7 +23,6 @@ by the pipeline model:
 
 from repro.regfile.base import (
     OperandSource,
-    OperandAccess,
     RegisterFileModel,
     UNLIMITED,
 )
@@ -36,7 +35,6 @@ from repro.regfile.banked import OneLevelBankedRegisterFile
 
 __all__ = [
     "OperandSource",
-    "OperandAccess",
     "RegisterFileModel",
     "UNLIMITED",
     "PortSet",

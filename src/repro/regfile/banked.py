@@ -19,12 +19,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
-from repro.regfile.base import (
-    OperandAccess,
-    OperandSource,
-    RegisterFileModel,
-    UNLIMITED,
-)
+from repro.regfile.base import OperandSource, RegisterFileModel, UNLIMITED
 from repro.regfile.ports import PortSet, WriteScheduler
 from repro.rename.renamer import PhysicalRegister
 
@@ -84,24 +79,22 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
 
     # ------------------------------------------------------------------
 
-    def plan_operand_read(
-        self, access: OperandAccess, issue_cycle: int
-    ) -> OperandSource:
-        access.bank = access.register.index % self.num_banks
-        rf_ready = access.state.rf_ready_cycle
+    def plan_operand_read(self, state: ValueState, issue_cycle: int) -> OperandSource:
+        state.bank = state.register.index % self.num_banks
+        rf_ready = state.rf_ready_cycle
         if rf_ready is not None and issue_cycle >= rf_ready:
             source = _FILE
         else:
             source = _BYPASS
-        access.source = source
+        state.source = source
         return source
 
-    def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
+    def can_claim_reads(self, accesses: Sequence[ValueState]) -> bool:
         demand = self._bank_demand
         touched = self._banks_touched
-        for access in accesses:
-            if access.source is _FILE:
-                bank = access.bank
+        for state in accesses:
+            if state.source is _FILE:
+                bank = state.bank
                 if demand[bank] == 0:
                     touched.append(bank)
                 demand[bank] += 1
@@ -115,15 +108,14 @@ class OneLevelBankedRegisterFile(RegisterFileModel):
         touched.clear()
         return ok
 
-    def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
+    def claim_reads(self, accesses: Sequence[ValueState]) -> None:
         demand = self._bank_demand
         touched = self._banks_touched
-        for access in accesses:
-            state = access.state
+        for state in accesses:
             state.reads += 1
-            source = access.source
+            source = state.source
             if source is _FILE:
-                bank = access.bank
+                bank = state.bank
                 if demand[bank] == 0:
                     touched.append(bank)
                 demand[bank] += 1

@@ -5,16 +5,18 @@ The pipeline model interacts with a register file exclusively through
 
 * at **select/issue** time it asks, for each source operand of a
   candidate instruction, how the operand would be obtained
-  (:meth:`RegisterFileModel.plan_operand_read`), checks that the required
-  read ports are available, and finally claims them;
+  (:meth:`RegisterFileModel.plan_operand_read`, which writes the plan
+  onto the operand's :class:`~repro.execute.scoreboard.ValueState`),
+  checks that the required read ports are available, and finally claims
+  them;
 * when an operand is *missing* from the upper level of a register file
   cache it asks the model to start a **fill** over one of the
   inter-level buses;
 * at **write-back** time it hands the produced value to the model, which
   arbitrates write ports, applies the caching policy and reports when the
   value becomes readable from the file;
-* at **issue** time of a producer the model gets a hook used by the
-  prefetch-first-pair scheme.
+* at **issue** time of a producer with waiting consumers the model gets
+  a hook used by the prefetch-first-pair scheme.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ import enum
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.isa.instruction import RegisterClass
 from repro.rename.renamer import PhysicalRegister
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    # The issue window builds OperandAccess objects, so this module must
-    # not import ``repro.execute`` at run time.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.execute.issue_queue import IssueQueue, IssueQueueEntry
     from repro.execute.scoreboard import ValueState
 
@@ -52,35 +51,6 @@ class OperandSource(enum.Enum):
     NOT_READY = "not_ready"
 
 
-# Enum members bound once, as in ``repro.pipeline.processor``.
-_INT = RegisterClass.INT
-_NOT_READY = OperandSource.NOT_READY
-
-
-class OperandAccess:
-    """One source operand of a waiting instruction and its read plan.
-
-    The issue window builds one per source at dispatch; every issue
-    attempt re-plans it in place (:meth:`RegisterFileModel.plan_operand_read`)
-    instead of allocating a fresh plan per operand per attempt.
-    """
-
-    __slots__ = ("register", "state", "is_int", "source", "bank", "retry_cycle")
-
-    def __init__(self, register: PhysicalRegister, state: "ValueState") -> None:
-        self.register = register
-        #: Value state of the register, resolved once at dispatch.
-        self.state = state
-        #: Whether the integer (else the FP) register file holds the value.
-        self.is_int: bool = register.reg_class is _INT
-        self.source = _NOT_READY
-        #: For FILE accesses of multi-banked organisations: which bank is read.
-        self.bank = 0
-        #: For NOT_READY plans: earliest cycle at which re-planning could
-        #: succeed (hint only; ``None`` when unknown).
-        self.retry_cycle: Optional[int] = None
-
-
 class RegisterFileModel(ABC):
     """Abstract register file architecture."""
 
@@ -91,11 +61,12 @@ class RegisterFileModel(ABC):
     #: cycle after it is produced).  Only the processor applies it.
     consumer_offset: int = 1
     #: Whether this architecture's policies query the issue window's
-    #: per-register consumer index (``waiting_consumers_of``).  Single
-    #: level organisations never do, so the window skips maintaining it.
+    #: per-register consumer index (``waiting_consumers_of``).  Only a
+    #: ready-caching register file cache does, so the window usually
+    #: skips maintaining it.
     needs_consumer_index: bool = False
     #: Whether the processor calls :meth:`on_issue` when an instruction
-    #: with a destination issues; only a prefetch-first-pair register
+    #: with waiting consumers issues; only a prefetch-first-pair register
     #: file cache sets it.
     prefetches_on_issue: bool = False
     #: Human-readable architecture name used in reports.
@@ -126,33 +97,36 @@ class RegisterFileModel(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def plan_operand_read(
-        self, access: OperandAccess, issue_cycle: int
-    ) -> OperandSource:
-        """Plan how ``access.register`` would be obtained by an instruction
-        issued at ``issue_cycle`` (executing ``read_stages`` cycles later).
+    def plan_operand_read(self, state: ValueState, issue_cycle: int) -> OperandSource:
+        """Plan how the value ``state`` tracks (``state.register``) would be
+        obtained by an instruction issued at ``issue_cycle`` (executing
+        ``read_stages`` cycles later).
 
         The processor guarantees the precondition: the producer has
-        issued (``access.state.ex_end_cycle`` is set), and the consumer
+        issued (``state.ex_end_cycle`` is set), and the consumer
         executes at or after ``ex_end_cycle + consumer_offset``.  So the
         model decides only where the operand comes from, never whether
         the consumer may execute yet.
 
-        Sets ``access.source`` (plus ``bank``, or ``retry_cycle`` for a
-        NOT_READY plan) in place and returns the source.
+        Sets ``state.source`` (plus ``bank``, or ``retry_cycle`` for a
+        NOT_READY plan) in place and returns the source.  The plan is read
+        only within the same issue attempt (:meth:`can_claim_reads`,
+        :meth:`claim_reads`, fills), so consumers that share a value may
+        share its state.
         """
 
     @abstractmethod
-    def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
-        """Whether the FILE accesses in ``accesses`` fit in this cycle's
-        remaining read-port budget."""
+    def can_claim_reads(self, accesses: Sequence[ValueState]) -> bool:
+        """Whether the FILE reads planned on ``accesses`` fit in this
+        cycle's remaining read-port budget.  A value an instruction reads
+        twice appears twice and needs two ports."""
 
     @abstractmethod
-    def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
-        """Issue the reads of ``accesses``: consume read ports for the FILE
-        accesses, count every access's value read (``state.reads``), mark
-        bypassed values (``state.consumed_via_bypass``) and add the
-        accesses to :attr:`reads_from_file` / :attr:`reads_from_bypass`."""
+    def claim_reads(self, accesses: Sequence[ValueState]) -> None:
+        """Issue the planned reads of ``accesses``: consume read ports for
+        the FILE reads, count every read of each value (``reads``), mark
+        bypassed values (``consumed_via_bypass``) and add the reads to
+        :attr:`reads_from_file` / :attr:`reads_from_bypass`."""
 
     # ------------------------------------------------------------------
     # fills / prefetches (register file cache only; default no-ops)
@@ -172,11 +146,14 @@ class RegisterFileModel(ABC):
 
     def on_issue(
         self,
-        entry: "IssueQueueEntry",
+        dest: PhysicalRegister,
+        consumers: Sequence["IssueQueueEntry"],
         cycle: int,
         window: "IssueQueue",
     ) -> None:
-        """Hook invoked when an instruction issues, only on a model whose
+        """Hook invoked when the producer of ``dest`` issues and wakes
+        ``consumers`` (its waiter list, oldest first: every unissued
+        window entry that sources ``dest``), only on a model whose
         :attr:`prefetches_on_issue` is true (prefetch-first-pair)."""
 
     def pin_operand(self, register: PhysicalRegister) -> None:

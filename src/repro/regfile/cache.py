@@ -39,12 +39,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
-from repro.regfile.base import (
-    OperandAccess,
-    OperandSource,
-    RegisterFileModel,
-    UNLIMITED,
-)
+from repro.regfile.base import OperandSource, RegisterFileModel, UNLIMITED
 from repro.regfile.bus import TransferBusSet
 from repro.regfile.ports import PortSet, WriteScheduler
 from repro.regfile.replacement import PseudoLRU
@@ -98,9 +93,10 @@ class RegisterFileCache(RegisterFileModel):
         self.upper_capacity = upper_capacity
         self.caching = caching
         self.fetch = fetch
-        #: Ready caching and prefetch-first-pair walk the window's
-        #: per-register consumer lists; the other policies never do.
-        self.needs_consumer_index = caching == "ready" or fetch == "prefetch-first-pair"
+        #: Ready caching walks the window's per-register consumer lists;
+        #: prefetch-first-pair reads the waiters its producer's issue
+        #: wakes, and the other policies read neither.
+        self.needs_consumer_index = caching == "ready"
         self.prefetches_on_issue = fetch == "prefetch-first-pair"
         self.upper_read_ports = PortSet(upper_read_ports, kind="upper-read")
         self.upper_result_writes = WriteScheduler(upper_write_ports, kind="upper-write")
@@ -180,18 +176,15 @@ class RegisterFileCache(RegisterFileModel):
     # reads (issue side)
     # ------------------------------------------------------------------
 
-    def plan_operand_read(
-        self, access: OperandAccess, issue_cycle: int
-    ) -> OperandSource:
+    def plan_operand_read(self, state: ValueState, issue_cycle: int) -> OperandSource:
         # Every outcome returns as soon as it is known; this is the most
         # frequently called method of a register-file-cache simulation.
-        state = access.state
         if issue_cycle + self.read_stages == state.ex_end_cycle + 1:
             # The single bypass level catches results exactly one cycle
             # after the producer finishes.
-            access.source = _BYPASS
+            state.source = _BYPASS
             return _BYPASS
-        uid = access.register.uid
+        uid = state.register.uid
         slot = self._upper_slots.get(uid)
         if slot is not None:
             # Mark the entry hot (an inlined ``PseudoLRU.touch``): the
@@ -200,25 +193,25 @@ class RegisterFileCache(RegisterFileModel):
             # available.
             upper = self._upper
             upper._state = (upper._state & self._lru_keep[slot]) | self._lru_set[slot]
-            access.source = _FILE
+            state.source = _FILE
             return _FILE
         retry = self._pending_fills.get(uid)
         if retry is None:
             rf_ready = state.rf_ready_cycle
             if state.written_back and rf_ready is not None and issue_cycle >= rf_ready:
-                access.source = _MISS
+                state.source = _MISS
                 return _MISS
             retry = rf_ready
-        access.source = _NOT_READY
-        access.retry_cycle = retry
+        state.source = _NOT_READY
+        state.retry_cycle = retry
         return _NOT_READY
 
-    def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
+    def can_claim_reads(self, accesses: Sequence[ValueState]) -> bool:
         if self.upper_read_ports.count is None:
             return True
         needed = 0
-        for access in accesses:
-            if access.source is _FILE:
+        for state in accesses:
+            if state.source is _FILE:
                 needed += 1
         if needed == 0:
             return True
@@ -227,18 +220,17 @@ class RegisterFileCache(RegisterFileModel):
             self.read_port_stalls += 1
         return available
 
-    def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
+    def claim_reads(self, accesses: Sequence[ValueState]) -> None:
         needed = 0
         bypassed = 0
         upper_slots = self._upper_slots
         read_pinned = self._read_pinned
-        for access in accesses:
-            state = access.state
+        for state in accesses:
             state.reads += 1
-            source = access.source
+            source = state.source
             if source is _FILE:
                 needed += 1
-                uid = access.register.uid
+                uid = state.register.uid
                 slot = upper_slots.get(uid)
                 if slot is not None:
                     upper = self._upper
@@ -250,7 +242,7 @@ class RegisterFileCache(RegisterFileModel):
                 bypassed += 1
                 state.consumed_via_bypass = True
                 if read_pinned:
-                    read_pinned.discard(access.register.uid)
+                    read_pinned.discard(state.register.uid)
         self.reads_from_file += needed
         self.reads_from_bypass += bypassed
         if needed:
@@ -302,19 +294,17 @@ class RegisterFileCache(RegisterFileModel):
             self.demand_fills += 1
         return completion
 
-    def on_issue(self, entry, cycle: int, window) -> None:
-        """Prefetch the other operand of the first waiting consumer of
-        ``entry``'s result (prefetch-first-pair only)."""
+    def on_issue(self, dest, consumers, cycle: int, window) -> None:
+        """Prefetch the other operand of the first waiting consumer of the
+        issuing producer's result ``dest`` (prefetch-first-pair only).
+
+        ``consumers`` is the waiter list the issue stage just popped for
+        ``dest``: each consumer was dispatched before its producer issued,
+        so it waited on it, and waiter lists are appended at dispatch, in
+        program order, so the first one is the oldest.
+        """
         if self.fetch == "fetch-on-demand":
             return
-        dest = entry.dest
-        if dest is None:
-            return
-        consumers = window.waiting_consumers_of(dest)
-        if not consumers:
-            return
-        # Consumer lists are appended at dispatch, in program order, so the
-        # first waiting consumer is the oldest.
         values = window.values
         reg_class = dest.reg_class
         for other in consumers[0].sources:

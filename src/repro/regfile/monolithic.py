@@ -18,12 +18,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
-from repro.regfile.base import (
-    OperandAccess,
-    OperandSource,
-    RegisterFileModel,
-    UNLIMITED,
-)
+from repro.regfile.base import OperandSource, RegisterFileModel, UNLIMITED
 from repro.regfile.ports import PortSet, WriteScheduler
 from repro.rename.renamer import PhysicalRegister
 
@@ -83,25 +78,23 @@ class SingleBankedRegisterFile(RegisterFileModel):
 
     # ------------------------------------------------------------------
 
-    def plan_operand_read(
-        self, access: OperandAccess, issue_cycle: int
-    ) -> OperandSource:
+    def plan_operand_read(self, state: ValueState, issue_cycle: int) -> OperandSource:
         # The read (starting at issue) sees the written value once the
         # write has landed; until then the value rides the bypass network.
-        rf_ready = access.state.rf_ready_cycle
+        rf_ready = state.rf_ready_cycle
         if rf_ready is not None and issue_cycle >= rf_ready:
             source = _FILE
         else:
             source = _BYPASS
-        access.source = source
+        state.source = source
         return source
 
-    def can_claim_reads(self, accesses: Sequence[OperandAccess]) -> bool:
+    def can_claim_reads(self, accesses: Sequence[ValueState]) -> bool:
         if self.read_ports.count is None:
             return True
         needed = 0
-        for access in accesses:
-            if access.source is _FILE:
+        for state in accesses:
+            if state.source is _FILE:
                 needed += 1
         if needed == 0:
             return True
@@ -110,13 +103,12 @@ class SingleBankedRegisterFile(RegisterFileModel):
             self.read_port_stalls += 1
         return available
 
-    def claim_reads(self, accesses: Sequence[OperandAccess]) -> None:
+    def claim_reads(self, accesses: Sequence[ValueState]) -> None:
         needed = 0
         bypassed = 0
-        for access in accesses:
-            state = access.state
+        for state in accesses:
             state.reads += 1
-            source = access.source
+            source = state.source
             if source is _FILE:
                 needed += 1
             elif source is _BYPASS:

@@ -27,13 +27,17 @@ A write that meets a full disk (SQLite's "database or disk is full", or
 ``ENOSPC``) turns the database read-only for the rest of the process:
 later writes are dropped without touching the file, and the stores
 above keep serving from memory.
+
+``sqlite3`` is imported by the code that opens a connection, and by the
+error checks that only run once one exists, so a process that never
+opens a cache directory (a bare simulation, a ``--no-cache`` sweep)
+never loads it.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import sqlite3
 import threading
 import weakref
 from time import perf_counter as _perf_counter
@@ -72,6 +76,8 @@ DELETE FROM {table} WHERE rowid IN (
 
 
 def _disk_full(error: Exception) -> bool:
+    import sqlite3  # loaded by the connection that raised
+
     if isinstance(error, sqlite3.OperationalError):
         return "disk is full" in str(error)
     return isinstance(error, OSError) and error.errno == errno.ENOSPC
@@ -81,6 +87,8 @@ class Database:
     """This process's connection to one database file."""
 
     def __init__(self, path: str) -> None:
+        import sqlite3
+
         self.path = path
         connection = sqlite3.connect(
             path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
@@ -113,7 +121,7 @@ class Database:
                 _seams.active.fire("storage.append")
             with self._lock:
                 return self._connection.execute(sql, params).rowcount
-        except (sqlite3.OperationalError, OSError) as error:
+        except Exception as error:
             if not _disk_full(error):
                 raise
             self.read_only = True
@@ -145,6 +153,8 @@ def open_database(cache_dir: str) -> Database:
         except OSError:
             current = False
         if not current:
+            import sqlite3
+
             try:
                 database = _OPEN[path] = Database(path)
             except sqlite3.DatabaseError as error:

@@ -82,6 +82,17 @@ SCENARIOS = {
         RegisterFileCacheFactory(caching="ready", fetch="fetch-on-demand"),
         {"collect_occupancy": True},
     ),
+    # The one policy pair that runs both the ready-caching consumer query
+    # and the prefetch-on-issue hook.
+    "register_file_cache_ready_prefetch": (
+        "fpppp",
+        RegisterFileCacheFactory(
+            caching="ready", fetch="prefetch-first-pair",
+            upper_read_ports=4, upper_write_ports=2, lower_write_ports=4,
+            buses=2,
+        ),
+        {},
+    ),
 }
 
 

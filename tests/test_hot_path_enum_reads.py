@@ -35,7 +35,8 @@ HOT_FUNCTIONS = [
     ("repro.pipeline.processor", "Processor._dispatch_stage"),
     ("repro.pipeline.processor", "Processor.forwarding_store"),
     ("repro.pipeline.processor", "Processor.functional_warmup"),
-    ("repro.regfile.base", "OperandAccess.__init__"),
+    ("repro.execute.scoreboard", "ValueState.__init__"),
+    ("repro.execute.issue_queue", "IssueQueueEntry.__init__"),
     ("repro.rename.renamer", "Renamer.rename"),
     ("repro.isa.instruction", "DynamicInstruction.__post_init__"),
     ("repro.frontend.fetch", "FetchUnit._predict_branch"),

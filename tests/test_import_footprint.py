@@ -4,7 +4,8 @@
 and the service must run on the standard library alone, so the first
 test runs them under ``python -S`` (no site-packages, hence no numpy) in
 a subprocess; since all of that runs with ``jobs=1``, it must not load
-``multiprocessing`` either.  The Table 2 access-time calibration
+``multiprocessing`` either, and since none of it opens a cache
+directory, not ``sqlite3`` (a ``ResultStore`` put then does).  The Table 2 access-time calibration
 (:mod:`repro.hwmodel.access_time`) solves its fit exactly in fractions;
 the second test checks that it loads no numpy either, and the rest that
 its numbers are the ones the numpy least-squares fit produced.
@@ -69,6 +70,13 @@ STDLIB_ONLY = """
     # pool starts (jobs > 1).
     for name in ("multiprocessing", "concurrent.futures.process"):
         assert name not in sys.modules, f"{name} was imported"
+    # sqlite3 loads only when a store opens a cache directory.
+    assert "sqlite3" not in sys.modules, "sqlite3 was imported"
+    import tempfile
+    from repro.experiments.store import ResultStore
+    with tempfile.TemporaryDirectory() as cache_dir:
+        ResultStore(cache_dir=cache_dir).put("gcc-live", live)
+        assert "sqlite3" in sys.modules
     print("ok")
 """
 

@@ -85,10 +85,8 @@ class TestBasicExecution:
 
     def test_consumer_index_kept_for_either_file(self, gcc_workload):
         # A 1-cycle integer file and an FP register file cache share their
-        # timing; the cache's prefetch-first-pair still needs the consumer
-        # index.
-        files = iter([_one_cycle,
-                      lambda: RegisterFileCache(fetch="prefetch-first-pair")])
+        # timing; the cache's ready caching still needs the consumer index.
+        files = iter([_one_cycle, lambda: RegisterFileCache(caching="ready")])
         processor = Processor(gcc_workload.instructions(100), lambda: next(files)())
         assert processor.window.track_consumers
 

@@ -6,16 +6,16 @@ from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import RegisterClass
 from repro.regfile.banked import OneLevelBankedRegisterFile
-from repro.regfile.base import OperandAccess, OperandSource
+from repro.regfile.base import OperandSource
 from repro.regfile.cache import RegisterFileCache
 from repro.rename.renamer import PhysicalRegister
 
 
-def _plan(regfile, register, state, issue_cycle):
-    """Plan one operand read into a fresh access and return it."""
-    access = OperandAccess(register, state)
-    regfile.plan_operand_read(access, issue_cycle)
-    return access
+def _plan(regfile, state, issue_cycle):
+    """Plan one operand read on ``state`` (the plan is written onto the
+    value state itself) and return the state."""
+    regfile.plan_operand_read(state, issue_cycle)
+    return state
 
 
 def _phys(index):
@@ -45,9 +45,9 @@ class TestOneLevelBanked:
         a, state_a = _produced(2)    # bank 0
         b, state_b = _produced(4)    # bank 0
         c, state_c = _produced(5)    # bank 1
-        access_a = _plan(regfile, a, state_a, issue_cycle=10)
-        access_b = _plan(regfile, b, state_b, issue_cycle=10)
-        access_c = _plan(regfile, c, state_c, issue_cycle=10)
+        access_a = _plan(regfile, state_a, issue_cycle=10)
+        access_b = _plan(regfile, state_b, issue_cycle=10)
+        access_c = _plan(regfile, state_c, issue_cycle=10)
         assert access_a.bank == 0 and access_c.bank == 1
         assert regfile.can_claim_reads([access_a, access_c])       # different banks
         regfile.claim_reads([access_a, access_c])
@@ -63,7 +63,7 @@ class TestOneLevelBanked:
         register = _phys(2)
         state = ValueState(register, 0)
         state.ex_end_cycle = 9
-        access = _plan(regfile, register, state, issue_cycle=9)
+        access = _plan(regfile, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_writeback_uses_bank_scheduler(self):

@@ -8,16 +8,16 @@ from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import DynamicInstruction, INT_LOGICAL_REGISTERS, RegisterClass
 from repro.isa.opcodes import OpClass
 from repro.pipeline.processor import Processor
-from repro.regfile.base import OperandAccess, OperandSource
+from repro.regfile.base import OperandSource
 from repro.regfile.cache import RegisterFileCache
 from repro.rename.renamer import PhysicalRegister
 
 
-def _plan(regfile, register, state, issue_cycle):
-    """Plan one operand read into a fresh access and return it."""
-    access = OperandAccess(register, state)
-    regfile.plan_operand_read(access, issue_cycle)
-    return access
+def _plan(regfile, state, issue_cycle):
+    """Plan one operand read on ``state`` (the plan is written onto the
+    value state itself) and return the state."""
+    regfile.plan_operand_read(state, issue_cycle)
+    return state
 
 
 def _phys(index):
@@ -28,6 +28,15 @@ def _window():
     """A window and its value states (``uid`` -> ``ValueState``)."""
     window = IssueQueue(32)
     return window, window.values
+
+
+def _entry(instruction, dest, sources):
+    """An in-flight record renamed to ``dest`` and ``sources``, as the
+    renamer leaves it."""
+    entry = IssueQueueEntry(instruction)
+    entry.dest = dest
+    entry.sources = sources
+    return entry
 
 
 def _wait_in_window(window, entry):
@@ -77,14 +86,14 @@ class TestReadPlanning:
         cache = RegisterFileCache()
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=9, rf_ready=10)
-        access = _plan(cache, register, state, issue_cycle=9)
+        access = _plan(cache, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_miss_when_not_cached(self):
         cache = RegisterFileCache()
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
-        access = _plan(cache, register, state, issue_cycle=10)
+        access = _plan(cache, state, issue_cycle=10)
         assert access.source is OperandSource.MISS
 
     def test_hit_after_caching_at_writeback(self):
@@ -92,7 +101,7 @@ class TestReadPlanning:
         window, values = _window()
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         cache.writeback(register, state, cycle=6, window=window)
-        access = _plan(cache, register, state, issue_cycle=10)
+        access = _plan(cache, state, issue_cycle=10)
         assert access.source is OperandSource.FILE
 
     def test_not_ready_while_value_in_flight_to_lower(self):
@@ -101,7 +110,7 @@ class TestReadPlanning:
         register = _phys(40)
         state = _allocate(values, register, 0)
         state.ex_end_cycle = 5          # produced but not yet written back
-        access = _plan(cache, register, state, issue_cycle=10)
+        access = _plan(cache, state, issue_cycle=10)
         assert access.source is OperandSource.NOT_READY
 
     def test_not_ready_while_fill_in_flight(self):
@@ -110,7 +119,7 @@ class TestReadPlanning:
         register, state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         completion = cache.request_fill(register, state, cycle=10)
         assert completion == 13          # lower read (2) + upper write (1)
-        access = _plan(cache, register, state, issue_cycle=11)
+        access = _plan(cache, state, issue_cycle=11)
         assert access.source is OperandSource.NOT_READY
         assert access.retry_cycle == completion
 
@@ -210,11 +219,11 @@ class TestWritebackPolicies:
         window, values = _window()
         producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         other_ready, _ = _produced_state(values, 41, ex_end=-1, rf_ready=0)  # architected
-        consumer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[3],
-                                           sources=(INT_LOGICAL_REGISTERS[1],
-                                                    INT_LOGICAL_REGISTERS[2])),
+        consumer = _entry(
+            DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[3],
+                               sources=(INT_LOGICAL_REGISTERS[1],
+                                        INT_LOGICAL_REGISTERS[2])),
             dest=_phys(50), sources=(producer_reg, other_ready),
         )
         _wait_in_window(window, consumer)
@@ -227,11 +236,11 @@ class TestWritebackPolicies:
         producer_reg, producer_state = _produced_state(values, 40, ex_end=5, rf_ready=6)
         pending = _phys(42)
         _allocate(values, pending, producer_seq=8)   # not produced yet
-        consumer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[3],
-                                           sources=(INT_LOGICAL_REGISTERS[1],
-                                                    INT_LOGICAL_REGISTERS[2])),
+        consumer = _entry(
+            DynamicInstruction(seq=9, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[3],
+                               sources=(INT_LOGICAL_REGISTERS[1],
+                                        INT_LOGICAL_REGISTERS[2])),
             dest=_phys(50), sources=(producer_reg, pending),
         )
         _wait_in_window(window, consumer)
@@ -268,8 +277,8 @@ class TestEvictionAndRelease:
         cache.writeback(a, state_a, cycle=6, window=window)
         cache.writeback(b, state_b, cycle=6, window=window)
         cache.begin_cycle(10)
-        access_a = _plan(cache, a, state_a, issue_cycle=10)
-        access_b = _plan(cache, b, state_b, issue_cycle=10)
+        access_a = _plan(cache, state_a, issue_cycle=10)
+        access_b = _plan(cache, state_b, issue_cycle=10)
         assert cache.can_claim_reads([access_a])
         cache.claim_reads([access_a])
         # The single upper-level read port is used for this cycle.
@@ -287,21 +296,22 @@ class TestPrefetchFirstPair:
         dest = _phys(50)
         _allocate(values, dest, producer_seq=5)
         other, other_state = _produced_state(values, 60, ex_end=1, rf_ready=2)
-        producer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[4]),
+        producer = _entry(
+            DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        consumer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[5],
-                                           sources=(INT_LOGICAL_REGISTERS[4],
-                                                    INT_LOGICAL_REGISTERS[6])),
+        consumer = _entry(
+            DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[5],
+                               sources=(INT_LOGICAL_REGISTERS[4],
+                                        INT_LOGICAL_REGISTERS[6])),
             dest=_phys(51), sources=(dest, other),
         )
-        producer_entry = _wait_in_window(window, producer)
+        _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
-        cache.on_issue(producer_entry, cycle=3, window=window)
+        # Issuing the producer wakes its waiter list: the consumer.
+        cache.on_issue(dest, [consumer], cycle=3, window=window)
         assert cache.prefetch_fills == 1
         assert cache.fill_in_flight(other) is not None
 
@@ -312,21 +322,22 @@ class TestPrefetchFirstPair:
         _allocate(values, dest, producer_seq=5)
         other, other_state = _produced_state(values, 60, ex_end=1, rf_ready=2)
         cache.writeback(other, other_state, cycle=2, window=window)
-        producer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[4]),
+        producer = _entry(
+            DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        consumer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[5],
-                                           sources=(INT_LOGICAL_REGISTERS[4],
-                                                    INT_LOGICAL_REGISTERS[6])),
+        consumer = _entry(
+            DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[5],
+                               sources=(INT_LOGICAL_REGISTERS[4],
+                                        INT_LOGICAL_REGISTERS[6])),
             dest=_phys(51), sources=(dest, other),
         )
-        producer_entry = _wait_in_window(window, producer)
+        _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
-        cache.on_issue(producer_entry, cycle=3, window=window)
+        # Issuing the producer wakes its waiter list: the consumer.
+        cache.on_issue(dest, [consumer], cycle=3, window=window)
         assert cache.prefetch_fills == 0
 
     def test_fetch_on_demand_never_prefetches(self):
@@ -334,13 +345,22 @@ class TestPrefetchFirstPair:
         window, values = _window()
         dest = _phys(50)
         _allocate(values, dest, producer_seq=5)
-        producer = IssueQueueEntry(
-            instruction=DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
-                                           dest=INT_LOGICAL_REGISTERS[4]),
+        other, _ = _produced_state(values, 60, ex_end=1, rf_ready=2)
+        producer = _entry(
+            DynamicInstruction(seq=5, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[4]),
             dest=dest, sources=(),
         )
-        entry = _wait_in_window(window, producer)
-        cache.on_issue(entry, cycle=3, window=window)
+        consumer = _entry(
+            DynamicInstruction(seq=6, op_class=OpClass.INT_ALU,
+                               dest=INT_LOGICAL_REGISTERS[5],
+                               sources=(INT_LOGICAL_REGISTERS[4],
+                                        INT_LOGICAL_REGISTERS[6])),
+            dest=_phys(51), sources=(dest, other),
+        )
+        _wait_in_window(window, producer)
+        _wait_in_window(window, consumer)
+        cache.on_issue(dest, [consumer], cycle=3, window=window)
         assert cache.prefetch_fills == 0
 
 
@@ -359,7 +379,7 @@ STATISTICS_KEYS = [
      "(infR/infW upper, inf buses)", False),
     ("non-bypass", "prefetch-first-pair",
      "register file cache (non-bypass caching + prefetch-first-pair) "
-     "(infR/infW upper, inf buses)", True),
+     "(infR/infW upper, inf buses)", False),
     ("ready", "fetch-on-demand",
      "register file cache (ready caching + fetch-on-demand) "
      "(infR/infW upper, inf buses)", True),
@@ -371,13 +391,13 @@ STATISTICS_KEYS = [
      "(infR/infW upper, inf buses)", False),
     ("always", "prefetch-first-pair",
      "register file cache (always caching + prefetch-first-pair) "
-     "(infR/infW upper, inf buses)", True),
+     "(infR/infW upper, inf buses)", False),
     ("never", "fetch-on-demand",
      "register file cache (never caching + fetch-on-demand) "
      "(infR/infW upper, inf buses)", False),
     ("never", "prefetch-first-pair",
      "register file cache (never caching + prefetch-first-pair) "
-     "(infR/infW upper, inf buses)", True),
+     "(infR/infW upper, inf buses)", False),
 ])
 def test_policy_pair_by_name(caching, fetch, describe, consumer_index):
     cache = RegisterFileCache(caching=caching, fetch=fetch)
@@ -387,8 +407,9 @@ def test_policy_pair_by_name(caching, fetch, describe, consumer_index):
         RegisterFileCache(caching="magic", fetch=fetch)
     with pytest.raises(ConfigurationError, match="unknown fetch policy 'oracle'"):
         RegisterFileCache(caching=caching, fetch="oracle")
-    # Only ready caching and prefetch-first-pair walk the consumer lists,
-    # so only they keep the window maintaining them.
+    # Only ready caching walks the consumer lists (prefetch-first-pair
+    # reads the waiters its producer wakes), so only it keeps the window
+    # maintaining them.
     processor = Processor(iter(()), lambda: RegisterFileCache(caching=caching, fetch=fetch))
     assert processor.window.track_consumers is consumer_index
 
@@ -405,9 +426,9 @@ def test_processor_calls_on_issue_only_to_prefetch(monkeypatch, fetch):
     calls = []
     original = RegisterFileCache.on_issue
 
-    def counting(self, entry, cycle, window):
+    def counting(self, dest, consumers, cycle, window):
         calls.append(cycle)
-        return original(self, entry, cycle, window)
+        return original(self, dest, consumers, cycle, window)
 
     monkeypatch.setattr(RegisterFileCache, "on_issue", counting)
     stream = SyntheticWorkload(get_profile("gcc")).instructions(1000)

@@ -5,16 +5,16 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
 from repro.isa.instruction import RegisterClass
-from repro.regfile.base import OperandAccess, OperandSource
+from repro.regfile.base import OperandSource
 from repro.regfile.monolithic import SingleBankedRegisterFile
 from repro.rename.renamer import PhysicalRegister
 
 
-def _plan(regfile, register, state, issue_cycle):
-    """Plan one operand read into a fresh access and return it."""
-    access = OperandAccess(register, state)
-    regfile.plan_operand_read(access, issue_cycle)
-    return access
+def _plan(regfile, state, issue_cycle):
+    """Plan one operand read on ``state`` (the plan is written onto the
+    value state itself) and return the state."""
+    regfile.plan_operand_read(state, issue_cycle)
+    return state
 
 
 def _phys(index=40):
@@ -70,7 +70,7 @@ class TestOperandTiming:
         regfile = SingleBankedRegisterFile(latency=1, bypass_levels=1)
         register, state = _state(ex_end=9)
         # Consumer issuing at 9 executes at 10 = ex_end + 1: via bypass.
-        access = _plan(regfile, register, state, issue_cycle=9)
+        access = _plan(regfile, state, issue_cycle=9)
         assert access.source is OperandSource.BYPASS
 
     def test_missing_bypass_level_adds_one_cycle(self):
@@ -78,22 +78,24 @@ class TestOperandTiming:
         register, state = _state(ex_end=9)
         # Earliest execute is ex_end + 2 = 11, i.e. issue at 9: the one
         # bypass level kept is the second.
-        ok = _plan(regfile, register, state, issue_cycle=9)
+        ok = _plan(regfile, state, issue_cycle=9)
         assert ok.source is OperandSource.BYPASS
 
     def test_reads_come_from_file_once_written(self):
         regfile = SingleBankedRegisterFile(latency=1)
         register, state = _state(ex_end=5, rf_ready=7)
-        from_bypass = _plan(regfile, register, state, issue_cycle=6)
-        from_file = _plan(regfile, register, state, issue_cycle=7)
-        assert from_bypass.source is OperandSource.BYPASS
-        assert from_file.source is OperandSource.FILE
+        # The plan lives on the value state, so each is read before the
+        # next plan replaces it.
+        from_bypass = _plan(regfile, state, issue_cycle=6).source
+        assert from_bypass is OperandSource.BYPASS
+        from_file = _plan(regfile, state, issue_cycle=7).source
+        assert from_file is OperandSource.FILE
 
 
 class TestPorts:
     def _file_access(self, regfile, issue_cycle=10):
         register, state = _state(ex_end=1, rf_ready=2)
-        return _plan(regfile, register, state, issue_cycle=issue_cycle)
+        return _plan(regfile, state, issue_cycle=issue_cycle)
 
     def test_read_port_exhaustion(self):
         regfile = SingleBankedRegisterFile(latency=1, read_ports=2)
@@ -111,7 +113,7 @@ class TestPorts:
         regfile = SingleBankedRegisterFile(latency=1, read_ports=1)
         regfile.begin_cycle(6)
         register, state = _state(ex_end=5)
-        access = _plan(regfile, register, state, issue_cycle=5)
+        access = _plan(regfile, state, issue_cycle=5)
         assert access.source is OperandSource.BYPASS
         assert regfile.can_claim_reads([access, access, access])
 
