@@ -1,49 +1,20 @@
-"""Performance subsystem: benchmark matrix, reports and the CI perf gate.
+"""The bench harness: the working tree against a base revision.
 
-``python -m repro.bench`` runs a fixed matrix of simulation, sweep,
-service and component scenarios, and writes the next schema-versioned
-``BENCH_<n>.json`` of the repository's performance trajectory;
-``python -m repro.bench compare`` diffs two reports and fails on
-regressions beyond a threshold.  See ``docs/benchmarking.md``.
+``python -m repro.bench --base REV`` runs every ``BENCHMARK.json``
+workload of ``perfbench/run.py`` on REV's ``src/`` and on the working
+tree's, alternating, in one session; judges each end-to-end metric
+against its bound; runs the two self-relative overhead gates; and
+writes the next ``BENCH_<n>.json``.  See ``docs/benchmarking.md``.
 """
 
-from repro.bench.report import (
-    BenchReport,
-    BenchReportError,
-    Comparison,
-    ScenarioDelta,
-    ScenarioResult,
-    compare_reports,
-    environment_fingerprint,
-    next_report_index,
-)
-from repro.bench.runner import BenchmarkRunner, run_and_save
-from repro.bench.scenarios import (
-    ComponentScenario,
-    SampledSweepScenario,
-    SimulationScenario,
-    component_scenarios,
-    headline_scenario,
-    sampled_sweep_scenarios,
-    simulation_scenarios,
-)
+from repro.bench.gates import IN_PASS_OVERHEAD_BOUND, overhead_gates
+from repro.bench.runner import BenchError, run_bench
+from repro.bench.verdict import judge
 
 __all__ = [
-    "BenchReport",
-    "BenchReportError",
-    "BenchmarkRunner",
-    "Comparison",
-    "ComponentScenario",
-    "ScenarioDelta",
-    "ScenarioResult",
-    "SampledSweepScenario",
-    "SimulationScenario",
-    "compare_reports",
-    "component_scenarios",
-    "environment_fingerprint",
-    "headline_scenario",
-    "next_report_index",
-    "run_and_save",
-    "sampled_sweep_scenarios",
-    "simulation_scenarios",
+    "BenchError",
+    "IN_PASS_OVERHEAD_BOUND",
+    "judge",
+    "overhead_gates",
+    "run_bench",
 ]

@@ -12,10 +12,10 @@ Layout:
   code consults.  A seam is **disabled by default**: the check is one
   module-attribute load and an ``is None`` test, so the hot path pays
   nothing when chaos is off (proven by the ``resilience_overhead``
-  bench scenario).
+  bench gate).
 * :mod:`repro.chaos.faults` — :class:`~repro.chaos.faults.Fault` and the
-  seeded :class:`~repro.chaos.faults.FaultInjector` that decides, fully
-  deterministically for a given seed, which seam calls fail and how.
+  :class:`~repro.chaos.faults.FaultInjector` that decides, from its fault
+  list alone, which seam calls fail and how.
 * :mod:`repro.chaos.harness` — boots a live in-process fleet (service
   apps + HTTP servers + real client), runs one scenario against it and
   asserts the global invariants.

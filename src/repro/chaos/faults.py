@@ -98,12 +98,10 @@ class FaultInjector:
     :func:`repro.chaos.seams.install`; production guards then route every
     seam call through :meth:`fire`.  The *schedule* of faults is fixed by
     the fault list itself, so two runs with the same faults are
-    byte-identical in what they inject.  ``seed`` is the scenario's
-    seed; the injector only records it.
+    byte-identical in what they inject.
     """
 
-    def __init__(self, faults: Optional[List[Fault]] = None, seed: int = 0):
-        self.seed = seed
+    def __init__(self, faults: Optional[List[Fault]] = None):
         self.faults = list(faults or [])
         self._lock = threading.Lock()
         self._calls: Dict[str, int] = {}

@@ -98,7 +98,7 @@ def scenario_baseline_identity(result: ScenarioResult, seed: int,
             sut.client.result(record["id"]).get("result")
         )
 
-    injector = FaultInjector([], seed=seed)
+    injector = FaultInjector([])
     with scenario_env(injector) as env:
         sut, record = _run_one_job(env, result, spec,
                                    cache_dir=env.cache_dir("chaos"))
@@ -134,7 +134,7 @@ def scenario_enospc(result: ScenarioResult, seed: int, quick: bool) -> None:
     injector = FaultInjector([
         Fault(seam="storage.append", action="enospc", at=1, count=None),
         Fault(seam="jobs.save", action="enospc", at=2, count=None),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut, record = _run_one_job(
             env, result, _points_spec(n=2, instructions=300),
@@ -189,7 +189,7 @@ def scenario_slow_worker(result: ScenarioResult, seed: int,
     injector = FaultInjector([
         Fault(seam="engine.point", action="delay", at=1, count=None,
               delay_s=0.1 if quick else 0.25),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut, record = _run_one_job(
             env, result, _points_spec(n=2, instructions=300),
@@ -213,7 +213,7 @@ def scenario_hung_worker_deadline(result: ScenarioResult, seed: int,
     injector = FaultInjector([
         Fault(seam="engine.point", action="hang", at=1, count=None,
               delay_s=hang_s),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut = env.service(cache_dir=env.cache_dir("hung"))
         job = sut.client.submit(
@@ -249,7 +249,7 @@ def scenario_crash_worker(result: ScenarioResult, seed: int,
     injector = FaultInjector([
         Fault(seam="engine.point", action="crash", at=1, count=None,
               message="chaos: worker crash"),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut, record = _run_one_job(
             env, result, _points_spec(n=2, instructions=300),
@@ -418,7 +418,7 @@ def scenario_http_flaky(result: ScenarioResult, seed: int,
         Fault(seam="http.response", action="drop", at=2),
         Fault(seam="http.response", action="reset", at=3),
         Fault(seam="http.response", action="delay", at=4, delay_s=0.3),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut = env.service(
             cache_dir=env.cache_dir("flaky"),
@@ -457,7 +457,7 @@ def scenario_overload(result: ScenarioResult, seed: int,
     injector = FaultInjector([
         Fault(seam="engine.point", action="delay", at=1, count=None,
               delay_s=0.4),
-    ], seed=seed)
+    ])
     with scenario_env(injector) as env:
         sut = env.service(
             cache_dir=env.cache_dir("busy"),

@@ -11,7 +11,7 @@ inject a fault.  Production call sites are written as::
 When chaos is disabled (the default, always true in production) the
 guard is a single module-attribute load plus an ``is None`` test — no
 function call, no allocation, no lock.  The ``resilience_overhead``
-bench scenario holds this path to within noise of the un-seamed
+bench gate holds this path to within noise of the un-seamed
 baseline.
 
 Seam names currently wired into production code:

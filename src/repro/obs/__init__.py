@@ -29,7 +29,7 @@ Everything is stdlib-only and disabled-by-default outside the service:
 a :class:`Telemetry` handle bundles one registry + event log + bus, and
 production guards are a single ``is None`` test when no telemetry is
 attached (the same discipline as :mod:`repro.chaos.seams`, held to the
-same overhead gate by the ``obs_overhead`` bench scenario).
+same overhead bound by the ``obs_overhead`` bench gate).
 """
 
 from repro.obs.context import TraceContext, TRACE_HEADER, new_trace

@@ -342,11 +342,14 @@ class RegisterFileCache(RegisterFileModel):
         if caching == "non-bypass":
             cache = not state.consumed_via_bypass
         elif caching == "ready":
+            # Cache when a waiting consumer has every other operand
+            # produced: this value is the last one it waits for.
             cache = False
-            values = window.values
             for entry in window.waiting_consumers_of(register):
-                other_sources = [s for s in entry.sources if s != register]
-                if all(values[src.uid].produced for src in other_sources):
+                for other in entry.accesses:
+                    if other.register is not register and not other.produced:
+                        break
+                else:
                     cache = True
                     break
         else:

@@ -437,7 +437,7 @@ def build_server(app: ServiceApp, host: str = "127.0.0.1",
 class ServiceUnderTest:
     """One in-process replica: app + HTTP server on a free port + a client.
 
-    Used by the chaos matrix and the service bench scenarios.
+    Used by the chaos matrix and the bench's overhead gates.
     ``client_kwargs`` tune the retry policy of the returned client;
     callers that must observe raw failures pass ``retries=0``.
     """

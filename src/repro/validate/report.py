@@ -1,10 +1,10 @@
 """Validation outcomes and schema-versioned JSON reports.
 
-Mirrors the shape of :mod:`repro.bench.report`: one ``python -m
-repro.validate`` invocation produces a :class:`ValidationReport` holding
-one :class:`ScenarioValidation` per fuzzed seed, each with the oracle
-summary, one :class:`ArchitectureOutcome` per register-file architecture
-and any :class:`Divergence` found.  Every divergence carries a minimized
+One ``python -m repro.validate`` invocation produces a
+:class:`ValidationReport` holding one :class:`ScenarioValidation` per
+fuzzed seed, each with the oracle summary, one
+:class:`ArchitectureOutcome` per register-file architecture and any
+:class:`Divergence` found.  Every divergence carries a minimized
 repro: the seed, the scenario descriptor (config point, program text,
 workload seed) and the first divergent commit index.
 """

@@ -41,8 +41,10 @@ def _entry(instruction, dest, sources):
 
 def _wait_in_window(window, entry):
     """Put ``entry`` in the window the way the dispatch stage does for the
-    policies: as a window entry and a consumer of each of its sources."""
+    policies: as a window entry and a consumer of each of its sources,
+    whose value states are its operand accesses."""
     window.entries[entry.seq] = entry
+    entry.accesses = [window.values[register.uid] for register in entry.sources]
     for register in entry.sources:
         window.consumers.setdefault(register.uid, []).append(entry)
     return entry

@@ -51,7 +51,6 @@ CLI_DOC_MAP = [
     ("repro.validate", None, "docs/validation.md"),
     ("repro.sampling", None, "docs/sampling.md"),
     ("repro.bench", None, "docs/benchmarking.md"),
-    ("repro.bench", "compare", "docs/benchmarking.md"),
     ("repro.service", "serve", "docs/service.md"),
     ("repro.service", "submit", "docs/service.md"),
     ("repro.service", "status", "docs/service.md"),
