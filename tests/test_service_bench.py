@@ -193,3 +193,90 @@ def test_the_gates_run_at_the_quick_budget():
         "obs_overhead", 6000, 2000)
     assert (resilience.name, resilience.instructions,
             resilience.warmup_instructions) == ("resilience_overhead", 1500, 300)
+
+
+class TestGateChecks:
+    def test_a_gate_plan_carries_its_budget(self):
+        gate = ResilienceOverheadGate(name="r", figure="figure6", instructions=1500,
+                                      warmup_instructions=300, benchmarks=("gcc",))
+        assert gate.plan() == {"figure": "figure6", "settings": {
+            "instructions": 1500, "warmup_instructions": 300, "benchmarks": ["gcc"]}}
+
+    def test_the_resilience_gate_refuses_installed_seams(self):
+        import pytest
+
+        from repro.chaos import seams
+        from repro.chaos.faults import FaultInjector
+        from repro.errors import SimulationError
+
+        gate = ResilienceOverheadGate(name="r", figure="figure6", instructions=200,
+                                      warmup_instructions=50, benchmarks=("gcc",))
+        seams.install(FaultInjector([]))
+        try:
+            with pytest.raises(SimulationError, match="seams disabled at entry"):
+                gate.run()
+        finally:
+            seams.uninstall()
+
+    def test_a_diverging_resilience_pass_fails_the_gate(self, monkeypatch):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        def one_pass(self, instrumented):
+            return {"points": 3, "digest": "b" if instrumented else "a",
+                    "wall_seconds": 1.0, "seam_seconds": 0.0}
+
+        monkeypatch.setattr(ResilienceOverheadGate, "_one_pass", one_pass)
+        gate = ResilienceOverheadGate(name="r", figure="figure6", instructions=200,
+                                      warmup_instructions=50, benchmarks=("gcc",))
+        with pytest.raises(SimulationError, match="seams are not transparent"):
+            gate.run()
+
+    def test_a_diverging_telemetry_pass_fails_the_gate(self, monkeypatch):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        def one_pass(self, full_telemetry):
+            return {"points": 3, "digest": "b" if full_telemetry else "a",
+                    "wall_seconds": 1.0, "sink_seconds": 0.0}
+
+        monkeypatch.setattr(ObsOverheadGate, "_one_pass", one_pass)
+        gate = ObsOverheadGate(name="o", figure="figure6", instructions=200,
+                               warmup_instructions=50, benchmarks=("gcc",))
+        with pytest.raises(SimulationError, match="observability is not transparent"):
+            gate.run()
+
+    def test_instrumented_calls_filling_the_whole_wall_fail_the_gate(self, monkeypatch):
+        import pytest
+
+        from repro.errors import SimulationError
+
+        def one_pass(self, instrumented):
+            return {"points": 3, "digest": "d", "wall_seconds": 1.0,
+                    "seam_seconds": 1.0 if instrumented else 0.0}
+
+        monkeypatch.setattr(ResilienceOverheadGate, "_one_pass", one_pass)
+        gate = ResilienceOverheadGate(name="r", figure="figure6", instructions=200,
+                                      warmup_instructions=50, benchmarks=("gcc",))
+        with pytest.raises(SimulationError, match="infx"):
+            gate.run()
+
+    def test_the_obs_gate_reads_the_median_of_its_pairs(self, monkeypatch):
+        fulls = iter([(1.10, 0.10), (1.01, 0.01), (1.02, 0.02)])
+
+        def one_pass(self, full_telemetry):
+            if not full_telemetry:
+                return {"points": 3, "digest": "d", "wall_seconds": 1.0,
+                        "sink_seconds": 0.0}
+            wall, sink = next(fulls)
+            return {"points": 3, "digest": "d", "wall_seconds": wall,
+                    "sink_seconds": sink}
+
+        monkeypatch.setattr(ObsOverheadGate, "_one_pass", one_pass)
+        outcome = ObsOverheadGate(name="o", figure="figure6", instructions=200,
+                                  warmup_instructions=50, benchmarks=("gcc",)).run()
+        # Pass overheads 1.1, 1.01 and 1.02: the one slow pass is outvoted.
+        assert outcome["overhead"] == 1.02
+        assert outcome["pairs"] == 3 and outcome["full_wall_seconds"] == 1.01
