@@ -77,19 +77,6 @@ class Fault:
         if self.delay_s < 0:
             raise ValueError("fault 'delay_s' must be >= 0")
 
-    def matches(self, seam: str, nth: int, ctx: Dict[str, Any]) -> bool:
-        """Whether this fault fires on the *nth* matching call at *seam*."""
-        if seam != self.seam:
-            return False
-        for key, value in self.match.items():
-            if ctx.get(key) != value:
-                return False
-        if nth < self.at:
-            return False
-        if self.count is not None and nth >= self.at + self.count:
-            return False
-        return True
-
 
 class FaultInjector:
     """Deterministically applies a fault list to seam calls.
@@ -138,17 +125,16 @@ class FaultInjector:
                 # "3rd POST /jobs" means what it says even when other
                 # routes share the seam.
                 if fault.match:
-                    filtered_ok = all(
-                        ctx.get(key) == value
-                        for key, value in fault.match.items()
-                    )
-                    if not filtered_ok:
+                    if any(ctx.get(key) != value
+                           for key, value in fault.match.items()):
                         continue
                     self._fault_calls[index] += 1
                     local_nth = self._fault_calls[index]
                 else:
                     local_nth = nth
-                if hit is None and fault.matches(seam, local_nth, ctx):
+                if hit is None and local_nth >= fault.at and (
+                        fault.count is None
+                        or local_nth < fault.at + fault.count):
                     hit = fault
             if hit is None:
                 return None

@@ -21,11 +21,12 @@ Seam names currently wired into production code:
                        write statement reaches the database file.
 ``jobs.save``          :class:`repro.service.jobs.JobStore` record save,
                        before the record is written to the jobs table.
-``engine.point``       :func:`repro.experiments.scheduler.run_simulation_point`,
-                       or ``record_point_trace`` when the recording is the
-                       point's run: once per executed point, before the
-                       simulation body runs (slow / hung / crashing worker
-                       faults).
+``engine.point``       the sweep engine's task
+                       (``repro.experiments.scheduler._run_batch``), inline
+                       and in workers alike: once per executed point,
+                       before its work starts (its trace's recording, for
+                       the point that records one) — slow / hung /
+                       crashing worker faults.
 ``http.response``      :class:`repro.service.server.ServiceRequestHandler`
                        just before a response body is sent (drop / delay /
                        connection-reset faults).

@@ -21,19 +21,19 @@ remainder with the **trace-once / replay-many** engine:
   workload generation and the whole frontend while reproducing the
   live-run statistics bit for bit.
 
-Both steps run through :func:`fan_out` whatever the ``jobs`` count.  At
-``jobs=1`` it calls the tasks inline on the engine's own traces.  With
-``jobs`` > 1 the work fans out across a **warm worker pool** that
-persists across calls (figure sweeps reuse it); batches carry multiple
-points per dispatch instead of one task per point.  Workers only
-compute: a record task returns its trace as its columnar blob
+Both steps run one task function through :func:`fan_out`, whatever
+the ``jobs`` count.  At ``jobs=1`` the tasks run inline on the engine's
+own traces.  With ``jobs`` > 1 the work fans out across a **warm worker
+pool** that persists across calls (figure sweeps reuse it); batches
+carry multiple points per dispatch instead of one task per point.
+Tasks, traces and statistics cross the process boundary by pickle; a
+trace pickles as its columnar blob
 (:meth:`~repro.trace.schema.DecodedTrace.to_bytes`, the bytes the trace
-store writes), and a replay batch receives its group's trace the same
-way.  The engine process alone puts traces into its
-:class:`~repro.trace.store.TraceStore` and emits the ``trace.record``
-and ``point.simulate`` spans, at every ``jobs`` value: live around the
-work it runs itself, and from the seconds each worker task reports for
-the rest.
+store writes).  Workers only compute: the engine process alone puts
+traces into its :class:`~repro.trace.store.TraceStore` and emits the
+``trace.record`` and ``point.simulate`` spans, at every ``jobs`` value:
+live around the work it runs itself, and from the seconds each worker
+task reports for the rest.
 
 Simulations are deterministic functions of ``(benchmark profile, seed,
 architecture, config)``, so a parallel or replayed run produces
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import math
 import threading
 import time
@@ -255,15 +256,6 @@ def record_point_trace(point: SimulationPoint):
     """Record the group's trace; harvest the recording run as ``point``'s
     result when eligible.  Returns ``(trace, stats_or_None)``."""
     harvest = _recording_doubles_as_run(point)
-    if harvest and _seams.active is not None:
-        # Chaos seam: the recording run is this point's execution, so
-        # worker faults land here; a point that is not harvested meets
-        # the seam once, in run_simulation_point.
-        _seams.active.fire(
-            "engine.point",
-            benchmark=point.benchmark,
-            architecture=point.architecture,
-        )
     trace, stats = record_trace_with_stats(
         point.benchmark,
         build_point_stream(point),
@@ -286,15 +278,6 @@ def run_simulation_point(
     systematic interval sampling over the trace instead (recorded here
     on demand — the sampling engine is trace-driven by construction).
     """
-    if _seams.active is not None:
-        # Chaos seam: slow / hung / crashing worker faults land here,
-        # before the simulation body, so the resilience layer above
-        # (deadlines, lease stealing, retries) is what gets exercised.
-        _seams.active.fire(
-            "engine.point",
-            benchmark=point.benchmark,
-            architecture=point.architecture,
-        )
     if point.sampling is not None:
         from repro.sampling.engine import sampled_simulate
 
@@ -380,20 +363,18 @@ def fan_out(
     tasks: Sequence[Any],
     worker: Callable[[Any], Any],
     jobs: int = 1,
-    remote_worker: Optional[Callable[[Any], Any]] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Apply ``worker`` to every task, serially or across worker processes.
 
     The shared fan-out primitive behind the experiment scheduler and the
-    differential validation runner.  With ``jobs`` > 1 the tasks are
-    shipped to the persistent :func:`warm_pool`; ``remote_worker``
-    (default: ``worker``) is used there instead, so callers can
-    substitute a transport-friendly wrapper (e.g. one that returns plain
-    dictionaries) — it must be a picklable module-level callable, as
-    must the tasks.  ``on_result`` fires once per completed task, in
-    completion order, with ``(task_index, result)``; results are
-    returned in task order regardless.
+    differential validation runner.  With ``jobs`` > 1 and several tasks
+    the tasks are shipped to the persistent :func:`warm_pool`, so the
+    worker (a module-level callable, or a ``functools.partial`` of one),
+    the tasks and the results must pickle; otherwise ``worker`` runs
+    inline on the very objects passed in.  ``on_result`` fires once per
+    completed task, in completion order, with ``(task_index, result)``;
+    results are returned in task order regardless.
     """
     tasks = list(tasks)
     results: List[Any] = [None] * len(tasks)
@@ -408,12 +389,10 @@ def fan_out(
             complete(index, worker(task))
         return results
 
-    submit_worker = remote_worker if remote_worker is not None else worker
-
     def submit_all() -> Dict[Any, int]:
         pool = warm_pool(jobs)
         return {
-            pool.submit(submit_worker, task): index
+            pool.submit(worker, task): index
             for index, task in enumerate(tasks)
         }
 
@@ -446,63 +425,110 @@ def fan_out(
 
 
 # ----------------------------------------------------------------------
-# trace-replay batching
+# the engine's task
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _TraceBatch:
-    """Several points of one group, shipped to a worker in one dispatch."""
+    """Points of one group that one task runs in order.
+
+    ``trace`` is the group's trace, or ``None`` when the task records it
+    first.  A batch crosses to a worker process by pickle, and the trace
+    with it, as its columnar blob (see :class:`DecodedTrace`).
+    """
 
     points: Tuple[SimulationPoint, ...]
-    trace_key: str
-    #: The group's trace as its :meth:`DecodedTrace.to_bytes` blob;
-    #: ``None`` for a batch that runs inline on the engine's own trace.
-    blob: Optional[bytes]
+    trace: Optional[DecodedTrace] = None
 
 
-def _replay_timed(
-    point: SimulationPoint, trace: DecodedTrace
-) -> Tuple[SimulationStats, float]:
-    """Replay ``point`` on ``trace``; returns its stats and wall seconds."""
-    started = time.perf_counter()
-    stats = run_simulation_point(point, trace)
-    return stats, time.perf_counter() - started
+class _SpanLog:
+    """Span factory of a task run in a worker process: it times each
+    span and keeps it as ``(name, seconds, attrs)``, for the engine to
+    emit once the task's result is back."""
+
+    def __init__(self) -> None:
+        self.finished: List[Tuple[str, float, Dict[str, Any]]] = []
+
+    @contextlib.contextmanager
+    def span(self, name: str, **attrs):
+        started = time.perf_counter()
+        yield
+        self.emit(name, time.perf_counter() - started, **attrs)
+
+    def emit(self, name: str, seconds: float, **attrs) -> None:
+        self.finished.append((name, seconds, attrs))
 
 
-def _record_timed(
-    point: SimulationPoint,
-) -> Tuple[DecodedTrace, Optional[SimulationStats], float]:
-    """:func:`record_point_trace` plus its wall seconds."""
-    started = time.perf_counter()
-    trace, stats = record_point_trace(point)
-    return trace, stats, time.perf_counter() - started
+class _LiveSpans:
+    """Span factory of a task the engine runs itself: its live spans, so
+    the work runs inside them and a raising point ends its span with the
+    error.
 
-
-def _record_remote(point: SimulationPoint) -> Tuple[bytes, dict, float, float]:
-    """Worker entry for a record task: ``(trace blob, stats dict,
-    record_seconds, point_seconds)``.
-
-    When the recording run doubles as the point's run its statistics are
-    harvested and its wall time is billed to the point too, so
-    single-point jobs aren't invisible in the latency percentiles;
-    otherwise the point is replayed on the fresh trace.
+    This is the one thing ``jobs`` changes.  Pickled into a worker
+    process, the factory arrives as an empty :class:`_SpanLog`: a
+    worker's spans are emitted from the seconds its task returns.
     """
-    trace, stats, record_seconds = _record_timed(point)
-    point_seconds = record_seconds
-    if stats is None:
-        stats, point_seconds = _replay_timed(point, trace)
-    return trace.to_bytes(), stats.to_dict(), record_seconds, point_seconds
+
+    finished = ()
+
+    def __init__(self, engine: "SweepEngine") -> None:
+        self.span = engine._span
+        self.emit = engine._emit_span
+
+    def __reduce__(self):
+        return (_SpanLog, ())
 
 
-def _batch_remote(batch: _TraceBatch) -> List[Tuple[dict, float]]:
-    """Worker entry for a :class:`_TraceBatch`: ``(stats dict, seconds)``
-    per point."""
-    trace = DecodedTrace.from_bytes(batch.blob)
+def _run_batch(
+    batch: _TraceBatch, spans: "_LiveSpans | _SpanLog"
+) -> Tuple[Optional[DecodedTrace], float,
+           List[Tuple[SimulationStats, float]], Sequence]:
+    """The engine's task, inline and in workers alike: run ``batch``'s
+    points in order.
+
+    A batch with no trace records it first from its first point's
+    stream; that point's result is the recording run itself when it
+    doubles as the point's run (a *harvest*, billed the recording's
+    seconds, so single-point jobs still show in the latency
+    percentiles), a replay otherwise.
+    ``spans`` opens the ``trace.record`` and ``point.simulate`` spans.
+    Returns ``(recorded trace or None, record seconds, (stats, seconds)
+    per point, finished spans)``.  Recording and replay go through this
+    module's globals, which perfbench's tracer wraps.
+    """
+    trace = batch.trace
+    recorded = None
+    record_seconds = 0.0
     results = []
     for point in batch.points:
-        stats, seconds = _replay_timed(point, trace)
-        results.append((stats.to_dict(), seconds))
-    return results
+        if _seams.active is not None:
+            # Chaos seam: slow / hung / crashing worker faults land here,
+            # once per executed point, before its work starts, so the
+            # resilience layer above (deadlines, lease stealing,
+            # retries) is what gets exercised.
+            _seams.active.fire(
+                "engine.point",
+                benchmark=point.benchmark,
+                architecture=point.architecture,
+            )
+        if trace is None:
+            with spans.span("trace.record", benchmark=point.benchmark):
+                started = time.perf_counter()
+                recorded, stats = record_point_trace(point)
+                record_seconds = time.perf_counter() - started
+            trace = recorded
+            if stats is not None:
+                spans.emit("point.simulate", record_seconds,
+                           strategy="harvest", benchmark=point.benchmark)
+                results.append((stats, record_seconds))
+                continue
+        with spans.span("point.simulate", strategy="replay",
+                        benchmark=point.benchmark):
+            started = time.perf_counter()
+            stats = run_simulation_point(point, trace)
+            seconds = time.perf_counter() - started
+        results.append((stats, seconds))
+    return recorded, record_seconds, results, spans.finished
 
 
 def _group_reach(members: Sequence[Tuple[str, SimulationPoint]]) -> Optional[int]:
@@ -795,20 +821,19 @@ class SweepEngine:
     ) -> None:
         """Simulate every point in ``pending`` and record the results.
 
-        Two :func:`fan_out` steps serve every ``jobs`` value.  First, one
-        record task per group whose trace is not stored; it also yields
-        the group's first point.  Then the remaining points go out in
-        per-group chunks.  At ``jobs=1`` both run inline on the traces
-        this process holds, with no blobs and no stats dictionaries;
-        with more jobs, workers return each recorded trace as its blob
-        and receive a group's trace as its blob once per chunk.  A trace
-        is encoded at most once per process: the blob is kept on the
-        trace, so the trace store writes the very blob a worker returned
-        or a disk load read, and a group reused across calls ships the
-        blob it already has.  Either way this process puts every recorded
-        trace into its trace store and emits every task's spans: inline
-        work runs inside live spans, a worker's are emitted from the
-        seconds it returns.
+        Two :func:`fan_out` steps of one task, :func:`_run_batch`, serve
+        every ``jobs`` value.  First, one batch per group whose trace is
+        not stored: it records the trace and yields the group's first
+        point.  Then the remaining points go out in per-group chunks,
+        each batch carrying its group's trace.  At ``jobs=1`` the tasks
+        run inline on the objects this process holds; with more jobs the
+        batches and results cross to and from the workers by pickle, a
+        trace as its columnar blob, which is kept on the trace, so a
+        trace is encoded at most once per process: the trace store writes
+        the very blob a worker returned or a disk load read, and a group
+        reused across calls ships the blob it already has.  Either way
+        this process puts every recorded trace into its trace store and
+        emits every task's spans (see :class:`_LiveSpans`).
         """
         jobs = self.jobs
         traces = self.trace_store
@@ -840,48 +865,30 @@ class SweepEngine:
         counters["traces_recorded"] += len(record_groups)
         counters["traces_reused"] += len(replay_groups) + folded
 
-        def record_inline(
-            point: SimulationPoint,
-        ) -> Tuple[DecodedTrace, SimulationStats, float, float]:
-            """:func:`_record_remote` in this process, inside live spans."""
-            with self._span("trace.record", benchmark=point.benchmark):
-                trace, stats, record_seconds = _record_timed(point)
-            if stats is not None:
-                self._emit_span("point.simulate", record_seconds,
-                                strategy="harvest", benchmark=point.benchmark)
-                return trace, stats, record_seconds, record_seconds
-            with self._span("point.simulate", strategy="replay",
-                            benchmark=point.benchmark):
-                stats, point_seconds = _replay_timed(point, trace)
-            return trace, stats, record_seconds, point_seconds
+        worker = functools.partial(_run_batch, spans=_LiveSpans(self))
+
+        def finish(group_key: str,
+                   members: Sequence[Tuple[str, SimulationPoint]],
+                   result) -> None:
+            recorded, seconds, ran, spans = result
+            for name, span_seconds, attrs in spans:
+                self._emit_span(name, span_seconds, **attrs)
+            if recorded is not None:
+                traces.put(recorded)
+                loaded[group_key] = recorded
+                self.registry.histogram("trace.record_seconds").observe(seconds)
+            for (key, point), (stats, point_seconds) in zip(members, ran):
+                record(key, point, stats, point_seconds)
 
         def on_recorded(index: int, result) -> None:
             group_key, members = record_groups[index]
-            trace, stats, record_seconds, point_seconds = result
-            first_key, first_point = members[0]
-            if isinstance(trace, bytes):  # sent by a worker process
-                trace = DecodedTrace.from_bytes(trace)
-                stats = SimulationStats.from_dict(stats)
-                self._emit_span("trace.record", record_seconds,
-                                benchmark=first_point.benchmark)
-                strategy = ("harvest" if _recording_doubles_as_run(first_point)
-                            else "replay")
-                self._emit_span("point.simulate", point_seconds,
-                                strategy=strategy,
-                                benchmark=first_point.benchmark)
-            traces.put(trace)
-            loaded[group_key] = trace
-            self.registry.histogram("trace.record_seconds").observe(
-                record_seconds
-            )
-            record(first_key, first_point, stats, point_seconds)
+            finish(group_key, members[:1], result)
             replay_groups.append((group_key, members[1:]))
 
         fan_out(
-            [members[0][1] for _, members in record_groups],
-            worker=record_inline,
+            [_TraceBatch(points=(members[0][1],)) for _, members in record_groups],
+            worker=worker,
             jobs=jobs,
-            remote_worker=_record_remote,
             on_result=on_recorded,
         )
 
@@ -893,41 +900,11 @@ class SweepEngine:
             size = max(1, math.ceil(len(members) / jobs)) if jobs > 1 else 1
             for start in range(0, len(members), size):
                 parts.append((group_key, members[start:start + size]))
-        # fan_out runs a lone task inline, so only several chunks ship
-        # their group's trace.
-        ship = jobs > 1 and len(parts) > 1
-        batches = [
-            _TraceBatch(
-                points=tuple(point for _, point in part),
-                trace_key=group_key,
-                blob=loaded[group_key].to_bytes() if ship else None,
-            )
-            for group_key, part in parts
-        ]
-
-        def replay_inline(batch: _TraceBatch) -> List[Tuple[SimulationStats, float]]:
-            trace = loaded[batch.trace_key]
-            results = []
-            for point in batch.points:
-                with self._span("point.simulate", strategy="replay",
-                                benchmark=point.benchmark):
-                    results.append(_replay_timed(point, trace))
-            return results
-
-        def on_batch(index: int, results) -> None:
-            _, part = parts[index]
-            for (key, point), (stats, seconds) in zip(part, results):
-                if isinstance(stats, dict):  # sent by a worker process
-                    stats = SimulationStats.from_dict(stats)
-                    self._emit_span("point.simulate", seconds,
-                                    strategy="replay",
-                                    benchmark=point.benchmark)
-                record(key, point, stats, seconds)
-
         fan_out(
-            batches,
-            worker=replay_inline,
+            [_TraceBatch(points=tuple(point for _, point in part),
+                         trace=loaded[group_key])
+             for group_key, part in parts],
+            worker=worker,
             jobs=jobs,
-            remote_worker=_batch_remote,
-            on_result=on_batch,
+            on_result=lambda index, result: finish(*parts[index], result),
         )

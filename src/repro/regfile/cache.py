@@ -39,6 +39,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.execute.scoreboard import ValueState
+from repro.isa.instruction import RegisterClass
 from repro.regfile.base import OperandSource, RegisterFileModel, UNLIMITED
 from repro.regfile.bus import TransferBusSet
 from repro.regfile.ports import PortSet, WriteScheduler
@@ -52,6 +53,7 @@ _BYPASS = OperandSource.BYPASS
 _FILE = OperandSource.FILE
 _MISS = OperandSource.MISS
 _NOT_READY = OperandSource.NOT_READY
+_INT = RegisterClass.INT
 
 #: Caching policy names (see the module docstring).
 CACHING_POLICIES = ("non-bypass", "ready", "always", "never")
@@ -305,26 +307,23 @@ class RegisterFileCache(RegisterFileModel):
         """
         if self.fetch == "fetch-on-demand":
             return
-        values = window.values
-        reg_class = dest.reg_class
-        for other in consumers[0].sources:
+        # The first waiter's operand states in this register file (an
+        # integer base address feeding an FP load lives in the other
+        # file, which this one cannot prefetch).  A waiter has not
+        # committed, so none of its sources was released: the states it
+        # took at dispatch are still the registers' live ones.
+        first = consumers[0]
+        for state in (first.int_accesses if dest.reg_class is _INT
+                      else first.fp_accesses):
             # The renamer interns its physical registers, so identity is
             # equality here.
-            if other is dest:
-                continue
-            if other.reg_class is not reg_class:
-                # The other operand lives in the other register file (e.g. an
-                # integer base address feeding an FP load); this register
-                # file cannot prefetch it.
-                continue
-            state = values.get(other.uid)
-            if state is None:
+            if state.register is dest:
                 continue
             if not state.written_back:
                 continue  # still in flight; it will be cached or bypassed
             # A value already in the upper level is left alone:
             # ``request_fill`` returns at once, without side effects.
-            self.request_fill(other, state, cycle, prefetch=True)
+            self.request_fill(state.register, state, cycle, prefetch=True)
 
     # ------------------------------------------------------------------
     # writes

@@ -59,6 +59,14 @@ RETRYABLE_STATUSES = (429, 503)
 #: for the event stream to deliver the terminal phase to ``on_phase``.
 PHASE_DRAIN_SECONDS = 2.0
 
+#: :meth:`ServiceClient.watch`'s idle backoff: each poll that sees no
+#: progress multiplies the delay by ``WATCH_BACKOFF``, up to
+#: ``max(interval, WATCH_MAX_INTERVAL)`` seconds, and each sleep is
+#: randomised by ±``WATCH_JITTER`` of the delay.
+WATCH_BACKOFF = 1.6
+WATCH_MAX_INTERVAL = 8.0
+WATCH_JITTER = 0.2
+
 
 class ServiceError(ReproError):
     """A request the service rejected (or could not be delivered at all).
@@ -430,9 +438,6 @@ class ServiceClient:
         interval: float = 0.5,
         timeout: Optional[float] = None,
         on_update=None,
-        max_interval: Optional[float] = None,
-        backoff: float = 1.6,
-        jitter: float = 0.2,
         unreachable_timeout: Optional[float] = 60.0,
         on_phase=None,
         _sleep=time.sleep,
@@ -446,9 +451,9 @@ class ServiceClient:
 
         Polling starts at ``interval`` and, while the job makes no
         observable progress (same state, same completed-point count),
-        backs off geometrically by ``backoff`` up to ``max_interval``
-        (default: ``max(interval, 8.0)``) with ±``jitter`` randomization
-        so many watchers of one queued job don't poll in lockstep.  Any
+        backs off geometrically by :data:`WATCH_BACKOFF` up to
+        ``max(interval, WATCH_MAX_INTERVAL)`` with ±:data:`WATCH_JITTER`
+        randomization so many watchers of one queued job don't poll in lockstep.  Any
         progress resets the delay to ``interval``.  ``_sleep``/``_clock``
         are injectable for tests.
 
@@ -468,8 +473,6 @@ class ServiceClient:
         without a cache dir — simply never calls it: phase streaming
         degrades silently, the poll loop is unaffected.
         """
-        if max_interval is None:
-            max_interval = max(interval, 8.0)
         phase_stop: Optional[threading.Event] = None
         phase_done = threading.Event()
         if on_phase is not None:
@@ -497,8 +500,8 @@ class ServiceClient:
             ).start()
         try:
             job = self._watch_poll(
-                job_id, interval, timeout, on_update, max_interval, backoff,
-                jitter, unreachable_timeout, _sleep, _clock,
+                job_id, interval, timeout, on_update, unreachable_timeout,
+                _sleep, _clock,
             )
             if phase_stop is not None:
                 # The job turns terminal just before its terminal phase
@@ -510,9 +513,11 @@ class ServiceClient:
                 phase_stop.set()
 
     def _watch_poll(
-        self, job_id, interval, timeout, on_update, max_interval, backoff,
-        jitter, unreachable_timeout, _sleep, _clock,
+        self, job_id, interval, timeout, on_update, unreachable_timeout,
+        _sleep, _clock,
     ) -> dict:
+        backoff, jitter = WATCH_BACKOFF, WATCH_JITTER
+        max_interval = max(interval, WATCH_MAX_INTERVAL)
         deadline = _clock() + timeout if timeout is not None else None
         delay = interval
         last_completed = -1

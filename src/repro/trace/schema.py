@@ -237,14 +237,20 @@ class DecodedTrace:
     # serialization
     # ------------------------------------------------------------------
 
+    def __reduce__(self):
+        """A trace pickles as its blob: it crosses to and from worker
+        processes the way the trace store keeps it, and is encoded at
+        most once per process."""
+        return (DecodedTrace.from_bytes, (self.to_bytes(),))
+
     def to_bytes(self) -> bytes:
         """The trace as one zlib-compressed columnar blob (inverse of
         :meth:`from_bytes`).
 
         The blob is encoded on the first call and kept on the trace, as
-        the replay groups are: the trace store writes it, a record worker
-        returns it and a replay batch ships it, each without encoding the
-        trace again.  A trace is never changed once recorded.
+        the replay groups are: the trace store writes it and a pickle
+        carries it, each without encoding the trace again.  A trace is
+        never changed once recorded.
         """
         if self._blob is None:
             instructions = self.instructions

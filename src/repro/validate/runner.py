@@ -4,7 +4,7 @@ One *seed task* = generate the scenario of a seed, build its trace, and
 run the full differential matrix on it.  Seeds are independent, so they
 fan out across worker processes through the same
 :func:`repro.experiments.scheduler.fan_out` primitive the experiment
-harness uses; results cross the process boundary as plain dictionaries.
+harness uses; results cross the process boundary by pickle.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def run_seed(task: SeedTask) -> ScenarioValidation:
     )
 
 
-def _run_seed_remote(task: SeedTask) -> dict:
-    """Worker wrapper: ship the result back as a plain dictionary."""
-    return run_seed(task).to_dict()
-
-
 def run_validation(
     seeds: Sequence[int],
     quick: bool = False,
@@ -139,17 +134,10 @@ def run_validation(
         + (f" on {jobs} workers" if jobs > 1 and len(tasks) > 1 else "")
     )
     done = 0
-    converted: dict[int, ScenarioValidation] = {}
 
-    def on_result(index: int, payload) -> None:
+    def on_result(index: int, result: ScenarioValidation) -> None:
         nonlocal done
         done += 1
-        result = (
-            payload
-            if isinstance(payload, ScenarioValidation)
-            else ScenarioValidation.from_dict(payload)
-        )
-        converted[index] = result
         verdict = "ok" if result.ok else "DIVERGENT"
         say(
             f"[{done}/{len(tasks)}] seed {tasks[index].seed}: {verdict} "
@@ -157,16 +145,9 @@ def run_validation(
             f"{result.oracle.get('count')} commits)"
         )
 
-    fan_out(
-        tasks,
-        worker=run_seed,
-        jobs=jobs,
-        remote_worker=_run_seed_remote,
-        on_result=on_result,
+    scenarios: List[ScenarioValidation] = fan_out(
+        tasks, worker=run_seed, jobs=jobs, on_result=on_result
     )
-    scenarios: List[ScenarioValidation] = [
-        converted[index] for index in range(len(tasks))
-    ]
     return ValidationReport(
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         quick=quick,

@@ -42,9 +42,14 @@ def _entry(instruction, dest, sources):
 def _wait_in_window(window, entry):
     """Put ``entry`` in the window the way the dispatch stage does for the
     policies: as a window entry and a consumer of each of its sources,
-    whose value states are its operand accesses."""
+    whose value states are its operand accesses, also split by register
+    file."""
     window.entries[entry.seq] = entry
     entry.accesses = [window.values[register.uid] for register in entry.sources]
+    entry.int_accesses = [state for state in entry.accesses
+                          if state.register.reg_class is RegisterClass.INT]
+    entry.fp_accesses = [state for state in entry.accesses
+                         if state.register.reg_class is not RegisterClass.INT]
     for register in entry.sources:
         window.consumers.setdefault(register.uid, []).append(entry)
     return entry

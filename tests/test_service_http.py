@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.service import ServiceApp, ServiceClient, ServiceError, build_server
+from repro.service import client as client_module
 from repro.service.__main__ import main as service_main
 from repro.service.jobs import COMPLETED
 from repro.service.server import ServiceUnderTest
@@ -459,6 +460,10 @@ class TestWatchBackoff:
     interval backs off geometrically (with jitter) while nothing changes
     and snaps back to ``interval`` on any observed progress."""
 
+    @pytest.fixture(autouse=True)
+    def _one_second_cap(self, monkeypatch):
+        monkeypatch.setattr(client_module, "WATCH_MAX_INTERVAL", 1.0)
+
     @staticmethod
     def _job(state, completed=0):
         return {"id": "j0", "state": state, "points": {"completed": completed}}
@@ -469,13 +474,13 @@ class TestWatchBackoff:
         client.status = lambda job_id: queue.pop(0)
         return client
 
-    def test_idle_watch_backs_off_to_the_cap(self):
+    def test_idle_watch_backs_off_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(client_module, "WATCH_JITTER", 0.0)
         client = self._scripted_client(
             [self._job("queued")] * 10 + [self._job(COMPLETED)]
         )
         sleeps = []
-        final = client.watch("j0", interval=0.1, max_interval=1.0,
-                             jitter=0.0, _sleep=sleeps.append)
+        final = client.watch("j0", interval=0.1, _sleep=sleeps.append)
         assert final["state"] == COMPLETED
         # The first poll observes a fresh state, so the delay starts at
         # the base interval; every idle poll after that grows it until
@@ -486,15 +491,15 @@ class TestWatchBackoff:
         assert max(sleeps) <= 1.0 + 1e-9
         assert sleeps[1] == pytest.approx(0.16)  # x1.6 geometric growth
 
-    def test_progress_resets_the_delay(self):
+    def test_progress_resets_the_delay(self, monkeypatch):
+        monkeypatch.setattr(client_module, "WATCH_JITTER", 0.0)
         client = self._scripted_client(
             [self._job("queued")] * 4
             + [self._job("running", completed=1)] * 3
             + [self._job(COMPLETED, completed=2)]
         )
         sleeps = []
-        client.watch("j0", interval=0.1, max_interval=1.0, jitter=0.0,
-                     _sleep=sleeps.append)
+        client.watch("j0", interval=0.1, _sleep=sleeps.append)
         assert sleeps[3] > sleeps[0]  # idle polls had backed off...
         assert sleeps[4] == pytest.approx(0.1)  # ...progress resets
         assert sleeps[5] == pytest.approx(0.16)
@@ -504,8 +509,7 @@ class TestWatchBackoff:
             [self._job("queued")] * 8 + [self._job(COMPLETED)]
         )
         sleeps = []
-        client.watch("j0", interval=0.1, max_interval=1.0, jitter=0.2,
-                     _sleep=sleeps.append)
+        client.watch("j0", interval=0.1, _sleep=sleeps.append)
         expected = 0.1
         for index, actual in enumerate(sleeps):
             assert expected * 0.8 - 1e-9 <= actual <= expected * 1.2 + 1e-9, index

@@ -11,10 +11,12 @@ result-store key.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import gzip
 import json
 import os
+import pickle
 import sys
 import threading
 import zlib
@@ -26,6 +28,7 @@ from repro.experiments import figure6, scheduler
 from repro.experiments.scheduler import (
     SimulationPoint,
     SweepEngine,
+    fetch_slack,
     run_simulation_point,
     shutdown_pool,
 )
@@ -37,6 +40,7 @@ from repro.obs.telemetry import Telemetry
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimulationStats
+from repro.sampling import parse_sampling
 from repro.storage import open_database
 from repro.trace import (
     TRACE_SCHEMA_VERSION,
@@ -436,6 +440,20 @@ class TestTraceBlob:
         assert decoded.to_bytes() is blob
         assert len(calls) == 1
 
+    def test_trace_pickles_as_its_kept_blob(self, monkeypatch):
+        """A trace crosses a process boundary by pickle, as its blob: one
+        that holds its blob pickles without encoding again."""
+        trace = _profile_trace("swim")
+        blob = trace.to_bytes()
+
+        def compress(*args):
+            raise AssertionError("a trace with a blob was encoded again")
+
+        monkeypatch.setattr(schema.zlib, "compress", compress)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert _snapshot(restored) == _snapshot(trace)
+        assert restored.to_bytes() == blob
+
     @pytest.mark.parametrize("profile", ["gcc", "swim"])
     def test_disk_loaded_trace_replays_every_figure6_architecture(
             self, profile, tmp_path):
@@ -661,16 +679,96 @@ class TestParallelEngineBookkeeping:
         assert not [name for name in os.listdir(events_dir)
                     if name.startswith("worker")]
 
+    @staticmethod
+    def _mixed_run(jobs, tmp_path):
+        """Stats per store key, ``execute`` counters and span counts of
+        one engine at ``jobs``: a call that stores a gcc trace, then one
+        batch holding every kind of work the engine does."""
+        matrix = list(validation_matrix().items())
+        slack = fetch_slack(ProcessorConfig())
+
+        def point(benchmark, architecture, budget=300, warmup=0,
+                  sampling=None):
+            name, factory = matrix[architecture]
+            return SimulationPoint(
+                benchmark=benchmark, factory=factory, architecture=name,
+                config=ProcessorConfig(max_instructions=budget),
+                warmup_instructions=warmup, sampling=sampling)
+
+        stored = [point("gcc", 0, budget=600)]
+        batch = [
+            point("swim", 0),  # records its trace, harvested
+            point("swim", 1),  # replays that trace
+            point("swim", 1, sampling=parse_sampling("100:50:50")),
+            point("gcc", 1, budget=600),  # the stored trace, reused
+            point("gcc", 1, budget=200, warmup=slack),  # covered by it
+            point("m88ksim", 0, warmup=slack),  # folded into the next
+            point("m88ksim", 1, budget=700),  # records, harvested
+        ]
+        bus = EventBus()
+        telemetry = Telemetry(log=EventLog(str(tmp_path / f"events-{jobs}"),
+                                           "engine"), bus=bus)
+        engine = SweepEngine(
+            store=ResultStore(cache_dir=str(tmp_path / f"cache-{jobs}")),
+            jobs=jobs, telemetry=telemetry)
+        try:
+            counters = [engine.execute(points) for points in (stored, batch)]
+        finally:
+            shutdown_pool()
+            telemetry.close()
+        for summary in counters:
+            del summary["elapsed_seconds"]
+        spans = collections.Counter(
+            (event["span"], event.get("strategy"))
+            for event in bus.since(0) if event["kind"] == "span_end")
+        stats = {point.store_key(): engine.store.get(point.store_key()).to_dict()
+                 for point in stored + batch}
+        return stats, counters, spans, batch
+
+    def test_mixed_batch_runs_alike_at_one_and_two_jobs(self, tmp_path):
+        """``jobs`` changes who runs the engine's tasks, never what they
+        produce: results, counters and spans are equal inline and in
+        workers."""
+        stats, counters, spans, batch = self._mixed_run(1, tmp_path)
+        assert (counters[1]["traces_recorded"],
+                counters[1]["traces_reused"]) == (2, 3)  # swim, m88ksim
+        assert spans[("point.simulate", "harvest")] == 3
+        assert spans[("point.simulate", "replay")] == 5
+        assert self._mixed_run(2, tmp_path)[:3] == (stats, counters, spans)
+        for point in batch:
+            assert (stats[point.store_key()]
+                    == run_simulation_point(point).to_dict()), point
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_encodes_no_trace_a_worker_recorded_or_disk_held(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path, jobs):
         """At ``--jobs 2`` the engine stores the blob each record worker
         returned and ships that same blob to replay workers: it never
         encodes a trace itself, neither on a repeated call reusing the
-        group nor for a trace a fresh engine loaded from disk."""
-        compress = zlib.compress
-        encodes = []
-        monkeypatch.setattr(schema.zlib, "compress",
-                            lambda *args: encodes.append(1) or compress(*args))
+        group nor for a trace a fresh engine loaded from disk.  At
+        ``--jobs 1`` nothing crosses a process boundary: the engine
+        encodes and decodes traces only in its trace store, to put them
+        on disk and to load them from it."""
+        codec = []  # (zlib call, whether the trace store made it)
+        in_store = []
+        compress, decompress = zlib.compress, zlib.decompress
+        monkeypatch.setattr(
+            schema.zlib, "compress",
+            lambda *args: codec.append(("compress", bool(in_store)))
+            or compress(*args))
+        monkeypatch.setattr(
+            schema.zlib, "decompress",
+            lambda *args: codec.append(("decompress", bool(in_store)))
+            or decompress(*args))
+        for name in ("_encode", "_decode"):
+            def in_trace_store(store, *args, _method=getattr(TraceStore, name)):
+                in_store.append(1)
+                try:
+                    return _method(store, *args)
+                finally:
+                    in_store.pop()
+
+            monkeypatch.setattr(TraceStore, name, in_trace_store)
         config = ProcessorConfig(max_instructions=500)
         matrix = list(validation_matrix().items())
 
@@ -683,17 +781,22 @@ class TestParallelEngineBookkeeping:
             ]
 
         cache_dir = str(tmp_path)
-        engine = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=2)
+        engine = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=jobs)
         try:
             first = engine.execute(points(matrix[:3]))
             second = engine.execute(points(matrix[3:6]))
-            fresh = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=2)
+            fresh = SweepEngine(store=ResultStore(cache_dir=cache_dir), jobs=jobs)
             third = fresh.execute(points(matrix[6:9]))
         finally:
             shutdown_pool()
         assert (first["traces_recorded"], second["traces_reused"],
                 third["traces_reused"]) == (2, 2, 2)
-        assert encodes == []
+        if jobs == 1:
+            assert [call for call, by_store in codec if not by_store] == []
+            assert codec.count(("compress", True)) == 2  # the two puts
+            assert ("decompress", True) in codec  # the fresh engine's loads
+        else:
+            assert [call for call, _ in codec if call == "compress"] == []
         for point in points(matrix[:1]):
             key = point.trace_key()
             assert (engine.trace_store._disk.get(key)
