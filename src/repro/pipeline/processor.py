@@ -639,7 +639,7 @@ class Processor:
                     # consumers, oldest first: the prefetch's candidates.
                     if issue_hooks:
                         (int_rf if dest.reg_class is _INT else fp_rf).on_issue(
-                            dest, waiting, cycle, window
+                            dest, waiting, cycle
                         )
 
             # The completion carries the in-flight record itself.

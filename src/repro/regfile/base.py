@@ -149,7 +149,6 @@ class RegisterFileModel(ABC):
         dest: PhysicalRegister,
         consumers: Sequence["IssueQueueEntry"],
         cycle: int,
-        window: "IssueQueue",
     ) -> None:
         """Hook invoked when the producer of ``dest`` issues and wakes
         ``consumers`` (its waiter list, oldest first: every unissued

@@ -296,7 +296,7 @@ class RegisterFileCache(RegisterFileModel):
             self.demand_fills += 1
         return completion
 
-    def on_issue(self, dest, consumers, cycle: int, window) -> None:
+    def on_issue(self, dest, consumers, cycle: int) -> None:
         """Prefetch the other operand of the first waiting consumer of the
         issuing producer's result ``dest`` (prefetch-first-pair only).
 

@@ -34,6 +34,16 @@ process-wide (:func:`repro.experiments.runner.plan_experiments`),
 rendering per app, so a resubmitted figure plan is planned once and
 rendered once.
 
+Each job transition has one owner.  A job ends in
+:meth:`ServiceApp._finish`, whoever ends it: the executor, the deadline
+watchdog or the poison check.  The terminal marks are first-wins, and
+only the winner saves the record and emits the terminal phase and the
+root span's end, so a job ends once, in the log of the replica that
+ended it.  A job returns to the queue through
+:meth:`ServiceApp._requeue`, after a crash found at start-up or a steal.
+A job's deadline is fixed when the job is built (``Job.deadline``); the
+watchdog pops only the deadlines that came due from the queue's heap.
+
 With N replicas over one ``--cache-dir`` the app also runs a fleet
 control loop: jobs are executed under an expiring **lease** (at most
 one replica runs a job; a crashed replica's jobs are stolen and re-run,
@@ -51,7 +61,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.chaos import seams as _seams
 from repro.errors import ConfigurationError, ReproError
@@ -60,7 +70,7 @@ from repro.experiments.store import ResultStore
 from repro.obs import prometheus as _prometheus
 from repro.obs.context import TraceContext
 from repro.obs.events import EventBus, EventLog
-from repro.obs.metrics import MetricsRegistry, RateWindow
+from repro.obs.metrics import Counter, MetricsRegistry, RateWindow
 from repro.obs.telemetry import Telemetry
 from repro.service import spec as spec_mod
 from repro.service.fleet import DEFAULT_LEASE_TTL, LeaseManager, default_replica_id
@@ -93,7 +103,7 @@ POINT_FIELDS = (
 #: Progress sink for one-line status messages.
 ProgressCallback = Callable[[str], None]
 
-#: How often the deadline watchdog re-checks running/queued jobs.
+#: How often the deadline watchdog pops the deadlines that came due.
 WATCHDOG_INTERVAL = 0.2
 
 #: Subdirectory of the cache dir holding the telemetry event log.
@@ -106,6 +116,11 @@ RESULT_MEMO_LIMIT = 64
 
 class _DeadlineExceeded(Exception):
     """Internal: raised out of ``on_point`` when a job's budget is gone."""
+
+
+def _deadline_message(job: Job, when: str = "") -> str:
+    return (f"job exceeded its {(job.spec or {}).get('deadline_s')}s "
+            f"deadline{when}")
 
 
 def _family(values: Dict[str, float], prefix: str) -> Dict[str, float]:
@@ -218,11 +233,9 @@ class ServiceApp:
         self._rejected_overloaded = registry.counter("queue.rejected_overloaded")
         #: Pending queue-wait spans by job id: ``(span, perf_counter)``
         #: opened at admission, closed by the executor that picks the job
-        #: up; plus the set of jobs whose root span already ended (the
-        #: watchdog and the executor can both reach a terminal job).
+        #: up or by :meth:`_finish`.
         self._span_lock = threading.Lock()
         self._queue_waits: Dict[str, Tuple[TraceContext, float]] = {}
-        self._ended_jobs: Set[str] = set()
         #: Job ids this replica is executing right now; the fleet poller
         #: never refreshes or steals a job its own executor owns.
         self._running_ids: set = set()
@@ -290,40 +303,6 @@ class ServiceApp:
                 "queue.wait", span, started=started, job_id=job.id
             )
 
-    def _finish_job_telemetry(self, job: Job) -> None:
-        """Terminal phase + root-span end for a job, exactly once.
-
-        Both the executor and the deadline watchdog can drive a job
-        terminal; whichever arrives second only cleans up the pending
-        queue-wait span (if the job never reached an executor)."""
-        if not job.terminal:
-            return
-        with self._span_lock:
-            already_ended = job.id in self._ended_jobs
-            self._ended_jobs.add(job.id)
-        self._end_queue_wait(job)
-        if already_ended:
-            return
-        trace = self._job_trace(job)
-        self.telemetry.phase(job.id, job.state, trace=trace,
-                             replica=self.replica_id)
-        if trace is None:
-            return  # pre-telemetry job record: no root span to close
-        duration = None
-        try:
-            submitted = datetime.fromisoformat(job.submitted_at)
-            if submitted.tzinfo is None:
-                submitted = submitted.replace(tzinfo=timezone.utc)
-            duration = max(
-                0.0,
-                (datetime.now(timezone.utc) - submitted).total_seconds(),
-            )
-        except (TypeError, ValueError):
-            pass
-        self.telemetry.span_end(
-            "job", trace, duration_s=duration, job_id=job.id, state=job.state
-        )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -336,32 +315,18 @@ class ServiceApp:
         """Load persisted jobs (resuming unfinished ones), start executors."""
         self._stop.clear()  # a stopped app can be started again
         for job in self.job_store.load_changed():
-            resume = job.state in (QUEUED, RUNNING)
-            if job.state == RUNNING:
-                holder = self.leases.holder(job.id)
-                if holder is not None and holder[0] != self.replica_id:
-                    # Another replica of this cache tree is live and
-                    # mid-job; register for status queries, don't touch.
-                    self.queue.add(job, enqueue=False)
-                    continue
-                # The owning process died mid-job (no live lease); run it
-                # again from the top — completed points are all cache
-                # hits, so the rerun only pays for what was actually lost.
-                job.record_fault("resume_requeue", "owner died mid-job",
-                                 replica=self.replica_id)
-                if self._poison_check(job):
-                    self.queue.add(job, enqueue=False)
-                    continue
-                job.state = QUEUED
-                job.started_at = None
-                self.job_store.save(job)
-            self.queue.add(job, enqueue=resume)
-            if resume:
-                self._resumed_jobs.inc()
-                self.telemetry.phase(job.id, "resumed",
-                                     trace=self._job_trace(job),
-                                     replica=self.replica_id)
-                self._say(f"resume: job {job.id} re-queued ({job.state})")
+            holder = self.leases.holder(job.id) if job.state == RUNNING else None
+            if job.state == QUEUED:
+                self._requeue(job, self._resumed_jobs, "resumed")
+            elif job.state == RUNNING and (holder is None
+                                           or holder[0] == self.replica_id):
+                # The owning process died mid-job (no live lease).
+                self._requeue(job, self._resumed_jobs, "resumed",
+                              fault="resume_requeue")
+            else:
+                # Finished, or mid-job on another live replica of this
+                # cache tree: registered for status queries only.
+                self.queue.add(job, enqueue=False)
         if self.job_store.quarantined:
             self._say(
                 f"job store: quarantined {self.job_store.quarantined} "
@@ -572,10 +537,9 @@ class ServiceApp:
                 latest = self.job_store.load(job.id)
                 if latest is not None:
                     job.update_from(latest)
-                if job.terminal:
-                    self._finish_job_telemetry(job)
-                    continue
                 self._end_queue_wait(job)
+                if job.terminal:  # another replica finished it
+                    continue
                 trace = self._job_trace(job)
                 self.telemetry.phase(job.id, "leased", trace=trace,
                                      replica=self.replica_id)
@@ -607,81 +571,103 @@ class ServiceApp:
                 self._running_ids.discard(job.id)
 
     # ------------------------------------------------------------------
-    # deadlines and poison quarantine
+    # job endings, re-queues and deadlines
     # ------------------------------------------------------------------
 
-    def _deadline_remaining(self, job: Job) -> Optional[float]:
-        """Seconds left in the job's ``deadline_s`` budget; ``None`` when
-        the job has no deadline.  Anchored at submission, so the budget
-        covers queueing time, retries and steals — a job cannot dodge
-        its deadline by ping-ponging between replicas."""
-        deadline_s = (job.spec or {}).get("deadline_s")
-        if isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float)):
-            return None
-        try:
-            submitted = datetime.fromisoformat(job.submitted_at)
-        except (TypeError, ValueError):
-            return None
-        if submitted.tzinfo is None:
-            submitted = submitted.replace(tzinfo=timezone.utc)
-        elapsed = (datetime.now(timezone.utc) - submitted).total_seconds()
-        return float(deadline_s) - elapsed
+    def _finish(self, job: Job, code: Optional[str] = None, message: str = "",
+                counters: Optional[dict] = None, release: bool = False) -> None:
+        """End ``job``: completed with the engine ``counters`` when
+        ``code`` is ``None``, else failed with ``code``.  Every path that
+        ends a job comes here.
+
+        Whatever the outcome, this app's pending ``queue.wait`` span of
+        the job ends.  The marks are first-wins, so only the winner goes
+        on: it records the cause (a ``deadline_exceeded`` fault and
+        counter, the ``poisoned`` counter), saves the record (quarantines
+        it when poisoned), releases the lease with ``release`` (the
+        executor releases its own), emits the terminal phase and ends the
+        root ``job`` span.  A caller that loses saves and emits nothing.
+        """
+        self._end_queue_wait(job)
+        if code is None:
+            if not job.mark_completed(counters):
+                return
+        elif not job.mark_failed(code, message):
+            return
+        if code == "deadline_exceeded":
+            job.record_fault(code, replica=self.replica_id)
+            self._deadline_failures.inc()
+        if code == "poisoned":
+            self._poisoned_jobs.inc()
+            self.job_store.quarantine_job(job)
+        else:
+            self.job_store.save(job)
+        if release:
+            self.leases.release(job.id)
+        trace = self._job_trace(job)
+        self.telemetry.phase(job.id, job.state, trace=trace,
+                             replica=self.replica_id)
+        if trace is not None:  # a pre-telemetry record has no root span
+            self.telemetry.span_end(
+                "job", trace, job_id=job.id, state=job.state,
+                duration_s=(None if job.submitted_s is None
+                            else max(0.0, time.time() - job.submitted_s)),
+            )
+        if code is None:
+            self._say(
+                f"job {job.id}: completed ({counters['executed']} executed, "
+                f"{counters['cached']} cached, "
+                f"{counters['shared_inflight']} shared in-flight)"
+            )
+        else:
+            self._say(f"job {job.id}: failed [{code}] {message}")
+
+    def _requeue(self, job: Job, counter: Counter, phase: str,
+                 fault: Optional[str] = None) -> None:
+        """Queue a stored job to run here, counted in ``counter`` and
+        announced as the ``phase`` (``resumed`` or ``stolen``).
+
+        With a ``fault`` event the job was running when its owner died (a
+        crash found at start-up, an expired lease): the fault is
+        recorded, and a job that started :data:`POISON_ATTEMPTS` times
+        is failed as ``poisoned`` instead.  Any other is reset to
+        ``queued`` and saved; it runs again from the top, and the points
+        the dead owner stored are cache hits.
+        """
+        if fault is not None:
+            job.record_fault(fault, "owner died mid-job", replica=self.replica_id)
+            if job.attempts >= POISON_ATTEMPTS:
+                self._finish(
+                    job, "poisoned",
+                    f"job kept dying mid-run; quarantined after "
+                    f"{job.attempts} attempts (see fault_history)",
+                    release=True,
+                )
+                self.queue.add(job, enqueue=False)
+                return
+            job.state = QUEUED
+            job.started_at = None
+            self.job_store.save(job)
+        self.queue.add(job)
+        counter.inc()
+        self.telemetry.phase(job.id, phase, trace=self._job_trace(job),
+                             replica=self.replica_id)
+        self._say(f"job {job.id}: {phase}, queued")
 
     def _watchdog_loop(self) -> None:
         """Fail jobs past their deadline even when their executor hangs.
 
         The executor checks the deadline between points, but a *hung*
-        worker never reaches the next point — this loop is the backstop
-        that still fails the job (first terminal mark wins; the sticky
-        ``mark_failed`` makes the race with a late executor harmless)
-        and releases the lease so nothing steals a terminal job.
+        worker never reaches the next point: this loop is the backstop.
+        A tick pops only the deadlines that came due from the queue's
+        heap, so its cost does not follow the number of jobs held.
+        :meth:`_finish` releases the lease, so nothing steals the failed
+        job, and a late executor loses the first-wins mark.
         """
         while not self._stop.wait(WATCHDOG_INTERVAL):
-            for job in self.queue.jobs():
-                if job.terminal:
-                    continue
-                remaining = self._deadline_remaining(job)
-                if remaining is None or remaining > 0:
-                    continue
-                if job.mark_failed(
-                    "deadline_exceeded",
-                    f"job exceeded its {(job.spec or {}).get('deadline_s')}s "
-                    f"deadline",
-                ):
-                    job.record_fault("deadline_exceeded",
-                                     replica=self.replica_id)
-                    self._deadline_failures.inc()
-                    self.job_store.save(job)
-                    self.leases.release(job.id)
-                    self._finish_job_telemetry(job)
-                    self._say(f"job {job.id}: failed [deadline_exceeded]")
-
-    def _poison_check(self, job: Job) -> bool:
-        """Quarantine a job that keeps dying mid-run; ``True`` if it was.
-
-        Called wherever a job is about to be re-queued for another
-        attempt (steal, crash-resume).  A job whose execution already
-        *started* :data:`POISON_ATTEMPTS` times is terminally failed with
-        cause ``poisoned`` and its full record — fault history included —
-        lands in ``jobs/quarantine/`` instead of ping-ponging between
-        replicas forever.
-        """
-        if job.attempts < POISON_ATTEMPTS:
-            return False
-        if job.mark_failed(
-            "poisoned",
-            f"job kept dying mid-run; quarantined after {job.attempts} "
-            f"attempts (see fault_history)",
-        ):
-            self._poisoned_jobs.inc()
-            self.job_store.quarantine_job(job)
-            self.leases.release(job.id)
-            self._finish_job_telemetry(job)
-            self._say(
-                f"fleet: quarantined poison job {job.id} after "
-                f"{job.attempts} attempts"
-            )
-        return True
+            for job in self.queue.expired(time.time()):
+                self._finish(job, "deadline_exceeded", _deadline_message(job),
+                             release=True)
 
     # ------------------------------------------------------------------
     # fleet control loops
@@ -734,48 +720,25 @@ class ServiceApp:
                 self._steal(job)
 
     def _steal(self, job: Job) -> None:
-        """Take over a job whose owner's lease expired (crashed replica).
-
-        Mirrors the restart-resume semantics: the job is reset to queued
-        and re-run from the top; points the dead replica completed are
-        cache hits, so only the genuinely lost work is paid again.
-        """
+        """Take over a job whose owner's lease expired (a crashed
+        replica): :meth:`_requeue` it, as start-up does a crashed job."""
         if not self.leases.acquire(job.id):
             return  # someone else (or a revived owner) beat us to it
         try:
             latest = self.job_store.load(job.id)
             if latest is not None:
                 job.update_from(latest)
-            if job.state != RUNNING:
-                return
-            job.record_fault("lease_expired", "owner stopped heartbeating",
-                             replica=self.replica_id)
-            if self._poison_check(job):
-                return
-            job.state = QUEUED
-            job.started_at = None
-            self.job_store.save(job)
-            self.queue.add(job, enqueue=True)
-            self._stolen_jobs.inc()
-            self.telemetry.phase(job.id, "stolen", trace=self._job_trace(job),
-                                 replica=self.replica_id)
-            self._say(f"fleet: stole job {job.id} (owner lease expired)")
+            if job.state == RUNNING:
+                self._requeue(job, self._stolen_jobs, "stolen",
+                              fault="lease_expired")
         finally:
             self.leases.release(job.id)
 
     def _run_job(self, job: Job) -> None:
-        remaining = self._deadline_remaining(job)
-        if remaining is not None and remaining <= 0:
+        if job.deadline is not None and job.deadline <= time.time():
             # Spent its whole budget queueing; never start it.
-            if job.mark_failed(
-                "deadline_exceeded",
-                f"job exceeded its {(job.spec or {}).get('deadline_s')}s "
-                f"deadline before starting",
-            ):
-                job.record_fault("deadline_exceeded", replica=self.replica_id)
-                self._deadline_failures.inc()
-                self.job_store.save(job)
-                self._finish_job_telemetry(job)
+            self._finish(job, "deadline_exceeded",
+                         _deadline_message(job, " before starting"))
             return
         job.mark_running()
         self.job_store.save(job)
@@ -803,12 +766,10 @@ class ServiceApp:
         last_save = [time.monotonic()]
 
         def on_point(_point) -> None:
-            if job.terminal:
-                # The deadline watchdog already failed this job; stop
-                # burning simulation time on a dead record.
-                raise _DeadlineExceeded()
-            left = self._deadline_remaining(job)
-            if left is not None and left <= 0:
+            # A terminal job was failed by the deadline watchdog; stop
+            # burning simulation time on a dead record.
+            if job.terminal or (job.deadline is not None
+                                and job.deadline <= time.time()):
                 raise _DeadlineExceeded()
             job.points["completed"] += 1
             self._rate_window.record(1)
@@ -835,14 +796,30 @@ class ServiceApp:
             )
 
     def _settle(self, job: Job, run: Callable[[], dict]) -> None:
-        """Call ``run`` (an :meth:`_execute` step) and record how the job
-        ended: point counters and the completed mark, or the failure code
-        of what ``run`` raised; then the final save and the job's
-        terminal telemetry."""
+        """Call ``run`` (an :meth:`_execute` step) and end the job through
+        :meth:`_finish`: completed with the engine counters, or failed
+        with the code of what ``run`` raised."""
+        code = None
+        message = ""
+        counters = None
         try:
             counters = run()
+        except _DeadlineExceeded:
+            code = "deadline_exceeded"
+            message = _deadline_message(job, " mid-run")
+        except ApiError as error:
+            code, message = error.code, error.message
+        except BrokenExecutor as error:
+            # The engine's worker pool is the only executor that breaks.
+            code = "worker_crashed"
+            message = (f"a simulation worker process died mid-job: {error} "
+                       f"(the warm pool was reset; re-submit to retry)")
+        except ReproError as error:
+            code, message = "execution_error", str(error)
+        except Exception as error:  # noqa: BLE001 - jobs must never wedge the loop
+            code, message = "internal_error", f"{type(error).__name__}: {error}"
+        else:
             job.points["completed"] = counters["unique"]
-            completed = job.mark_completed(counters)
             self._point_counters["unique"].inc(counters["unique"])
             self._point_counters["completed"].inc(counters["unique"])
             self._point_counters["executed"].inc(counters["executed"])
@@ -850,42 +827,7 @@ class ServiceApp:
             self._point_counters["shared_inflight"].inc(
                 counters["shared_inflight"]
             )
-            if completed:
-                self._say(
-                    f"job {job.id}: completed ({counters['executed']} executed, "
-                    f"{counters['cached']} cached, "
-                    f"{counters['shared_inflight']} shared in-flight)"
-                )
-        except _DeadlineExceeded:
-            if job.mark_failed(
-                "deadline_exceeded",
-                f"job exceeded its {(job.spec or {}).get('deadline_s')}s "
-                f"deadline mid-run",
-            ):
-                job.record_fault("deadline_exceeded", replica=self.replica_id)
-                self._deadline_failures.inc()
-        except ApiError as error:
-            job.mark_failed(error.code, error.message)
-        except BrokenExecutor as error:
-            # The engine's worker pool is the only executor that breaks.
-            job.mark_failed(
-                "worker_crashed",
-                f"a simulation worker process died mid-job: {error} "
-                f"(the warm pool was reset; re-submit to retry)",
-            )
-        except ReproError as error:
-            job.mark_failed("execution_error", str(error))
-        except Exception as error:  # noqa: BLE001 - jobs must never wedge the loop
-            job.mark_failed("internal_error", f"{type(error).__name__}: {error}")
-        finally:
-            if job.state == FAILED:
-                error = job.error or {}
-                self._say(
-                    f"job {job.id}: failed [{error.get('code')}] "
-                    f"{error.get('message')}"
-                )
-            self.job_store.save(job)
-            self._finish_job_telemetry(job)
+        self._finish(job, code, message, counters)
 
     # ------------------------------------------------------------------
     # observability

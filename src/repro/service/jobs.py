@@ -24,6 +24,7 @@ entry is a miss, never a crash.
 from __future__ import annotations
 
 import errno
+import heapq
 import itertools
 import json
 import os
@@ -117,12 +118,33 @@ class Job:
     #: from admission, or validated once from a loaded record.  Held in
     #: memory only, never persisted.
     plan: Optional[Any] = field(default=None, repr=False, compare=False)
+    #: ``submitted_at`` in epoch seconds (``None`` if it does not parse;
+    #: a naive stamp is UTC), and the epoch second past which the job
+    #: fails (``None`` without a ``deadline_s``).  Both are fixed once, at
+    #: construction: the deadline is anchored at submission, so it counts
+    #: queueing, retries and steals on every replica alike.  Not persisted.
+    submitted_s: Optional[float] = field(default=None, init=False,
+                                         repr=False, compare=False)
+    deadline: Optional[float] = field(default=None, init=False, repr=False,
+                                      compare=False)
     #: Guards terminal transitions: a deadline watchdog and the executor
     #: may race to finish one job — first terminal mark wins, later ones
     #: are no-ops.  Not part of the persisted record.
     _state_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        try:
+            submitted = datetime.fromisoformat(self.submitted_at)
+        except (TypeError, ValueError):
+            return
+        if submitted.tzinfo is None:
+            submitted = submitted.replace(tzinfo=timezone.utc)
+        self.submitted_s = submitted.timestamp()
+        deadline_s = self.spec.get("deadline_s") if self.spec else None
+        if isinstance(deadline_s, (int, float)) and not isinstance(deadline_s, bool):
+            self.deadline = self.submitted_s + deadline_s
 
     @property
     def terminal(self) -> bool:
@@ -190,6 +212,8 @@ class Job:
         self.error = other.error
         self.attempts = other.attempts
         self.fault_history = list(other.fault_history)
+        self.submitted_s = other.submitted_s
+        self.deadline = other.deadline
         if other.trace is not None:
             self.trace = dict(other.trace)
 
@@ -387,6 +411,8 @@ class JobQueue:
     Higher ``priority`` runs first; jobs of equal priority run in
     submission order.  The registry keeps every job (including finished
     ones) for status queries; the queue holds only runnable job ids.
+    Every job that has a deadline also goes on a heap, soonest first,
+    so the jobs past their deadline are found without a scan.
     """
 
     def __init__(self) -> None:
@@ -394,12 +420,20 @@ class JobQueue:
         self._queue: "queue.PriorityQueue[tuple]" = queue.PriorityQueue()
         self._sequence = itertools.count()
         self._lock = threading.Lock()
+        #: ``(deadline, job id)`` per :meth:`add` of a job with a
+        #: deadline; an entry leaves when its deadline comes due.
+        self._deadlines: List[tuple] = []
 
     # ------------------------------------------------------------------
 
     def add(self, job: Job, enqueue: bool = True) -> None:
+        """Register ``job`` (submitted, resumed, adopted or stolen) and,
+        with ``enqueue``, queue it to run.  Adding a job again may leave
+        a second deadline entry; :meth:`expired` drops it."""
         with self._lock:
             self._jobs[job.id] = job
+            if job.deadline is not None:
+                heapq.heappush(self._deadlines, (job.deadline, job.id))
         if enqueue:
             self._queue.put((-job.priority, next(self._sequence), job.id))
 
@@ -416,6 +450,17 @@ class JobQueue:
         for job in self.jobs():
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
+
+    def expired(self, now: float) -> List[Job]:
+        """Pop the deadline entries due at ``now`` (epoch seconds): the
+        registered jobs among them that have not ended yet."""
+        due: Dict[str, Job] = {}
+        with self._lock:
+            while self._deadlines and self._deadlines[0][0] <= now:
+                job = self._jobs[heapq.heappop(self._deadlines)[1]]
+                if not job.terminal:
+                    due[job.id] = job
+        return list(due.values())
 
     def depth(self) -> int:
         """Number of jobs waiting for an executor (approximate)."""

@@ -178,7 +178,7 @@ def test_cached_job_over_http_stays_under_the_ceiling(served, figure):
         assert email == [], f"a cached job over HTTP ran email code: {email}"
         counts.append(len(profile.calls))
     # The fewest of three: a periodic thread of the app (the deadline
-    # watchdog's scan of every job, every 0.2 s) may tick inside one.
+    # watchdog, every 0.2 s, or the fleet poller) may tick inside one.
     calls = min(counts)
     ceiling, before = HTTP_CEILINGS[figure]
     assert calls <= ceiling, (

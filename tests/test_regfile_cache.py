@@ -318,7 +318,7 @@ class TestPrefetchFirstPair:
         _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
         # Issuing the producer wakes its waiter list: the consumer.
-        cache.on_issue(dest, [consumer], cycle=3, window=window)
+        cache.on_issue(dest, [consumer], cycle=3)
         assert cache.prefetch_fills == 1
         assert cache.fill_in_flight(other) is not None
 
@@ -344,7 +344,7 @@ class TestPrefetchFirstPair:
         _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
         # Issuing the producer wakes its waiter list: the consumer.
-        cache.on_issue(dest, [consumer], cycle=3, window=window)
+        cache.on_issue(dest, [consumer], cycle=3)
         assert cache.prefetch_fills == 0
 
     def test_fetch_on_demand_never_prefetches(self):
@@ -367,7 +367,7 @@ class TestPrefetchFirstPair:
         )
         _wait_in_window(window, producer)
         _wait_in_window(window, consumer)
-        cache.on_issue(dest, [consumer], cycle=3, window=window)
+        cache.on_issue(dest, [consumer], cycle=3)
         assert cache.prefetch_fills == 0
 
 
@@ -433,9 +433,9 @@ def test_processor_calls_on_issue_only_to_prefetch(monkeypatch, fetch):
     calls = []
     original = RegisterFileCache.on_issue
 
-    def counting(self, dest, consumers, cycle, window):
+    def counting(self, dest, consumers, cycle):
         calls.append(cycle)
-        return original(self, dest, consumers, cycle, window)
+        return original(self, dest, consumers, cycle)
 
     monkeypatch.setattr(RegisterFileCache, "on_issue", counting)
     stream = SyntheticWorkload(get_profile("gcc")).instructions(1000)

@@ -203,7 +203,8 @@ class TestJobStore:
         (loaded,) = JobStore(str(tmp_path)).load_changed()
         assert loaded.submitted_at == "2020-01-01T00:00:00+00:00"
         # The deadline still counts from the old timestamp: long gone.
-        assert ServiceApp(cache_dir=None)._deadline_remaining(loaded) < 0
+        assert loaded.deadline == datetime.fromisoformat(
+            "2020-01-01T00:00:30+00:00").timestamp()
 
     def test_timestamps_have_microseconds(self):
         job = make_job()

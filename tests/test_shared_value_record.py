@@ -69,11 +69,12 @@ def test_prefetch_candidates_are_the_unissued_consumers(monkeypatch):
     checked = []
     original = RegisterFileCache.on_issue
 
-    def checking(self, dest, consumers, cycle, window):
+    def checking(self, dest, consumers, cycle):
+        window = processor.window
         assert list(consumers) == list(window.waiting_consumers_of(dest))
         assert all(not entry.issued for entry in consumers)
         checked.append(cycle)
-        return original(self, dest, consumers, cycle, window)
+        return original(self, dest, consumers, cycle)
 
     monkeypatch.setattr(RegisterFileCache, "on_issue", checking)
     factory = RegisterFileCacheFactory(
